@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from typing import Any, Callable
@@ -172,7 +171,12 @@ def _warm_kernel_backend() -> None:
 def measure(scenario: str) -> dict[str, Any]:
     """Set up, then run + time one scenario (call in a fresh process)."""
     payload = SCENARIOS[scenario]()  # untimed: imports + spec construction
-    if os.environ.get("REPRO_SEARCH_ENGINE") in ("kernel", "auto"):
+    from repro.analysis.reachability import resolve_engine
+
+    # the engine that will actually run: REPRO_SEARCH_ENGINE, else the
+    # default (the kernel when an accelerated backend resolves)
+    engine = resolve_engine(None)
+    if engine == "kernel":
         _warm_kernel_backend()
     wall0 = time.perf_counter()
     cpu0 = time.process_time()
@@ -181,7 +185,7 @@ def measure(scenario: str) -> dict[str, Any]:
     wall = time.perf_counter() - wall0
     out: dict[str, Any] = {
         "scenario": scenario,
-        "engine": os.environ.get("REPRO_SEARCH_ENGINE", "fast"),
+        "engine": engine,
         "wall_s": round(wall, 4),
         "cpu_s": round(cpu, 4),
     }

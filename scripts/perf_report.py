@@ -2,7 +2,7 @@
 
 For every requested scenario this script launches
 ``benchmarks/bench_search_core.py`` once per engine under comparison
-(``REPRO_SEARCH_ENGINE=reference|fast|vector|kernel``) in fresh
+(``REPRO_SEARCH_ENGINE=reference|fast|kernel``) in fresh
 interpreter processes (cold engine tables, no memo carry-over; the
 kernel backend's one-time JIT/C compile is warmed untimed), takes the best of
 ``--repeats`` runs per engine, cross-checks that every engine reports an
@@ -16,7 +16,7 @@ Usage::
     PYTHONPATH=src python scripts/perf_report.py                  # full set
     PYTHONPATH=src python scripts/perf_report.py --quick          # CI smoke
     PYTHONPATH=src python scripts/perf_report.py \
-        --scenarios fig1-sync --gate vector:fast:1.0              # gate
+        --scenarios fig1-sync --gate kernel:fast:1.0              # gate
 
 ``--gate FASTER:BASELINE:MIN`` (repeatable) turns the report into a
 regression gate: exit 1 if FASTER's CPU-time speedup over BASELINE falls
@@ -24,15 +24,17 @@ below MIN on any measured scenario.  CPU time is the gated metric because
 the engines are single-process and CI wall clocks are shared-runner
 noise.  ``--min-speedup X`` is the v1 spelling of a wall-clock
 ``fast:reference:X`` gate, kept for compatibility.  The CI
-benchmark-smoke job gates ``fast:reference:1.0`` and ``vector:fast:1.0``
-on the Fig. 1 search -- an optimized engine must never be slower than the
-engine it supersedes -- and the optional-dependency kernel job gates
-``kernel:vector:1.0`` the same way.
+benchmark-smoke job gates ``fast:reference:1.0`` and ``kernel:fast:1.0``
+on the Fig. 1 searches -- an optimized engine must never be slower than
+the engine it supersedes (that job has no numba, so it gates the cc
+tier) -- and the optional-dependency kernel job gates the numba tier the
+same way.
 
 The kernel engine appears in the default engine list only when an
 accelerated backend (numba or a C compiler) is available; the
 interpreted fallback tier is a correctness floor, not a perf claim, and
-benchmarking it would just report a known slowdown.
+benchmarking it would just report a known slowdown.  The report records
+the resolved kernel tier (``kernel_tier``) next to ``cpu_count``.
 """
 
 from __future__ import annotations
@@ -64,23 +66,30 @@ DEFAULT_SCENARIOS = (
 QUICK_SCENARIOS = ("fig1-sync", "thm1-five")
 
 #: engines in the default report, slowest first (speedups read downward)
-DEFAULT_ENGINES = ("reference", "fast", "vector")
+DEFAULT_ENGINES = ("reference", "fast")
 
 
-def default_engines() -> tuple[str, ...]:
-    """The default comparison set, plus the kernel when it would be fast.
+def kernel_tier() -> str | None:
+    """The kernel backend tier searches resolve to here (numba/cc/python),
+    or ``None`` when the package cannot be imported.
 
-    Probing ``kernel_available`` imports from ``src`` -- fine here, the
-    subprocess runs get their own fresh interpreters either way.
+    Probing imports from ``src`` -- fine here, the subprocess runs get
+    their own fresh interpreters either way.
     """
     sys.path.insert(0, str(REPO_ROOT / "src"))
     try:
-        from repro.analysis.kernelpath import kernel_available
+        from repro.analysis.kernelpath import resolve_backend
+
+        return resolve_backend()
     except Exception:
-        return DEFAULT_ENGINES
+        return None
     finally:
         sys.path.pop(0)
-    return DEFAULT_ENGINES + ("kernel",) if kernel_available() else DEFAULT_ENGINES
+
+
+def default_engines(tier: str | None) -> tuple[str, ...]:
+    """The default comparison set, plus the kernel when it would be fast."""
+    return DEFAULT_ENGINES + ("kernel",) if tier in ("numba", "cc") else DEFAULT_ENGINES
 
 
 def run_one(scenario: str, engine: str) -> dict[str, Any]:
@@ -200,10 +209,11 @@ def main(argv: list[str] | None = None) -> int:
         names = list(QUICK_SCENARIOS)
     else:
         names = list(DEFAULT_SCENARIOS)
+    tier = kernel_tier()
     if args.engines:
         engines = [e.strip() for e in args.engines.split(",") if e.strip()]
     else:
-        engines = list(default_engines())
+        engines = list(default_engines(tier))
 
     report: dict[str, Any] = {
         "schema": "bench-search/v2",
@@ -211,6 +221,7 @@ def main(argv: list[str] | None = None) -> int:
         "python": platform.python_version(),
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
+        "kernel_tier": tier,
         "repeats": args.repeats,
         "engines": engines,
         "scenarios": {},

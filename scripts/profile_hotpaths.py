@@ -3,15 +3,13 @@
 Usage::
 
     python scripts/profile_hotpaths.py sim      # flit-level engine
-    python scripts/profile_hotpaths.py search   # exhaustive checker
-    python scripts/profile_hotpaths.py vector   # whole-frontier numpy engine
+    python scripts/profile_hotpaths.py search   # exhaustive checker (fast engine)
     python scripts/profile_hotpaths.py kernel   # fused compiled-loop engine
 
-Prints cProfile's top cumulative entries (``sim``/``search``), the
-vector engine's per-phase wall-time breakdown (``vector``), or the
-kernel engine's backend tier + throughput against the vector engine on
-the same search (``kernel``).  Findings that
-shaped the code (recorded here so the next person doesn't re-derive them):
+Prints cProfile's top cumulative entries (``sim``/``search``), or the
+kernel engine's backend tier + throughput against the fast engine on the
+same search (``kernel``).  Findings that shaped the code (recorded here so
+the next person doesn't re-derive them):
 
 * engine: dominated by `_grant_round` dict lookups and `_cascade`; channel
   state lives in dicts keyed by int cid (O(1)); avoided per-flit objects
@@ -19,12 +17,9 @@ shaped the code (recorded here so the next person doesn't re-derive them):
 * checker: dominated by `occupied_channels` tuple scans; states are plain
   tuples so hashing/dedup is cheap; successor generation allocates the
   option lists lazily per round.
-* vector: dominated by the expand phase (wave-machine successor
-  generation, in particular `_branch_children` child materialization and
-  the clash/arbitration reduces); dedup and the sorted visited-store probe
-  are an order of magnitude cheaper.  np.where is slower than arithmetic
-  masking (`x * m`, xor-select) on every hot select, and late drain chains
-  are cheaper run serially (``MAX_DRAIN_ROWS``) than as one-row waves.
+* kernel: one fused compiled loop, so there is no per-phase split; the
+  Python-side cost left is table construction (``KernelEngine.__init__``)
+  and, for witness searches, label recovery on the chain states only.
 """
 
 from __future__ import annotations
@@ -60,70 +55,28 @@ def profile_search() -> None:
     msgs = cdn.checker_messages()
 
     def run() -> None:
-        res = search_deadlock(SystemSpec.uniform(msgs, budget=2), find_witness=False)
+        res = search_deadlock(
+            SystemSpec.uniform(msgs, budget=2), find_witness=False, engine="fast"
+        )
         assert res.deadlock_reachable
 
     cProfile.runctx("run()", globals(), locals(), "/tmp/search.prof")
     pstats.Stats("/tmp/search.prof").sort_stats("cumulative").print_stats(18)
 
 
-def profile_vector() -> None:
-    """Per-phase wall-time baseline for future vector-kernel work."""
-    import time
-
-    from repro.analysis.fastpath import engine_for
-    from repro.analysis.state import CheckerMessage, SystemSpec
-    from repro.analysis.vectorpath import VectorEngine
-    from repro.core.cyclic_dependency import build_cyclic_dependency_network
-
-    msgs = list(build_cyclic_dependency_network().checker_messages())
-    donors = [msgs[1], msgs[3]]  # M2/M4, the copies Theorem 1 interposes
-    for k in range(2):
-        d = donors[k % 2]
-        msgs.append(CheckerMessage(d.path, d.length, f"copy{k}"))
-    spec = SystemSpec.uniform(msgs, budget=1)
-    eng = VectorEngine(spec, fast=engine_for(spec))
-    if not eng.vectorizable:
-        raise SystemExit("profile spec unexpectedly not vectorizable")
-    eng.search(max_states=40_000_000)  # warm tables + allocator
-    eng.reset_profile()
-    t0 = time.perf_counter()
-    deadlock, states = eng.search(max_states=40_000_000)
-    total = time.perf_counter() - t0
-    phases = dict(eng.phase_seconds)
-    labels = {
-        "narrow": "narrow prologue (fused per-state expansion)",
-        "expand": "expand (wave-machine successor generation)",
-        "dedup": "dedup (level pack + first-occurrence)",
-        "visited": "visited (sorted-store probe + merge)",
-        "deadlock": "deadlock (vectorized mask test)",
-    }
-    print(
-        f"vector search: states={states} deadlock={deadlock} "
-        f"wall={total:.3f}s peak_frontier={eng.last_peak_frontier}"
-    )
-    for key, label in labels.items():
-        sec = phases.pop(key, 0.0)
-        print(f"  {sec:7.3f}s  {sec / total * 100:5.1f}%  {label}")
-    for key, sec in sorted(phases.items()):  # future phases, if any
-        print(f"  {sec:7.3f}s  {sec / total * 100:5.1f}%  {key}")
-    other = total - sum(eng.phase_seconds.values())
-    print(f"  {other:7.3f}s  {other / total * 100:5.1f}%  (outside phases)")
-
-
 def profile_kernel() -> None:
-    """Kernel-vs-vector wall time on the fig1-copies search.
+    """Kernel-vs-fast wall time on the fig1-copies search.
 
     The kernel core is one fused loop, so there is no per-phase split to
     report; the actionable numbers are the resolved backend tier, the
-    states/sec, and the ratio over the vector engine on the same spec.
+    states/sec, and the ratio over the fast (fallback) engine on the same
+    spec.
     """
     import time
 
     from repro.analysis.fastpath import engine_for
     from repro.analysis.kernelpath import kernel_engine_for, resolve_backend
     from repro.analysis.state import CheckerMessage, SystemSpec
-    from repro.analysis.vectorpath import VectorEngine
     from repro.core.cyclic_dependency import build_cyclic_dependency_network
 
     msgs = list(build_cyclic_dependency_network().checker_messages())
@@ -137,18 +90,18 @@ def profile_kernel() -> None:
     t0 = time.perf_counter()
     deadlock, states = keng.search(max_states=40_000_000)
     kwall = time.perf_counter() - t0
-    veng = VectorEngine(spec, fast=engine_for(spec))
-    veng.search(max_states=40_000_000)
+    feng = engine_for(spec)
+    feng.search(max_states=40_000_000)  # warm: tables + memo
     t0 = time.perf_counter()
-    veng.search(max_states=40_000_000)
-    vwall = time.perf_counter() - t0
+    feng.search(max_states=40_000_000)
+    fwall = time.perf_counter() - t0
     print(
         f"kernel search [{resolve_backend()}]: states={states} "
         f"deadlock={deadlock} wall={kwall:.3f}s "
         f"({states / kwall:,.0f} states/s)"
     )
-    print(f"vector search: wall={vwall:.3f}s ({states / vwall:,.0f} states/s)")
-    print(f"kernel/vector speedup: {vwall / kwall:.2f}x")
+    print(f"fast search: wall={fwall:.3f}s ({states / fwall:,.0f} states/s)")
+    print(f"kernel/fast speedup: {fwall / kwall:.2f}x")
 
 
 if __name__ == "__main__":
@@ -156,6 +109,5 @@ if __name__ == "__main__":
     {
         "sim": profile_sim,
         "search": profile_search,
-        "vector": profile_vector,
         "kernel": profile_kernel,
     }[what]()

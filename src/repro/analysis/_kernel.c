@@ -9,10 +9,9 @@
  * Verdicts, states_explored and witness chains are bit-identical to the
  * reference engine; tests/test_kernelpath_differential.py pins that.
  *
- * Unlike the numpy wave machine (vectorpath.py), channel occupancy here
- * is a fixed-width array of W uint64 words, so specs with more than 62
- * channels need no fallback; message count is bounded by the single
- * uint64 `pending` bitmask (n <= 64).
+ * Channel occupancy is a fixed-width array of W uint64 words, so specs
+ * with more than 62 channels need no fallback; message count is bounded
+ * by the single uint64 `pending` bitmask (n <= 64).
  *
  * The file is self-contained C99 with no dependencies beyond libc; the
  * Python side compiles it once per toolchain into a disk-cached shared

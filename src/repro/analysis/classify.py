@@ -50,7 +50,6 @@ def classify_configuration(
     max_copies_total: int = 2,
     length_slack: int = 0,
     max_states: int = 20_000_000,
-    search_jobs: int = 1,
     engine: str | None = None,
 ) -> tuple[bool, SearchResult]:
     """Full-adversary reachability verdict for a fixed message-type set.
@@ -76,7 +75,6 @@ def classify_configuration(
             max_copies_total=max_copies_total,
             length_slack=length_slack,
             max_states=max_states,
-            search_jobs=search_jobs,
             engine=engine,
         )
     with tel.span("classify.config", messages=len(messages)) as sp:
@@ -87,7 +85,6 @@ def classify_configuration(
             max_copies_total=max_copies_total,
             length_slack=length_slack,
             max_states=max_states,
-            search_jobs=search_jobs,
             engine=engine,
         )
         sp.set(
@@ -106,7 +103,6 @@ def _classify_configuration_impl(
     max_copies_total: int,
     length_slack: int,
     max_states: int,
-    search_jobs: int,
     engine: str | None,
 ) -> tuple[bool, SearchResult]:
     from repro.analysis.state import CheckerMessage as _CM
@@ -135,7 +131,6 @@ def _classify_configuration_impl(
                 spec,
                 max_states=max_states,
                 find_witness=False,
-                jobs=search_jobs,
                 engine=engine,
             )
             if last.deadlock_reachable:
@@ -246,7 +241,6 @@ def classify_cycle(
     budget: int = 0,
     max_states: int = 2_000_000,
     max_scenarios: int = 256,
-    search_jobs: int = 1,
     engine: str | None = None,
     certificates: str | None = None,
 ) -> CycleClassification:
@@ -279,7 +273,6 @@ def classify_cycle(
             budget=budget,
             max_states=max_states,
             max_scenarios=max_scenarios,
-            search_jobs=search_jobs,
             engine=engine,
             certificates=certificates,
         )
@@ -293,7 +286,6 @@ def classify_cycle(
             budget=budget,
             max_states=max_states,
             max_scenarios=max_scenarios,
-            search_jobs=search_jobs,
             engine=engine,
             certificates=certificates,
         )
@@ -321,7 +313,6 @@ def _classify_cycle_impl(
     budget: int,
     max_states: int,
     max_scenarios: int,
-    search_jobs: int,
     engine: str | None,
     certificates: str | None,
 ) -> CycleClassification:
@@ -371,7 +362,6 @@ def _classify_cycle_impl(
         budget=budget,
         max_states=max_states,
         max_scenarios=max_scenarios,
-        search_jobs=search_jobs,
         engine=engine,
     )
     if cert is not None:
@@ -397,7 +387,6 @@ def _classify_cycle_search(
     budget: int,
     max_states: int,
     max_scenarios: int,
-    search_jobs: int,
     engine: str | None,
 ) -> CycleClassification:
     """The search-based classification (certificate pre-pass already done)."""
@@ -453,7 +442,6 @@ def _classify_cycle_search(
                     spec,
                     max_states=max_states,
                     find_witness=False,
-                    jobs=search_jobs,
                     engine=engine,
                 )
                 result = probe

@@ -37,7 +37,6 @@ def min_delay_to_deadlock(
     *,
     max_delay: int = 16,
     max_states: int = 4_000_000,
-    search_jobs: int = 1,
     engine: str | None = None,
 ) -> DelayResult:
     """Smallest uniform per-message stall budget Δ at which deadlock is reachable.
@@ -46,9 +45,8 @@ def min_delay_to_deadlock(
     adds adversary options), so the sweep stops at the first reachable Δ.
 
     The sweep runs in two phases: every budget is first decided with a
-    verdict-only search (symmetry reduction on, parent pointers off,
-    optionally frontier-parallel via ``search_jobs``), and only the single
-    deadlocking budget is re-searched in witness mode so
+    verdict-only search (symmetry reduction on, parent pointers off), and
+    only the single deadlocking budget is re-searched in witness mode so
     ``results[min_delay].witness`` replays exactly as before.  The negative
     budgets dominate the sweep cost, so skipping their parent maps and
     deduplicating identical-message permutations is the big win here;
@@ -61,7 +59,6 @@ def min_delay_to_deadlock(
             spec,
             max_states=max_states,
             find_witness=False,
-            jobs=search_jobs,
             engine=engine,
         )
         if res.deadlock_reachable:
@@ -80,7 +77,6 @@ def delay_tolerance_profile(
     *,
     max_delay: int = 24,
     max_states: int = 6_000_000,
-    search_jobs: int = 1,
     engine: str | None = None,
 ) -> dict[int, int | None]:
     """Map each parameter ``m`` to the measured minimum deadlock delay Δ*(m).
@@ -95,7 +91,6 @@ def delay_tolerance_profile(
             messages,
             max_delay=max_delay,
             max_states=max_states,
-            search_jobs=search_jobs,
             engine=engine,
         )
         profile[m] = res.min_delay

@@ -1,29 +1,25 @@
-"""Compiled search kernel: the fourth search engine.
+"""Compiled search kernel: the default search engine.
 
 :class:`KernelEngine` runs the same fused expand/arbitrate/dedup/deadlock
 BFS as :class:`~repro.analysis.fastpath.FastEngine` -- grant rounds,
 deterministic pre-apply, joint-choice enumeration, mixed-radix
 arbitration, in-expansion visited dedup, wait-for-cycle test -- but as
-**one compiled loop over flat numpy transition tables**, eliminating both
-the per-state Python interpretation of the fast engine and the per-level
-numpy dispatch of the vector engine.  Verdicts, ``states_explored``
-(including the early-exit count and the exact
+**one compiled loop over flat numpy transition tables**, eliminating the
+per-state Python interpretation of the fast engine.  Verdicts,
+``states_explored`` (including the early-exit count and the exact
 :class:`~repro.analysis.reachability.SearchLimitExceeded` behaviour) and
 witnesses are bit-identical to the reference engine;
-``tests/test_kernelpath_differential.py`` pins the four-way contract.
+``tests/test_kernelpath_differential.py`` pins the three-way contract.
 
-The tables are the fast engine's scan records flattened exactly the way
-:class:`~repro.analysis.vectorpath.VectorEngine` flattens them, with two
-representation changes that lift the vector engine's width limits:
+The tables are the fast engine's scan records flattened into arrays:
 
-* channels are stored as **indices** (``int32``, ``-1`` = none) instead
-  of single-bit masks, and occupancy masks are ``W``-word ``uint64``
-  arrays -- specs with more than 62 channels need no fallback;
+* channels are stored as **indices** (``int32``, ``-1`` = none) and
+  occupancy masks are ``W``-word ``uint64`` arrays -- specs with more
+  than 62 channels need no fallback;
 * the visited store is an open-addressing hash over raw index rows --
   no packed key, so no key-width limit.  Only the per-state ``pending``
   bitmask bounds the engine: ``n <= 64`` messages (wider specs fall back
-  to the fast engine with a structured
-  :class:`~repro.analysis.vectorpath.WideSpecFallbackWarning`).
+  to the fast engine with a structured :class:`WideSpecFallbackWarning`).
 
 Three interchangeable backends execute the loop (``REPRO_KERNEL_BACKEND``
 or the ``backend=`` argument; ``auto`` picks the first available):
@@ -35,8 +31,9 @@ or the ``backend=`` argument; ``auto`` picks the first available):
 ``cc``
     ``_kernel.c`` (same directory) -- a C99 port of the identical loop --
     compiled on first use with the system C compiler into a shared
-    library cached on disk keyed by source hash, called through
-    :mod:`ctypes`.
+    library cached on disk keyed by source hash and machine
+    architecture, called through :mod:`ctypes`.  A cached library that
+    fails to load (corrupt, foreign, stale ABI) is rebuilt once.
 ``python``
     :func:`_core_search` interpreted.  Slow, but always available: it is
     the no-dependency floor that keeps the engine importable and lets the
@@ -44,7 +41,7 @@ or the ``backend=`` argument; ``auto`` picks the first available):
 
 Witness searches track a parent per arena slot and recover action labels
 after the fact by re-expanding only the chain states through
-``successors_full``, the same scheme the fast and vector engines use.
+``successors_full``, the same scheme the fast engine uses.
 """
 
 from __future__ import annotations
@@ -52,10 +49,12 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import platform
 import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 
@@ -80,9 +79,9 @@ COUNTERS: dict[str, int] = {
     "kernelpath.searches.cc": 0,
     "kernelpath.searches.python": 0,
     "kernelpath.fallback.searches": 0,
-    "kernelpath.fallback.jobs": 0,
     "kernelpath.cc.compiles": 0,
     "kernelpath.cc.cache_hits": 0,
+    "kernelpath.cc.rebuilds": 0,
     "kernelpath.cc.errors": 0,
 }
 
@@ -97,6 +96,34 @@ _LIMIT_MSG = "exceeded {max_states} states; tighten the scenario or raise the ca
 def counters_snapshot() -> dict[str, int]:
     """A copy of :data:`COUNTERS` (diff two to meter one search)."""
     return dict(COUNTERS)
+
+
+class WideSpecFallbackWarning(UserWarning):
+    """The kernel engine delegated a too-wide spec to the fast engine.
+
+    Carries the spec's actual requirements and the engine's limit as
+    attributes so tooling can report them structurally; the message spells
+    them out for humans.  Verdicts are unaffected -- only the speedup is
+    lost -- which is why this is a warning, not an error.
+    """
+
+    def __init__(self, engine: str, n: int, num_bits: int, max_msgs: int) -> None:
+        self.engine = engine
+        self.n = n
+        self.num_bits = num_bits
+        self.max_msgs = max_msgs
+        super().__init__(
+            f"{engine} engine fell back to the fast engine: spec needs "
+            f"{n} messages over {num_bits} channel bits, engine limit is "
+            f"{max_msgs} messages (verdict unchanged, no speedup)"
+        )
+
+
+def warn_wide_fallback(engine: str, n: int, num_bits: int, max_msgs: int) -> None:
+    """Emit the structured wide-spec fallback warning."""
+    warnings.warn(
+        WideSpecFallbackWarning(engine, n, num_bits, max_msgs), stacklevel=3
+    )
 
 
 # ----------------------------------------------------------------------
@@ -741,6 +768,9 @@ _CC_SRC = Path(__file__).with_name("_kernel.c")
 _CC_ABI = 1
 _cc_lib: ctypes.CDLL | None = None
 _cc_tried = False
+_cc_lock = threading.Lock()
+#: why the cc tier did not resolve (``None`` until a load failed)
+_cc_error: str | None = None
 
 
 def _cc_cache_dir() -> Path:
@@ -766,63 +796,111 @@ def _cc_compiler() -> str | None:
     return None
 
 
+def cc_lib_path() -> Path:
+    """Where the compiled C kernel is cached: keyed by the source hash and
+    the machine architecture, so a cache directory shared across
+    architectures (an NFS home) never hands one host another's library."""
+    tag = hashlib.sha256(_CC_SRC.read_bytes()).hexdigest()[:16]
+    suffix = "dll" if sys.platform == "win32" else "so"
+    machine = platform.machine() or "unknown"
+    return _cc_cache_dir() / f"repro_kernel_{machine}_{tag}.{suffix}"
+
+
+def _open_cc_lib(path: Path) -> ctypes.CDLL | str:
+    """The library at ``path`` with its ABI vetted, or why it is unusable."""
+    try:
+        lib = ctypes.CDLL(str(path))
+        lib.rk_abi_version.restype = ctypes.c_int
+        abi = lib.rk_abi_version()
+    except (OSError, AttributeError) as exc:  # corrupt / foreign / no symbol
+        return f"compiled kernel library failed to load: {exc}"
+    if abi != _CC_ABI:
+        return f"compiled kernel library has ABI {abi}, expected {_CC_ABI}"
+    lib.rk_search.restype = ctypes.c_int
+    lib.rk_free.restype = None
+    lib.rk_free.argtypes = [ctypes.c_void_p]
+    return lib
+
+
+def _build_cc_lib(so: Path) -> ctypes.CDLL | str:
+    """Compile ``_kernel.c`` into ``so``, or say why that failed.
+
+    The build goes to a private temp file that is loaded and vetted
+    *before* ``os.replace`` publishes it atomically, so concurrent
+    builders race safely and a broken build never lands in the cache.
+    """
+    comp = _cc_compiler()
+    if comp is None:
+        want = os.environ.get("REPRO_CC")
+        return (
+            f"C compiler {want!r} (REPRO_CC) not found"
+            if want
+            else "no C compiler found (cc, gcc or clang on PATH)"
+        )
+    try:
+        so.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=so.suffix, dir=str(so.parent))
+        os.close(fd)
+    except OSError as exc:
+        return f"kernel cache directory unusable: {exc}"
+    try:
+        cmd = [comp, "-O2", "-fPIC", "-shared", "-o", tmp, str(_CC_SRC)]
+        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+        if proc.returncode != 0:
+            tail = (proc.stderr or "").strip().splitlines()[-1:] or [""]
+            return f"compile of _kernel.c with {comp} failed: {tail[0]}"
+        lib = _open_cc_lib(Path(tmp))
+        if isinstance(lib, str):
+            return lib
+        os.replace(tmp, so)
+        COUNTERS["kernelpath.cc.compiles"] += 1
+        return lib
+    except (OSError, subprocess.SubprocessError) as exc:
+        return f"compile of _kernel.c with {comp} failed: {exc}"
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def _load_cc_lib() -> ctypes.CDLL | None:
     """The compiled C kernel, building (and disk-caching) it on first use.
 
     Returns ``None`` -- never raises -- when no C compiler is available,
-    compilation fails, or the cached library's ABI does not match; the
-    caller falls through to the next backend.
+    compilation fails, or the library will not load; the caller falls
+    through to the next backend and :func:`kernel_unavailable_reason`
+    says why.  A cached library that fails to load or reports a stale ABI
+    is rebuilt once (``kernelpath.cc.rebuilds``) rather than poisoning
+    every later process.  Thread-safe: concurrent first searches (serve's
+    worker threads) wait for one load instead of seeing a half-done one.
     """
-    global _cc_lib, _cc_tried
+    global _cc_lib, _cc_tried, _cc_error
     if _cc_tried:
         return _cc_lib
-    _cc_tried = True
-    try:
-        code = _CC_SRC.read_bytes()
-    except OSError:  # pragma: no cover - broken install
-        COUNTERS["kernelpath.cc.errors"] += 1
-        return None
-    tag = hashlib.sha256(code).hexdigest()[:16]
-    suffix = "dll" if sys.platform == "win32" else "so"
-    so = _cc_cache_dir() / f"repro_kernel_{tag}.{suffix}"
-    if not so.exists():
-        comp = _cc_compiler()
-        if comp is None:
-            COUNTERS["kernelpath.cc.errors"] += 1
-            return None
+    with _cc_lock:
+        if _cc_tried:
+            return _cc_lib
+        lib: ctypes.CDLL | str
         try:
-            so.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(suffix=f".{suffix}", dir=str(so.parent))
-            os.close(fd)
-            cmd = [comp, "-O2", "-fPIC", "-shared", "-o", tmp, str(_CC_SRC)]
-            proc = subprocess.run(
-                cmd, capture_output=True, text=True, timeout=120
-            )
-            if proc.returncode != 0:
-                os.unlink(tmp)
-                COUNTERS["kernelpath.cc.errors"] += 1
-                return None
-            os.replace(tmp, so)  # atomic: concurrent builders race safely
-            COUNTERS["kernelpath.cc.compiles"] += 1
-        except (OSError, subprocess.SubprocessError):
+            so = cc_lib_path()
+        except OSError as exc:  # pragma: no cover - broken install
+            lib = f"kernel source unreadable: {exc}"
+        else:
+            if so.exists():
+                lib = _open_cc_lib(so)
+                if isinstance(lib, str):
+                    COUNTERS["kernelpath.cc.rebuilds"] += 1
+                    lib = _build_cc_lib(so)
+                else:
+                    COUNTERS["kernelpath.cc.cache_hits"] += 1
+            else:
+                lib = _build_cc_lib(so)
+        if isinstance(lib, str):
             COUNTERS["kernelpath.cc.errors"] += 1
-            return None
-    else:
-        COUNTERS["kernelpath.cc.cache_hits"] += 1
-    try:
-        lib = ctypes.CDLL(str(so))
-        lib.rk_abi_version.restype = ctypes.c_int
-        if lib.rk_abi_version() != _CC_ABI:
-            COUNTERS["kernelpath.cc.errors"] += 1
-            return None
-        lib.rk_search.restype = ctypes.c_int
-        lib.rk_free.restype = None
-        lib.rk_free.argtypes = [ctypes.c_void_p]
-    except OSError:  # pragma: no cover - corrupt cache entry
-        COUNTERS["kernelpath.cc.errors"] += 1
-        return None
-    _cc_lib = lib
-    return lib
+            _cc_error = lib
+        else:
+            _cc_lib = lib
+        _cc_tried = True  # last: readers outside the lock see a finished load
+    return _cc_lib
 
 
 _BACKENDS = ("numba", "cc", "python")
@@ -852,7 +930,7 @@ def resolve_backend(name: str | None = None) -> str:
         if _load_cc_lib() is None:
             raise RuntimeError(
                 "kernel backend 'cc' requested but no C compiler / cached "
-                "library is available"
+                f"library is available ({_cc_error})"
             )
         return "cc"
     if want == "python":
@@ -865,17 +943,24 @@ def resolve_backend(name: str | None = None) -> str:
     return "python"
 
 
-def kernel_available() -> bool:
-    """True when an **accelerated** backend (numba or cc) would run.
+def kernel_unavailable_reason() -> str | None:
+    """Why no **accelerated** backend (numba or cc) would run, or ``None``
+    when one would.
 
     The interpreted python tier keeps :class:`KernelEngine` importable and
     correct everywhere, but it is slower than the fast engine -- so the
-    ``auto`` *engine* selector only picks the kernel when this holds.
+    default engine selection only picks the kernel when this is ``None``
+    and otherwise reports the reason with its fallback.
     """
     try:
-        return resolve_backend() != "python"
-    except (ValueError, RuntimeError):  # pragma: no cover - bad env value
-        return False
+        backend = resolve_backend()
+    except (ValueError, RuntimeError) as exc:
+        return str(exc)
+    if backend != "python":
+        return None
+    if os.environ.get("REPRO_KERNEL_BACKEND") == "python":
+        return "REPRO_KERNEL_BACKEND=python selects the interpreted tier"
+    return _cc_error or "no accelerated kernel backend"
 
 
 def kernel_engine_for(spec: SystemSpec) -> "KernelEngine":
@@ -1110,14 +1195,10 @@ class KernelEngine:
     ) -> tuple[bool, int]:
         """Compiled BFS; bit-identical to ``FastEngine.search``."""
         from repro.analysis.reachability import SearchLimitExceeded
-        from repro.analysis.vectorpath import warn_wide_fallback
 
         if not self.kernelizable:
             COUNTERS["kernelpath.fallback.searches"] += 1
-            warn_wide_fallback(
-                "kernel", self.spec, self._n, self.num_bits,
-                max_msgs=MAX_KERNEL_MSGS, max_bits=None,
-            )
+            warn_wide_fallback("kernel", self._n, self.num_bits, MAX_KERNEL_MSGS)
             result = self.fast.search(
                 max_states=max_states, symmetry_reduction=symmetry_reduction
             )
@@ -1147,14 +1228,10 @@ class KernelEngine:
     ) -> tuple[bool, int, list | None, list | None, tuple[int, ...]]:
         """Compiled witness BFS; mirrors ``FastEngine.search_witness``."""
         from repro.analysis.reachability import SearchLimitExceeded
-        from repro.analysis.vectorpath import warn_wide_fallback
 
         if not self.kernelizable:
             COUNTERS["kernelpath.fallback.searches"] += 1
-            warn_wide_fallback(
-                "kernel", self.spec, self._n, self.num_bits,
-                max_msgs=MAX_KERNEL_MSGS, max_bits=None,
-            )
+            warn_wide_fallback("kernel", self._n, self.num_bits, MAX_KERNEL_MSGS)
             return self.fast.search_witness(
                 max_states=max_states, symmetry_reduction=symmetry_reduction
             )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import time
+import warnings
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -23,56 +24,60 @@ from repro.analysis.fastpath import engine_for as _engine_for
 from repro.analysis.fastpath import counters_snapshot as _counters_snapshot
 from repro.analysis.fastpath import peek_engine as _peek_fast
 
-# same reasoning for the vector engine (and its numpy import): load cost
-# lands at import time so benchmark setup phases absorb it untimed
-from repro.analysis.vectorpath import counters_snapshot as _v_counters_snapshot
-from repro.analysis.vectorpath import peek_engine as _peek_vector
-from repro.analysis.vectorpath import vector_engine_for as _vector_engine_for
-
-# and for the kernel engine: the module itself is dependency-free (its
-# numba/cc acceleration resolves lazily per search, never at import)
+# and for the kernel engine: the module needs only numpy and the stdlib
+# (its numba/cc acceleration resolves lazily at the first search, never
+# at import)
 from repro.analysis.kernelpath import counters_snapshot as _k_counters_snapshot
-from repro.analysis.kernelpath import kernel_available as _kernel_available
+from repro.analysis.kernelpath import kernel_unavailable_reason as _kernel_unavailable
 from repro.analysis.kernelpath import kernel_engine_for as _kernel_engine_for
 from repro.analysis.kernelpath import peek_engine as _peek_kernel
 from repro.obs import get as _obs_get
 
-#: every name accepted by ``engine=`` / ``REPRO_SEARCH_ENGINE``
-SEARCH_ENGINES = ("fast", "vector", "kernel", "auto", "reference")
+#: every name accepted by ``engine=`` / ``REPRO_SEARCH_ENGINE``: the
+#: compiled default, its fallback, and the oracle
+SEARCH_ENGINES = ("kernel", "fast", "reference")
 
-#: how often ``auto`` resolved to each concrete engine (telemetry reads
-#: these via snapshot deltas, like the per-engine COUNTERS dicts)
-AUTO_COUNTERS: dict[str, int] = {
-    "search.engine.auto.kernel": 0,
-    "search.engine.auto.vector": 0,
-    "search.engine.auto.fast": 0,
-}
+#: how often the default selection fell back to the fast engine because
+#: no accelerated kernel backend resolved (telemetry reads these via
+#: snapshot deltas, like the per-engine COUNTERS dicts)
+ENGINE_COUNTERS: dict[str, int] = {"search.engine.fallback.fast": 0}
+
+_fallback_warned = False
 
 
-def resolve_engine(engine: str | None, spec: SystemSpec | None = None) -> str:
+def resolve_engine(engine: str | None) -> str:
     """The concrete engine a search request will run on.
 
-    ``None`` defers to ``REPRO_SEARCH_ENGINE`` (default ``fast``).
-    ``auto`` picks the kernel engine when an accelerated backend (numba or
-    a C compiler) is available, else the vector engine when ``spec`` is
-    vectorizable, else the fast engine -- and records the outcome in
-    :data:`AUTO_COUNTERS`.  Unknown names raise :class:`ValueError`.
+    ``None`` defers to ``REPRO_SEARCH_ENGINE``; with neither set, the
+    default is the compiled ``kernel`` engine when an accelerated backend
+    (numba or a C compiler) resolves, else ``fast`` -- a loud fallback:
+    one :class:`RuntimeWarning` per process naming the reason, and the
+    ``search.engine.fallback.fast`` counter in :data:`ENGINE_COUNTERS`
+    on every fallen-back search.  Unknown names raise
+    :class:`ValueError`.
     """
-    eng = engine or os.environ.get("REPRO_SEARCH_ENGINE", "fast")
-    if eng not in SEARCH_ENGINES:
-        raise ValueError(
-            f"unknown search engine {eng!r}; use "
-            "'fast', 'vector', 'kernel', 'auto' or 'reference'"
+    global _fallback_warned
+    eng = engine or os.environ.get("REPRO_SEARCH_ENGINE")
+    if eng:
+        if eng not in SEARCH_ENGINES:
+            raise ValueError(
+                f"unknown search engine {eng!r}; use "
+                "'kernel', 'fast' or 'reference'"
+            )
+        return eng
+    reason = _kernel_unavailable()
+    if reason is None:
+        return "kernel"
+    ENGINE_COUNTERS["search.engine.fallback.fast"] += 1
+    if not _fallback_warned:
+        _fallback_warned = True
+        warnings.warn(
+            f"compiled search kernel unavailable ({reason}); falling back "
+            "to the fast engine (same verdicts, slower)",
+            RuntimeWarning,
+            stacklevel=3,
         )
-    if eng == "auto":
-        if _kernel_available():
-            eng = "kernel"
-        elif spec is not None and _vector_engine_for(spec).vectorizable:
-            eng = "vector"
-        else:
-            eng = "fast"
-        AUTO_COUNTERS[f"search.engine.auto.{eng}"] += 1
-    return eng
+    return "fast"
 
 
 class SearchLimitExceeded(RuntimeError):
@@ -184,7 +189,6 @@ def search_deadlock(
     find_witness: bool = True,
     symmetry_reduction: bool | None = None,
     engine: str | None = None,
-    jobs: int = 1,
     certificates: str | None = None,
 ) -> SearchResult:
     """Decide whether any reachable state of ``spec`` is a deadlock.
@@ -206,27 +210,18 @@ def search_deadlock(
         member of an identical pair than a non-reduced search would, so it
         defaults to on only when ``find_witness`` is false.
     engine:
-        ``"fast"`` (default) expands states through the table-driven
-        :class:`~repro.analysis.fastpath.FastEngine`; ``"vector"``
-        expands whole BFS levels at a time as numpy blocks through
-        :class:`~repro.analysis.vectorpath.VectorEngine`; ``"kernel"``
-        runs the whole search as one compiled fused loop through
-        :class:`~repro.analysis.kernelpath.KernelEngine` (numba / C
-        backend when available, interpreted otherwise); ``"auto"`` picks
-        kernel when accelerated, else vector when the spec is
-        vectorizable, else fast (see :func:`resolve_engine`);
-        ``"reference"`` keeps the original :meth:`SystemSpec.successors`
-        implementation as a cross-checking oracle.  All engines produce
-        identical verdicts, ``states_explored`` counts and witnesses
-        (pinned by ``tests/test_fastpath_differential.py``,
-        ``tests/test_vectorpath_differential.py`` and
-        ``tests/test_kernelpath_differential.py``).  The
-        ``REPRO_SEARCH_ENGINE`` environment variable overrides the
-        default for whole processes (benchmarks, CI A/B runs).
-    jobs:
-        Worker processes for frontier-parallel expansion (verdict-only
-        searches).  ``1`` means serial; witness and reference searches
-        ignore it (a witness needs the whole parent map in one process).
+        ``"kernel"`` runs the whole search as one compiled fused loop
+        through :class:`~repro.analysis.kernelpath.KernelEngine`;
+        ``"fast"`` expands states through the table-driven
+        :class:`~repro.analysis.fastpath.FastEngine`; ``"reference"``
+        keeps the original :meth:`SystemSpec.successors` implementation
+        as a cross-checking oracle.  ``None`` (default) reads
+        ``REPRO_SEARCH_ENGINE``, else picks ``kernel`` when an accelerated
+        backend resolves and falls back to ``fast`` loudly otherwise (see
+        :func:`resolve_engine`).  All engines produce identical verdicts,
+        ``states_explored`` counts and witnesses (pinned by
+        ``tests/test_fastpath_differential.py`` and
+        ``tests/test_kernelpath_differential.py``).
     certificates:
         ``"on"`` (default) consults the static linter first: when
         :func:`repro.lint.certificates.spec_certificate` decides the
@@ -261,28 +256,21 @@ def search_deadlock(
             max_states=max_states,
             find_witness=find_witness,
             symmetry_reduction=symmetry_reduction,
-            engine=engine,
-            jobs=jobs,
+            engine=resolve_engine(engine),
             certificates=certificates,
         )
 
-    resolved = engine or os.environ.get("REPRO_SEARCH_ENGINE", "fast")
     before = {
         **_counters_snapshot(),
-        **_v_counters_snapshot(),
         **_k_counters_snapshot(),
-        **AUTO_COUNTERS,
+        **ENGINE_COUNTERS,
     }
-    # the vector engine's phase timers are cumulative (reset_profile is
-    # owned by scripts/profile_hotpaths.py), so meter this search by delta
-    veng_before = _peek_vector(spec)
-    vphases_before = (
-        dict(veng_before.phase_seconds) if veng_before is not None else {}
-    )
+    # resolved once, inside the metered window (a first-use backend load
+    # or fallback counts), and named on the span as the engine that ran
+    resolved = resolve_engine(engine)
     with tel.span(
         "search.deadlock",
         engine=resolved,
-        jobs=jobs,
         find_witness=find_witness,
         messages=len(spec.messages),
     ) as sp:
@@ -292,17 +280,15 @@ def search_deadlock(
             max_states=max_states,
             find_witness=find_witness,
             symmetry_reduction=symmetry_reduction,
-            engine=engine,
-            jobs=jobs,
+            engine=resolved,
             certificates=certificates,
         )
         dur = time.perf_counter() - t0
         # snapshot before telemetry's own engine_for below
         after = {
             **_counters_snapshot(),
-            **_v_counters_snapshot(),
             **_k_counters_snapshot(),
-            **AUTO_COUNTERS,
+            **ENGINE_COUNTERS,
         }
         sp.set(
             verdict="reachable" if result.deadlock_reachable else "deadlock-free",
@@ -311,45 +297,28 @@ def search_deadlock(
         )
         if dur > 0 and result.states_explored:
             sp.set(states_per_sec=round(result.states_explored / dur, 1))
-        if result.witness is not None:
-            sp.set(frontier_depth=result.witness.num_cycles)
-        elif resolved == "fast" and jobs <= 1 and result.states_explored:
-            depth = _engine_for(spec).last_search_depth
-            if depth is not None:
-                sp.set(frontier_depth=depth)
-        elif resolved == "vector" and result.states_explored:
-            veng = _vector_engine_for(spec)
-            if veng.last_search_depth is not None:
-                sp.set(frontier_depth=veng.last_search_depth)
-            if veng.last_peak_frontier:
-                sp.set(peak_frontier=veng.last_peak_frontier)
-        elif resolved == "kernel" and result.states_explored:
-            keng = _kernel_engine_for(spec)
-            if keng.last_search_depth is not None:
-                sp.set(frontier_depth=keng.last_search_depth)
-            if keng.last_backend is not None:
-                sp.set(kernel_backend=keng.last_backend)
         # per-phase profile + level widths from whichever engine ran
         # (peeked, so the engine-cache counters stay undisturbed)
         phases: dict[str, float] = {}
         widths: list[int] = []
-        if resolved == "fast" and jobs <= 1:
+        depth: int | None = None
+        if resolved == "fast":
             feng = _peek_fast(spec)
             if feng is not None:
                 phases = feng.phase_seconds
                 widths = feng.last_level_widths
-        elif resolved == "vector":
-            veng2 = _peek_vector(spec)
-            if veng2 is not None:
-                phases = {
-                    p: s - vphases_before.get(p, 0.0)
-                    for p, s in veng2.phase_seconds.items()
-                }
-                widths = veng2.last_level_widths
+                depth = feng.last_search_depth
         elif resolved == "kernel":
-            keng2 = _peek_kernel(spec)
-            if keng2 is not None:
-                phases = keng2.phase_seconds
+            keng = _peek_kernel(spec)
+            if keng is not None:
+                phases = keng.phase_seconds
+                depth = keng.last_search_depth
+                if keng.last_backend is not None:
+                    sp.set(kernel_backend=keng.last_backend)
+        if result.witness is not None:
+            sp.set(frontier_depth=result.witness.num_cycles)
+        elif depth is not None and result.states_explored:
+            sp.set(frontier_depth=depth)
         if result.states_explored:
             for phase, seconds in phases.items():
                 if seconds > 0:
@@ -384,13 +353,12 @@ def _search_deadlock_impl(
     max_states: int,
     find_witness: bool,
     symmetry_reduction: bool | None,
-    engine: str | None,
-    jobs: int,
+    engine: str,
     certificates: str | None,
 ) -> SearchResult:
+    """The search proper; ``engine`` is already a concrete engine name."""
     if symmetry_reduction is None:
         symmetry_reduction = not find_witness
-    engine = resolve_engine(engine, spec)
 
     init = spec.initial_state()
     dead = spec.deadlocked_set(init)
@@ -438,34 +406,18 @@ def _search_deadlock_impl(
                 certificate=cert.code,
             )
 
-    if engine == "fast":
-        result = _search_fast(
-            spec,
-            max_states=max_states,
-            find_witness=find_witness,
-            symmetry_reduction=symmetry_reduction,
-            jobs=jobs,
-        )
-    elif engine == "vector":
-        result = _search_vector(
-            spec,
-            max_states=max_states,
-            find_witness=find_witness,
-            symmetry_reduction=symmetry_reduction,
-            jobs=jobs,
-        )
-    elif engine == "kernel":
-        result = _search_kernel(
-            spec,
-            max_states=max_states,
-            find_witness=find_witness,
-            symmetry_reduction=symmetry_reduction,
-            jobs=jobs,
-        )
-    else:
+    if engine == "reference":
         result = _search_reference(
             spec,
             init,
+            max_states=max_states,
+            find_witness=find_witness,
+            symmetry_reduction=symmetry_reduction,
+        )
+    else:
+        result = _search_engine(
+            _kernel_engine_for(spec) if engine == "kernel" else _engine_for(spec),
+            spec,
             max_states=max_states,
             find_witness=find_witness,
             symmetry_reduction=symmetry_reduction,
@@ -531,31 +483,20 @@ def _search_reference(
     )
 
 
-def _search_fast(
+def _search_engine(
+    eng,
     spec: SystemSpec,
     *,
     max_states: int,
     find_witness: bool,
     symmetry_reduction: bool,
-    jobs: int,
 ) -> SearchResult:
-    """The optimized search paths."""
-    engine_for = _engine_for
-
+    """Search through an optimized engine (kernel or fast: both expose the
+    same ``search`` / ``search_witness`` contract)."""
     if not find_witness:
-        if jobs > 1:
-            from repro.analysis.frontier import frontier_search
-
-            reachable, explored = frontier_search(
-                spec,
-                jobs=jobs,
-                max_states=max_states,
-                symmetry_reduction=symmetry_reduction,
-            )
-        else:
-            reachable, explored = engine_for(spec).search(
-                max_states=max_states, symmetry_reduction=symmetry_reduction
-            )
+        reachable, explored = eng.search(
+            max_states=max_states, symmetry_reduction=symmetry_reduction
+        )
         return SearchResult(
             deadlock_reachable=reachable,
             witness=None,
@@ -567,114 +508,7 @@ def _search_fast(
     # action rows are recovered for the states on the deadlock path only
     # (see FastEngine.search_witness), so witness searches run at nearly
     # verdict-search speed while returning the reference's exact witness
-    found, count, steps, states, dead = engine_for(spec).search_witness(
-        max_states=max_states, symmetry_reduction=symmetry_reduction
-    )
-    witness = None
-    if found:
-        assert steps is not None and states is not None
-        witness = Witness(spec=spec, steps=steps, states=states, deadlocked=dead)
-    return SearchResult(
-        deadlock_reachable=found,
-        witness=witness,
-        states_explored=count,
-        spec=spec,
-    )
-
-
-def _search_vector(
-    spec: SystemSpec,
-    *,
-    max_states: int,
-    find_witness: bool,
-    symmetry_reduction: bool,
-    jobs: int,
-) -> SearchResult:
-    """Whole-frontier numpy search (bit-identical to fast/reference).
-
-    ``jobs > 1`` is routed through :func:`~repro.analysis.frontier
-    .frontier_search`, which refuses to combine process parallelism with
-    the vector engine (warning + ``vectorpath.fallback.jobs`` counter)
-    and runs the whole-frontier search serially instead -- the engine
-    already batches an entire BFS level per step, so per-state chunking
-    across workers would undo the batching it exists for.
-    """
-    if not find_witness:
-        if jobs > 1:
-            from repro.analysis.frontier import frontier_search
-
-            reachable, explored = frontier_search(
-                spec,
-                jobs=jobs,
-                max_states=max_states,
-                symmetry_reduction=symmetry_reduction,
-                engine="vector",
-            )
-        else:
-            reachable, explored = _vector_engine_for(spec).search(
-                max_states=max_states, symmetry_reduction=symmetry_reduction
-            )
-        return SearchResult(
-            deadlock_reachable=reachable,
-            witness=None,
-            states_explored=explored,
-            spec=spec,
-        )
-
-    found, count, steps, states, dead = _vector_engine_for(spec).search_witness(
-        max_states=max_states, symmetry_reduction=symmetry_reduction
-    )
-    witness = None
-    if found:
-        assert steps is not None and states is not None
-        witness = Witness(spec=spec, steps=steps, states=states, deadlocked=dead)
-    return SearchResult(
-        deadlock_reachable=found,
-        witness=witness,
-        states_explored=count,
-        spec=spec,
-    )
-
-
-def _search_kernel(
-    spec: SystemSpec,
-    *,
-    max_states: int,
-    find_witness: bool,
-    symmetry_reduction: bool,
-    jobs: int,
-) -> SearchResult:
-    """Compiled fused-loop search (bit-identical to fast/reference).
-
-    ``jobs > 1`` is refused the same way the vector engine refuses it
-    (warning + ``kernelpath.fallback.jobs`` counter, then a serial kernel
-    search): the compiled loop already amortizes per-state overhead, and
-    per-state chunking across worker processes would rebuild its tables
-    per worker for no win.
-    """
-    if not find_witness:
-        if jobs > 1:
-            from repro.analysis.frontier import frontier_search
-
-            reachable, explored = frontier_search(
-                spec,
-                jobs=jobs,
-                max_states=max_states,
-                symmetry_reduction=symmetry_reduction,
-                engine="kernel",
-            )
-        else:
-            reachable, explored = _kernel_engine_for(spec).search(
-                max_states=max_states, symmetry_reduction=symmetry_reduction
-            )
-        return SearchResult(
-            deadlock_reachable=reachable,
-            witness=None,
-            states_explored=explored,
-            spec=spec,
-        )
-
-    found, count, steps, states, dead = _kernel_engine_for(spec).search_witness(
+    found, count, steps, states, dead = eng.search_witness(
         max_states=max_states, symmetry_reduction=symmetry_reduction
     )
     witness = None

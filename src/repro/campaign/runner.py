@@ -50,13 +50,10 @@ class RunnerConfig:
     task_timeout: float | None = None  # seconds; pool mode only
     retries: int = 1  # extra attempts after a failed/timed-out task
     backoff: float = 0.5  # seconds before the first retry wave, then doubled
-    #: worker processes for frontier-parallel searches *inside* one task;
-    #: execution-only (never part of task identity or the cache key)
-    search_jobs: int = 1
-    #: search engine (fast/vector/kernel/auto/reference) used inside
-    #: tasks; ``None`` defers to ``REPRO_SEARCH_ENGINE``/the default.
-    #: Execution-only for the same reason: the engines are pinned
-    #: bit-identical.
+    #: search engine (kernel/fast/reference) used inside tasks; ``None``
+    #: defers to ``REPRO_SEARCH_ENGINE``/the default.  Execution-only
+    #: (never part of task identity or the cache key): the engines are
+    #: pinned bit-identical.
     engine: str | None = None
 
     def __post_init__(self) -> None:
@@ -66,13 +63,15 @@ class RunnerConfig:
             raise ValueError("retries must be >= 0")
         if self.task_timeout is not None and self.task_timeout <= 0:
             raise ValueError("task_timeout must be positive")
-        if self.search_jobs < 1:
-            raise ValueError("search_jobs must be >= 1")
-        if self.engine not in (None, "fast", "vector", "kernel", "auto", "reference"):
-            raise ValueError(
-                f"unknown search engine {self.engine!r}; "
-                "use 'fast', 'vector', 'kernel', 'auto' or 'reference'"
-            )
+        if self.engine is not None:
+            # lazy: the analysis stack (numpy) is not needed to configure a run
+            from repro.analysis.reachability import SEARCH_ENGINES
+
+            if self.engine not in SEARCH_ENGINES:
+                raise ValueError(
+                    f"unknown search engine {self.engine!r}; "
+                    "use 'kernel', 'fast' or 'reference'"
+                )
 
 
 def _trace_scope(carrier: str | None) -> ContextManager[None]:
@@ -92,7 +91,6 @@ def _trace_scope(carrier: str | None) -> ContextManager[None]:
 
 def _pool_worker(
     payload: dict,
-    search_jobs: int = 1,
     engine: str | None = None,
     trace_carrier: str | None = None,
 ) -> dict:
@@ -105,9 +103,7 @@ def _pool_worker(
     """
     task = CampaignTask.from_json(payload)
     with _trace_scope(trace_carrier):
-        return execute_task(
-            task, worker=f"pid{os.getpid()}", search_jobs=search_jobs, engine=engine
-        ).to_json()
+        return execute_task(task, worker=f"pid{os.getpid()}", engine=engine).to_json()
 
 
 def _infra_failure(task: CampaignTask, error: str) -> TaskResult:
@@ -139,8 +135,6 @@ class _WaveExecutor:
     ) -> list[TaskResult]:
         if not tasks:
             return []
-        jobs = self.config.search_jobs
-        engine = self.config.engine
         if self.serial_forced:
             return [self._run_serial(t, "serial", traces) for t in tasks]
         return self._run_pool(tasks, traces)
@@ -155,7 +149,6 @@ class _WaveExecutor:
             return execute_task(
                 task,
                 worker=worker,
-                search_jobs=self.config.search_jobs,
                 engine=self.config.engine,
             )
 
@@ -164,7 +157,6 @@ class _WaveExecutor:
         tasks: Sequence[CampaignTask],
         traces: dict[str, str] | None,
     ) -> list[TaskResult]:
-        jobs = self.config.search_jobs
         engine = self.config.engine
         try:
             from concurrent.futures import ProcessPoolExecutor
@@ -182,7 +174,6 @@ class _WaveExecutor:
                     executor.submit(
                         _pool_worker,
                         t.to_json(),
-                        jobs,
                         engine,
                         traces.get(t.task_hash) if traces else None,
                     ),

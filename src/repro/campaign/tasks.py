@@ -294,7 +294,7 @@ class TaskResult:
 # execution (module-level: must be importable/picklable from workers)
 # ----------------------------------------------------------------------
 def _run_reachability(
-    bundle, p: dict[str, Any], search_jobs: int = 1, engine: str | None = None
+    bundle, p: dict[str, Any], engine: str | None = None
 ) -> tuple[str, dict[str, Any]]:
     from repro.analysis import SystemSpec, search_deadlock
 
@@ -303,7 +303,6 @@ def _run_reachability(
         spec,
         max_states=int(p.get("max_states", 4_000_000)),
         find_witness=False,
-        jobs=search_jobs,
         engine=engine,
     )
     verdict = "deadlock" if res.deadlock_reachable else "unreachable"
@@ -314,7 +313,7 @@ def _run_reachability(
 
 
 def _run_classify(
-    bundle, p: dict[str, Any], search_jobs: int = 1, engine: str | None = None
+    bundle, p: dict[str, Any], engine: str | None = None
 ) -> tuple[str, dict[str, Any]]:
     from repro.analysis.classify import classify_configuration, classify_cycle
 
@@ -328,7 +327,6 @@ def _run_classify(
             extra_copies=int(p.get("extra_copies", 1)),
             budget=int(p.get("budget", 0)),
             max_states=int(p.get("max_states", 2_000_000)),
-            search_jobs=search_jobs,
             engine=engine,
         )
         verdict = "deadlock" if cls.deadlock_reachable else "unreachable"
@@ -343,7 +341,6 @@ def _run_classify(
         copy_depth=int(p.get("copy_depth", 1)),
         length_slack=int(p.get("length_slack", 0)),
         max_states=int(p.get("max_states", 4_000_000)),
-        search_jobs=search_jobs,
         engine=engine,
     )
     verdict = "deadlock" if reachable else "unreachable"
@@ -351,7 +348,7 @@ def _run_classify(
 
 
 def _run_min_delay(
-    bundle, p: dict[str, Any], search_jobs: int = 1, engine: str | None = None
+    bundle, p: dict[str, Any], engine: str | None = None
 ) -> tuple[str, dict[str, Any]]:
     from repro.analysis.delay import min_delay_to_deadlock
 
@@ -359,7 +356,6 @@ def _run_min_delay(
         bundle.messages,
         max_delay=int(p.get("max_delay", 8)),
         max_states=int(p.get("max_states", 8_000_000)),
-        search_jobs=search_jobs,
         engine=engine,
     )
     states = sum(r.states_explored for r in res.results.values())
@@ -376,7 +372,7 @@ def _run_min_delay(
 
 
 def _run_simulate(
-    bundle, p: dict[str, Any], search_jobs: int = 1, engine: str | None = None
+    bundle, p: dict[str, Any], engine: str | None = None
 ) -> tuple[str, dict[str, Any]]:
     from repro.sim import SimConfig, Simulator
 
@@ -400,7 +396,7 @@ def _run_simulate(
 
 
 def _run_cdg(
-    bundle, p: dict[str, Any], search_jobs: int = 1, engine: str | None = None
+    bundle, p: dict[str, Any], engine: str | None = None
 ) -> tuple[str, dict[str, Any]]:
     from repro.cdg import build_cdg, dally_seitz_numbering, is_acyclic, verify_numbering
 
@@ -416,7 +412,7 @@ def _run_cdg(
 
 
 def _run_lint(
-    bundle, p: dict[str, Any], search_jobs: int = 1, engine: str | None = None
+    bundle, p: dict[str, Any], engine: str | None = None
 ) -> tuple[str, dict[str, Any]]:
     from repro.lint import lint_algorithm, lint_messages
 
@@ -439,7 +435,7 @@ def _run_lint(
 
 
 def _run_adaptive(
-    bundle, p: dict[str, Any], search_jobs: int = 1, engine: str | None = None
+    bundle, p: dict[str, Any], engine: str | None = None
 ) -> tuple[str, dict[str, Any]]:
     from repro.analysis.adaptive_state import search_adaptive_deadlock
 
@@ -461,7 +457,7 @@ def _run_adaptive(
 
 
 def _run_cross_check(
-    bundle, p: dict[str, Any], search_jobs: int = 1, engine: str | None = None
+    bundle, p: dict[str, Any], engine: str | None = None
 ) -> tuple[str, dict[str, Any]]:
     """Witness emission + replay cross-validation for one scenario.
 
@@ -480,7 +476,6 @@ def _run_cross_check(
         spec,
         max_states=int(p.get("max_states", 4_000_000)),
         find_witness=True,
-        jobs=search_jobs,
         engine=engine,
     )
     detail: dict[str, Any] = {
@@ -524,7 +519,6 @@ def execute_task(
     task: CampaignTask,
     *,
     worker: str = "",
-    search_jobs: int = 1,
     engine: str | None = None,
 ) -> TaskResult:
     """Build the task's scenario and run its analysis.
@@ -534,12 +528,11 @@ def execute_task(
     thousand-task campaign.  Infrastructure errors (pool breakage,
     timeouts) are the runner's concern.
 
-    ``search_jobs`` and ``engine`` are *execution* knobs (worker
-    processes for frontier-parallel searches, and the search engine --
-    fast/vector/kernel/auto/reference -- used inside a task), deliberately not task
-    parameters: the engines are pinned bit-identical by the differential
-    suites, so neither knob enters the content hash and cached results
-    stay valid whatever execution strategy produced them.
+    ``engine`` is an *execution* knob (the search engine --
+    kernel/fast/reference -- used inside a task), deliberately not a task
+    parameter: the engines are pinned bit-identical by the differential
+    suites, so it never enters the content hash and cached results stay
+    valid whatever engine produced them.
     """
     from repro.campaign.scenarios import build_scenario
     from repro.obs import get as _obs_get
@@ -556,7 +549,7 @@ def execute_task(
     t0 = time.perf_counter()
     try:
         bundle = build_scenario(task.scenario, p)
-        verdict, detail = _KIND_RUNNERS[task.kind](bundle, p, search_jobs, engine)
+        verdict, detail = _KIND_RUNNERS[task.kind](bundle, p, engine)
         detail.update(bundle.detail)
         result = TaskResult(
             task_hash=task.task_hash,

@@ -50,6 +50,12 @@ import sys
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 
+#: ``--search-engine`` choices: a literal copy of
+#: :data:`repro.analysis.reachability.SEARCH_ENGINES` (pinned equal by the
+#: tests), because importing the analysis stack here would tax the
+#: start-up of every command
+SEARCH_ENGINES = ("kernel", "fast", "reference")
+
 
 @contextmanager
 def _telemetry_session(args: argparse.Namespace, command: str) -> Iterator[None]:
@@ -160,7 +166,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
         spec,
         max_states=args.max_states,
         find_witness=args.witness,
-        jobs=args.search_jobs,
         engine=args.search_engine,
     )
     verdict = "deadlock" if res.deadlock_reachable else "unreachable"
@@ -228,7 +233,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             extra_copies=args.extra_copies,
             budget=args.budget,
             max_states=args.max_states,
-            search_jobs=args.search_jobs,
             engine=args.search_engine,
         )
         verdict = "deadlock" if cls.deadlock_reachable else "false-resource-cycle"
@@ -274,7 +278,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         budget=args.budget,
         length_slack=args.length_slack,
         max_states=args.max_states,
-        search_jobs=args.search_jobs,
         engine=args.search_engine,
     )
     verdict = "deadlock" if reachable else "unreachable"
@@ -403,7 +406,6 @@ def _cmd_fig1(args: argparse.Namespace) -> int:
 
     res = run_fig1_experiment(
         max_delay=args.max_delay,
-        search_jobs=args.search_jobs,
         engine=args.search_engine,
     )
     print(render_table(res.summary_rows(), title="E1: Figure 1 / Theorem 1"))
@@ -542,7 +544,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
             max_workers=args.jobs,
             task_timeout=args.timeout,
             retries=args.retries,
-            search_jobs=args.search_jobs,
             engine=args.search_engine,
         )
         cache = (
@@ -884,7 +885,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             hot_capacity=args.hot_capacity,
             window=args.window_ms / 1000.0,
             jobs=args.jobs,
-            search_jobs=args.search_jobs,
             search_engine=args.search_engine,
             retries=args.retries,
             task_timeout=args.timeout,
@@ -921,7 +921,6 @@ def _cmd_client(args: argparse.Namespace) -> int:
                 args.url,
                 worker_id=args.worker_id,
                 jobs=args.jobs,
-                search_jobs=args.search_jobs,
                 search_engine=args.search_engine,
                 limit=args.limit,
                 cache=cache,
@@ -1001,20 +1000,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_search_jobs_flag(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--search-jobs", type=int, default=1,
-            help="worker processes for frontier-parallel reachability "
-            "searches (default 1: serial; parallel pays only on "
-            "multi-core machines and large frontiers)",
-        )
+    def add_search_engine_flag(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--search-engine", default=None,
-            choices=["fast", "vector", "kernel", "auto", "reference"],
-            help="reachability search engine (default: REPRO_SEARCH_ENGINE "
-            "or 'fast'); 'auto' picks kernel/vector/fast by availability; "
-            "all engines are pinned bit-identical, so this is purely an "
-            "execution knob",
+            choices=SEARCH_ENGINES,
+            help="reachability search engine (default: REPRO_SEARCH_ENGINE, "
+            "else the compiled 'kernel', falling back loudly to 'fast' when "
+            "no C compiler or numba is available); 'reference' is the "
+            "oracle.  All engines are pinned bit-identical, so this is "
+            "purely an execution knob",
         )
 
     def add_telemetry_flags(p: argparse.ArgumentParser) -> None:
@@ -1031,7 +1025,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fig1", help="Figure 1 / Theorem 1 battery")
     p.add_argument("--max-delay", type=int, default=3)
-    add_search_jobs_flag(p)
+    add_search_engine_flag(p)
     p.set_defaults(fn=_cmd_fig1)
 
     p = sub.add_parser("fig2", help="Figure 2 / Theorem 4 sweep")
@@ -1098,7 +1092,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="reconstruct and print a replayable deadlock witness",
     )
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    add_search_jobs_flag(p)
+    add_search_engine_flag(p)
     add_telemetry_flags(p)
     p.set_defaults(fn=_cmd_search)
 
@@ -1131,7 +1125,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-states", type=int, default=2_000_000, help="per-search state cap"
     )
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    add_search_jobs_flag(p)
+    add_search_engine_flag(p)
     add_telemetry_flags(p)
     p.set_defaults(fn=_cmd_classify)
 
@@ -1285,7 +1279,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-telemetry", action="store_true",
         help="disable the telemetry collector (and the /v1/events stream)",
     )
-    add_search_jobs_flag(p)
+    add_search_engine_flag(p)
     p.set_defaults(fn=_cmd_serve)
 
     p = sub.add_parser(
@@ -1364,7 +1358,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-backend", default=None, metavar="SPEC",
         help="local cache for shard execution (dir:/sqlite:/memory[:N])",
     )
-    add_search_jobs_flag(kp)
+    add_search_engine_flag(kp)
     kp.set_defaults(fn=_cmd_client)
 
     p = sub.add_parser(
@@ -1402,7 +1396,7 @@ def build_parser() -> argparse.ArgumentParser:
         "disjoint, content-stable, and merge via a shared --cache-dir "
         "(see 'campaign status')",
     )
-    add_search_jobs_flag(pr)
+    add_search_engine_flag(pr)
     add_telemetry_flags(pr)
     pr.set_defaults(fn=_cmd_campaign_run)
 
@@ -1454,6 +1448,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    env_engine = os.environ.get("REPRO_SEARCH_ENGINE")
+    if env_engine and hasattr(args, "search_engine") and env_engine not in SEARCH_ENGINES:
+        print(
+            f"error: REPRO_SEARCH_ENGINE={env_engine!r} is not a search engine; "
+            f"use one of {', '.join(SEARCH_ENGINES)}",
+            file=sys.stderr,
+        )
+        return 2
     try:
         with _telemetry_session(args, args.command):
             return args.fn(args)

@@ -86,15 +86,9 @@ def run_fig1_experiment(
     *,
     max_delay: int = 6,
     with_copies: bool = True,
-    search_jobs: int = 1,
     engine: str | None = None,
 ) -> Fig1Result:
-    """Run the full E1 battery.  Takes a few seconds.
-
-    ``search_jobs`` fans the verdict-only reachability searches (the extra
-    copies / longer messages checks and the delay sweep) out across worker
-    processes; the witness searches stay serial.
-    """
+    """Run the full E1 battery.  Takes a few seconds."""
     cdn = build_cyclic_dependency_network()
     alg = cdn.algorithm
     cdg = build_cdg(alg)
@@ -116,7 +110,6 @@ def run_fig1_experiment(
             SystemSpec.uniform(extra, budget=0),
             max_states=8_000_000,
             find_witness=False,
-            jobs=search_jobs,
             engine=engine,
         ).deadlock_reachable
 
@@ -124,7 +117,6 @@ def run_fig1_experiment(
     longer_ok = not search_deadlock(
         SystemSpec.uniform(longer, budget=0),
         find_witness=False,
-        jobs=search_jobs,
         engine=engine,
     ).deadlock_reachable
 
@@ -139,9 +131,7 @@ def run_fig1_experiment(
     ]
     analytic = analytic_schedule_feasible(cycle_specs)
 
-    delay = min_delay_to_deadlock(
-        msgs, max_delay=max_delay, search_jobs=search_jobs, engine=engine
-    )
+    delay = min_delay_to_deadlock(msgs, max_delay=max_delay, engine=engine)
     replay_ok = False
     if delay.min_delay is not None:
         witness = delay.results[delay.min_delay].witness

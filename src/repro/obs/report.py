@@ -30,7 +30,7 @@ CAMPAIGN_TASK_SPAN = "campaign.task"
 
 #: per-engine phase-second counters (see docs/OBSERVABILITY.md):
 #: ``<engine>path.phase.<phase>_s``
-_PHASE_COUNTER_RE = re.compile(r"^(fast|vector|kernel)path\.phase\.(\w+)_s$")
+_PHASE_COUNTER_RE = re.compile(r"^(fast|kernel)path\.phase\.(\w+)_s$")
 
 
 class EventStreamError(Exception):
@@ -80,23 +80,16 @@ class TelemetryReport:
         return hits / lookups
 
     def engine_fallbacks(self) -> dict[str, float]:
-        """Nonzero engine-fallback counts (wide specs, jobs refusals).
+        """Nonzero engine-fallback counts.
 
-        Every ``*.fallback.*`` counter the accelerated engines emit when
-        they delegate to the fast engine -- searches that silently lost
-        their speedup.  Empty when every search ran on its chosen engine.
+        Every ``*.fallback.*`` counter: ``search.engine.fallback.fast``
+        (no accelerated kernel backend, so the default engine fell back to
+        fast) and ``kernelpath.fallback.searches`` (a spec too wide for the
+        kernel) -- searches that lost their speedup.  Empty when every
+        search ran on its chosen engine.
         """
         return {
             k: v for k, v in self.counters.items() if ".fallback." in k and v
-        }
-
-    def auto_engine_picks(self) -> dict[str, float]:
-        """How often ``--search-engine auto`` resolved to each engine."""
-        prefix = "search.engine.auto."
-        return {
-            k[len(prefix):]: v
-            for k, v in self.counters.items()
-            if k.startswith(prefix) and v
         }
 
     def certificate_activity(self) -> dict[str, float]:
@@ -135,7 +128,6 @@ class TelemetryReport:
             "traces": self.traces,
             "cache_hit_rate": self.cache_hit_rate(),
             "engine_fallbacks": dict(sorted(self.engine_fallbacks().items())),
-            "auto_engine_picks": dict(sorted(self.auto_engine_picks().items())),
             "engine_phases": {
                 k: dict(sorted(v.items()))
                 for k, v in sorted(self.engine_phases().items())
@@ -380,11 +372,6 @@ def render(report: TelemetryReport, *, top: int = 10) -> str:
     if fallbacks:
         head["engine fallbacks"] = ", ".join(
             f"{k}={v:g}" for k, v in sorted(fallbacks.items())
-        )
-    picks = report.auto_engine_picks()
-    if picks:
-        head["auto engine picks"] = ", ".join(
-            f"{k}={v:g}" for k, v in sorted(picks.items())
         )
     certs = report.certificate_activity()
     if certs:

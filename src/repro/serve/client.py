@@ -243,7 +243,6 @@ def run_worker(
     *,
     worker_id: str | None = None,
     jobs: int = 1,
-    search_jobs: int = 1,
     search_engine: str | None = None,
     limit: int | None = None,
     cache: CacheBackend | None = None,
@@ -251,8 +250,8 @@ def run_worker(
 ) -> dict[str, Any]:
     """One full coordinator round trip: register -> run shard -> report.
 
-    The shard is executed locally (``jobs`` campaign workers,
-    ``search_jobs`` in-task search processes, optional local ``cache``);
+    The shard is executed locally (``jobs`` campaign workers, optional
+    local ``cache``);
     results are posted back and merged into the coordinator's ledger and
     shared cache.  Returns ``{assignment, summary, report}``.
     """
@@ -261,9 +260,7 @@ def run_worker(
     assignment = client.register(worker).raise_for_status().payload
     index, count = parse_shard(assignment["shard"])
     tasks = shard_tasks(build_spec(assignment["spec"], limit=limit), index, count)
-    config = RunnerConfig(
-        max_workers=jobs, search_jobs=search_jobs, engine=search_engine, retries=0
-    )
+    config = RunnerConfig(max_workers=jobs, engine=search_engine, retries=0)
     results, summary = run_campaign(
         tasks,
         cache=cache,

@@ -55,7 +55,7 @@ from collections import Counter
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext, suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 from urllib.parse import parse_qs
 
@@ -151,8 +151,7 @@ class ServeConfig:
     #: micro-batching window in seconds (0 = flush on next loop tick)
     window: float = 0.02
     jobs: int = 1
-    search_jobs: int = 1
-    #: search engine (fast/vector/kernel/auto/reference) for in-task
+    #: search engine (kernel/fast/reference) for in-task
     #: searches; None defers to REPRO_SEARCH_ENGINE / the default
     search_engine: str | None = None
     retries: int = 0
@@ -219,7 +218,6 @@ class ReproServer:
             max_workers=self.config.jobs,
             retries=self.config.retries,
             task_timeout=self.config.task_timeout,
-            search_jobs=self.config.search_jobs,
             engine=self.config.search_engine,
         )
         self.coordinator: ShardCoordinator | None = None
@@ -632,7 +630,6 @@ class ReproServer:
                 "telemetry": self.config.telemetry,
                 "window_s": self.config.window,
                 "jobs": self.config.jobs,
-                "search_jobs": self.config.search_jobs,
                 "search_engine": self.config.search_engine,
             },
             "batcher": self.batcher.stats.to_json(),

@@ -57,6 +57,21 @@ class TestSearchCommand:
         assert main(["search", "fig1", "--params", "[1]"]) == 2
         assert "JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["vector", "auto"])
+    def test_retired_engine_names_exit_2(self, name, capsys, monkeypatch):
+        # the flag is rejected by argparse, naming the valid choices
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "fig1", "--search-engine", name])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        # the environment switch is outside input too: a named error, not
+        # a traceback from deep inside the search
+        monkeypatch.setenv("REPRO_SEARCH_ENGINE", name)
+        assert main(["search", "fig1"]) == 2
+        err = capsys.readouterr().err
+        assert f"REPRO_SEARCH_ENGINE={name!r}" in err
+        assert "kernel, fast, reference" in err
+
 
 class TestClassifyCommand:
     def test_cycle_mode_certificate(self, capsys):

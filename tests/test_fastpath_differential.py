@@ -1,9 +1,10 @@
 """Differential pin: the fast search core is bit-identical to the oracle.
 
-The table-driven :class:`~repro.analysis.fastpath.FastEngine` and the
-frontier-parallel BFS replace the reference search on the hot path, but the
-reference implementation stays in the tree as a cross-checking oracle
-(``engine="reference"`` / ``REPRO_SEARCH_ENGINE``).  These tests assert the
+The table-driven :class:`~repro.analysis.fastpath.FastEngine` -- the
+fallback engine when no compiled kernel backend is available -- replaces
+the reference search on the hot path, but the reference implementation
+stays in the tree as a cross-checking oracle (``engine="reference"`` /
+``REPRO_SEARCH_ENGINE``).  These tests assert the
 strongest form of equivalence on paper-battery scenarios and on randomly
 generated small specs: identical ``deadlock_reachable`` verdicts, identical
 ``states_explored`` counts (symmetry reduction on and off), identical
@@ -17,8 +18,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.fastpath import FastEngine, engine_for
-from repro.analysis.frontier import frontier_search
+from repro.analysis.fastpath import FastEngine
 from repro.analysis.reachability import (
     SearchLimitExceeded,
     Witness,
@@ -95,37 +95,11 @@ def test_battery_witness_equality_and_replay(label, spec):
     _assert_valid_witness(spec, fast.witness)
 
 
-@pytest.mark.parametrize("label,spec", BATTERY, ids=[b[0] for b in BATTERY])
-@pytest.mark.parametrize("symmetry", [False, True], ids=["nosym", "sym"])
-def test_frontier_parallel_matches_serial(label, spec, symmetry, monkeypatch):
-    # small frontier threshold so these small searches actually cross the
-    # process pool instead of staying on the in-process path
-    import repro.analysis.frontier as frontier_mod
-
-    monkeypatch.setattr(frontier_mod, "MIN_PARALLEL_FRONTIER", 8)
-    serial = engine_for(spec).search(symmetry_reduction=symmetry)
-    par = frontier_search(
-        spec, jobs=2, symmetry_reduction=symmetry, chunk_size=16
-    )
-    assert par == serial
-    jobs = search_deadlock(spec, find_witness=False, symmetry_reduction=symmetry, jobs=2)
-    assert (jobs.deadlock_reachable, jobs.states_explored) == serial
-
-
 @pytest.mark.parametrize("engine", ["reference", "fast"])
 def test_state_cap_is_engine_independent(engine):
     spec = BATTERY[0][1]
     with pytest.raises(SearchLimitExceeded):
         search_deadlock(spec, engine=engine, find_witness=False, max_states=10)
-
-
-def test_search_jobs_cap_matches_serial(monkeypatch):
-    import repro.analysis.frontier as frontier_mod
-
-    monkeypatch.setattr(frontier_mod, "MIN_PARALLEL_FRONTIER", 8)
-    spec = BATTERY[0][1]
-    with pytest.raises(SearchLimitExceeded):
-        frontier_search(spec, jobs=2, max_states=10, chunk_size=16)
 
 
 # ----------------------------------------------------------------------

@@ -1,59 +1,72 @@
 """Differential pin: the kernel search core is bit-identical to its peers.
 
-The compiled :class:`~repro.analysis.kernelpath.KernelEngine` runs the
-whole BFS as one fused expand/arbitrate/dedup/deadlock-test loop (numba /
-C backend when available, interpreted numpy otherwise).  These tests
-assert four-way equivalence against the reference, fast and vector
-engines on paper-battery scenarios and randomly generated small specs:
-identical ``deadlock_reachable`` verdicts, identical ``states_explored``
-counts (symmetry reduction on and off), identical
-:class:`SearchLimitExceeded` behaviour, and witnesses equal step-for-step
-that replay to a genuine deadlock under the *reference* dynamics.
+The compiled :class:`~repro.analysis.kernelpath.KernelEngine` -- the
+default search engine -- runs the whole BFS as one fused
+expand/arbitrate/dedup/deadlock-test loop (numba / C backend when
+available, interpreted numpy otherwise).  These tests assert
+equivalence against the reference oracle and the fast fallback engine on
+paper-battery scenarios, and on randomly generated small specs four-way
+(the interpreted numpy tier as the fourth core): identical
+``deadlock_reachable`` verdicts, identical ``states_explored`` counts
+(symmetry reduction on and off), identical :class:`SearchLimitExceeded`
+behaviour, and witnesses equal step-for-step that replay to a genuine
+deadlock under the *reference* dynamics.
 
 The kernel has no per-spec width limit below ``MAX_KERNEL_MSGS``
-messages, so this suite also pins specs with more than 62 channels --
-formerly vector-engine fallbacks -- as bit-identical on the kernel *and*
-(since shared-channel mask compression) on the vector engine, plus a
-13-message spec whose packed state key overflows int64 (the vector
-engine's multi-word byte keys, the kernel's raw-row hash table).
+messages, so this suite also pins specs with more than 62 channels as
+bit-identical, and a 13-message ring's state-cap behaviour.
+
+The default engine selection (kernel when an accelerated backend
+resolves, else a loud fallback to fast) and the cc tier's disk cache
+(self-healing a corrupt or stale library) are pinned here too.
 
 The suite never requires numba: the interpreted tier is the correctness
 floor and runs everywhere.  Tests for a specific accelerated tier skip
-cleanly when that tier is unavailable.
+cleanly when that tier is unavailable.  The numpy tier's own battery pin,
+forced multi-word rows and retired engine names live in
+``tests/test_vectorpath_differential.py``.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+import json
+import os
+import platform
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.analysis.kernelpath as kernelpath_mod
-import repro.analysis.vectorpath as vectorpath_mod
+import repro.analysis.reachability as reachability_mod
+from repro import obs
 from repro.analysis.fastpath import engine_for
-from repro.analysis.frontier import frontier_search
 from repro.analysis.kernelpath import (
     COUNTERS,
     HAVE_NUMBA,
-    MAX_KERNEL_MSGS,
     KernelEngine,
-    kernel_available,
+    WideSpecFallbackWarning,
     kernel_engine_for,
+    kernel_unavailable_reason,
     resolve_backend,
 )
 from repro.analysis.reachability import (
-    AUTO_COUNTERS,
+    ENGINE_COUNTERS,
+    SEARCH_ENGINES,
     SearchLimitExceeded,
     Witness,
     resolve_engine,
     search_deadlock,
 )
 from repro.analysis.state import CheckerMessage, SystemSpec
-from repro.analysis.vectorpath import WideSpecFallbackWarning
 from repro.campaign.scenarios import build_scenario
+from repro.obs import Telemetry
 
-ENGINES = ("reference", "fast", "vector", "kernel")
+ENGINES = ("reference", "fast", "kernel")
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 _HAVE_CC = kernelpath_mod._load_cc_lib() is not None
 
@@ -108,28 +121,28 @@ def _assert_valid_witness(spec: SystemSpec, wit: Witness) -> None:
     assert dead == wit.deadlocked
 
 
-def _four_way(spec: SystemSpec, **kw):
+def _three_way(spec: SystemSpec, **kw):
     return {eng: search_deadlock(spec, engine=eng, **kw) for eng in ENGINES}
 
 
 # ----------------------------------------------------------------------
-# battery four-way differential
+# battery three-way differential
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("label,spec", BATTERY, ids=[b[0] for b in BATTERY])
 @pytest.mark.parametrize("symmetry", [False, True], ids=["nosym", "sym"])
 def test_battery_verdicts_and_counts(label, spec, symmetry):
-    res = _four_way(spec, find_witness=False, symmetry_reduction=symmetry)
+    res = _three_way(spec, find_witness=False, symmetry_reduction=symmetry)
     ref = res["reference"]
-    for eng in ("fast", "vector", "kernel"):
+    for eng in ("fast", "kernel"):
         assert res[eng].deadlock_reachable == ref.deadlock_reachable, eng
         assert res[eng].states_explored == ref.states_explored, eng
 
 
 @pytest.mark.parametrize("label,spec", BATTERY, ids=[b[0] for b in BATTERY])
 def test_battery_witness_equality_and_replay(label, spec):
-    res = _four_way(spec)
+    res = _three_way(spec)
     ref = res["reference"]
-    for eng in ("fast", "vector", "kernel"):
+    for eng in ("fast", "kernel"):
         got = res[eng]
         assert got.deadlock_reachable == ref.deadlock_reachable, eng
         assert got.states_explored == ref.states_explored, eng
@@ -145,7 +158,7 @@ def test_battery_witness_equality_and_replay(label, spec):
 
 @pytest.mark.parametrize("cap", [2, 10, 50])
 def test_state_cap_is_engine_independent(cap):
-    """SearchLimitExceeded parity: all four engines raise at the same count."""
+    """SearchLimitExceeded parity: all three engines raise at the same count."""
     spec = BATTERY[0][1]
     outcomes = {}
     for eng in ENGINES:
@@ -156,8 +169,17 @@ def test_state_cap_is_engine_independent(cap):
             outcomes[eng] = res.states_explored
         except SearchLimitExceeded:
             outcomes[eng] = "raised"
-    for eng in ("fast", "vector", "kernel"):
+    for eng in ("fast", "kernel"):
         assert outcomes[eng] == outcomes["reference"], eng
+
+
+def test_search_engine_names():
+    """The engine set is compiled default + fallback + oracle, and the
+    CLI's literal copy of it (kept to spare start-up an import) matches."""
+    from repro.cli import SEARCH_ENGINES as CLI_ENGINES
+
+    assert SEARCH_ENGINES == ("kernel", "fast", "reference")
+    assert CLI_ENGINES == SEARCH_ENGINES
 
 
 def test_env_var_selects_kernel(monkeypatch):
@@ -171,7 +193,7 @@ def test_env_var_selects_kernel(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# wide specs: > 62 channels, formerly vector-engine fallbacks
+# wide specs: > 62 channels (multi-word occupancy), many movers
 # ----------------------------------------------------------------------
 WIDE_RINGS = [
     # (label, ring_n, entries, run_lens): num_bits 69..83, all > 62
@@ -185,13 +207,12 @@ WIDE_RINGS = [
 )
 @pytest.mark.parametrize("budget", [0, 1], ids=["b0", "b1"])
 def test_wide_channel_specs_bit_identical(label, ring_n, entries, run_lens, budget):
-    """>62-channel specs run on every optimized engine bit-identically to
-    the reference oracle (kernel: multi-word occupancy; vector:
-    shared-channel mask compression)."""
+    """>62-channel specs run on the kernel (multi-word occupancy masks)
+    bit-identically to the reference oracle."""
     spec = _ring_spec(ring_n, entries, run_lens, budget)
     assert engine_for(spec).num_bits > 62
     ref = search_deadlock(spec, engine="reference", find_witness=False)
-    for eng in ("fast", "vector", "kernel"):
+    for eng in ("fast", "kernel"):
         got = search_deadlock(spec, engine=eng, find_witness=False)
         assert got.deadlock_reachable == ref.deadlock_reachable, eng
         assert got.states_explored == ref.states_explored, eng
@@ -201,7 +222,7 @@ def test_wide_channel_witnesses_bit_identical():
     spec = _ring_spec(70, (0, 35), (40, 40), budget=0)
     ref = search_deadlock(spec, engine="reference")
     assert ref.deadlock_reachable and ref.witness is not None
-    for eng in ("fast", "vector", "kernel"):
+    for eng in ("fast", "kernel"):
         got = search_deadlock(spec, engine=eng)
         assert got.witness is not None
         assert got.witness.steps == ref.witness.steps, eng
@@ -210,42 +231,41 @@ def test_wide_channel_witnesses_bit_identical():
         _assert_valid_witness(spec, got.witness)
 
 
-def test_wide_channel_spec_no_vector_fallback():
-    """Shared-channel mask compression lifted the 62-channel limit: a
-    >62-channel spec whose *shared* channels fit must run on the wave
-    machine, not fall back."""
-    spec = _ring_spec(70, (0, 35), (40, 40), budget=0)
-    veng = vectorpath_mod.VectorEngine(spec, fast=engine_for(spec))
+def test_wide_channel_spec_no_kernel_fallback():
+    """A ring whose *shared* channels alone need more than 62 bits (82
+    channels in all) runs compiled: no WideSpecFallbackWarning, no
+    fallback count, and the reference oracle's count and witness."""
+    spec = _ring_spec(80, (0, 10), (75, 75), budget=0)
     assert engine_for(spec).num_bits > 62
-    assert veng.vectorizable
-    assert veng.num_bits_eff <= 62
-    before = vectorpath_mod.COUNTERS["vectorpath.fallback.searches"]
-    veng.search()
-    assert vectorpath_mod.COUNTERS["vectorpath.fallback.searches"] == before
+    ref = search_deadlock(spec, engine="reference")
+    before = COUNTERS["kernelpath.fallback.searches"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", WideSpecFallbackWarning)
+        got = search_deadlock(spec, engine="kernel")
+    assert COUNTERS["kernelpath.fallback.searches"] == before
+    assert kernel_engine_for(spec).kernelizable
+    assert got.states_explored == ref.states_explored
+    assert got.witness is not None and ref.witness is not None
+    assert got.witness.steps == ref.witness.steps
+    assert got.witness.states == ref.witness.states
+    _assert_valid_witness(spec, got.witness)
 
 
 def test_wide_key_spec_cap_parity():
-    """A 13-message spec whose packed state key overflows int64 (wide
-    byte-string keys on the vector engine, raw-row hash table on the
-    kernel) hits a state cap identically on all four engines.
+    """A 13-message ring with every message moving at once (13-wide rows
+    in the kernel's raw-row hash table, 2^13 joint choices per state)
+    hits a state cap identically on the fast and kernel engines.
 
-    The full search space is tractable only for the fast/kernel cores,
-    so the differential here is the cap behaviour, with the vector
-    engine's wave machine forced on so the wide-key store really runs.
     The reference engine sits this one out: its per-state joint-action
     enumeration is exponential in the 13 simultaneous movers, so it
     cannot reach even a 50-state cap in test time (its equivalence is
     pinned on small specs by the hypothesis differential below).
     """
     spec = _ring_spec(13, tuple(range(13)), (4,) * 13, budget=0)
-    veng = vectorpath_mod.VectorEngine(spec, fast=engine_for(spec))
-    assert veng.vectorizable and veng._wide_keys
-    with _forced_wide():
-        for eng in ("fast", "vector", "kernel"):
-            with pytest.raises(SearchLimitExceeded, match="2000"):
-                search_deadlock(
-                    spec, engine=eng, find_witness=False, max_states=2000
-                )
+    assert kernel_engine_for(spec).kernelizable
+    for eng in ("fast", "kernel"):
+        with pytest.raises(SearchLimitExceeded, match="2000"):
+            search_deadlock(spec, engine=eng, find_witness=False, max_states=2000)
 
 
 # ----------------------------------------------------------------------
@@ -269,36 +289,16 @@ def test_kernel_fallback_warns_with_size_requirement(monkeypatch):
     warning = rec[0].message
     assert warning.engine == "kernel"
     assert warning.n == 4
+    assert warning.num_bits == keng.num_bits
     assert warning.max_msgs == 2
     assert "4" in str(warning) and "kernel" in str(warning)
+    assert f"{keng.num_bits} channel bits" in str(warning)
     # the fallback result is the fast engine's, bit for bit
     assert got == engine_for(spec).search()
     # witness fallback warns too
     with pytest.warns(WideSpecFallbackWarning):
         wit = keng.search_witness()
     assert wit == engine_for(spec).search_witness()
-
-
-def test_search_jobs_refuses_kernel_engine():
-    """jobs>1 + kernel: loud refusal (warning + counter), serial result."""
-    spec = BATTERY[0][1]
-    serial = engine_for(spec).search()
-    before = COUNTERS["kernelpath.fallback.jobs"]
-    with pytest.warns(RuntimeWarning, match="does not compose"):
-        par = frontier_search(spec, jobs=2, engine="kernel")
-    assert par == serial
-    assert COUNTERS["kernelpath.fallback.jobs"] == before + 1
-    assert frontier_search(spec, jobs=1, engine="kernel") == serial
-
-
-def test_search_deadlock_jobs_with_kernel_warns():
-    spec = BATTERY[0][1]
-    serial = search_deadlock(spec, engine="fast", find_witness=False)
-    with pytest.warns(RuntimeWarning, match="does not compose"):
-        res = search_deadlock(
-            spec, engine="kernel", find_witness=False, jobs=2
-        )
-    assert res.states_explored == serial.states_explored
 
 
 # ----------------------------------------------------------------------
@@ -378,57 +378,186 @@ def test_numba_tier_matches_fast(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# auto engine selection
+# cc tier disk cache: architecture-keyed, self-healing
 # ----------------------------------------------------------------------
-def test_resolve_engine_auto_prefers_kernel_when_accelerated():
-    spec = BATTERY[0][1]
-    before = dict(AUTO_COUNTERS)
-    resolved = resolve_engine("auto", spec)
-    if kernel_available():
-        assert resolved == "kernel"
-        assert (
-            AUTO_COUNTERS["search.engine.auto.kernel"]
-            == before["search.engine.auto.kernel"] + 1
-        )
+_STALE_ABI_C = "int rk_abi_version(void) { return 999; }\n"
+
+
+@requires_cc
+@pytest.mark.parametrize("poison", ["garbage", "stale-abi"])
+def test_cc_cache_self_heals_bad_library(poison, monkeypatch, tmp_path):
+    """A corrupt (or foreign, or stale-ABI) cached library is rebuilt once
+    instead of pinning every later process to the slow tiers."""
+    cache = tmp_path / "kcache"
+    monkeypatch.setenv("REPRO_KERNEL_CACHE", str(cache))
+    monkeypatch.setattr(kernelpath_mod, "_cc_tried", False)
+    monkeypatch.setattr(kernelpath_mod, "_cc_lib", None)
+    monkeypatch.setattr(kernelpath_mod, "_cc_error", None)
+    so = kernelpath_mod.cc_lib_path()
+    assert so.parent == cache
+    assert f"_{platform.machine()}_" in so.name  # architecture-keyed
+    cache.mkdir()
+    if poison == "garbage":
+        so.write_bytes(b"\x7fELF but not really a shared library")
     else:
-        assert resolved in ("vector", "fast")
+        src = tmp_path / "stale.c"
+        src.write_text(_STALE_ABI_C)
+        cc = kernelpath_mod._cc_compiler()
+        subprocess.run(
+            [cc, "-shared", "-fPIC", "-o", str(so), str(src)], check=True
+        )
+    before = dict(COUNTERS)
+    assert resolve_backend("cc") == "cc"
+    assert COUNTERS["kernelpath.cc.rebuilds"] == before["kernelpath.cc.rebuilds"] + 1
+    assert COUNTERS["kernelpath.cc.compiles"] == before["kernelpath.cc.compiles"] + 1
+    assert COUNTERS["kernelpath.cc.errors"] == before["kernelpath.cc.errors"]
+    # a fresh process now loads the healed library straight from the cache
+    probe = (
+        "import json, repro.analysis.kernelpath as k; "
+        "lib = k._load_cc_lib(); "
+        "print(json.dumps([lib is not None, k.COUNTERS]))"
+    )
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env.update(PYTHONPATH=str(SRC), REPRO_KERNEL_CACHE=str(cache))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True,
+        text=True, timeout=120, check=True,
+    )
+    loaded, counters = json.loads(out.stdout)
+    assert loaded
+    assert counters["kernelpath.cc.cache_hits"] == 1
+    assert counters["kernelpath.cc.rebuilds"] == 0
+    assert counters["kernelpath.cc.compiles"] == 0
+
+
+# ----------------------------------------------------------------------
+# default engine selection: kernel, else a loud fallback to fast
+# ----------------------------------------------------------------------
+def test_resolve_engine_auto_prefers_kernel_when_accelerated(monkeypatch):
+    """Automatic selection (no engine named) picks the compiled kernel
+    when an accelerated backend resolves, without counting a fallback."""
+    monkeypatch.delenv("REPRO_SEARCH_ENGINE", raising=False)
+    if kernel_unavailable_reason() is not None:
+        pytest.skip("no accelerated kernel backend here")
+    before = dict(ENGINE_COUNTERS)
+    assert resolve_engine(None) == "kernel"
+    assert ENGINE_COUNTERS == before  # not a fallback
 
 
 def test_resolve_engine_auto_without_kernel(monkeypatch):
-    """auto degrades kernel -> vector -> fast as tiers disappear."""
-    spec = BATTERY[0][1]
+    """Automatic selection without an accelerated backend: fast, counted
+    on every search, warned once per process with the reason."""
+    monkeypatch.delenv("REPRO_SEARCH_ENGINE", raising=False)
     monkeypatch.setattr(
-        "repro.analysis.reachability._kernel_available", lambda: False
+        reachability_mod, "_kernel_unavailable", lambda: "no C compiler found (test)"
     )
-    before = dict(AUTO_COUNTERS)
-    assert resolve_engine("auto", spec) == "vector"
-    assert (
-        AUTO_COUNTERS["search.engine.auto.vector"]
-        == before["search.engine.auto.vector"] + 1
-    )
-    # an unvectorizable spec (too many messages) lands on fast
-    msgs = tuple(
-        CheckerMessage(path=(i % 3,), length=1, tag=f"M{i}")
-        for i in range(vectorpath_mod.MAX_VECTOR_MSGS + 1)
-    )
-    wide = SystemSpec.uniform(msgs, budget=0)
-    assert resolve_engine("auto", wide) == "fast"
-    assert (
-        AUTO_COUNTERS["search.engine.auto.fast"]
-        == before["search.engine.auto.fast"] + 1
-    )
+    monkeypatch.setattr(reachability_mod, "_fallback_warned", False)
+    before = ENGINE_COUNTERS["search.engine.fallback.fast"]
+    with pytest.warns(RuntimeWarning, match="no C compiler found") as rec:
+        assert resolve_engine(None) == "fast"
+        assert resolve_engine(None) == "fast"
+    assert sum(issubclass(w.category, RuntimeWarning) for w in rec) == 1
+    assert ENGINE_COUNTERS["search.engine.fallback.fast"] == before + 2
+    # a named engine is honoured as-is and never counted as a fallback
+    assert resolve_engine("kernel") == "kernel"
+    assert resolve_engine("fast") == "fast"
+    assert ENGINE_COUNTERS["search.engine.fallback.fast"] == before + 2
 
 
 def test_auto_engine_env_and_explicit_agree(monkeypatch):
+    """The automatically selected engine, the same engine named through
+    REPRO_SEARCH_ENGINE, and the reference oracle all agree."""
     spec = BATTERY[1][1]
-    explicit = search_deadlock(spec, engine="auto", find_witness=False)
-    monkeypatch.setenv("REPRO_SEARCH_ENGINE", "auto")
+    monkeypatch.delenv("REPRO_SEARCH_ENGINE", raising=False)
+    default = search_deadlock(spec, find_witness=False)
+    monkeypatch.setenv("REPRO_SEARCH_ENGINE", "kernel")
     via_env = search_deadlock(spec, find_witness=False)
-    assert via_env.deadlock_reachable == explicit.deadlock_reachable
-    assert via_env.states_explored == explicit.states_explored
-    # and auto is bit-identical to every pinned engine
+    assert via_env.deadlock_reachable == default.deadlock_reachable
+    assert via_env.states_explored == default.states_explored
+    # and the default is bit-identical to the oracle
     ref = search_deadlock(spec, engine="reference", find_witness=False)
-    assert explicit.states_explored == ref.states_explored
+    assert default.states_explored == ref.states_explored
+
+
+def _search_span(spec, **kw):
+    """Run one telemetry-on search: its ``search.deadlock`` span-end
+    attributes and the collector's counters."""
+    events: list[dict] = []
+    tel = Telemetry()
+    tel.add_sink(events.append)
+    with obs.scope(tel):
+        search_deadlock(spec, **kw)
+    ends = [
+        e for e in events
+        if e["name"] == "search.deadlock" and e["kind"] == "span_end"
+    ]
+    assert len(ends) == 1
+    return ends[0]["attrs"], tel.counters
+
+
+@requires_cc
+def test_telemetry_names_the_engine_that_ran(monkeypatch):
+    """The span says which engine actually ran -- the resolved default,
+    not the request -- and carries that engine's phase timers."""
+    monkeypatch.delenv("REPRO_SEARCH_ENGINE", raising=False)
+    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cc")
+    spec = BATTERY[0][1]
+    attrs, counters = _search_span(spec, find_witness=False)
+    assert attrs["engine"] == "kernel"
+    assert attrs["kernel_backend"] == "cc"
+    assert counters.get("kernelpath.phase.kernel_s", 0) > 0
+    assert "search.engine.fallback.fast" not in counters
+
+    # forced fallback: the same default request is labelled fast
+    monkeypatch.setattr(
+        reachability_mod, "_kernel_unavailable", lambda: "no C compiler found (test)"
+    )
+    monkeypatch.setattr(reachability_mod, "_fallback_warned", True)
+    attrs, counters = _search_span(spec, find_witness=False)
+    assert attrs["engine"] == "fast"
+    assert "kernel_backend" not in attrs
+    assert counters["search.engine.fallback.fast"] == 1
+    assert any(name.startswith("fastpath.phase.") for name in counters)
+
+
+def test_default_engine_falls_back_loudly_without_compiler(tmp_path):
+    """No compiler, an empty kernel cache and no numba: the default search
+    warns once naming the reason, counts the fallback where ``telemetry
+    report`` shows it, and answers exactly like the reference oracle."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env.update(
+        PYTHONPATH=str(SRC),
+        REPRO_CC=str(tmp_path / "no-such-cc"),
+        REPRO_KERNEL_CACHE=str(tmp_path / "kcache"),
+    )
+    events = tmp_path / "ev.jsonl"
+    no_numba = (
+        "import sys; sys.modules['numba'] = None; "
+        "from repro.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", no_numba, "search", "fig1", "--json",
+         "--telemetry", str(events)],
+        env=env, capture_output=True, text=True, timeout=300, cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.count("RuntimeWarning") == 1, proc.stderr
+    assert "no-such-cc" in proc.stderr and "fast engine" in proc.stderr
+    got = json.loads(proc.stdout)
+    spec = SystemSpec.uniform(build_scenario("fig1", {}).messages, budget=0)
+    ref = search_deadlock(spec, engine="reference", find_witness=False)
+    assert got["deadlock_reachable"] == ref.deadlock_reachable
+    assert got["states_explored"] == ref.states_explored
+
+    report = subprocess.run(
+        [sys.executable, "-m", "repro", "telemetry", "report", str(events)],
+        env=env, capture_output=True, text=True, timeout=120, cwd=tmp_path,
+    )
+    assert report.returncode == 0, report.stderr
+    line = next(
+        ln for ln in report.stdout.splitlines() if "engine fallbacks" in ln
+    )
+    assert "search.engine.fallback.fast=1" in line
 
 
 # ----------------------------------------------------------------------
@@ -462,7 +591,7 @@ def test_execute_task_engine_knob_not_in_hash():
 
     task = next(t for t in build_spec("paper-battery") if t.kind == "reachability")
     fast = execute_task(task, engine="fast")
-    for eng in ("kernel", "auto"):
+    for eng in (None, "kernel"):
         got = execute_task(task, engine=eng)
         assert got.task_hash == fast.task_hash, eng
         assert got.detail.get("states_explored") == fast.detail.get(
@@ -513,52 +642,58 @@ def small_specs(draw) -> SystemSpec:
     return SystemSpec(messages=tuple(messages), budgets=tuple(budgets))
 
 
-@contextmanager
-def _forced_wide():
-    """Drive the vector engine's wave machine on tiny specs too, so the
-    hypothesis cases compare all four *real* cores, not vector's narrow
-    prologue."""
-    old = (vectorpath_mod.MIN_VECTOR_FRONTIER, vectorpath_mod.MAX_DRAIN_ROWS)
-    vectorpath_mod.MIN_VECTOR_FRONTIER = 1
-    vectorpath_mod.MAX_DRAIN_ROWS = 2
+def _numpy_tier_search(spec: SystemSpec, **kw):
+    """The kernel pinned to its interpreted numpy tier: the fourth core
+    next to reference, fast and the kernel on its resolved tier."""
+    old = os.environ.get("REPRO_KERNEL_BACKEND")
+    os.environ["REPRO_KERNEL_BACKEND"] = "python"
+    kernelpath_mod.clear_caches()
     try:
-        yield
+        return search_deadlock(spec, engine="kernel", **kw)
     finally:
-        vectorpath_mod.MIN_VECTOR_FRONTIER, vectorpath_mod.MAX_DRAIN_ROWS = old
+        if old is None:
+            del os.environ["REPRO_KERNEL_BACKEND"]
+        else:
+            os.environ["REPRO_KERNEL_BACKEND"] = old
+        kernelpath_mod.clear_caches()
+
+
+def _search_on(core: str, spec: SystemSpec, **kw):
+    if core == "kernel-python":
+        return _numpy_tier_search(spec, **kw)
+    return search_deadlock(spec, engine=core, **kw)
 
 
 @settings(max_examples=25, deadline=None)
 @given(spec=small_specs(), symmetry=st.booleans())
 def test_random_specs_four_way_counts(spec, symmetry):
     res = {}
-    with _forced_wide():
-        for eng in ENGINES:
-            try:
-                got = search_deadlock(
-                    spec,
-                    engine=eng,
-                    find_witness=False,
-                    symmetry_reduction=symmetry,
-                    max_states=60_000,
-                )
-                res[eng] = (got.deadlock_reachable, got.states_explored)
-            except SearchLimitExceeded:
-                res[eng] = "raised"
-    for eng in ("fast", "vector", "kernel"):
+    for eng in ENGINES + ("kernel-python",):
+        try:
+            got = _search_on(
+                eng,
+                spec,
+                find_witness=False,
+                symmetry_reduction=symmetry,
+                max_states=60_000,
+            )
+            res[eng] = (got.deadlock_reachable, got.states_explored)
+        except SearchLimitExceeded:
+            res[eng] = "raised"
+    for eng in ("fast", "kernel", "kernel-python"):
         assert res[eng] == res["reference"], eng
 
 
 @settings(max_examples=15, deadline=None)
 @given(spec=small_specs())
 def test_random_specs_four_way_witnesses(spec):
-    with _forced_wide():
-        ref = search_deadlock(spec, engine="reference", max_states=60_000)
-        for eng in ("fast", "vector", "kernel"):
-            got = search_deadlock(spec, engine=eng, max_states=60_000)
-            assert got.deadlock_reachable == ref.deadlock_reachable, eng
-            assert got.states_explored == ref.states_explored, eng
-            if ref.deadlock_reachable:
-                assert got.witness is not None and ref.witness is not None
-                assert got.witness.steps == ref.witness.steps, eng
-                assert got.witness.states == ref.witness.states, eng
-                _assert_valid_witness(spec, got.witness)
+    ref = search_deadlock(spec, engine="reference", max_states=60_000)
+    for eng in ("fast", "kernel", "kernel-python"):
+        got = _search_on(eng, spec, max_states=60_000)
+        assert got.deadlock_reachable == ref.deadlock_reachable, eng
+        assert got.states_explored == ref.states_explored, eng
+        if ref.deadlock_reachable:
+            assert got.witness is not None and ref.witness is not None
+            assert got.witness.steps == ref.witness.steps, eng
+            assert got.witness.states == ref.witness.states, eng
+            _assert_valid_witness(spec, got.witness)

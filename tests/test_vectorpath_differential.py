@@ -1,50 +1,55 @@
-"""Differential pin: the vector search core is bit-identical to its peers.
+"""Differential pin: the numpy-vectorised search paths are bit-identical.
 
-The whole-frontier :class:`~repro.analysis.vectorpath.VectorEngine`
-replaces the per-state fast engine on large searches, but both the fast
-engine and the reference implementation stay in the tree as cross-checking
-oracles (``engine=...`` / ``REPRO_SEARCH_ENGINE``).  These tests assert
-three-way equivalence on paper-battery scenarios and on randomly generated
-small specs: identical ``deadlock_reachable`` verdicts, identical
-``states_explored`` counts (symmetry reduction on and off), identical
-:class:`SearchLimitExceeded` behaviour, and witnesses that are equal
-step-for-step across all three engines and replay to a genuine deadlock
-under the *reference* dynamics.
+The pure-numpy path through the search is the kernel engine's
+interpreted tier (``REPRO_KERNEL_BACKEND=python``): the same fused BFS as
+the compiled tiers, run as numpy code on flat int32/uint64 tables.  It is
+the correctness floor that runs with no compiler and no numba, and the
+former whole-frontier vector engine's replacement.  These tests assert,
+against the reference oracle and the fast engine, on paper-battery
+scenarios and randomly generated specs: identical ``deadlock_reachable``
+verdicts, identical ``states_explored`` counts (symmetry reduction on and
+off), identical :class:`SearchLimitExceeded` behaviour, and witnesses
+equal step-for-step that replay to a genuine deadlock under the
+*reference* dynamics.
 
-The vector engine only widens once a BFS level reaches
-``MIN_VECTOR_FRONTIER`` states, so several tests monkeypatch the threshold
-to 1 (and shrink ``MAX_DRAIN_ROWS``) to force the wave machine onto the
-small specs this suite can afford to search exhaustively.
+Wide rows are pinned here too: the kernel's multi-word occupancy masks
+(the rows of specs with more than 64 channels) are forced onto small
+battery specs and random specs.  The retired ``vector`` engine name is
+rejected by name.
+
+``tests/test_kernelpath_differential.py`` pins the compiled tiers and
+the default engine selection.
 """
 
 from __future__ import annotations
 
+import copy
+import warnings
 from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import numpy as np
-
-import repro.analysis.vectorpath as vectorpath_mod
+import repro.analysis.kernelpath as kernelpath_mod
+import repro.analysis.reachability as reachability_mod
+from repro import obs
 from repro.analysis.fastpath import engine_for
-from repro.analysis.frontier import frontier_search
+from repro.analysis.kernelpath import (
+    COUNTERS,
+    KernelEngine,
+    WideSpecFallbackWarning,
+    warn_wide_fallback,
+)
 from repro.analysis.reachability import (
     SearchLimitExceeded,
     Witness,
     search_deadlock,
 )
 from repro.analysis.state import CheckerMessage, SystemSpec
-from repro.analysis.vectorpath import (
-    COUNTERS,
-    VectorEngine,
-    WideSpecFallbackWarning,
-    _merge_sorted,
-    _SortedRuns,
-)
 from repro.campaign.scenarios import build_scenario
+from repro.obs import Telemetry
 
-ENGINES = ("reference", "fast", "vector")
+ENGINES = ("reference", "fast", "kernel")
 
 
 @pytest.fixture(autouse=True)
@@ -56,10 +61,12 @@ def _certificates_off(monkeypatch):
 
 
 @pytest.fixture()
-def force_wide(monkeypatch):
-    """Drive every level through the wave machine, tail drain included."""
-    monkeypatch.setattr(vectorpath_mod, "MIN_VECTOR_FRONTIER", 1)
-    monkeypatch.setattr(vectorpath_mod, "MAX_DRAIN_ROWS", 2)
+def numpy_tier(monkeypatch):
+    """Run every kernel search on the interpreted numpy tier."""
+    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "python")
+    kernelpath_mod.clear_caches()
+    yield
+    kernelpath_mod.clear_caches()
 
 
 def _battery_specs() -> list[tuple[str, SystemSpec]]:
@@ -93,28 +100,27 @@ def _assert_valid_witness(spec: SystemSpec, wit: Witness) -> None:
 
 
 def _three_way(spec: SystemSpec, **kw):
-    return {
-        eng: search_deadlock(spec, engine=eng, **kw) for eng in ENGINES
-    }
+    return {eng: search_deadlock(spec, engine=eng, **kw) for eng in ENGINES}
 
 
+# ----------------------------------------------------------------------
+# battery differential on the numpy tier
+# ----------------------------------------------------------------------
 @pytest.mark.parametrize("label,spec", BATTERY, ids=[b[0] for b in BATTERY])
 @pytest.mark.parametrize("symmetry", [False, True], ids=["nosym", "sym"])
-def test_battery_verdicts_and_counts(label, spec, symmetry, force_wide):
-    res = _three_way(
-        spec, find_witness=False, symmetry_reduction=symmetry
-    )
+def test_battery_verdicts_and_counts(label, spec, symmetry, numpy_tier):
+    res = _three_way(spec, find_witness=False, symmetry_reduction=symmetry)
     ref = res["reference"]
-    for eng in ("fast", "vector"):
+    for eng in ("fast", "kernel"):
         assert res[eng].deadlock_reachable == ref.deadlock_reachable, eng
         assert res[eng].states_explored == ref.states_explored, eng
 
 
 @pytest.mark.parametrize("label,spec", BATTERY, ids=[b[0] for b in BATTERY])
-def test_battery_witness_equality_and_replay(label, spec, force_wide):
+def test_battery_witness_equality_and_replay(label, spec, numpy_tier):
     res = _three_way(spec)
     ref = res["reference"]
-    for eng in ("fast", "vector"):
+    for eng in ("fast", "kernel"):
         got = res[eng]
         assert got.deadlock_reachable == ref.deadlock_reachable, eng
         assert got.states_explored == ref.states_explored, eng
@@ -129,17 +135,19 @@ def test_battery_witness_equality_and_replay(label, spec, force_wide):
 
 
 @pytest.mark.parametrize("label,spec", BATTERY[:2], ids=["fig1-b0", "fig1-b1"])
-def test_battery_default_thresholds_match(label, spec):
-    """Same pin without forcing: narrow prologue + real threshold values."""
-    res = _three_way(spec, find_witness=False)
-    ref = res["reference"]
-    for eng in ("fast", "vector"):
-        assert res[eng].deadlock_reachable == ref.deadlock_reachable, eng
-        assert res[eng].states_explored == ref.states_explored, eng
+def test_battery_default_thresholds_match(label, spec, monkeypatch):
+    """Same pin with nothing forced: no engine named, no backend pinned,
+    so the search runs on whatever the default selection resolves."""
+    monkeypatch.delenv("REPRO_SEARCH_ENGINE", raising=False)
+    monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
+    ref = search_deadlock(spec, engine="reference", find_witness=False)
+    got = search_deadlock(spec, find_witness=False)
+    assert got.deadlock_reachable == ref.deadlock_reachable
+    assert got.states_explored == ref.states_explored
 
 
 @pytest.mark.parametrize("cap", [2, 10, 50])
-def test_state_cap_is_engine_independent(cap, force_wide):
+def test_state_cap_is_engine_independent(cap, numpy_tier):
     """SearchLimitExceeded parity: all engines raise at the same count."""
     spec = BATTERY[0][1]
     outcomes = {}
@@ -151,97 +159,170 @@ def test_state_cap_is_engine_independent(cap, force_wide):
             outcomes[eng] = res.states_explored
         except SearchLimitExceeded:
             outcomes[eng] = "raised"
-    assert outcomes["vector"] == outcomes["reference"]
+    assert outcomes["kernel"] == outcomes["reference"]
     assert outcomes["fast"] == outcomes["reference"]
 
 
+# ----------------------------------------------------------------------
+# engine names
+# ----------------------------------------------------------------------
 def test_unknown_engine_rejected():
-    with pytest.raises(ValueError, match="unknown search engine"):
-        search_deadlock(BATTERY[0][1], engine="warp", find_witness=False)
+    """Unknown names -- including the retired ``vector`` and ``auto`` --
+    are rejected by name, never silently mapped to another engine."""
+    for name in ("warp", "vector", "auto"):
+        with pytest.raises(ValueError, match="unknown search engine"):
+            search_deadlock(BATTERY[0][1], engine=name, find_witness=False)
 
 
 def test_env_var_selects_vector(monkeypatch):
-    """REPRO_SEARCH_ENGINE=vector is the same switch as engine="vector"."""
+    """REPRO_SEARCH_ENGINE=vector no longer selects an engine: the env
+    switch rejects the retired name exactly as ``engine="vector"`` does."""
     spec = BATTERY[1][1]
-    explicit = search_deadlock(spec, engine="vector", find_witness=False)
     monkeypatch.setenv("REPRO_SEARCH_ENGINE", "vector")
-    via_env = search_deadlock(spec, find_witness=False)
-    assert via_env.deadlock_reachable == explicit.deadlock_reachable
-    assert via_env.states_explored == explicit.states_explored
+    with pytest.raises(ValueError, match="unknown search engine 'vector'"):
+        search_deadlock(spec, find_witness=False)
+    # an explicit engine still wins over the env var
+    explicit = search_deadlock(spec, engine="kernel", find_witness=False)
+    ref = search_deadlock(spec, engine="reference", find_witness=False)
+    assert explicit.states_explored == ref.states_explored
 
 
-def test_search_jobs_refuses_vector_engine(force_wide):
-    """jobs>1 + vector: loud refusal (warning + counter), serial result."""
-    spec = BATTERY[0][1]
-    serial = engine_for(spec).search()
-    before = COUNTERS["vectorpath.fallback.jobs"]
-    with pytest.warns(RuntimeWarning, match="does not compose"):
-        par = frontier_search(spec, jobs=2, engine="vector")
-    assert par == serial
-    assert COUNTERS["vectorpath.fallback.jobs"] == before + 1
-    # jobs<=1 is not a refusal: no warning, same result
-    assert frontier_search(spec, jobs=1, engine="vector") == serial
-
-
-def test_search_deadlock_jobs_with_vector_warns(force_wide):
-    spec = BATTERY[0][1]
-    serial = search_deadlock(spec, engine="fast", find_witness=False)
-    with pytest.warns(RuntimeWarning, match="does not compose"):
-        res = search_deadlock(
-            spec, engine="vector", find_witness=False, jobs=2
-        )
-    assert res.states_explored == serial.states_explored
-
-
-def test_classify_and_delay_thread_vector_engine(force_wide):
+# ----------------------------------------------------------------------
+# integration: classify/delay/campaign plumbing on the numpy tier
+# ----------------------------------------------------------------------
+def test_classify_and_delay_thread_vector_engine(numpy_tier):
     """The engine knob changes execution only: classify/delay results are
-    identical under the vector engine."""
+    identical with the kernel running on the numpy tier.
+
+    classify runs on the small Theorem 2 ring (a full classification of
+    Fig. 1 is tens of seconds on the interpreted tier); delay runs on
+    Fig. 1, whose minimum delay to deadlock is 1."""
     from repro.analysis.classify import classify_configuration
     from repro.analysis.delay import min_delay_to_deadlock
 
-    msgs = build_scenario("fig1", {}).messages
+    ring = build_scenario(
+        "theorem2-overlap", {"ring_n": 6, "entries": (0, 3), "run_lens": (4, 4)}
+    ).messages
+    fig1 = build_scenario("fig1", {}).messages
     by_engine = {}
-    for eng in ("fast", "vector"):
-        reachable, cls_res = classify_configuration(msgs, engine=eng)
-        dly = min_delay_to_deadlock(msgs, max_delay=2, engine=eng)
+    for eng in ("fast", "kernel"):
+        reachable, cls_res = classify_configuration(ring, engine=eng)
+        dly = min_delay_to_deadlock(fig1, max_delay=2, engine=eng)
         by_engine[eng] = (
             reachable,
             cls_res.states_explored,
             dly.min_delay,
             {k: r.states_explored for k, r in dly.results.items()},
         )
-    assert by_engine["vector"] == by_engine["fast"]
+    assert by_engine["kernel"] == by_engine["fast"]
+    assert by_engine["fast"][1] > 0  # classify really searched
+    assert by_engine["fast"][2] == 1
 
 
-def test_execute_task_engine_knob_not_in_hash(force_wide):
+def test_execute_task_engine_knob_not_in_hash(numpy_tier):
     """engine is an execution knob: task identity (and thus the cache key)
     must not depend on it, while results must not differ either."""
     from repro.campaign.specs import build_spec
     from repro.campaign.tasks import execute_task
 
     task = next(t for t in build_spec("paper-battery") if t.kind == "reachability")
-    fast = execute_task(task, engine="fast")
-    vec = execute_task(task, engine="vector")
-    assert vec.task_hash == fast.task_hash
-    assert vec.detail.get("states_explored") == fast.detail.get(
+    ref = execute_task(task, engine="reference")
+    got = execute_task(task, engine="kernel")
+    assert got.task_hash == ref.task_hash
+    assert got.detail.get("states_explored") == ref.detail.get(
         "states_explored"
     )
 
 
-def test_telemetry_counters_move(force_wide):
-    """A forced-wide search must exercise the wave machine and record
-    emitted/unique dedup volume."""
+def test_telemetry_counters_move(numpy_tier):
+    """A numpy-tier search records its tier, and under telemetry its
+    phase timer and level widths."""
     spec = BATTERY[0][1]
     before = dict(COUNTERS)
-    VectorEngine(spec, fast=engine_for(spec)).search()
-    assert COUNTERS["vectorpath.levels.wide"] > before["vectorpath.levels.wide"]
-    assert COUNTERS["vectorpath.emitted"] > before["vectorpath.emitted"]
-    assert COUNTERS["vectorpath.unique"] > before["vectorpath.unique"]
-    assert COUNTERS["vectorpath.emitted"] >= COUNTERS["vectorpath.unique"]
+    events: list[dict] = []
+    tel = Telemetry()
+    tel.add_sink(events.append)
+    with obs.scope(tel):
+        search_deadlock(spec, engine="kernel", find_witness=False)
+    assert (
+        COUNTERS["kernelpath.searches.python"]
+        == before["kernelpath.searches.python"] + 1
+    )
+    assert tel.counters.get("kernelpath.phase.kernel_s", 0) > 0
+    end = next(
+        e for e in events
+        if e["name"] == "search.deadlock" and e["kind"] == "span_end"
+    )
+    assert end["attrs"]["engine"] == "kernel"
+    assert end["attrs"]["kernel_backend"] == "python"
 
 
 # ----------------------------------------------------------------------
-# randomly generated small specs
+# wide rows: multi-word occupancy masks
+# ----------------------------------------------------------------------
+def _wide_kernel_engine(spec: SystemSpec) -> KernelEngine:
+    """A kernel engine whose occupancy rows span four 64-bit words even
+    when the spec's channels fit in one."""
+    fast = engine_for(spec)
+    wide = copy.copy(fast)  # engine_for is cached; never mutate its engine
+    wide.num_bits = max(fast.num_bits, 200)
+    return KernelEngine(spec, fast=wide)
+
+
+@contextmanager
+def _forced_wide():
+    """Route ``search_deadlock(engine="kernel")`` through forced
+    multi-word rows (a context manager, not a fixture, so hypothesis
+    examples can use it)."""
+    old = reachability_mod._kernel_engine_for
+    reachability_mod._kernel_engine_for = _wide_kernel_engine
+    try:
+        yield
+    finally:
+        reachability_mod._kernel_engine_for = old
+
+
+@pytest.mark.parametrize("label,spec", BATTERY, ids=[b[0] for b in BATTERY])
+def test_forced_wide_keys_bit_identical(label, spec):
+    """Force four 64-bit occupancy words onto specs that fit in one: the
+    multi-word row path must not change a verdict, count or witness."""
+    fast = engine_for(spec)
+    keng = _wide_kernel_engine(spec)
+    assert fast.num_bits <= 64 and keng._W == 4
+    assert keng.search() == fast.search()
+    assert keng.search_witness() == fast.search_witness()
+    with _forced_wide():
+        got = search_deadlock(spec, engine="kernel")
+    ref = search_deadlock(spec, engine="fast")
+    assert got.states_explored == ref.states_explored
+    assert got.witness == ref.witness
+
+
+def test_wide_spec_fallback_warning_is_structured():
+    """The fallback warning carries the spec's size and the engine's limit
+    as attributes, and is a UserWarning that filters can single out."""
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        warn_wide_fallback("kernel", 70, 83, 64)
+    assert len(rec) == 1
+    warning = rec[0].message
+    assert isinstance(warning, WideSpecFallbackWarning)
+    assert isinstance(warning, UserWarning)
+    assert (warning.engine, warning.n, warning.num_bits, warning.max_msgs) == (
+        "kernel", 70, 83, 64,
+    )
+    text = str(warning)
+    assert "70 messages" in text and "83 channel bits" in text
+    assert "64 messages" in text and "verdict unchanged" in text
+    # an "error" filter on the class turns it into a hard failure
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", WideSpecFallbackWarning)
+        with pytest.raises(WideSpecFallbackWarning):
+            warn_wide_fallback("kernel", 70, 83, 64)
+
+
+# ----------------------------------------------------------------------
+# randomly generated small specs, kernel on forced wide rows (three-way)
 # ----------------------------------------------------------------------
 @st.composite
 def small_specs(draw) -> SystemSpec:
@@ -267,18 +348,6 @@ def small_specs(draw) -> SystemSpec:
     return SystemSpec(messages=tuple(messages), budgets=tuple(budgets))
 
 
-@contextmanager
-def _forced_wide():
-    """Hypothesis-safe forced-wide switch (no function-scoped fixtures)."""
-    old = (vectorpath_mod.MIN_VECTOR_FRONTIER, vectorpath_mod.MAX_DRAIN_ROWS)
-    vectorpath_mod.MIN_VECTOR_FRONTIER = 1
-    vectorpath_mod.MAX_DRAIN_ROWS = 2
-    try:
-        yield
-    finally:
-        vectorpath_mod.MIN_VECTOR_FRONTIER, vectorpath_mod.MAX_DRAIN_ROWS = old
-
-
 @settings(max_examples=30, deadline=None)
 @given(spec=small_specs(), symmetry=st.booleans())
 def test_random_specs_three_way_counts(spec, symmetry):
@@ -296,177 +365,21 @@ def test_random_specs_three_way_counts(spec, symmetry):
                 res[eng] = (got.deadlock_reachable, got.states_explored)
             except SearchLimitExceeded:
                 res[eng] = "raised"
-    assert res["vector"] == res["reference"]
-    assert res["fast"] == res["reference"]
+    for eng in ("fast", "kernel"):
+        assert res[eng] == res["reference"], eng
 
 
 @settings(max_examples=20, deadline=None)
 @given(spec=small_specs())
 def test_random_specs_three_way_witnesses(spec):
-    with _forced_wide():
-        ref = search_deadlock(spec, engine="reference", max_states=60_000)
-        for eng in ("fast", "vector"):
+    ref = search_deadlock(spec, engine="reference", max_states=60_000)
+    for eng in ("fast", "kernel"):
+        with _forced_wide():
             got = search_deadlock(spec, engine=eng, max_states=60_000)
-            assert got.deadlock_reachable == ref.deadlock_reachable, eng
-            assert got.states_explored == ref.states_explored, eng
-            if ref.deadlock_reachable:
-                assert got.witness is not None and ref.witness is not None
-                assert got.witness.steps == ref.witness.steps, eng
-                assert got.witness.states == ref.witness.states, eng
-                _assert_valid_witness(spec, got.witness)
-
-
-# ----------------------------------------------------------------------
-# sorted-runs visited store (the np.insert replacement)
-# ----------------------------------------------------------------------
-def test_merge_sorted_is_exact_union():
-    rng = np.random.default_rng(7)
-    pool = rng.choice(10_000, size=600, replace=False)
-    a = np.sort(pool[:400]).astype(np.int64)
-    b = np.sort(pool[400:]).astype(np.int64)
-    out = _merge_sorted(a, b)
-    assert out.dtype == a.dtype
-    np.testing.assert_array_equal(out, np.sort(pool).astype(np.int64))
-    # byte-string keys (wide mode) merge the same way
-    sa = a.astype(">i4").view("S4").ravel()
-    sb = b.astype(">i4").view("S4").ravel()
-    np.testing.assert_array_equal(
-        _merge_sorted(sa, sb), np.sort(np.concatenate([sa, sb]))
-    )
-
-
-def test_sorted_runs_matches_set_semantics():
-    """Member/insert over many disjoint blocks == a python set, with the
-    run count staying logarithmic in the total key volume."""
-    rng = np.random.default_rng(11)
-    keys = rng.permutation(20_000)[:4096].astype(np.int64)
-    store = _SortedRuns(np.sort(keys[:512]).copy())
-    seen = set(keys[:512].tolist())
-    off = 512
-    while off < keys.size:
-        block = keys[off : off + rng.integers(1, 300)]
-        off += block.size
-        probe = np.sort(np.concatenate([block, keys[:64]]))
-        member = store.member(probe)
-        assert member.tolist() == [int(k) in seen for k in probe]
-        store.insert(np.sort(block).copy())
-        seen.update(block.tolist())
-        assert store.size == len(seen)
-        assert store.runs <= int(np.log2(store.size)) + 1
-    final = np.sort(keys)
-    assert store.member(final).all()
-    assert not store.member(np.asarray([20_001], dtype=np.int64)).any()
-
-
-def test_sorted_runs_empty_blocks():
-    store = _SortedRuns(np.empty(0, dtype=np.int64))
-    assert store.runs == 0 and store.size == 0
-    assert not store.member(np.asarray([3], dtype=np.int64)).any()
-    store.insert(np.empty(0, dtype=np.int64))
-    assert store.runs == 0
-    store.insert(np.asarray([5], dtype=np.int64))
-    assert store.member(np.asarray([5], dtype=np.int64)).all()
-
-
-# ----------------------------------------------------------------------
-# multi-word (byte-string) state keys
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("label,spec", BATTERY, ids=[b[0] for b in BATTERY])
-def test_forced_wide_keys_bit_identical(label, spec):
-    """Flipping a small spec onto the byte-string key path changes nothing:
-    search and witness stay bit-identical to the fast engine.
-
-    ``_wide_keys`` is only consulted at pack/unpack time while the byte
-    dtypes are precomputed for every spec, so forcing the flag runs the
-    real multi-word store on specs small enough to cross-check everywhere.
-    """
-    fast = engine_for(spec)
-    with _forced_wide():
-        eng = VectorEngine(spec, fast=fast)
-        eng._wide_keys = True
-        assert eng.search() == fast.search()
-        assert eng.search_witness() == fast.search_witness()
-
-
-def test_wide_key_round_trip():
-    """pack -> sort -> unpack is lossless and order-preserving for byte
-    keys (lexicographic over big-endian words == elementwise order)."""
-    spec = BATTERY[0][1]
-    eng = VectorEngine(spec, fast=engine_for(spec))
-    eng._wide_keys = True
-    rng = np.random.default_rng(3)
-    rows = rng.integers(0, 2**17, size=(64, eng._n)).astype(np.int64)
-    keys = eng._pack_rows(rows)
-    order = np.argsort(keys, kind="stable")
-    expect = sorted(map(tuple, rows.tolist()))
-    assert [eng._unpack(k) for k in keys[order]] == expect
-
-
-# ----------------------------------------------------------------------
-# shared-channel mask compression / structured fallback warning
-# ----------------------------------------------------------------------
-def _overlap_ring(ring_n, entries, run_lens, budget):
-    msgs = build_scenario(
-        "theorem2-overlap",
-        {"ring_n": ring_n, "entries": entries, "run_lens": run_lens},
-    ).messages
-    return SystemSpec.uniform(msgs, budget=budget)
-
-
-def test_compression_lifts_wide_channel_spec():
-    """>62 raw channels, tiny shared set: vectorizable, bit-identical."""
-    spec = _overlap_ring(70, (0, 35), (40, 40), budget=0)
-    fast = engine_for(spec)
-    assert fast.num_bits > 62
-    eng = VectorEngine(spec, fast=fast)
-    assert eng.vectorizable
-    assert eng.num_bits_eff <= 62
-    assert eng.num_bits_eff < fast.num_bits
-    assert eng.search() == fast.search()
-    assert eng.search_witness() == fast.search_witness()
-
-
-def test_compression_identity_when_all_channels_shared():
-    """Two messages over one shared path: every channel is contested, so
-    compression degenerates to the identity and drops nothing."""
-    spec = SystemSpec(
-        messages=(
-            CheckerMessage(path=(0, 1), length=1, tag="A"),
-            CheckerMessage(path=(0, 1), length=1, tag="B"),
-        ),
-        budgets=(1, 1),
-    )
-    fast = engine_for(spec)
-    eng = VectorEngine(spec, fast=fast)
-    assert eng.num_bits_eff == eng.num_bits
-    with _forced_wide():
-        assert VectorEngine(spec, fast=fast).search() == fast.search()
-
-
-def test_compression_shrinks_battery_spec():
-    """fig1 carries private path segments; compression strips them while
-    the whole battery above stays bit-identical with it always on."""
-    spec = BATTERY[0][1]
-    eng = VectorEngine(spec, fast=engine_for(spec))
-    assert 0 < eng.num_bits_eff < eng.num_bits
-
-
-def test_wide_spec_fallback_warning_is_structured():
-    """A spec whose *shared* channels still overflow 62 bits falls back
-    loudly, with the effective bit requirement on the warning."""
-    spec = _overlap_ring(80, (0, 10), (75, 75), budget=0)
-    fast = engine_for(spec)
-    eng = VectorEngine(spec, fast=fast)
-    assert not eng.vectorizable
-    assert eng.num_bits_eff > 62
-    before = COUNTERS["vectorpath.fallback.searches"]
-    with pytest.warns(WideSpecFallbackWarning) as rec:
-        got = eng.search()
-    assert COUNTERS["vectorpath.fallback.searches"] == before + 1
-    warning = rec[0].message
-    assert warning.engine == "vector"
-    assert warning.n == eng._n
-    assert warning.num_bits == eng.num_bits_eff
-    assert warning.max_bits == vectorpath_mod.MAX_VECTOR_BITS
-    assert str(eng.num_bits_eff) in str(warning)
-    assert got == fast.search()
+        assert got.deadlock_reachable == ref.deadlock_reachable, eng
+        assert got.states_explored == ref.states_explored, eng
+        if ref.deadlock_reachable:
+            assert got.witness is not None and ref.witness is not None
+            assert got.witness.steps == ref.witness.steps, eng
+            assert got.witness.states == ref.witness.states, eng
+            _assert_valid_witness(spec, got.witness)
