@@ -23,7 +23,7 @@ Public API
 :class:`SimConfig`                          -- buffer depth, limits, policy.
 :mod:`arbitration`                          -- arbitration policies.
 :mod:`traffic`                              -- synthetic traffic generators.
-:func:`detect_deadlock`                     -- wait-for-graph deadlock test.
+:func:`detect_deadlock`                     -- greatest-fixpoint deadlock test.
 """
 
 from repro.sim.message import MessageSpec, MessageState, MessageStatus

@@ -1,13 +1,28 @@
-"""Wait-for-graph deadlock detection (paper Definition 6).
+"""Runtime deadlock detection (paper Definition 6).
 
-A deadlock configuration for oblivious routing is a set of messages, each
-holding at least one channel and blocked because its single possible output
-channel is occupied by (data flits of) another message in the set.  Since an
-oblivious message waits on exactly one channel, the message wait-for graph
-(edge ``m1 -> m2`` when ``m1``'s requested channel is owned by ``m2``) has a
-cycle **iff** a deadlock configuration exists: every message on a wait-for
-cycle can never advance (its holder is also on the cycle), and conversely a
-draining or advancing message has no outgoing edge and cannot close a cycle.
+A deadlock is the greatest set ``S`` of ACTIVE messages that can never
+progress: every member is hard-blocked -- each of its candidate channels
+is held by another message -- and every such holder is itself in ``S``.
+Oblivious routing offers one candidate, adaptive routing several (OR
+semantics: any one freeing unblocks the header).  ``S`` is computed by
+fixpoint, which is the greatest-fixpoint meaning of deadlock in packet
+switching networks (Stramaglia, Keiren and Zantema).
+
+The engine records ``blocked_candidates`` for *every* hard-blocked header
+(a one-element list under oblivious routing), so this fixpoint decides
+every simulator deadlock, oblivious runs included.  Two consequences:
+
+* a report names the messages of the knot *and* every header queued
+  behind it (blocked on a channel a knot member holds) -- they can never
+  progress either.  The report kind is still ``"wait-for-cycle"``, since
+  ``S`` is non-empty exactly when the wait-for graph among its members
+  has a cycle;
+* a message whose ``blocked_on`` was set by losing arbitration (and that
+  has not moved since) is never hard-blocked, and such edges cannot close
+  a cycle: each points to a message that acquired the channel no earlier
+  than the loss and, if it waits too, lost after that move.
+  :func:`build_wait_for_graph` keeps the full message wait-for graph as a
+  diagnostic view.
 """
 
 from __future__ import annotations
@@ -37,14 +52,19 @@ class DeadlockReport:
 
 
 def build_wait_for_graph(sim: "Simulator") -> nx.DiGraph:
-    """Message wait-for graph of the simulator's current state."""
+    """Message wait-for graph of the simulator's current state.
+
+    Edge ``m1 -> m2`` when the channel ``m1`` requested (``blocked_on``)
+    is owned by ``m2``.
+    """
     g = nx.DiGraph()
-    for m in sim.messages.values():
+    live = sim.live_messages()
+    for m in live:
         if m.status is MessageStatus.ACTIVE or (
             m.status is MessageStatus.PENDING and m.blocked_on is not None
         ):
             g.add_node(m.mid)
-    for m in sim.messages.values():
+    for m in live:
         if m.blocked_on is None:
             continue
         owner = sim.channel_owner(m.blocked_on)
@@ -56,42 +76,14 @@ def build_wait_for_graph(sim: "Simulator") -> nx.DiGraph:
 def detect_deadlock(sim: "Simulator") -> DeadlockReport | None:
     """Return a report if the current state contains a deadlock.
 
-    Only messages that *hold at least one channel* (ACTIVE) can participate
-    in a deadlock cycle per Definition 6; a PENDING message blocked at
-    injection merely waits, and the channel it waits on will be released
-    unless its owner is itself deadlocked.
-
-    Oblivious messages wait on exactly one channel, so a wait-for-graph
-    cycle is the exact criterion.  Adaptive messages (non-empty
-    ``blocked_candidates``) wait on a *set* of channels with OR semantics
-    -- any one freeing unblocks them -- so the criterion is the greatest
-    set ``S`` of hard-blocked messages in which every candidate of every
-    member is held by a member of ``S`` (computed by fixpoint).  An
-    adaptive arbitration loser (a free candidate existed this cycle) is
-    never hard-blocked.
+    Only messages that *hold at least one channel* (ACTIVE) can be
+    deadlocked per Definition 6; a PENDING message blocked at injection
+    merely waits, and the channel it waits on will be released unless its
+    owner is itself deadlocked.  Walks only the simulator's live messages:
+    finished and not-yet-due ones hold no wait.
     """
-    if any(m.blocked_candidates for m in sim.messages.values()):
-        return _detect_or_deadlock(sim)
-    g = build_wait_for_graph(sim)
-    # restrict to ACTIVE messages for cycle membership
-    active = {
-        mid
-        for mid in g.nodes
-        if sim.messages[mid].status is MessageStatus.ACTIVE
-    }
-    sub = g.subgraph(active)
-    try:
-        cyc = nx.find_cycle(sub, orientation="original")
-    except nx.NetworkXNoCycle:
-        return None
-    involved = tuple(sorted({edge[0] for edge in cyc}))
-    return DeadlockReport(cycle=sim.cycle, message_ids=involved)
-
-
-def _detect_or_deadlock(sim: "Simulator") -> DeadlockReport | None:
-    """OR-semantics (adaptive) deadlock: greatest-fixpoint knot detection."""
     waits: dict[int, list[int]] = {}  # mid -> owners of every blocked candidate
-    for m in sim.messages.values():
+    for m in sim.live_messages():
         if m.status is not MessageStatus.ACTIVE:
             continue
         if m.blocked_candidates:

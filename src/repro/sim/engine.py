@@ -28,12 +28,15 @@ by tests in ``tests/test_cross_validation.py``).
 
 from __future__ import annotations
 
+import bisect
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from collections.abc import Callable, Iterable
+from typing import cast
 
 from repro.obs import get as _obs_get
+from repro.routing.adaptive import AdaptiveRoutingFunction
 from repro.routing.base import INJECT, RoutingError, RoutingFunction
 from repro.sim.arbitration import ArbitrationPolicy, FifoArbitration
 from repro.sim.deadlock import DeadlockReport, detect_deadlock
@@ -65,11 +68,12 @@ class SimConfig:
       constructor only validates the intent.
 
     ``max_cycles``: hard stop (the run is then reported ``timed_out``).
-    ``stop_on_deadlock``: halt as soon as a wait-for cycle appears.
+    ``stop_on_deadlock``: halt as soon as :func:`detect_deadlock` finds a
+    set of messages that can never progress.
     ``quiescence_window``: additionally declare deadlock when no flit has
     moved for this many cycles while undelivered messages remain and no
     pending injections can ever proceed; a belt-and-braces check that the
-    wait-for analysis cannot miss anything.
+    deadlock test cannot miss anything.
     """
 
     buffer_depth: int = 1
@@ -137,13 +141,30 @@ class _ChannelQueue:
         self.sent = False  # one flit out per cycle
         self.received = False  # one flit in per cycle
 
-    def reset_cycle(self) -> None:
-        self.sent = False
-        self.received = False
-
 
 class Simulator:
-    """The wormhole engine.  One instance simulates one scenario."""
+    """The wormhole engine.  One instance simulates one scenario.
+
+    Per-cycle work is proportional to the messages that can act, not to
+    every message ever scheduled:
+
+    * the *live list* holds the due PENDING, ACTIVE and DRAINING messages
+      in ``messages`` insertion order; messages join it from an
+      ``inject_time``-sorted queue when they fall due and leave it after
+      the fairness pass that follows their DELIVERED/FAILED transition;
+    * grant rounds after the first re-examine only the headers *woken* by
+      the previous round's release pass (a freed channel wakes every
+      header hard-blocked on it) -- any other header would recompute the
+      same blocked request;
+    * each release pass visits only the messages whose flits moved in
+      that round, and the per-cycle ``sent``/``received`` reset only the
+      queues flagged in the previous cycle;
+    * a header reuses its routed candidate list while its leading channel
+      is unchanged (routing functions are pure maps ``R: C x N -> C``).
+
+    Every walk keeps insertion order, because random arbitration and the
+    trace hook observe it.
+    """
 
     def __init__(
         self,
@@ -183,6 +204,28 @@ class Simulator:
         self._moved_this_cycle = False
         self._idle_cycles = 0
         self.stats = SimStats()
+        self._adaptive = bool(getattr(routing, "is_adaptive", False))
+
+        #: insertion position of each message (the iteration order)
+        self._pos = {mid: i for i, mid in enumerate(self.messages)}
+        #: not-yet-due messages, latest ``inject_time`` first (pop() is next)
+        self._future = sorted(
+            self.messages.values(),
+            key=lambda m: (m.spec.inject_time, self._pos[m.mid]),
+            reverse=True,
+        )
+        self._live: list[MessageState] = []
+        self._finished = 0  # DELIVERED + FAILED
+        #: queues whose sent/received flags were set this cycle
+        self._flagged: list[_ChannelQueue] = []
+        #: cid -> (position, header) of the headers hard-blocked on it this cycle
+        self._waiters: dict[int, list[tuple[int, MessageState]]] = {}
+        #: position -> header to re-examine in the next grant round
+        self._wake: dict[int, MessageState] = {}
+        #: position -> message whose flits moved in the current round
+        self._touched: dict[int, MessageState] = {}
+        #: mid -> (in_channel, candidates) of the header's last routing
+        self._routes: dict[int, tuple[object, list[Channel]]] = {}
 
     # ------------------------------------------------------------------
     # helpers
@@ -193,12 +236,33 @@ class Simulator:
     def channel_owner(self, channel: Channel) -> int | None:
         return self._queues[channel.cid].owner
 
+    def live_messages(self) -> list[MessageState]:
+        """Messages that can still act (due PENDING, ACTIVE, DRAINING).
+
+        Insertion-ordered.  Every other message is either not yet due or
+        finished, holds no wait-for edge, and never acts again.
+        """
+        return self._live
+
     def _emit(self, kind: str, **data: object) -> None:
         if self.trace is not None:
             self.trace(self.cycle, kind, data)
 
     def _stalled(self, m: MessageState) -> bool:
         return self.stalls is not None and self.stalls.stalled(m.mid, self.cycle)
+
+    def _admit_due(self) -> None:
+        """Move messages whose injection time has come into the live list."""
+        future = self._future
+        cycle = self.cycle
+        pos = self._pos
+        while future and future[-1].spec.inject_time <= cycle:
+            bisect.insort(self._live, future.pop(), key=lambda m: pos[m.mid])
+
+    def _fail(self, m: MessageState, kind: str) -> None:
+        m.status = MessageStatus.FAILED
+        self._finished += 1
+        self._emit(kind, mid=m.mid)
 
     # ------------------------------------------------------------------
     # one synchronous cycle
@@ -213,24 +277,36 @@ class Simulator:
         "immediately after M1 has traversed [cs], the second message starts
         traversing [cs]").  Each round computes requests against the
         current queue state, arbitrates, applies the granted moves and the
-        resulting tail releases, then retries messages that were blocked;
-        every message still moves at most one hop per cycle.
+        resulting tail releases, then retries messages that were blocked
+        on a channel the releases freed; every message still moves at most
+        one hop per cycle.
         """
-        for q in self._queues.values():
-            q.reset_cycle()
+        for q in self._flagged:
+            q.sent = False
+            q.received = False
+        self._flagged.clear()
         self._moved_this_cycle = False
+        self._waiters.clear()
+        self._admit_due()
+        finished_before = self._finished
 
         acted: set[int] = set()  # header moved / stalled / lost this cycle
+        examine = self._live
         first_round = True
         while True:
-            moved_this_round = self._grant_round(acted, first_round=first_round)
+            moved_this_round = self._grant_round(examine, acted, first_round=first_round)
             first_round = False
             # releases make freed channels visible to the next round
-            for m in self.messages.values():
-                if m.in_network:
-                    self._release_tail(m)
+            touched = self._touched
+            for p in sorted(touched):
+                self._release_tail(touched[p])
+            touched.clear()
             if not moved_this_round:
                 break
+            wake = self._wake
+            examine = [wake[p] for p in sorted(wake)]
+            wake.clear()
+        self._wake.clear()  # woken by the last release pass: the cycle is over
 
         if self.config.track_utilization:
             busy = self.stats.channel_busy_cycles
@@ -239,7 +315,7 @@ class Simulator:
                     busy[q.channel.cid] = busy.get(q.channel.cid, 0) + 1
 
         # fairness accounting (Assumption 5: starvation must be visible)
-        for m in self.messages.values():
+        for m in self._live:
             if m.status is MessageStatus.ACTIVE and m.blocked_on is not None:
                 m.wait_cycles += 1
                 m._current_wait += 1
@@ -247,6 +323,14 @@ class Simulator:
                     m.max_consecutive_wait = m._current_wait
             else:
                 m._current_wait = 0
+        if self._finished != finished_before:
+            live = []
+            for m in self._live:
+                if m.status is MessageStatus.DELIVERED or m.status is MessageStatus.FAILED:
+                    self._routes.pop(m.mid, None)
+                else:
+                    live.append(m)
+            self._live = live
 
         if not self._moved_this_cycle:
             self._idle_cycles += 1
@@ -260,24 +344,32 @@ class Simulator:
         Oblivious functions have one next channel; adaptive functions
         (``is_adaptive``) offer a preference-ordered candidate list, and
         the header requests the first *free* candidate, blocking only when
-        every candidate is held by another message (OR semantics).
+        every candidate is held by another message (OR semantics).  A
+        hard-blocked header is registered as a waiter on each candidate so
+        the release that frees one wakes it for the next round.
         """
-        try:
-            if getattr(self.routing, "is_adaptive", False):
-                cands = self.routing.candidates(in_channel, node, m.spec.dst)
-            else:
-                cands = [self.routing.route(in_channel, node, m.spec.dst)]
-        except RoutingError:
-            m.status = MessageStatus.FAILED
-            self._emit("routing_failed", mid=m.mid)
-            return
-        usable = [c for c in cands if self._queues[c.cid].owner != m.mid]
+        mid = m.mid
+        route = self._routes.get(mid)
+        if route is not None and route[0] is in_channel:
+            cands = route[1]
+        else:
+            try:
+                if self._adaptive:
+                    adaptive = cast(AdaptiveRoutingFunction, self.routing)
+                    cands = adaptive.candidates(in_channel, node, m.spec.dst)
+                else:
+                    cands = [self.routing.route(in_channel, node, m.spec.dst)]
+            except RoutingError:
+                self._fail(m, "routing_failed")
+                return
+            self._routes[mid] = (in_channel, cands)
+        queues = self._queues
+        usable = [c for c in cands if queues[c.cid].owner != mid]
         if not usable:
-            m.status = MessageStatus.FAILED
-            self._emit("self_block", mid=m.mid)
+            self._fail(m, "self_block")
             return
         for c in usable:
-            if self._queues[c.cid].owner is None:
+            if queues[c.cid].owner is None:
                 m.first_request_cycle.setdefault(c.cid, self.cycle)
                 m.blocked_candidates = []
                 requests.setdefault(c.cid, []).append(m)
@@ -286,44 +378,58 @@ class Simulator:
         m.first_request_cycle.setdefault(usable[0].cid, self.cycle)
         m.blocked_on = usable[0]
         m.blocked_candidates = list(usable)
+        entry = (self._pos[mid], m)
+        waiters = self._waiters
+        for c in usable:
+            waiters.setdefault(c.cid, []).append(entry)
 
-    def _grant_round(self, acted: set[int], *, first_round: bool) -> bool:
-        """One request/arbitrate/apply round; returns True if a header moved."""
+    def _grant_round(
+        self, examine: list[MessageState], acted: set[int], *, first_round: bool
+    ) -> bool:
+        """One request/arbitrate/apply round; returns True if a header moved.
+
+        ``examine`` is the live list in the first round and the woken
+        headers afterwards, insertion-ordered either way.
+        """
         requests: dict[int, list[MessageState]] = {}  # cid -> requesters
         arrivals: list[MessageState] = []
         drains: list[MessageState] = []
         movers: list[tuple[MessageState, Channel]] = []
+        store_and_forward = self.config.switching == "store_and_forward"
 
-        for m in self.messages.values():
-            if m.mid in acted:
+        for m in examine:
+            mid = m.mid
+            if mid in acted:
                 continue
-            if m.status is MessageStatus.DRAINING:
+            status = m.status
+            if status is MessageStatus.DRAINING:
                 if first_round:
                     drains.append(m)
-                    acted.add(m.mid)
+                    acted.add(mid)
                 continue
-            if m.status is MessageStatus.PENDING:
-                if m.spec.inject_time > self.cycle or self._stalled(m):
-                    continue
-                self._request_next(m, INJECT, m.spec.src, requests)
+            if status is MessageStatus.PENDING:
+                if not self._stalled(m):  # live PENDING messages are due
+                    self._request_next(m, INJECT, m.spec.src, requests)
                 continue
-            if m.status is not MessageStatus.ACTIVE:
+            if status is not MessageStatus.ACTIVE:
                 continue
             if self._stalled(m):
-                acted.add(m.mid)
-                self._emit("stalled", mid=m.mid)
+                acted.add(mid)
+                self._emit("stalled", mid=mid)
                 continue
             leading = m.acquired[-1]
-            if self.config.switching == "store_and_forward":
+            if store_and_forward:
                 # the whole packet must accumulate in the current queue
                 # before the header may move on (or be delivered)
                 lq = self._queues[leading.cid]
                 if len(lq.queue) < m.spec.length:
+                    if first_round:  # this round's cascade may complete it
+                        self._wake[self._pos[mid]] = m
                     continue  # keep accumulating (cascade still runs)
             node = leading.dst
             if node == m.spec.dst:
                 arrivals.append(m)
-                acted.add(m.mid)
+                acted.add(mid)
                 continue
             self._request_next(m, leading, node, requests)
 
@@ -360,7 +466,7 @@ class Simulator:
         # data flits of messages whose header did not move still advance
         # into any space the train has (only possible with buffer_depth > 1).
         if first_round and self.config.buffer_depth > 1:
-            for m in self.messages.values():
+            for m in self._live:
                 if (
                     m.status is MessageStatus.ACTIVE
                     and m.mid not in acted
@@ -379,6 +485,7 @@ class Simulator:
         q.owner = m.mid
         q.queue.append(0)  # header flit index 0
         q.received = True
+        self._flagged.append(q)
         m.acquired.append(ch)
         m.flits_injected = 1
         m.status = MessageStatus.ACTIVE
@@ -399,6 +506,7 @@ class Simulator:
         nq.owner = m.mid
         nq.queue.append(flit)
         nq.received = True
+        self._flagged += (lq, nq)
         m.acquired.append(ch)
         m.blocked_on = None
         m.blocked_candidates = []
@@ -412,6 +520,7 @@ class Simulator:
         assert lq.queue
         lq.queue.popleft()
         lq.sent = True
+        self._flagged.append(lq)
         m.flits_consumed += 1
         self._moved_this_cycle = True
         self.stats.flit_moves += 1
@@ -423,12 +532,18 @@ class Simulator:
             self._emit("consume", mid=m.mid)
 
     def _cascade(self, m: MessageState) -> None:
-        """Slide the flit train forward one slot where space allows."""
+        """Slide the flit train forward one slot where space allows.
+
+        Every move of ``m``'s flits ends in a cascade, so this is where
+        ``m`` is marked for the round's release pass.
+        """
+        self._touched[self._pos[m.mid]] = m
         acq = m.acquired
         depth = self.config.buffer_depth
+        queues = self._queues
         for i in range(len(acq) - 1, 0, -1):
-            dst_q = self._queues[acq[i].cid]
-            src_q = self._queues[acq[i - 1].cid]
+            dst_q = queues[acq[i].cid]
+            src_q = queues[acq[i - 1].cid]
             if (
                 not dst_q.received
                 and len(dst_q.queue) < depth
@@ -438,20 +553,25 @@ class Simulator:
                 dst_q.queue.append(src_q.queue.popleft())
                 dst_q.received = True
                 src_q.sent = True
+                self._flagged += (dst_q, src_q)
                 self._moved_this_cycle = True
                 self.stats.flit_moves += 1
         # injection of the next flit into the first held channel
         if m.flits_injected < m.spec.length and acq:
-            q0 = self._queues[acq[0].cid]
+            q0 = queues[acq[0].cid]
             if not q0.received and len(q0.queue) < depth:
                 q0.queue.append(m.flits_injected)
                 q0.received = True
+                self._flagged.append(q0)
                 m.flits_injected += 1
                 self._moved_this_cycle = True
                 self.stats.flit_moves += 1
 
     def _release_tail(self, m: MessageState) -> None:
-        """Release emptied channels whose tail flit has passed (Assumption 4)."""
+        """Release emptied channels whose tail flit has passed (Assumption 4).
+
+        A freed channel wakes the headers hard-blocked on it this cycle.
+        """
         tail_passed_injection = m.flits_injected == m.spec.length
         while m.acquired:
             back = m.acquired[0]
@@ -460,6 +580,9 @@ class Simulator:
                 break
             q.owner = None
             m.acquired.pop(0)
+            waiters = self._waiters.pop(back.cid, None)
+            if waiters:
+                self._wake.update(waiters)
             self._emit("release", mid=m.mid, channel=back.cid)
         if (
             m.status is MessageStatus.DRAINING
@@ -468,6 +591,7 @@ class Simulator:
             assert not m.acquired
             m.status = MessageStatus.DELIVERED
             m.done_cycle = self.cycle
+            self._finished += 1
             self.stats.record_delivery(m)
             self._emit("deliver", mid=m.mid)
 
@@ -475,10 +599,7 @@ class Simulator:
     # run loop
     # ------------------------------------------------------------------
     def _all_done(self) -> bool:
-        return all(
-            m.status in (MessageStatus.DELIVERED, MessageStatus.FAILED)
-            for m in self.messages.values()
-        )
+        return self._finished == len(self.messages)
 
     def _quiesced(self) -> bool:
         """No movement for a window, and nothing can ever move again.
@@ -488,12 +609,9 @@ class Simulator:
         """
         if self._idle_cycles < self.config.quiescence_window:
             return False
-        for m in self.messages.values():
-            # self.cycle is the *next* cycle to run, so an injection due at
-            # exactly self.cycle can still move
-            if m.status is MessageStatus.PENDING and m.spec.inject_time >= self.cycle:
-                return False
-        return True
+        # self.cycle is the *next* cycle to run, so an injection due at
+        # exactly self.cycle can still move; _future[0] is the latest one
+        return not (self._future and self._future[0].spec.inject_time >= self.cycle)
 
     def run(self) -> SimResult:
         """Run to completion, deadlock, or the cycle limit."""
@@ -545,9 +663,7 @@ class Simulator:
             if self._quiesced():
                 deadlock = DeadlockReport(
                     cycle=self.cycle,
-                    message_ids=tuple(
-                        m.mid for m in self.messages.values() if m.in_network
-                    ),
+                    message_ids=tuple(m.mid for m in self._live if m.in_network),
                     kind="quiescence",
                 )
                 break

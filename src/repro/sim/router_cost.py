@@ -87,7 +87,7 @@ def router_cost(
     m = model or RouterCostModel()
     ins = len(net.channels_in(node)) + 1  # + injection
     outs = len(net.channels_out(node)) + 1  # + delivery
-    vcs_in = {}
+    vcs_in: dict[tuple[NodeId, NodeId], int] = {}
     for ch in net.channels_in(node) + net.channels_out(node):
         key = (ch.src, ch.dst)
         vcs_in[key] = vcs_in.get(key, 0) + 1

@@ -83,3 +83,40 @@ def test_deadlock_report_str():
     res = Simulator(net, clockwise_ring(net, 6), ring_overload_specs()).run()
     s = str(res.deadlock)
     assert "deadlock" in s and "cycle" in s
+
+
+def test_report_includes_header_queued_behind_the_knot():
+    """The report is the greatest fixpoint, not just the wait-for cycle.
+
+    Four messages deadlock on a clockwise 4-ring.  A fifth enters the ring
+    from a feeder node, holds its feeder channel and waits on a channel a
+    knot member holds: it can never progress either, so the report names
+    it, although it lies on no wait-for cycle.
+    """
+    import networkx as nx
+
+    from repro.routing.base import RoutingFunction
+
+    net = ring(4)
+    net.add_node("feeder")
+    net.add_channel("feeder", 0, label="feed")
+    cw = clockwise_ring(net, 4)
+
+    class FeederRing(RoutingFunction):
+        def route(self, in_channel, node, dest):
+            if node == "feeder":
+                return self.network.channels_between("feeder", 0)[0]
+            return cw.route(in_channel, node, dest)
+
+    specs = [MessageSpec(i, i, (i + 2) % 4, length=4) for i in range(4)]
+    specs.append(MessageSpec(4, "feeder", 2, length=2))
+    sim = Simulator(net, FeederRing(net), specs)
+    res = sim.run()
+
+    assert res.deadlock is not None
+    assert res.deadlock.kind == "wait-for-cycle"
+    assert res.deadlock.message_ids == (0, 1, 2, 3, 4)
+    queued = sim.messages[4]
+    assert queued.acquired and sim.channel_owner(queued.blocked_on) == 0
+    on_cycles = {mid for cyc in nx.simple_cycles(build_wait_for_graph(sim)) for mid in cyc}
+    assert on_cycles == {0, 1, 2, 3}

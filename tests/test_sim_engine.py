@@ -270,3 +270,36 @@ class TestUtilizationCounters:
                     expected[ch.cid] = expected.get(ch.cid, 0) + 1
         assert sim.stats.channel_busy_cycles == expected
         assert expected  # the scenario actually moved flits
+
+
+class TestRouteReuse:
+    """A header routes once per hop, however long it stays blocked."""
+
+    def test_route_calls_equal_total_hops(self):
+        from repro.routing import RoutingAlgorithm
+        from repro.routing.base import RoutingFunction
+        from repro.sim.traffic import uniform_random_traffic
+
+        net = mesh((8, 8))
+        dor = dimension_order_mesh(net, 2)
+
+        class CountingRouting(RoutingFunction):
+            calls = 0
+
+            def route(self, in_channel, node, dest):
+                self.calls += 1
+                return dor.route(in_channel, node, dest)
+
+        counting = CountingRouting(net)
+        specs = uniform_random_traffic(net, rate=0.06, cycles=120, length=4, seed=5)
+        sim = Simulator(net, counting, specs)
+        res = sim.run()
+        assert res.completed
+        # contention happened: headers sat blocked, and were re-examined
+        assert sum(m.wait_cycles for m in res.messages.values()) > 0
+        hops = sum(len(RoutingAlgorithm(dor).path(s.src, s.dst)) for s in specs)
+        assert counting.calls == hops
+        # finished messages are never routed again
+        for _ in range(5):
+            sim.step()
+        assert counting.calls == hops
