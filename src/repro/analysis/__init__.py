@@ -31,47 +31,56 @@ Public API
                                                  flit-level simulator.
 """
 
-from repro.analysis.state import CheckerMessage, SystemSpec, SystemState, MsgState
-from repro.analysis.reachability import (
-    search_deadlock,
-    SearchResult,
-    Witness,
-    SearchLimitExceeded,
-)
-from repro.analysis.classify import (
-    classify_cycle,
-    classify_configuration,
-    CycleClassification,
-    messages_for_cycle,
-)
-from repro.analysis.delay import min_delay_to_deadlock, delay_tolerance_profile
-from repro.analysis.schedules import witness_to_schedule, replay_witness
-from repro.analysis.adaptive_state import (
-    AdaptiveMessage,
-    AdaptiveSystem,
-    search_adaptive_deadlock,
-    AdaptiveSearchResult,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "CheckerMessage",
-    "SystemSpec",
-    "SystemState",
-    "MsgState",
-    "search_deadlock",
-    "SearchResult",
-    "Witness",
-    "SearchLimitExceeded",
-    "classify_cycle",
-    "classify_configuration",
-    "CycleClassification",
-    "messages_for_cycle",
-    "min_delay_to_deadlock",
-    "delay_tolerance_profile",
-    "witness_to_schedule",
-    "replay_witness",
-    "AdaptiveMessage",
-    "AdaptiveSystem",
-    "search_adaptive_deadlock",
-    "AdaptiveSearchResult",
-]
+from repro._lazy import lazy_exports
+
+#: public name -> the submodule defining it, imported on first access
+_EXPORTS = {
+    "CheckerMessage": "state",
+    "SystemSpec": "state",
+    "SystemState": "state",
+    "MsgState": "state",
+    "search_deadlock": "reachability",
+    "SearchResult": "reachability",
+    "Witness": "reachability",
+    "SearchLimitExceeded": "reachability",
+    "classify_cycle": "classify",
+    "classify_configuration": "classify",
+    "CycleClassification": "classify",
+    "messages_for_cycle": "classify",
+    "min_delay_to_deadlock": "delay",
+    "delay_tolerance_profile": "delay",
+    "witness_to_schedule": "schedules",
+    "replay_witness": "schedules",
+    "AdaptiveMessage": "adaptive_state",
+    "AdaptiveSystem": "adaptive_state",
+    "search_adaptive_deadlock": "adaptive_state",
+    "AdaptiveSearchResult": "adaptive_state",
+}
+
+if TYPE_CHECKING:  # pragma: no cover - the static view of _EXPORTS
+    from repro.analysis.adaptive_state import (
+        AdaptiveMessage,
+        AdaptiveSearchResult,
+        AdaptiveSystem,
+        search_adaptive_deadlock,
+    )
+    from repro.analysis.classify import (
+        CycleClassification,
+        classify_configuration,
+        classify_cycle,
+        messages_for_cycle,
+    )
+    from repro.analysis.delay import delay_tolerance_profile, min_delay_to_deadlock
+    from repro.analysis.reachability import (
+        SearchLimitExceeded,
+        SearchResult,
+        Witness,
+        search_deadlock,
+    )
+    from repro.analysis.schedules import replay_witness, witness_to_schedule
+    from repro.analysis.state import CheckerMessage, MsgState, SystemSpec, SystemState
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

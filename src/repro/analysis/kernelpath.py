@@ -4,14 +4,18 @@
 BFS as :class:`~repro.analysis.fastpath.FastEngine` -- grant rounds,
 deterministic pre-apply, joint-choice enumeration, mixed-radix
 arbitration, in-expansion visited dedup, wait-for-cycle test -- but as
-**one compiled loop over flat numpy transition tables**, eliminating the
+**one compiled loop over flat transition tables**, eliminating the
 per-state Python interpretation of the fast engine.  Verdicts,
 ``states_explored`` (including the early-exit count and the exact
 :class:`~repro.analysis.reachability.SearchLimitExceeded` behaviour) and
 witnesses are bit-identical to the reference engine;
 ``tests/test_kernelpath_differential.py`` pins the three-way contract.
 
-The tables are the fast engine's scan records flattened into arrays:
+The tables are the fast engine's scan records flattened into stdlib
+:class:`array.array` buffers, built once per engine.  The cc tier hands
+their addresses straight to the C loop through :mod:`ctypes`; the numba and
+python tiers (:mod:`repro.analysis.kernelcore`, the only module here that
+imports numpy) wrap the same buffers with ``np.frombuffer``, zero-copy:
 
 * channels are stored as **indices** (``int32``, ``-1`` = none) and
   occupancy masks are ``W``-word ``uint64`` arrays -- specs with more
@@ -25,9 +29,10 @@ Three interchangeable backends execute the loop (``REPRO_KERNEL_BACKEND``
 or the ``backend=`` argument; ``auto`` picks the first available):
 
 ``numba``
-    :func:`_core_search` compiled with ``numba.njit``.  numba is an
-    optional extra (``pip install repro[kernel]``); imports never
-    hard-fail without it.
+    ``kernelcore._core_search`` compiled with ``numba.njit``.  numba is an
+    optional extra (``pip install repro[kernel]``); it is imported by the
+    first search that resolves to this tier, never at module import, and
+    imports never hard-fail without it.
 ``cc``
     ``_kernel.c`` (same directory) -- a C99 port of the identical loop --
     compiled on first use with the system C compiler into a shared
@@ -35,9 +40,10 @@ or the ``backend=`` argument; ``auto`` picks the first available):
     architecture, called through :mod:`ctypes`.  A cached library that
     fails to load (corrupt, foreign, stale ABI) is rebuilt once.
 ``python``
-    :func:`_core_search` interpreted.  Slow, but always available: it is
-    the no-dependency floor that keeps the engine importable and lets the
-    numba-source logic be pinned by tests on machines without numba.
+    ``kernelcore._core_search`` interpreted, with numpy but no compiler
+    and no numba.  Slow, but the floor that keeps the engine correct
+    everywhere numpy is, and lets the numba-source logic be pinned by
+    tests on machines without numba.
 
 Witness searches track a parent per arena slot and recover action labels
 after the fact by re-expanding only the chain states through
@@ -48,17 +54,14 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import importlib.util
 import os
 import platform
-import shutil
-import subprocess
 import sys
-import tempfile
 import threading
 import warnings
+from array import array
 from pathlib import Path
-
-import numpy as np
 
 from repro.analysis.fastpath import FastEngine, engine_for
 from repro.analysis.state import SystemSpec
@@ -127,638 +130,31 @@ def warn_wide_fallback(engine: str, n: int, num_bits: int, max_msgs: int) -> Non
 
 
 # ----------------------------------------------------------------------
-# numba tier: optional decoration of the shared core
+# numba tier: probed without importing numba
 # ----------------------------------------------------------------------
-try:  # pragma: no cover - exercised only where numba is installed
-    from numba import njit as _njit
-
-    HAVE_NUMBA = True
-except Exception:  # ImportError, or a broken numba install
-    HAVE_NUMBA = False
-
-    def _njit(*args, **kwargs):  # type: ignore[misc]
-        """No-op ``@njit`` stand-in: the core runs interpreted."""
-        if args and callable(args[0]):
-            return args[0]
-
-        def deco(fn):
-            return fn
-
-        return deco
-
-
-_U0 = np.uint64(0)
-_U1 = np.uint64(1)
-_U33 = np.uint64(33)
-_FNV_OFF = np.uint64(0xCBF29CE484222325)
-_FNV_PRM = np.uint64(0x100000001B3)
-_MIX = np.uint64(0xFF51AFD7ED558CCD)
-
-
-@_njit(cache=True)
-def _hash_row(row, n):
-    """FNV-1a over ``n`` int32 values with a xor-shift finalizer."""
-    h = _FNV_OFF
-    for j in range(n):
-        h = (h ^ np.uint64(row[j])) * _FNV_PRM
-    h ^= h >> _U33
-    h *= _MIX
-    h ^= h >> _U33
-    return h
-
-
-@_njit(cache=True)
-def _hash_node(cfg_row, pend_row, n):
-    """Hash of a ``(configuration, pending)`` wave node."""
-    h = _FNV_OFF
-    for j in range(n):
-        h = (h ^ np.uint64(cfg_row[j])) * _FNV_PRM
-    for j in range(n):
-        h = (h ^ np.uint64(pend_row[j])) * _FNV_PRM
-    h ^= h >> _U33
-    h *= _MIX
-    h ^= h >> _U33
-    return h
-
-
-@_njit(cache=True)
-def _vgrow(vslots, vkeys, vused, n):
-    """Double the visited slot table, rehashing the live keys."""
-    nslots = np.full(vslots.size * 2, -1, np.int64)
-    m = np.uint64(nslots.size - 1)
-    for k in range(vused):
-        h = _hash_row(vkeys[k], n) & m
-        while nslots[h] >= 0:
-            h = (h + _U1) & m
-        nslots[h] = k
-    return nslots
-
-
-@_njit(cache=True)
-def _sgrow(sslots, s_cfg, s_pend, sused, n):
-    """Double the wave-node slot table, rehashing the live nodes."""
-    nslots = np.full(sslots.size * 2, -1, np.int64)
-    m = np.uint64(nslots.size - 1)
-    for k in range(sused):
-        h = _hash_node(s_cfg[k], s_pend[k], n) & m
-        while nslots[h] >= 0:
-            h = (h + _U1) & m
-        nslots[h] = k
-    return nslots
-
-
-@_njit(cache=True)
-def _canon_into(keybuf, cur, off, n, ncls, cls_off, cls_cols):
-    """``keybuf`` = ``cur[off:off+n]`` canonicalized (sort within class)."""
-    for j in range(n):
-        keybuf[j] = cur[off + j]
-    for t in range(ncls):
-        lo = cls_off[t]
-        hi = cls_off[t + 1]
-        for a in range(lo + 1, hi):
-            v = keybuf[cls_cols[a]]
-            b = a - 1
-            while b >= lo and keybuf[cls_cols[b]] > v:
-                keybuf[cls_cols[b + 1]] = keybuf[cls_cols[b]]
-                b -= 1
-            keybuf[cls_cols[b + 1]] = v
-
-
-@_njit(cache=True)
-def _deadlocked(cur, off, mask, wait_to, n, S, W, blk_ch, occ):
-    """Wait-for cycle existence (mirrors ``FastEngine._deadlocked``)."""
-    anyb = False
-    for i in range(n):
-        wait_to[i] = -1
-        rc = blk_ch[i * S + cur[off + i]]
-        if rc < 0:
-            continue
-        if (mask[rc >> 6] >> np.uint64(rc & 63)) & _U1 == _U0:
-            continue
-        for j in range(n):
-            ob = occ[(j * S + cur[off + j]) * W + (rc >> 6)]
-            if (ob >> np.uint64(rc & 63)) & _U1 != _U0:
-                if j != i:
-                    wait_to[i] = j
-                    anyb = True
-                break  # occupancies are disjoint: first owner is the owner
-    if not anyb:
+def _numba_installed() -> bool:
+    try:
+        # None also when sys.modules["numba"] is None (numba masked off)
+        return importlib.util.find_spec("numba") is not None
+    except (ImportError, ValueError):  # pragma: no cover - odd installs
         return False
-    for i in range(n):
-        p = wait_to[i]
-        k = 0
-        while k < n and p >= 0:
-            p = wait_to[p]
-            k += 1
-        if p >= 0:
-            return True  # a pointer that survives n hops is cyclic
-    return False
 
 
-@_njit(cache=True)
-def _core_search(
-    n,
-    S,
-    W,
-    req_ch,
-    nops,
-    ch0,
-    nxt0,
-    acq0,
-    rel0,
-    nxt1,
-    wait1,
-    occ,
-    blk_ch,
-    init_cfg,
-    ncls,
-    cls_off,
-    cls_cols,
-    use_canon,
-    max_states,
-    track,
-):
-    """Fused BFS over the flat tables; the loop ``_kernel.c`` also runs.
-
-    Returns ``(status, count, depth, arena_cfg, arena_parent, arena_size)``
-    with the :data:`_STATUS_NOT_FOUND`/``FOUND``/``LIMIT`` codes of the C
-    kernel.  ``arena_cfg[:arena_size]`` holds every counted state in
-    discovery order (the found deadlock last); ``arena_parent`` maps each
-    to its BFS parent slot (``-1`` for the initial state) when ``track``.
-
-    The body is a transliteration of ``rk_search`` in ``_kernel.c``:
-    per-message state indices in flat int32 rows, occupancy as ``W``-word
-    ``uint64`` masks, visited as open addressing over raw rows, and the
-    exact grant-round orchestration of ``FastEngine._emissions``.  It is
-    nopython-compatible, so ``numba.njit`` compiles it unchanged.
-    """
-    # --- visited: open-addressing hash over canonical rows ---
-    vslots = np.full(1 << 14, -1, np.int64)
-    vkeys = np.empty((4096, n), np.int32)
-    vused = 0
-    # --- arena: every counted state, discovery order (doubles as queue) ---
-    ar_cap = 1024
-    ar_cfg = np.empty((ar_cap, n), np.int32)
-    ar_par = np.empty(ar_cap if track else 1, np.int64)
-    ar_size = 0
-    # --- per-root expansion stack + forward-order child buffer ---
-    st_cap = 256
-    st_cfg = np.empty((st_cap, n), np.int32)
-    st_pend = np.empty((st_cap, n), np.uint8)
-    st_mask = np.empty((st_cap, W), np.uint64)
-    st_fix = np.empty(st_cap, np.uint8)
-    kd_cap = 64
-    kd_cfg = np.empty((kd_cap, n), np.int32)
-    kd_pend = np.empty((kd_cap, n), np.uint8)
-    kd_mask = np.empty((kd_cap, W), np.uint64)
-    kd_fix = np.empty(kd_cap, np.uint8)
-    # --- per-root (cfg, pending) node set: branch-convergence pruning ---
-    sslots = np.full(1 << 10, -1, np.int64)
-    s_cfg = np.empty((512, n), np.int32)
-    s_pend = np.empty((512, n), np.uint8)
-    sused = 0
-    # --- scratch ---
-    keybuf = np.empty(n, np.int32)
-    wait_to = np.empty(n, np.int64)
-    movers = np.empty(n, np.int64)
-    bmov = np.empty(n, np.int64)
-    bch0 = np.empty(n, np.int32)
-    bnxt0 = np.empty(n, np.int32)
-    bacq0 = np.empty(n, np.int32)
-    brel0 = np.empty(n, np.int32)
-    bnxt1 = np.empty(n, np.int32)
-    bwait1 = np.empty(n, np.uint8)
-    btwo = np.empty(n, np.uint8)
-    chose = np.empty(n, np.int32)
-    cdig = np.empty(n, np.uint8)
-    t_ch = np.empty(n, np.int32)
-    t_cnt = np.empty(n, np.int64)
-    t_mem = np.empty(n * n, np.int64)
-    winner_of = np.empty(n, np.int64)
-    want = np.empty(W, np.uint64)
-    freed = np.empty(W, np.uint64)
-    reqm = np.empty(W, np.uint64)
-    seen1 = np.empty(W, np.uint64)
-    seen2 = np.empty(W, np.uint64)
-    mask = np.empty(W, np.uint64)
-
-    count = np.int64(1)
-    depth = np.int64(0)
-    status = _STATUS_NOT_FOUND
-
-    for j in range(n):
-        ar_cfg[0, j] = init_cfg[j]
-    if track:
-        ar_par[0] = -1
-    ar_size = 1
-    # seed visited with the canonical initial state
-    if use_canon:
-        _canon_into(keybuf, init_cfg, 0, n, ncls, cls_off, cls_cols)
-    else:
-        for j in range(n):
-            keybuf[j] = init_cfg[j]
-    h = _hash_row(keybuf, n) & np.uint64(vslots.size - 1)
-    vslots[h] = 0
-    for j in range(n):
-        vkeys[0, j] = keybuf[j]
-    vused = 1
-
-    head = np.int64(0)
-    boundary = np.int64(1)
-    stop = False
-    while head < ar_size and not stop:
-        # ---- expand one root ----
-        if sused > 0:  # cheap per-root reset of the wave-node set
-            sslots[:] = -1
-            sused = 0
-        for j in range(n):
-            st_cfg[0, j] = ar_cfg[head, j]
-            st_pend[0, j] = 1
-        for w in range(W):
-            mask[w] = _U0
-        for i in range(n):
-            base = (i * S + ar_cfg[head, i]) * W
-            for w in range(W):
-                mask[w] |= occ[base + w]
-        for w in range(W):
-            st_mask[0, w] = mask[w]
-        st_fix[0] = 0
-        top = 1
-        while top > 0 and not stop:
-            top -= 1
-            cur = st_cfg[top]
-            pend = st_pend[top]
-            for w in range(W):
-                mask[w] = st_mask[top, w]
-            fixed = st_fix[top] != 0
-
-            branch = False
-            nb = 0
-            pre_moved = False
-            if not fixed:
-                while True:  # grant rounds
-                    pending_any = False
-                    for i in range(n):
-                        if pend[i] != 0:
-                            pending_any = True
-                            break
-                    if not pending_any:
-                        break
-                    nm = 0
-                    multi = False
-                    clash = False
-                    for w in range(W):
-                        want[w] = _U0
-                        reqm[w] = _U0
-                    for i in range(n):
-                        if pend[i] == 0:
-                            continue
-                        idx = i * S + cur[i]
-                        rc = req_ch[idx]
-                        no = nops[idx]
-                        if rc >= 0 and (
-                            (mask[rc >> 6] >> np.uint64(rc & 63)) & _U1 != _U0
-                        ):
-                            want[rc >> 6] |= _U1 << np.uint64(rc & 63)  # blocked
-                        elif no > 0:
-                            movers[nm] = i
-                            nm += 1
-                            if no > 1:
-                                multi = True
-                            elif rc >= 0:
-                                if (reqm[rc >> 6] >> np.uint64(rc & 63)) & _U1 != _U0:
-                                    clash = True
-                                reqm[rc >> 6] |= _U1 << np.uint64(rc & 63)
-                        else:
-                            pend[i] = 0  # done
-                    if nm == 0:
-                        break
-                    if not multi and not clash:
-                        # fully deterministic round: apply every mover
-                        for w in range(W):
-                            freed[w] = _U0
-                        for k in range(nm):
-                            i = movers[k]
-                            idx = i * S + cur[i]
-                            acq = acq0[idx]
-                            rel = rel0[idx]
-                            cur[i] = nxt0[idx]
-                            if acq >= 0:
-                                mask[acq >> 6] |= _U1 << np.uint64(acq & 63)
-                            if rel >= 0:
-                                mask[rel >> 6] &= ~(_U1 << np.uint64(rel & 63))
-                                freed[rel >> 6] |= _U1 << np.uint64(rel & 63)
-                            pend[i] = 0
-                        pending_any = False
-                        for i in range(n):
-                            if pend[i] != 0:
-                                pending_any = True
-                                break
-                        hit = False
-                        for w in range(W):
-                            if freed[w] & want[w] != _U0:
-                                hit = True
-                                break
-                        if not pending_any or not hit:
-                            break
-                        continue
-                    # channel demand across first options: twice-requested
-                    # channels force single-option movers to branch too
-                    for w in range(W):
-                        seen1[w] = _U0
-                        seen2[w] = _U0
-                    for k in range(nm):
-                        i = movers[k]
-                        ch = ch0[i * S + cur[i]]
-                        if ch >= 0:
-                            b = _U1 << np.uint64(ch & 63)
-                            if seen1[ch >> 6] & b != _U0:
-                                seen2[ch >> 6] |= b
-                            seen1[ch >> 6] |= b
-                    nb = 0
-                    for w in range(W):
-                        freed[w] = _U0
-                    for k in range(nm):
-                        i = movers[k]
-                        idx = i * S + cur[i]
-                        ch = ch0[idx]
-                        if nops[idx] > 1 or (
-                            ch >= 0
-                            and (seen2[ch >> 6] >> np.uint64(ch & 63)) & _U1 != _U0
-                        ):
-                            bmov[nb] = i
-                            nb += 1
-                            continue
-                        # deterministic: pre-apply in place
-                        acq = acq0[idx]
-                        rel = rel0[idx]
-                        cur[i] = nxt0[idx]
-                        if acq >= 0:
-                            mask[acq >> 6] |= _U1 << np.uint64(acq & 63)
-                        if rel >= 0:
-                            mask[rel >> 6] &= ~(_U1 << np.uint64(rel & 63))
-                            freed[rel >> 6] |= _U1 << np.uint64(rel & 63)
-                        pend[i] = 0
-                        pre_moved = True
-                    if nb == 0:  # unreachable in practice: multi/clash
-                        pending_any = False
-                        for i in range(n):
-                            if pend[i] != 0:
-                                pending_any = True
-                                break
-                        hit = False
-                        for w in range(W):
-                            if freed[w] & want[w] != _U0:
-                                hit = True
-                                break
-                        if not pending_any or not hit:
-                            break
-                        continue
-                    branch = True
-                    break
-
-            if not branch:
-                # ---- emit: fused dedup, count/cap, deadlock test ----
-                if use_canon:
-                    _canon_into(keybuf, cur, 0, n, ncls, cls_off, cls_cols)
-                else:
-                    for j in range(n):
-                        keybuf[j] = cur[j]
-                if (vused + 1) * 2 >= vslots.size:
-                    vslots = _vgrow(vslots, vkeys, vused, n)
-                hm = np.uint64(vslots.size - 1)
-                h = _hash_row(keybuf, n) & hm
-                present = False
-                while vslots[h] >= 0:
-                    k = vslots[h]
-                    same = True
-                    for j in range(n):
-                        if vkeys[k, j] != keybuf[j]:
-                            same = False
-                            break
-                    if same:
-                        present = True
-                        break
-                    h = (h + _U1) & hm
-                if present:
-                    continue  # duplicate: never counted
-                if vused >= vkeys.shape[0]:
-                    nk = np.empty((vkeys.shape[0] * 2, n), np.int32)
-                    nk[:vused] = vkeys[:vused]
-                    vkeys = nk
-                for j in range(n):
-                    vkeys[vused, j] = keybuf[j]
-                vslots[h] = vused
-                vused += 1
-                count += 1
-                if count > max_states:
-                    status = _STATUS_LIMIT
-                    stop = True
-                    continue
-                if ar_size >= ar_cap:
-                    ar_cap *= 2
-                    na = np.empty((ar_cap, n), np.int32)
-                    na[:ar_size] = ar_cfg[:ar_size]
-                    ar_cfg = na
-                    if track:
-                        npa = np.empty(ar_cap, np.int64)
-                        npa[:ar_size] = ar_par[:ar_size]
-                        ar_par = npa
-                for j in range(n):
-                    ar_cfg[ar_size, j] = cur[j]
-                if track:
-                    ar_par[ar_size] = head
-                ar_size += 1
-                if _deadlocked(cur, 0, mask, wait_to, n, S, W, blk_ch, occ):
-                    status = _STATUS_FOUND
-                    stop = True
-                continue
-
-            # ---- branching round: joint choices x arbitration winners ----
-            for k in range(nb):
-                i = bmov[k]
-                idx = i * S + cur[i]
-                bch0[k] = ch0[idx]
-                bnxt0[k] = nxt0[idx]
-                bacq0[k] = acq0[idx]
-                brel0[k] = rel0[idx]
-                bnxt1[k] = nxt1[idx]
-                bwait1[k] = wait1[idx]
-                btwo[k] = 1 if nops[idx] > 1 else 0
-            ncombo = np.int64(1)
-            for k in range(nb):
-                if btwo[k] != 0:
-                    ncombo <<= 1
-            ktop = 0
-            for combo in range(ncombo):
-                # digit of mover k: the first two-option mover varies
-                # slowest, matching product(*bopts)
-                div = ncombo
-                T = 0
-                for k in range(nb):
-                    choice = 0
-                    if btwo[k] != 0:
-                        div >>= 1
-                        choice = (combo // div) & 1
-                    cdig[k] = choice
-                    ch = bch0[k] if choice == 0 else np.int32(-1)
-                    chose[k] = ch
-                    if ch >= 0:
-                        t = 0
-                        while t < T and t_ch[t] != ch:
-                            t += 1
-                        if t == T:
-                            t_ch[T] = ch
-                            t_cnt[T] = 0
-                            T += 1
-                        t_mem[t * n + t_cnt[t]] = k  # bmover slot
-                        t_cnt[t] += 1
-                # compress to genuinely contested channels, keeping order
-                Tc = 0
-                for t in range(T):
-                    if t_cnt[t] > 1:
-                        if Tc != t:
-                            t_ch[Tc] = t_ch[t]
-                            t_cnt[Tc] = t_cnt[t]
-                            for q in range(t_cnt[t]):
-                                t_mem[Tc * n + q] = t_mem[t * n + q]
-                        Tc += 1
-                nwin = np.int64(1)
-                for t in range(Tc):
-                    nwin *= t_cnt[t]
-                for wsel in range(nwin):
-                    # mixed-radix winner set: last contested channel varies
-                    # fastest, matching product(*requests.values())
-                    acc = wsel
-                    for t in range(Tc - 1, -1, -1):
-                        winner_of[t] = t_mem[t * n + (acc % t_cnt[t])]
-                        acc //= t_cnt[t]
-                    if ktop >= kd_cap:
-                        kd_cap *= 2
-                        nc = np.empty((kd_cap, n), np.int32)
-                        nc[:ktop] = kd_cfg[:ktop]
-                        kd_cfg = nc
-                        npd = np.empty((kd_cap, n), np.uint8)
-                        npd[:ktop] = kd_pend[:ktop]
-                        kd_pend = npd
-                        nmk = np.empty((kd_cap, W), np.uint64)
-                        nmk[:ktop] = kd_mask[:ktop]
-                        kd_mask = nmk
-                        nf = np.empty(kd_cap, np.uint8)
-                        nf[:ktop] = kd_fix[:ktop]
-                        kd_fix = nf
-                    nxt = kd_cfg[ktop]
-                    npend = kd_pend[ktop]
-                    nmask = kd_mask[ktop]
-                    for j in range(n):
-                        nxt[j] = cur[j]
-                        npend[j] = pend[j]
-                    for w in range(W):
-                        nmask[w] = mask[w]
-                    moved = pre_moved
-                    for k in range(nb):
-                        i = bmov[k]
-                        if cdig[k] == 0:
-                            ch = bch0[k]
-                            if ch >= 0:
-                                lost = False
-                                for t in range(Tc):
-                                    if t_ch[t] == ch:
-                                        if winner_of[t] != k:
-                                            lost = True
-                                        break
-                                if lost:
-                                    npend[i] = 0  # lost arbitration
-                                    continue
-                            nxt[i] = bnxt0[k]
-                            npend[i] = 0
-                            moved = True
-                            if bacq0[k] >= 0:
-                                nmask[bacq0[k] >> 6] |= _U1 << np.uint64(
-                                    bacq0[k] & 63
-                                )
-                            if brel0[k] >= 0:
-                                nmask[brel0[k] >> 6] &= ~(
-                                    _U1 << np.uint64(brel0[k] & 63)
-                                )
-                        elif bwait1[k] != 0:
-                            pass  # wait: stays pending, nothing changes
-                        else:
-                            nxt[i] = bnxt1[k]  # stall: moves, not "moved"
-                            npend[i] = 0
-                    if moved:
-                        # branch-convergence pruning on (cfg, pending)
-                        if (sused + 1) * 2 >= sslots.size:
-                            sslots = _sgrow(sslots, s_cfg, s_pend, sused, n)
-                        sm = np.uint64(sslots.size - 1)
-                        h = _hash_node(nxt, npend, n) & sm
-                        dup = False
-                        while sslots[h] >= 0:
-                            k2 = sslots[h]
-                            same = True
-                            for j in range(n):
-                                if s_cfg[k2, j] != nxt[j] or s_pend[k2, j] != npend[j]:
-                                    same = False
-                                    break
-                            if same:
-                                dup = True
-                                break
-                            h = (h + _U1) & sm
-                        if dup:
-                            continue
-                        if sused >= s_cfg.shape[0]:
-                            nc2 = np.empty((s_cfg.shape[0] * 2, n), np.int32)
-                            nc2[:sused] = s_cfg[:sused]
-                            s_cfg = nc2
-                            np2 = np.empty((s_pend.shape[0] * 2, n), np.uint8)
-                            np2[:sused] = s_pend[:sused]
-                            s_pend = np2
-                        for j in range(n):
-                            s_cfg[sused, j] = nxt[j]
-                            s_pend[sused, j] = npend[j]
-                        sslots[h] = sused
-                        sused += 1
-                        kd_fix[ktop] = 0
-                    else:
-                        kd_fix[ktop] = 1  # fixpoint: emit directly
-                    ktop += 1
-            # push children in reverse for depth-first reference order
-            while top + ktop > st_cap:
-                st_cap *= 2
-                nc3 = np.empty((st_cap, n), np.int32)
-                nc3[: top] = st_cfg[:top]
-                st_cfg = nc3
-                np3 = np.empty((st_cap, n), np.uint8)
-                np3[:top] = st_pend[:top]
-                st_pend = np3
-                nm3 = np.empty((st_cap, W), np.uint64)
-                nm3[:top] = st_mask[:top]
-                st_mask = nm3
-                nf3 = np.empty(st_cap, np.uint8)
-                nf3[:top] = st_fix[:top]
-                st_fix = nf3
-            for k in range(ktop - 1, -1, -1):
-                for j in range(n):
-                    st_cfg[top, j] = kd_cfg[k, j]
-                    st_pend[top, j] = kd_pend[k, j]
-                for w in range(W):
-                    st_mask[top, w] = kd_mask[k, w]
-                st_fix[top] = kd_fix[k]
-                top += 1
-        # ---- root done ----
-        if stop:
-            if status == _STATUS_FOUND:
-                depth += 1
-            break
-        head += 1
-        if head == boundary:
-            depth += 1
-            boundary = ar_size
-    return status, count, depth, ar_cfg, ar_par, ar_size
+#: numba is installed; cleared by the first resolution that finds it
+#: broken (see :func:`_numba_ready`)
+HAVE_NUMBA = _numba_installed()
 
 
-#: the interpreted core: numba's ``py_func`` when decorated, else itself
-_core_py = _core_search.py_func if HAVE_NUMBA else _core_search
+def _numba_ready() -> bool:
+    """Whether the numba tier can run.  The import of numba (and numpy and
+    the jitted core) happens here, on the first resolution that would pick
+    the tier; an install that fails to import then counts as absent."""
+    global HAVE_NUMBA
+    if HAVE_NUMBA:
+        from repro.analysis import kernelcore
+
+        HAVE_NUMBA = kernelcore.NUMBA_OK
+    return HAVE_NUMBA
 
 
 # ----------------------------------------------------------------------
@@ -782,11 +178,15 @@ def _cc_cache_dir() -> Path:
     try:
         base.mkdir(parents=True, exist_ok=True)
     except OSError:  # pragma: no cover - unwritable home
+        import tempfile
+
         base = Path(tempfile.gettempdir())
     return base / "repro-kernel"
 
 
 def _cc_compiler() -> str | None:
+    import shutil
+
     env = os.environ.get("REPRO_CC")
     if env:
         return env if shutil.which(env) else None
@@ -829,6 +229,9 @@ def _build_cc_lib(so: Path) -> ctypes.CDLL | str:
     *before* ``os.replace`` publishes it atomically, so concurrent
     builders race safely and a broken build never lands in the cache.
     """
+    import subprocess
+    import tempfile
+
     comp = _cc_compiler()
     if comp is None:
         want = os.environ.get("REPRO_CC")
@@ -920,7 +323,7 @@ def resolve_backend(name: str | None = None) -> str:
             "'python' or 'auto'"
         )
     if want == "numba":
-        if not HAVE_NUMBA:
+        if not _numba_ready():
             raise RuntimeError(
                 "kernel backend 'numba' requested but numba is not "
                 "installed (pip install repro[kernel])"
@@ -936,7 +339,7 @@ def resolve_backend(name: str | None = None) -> str:
     if want == "python":
         return "python"
     # auto: first accelerated tier that resolves, else interpreted
-    if HAVE_NUMBA:
+    if _numba_ready():
         return "numba"
     if _load_cc_lib() is not None:
         return "cc"
@@ -984,7 +387,7 @@ def peek_engine(spec: SystemSpec) -> "KernelEngine | None":
 
 
 class KernelEngine:
-    """Compiled fused BFS over flat numpy transition tables."""
+    """Compiled fused BFS over flat ``array.array`` transition tables."""
 
     def __init__(self, spec: SystemSpec, *, fast: FastEngine | None = None) -> None:
         self.spec = spec
@@ -1012,55 +415,59 @@ class KernelEngine:
         self._S = S
         W = max(1, (f.num_bits + 63) // 64)
         self._W = W
-        t_req = np.full((n, S), -1, np.int32)
-        t_nops = np.zeros((n, S), np.int8)
-        t_ch0 = np.full((n, S), -1, np.int32)
-        t_nxt0 = np.zeros((n, S), np.int32)
-        t_acq0 = np.full((n, S), -1, np.int32)
-        t_rel0 = np.full((n, S), -1, np.int32)
-        t_nxt1 = np.zeros((n, S), np.int32)
-        t_wait1 = np.zeros((n, S), np.uint8)
-        t_occ = np.zeros((n, S, W), np.uint64)
-        t_blk = np.full((n, S), -1, np.int32)
+        size = n * S
+        # flat row-major [message, state] tables: int32 ("i"), int8 ("b"),
+        # uint8 ("B") and uint64 occupancy words ("Q", W per state)
+        t_req = array("i", [-1]) * size
+        t_nops = array("b", [0]) * size
+        t_ch0 = array("i", [-1]) * size
+        t_nxt0 = array("i", [0]) * size
+        t_acq0 = array("i", [-1]) * size
+        t_rel0 = array("i", [-1]) * size
+        t_nxt1 = array("i", [0]) * size
+        t_wait1 = array("B", [0]) * size
+        t_occ = array("Q", [0]) * (size * W)
+        t_blk = array("i", [-1]) * size
         wmask = (1 << 64) - 1
         for i in range(n):
             scan_i = f._scan[i]
             occ_i = f._occm[i]
             blk_i = f._blk[i]
             for ci in range(len(scan_i)):
+                at = i * S + ci
                 req, opts = scan_i[ci]
                 if req:
-                    t_req[i, ci] = req.bit_length() - 1
+                    t_req[at] = req.bit_length() - 1
                 if blk_i[ci]:
-                    t_blk[i, ci] = blk_i[ci].bit_length() - 1
+                    t_blk[at] = blk_i[ci].bit_length() - 1
                 ob = occ_i[ci]
                 for w in range(W):
-                    t_occ[i, ci, w] = (ob >> (64 * w)) & wmask
-                t_nops[i, ci] = len(opts)
+                    t_occ[at * W + w] = (ob >> (64 * w)) & wmask
+                t_nops[at] = len(opts)
                 if opts:
                     _lab, chan, nci, acq, rel = opts[0]
                     if chan is not None:
-                        t_ch0[i, ci] = chan.bit_length() - 1
-                    t_nxt0[i, ci] = nci
+                        t_ch0[at] = chan.bit_length() - 1
+                    t_nxt0[at] = nci
                     if acq:
-                        t_acq0[i, ci] = acq.bit_length() - 1
+                        t_acq0[at] = acq.bit_length() - 1
                     if rel:
-                        t_rel0[i, ci] = rel.bit_length() - 1
+                        t_rel0[at] = rel.bit_length() - 1
                 if len(opts) > 1:
                     lab1, _c1, nci1, _a1, _r1 = opts[1]
-                    t_nxt1[i, ci] = nci1
-                    t_wait1[i, ci] = 1 if lab1 == "wait" else 0
-        self._t_req = np.ascontiguousarray(t_req.reshape(-1))
-        self._t_nops = np.ascontiguousarray(t_nops.reshape(-1))
-        self._t_ch0 = np.ascontiguousarray(t_ch0.reshape(-1))
-        self._t_nxt0 = np.ascontiguousarray(t_nxt0.reshape(-1))
-        self._t_acq0 = np.ascontiguousarray(t_acq0.reshape(-1))
-        self._t_rel0 = np.ascontiguousarray(t_rel0.reshape(-1))
-        self._t_nxt1 = np.ascontiguousarray(t_nxt1.reshape(-1))
-        self._t_wait1 = np.ascontiguousarray(t_wait1.reshape(-1))
-        self._t_occ = np.ascontiguousarray(t_occ.reshape(-1))
-        self._t_blk = np.ascontiguousarray(t_blk.reshape(-1))
-        self._init_cfg = np.asarray(f.init_idx, dtype=np.int32)
+                    t_nxt1[at] = nci1
+                    t_wait1[at] = 1 if lab1 == "wait" else 0
+        self._t_req = t_req
+        self._t_nops = t_nops
+        self._t_ch0 = t_ch0
+        self._t_nxt0 = t_nxt0
+        self._t_acq0 = t_acq0
+        self._t_rel0 = t_rel0
+        self._t_nxt1 = t_nxt1
+        self._t_wait1 = t_wait1
+        self._t_occ = t_occ
+        self._t_blk = t_blk
+        self._init_cfg = array("i", f.init_idx)
         # symmetry classes as (offsets, concatenated ascending columns);
         # mirrors FastEngine.canon (sort values within each class)
         groups: dict[tuple, list[int]] = {}
@@ -1073,62 +480,41 @@ class KernelEngine:
             cols.extend(ix)
             offs.append(len(cols))
         self._ncls = len(classes)
-        self._cls_off = np.asarray(offs, dtype=np.int64)
-        self._cls_cols = np.asarray(cols if cols else [0], dtype=np.int64)
+        self._cls_off = array("i", offs)
+        self._cls_cols = array("i", cols if cols else [0])
 
     # ------------------------------------------------------------------
     # backend dispatch
     # ------------------------------------------------------------------
     def _run(
         self, max_states: int, symmetry_reduction: bool, track: bool
-    ) -> tuple[int, int, int, np.ndarray, np.ndarray, int]:
+    ) -> tuple[int, int, int, list[tuple[int, ...]]]:
+        """``(status, count, depth, chain)`` on the resolved backend;
+        ``chain`` runs from the initial state to the found deadlock (empty
+        unless ``track`` and found)."""
         backend = resolve_backend()
         self.last_backend = backend
         COUNTERS[f"kernelpath.searches.{backend}"] += 1
         use_canon = 1 if (symmetry_reduction and self._ncls) else 0
         if backend == "cc":
             return self._run_cc(max_states, use_canon, track)
-        core = _core_search if backend == "numba" else _core_py
-        with np.errstate(over="ignore"):  # uint64 hash mixing wraps by design
-            status, count, depth, ar_cfg, ar_par, ar_size = core(
-                self._n,
-                self._S,
-                self._W,
-                self._t_req,
-                self._t_nops,
-                self._t_ch0,
-                self._t_nxt0,
-                self._t_acq0,
-                self._t_rel0,
-                self._t_nxt1,
-                self._t_wait1,
-                self._t_occ,
-                self._t_blk,
-                self._init_cfg,
-                self._ncls,
-                self._cls_off,
-                self._cls_cols,
-                use_canon,
-                max_states,
-                1 if track else 0,
-            )
-        return int(status), int(count), int(depth), ar_cfg, ar_par, int(ar_size)
+        from repro.analysis.kernelcore import run_core
+
+        return run_core(self, backend == "numba", use_canon, max_states, track)
 
     def _run_cc(
         self, max_states: int, use_canon: int, track: bool
-    ) -> tuple[int, int, int, np.ndarray, np.ndarray, int]:
+    ) -> tuple[int, int, int, list[tuple[int, ...]]]:
         lib = _load_cc_lib()
         assert lib is not None  # resolve_backend vetted it
         c_i32p = ctypes.POINTER(ctypes.c_int32)
-        cls_off32 = np.asarray(self._cls_off, dtype=np.int32)
-        cls_cols32 = np.asarray(self._cls_cols, dtype=np.int32)
         out_count = ctypes.c_int64(0)
         out_depth = ctypes.c_int64(0)
         out_chain = c_i32p()
         out_chain_len = ctypes.c_int64(0)
 
-        def p(arr: np.ndarray) -> ctypes.c_void_p:
-            return ctypes.c_void_p(arr.ctypes.data)
+        def p(buf: array) -> ctypes.c_void_p:
+            return ctypes.c_void_p(buf.buffer_info()[0])
 
         status = lib.rk_search(
             ctypes.c_int32(self._n),
@@ -1146,8 +532,8 @@ class KernelEngine:
             p(self._t_blk),
             p(self._init_cfg),
             ctypes.c_int32(self._ncls),
-            p(cls_off32),
-            p(cls_cols32),
+            p(self._cls_off),
+            p(self._cls_cols),
             ctypes.c_int32(use_canon),
             ctypes.c_int64(max_states),
             ctypes.c_int32(1 if track else 0),
@@ -1156,36 +542,16 @@ class KernelEngine:
             ctypes.byref(out_chain) if track else None,
             ctypes.byref(out_chain_len) if track else None,
         )
-        # the C side returns only the found chain, not the whole arena:
-        # repackage it in the (ar_cfg, ar_par) shape the callers consume
+        # the C side returns only the found chain, one row per BFS level
+        chain: list[tuple[int, ...]] = []
         n = self._n
         chain_len = int(out_chain_len.value)
         if track and status == _STATUS_FOUND and chain_len:
-            buf = ctypes.cast(
-                out_chain, ctypes.POINTER(ctypes.c_int32 * (chain_len * n))
-            ).contents
-            ar_cfg = np.frombuffer(buf, dtype=np.int32).reshape(chain_len, n).copy()
+            flat = out_chain[: chain_len * n]
+            chain = [tuple(flat[k * n:(k + 1) * n]) for k in range(chain_len)]
+        if track and out_chain:
             lib.rk_free(out_chain)
-            ar_par = np.arange(-1, chain_len - 1, dtype=np.int64)
-            return (
-                int(status),
-                int(out_count.value),
-                int(out_depth.value),
-                ar_cfg,
-                ar_par,
-                chain_len,
-            )
-        if track and out_chain:  # pragma: no cover - defensive
-            lib.rk_free(out_chain)
-        empty = np.empty((0, n), dtype=np.int32)
-        return (
-            int(status),
-            int(out_count.value),
-            int(out_depth.value),
-            empty,
-            np.empty(0, dtype=np.int64),
-            0,
-        )
+        return int(status), int(out_count.value), int(out_depth.value), chain
 
     # ------------------------------------------------------------------
     # searches
@@ -1211,7 +577,7 @@ class KernelEngine:
         prof = _obs_get() is not None
         self.phase_seconds = {}
         t0 = perf_counter() if prof else 0.0
-        status, count, depth, _cfg, _par, _size = self._run(
+        status, count, depth, _chain = self._run(
             max_states, symmetry_reduction, track=False
         )
         if prof:
@@ -1242,7 +608,7 @@ class KernelEngine:
         prof = _obs_get() is not None
         self.phase_seconds = {}
         t0 = perf_counter() if prof else 0.0
-        status, count, _depth, ar_cfg, ar_par, ar_size = self._run(
+        status, count, _depth, chain = self._run(
             max_states, symmetry_reduction, track=True
         )
         if prof:
@@ -1254,14 +620,6 @@ class KernelEngine:
             raise MemoryError("kernel search ran out of memory")
         if status != _STATUS_FOUND:
             return False, count, None, None, ()
-        # walk the arena parents back to the initial state (the found
-        # deadlock is always the last arena slot)
-        chain: list[tuple] = []
-        at = ar_size - 1
-        while at >= 0:
-            chain.append(tuple(int(v) for v in ar_cfg[at]))
-            at = int(ar_par[at])
-        chain.reverse()
         f = self.fast
         final = chain[-1]
         final_mask = 0

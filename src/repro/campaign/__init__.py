@@ -29,55 +29,64 @@ See ``docs/CAMPAIGN.md`` for the task model, cache keying, and ledger
 schema.
 """
 
-from repro.campaign.tasks import (
-    CampaignTask,
-    TaskResult,
-    execute_task,
-    parse_shard,
-    shard_tasks,
-    SCHEMA_VERSION,
-)
-from repro.campaign.cache import (
-    CacheBackend,
-    CacheIntegrity,
-    CacheStats,
-    MemoryLRUCache,
-    ResultCache,
-    SqliteCache,
-    TieredCache,
-    make_backend,
-    schema_salt,
-)
-from repro.campaign.ledger import CampaignSummary, RunLedger, read_ledger
-from repro.campaign.runner import RunnerConfig, run_campaign
-from repro.campaign.progress import ProgressReporter
-from repro.campaign.specs import build_spec, spec_names
-from repro.campaign.trend import TrendReport, compare_ledgers
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "CampaignTask",
-    "TaskResult",
-    "execute_task",
-    "parse_shard",
-    "shard_tasks",
-    "SCHEMA_VERSION",
-    "TrendReport",
-    "compare_ledgers",
-    "CacheBackend",
-    "CacheIntegrity",
-    "CacheStats",
-    "MemoryLRUCache",
-    "ResultCache",
-    "SqliteCache",
-    "TieredCache",
-    "make_backend",
-    "schema_salt",
-    "RunLedger",
-    "CampaignSummary",
-    "read_ledger",
-    "RunnerConfig",
-    "run_campaign",
-    "ProgressReporter",
-    "build_spec",
-    "spec_names",
-]
+from repro._lazy import lazy_exports
+
+#: public name -> the submodule defining it, imported on first access
+_EXPORTS = {
+    "CampaignTask": "tasks",
+    "TaskResult": "tasks",
+    "execute_task": "tasks",
+    "parse_shard": "tasks",
+    "shard_tasks": "tasks",
+    "SCHEMA_VERSION": "tasks",
+    "TrendReport": "trend",
+    "compare_ledgers": "trend",
+    "CacheBackend": "cache",
+    "CacheIntegrity": "cache",
+    "CacheStats": "cache",
+    "MemoryLRUCache": "cache",
+    "ResultCache": "cache",
+    "SqliteCache": "cache",
+    "TieredCache": "cache",
+    "make_backend": "cache",
+    "schema_salt": "cache",
+    "RunLedger": "ledger",
+    "CampaignSummary": "ledger",
+    "read_ledger": "ledger",
+    "RunnerConfig": "runner",
+    "run_campaign": "runner",
+    "ProgressReporter": "progress",
+    "build_spec": "specs",
+    "spec_names": "specs",
+}
+
+if TYPE_CHECKING:  # pragma: no cover - the static view of _EXPORTS
+    from repro.campaign.cache import (
+        CacheBackend,
+        CacheIntegrity,
+        CacheStats,
+        MemoryLRUCache,
+        ResultCache,
+        SqliteCache,
+        TieredCache,
+        make_backend,
+        schema_salt,
+    )
+    from repro.campaign.ledger import CampaignSummary, RunLedger, read_ledger
+    from repro.campaign.progress import ProgressReporter
+    from repro.campaign.runner import RunnerConfig, run_campaign
+    from repro.campaign.specs import build_spec, spec_names
+    from repro.campaign.tasks import (
+        SCHEMA_VERSION,
+        CampaignTask,
+        TaskResult,
+        execute_task,
+        parse_shard,
+        shard_tasks,
+    )
+    from repro.campaign.trend import TrendReport, compare_ledgers
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

@@ -17,31 +17,40 @@ Public API
                                   certificate for acyclic CDGs.
 """
 
-from repro.cdg.build import build_cdg, DependencyInfo
-from repro.cdg.analysis import (
-    is_acyclic,
-    find_cycles,
-    cycle_channels,
-    cycle_summary,
-    cycles_through_channel,
-)
-from repro.cdg.numbering import dally_seitz_numbering, verify_numbering
-from repro.cdg.adaptive import build_adaptive_cdg, duato_certificate, DuatoCertificate
-from repro.cdg.flow_model import deadlock_immune_channels, FlowModelResult
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "build_cdg",
-    "DependencyInfo",
-    "is_acyclic",
-    "find_cycles",
-    "cycle_channels",
-    "cycle_summary",
-    "cycles_through_channel",
-    "dally_seitz_numbering",
-    "verify_numbering",
-    "build_adaptive_cdg",
-    "duato_certificate",
-    "DuatoCertificate",
-    "deadlock_immune_channels",
-    "FlowModelResult",
-]
+from repro._lazy import lazy_exports
+
+#: public name -> the submodule defining it, imported on first access
+_EXPORTS = {
+    "build_cdg": "build",
+    "DependencyInfo": "build",
+    "is_acyclic": "analysis",
+    "find_cycles": "analysis",
+    "cycle_channels": "analysis",
+    "cycle_summary": "analysis",
+    "cycles_through_channel": "analysis",
+    "dally_seitz_numbering": "numbering",
+    "verify_numbering": "numbering",
+    "build_adaptive_cdg": "adaptive",
+    "duato_certificate": "adaptive",
+    "DuatoCertificate": "adaptive",
+    "deadlock_immune_channels": "flow_model",
+    "FlowModelResult": "flow_model",
+}
+
+if TYPE_CHECKING:  # pragma: no cover - the static view of _EXPORTS
+    from repro.cdg.adaptive import DuatoCertificate, build_adaptive_cdg, duato_certificate
+    from repro.cdg.analysis import (
+        cycle_channels,
+        cycle_summary,
+        cycles_through_channel,
+        find_cycles,
+        is_acyclic,
+    )
+    from repro.cdg.build import DependencyInfo, build_cdg
+    from repro.cdg.flow_model import FlowModelResult, deadlock_immune_channels
+    from repro.cdg.numbering import dally_seitz_numbering, verify_numbering
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

@@ -20,6 +20,7 @@ import networkx as nx
 
 from repro.cdg.analysis import is_acyclic
 from repro.cdg.build import build_cdg
+from repro.cdg.cycles import topological_order
 from repro.routing.adaptive import AdaptiveRoutingFunction
 from repro.routing.base import INJECT, RoutingAlgorithm, RoutingError
 from repro.topology.channels import Channel
@@ -109,6 +110,6 @@ def duato_certificate(fn: AdaptiveRoutingFunction) -> DuatoCertificate:
         escape_connected=is_connected(alg),
         escape_channels=tuple(sorted(escape_cdg.nodes, key=lambda c: c.cid)),
         escape_order=(
-            tuple(nx.topological_sort(escape_cdg)) if escape_acyclic else ()
+            tuple(topological_order(escape_cdg.adj)) if escape_acyclic else ()
         ),
     )

@@ -8,17 +8,21 @@ truncated enumeration must never be silently presented as exhaustive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Sequence
+from dataclasses import dataclass
+from itertools import islice
+from typing import TYPE_CHECKING
 
-import networkx as nx
-
+from repro.cdg import cycles as _cycles
 from repro.topology.channels import Channel
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 
 def is_acyclic(cdg: nx.DiGraph) -> bool:
     """Dally--Seitz sufficiency check: acyclic CDG implies deadlock freedom."""
-    return nx.is_directed_acyclic_graph(cdg)
+    return _cycles.is_acyclic(cdg.adj)
 
 
 @dataclass
@@ -38,16 +42,15 @@ class CycleEnumeration:
 def find_cycles(cdg: nx.DiGraph, *, max_cycles: int = 10_000) -> CycleEnumeration:
     """Enumerate simple cycles of the CDG (each as a channel tuple).
 
-    Stops after ``max_cycles`` and sets ``truncated`` so callers can refuse
-    to draw exhaustiveness conclusions from a partial enumeration.
+    Keeps the first ``max_cycles`` cycles (one even at a cap of 0, as
+    evidence) and sets ``truncated`` only when more than ``max_cycles``
+    exist, so callers can refuse to draw exhaustiveness conclusions from a
+    partial enumeration -- and a graph with exactly ``max_cycles`` cycles
+    is reported complete.
     """
-    cycles: list[tuple[Channel, ...]] = []
-    truncated = False
-    for cyc in nx.simple_cycles(cdg):
-        cycles.append(tuple(cyc))
-        if len(cycles) >= max_cycles:
-            truncated = True
-            break
+    found = _cycles.simple_cycles(cdg.adj)
+    cycles = [tuple(c) for c in islice(found, max(max_cycles, 1))]
+    truncated = len(cycles) > max_cycles or next(found, None) is not None
     return CycleEnumeration(cycles=cycles, truncated=truncated)
 
 

@@ -11,10 +11,13 @@ form used in the corollary experiments and tests.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from typing import TYPE_CHECKING
 
-import networkx as nx
-
+from repro.cdg.cycles import is_acyclic, topological_order
 from repro.topology.channels import Channel
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 
 def dally_seitz_numbering(cdg: nx.DiGraph) -> dict[Channel, int]:
@@ -24,12 +27,12 @@ def dally_seitz_numbering(cdg: nx.DiGraph) -> dict[Channel, int]:
     exist -- which for the paper's Figure 1 network is exactly the point:
     deadlock freedom there cannot be certified this way).
     """
-    if not nx.is_directed_acyclic_graph(cdg):
+    if not is_acyclic(cdg.adj):
         raise ValueError(
             "CDG is cyclic: no Dally-Seitz numbering exists "
             "(deadlock freedom, if any, must come from unreachability)"
         )
-    return {ch: i for i, ch in enumerate(nx.topological_sort(cdg))}
+    return {ch: i for i, ch in enumerate(topological_order(cdg.adj))}
 
 
 def verify_numbering(cdg: nx.DiGraph, numbering: Mapping[Channel, int]) -> bool:

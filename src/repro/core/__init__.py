@@ -14,70 +14,71 @@
 * :mod:`minimal_search` -- Theorem 3: minimal-routing configuration sweep.
 """
 
-from repro.core.specs import (
-    CycleMessageSpec,
-    SharedCycleConstruction,
-    build_shared_cycle,
-)
-from repro.core.cyclic_dependency import (
-    CyclicDependencyNetwork,
-    build_cyclic_dependency_network,
-    FIG1_MESSAGES,
-)
-from repro.core.two_message import build_two_message_config, TWO_MESSAGE_DEFAULT
-from repro.core.three_message import (
-    ThreeMessageParams,
-    build_three_message_config,
-    FIG3_PANELS,
-)
-from repro.core.within_cycle import build_overlapping_ring, OverlapSpec
-from repro.core.generalized import build_generalized, generalized_messages
-from repro.core.conditions import (
-    TheoremFiveInput,
-    evaluate_conditions,
-    theorem5_predicts_unreachable,
-    ConditionReport,
-)
-from repro.core.theory import (
-    Theorem1Timing,
-    analytic_schedule_feasible,
-    earliest_blocking_analysis,
-)
-from repro.core.minimal_search import sweep_minimal_configs, MinimalSweepResult
-from repro.core.multi_message import (
-    predicted_unreachable,
-    run_four_message_sweep,
-    split_shared_fig1,
-    run_split_shared_experiment,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "CycleMessageSpec",
-    "SharedCycleConstruction",
-    "build_shared_cycle",
-    "CyclicDependencyNetwork",
-    "build_cyclic_dependency_network",
-    "FIG1_MESSAGES",
-    "build_two_message_config",
-    "TWO_MESSAGE_DEFAULT",
-    "ThreeMessageParams",
-    "build_three_message_config",
-    "FIG3_PANELS",
-    "build_overlapping_ring",
-    "OverlapSpec",
-    "build_generalized",
-    "generalized_messages",
-    "TheoremFiveInput",
-    "evaluate_conditions",
-    "theorem5_predicts_unreachable",
-    "ConditionReport",
-    "Theorem1Timing",
-    "analytic_schedule_feasible",
-    "earliest_blocking_analysis",
-    "sweep_minimal_configs",
-    "MinimalSweepResult",
-    "predicted_unreachable",
-    "run_four_message_sweep",
-    "split_shared_fig1",
-    "run_split_shared_experiment",
-]
+from repro._lazy import lazy_exports
+
+#: public name -> the submodule defining it, imported on first access
+_EXPORTS = {
+    "CycleMessageSpec": "specs",
+    "SharedCycleConstruction": "specs",
+    "build_shared_cycle": "specs",
+    "CyclicDependencyNetwork": "cyclic_dependency",
+    "build_cyclic_dependency_network": "cyclic_dependency",
+    "FIG1_MESSAGES": "cyclic_dependency",
+    "build_two_message_config": "two_message",
+    "TWO_MESSAGE_DEFAULT": "two_message",
+    "ThreeMessageParams": "three_message",
+    "build_three_message_config": "three_message",
+    "FIG3_PANELS": "three_message",
+    "build_overlapping_ring": "within_cycle",
+    "OverlapSpec": "within_cycle",
+    "build_generalized": "generalized",
+    "generalized_messages": "generalized",
+    "TheoremFiveInput": "conditions",
+    "evaluate_conditions": "conditions",
+    "theorem5_predicts_unreachable": "conditions",
+    "ConditionReport": "conditions",
+    "Theorem1Timing": "theory",
+    "analytic_schedule_feasible": "theory",
+    "earliest_blocking_analysis": "theory",
+    "sweep_minimal_configs": "minimal_search",
+    "MinimalSweepResult": "minimal_search",
+    "predicted_unreachable": "multi_message",
+    "run_four_message_sweep": "multi_message",
+    "split_shared_fig1": "multi_message",
+    "run_split_shared_experiment": "multi_message",
+}
+
+if TYPE_CHECKING:  # pragma: no cover - the static view of _EXPORTS
+    from repro.core.conditions import (
+        ConditionReport,
+        TheoremFiveInput,
+        evaluate_conditions,
+        theorem5_predicts_unreachable,
+    )
+    from repro.core.cyclic_dependency import (
+        FIG1_MESSAGES,
+        CyclicDependencyNetwork,
+        build_cyclic_dependency_network,
+    )
+    from repro.core.generalized import build_generalized, generalized_messages
+    from repro.core.minimal_search import MinimalSweepResult, sweep_minimal_configs
+    from repro.core.multi_message import (
+        predicted_unreachable,
+        run_four_message_sweep,
+        run_split_shared_experiment,
+        split_shared_fig1,
+    )
+    from repro.core.specs import CycleMessageSpec, SharedCycleConstruction, build_shared_cycle
+    from repro.core.theory import (
+        Theorem1Timing,
+        analytic_schedule_feasible,
+        earliest_blocking_analysis,
+    )
+    from repro.core.three_message import FIG3_PANELS, ThreeMessageParams, build_three_message_config
+    from repro.core.two_message import TWO_MESSAGE_DEFAULT, build_two_message_config
+    from repro.core.within_cycle import OverlapSpec, build_overlapping_ring
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

@@ -55,17 +55,19 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.analysis.state import CheckerMessage, SystemSpec
+from repro.cdg import cycles as cdg_cycles
 from repro.cdg.analysis import CycleEnumeration, is_acyclic
 from repro.lint.diagnostics import DEADLOCK_FREE, REACHABLE_DEADLOCK
 from repro.lint.tiling import Tiling, cycle_runs, enumerate_tilings
 from repro.routing.base import RoutingAlgorithm
 from repro.routing.properties import PropertyScan
 from repro.topology.channels import Channel, NodeId
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 Pair = tuple[NodeId, NodeId]
 
@@ -134,12 +136,27 @@ class Certificate:
 # ----------------------------------------------------------------------
 # spec level (fixed message set): used by search_deadlock's pre-pass
 # ----------------------------------------------------------------------
-def spec_dependency_graph(spec: SystemSpec) -> nx.DiGraph:
-    """Channel-id dependency graph induced by the spec's message paths."""
-    g = nx.DiGraph()
+def spec_adjacency(spec: SystemSpec) -> dict[int, dict[int, None]]:
+    """Channel-id dependency graph induced by the spec's message paths, as
+    successor dicts in first-use order (the search pre-pass needs no
+    networkx)."""
+    adj: dict[int, dict[int, None]] = {}
     for m in spec.messages:
-        g.add_nodes_from(m.path)
-        g.add_edges_from(zip(m.path, m.path[1:]))
+        for cid in m.path:
+            adj.setdefault(cid, {})
+        for a, b in zip(m.path, m.path[1:]):
+            adj[a][b] = None
+    return adj
+
+
+def spec_dependency_graph(spec: SystemSpec) -> nx.DiGraph:
+    """:func:`spec_adjacency` as a networkx ``DiGraph`` (same order)."""
+    import networkx as nx
+
+    adj = spec_adjacency(spec)
+    g = nx.DiGraph()
+    g.add_nodes_from(adj)
+    g.add_edges_from((a, b) for a, succ in adj.items() for b in succ)
     return g
 
 
@@ -155,9 +172,9 @@ def spec_certificate(
     applied here: with fixed message lengths their hypotheses concern the
     existence of some scenario, not this exact one.
     """
-    g = spec_dependency_graph(spec)
-    if is_acyclic(g):
-        order = {cid: i for i, cid in enumerate(nx.topological_sort(g))}
+    adj = spec_adjacency(spec)
+    if cdg_cycles.is_acyclic(adj):
+        order = {cid: i for i, cid in enumerate(cdg_cycles.topological_order(adj))}
         return Certificate(
             code="CRT001",
             verdict=DEADLOCK_FREE,
@@ -165,13 +182,13 @@ def spec_certificate(
                 "message dependency graph is acyclic (Dally-Seitz): every "
                 "wormhole deadlock needs a dependency cycle"
             ),
-            evidence={"numbering": order, "channels": g.number_of_nodes()},
+            evidence={"numbering": order, "channels": len(adj)},
         )
 
     paths = [m.path for m in spec.messages]
     lengths = [m.length for m in spec.messages]
     count = 0
-    for cyc in nx.simple_cycles(g):
+    for cyc in cdg_cycles.simple_cycles(adj):
         count += 1
         if count > max_cycles:
             break
@@ -302,7 +319,8 @@ def adaptive_certificate(fn: Any) -> Certificate | None:
         return None
     full = build_adaptive_cdg(fn)
     if is_acyclic(full):
-        order = {ch.short(): i for i, ch in enumerate(nx.topological_sort(full))}
+        drain = cdg_cycles.topological_order(full.adj)
+        order = {ch.short(): i for i, ch in enumerate(drain)}
         bump_counter("lint.certificate.adaptive.decided")
         return Certificate(
             code="CRT001",

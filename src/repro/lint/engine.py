@@ -21,19 +21,15 @@ from __future__ import annotations
 from collections.abc import Sequence
 from typing import TYPE_CHECKING, Any
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.routing.adaptive import AdaptiveRoutingFunction
-
-import networkx as nx
-
 from repro.analysis.state import CheckerMessage, SystemSpec
+from repro.cdg import cycles as cdg_cycles
 from repro.cdg.analysis import CycleEnumeration, find_cycles, is_acyclic
 from repro.cdg.build import build_cdg
 from repro.lint.certificates import (
     Certificate,
     algorithm_certificate,
+    spec_adjacency,
     spec_certificate,
-    spec_dependency_graph,
 )
 from repro.lint.diagnostics import Diagnostic, LintReport
 from repro.lint.rules import all_rules
@@ -41,6 +37,11 @@ from repro.routing.base import RoutingAlgorithm, RoutingError
 from repro.routing.properties import PropertyScan
 from repro.topology.channels import NodeId
 from repro.topology.network import Network
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
+
+    from repro.routing.adaptive import AdaptiveRoutingFunction
 
 Pair = tuple[NodeId, NodeId]
 
@@ -233,22 +234,24 @@ def lint_messages(
     """
     spec = SystemSpec.uniform(messages, budget=budget)
     report = LintReport(target=name)
-    g = spec_dependency_graph(spec)
-    acyclic = is_acyclic(g)
+    adj = spec_adjacency(spec)
+    channels = len(adj)
+    dependencies = sum(len(succ) for succ in adj.values())
+    acyclic = cdg_cycles.is_acyclic(adj)
     report.rules_run.append("SPC001")
     report.diagnostics.append(
         Diagnostic(
             code="SPC001",
             severity="info",
             message=(
-                f"{len(spec.messages)} message(s) over {g.number_of_nodes()} "
-                f"channel(s), {g.number_of_edges()} dependencies, "
+                f"{len(spec.messages)} message(s) over {channels} "
+                f"channel(s), {dependencies} dependencies, "
                 f"{'acyclic' if acyclic else 'cyclic'} dependency graph"
             ),
             evidence={
                 "messages": len(spec.messages),
-                "channels": g.number_of_nodes(),
-                "dependencies": g.number_of_edges(),
+                "channels": channels,
+                "dependencies": dependencies,
                 "acyclic": acyclic,
             },
         )

@@ -20,40 +20,49 @@ live in :mod:`repro.campaign.cache`; the server composes them via
 See ``docs/SERVE.md`` for the API reference and operational model.
 """
 
-from repro.serve.batcher import BatcherStats, MicroBatcher
-from repro.serve.client import (
-    ServeClient,
-    ServeError,
-    ServeResponse,
-    default_worker_id,
-    run_worker,
-)
-from repro.serve.coordinator import ShardCoordinator, WorkerSlot
-from repro.serve.payloads import (
-    classify_payload_from_result,
-    dumps,
-    lint_payload_from_result,
-    search_payload,
-    search_payload_from_result,
-)
-from repro.serve.server import ApiError, ReproServer, ServeConfig
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "ApiError",
-    "BatcherStats",
-    "MicroBatcher",
-    "ReproServer",
-    "ServeClient",
-    "ServeConfig",
-    "ServeError",
-    "ServeResponse",
-    "ShardCoordinator",
-    "WorkerSlot",
-    "classify_payload_from_result",
-    "default_worker_id",
-    "dumps",
-    "lint_payload_from_result",
-    "run_worker",
-    "search_payload",
-    "search_payload_from_result",
-]
+from repro._lazy import lazy_exports
+
+#: public name -> the submodule defining it, imported on first access
+_EXPORTS = {
+    "ApiError": "server",
+    "BatcherStats": "batcher",
+    "MicroBatcher": "batcher",
+    "ReproServer": "server",
+    "ServeClient": "client",
+    "ServeConfig": "server",
+    "ServeError": "client",
+    "ServeResponse": "client",
+    "ShardCoordinator": "coordinator",
+    "WorkerSlot": "coordinator",
+    "classify_payload_from_result": "payloads",
+    "default_worker_id": "client",
+    "dumps": "payloads",
+    "lint_payload_from_result": "payloads",
+    "run_worker": "client",
+    "search_payload": "payloads",
+    "search_payload_from_result": "payloads",
+}
+
+if TYPE_CHECKING:  # pragma: no cover - the static view of _EXPORTS
+    from repro.serve.batcher import BatcherStats, MicroBatcher
+    from repro.serve.client import (
+        ServeClient,
+        ServeError,
+        ServeResponse,
+        default_worker_id,
+        run_worker,
+    )
+    from repro.serve.coordinator import ShardCoordinator, WorkerSlot
+    from repro.serve.payloads import (
+        classify_payload_from_result,
+        dumps,
+        lint_payload_from_result,
+        search_payload,
+        search_payload_from_result,
+    )
+    from repro.serve.server import ApiError, ReproServer, ServeConfig
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

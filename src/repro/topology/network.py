@@ -14,10 +14,12 @@ algorithmic layer before micro-optimizing).
 from __future__ import annotations
 
 from collections.abc import Iterator
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.topology.channels import Channel, NodeId
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 
 class Network:
@@ -37,6 +39,8 @@ class Network:
         self._out: dict[NodeId, list[Channel]] = {}
         self._in: dict[NodeId, list[Channel]] = {}
         self._by_endpoints: dict[tuple[NodeId, NodeId], list[Channel]] = {}
+        #: all-pairs hop distances; dropped by every mutation
+        self._spl_cache: dict[NodeId, dict[NodeId, int]] | None = None
 
     # ------------------------------------------------------------------
     # construction
@@ -47,6 +51,7 @@ class Network:
             self._nodes[node] = None
             self._out[node] = []
             self._in[node] = []
+            self._spl_cache = None
         return node
 
     def add_channel(
@@ -77,6 +82,7 @@ class Network:
         self._by_endpoints.setdefault((src, dst), []).append(ch)
         if label is not None:
             self._by_label[label] = ch
+        self._spl_cache = None
         return ch
 
     def add_bidirectional(
@@ -165,6 +171,8 @@ class Network:
     # ------------------------------------------------------------------
     def to_networkx(self) -> nx.MultiDiGraph:
         """Export as a :class:`networkx.MultiDiGraph` (channel on edge data)."""
+        import networkx as nx
+
         g = nx.MultiDiGraph(name=self.name)
         g.add_nodes_from(self._nodes)
         for ch in self._channels:
@@ -173,6 +181,8 @@ class Network:
 
     def node_digraph(self) -> nx.DiGraph:
         """Collapsed simple digraph over nodes (used for shortest paths)."""
+        import networkx as nx
+
         g = nx.DiGraph()
         g.add_nodes_from(self._nodes)
         g.add_edges_from((ch.src, ch.dst) for ch in self._channels)
@@ -181,11 +191,13 @@ class Network:
     def shortest_path_lengths(self) -> dict[NodeId, dict[NodeId, int]]:
         """All-pairs hop distances on the node digraph.
 
-        Cached after first call; builders that mutate the network afterwards
-        must call :meth:`invalidate_caches`.
+        Cached after the first call until the network changes
+        (:meth:`add_node` of a new node, :meth:`add_channel`).
         """
-        cached = getattr(self, "_spl_cache", None)
+        cached = self._spl_cache
         if cached is None:
+            import networkx as nx
+
             g = self.node_digraph()
             cached = {s: d for s, d in nx.all_pairs_shortest_path_length(g)}
             self._spl_cache = cached
@@ -196,5 +208,5 @@ class Network:
         return self.shortest_path_lengths()[src][dst]
 
     def invalidate_caches(self) -> None:
-        if hasattr(self, "_spl_cache"):
-            del self._spl_cache
+        """Drop derived caches (mutations already do this themselves)."""
+        self._spl_cache = None

@@ -9,8 +9,6 @@ silently distort a deadlock-reachability result.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.topology.network import Network
 
 
@@ -20,6 +18,8 @@ class NetworkValidationError(ValueError):
 
 def check_strongly_connected(net: Network) -> None:
     """Raise :class:`NetworkValidationError` unless ``net`` is strongly connected."""
+    import networkx as nx
+
     g = net.node_digraph()
     if net.num_nodes == 0:
         raise NetworkValidationError("network has no nodes")

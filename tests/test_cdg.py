@@ -107,11 +107,37 @@ def test_cycle_summary_shape(ring_alg):
 
 
 def test_truncation_flag():
-    # a dense CDG with many cycles: bidirectional ring all-pairs shortest...
-    # simplest: cap at 0 effectively -> use max_cycles=1 on ring gives 1, not truncated;
-    # build a two-cycle CDG by two rings sharing... use vcs=2 unidirectional ring with
-    # a routing over vc0 only -- single cycle; instead test the cap logic directly:
+    """``truncated`` means a cycle beyond the cap exists, never merely that
+    the cap was reached."""
     net = ring(4)
     alg = RoutingAlgorithm(clockwise_ring(net, 4))
-    enum = find_cycles(build_cdg(alg), max_cycles=1)
+    cdg = build_cdg(alg)  # exactly one simple cycle
+    enum = find_cycles(cdg, max_cycles=1)
+    assert len(enum) == 1 and not enum.truncated
+    enum = find_cycles(cdg, max_cycles=0)  # still lists one, as evidence
     assert len(enum) == 1 and enum.truncated
+
+
+@pytest.mark.parametrize(
+    "edges,count",
+    [
+        ([(1, 2), (2, 1)], 1),
+        ([(1, 2), (2, 1), (2, 3), (3, 2)], 2),
+        ([(0, 1), (1, 2), (2, 0), (2, 1), (0, 0)], 3),
+    ],
+)
+def test_truncation_at_exact_count(edges, count):
+    """Regression: a graph with exactly ``max_cycles`` cycles is complete
+    (no false CDG002, no ``N+`` in CDG001); one fewer is truncated."""
+    import networkx as nx
+
+    g = nx.DiGraph(edges)
+    exact = find_cycles(g, max_cycles=count)
+    assert len(exact) == count and not exact.truncated
+    short = find_cycles(g, max_cycles=count - 1)
+    kept = max(count - 1, 1)  # a cap of 0 still lists one cycle
+    assert len(short) == kept and short.truncated
+    assert short.cycles == exact.cycles[:kept]
+    summary = cycle_summary(g, max_cycles=count)
+    assert summary["num_cycles"] == count
+    assert summary["enumeration_truncated"] is False

@@ -1,0 +1,133 @@
+"""Cold start: what a fresh ``repro search``/``classify``/``lint`` process loads.
+
+A fresh CLI process answers a small query in milliseconds of search, so
+its wall time is start-up, and start-up is imports.  These tests run each
+of the perfbench ``cli-fresh`` commands in a new interpreter and inspect
+``sys.modules`` afterwards:
+
+* ``search``/``classify`` load no numpy, networkx or numba, none of the
+  serve stack (asyncio, ``http.server``), no sqlite3, and neither the
+  simulator engine nor the serve server;
+* ``lint`` keeps networkx (CDG construction) but loads no numpy;
+* forcing the interpreted kernel tier still answers, byte for byte, and
+  is the only case that loads numpy.
+
+A module that grows a top-level import of one of these, or a package
+``__init__`` that starts re-exporting a heavy sibling eagerly, fails here.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: the perfbench cli-fresh commands
+COMMANDS = {
+    "lint-fig1": ["lint", "fig1", "--json"],
+    "search-fig2-pair-witness": [
+        "search", "fig2-pair", "--params", '{"d1":3,"d2":1,"hold":3}',
+        "--witness", "--json",
+    ],
+    "search-fig1": ["search", "fig1", "--json"],
+    "classify-fig3a": ["classify", "fig3-panel", "--params", '{"panel":"a"}', "--json"],
+    "search-gen1-budget1": [
+        "search", "gen", "--params", '{"m":1}', "--budget", "1", "--json",
+    ],
+}
+
+#: where numba is installed the default search runs on the numba tier,
+#: which imports numba and numpy by design
+NUMBA_HOST = importlib.util.find_spec("numba") is not None
+
+SEARCH_FORBIDDEN = {
+    "networkx",
+    "asyncio",
+    "http.server",
+    "sqlite3",
+    "repro.sim.engine",
+    "repro.serve.server",
+} | (set() if NUMBA_HOST else {"numpy", "numba"})
+
+_CHILD = """
+import contextlib, io, json, sys
+from repro.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    rc = main(sys.argv[1:])
+print(json.dumps({"rc": rc, "stdout": out.getvalue(), "modules": sorted(sys.modules)}))
+"""
+
+
+def _run(args: list[str], **env_extra: str) -> dict:
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env.update(PYTHONPATH=str(SRC), **env_extra)
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD, *args],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    got = json.loads(proc.stdout)
+    assert got["rc"] == 0, proc.stderr
+    return got
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in COMMANDS if not n.startswith("lint")]
+)
+def test_search_and_classify_start_light(name):
+    loaded = set(_run(COMMANDS[name])["modules"])
+    assert not loaded & SEARCH_FORBIDDEN, sorted(loaded & SEARCH_FORBIDDEN)
+
+
+def test_lint_loads_no_numpy():
+    loaded = set(_run(COMMANDS["lint-fig1"])["modules"])
+    assert "numpy" not in loaded
+    assert "networkx" in loaded  # the CDG stays a networkx graph
+
+
+@pytest.mark.skipif(NUMBA_HOST, reason="the default numba tier imports numpy")
+def test_interpreted_tier_is_the_only_numpy_path():
+    """REPRO_KERNEL_BACKEND=python still searches (and answers exactly as
+    the default engine does); it is what pulls numpy in."""
+    args = COMMANDS["search-fig1"]
+    default = _run(args)
+    forced = _run([*args, "--search-engine", "kernel"], REPRO_KERNEL_BACKEND="python")
+    assert "numpy" not in default["modules"]
+    assert "numpy" in forced["modules"]
+    assert forced["stdout"] == default["stdout"]
+
+
+def test_lazy_reexports_keep_every_public_path():
+    """The PEP 562 package ``__init__``s still serve every name in
+    ``__all__`` (the same object the defining module holds), and a
+    submodule reached as an attribute of its package, as the eager
+    ``__init__``s allowed."""
+    probe = """
+import importlib, json
+import repro.campaign
+out = {"adapters": repro.campaign.adapters.__name__}  # never imported before
+for pkg in ("analysis", "campaign", "cdg", "core", "experiments", "lint", "serve"):
+    mod = importlib.import_module("repro." + pkg)
+    for name in mod.__all__:
+        home = importlib.import_module(f"repro.{pkg}.{mod._EXPORTS[name]}")
+        assert getattr(mod, name) is getattr(home, name), (pkg, name)
+        assert name in dir(mod), (pkg, name)
+    out[pkg] = len(mod.__all__)
+print(json.dumps(out))
+"""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env.update(PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        timeout=300, check=True,
+    )
+    got = json.loads(proc.stdout)
+    assert got.pop("adapters") == "repro.campaign.adapters"
+    assert all(count > 0 for count in got.values()), got

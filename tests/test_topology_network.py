@@ -82,6 +82,22 @@ def test_distances_and_cache_invalidation(triangle):
     assert triangle.distance("A", "C") == 1
 
 
+def test_distances_follow_mutation_without_invalidation():
+    """Adding a channel or node drops the cached distances by itself:
+    minimality (routing.properties, RTE003) reads them."""
+    net = Network("ring3")
+    for a, b in ((0, 1), (1, 2), (2, 0)):
+        net.add_channel(a, b)
+    assert net.distance(0, 2) == 2
+    net.add_channel(0, 2)
+    assert net.distance(0, 2) == 1
+    net.add_channel(2, 3)
+    net.add_channel(3, 0)
+    assert net.distance(0, 3) == 2
+    net.add_node(4)
+    assert net.shortest_path_lengths()[4] == {4: 0}
+
+
 def test_to_networkx_roundtrip(triangle):
     g = triangle.to_networkx()
     assert g.number_of_nodes() == 3
