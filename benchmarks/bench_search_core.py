@@ -149,12 +149,11 @@ SCENARIOS: dict[str, Callable[[], Callable[[], dict[str, Any]]]] = {
 
 
 def _warm_kernel_backend() -> None:
-    """JIT/compile the kernel backend on a toy spec, untimed.
+    """Build or load the compiled kernel library on a toy spec, untimed.
 
-    Backend compilation (the numba JIT, the disk-cached C build) is a
-    one-time artifact cost, not per-search work; on a cold cache it would
-    otherwise charge the kernel engine seconds of compiler time inside
-    the measured window.  The toy spec shares nothing with any scenario,
+    The disk-cached C build is a one-time artifact cost, not per-search
+    work; on a cold cache it would otherwise charge the kernel engine
+    about half a second of compiler time inside the measured window.  The toy spec shares nothing with any scenario,
     so the measured search still builds its own tables from scratch.
     """
     from repro.analysis.kernelpath import clear_caches, kernel_engine_for

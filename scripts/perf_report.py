@@ -26,15 +26,13 @@ noise.  ``--min-speedup X`` is the v1 spelling of a wall-clock
 ``fast:reference:X`` gate, kept for compatibility.  The CI
 benchmark-smoke job gates ``fast:reference:1.0`` and ``kernel:fast:1.0``
 on the Fig. 1 searches -- an optimized engine must never be slower than
-the engine it supersedes (that job has no numba, so it gates the cc
-tier) -- and the optional-dependency kernel job gates the numba tier the
-same way.
+the engine it supersedes.
 
-The kernel engine appears in the default engine list only when an
-accelerated backend (numba or a C compiler) is available; the
-interpreted fallback tier is a correctness floor, not a perf claim, and
-benchmarking it would just report a known slowdown.  The report records
-the resolved kernel tier (``kernel_tier``) next to ``cpu_count``.
+The kernel engine appears in the default engine list only when its
+compiled library loads (a C compiler, or a cached build); without one a
+kernel request runs on the fast engine, and benchmarking it would just
+measure fast twice.  The report records the resolved kernel tier
+(``kernel_tier``: ``"cc"`` or ``null``) next to ``cpu_count``.
 """
 
 from __future__ import annotations
@@ -70,8 +68,9 @@ DEFAULT_ENGINES = ("reference", "fast")
 
 
 def kernel_tier() -> str | None:
-    """The kernel backend tier searches resolve to here (numba/cc/python),
-    or ``None`` when the package cannot be imported.
+    """The kernel backend tier searches resolve to here: ``"cc"``, or
+    ``None`` when no compiled library loads or the package cannot be
+    imported.
 
     Probing imports from ``src`` -- fine here, the subprocess runs get
     their own fresh interpreters either way.
@@ -89,7 +88,7 @@ def kernel_tier() -> str | None:
 
 def default_engines(tier: str | None) -> tuple[str, ...]:
     """The default comparison set, plus the kernel when it would be fast."""
-    return DEFAULT_ENGINES + ("kernel",) if tier in ("numba", "cc") else DEFAULT_ENGINES
+    return DEFAULT_ENGINES + ("kernel",) if tier == "cc" else DEFAULT_ENGINES
 
 
 def run_one(scenario: str, engine: str) -> dict[str, Any]:

@@ -32,8 +32,8 @@ the next person doesn't re-derive them):
   Python-side cost left is table construction (``KernelEngine.__init__``)
   and, for witness searches, label recovery on the chain states only.
 * startup (2-vCPU VM, Python 3.11): a fresh ``search fig1 --json`` used
-  to import numpy (~94 ms) and networkx (~86 ms) plus the serve/asyncio/
-  sqlite stack (~36 ms) for a ~10 ms search.  Now its third-party list is
+  to import an array library (~94 ms) and networkx (~86 ms) plus the
+  serve/asyncio/sqlite stack (~36 ms) for a ~10 ms search.  Now its third-party list is
   empty apart from whatever the environment's ``.pth`` hooks load under
   ``site``; the rest is the stdlib (dataclasses, ctypes, json) and repro's
   own modules.  ``lint`` still loads networkx (CDG construction).
@@ -94,9 +94,9 @@ def profile_kernel() -> None:
     """Kernel-vs-fast wall time on the fig1-copies search.
 
     The kernel core is one fused loop, so there is no per-phase split to
-    report; the actionable numbers are the resolved backend tier, the
-    states/sec, and the ratio over the fast (fallback) engine on the same
-    spec.
+    report; the actionable numbers are the resolved backend tier (``cc``,
+    or ``None`` when the kernel ran the fast engine), the states/sec, and
+    the ratio over the fast (fallback) engine on the same spec.
     """
     import time
 
@@ -112,7 +112,7 @@ def profile_kernel() -> None:
         msgs.append(CheckerMessage(d.path, d.length, f"copy{k}"))
     spec = SystemSpec.uniform(msgs, budget=1)
     keng = kernel_engine_for(spec)
-    keng.search(max_states=40_000_000)  # warm: backend JIT/compile + tables
+    keng.search(max_states=40_000_000)  # warm: library build/load + tables
     t0 = time.perf_counter()
     deadlock, states = keng.search(max_states=40_000_000)
     kwall = time.perf_counter() - t0

@@ -12,10 +12,8 @@ witnesses are bit-identical to the reference engine;
 ``tests/test_kernelpath_differential.py`` pins the three-way contract.
 
 The tables are the fast engine's scan records flattened into stdlib
-:class:`array.array` buffers, built once per engine.  The cc tier hands
-their addresses straight to the C loop through :mod:`ctypes`; the numba and
-python tiers (:mod:`repro.analysis.kernelcore`, the only module here that
-imports numpy) wrap the same buffers with ``np.frombuffer``, zero-copy:
+:class:`array.array` buffers, built once per engine, whose addresses go
+straight to the C loop through :mod:`ctypes`:
 
 * channels are stored as **indices** (``int32``, ``-1`` = none) and
   occupancy masks are ``W``-word ``uint64`` arrays -- specs with more
@@ -25,25 +23,14 @@ imports numpy) wrap the same buffers with ``np.frombuffer``, zero-copy:
   bitmask bounds the engine: ``n <= 64`` messages (wider specs fall back
   to the fast engine with a structured :class:`WideSpecFallbackWarning`).
 
-Three interchangeable backends execute the loop (``REPRO_KERNEL_BACKEND``
-or the ``backend=`` argument; ``auto`` picks the first available):
-
-``numba``
-    ``kernelcore._core_search`` compiled with ``numba.njit``.  numba is an
-    optional extra (``pip install repro[kernel]``); it is imported by the
-    first search that resolves to this tier, never at module import, and
-    imports never hard-fail without it.
-``cc``
-    ``_kernel.c`` (same directory) -- a C99 port of the identical loop --
-    compiled on first use with the system C compiler into a shared
-    library cached on disk keyed by source hash and machine
-    architecture, called through :mod:`ctypes`.  A cached library that
-    fails to load (corrupt, foreign, stale ABI) is rebuilt once.
-``python``
-    ``kernelcore._core_search`` interpreted, with numpy but no compiler
-    and no numba.  Slow, but the floor that keeps the engine correct
-    everywhere numpy is, and lets the numba-source logic be pinned by
-    tests on machines without numba.
+The loop is ``_kernel.c`` (same directory), compiled on first use with the
+system C compiler (``REPRO_CC`` names one) into a shared library cached on
+disk (``REPRO_KERNEL_CACHE``) keyed by source hash and machine
+architecture.  A cached library that fails to load (corrupt, foreign,
+stale ABI) is rebuilt once.  Where no library loads, the engine is
+unavailable: :func:`repro.analysis.reachability.resolve_engine` then
+selects the fast engine, loudly, and a direct :class:`KernelEngine`
+delegates each search to its fast engine with a :class:`RuntimeWarning`.
 
 Witness searches track a parent per arena slot and recover action labels
 after the fact by re-expanding only the chain states through
@@ -54,7 +41,6 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
-import importlib.util
 import os
 import platform
 import sys
@@ -78,9 +64,7 @@ _KENGINES: dict[SystemSpec, "KernelEngine"] = {}
 COUNTERS: dict[str, int] = {
     "kernelpath.engine_cache.hits": 0,
     "kernelpath.engine_cache.misses": 0,
-    "kernelpath.searches.numba": 0,
     "kernelpath.searches.cc": 0,
-    "kernelpath.searches.python": 0,
     "kernelpath.fallback.searches": 0,
     "kernelpath.cc.compiles": 0,
     "kernelpath.cc.cache_hits": 0,
@@ -123,38 +107,11 @@ class WideSpecFallbackWarning(UserWarning):
 
 
 def warn_wide_fallback(engine: str, n: int, num_bits: int, max_msgs: int) -> None:
-    """Emit the structured wide-spec fallback warning."""
+    """Emit the structured wide-spec fallback warning, attributed to the
+    code that called the engine's ``search``/``search_witness``."""
     warnings.warn(
-        WideSpecFallbackWarning(engine, n, num_bits, max_msgs), stacklevel=3
+        WideSpecFallbackWarning(engine, n, num_bits, max_msgs), stacklevel=4
     )
-
-
-# ----------------------------------------------------------------------
-# numba tier: probed without importing numba
-# ----------------------------------------------------------------------
-def _numba_installed() -> bool:
-    try:
-        # None also when sys.modules["numba"] is None (numba masked off)
-        return importlib.util.find_spec("numba") is not None
-    except (ImportError, ValueError):  # pragma: no cover - odd installs
-        return False
-
-
-#: numba is installed; cleared by the first resolution that finds it
-#: broken (see :func:`_numba_ready`)
-HAVE_NUMBA = _numba_installed()
-
-
-def _numba_ready() -> bool:
-    """Whether the numba tier can run.  The import of numba (and numpy and
-    the jitted core) happens here, on the first resolution that would pick
-    the tier; an install that fails to import then counts as absent."""
-    global HAVE_NUMBA
-    if HAVE_NUMBA:
-        from repro.analysis import kernelcore
-
-        HAVE_NUMBA = kernelcore.NUMBA_OK
-    return HAVE_NUMBA
 
 
 # ----------------------------------------------------------------------
@@ -269,11 +226,11 @@ def _load_cc_lib() -> ctypes.CDLL | None:
     """The compiled C kernel, building (and disk-caching) it on first use.
 
     Returns ``None`` -- never raises -- when no C compiler is available,
-    compilation fails, or the library will not load; the caller falls
-    through to the next backend and :func:`kernel_unavailable_reason`
-    says why.  A cached library that fails to load or reports a stale ABI
-    is rebuilt once (``kernelpath.cc.rebuilds``) rather than poisoning
-    every later process.  Thread-safe: concurrent first searches (serve's
+    compilation fails, or the library will not load; searches then run on
+    the fast engine and :func:`kernel_unavailable_reason` says why.  A
+    cached library that fails to load or reports a stale ABI is rebuilt
+    once (``kernelpath.cc.rebuilds``) rather than poisoning every later
+    process.  Thread-safe: concurrent first searches (serve's
     worker threads) wait for one load instead of seeing a half-done one.
     """
     global _cc_lib, _cc_tried, _cc_error
@@ -306,64 +263,19 @@ def _load_cc_lib() -> ctypes.CDLL | None:
     return _cc_lib
 
 
-_BACKENDS = ("numba", "cc", "python")
+def resolve_backend() -> str | None:
+    """``"cc"`` when the compiled kernel library loads, else ``None``.
 
-
-def resolve_backend(name: str | None = None) -> str:
-    """The backend a search would run on (env/arg ``auto`` resolved).
-
-    Raises :class:`ValueError` for unknown names and :class:`RuntimeError`
-    when an explicitly requested accelerated backend is unavailable;
-    ``auto`` never fails (the python tier always exists).
+    Never raises; :func:`kernel_unavailable_reason` says why it is ``None``.
     """
-    want = name or os.environ.get("REPRO_KERNEL_BACKEND", "auto")
-    if want not in _BACKENDS + ("auto",):
-        raise ValueError(
-            f"unknown kernel backend {want!r}; use 'numba', 'cc', "
-            "'python' or 'auto'"
-        )
-    if want == "numba":
-        if not _numba_ready():
-            raise RuntimeError(
-                "kernel backend 'numba' requested but numba is not "
-                "installed (pip install repro[kernel])"
-            )
-        return "numba"
-    if want == "cc":
-        if _load_cc_lib() is None:
-            raise RuntimeError(
-                "kernel backend 'cc' requested but no C compiler / cached "
-                f"library is available ({_cc_error})"
-            )
-        return "cc"
-    if want == "python":
-        return "python"
-    # auto: first accelerated tier that resolves, else interpreted
-    if _numba_ready():
-        return "numba"
-    if _load_cc_lib() is not None:
-        return "cc"
-    return "python"
+    return "cc" if _load_cc_lib() is not None else None
 
 
 def kernel_unavailable_reason() -> str | None:
-    """Why no **accelerated** backend (numba or cc) would run, or ``None``
-    when one would.
-
-    The interpreted python tier keeps :class:`KernelEngine` importable and
-    correct everywhere, but it is slower than the fast engine -- so the
-    default engine selection only picks the kernel when this is ``None``
-    and otherwise reports the reason with its fallback.
-    """
-    try:
-        backend = resolve_backend()
-    except (ValueError, RuntimeError) as exc:
-        return str(exc)
-    if backend != "python":
+    """Why the compiled kernel would not run, or ``None`` when it would."""
+    if _load_cc_lib() is not None:
         return None
-    if os.environ.get("REPRO_KERNEL_BACKEND") == "python":
-        return "REPRO_KERNEL_BACKEND=python selects the interpreted tier"
-    return _cc_error or "no accelerated kernel backend"
+    return _cc_error or "compiled kernel library unavailable"
 
 
 def kernel_engine_for(spec: SystemSpec) -> "KernelEngine":
@@ -402,7 +314,8 @@ class KernelEngine:
         self.kernelizable = 1 <= n <= MAX_KERNEL_MSGS
         #: BFS levels of the most recent :meth:`search` (telemetry only)
         self.last_search_depth: int | None = None
-        #: backend the most recent search ran on (telemetry only)
+        #: backend the most recent compiled search ran on, ``"cc"``; ``None``
+        #: until one ran (telemetry only)
         self.last_backend: str | None = None
         #: per-phase wall seconds of the most recent search -- ``kernel``
         #: (the compiled call) and, for witness searches, ``witness`` (the
@@ -484,29 +397,38 @@ class KernelEngine:
         self._cls_cols = array("i", cols if cols else [0])
 
     # ------------------------------------------------------------------
-    # backend dispatch
+    # compiled call
     # ------------------------------------------------------------------
+    def _delegated(self) -> bool:
+        """Whether this search must run on the fast engine instead -- the
+        spec is too wide for the pending bitmask, or no compiled library
+        loads.  Either way the search is counted and warned about."""
+        if self.kernelizable and _load_cc_lib() is not None:
+            return False
+        COUNTERS["kernelpath.fallback.searches"] += 1
+        if not self.kernelizable:
+            warn_wide_fallback("kernel", self._n, self.num_bits, MAX_KERNEL_MSGS)
+        else:
+            warnings.warn(
+                f"compiled search kernel unavailable "
+                f"({kernel_unavailable_reason()}); the kernel engine ran "
+                "the fast engine (same verdicts, slower)",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        return True
+
     def _run(
         self, max_states: int, symmetry_reduction: bool, track: bool
     ) -> tuple[int, int, int, list[tuple[int, ...]]]:
-        """``(status, count, depth, chain)`` on the resolved backend;
+        """``(status, count, depth, chain)`` from one call into the C loop;
         ``chain`` runs from the initial state to the found deadlock (empty
         unless ``track`` and found)."""
-        backend = resolve_backend()
-        self.last_backend = backend
-        COUNTERS[f"kernelpath.searches.{backend}"] += 1
-        use_canon = 1 if (symmetry_reduction and self._ncls) else 0
-        if backend == "cc":
-            return self._run_cc(max_states, use_canon, track)
-        from repro.analysis.kernelcore import run_core
-
-        return run_core(self, backend == "numba", use_canon, max_states, track)
-
-    def _run_cc(
-        self, max_states: int, use_canon: int, track: bool
-    ) -> tuple[int, int, int, list[tuple[int, ...]]]:
         lib = _load_cc_lib()
-        assert lib is not None  # resolve_backend vetted it
+        assert lib is not None  # _delegated vetted it
+        self.last_backend = "cc"
+        COUNTERS["kernelpath.searches.cc"] += 1
+        use_canon = 1 if (symmetry_reduction and self._ncls) else 0
         c_i32p = ctypes.POINTER(ctypes.c_int32)
         out_count = ctypes.c_int64(0)
         out_depth = ctypes.c_int64(0)
@@ -562,9 +484,7 @@ class KernelEngine:
         """Compiled BFS; bit-identical to ``FastEngine.search``."""
         from repro.analysis.reachability import SearchLimitExceeded
 
-        if not self.kernelizable:
-            COUNTERS["kernelpath.fallback.searches"] += 1
-            warn_wide_fallback("kernel", self._n, self.num_bits, MAX_KERNEL_MSGS)
+        if self._delegated():
             result = self.fast.search(
                 max_states=max_states, symmetry_reduction=symmetry_reduction
             )
@@ -595,9 +515,7 @@ class KernelEngine:
         """Compiled witness BFS; mirrors ``FastEngine.search_witness``."""
         from repro.analysis.reachability import SearchLimitExceeded
 
-        if not self.kernelizable:
-            COUNTERS["kernelpath.fallback.searches"] += 1
-            warn_wide_fallback("kernel", self._n, self.num_bits, MAX_KERNEL_MSGS)
+        if self._delegated():
             return self.fast.search_witness(
                 max_states=max_states, symmetry_reduction=symmetry_reduction
             )

@@ -24,9 +24,8 @@ from repro.analysis.fastpath import engine_for as _engine_for
 from repro.analysis.fastpath import counters_snapshot as _counters_snapshot
 from repro.analysis.fastpath import peek_engine as _peek_fast
 
-# and for the kernel engine: the module needs only numpy and the stdlib
-# (its numba/cc acceleration resolves lazily at the first search, never
-# at import)
+# and for the kernel engine: the module needs only the stdlib (its
+# compiled library loads lazily at the first search, never at import)
 from repro.analysis.kernelpath import counters_snapshot as _k_counters_snapshot
 from repro.analysis.kernelpath import kernel_unavailable_reason as _kernel_unavailable
 from repro.analysis.kernelpath import kernel_engine_for as _kernel_engine_for
@@ -37,9 +36,9 @@ from repro.obs import get as _obs_get
 #: compiled default, its fallback, and the oracle
 SEARCH_ENGINES = ("kernel", "fast", "reference")
 
-#: how often the default selection fell back to the fast engine because
-#: no accelerated kernel backend resolved (telemetry reads these via
-#: snapshot deltas, like the per-engine COUNTERS dicts)
+#: how often a kernel request fell back to the fast engine because no
+#: compiled kernel library loaded (telemetry reads these via snapshot
+#: deltas, like the per-engine COUNTERS dicts)
 ENGINE_COUNTERS: dict[str, int] = {"search.engine.fallback.fast": 0}
 
 _fallback_warned = False
@@ -49,21 +48,22 @@ def resolve_engine(engine: str | None) -> str:
     """The concrete engine a search request will run on.
 
     ``None`` defers to ``REPRO_SEARCH_ENGINE``; with neither set, the
-    default is the compiled ``kernel`` engine when an accelerated backend
-    (numba or a C compiler) resolves, else ``fast`` -- a loud fallback:
-    one :class:`RuntimeWarning` per process naming the reason, and the
-    ``search.engine.fallback.fast`` counter in :data:`ENGINE_COUNTERS`
-    on every fallen-back search.  Unknown names raise
-    :class:`ValueError`.
+    request is the compiled ``kernel`` engine.  A kernel request -- the
+    default or named -- runs on the kernel when its compiled library
+    loads (a C compiler, or a cached build), else on ``fast``: a loud
+    fallback, with one :class:`RuntimeWarning` per process naming the
+    reason and the ``search.engine.fallback.fast`` counter in
+    :data:`ENGINE_COUNTERS` on every fallen-back search.  Unknown names
+    raise :class:`ValueError`.
     """
     global _fallback_warned
-    eng = engine or os.environ.get("REPRO_SEARCH_ENGINE")
-    if eng:
-        if eng not in SEARCH_ENGINES:
-            raise ValueError(
-                f"unknown search engine {eng!r}; use "
-                "'kernel', 'fast' or 'reference'"
-            )
+    eng = engine or os.environ.get("REPRO_SEARCH_ENGINE") or "kernel"
+    if eng not in SEARCH_ENGINES:
+        raise ValueError(
+            f"unknown search engine {eng!r}; use "
+            "'kernel', 'fast' or 'reference'"
+        )
+    if eng != "kernel":
         return eng
     reason = _kernel_unavailable()
     if reason is None:
@@ -216,10 +216,10 @@ def search_deadlock(
         :class:`~repro.analysis.fastpath.FastEngine`; ``"reference"``
         keeps the original :meth:`SystemSpec.successors` implementation
         as a cross-checking oracle.  ``None`` (default) reads
-        ``REPRO_SEARCH_ENGINE``, else picks ``kernel`` when an accelerated
-        backend resolves and falls back to ``fast`` loudly otherwise (see
-        :func:`resolve_engine`).  All engines produce identical verdicts,
-        ``states_explored`` counts and witnesses (pinned by
+        ``REPRO_SEARCH_ENGINE``, else picks ``kernel``.  A kernel request
+        falls back to ``fast`` loudly when no compiled kernel library
+        loads (see :func:`resolve_engine`).  All engines produce identical
+        verdicts, ``states_explored`` counts and witnesses (pinned by
         ``tests/test_fastpath_differential.py`` and
         ``tests/test_kernelpath_differential.py``).
     certificates:

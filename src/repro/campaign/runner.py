@@ -64,7 +64,7 @@ class RunnerConfig:
         if self.task_timeout is not None and self.task_timeout <= 0:
             raise ValueError("task_timeout must be positive")
         if self.engine is not None:
-            # lazy: the analysis stack (numpy) is not needed to configure a run
+            # lazy: configuring a run needs none of the search stack
             from repro.analysis.reachability import SEARCH_ENGINES
 
             if self.engine not in SEARCH_ENGINES:

@@ -1005,8 +1005,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--search-engine", default=None,
             choices=SEARCH_ENGINES,
             help="reachability search engine (default: REPRO_SEARCH_ENGINE, "
-            "else the compiled 'kernel', falling back loudly to 'fast' when "
-            "no C compiler or numba is available); 'reference' is the "
+            "else the compiled 'kernel'; 'kernel' falls back loudly to "
+            "'fast' when no C compiler is available); 'reference' is the "
             "oracle.  All engines are pinned bit-identical, so this is "
             "purely an execution knob",
         )

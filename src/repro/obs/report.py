@@ -83,9 +83,10 @@ class TelemetryReport:
         """Nonzero engine-fallback counts.
 
         Every ``*.fallback.*`` counter: ``search.engine.fallback.fast``
-        (no accelerated kernel backend, so the default engine fell back to
+        (no compiled kernel library, so a kernel request fell back to
         fast) and ``kernelpath.fallback.searches`` (a spec too wide for the
-        kernel) -- searches that lost their speedup.  Empty when every
+        kernel, or a direct kernel engine with no library) -- searches
+        that lost their speedup.  Empty when every
         search ran on its chosen engine.
         """
         return {

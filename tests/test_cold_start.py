@@ -9,8 +9,8 @@ of the perfbench ``cli-fresh`` commands in a new interpreter and inspect
   serve stack (asyncio, ``http.server``), no sqlite3, and neither the
   simulator engine nor the serve server;
 * ``lint`` keeps networkx (CDG construction) but loads no numpy;
-* forcing the interpreted kernel tier still answers, byte for byte, and
-  is the only case that loads numpy.
+* every search engine (``kernel``, ``fast``, ``reference``) loads no
+  numpy and answers byte for byte as the default does.
 
 A module that grows a top-level import of one of these, or a package
 ``__init__`` that starts re-exporting a heavy sibling eagerly, fails here.
@@ -18,7 +18,7 @@ A module that grows a top-level import of one of these, or a package
 
 from __future__ import annotations
 
-import importlib.util
+import functools
 import json
 import os
 import subprocess
@@ -43,18 +43,16 @@ COMMANDS = {
     ],
 }
 
-#: where numba is installed the default search runs on the numba tier,
-#: which imports numba and numpy by design
-NUMBA_HOST = importlib.util.find_spec("numba") is not None
-
 SEARCH_FORBIDDEN = {
+    "numpy",
+    "numba",
     "networkx",
     "asyncio",
     "http.server",
     "sqlite3",
     "repro.sim.engine",
     "repro.serve.server",
-} | (set() if NUMBA_HOST else {"numpy", "numba"})
+}
 
 _CHILD = """
 import contextlib, io, json, sys
@@ -92,16 +90,19 @@ def test_lint_loads_no_numpy():
     assert "networkx" in loaded  # the CDG stays a networkx graph
 
 
-@pytest.mark.skipif(NUMBA_HOST, reason="the default numba tier imports numpy")
-def test_interpreted_tier_is_the_only_numpy_path():
-    """REPRO_KERNEL_BACKEND=python still searches (and answers exactly as
-    the default engine does); it is what pulls numpy in."""
-    args = COMMANDS["search-fig1"]
-    default = _run(args)
-    forced = _run([*args, "--search-engine", "kernel"], REPRO_KERNEL_BACKEND="python")
-    assert "numpy" not in default["modules"]
-    assert "numpy" in forced["modules"]
-    assert forced["stdout"] == default["stdout"]
+@functools.cache
+def _default_search_fig1() -> str:
+    return _run(COMMANDS["search-fig1"])["stdout"]
+
+
+@pytest.mark.parametrize("engine", ["kernel", "fast", "reference"])
+def test_every_engine_loads_no_numpy(engine):
+    """Whichever engine is named, a fresh search loads none of the
+    forbidden modules and answers exactly as the default engine does."""
+    got = _run([*COMMANDS["search-fig1"], "--search-engine", engine])
+    loaded = set(got["modules"])
+    assert not loaded & SEARCH_FORBIDDEN, sorted(loaded & SEARCH_FORBIDDEN)
+    assert got["stdout"] == _default_search_fig1()
 
 
 def test_lazy_reexports_keep_every_public_path():

@@ -1,24 +1,22 @@
-"""Differential pin: the numpy-vectorised search paths are bit-identical.
+"""Differential pin: the kernel's multi-word occupancy rows are bit-identical.
 
-The pure-numpy path through the search is the kernel engine's
-interpreted tier (``REPRO_KERNEL_BACKEND=python``): the same fused BFS as
-the compiled tiers, run as numpy code on flat int32/uint64 tables.  It is
-the correctness floor that runs with no compiler and no numba, and the
-former whole-frontier vector engine's replacement.  These tests assert,
-against the reference oracle and the fast engine, on paper-battery
-scenarios and randomly generated specs: identical ``deadlock_reachable``
-verdicts, identical ``states_explored`` counts (symmetry reduction on and
-off), identical :class:`SearchLimitExceeded` behaviour, and witnesses
-equal step-for-step that replay to a genuine deadlock under the
-*reference* dynamics.
+A spec with more than 64 channels gives the compiled kernel occupancy rows
+of several 64-bit words.  These tests force four-word rows onto small
+specs whose channels fit in one word (``_forced_wide``), so the
+multi-word path runs on the cc tier for every paper-battery scenario,
+witness replay, state cap, classify/delay run and campaign task below, and
+for randomly generated specs.  Against the reference oracle and the fast
+engine they assert: identical ``deadlock_reachable`` verdicts, identical
+``states_explored`` counts (symmetry reduction on and off), identical
+:class:`SearchLimitExceeded` behaviour, and witnesses equal step-for-step
+that replay to a genuine deadlock under the *reference* dynamics.
 
-Wide rows are pinned here too: the kernel's multi-word occupancy masks
-(the rows of specs with more than 64 channels) are forced onto small
-battery specs and random specs.  The retired ``vector`` engine name is
-rejected by name.
+The file keeps its name from the retired whole-frontier ``vector``
+engine, whose name is rejected here.  Tests that need the compiled
+library skip cleanly without a C compiler.
 
-``tests/test_kernelpath_differential.py`` pins the compiled tiers and
-the default engine selection.
+``tests/test_kernelpath_differential.py`` pins the kernel on its natural
+row width and the engine selection.
 """
 
 from __future__ import annotations
@@ -60,13 +58,46 @@ def _certificates_off(monkeypatch):
     monkeypatch.setenv("REPRO_STATIC_CERTIFICATES", "off")
 
 
+def _wide_kernel_engine(spec: SystemSpec) -> KernelEngine:
+    """A kernel engine whose occupancy rows span four 64-bit words even
+    when the spec's channels fit in one."""
+    fast = engine_for(spec)
+    wide = copy.copy(fast)  # engine_for is cached; never mutate its engine
+    wide.num_bits = max(fast.num_bits, 200)
+    return KernelEngine(spec, fast=wide)
+
+
+def _cached_wide_engine(spec: SystemSpec) -> KernelEngine:
+    """:func:`_wide_kernel_engine`, registered in the kernel's engine cache
+    so telemetry peeks at the engine that actually ran."""
+    eng = _wide_kernel_engine(spec)
+    kernelpath_mod._KENGINES[spec] = eng
+    return eng
+
+
+@contextmanager
+def _forced_wide():
+    """Route ``search_deadlock(engine="kernel")`` through forced
+    multi-word rows (a context manager, not a fixture, so hypothesis
+    examples can use it)."""
+    old = reachability_mod._kernel_engine_for
+    reachability_mod._kernel_engine_for = _cached_wide_engine
+    kernelpath_mod.clear_caches()
+    try:
+        yield
+    finally:
+        reachability_mod._kernel_engine_for = old
+        kernelpath_mod.clear_caches()
+
+
 @pytest.fixture()
-def numpy_tier(monkeypatch):
-    """Run every kernel search on the interpreted numpy tier."""
-    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "python")
-    kernelpath_mod.clear_caches()
-    yield
-    kernelpath_mod.clear_caches()
+def wide_rows():
+    """Run every ``engine="kernel"`` search on the cc tier with four-word
+    occupancy rows."""
+    if kernelpath_mod.resolve_backend() != "cc":
+        pytest.skip("no working C compiler")
+    with _forced_wide():
+        yield
 
 
 def _battery_specs() -> list[tuple[str, SystemSpec]]:
@@ -104,11 +135,11 @@ def _three_way(spec: SystemSpec, **kw):
 
 
 # ----------------------------------------------------------------------
-# battery differential on the numpy tier
+# battery differential on forced wide rows
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("label,spec", BATTERY, ids=[b[0] for b in BATTERY])
 @pytest.mark.parametrize("symmetry", [False, True], ids=["nosym", "sym"])
-def test_battery_verdicts_and_counts(label, spec, symmetry, numpy_tier):
+def test_battery_verdicts_and_counts(label, spec, symmetry, wide_rows):
     res = _three_way(spec, find_witness=False, symmetry_reduction=symmetry)
     ref = res["reference"]
     for eng in ("fast", "kernel"):
@@ -117,7 +148,7 @@ def test_battery_verdicts_and_counts(label, spec, symmetry, numpy_tier):
 
 
 @pytest.mark.parametrize("label,spec", BATTERY, ids=[b[0] for b in BATTERY])
-def test_battery_witness_equality_and_replay(label, spec, numpy_tier):
+def test_battery_witness_equality_and_replay(label, spec, wide_rows):
     res = _three_way(spec)
     ref = res["reference"]
     for eng in ("fast", "kernel"):
@@ -136,10 +167,9 @@ def test_battery_witness_equality_and_replay(label, spec, numpy_tier):
 
 @pytest.mark.parametrize("label,spec", BATTERY[:2], ids=["fig1-b0", "fig1-b1"])
 def test_battery_default_thresholds_match(label, spec, monkeypatch):
-    """Same pin with nothing forced: no engine named, no backend pinned,
-    so the search runs on whatever the default selection resolves."""
+    """Same pin with nothing forced: no engine named and natural row
+    widths, so the search runs on whatever the default selection resolves."""
     monkeypatch.delenv("REPRO_SEARCH_ENGINE", raising=False)
-    monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
     ref = search_deadlock(spec, engine="reference", find_witness=False)
     got = search_deadlock(spec, find_witness=False)
     assert got.deadlock_reachable == ref.deadlock_reachable
@@ -147,7 +177,7 @@ def test_battery_default_thresholds_match(label, spec, monkeypatch):
 
 
 @pytest.mark.parametrize("cap", [2, 10, 50])
-def test_state_cap_is_engine_independent(cap, numpy_tier):
+def test_state_cap_is_engine_independent(cap, wide_rows):
     """SearchLimitExceeded parity: all engines raise at the same count."""
     spec = BATTERY[0][1]
     outcomes = {}
@@ -188,15 +218,14 @@ def test_env_var_selects_vector(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# integration: classify/delay/campaign plumbing on the numpy tier
+# integration: classify/delay/campaign plumbing on forced wide rows
 # ----------------------------------------------------------------------
-def test_classify_and_delay_thread_vector_engine(numpy_tier):
+def test_classify_and_delay_thread_vector_engine(wide_rows):
     """The engine knob changes execution only: classify/delay results are
-    identical with the kernel running on the numpy tier.
+    identical with the kernel running on forced wide rows.
 
-    classify runs on the small Theorem 2 ring (a full classification of
-    Fig. 1 is tens of seconds on the interpreted tier); delay runs on
-    Fig. 1, whose minimum delay to deadlock is 1."""
+    classify runs on the small Theorem 2 ring; delay runs on Fig. 1, whose
+    minimum delay to deadlock is 1."""
     from repro.analysis.classify import classify_configuration
     from repro.analysis.delay import min_delay_to_deadlock
 
@@ -219,7 +248,7 @@ def test_classify_and_delay_thread_vector_engine(numpy_tier):
     assert by_engine["fast"][2] == 1
 
 
-def test_execute_task_engine_knob_not_in_hash(numpy_tier):
+def test_execute_task_engine_knob_not_in_hash(wide_rows):
     """engine is an execution knob: task identity (and thus the cache key)
     must not depend on it, while results must not differ either."""
     from repro.campaign.specs import build_spec
@@ -234,9 +263,9 @@ def test_execute_task_engine_knob_not_in_hash(numpy_tier):
     )
 
 
-def test_telemetry_counters_move(numpy_tier):
-    """A numpy-tier search records its tier, and under telemetry its
-    phase timer and level widths."""
+def test_telemetry_counters_move(wide_rows):
+    """A forced-wide kernel search records its tier, and under telemetry
+    its phase timer and the ``kernel_backend`` span attribute."""
     spec = BATTERY[0][1]
     before = dict(COUNTERS)
     events: list[dict] = []
@@ -244,44 +273,19 @@ def test_telemetry_counters_move(numpy_tier):
     tel.add_sink(events.append)
     with obs.scope(tel):
         search_deadlock(spec, engine="kernel", find_witness=False)
-    assert (
-        COUNTERS["kernelpath.searches.python"]
-        == before["kernelpath.searches.python"] + 1
-    )
+    assert COUNTERS["kernelpath.searches.cc"] == before["kernelpath.searches.cc"] + 1
     assert tel.counters.get("kernelpath.phase.kernel_s", 0) > 0
     end = next(
         e for e in events
         if e["name"] == "search.deadlock" and e["kind"] == "span_end"
     )
     assert end["attrs"]["engine"] == "kernel"
-    assert end["attrs"]["kernel_backend"] == "python"
+    assert end["attrs"]["kernel_backend"] == "cc"
 
 
 # ----------------------------------------------------------------------
-# wide rows: multi-word occupancy masks
+# wide rows, engine level
 # ----------------------------------------------------------------------
-def _wide_kernel_engine(spec: SystemSpec) -> KernelEngine:
-    """A kernel engine whose occupancy rows span four 64-bit words even
-    when the spec's channels fit in one."""
-    fast = engine_for(spec)
-    wide = copy.copy(fast)  # engine_for is cached; never mutate its engine
-    wide.num_bits = max(fast.num_bits, 200)
-    return KernelEngine(spec, fast=wide)
-
-
-@contextmanager
-def _forced_wide():
-    """Route ``search_deadlock(engine="kernel")`` through forced
-    multi-word rows (a context manager, not a fixture, so hypothesis
-    examples can use it)."""
-    old = reachability_mod._kernel_engine_for
-    reachability_mod._kernel_engine_for = _wide_kernel_engine
-    try:
-        yield
-    finally:
-        reachability_mod._kernel_engine_for = old
-
-
 @pytest.mark.parametrize("label,spec", BATTERY, ids=[b[0] for b in BATTERY])
 def test_forced_wide_keys_bit_identical(label, spec):
     """Force four 64-bit occupancy words onto specs that fit in one: the
