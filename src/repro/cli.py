@@ -32,8 +32,11 @@ Examples
     python -m repro serve --port 8765 --cache-backend sqlite:shared.db
     python -m repro client search fig1                # == `repro search --json`
     python -m repro client status
-    python -m repro serve --shards 3 &  # coordinator fan-out
-    python -m repro client worker --jobs 2
+
+    # fan-out: one shard per process/machine into one shared cache dir,
+    # then `campaign status` merges the shard ledgers into one union view
+    python -m repro campaign run --spec paper-battery --shard 2/3 --cache-dir /shared
+    python -m repro campaign status --cache-dir /shared --json
 
 The sweep-shaped commands (``fig3 --sweep``, ``gen``, ``theorem3``) route
 through the campaign runner; ``--jobs``/``--cache-dir`` parallelise and
@@ -888,9 +891,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             search_engine=args.search_engine,
             retries=args.retries,
             task_timeout=args.timeout,
-            spec=args.spec,
-            shards=args.shards,
-            ledger=args.ledger,
             telemetry=not args.no_telemetry,
         )
         server = ReproServer(config)
@@ -907,27 +907,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_client(args: argparse.Namespace) -> int:
     import json as _json
 
-    from repro.serve import ServeClient, ServeError, run_worker
+    from repro.serve import ServeClient, ServeError
 
     cmd = args.client_command
     try:
-        if cmd == "worker":
-            cache = None
-            if args.cache_backend:
-                from repro.campaign import make_backend
-
-                cache = make_backend(args.cache_backend)
-            out = run_worker(
-                args.url,
-                worker_id=args.worker_id,
-                jobs=args.jobs,
-                search_engine=args.search_engine,
-                limit=args.limit,
-                cache=cache,
-            )
-            print(_json.dumps(out, indent=2))
-            return 0 if out["summary"]["failed"] == 0 else 1
-
         client = ServeClient(args.url, timeout=args.http_timeout)
         if cmd in ("search", "classify", "lint"):
             try:
@@ -1233,8 +1216,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Start a long-lived HTTP server answering /v1/search, "
         "/v1/classify, /v1/lint and /v1/campaign from a tiered result cache, "
         "micro-batching cold misses through the campaign runner.  /v1/events "
-        "streams live telemetry as NDJSON; with --shards N the server also "
-        "coordinates a fleet of `repro client worker` processes.",
+        "streams live telemetry as NDJSON.  To fan a spec out over machines, "
+        "run `campaign run --shard I/N` on each into one shared cache.",
     )
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument(
@@ -1263,19 +1246,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--timeout", type=float, default=None, help="per-task wall-clock timeout (s)"
     )
     p.add_argument(
-        "--spec", default="paper-battery",
-        help="spec handed to coordinator workers (default: paper-battery)",
-    )
-    p.add_argument(
-        "--shards", type=int, default=0, metavar="N",
-        help="enable the shard coordinator with N hash-range shards "
-        "(default 0: disabled)",
-    )
-    p.add_argument(
-        "--ledger", default=None, metavar="PATH",
-        help="merged JSONL ledger for coordinator worker reports",
-    )
-    p.add_argument(
         "--no-telemetry", action="store_true",
         help="disable the telemetry collector (and the /v1/events stream)",
     )
@@ -1286,8 +1256,8 @@ def build_parser() -> argparse.ArgumentParser:
         "client",
         help="talk to a running `repro serve` instance",
         description="Query a serve instance: task verdicts (byte-identical "
-        "to the local --json commands), campaign runs, status, the telemetry "
-        "event stream, or a full coordinator worker round trip.",
+        "to the local --json commands), campaign runs (whole or one shard), "
+        "status, metrics, or the telemetry event stream.",
     )
     p.add_argument(
         "--url", default="http://127.0.0.1:8765", help="server base URL"
@@ -1345,20 +1315,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--listen", type=float, default=5.0, metavar="S",
         help="stop after this many seconds (default 5)",
     )
-    kp.set_defaults(fn=_cmd_client)
-
-    kp = ksub.add_parser(
-        "worker",
-        help="register with the coordinator, run the assigned shard, report back",
-    )
-    kp.add_argument("--worker-id", default=None)
-    kp.add_argument("--jobs", type=int, default=1)
-    kp.add_argument("--limit", type=int, default=None)
-    kp.add_argument(
-        "--cache-backend", default=None, metavar="SPEC",
-        help="local cache for shard execution (dir:/sqlite:/memory[:N])",
-    )
-    add_search_engine_flag(kp)
     kp.set_defaults(fn=_cmd_client)
 
     p = sub.add_parser(

@@ -1,7 +1,7 @@
 """W3C-style trace context: ids, carriers, inject/extract.
 
-One verification request that fans out -- event loop -> batch thread ->
-campaign pool worker -> remote shard worker -- leaves events in several
+One verification request that fans out -- client -> serve event loop ->
+batch thread -> campaign pool worker -- leaves events in several
 processes.  A :class:`TraceContext` names the request (``trace_id``) and
 the emitting position in its call tree (``span_id``); every event
 carries the trace id and every span event carries globally unique span

@@ -6,12 +6,14 @@ Layers, bottom up:
   shared with the CLI (the byte-identity contract);
 * :mod:`repro.serve.batcher` -- micro-batching + in-flight dedup in
   front of :func:`~repro.campaign.runner.run_campaign`;
-* :mod:`repro.serve.coordinator` -- shard assignment and ledger merging
-  for worker fleets;
 * :mod:`repro.serve.server` -- the asyncio HTTP/JSON front
   (``python -m repro serve``);
-* :mod:`repro.serve.client` -- the stdlib client (``python -m repro
-  client``) and the fleet-worker loop.
+* :mod:`repro.serve.client` -- the stdlib HTTP client (``python -m repro
+  client``); it loads none of the campaign stack.
+
+Fan-out across machines needs no serve component: ``campaign run
+--shard i/n`` processes write one shared cache, and ``campaign status``
+reports their union.
 
 Cache backends themselves (directory / memory LRU / sqlite / tiered)
 live in :mod:`repro.campaign.cache`; the server composes them via
@@ -34,27 +36,16 @@ _EXPORTS = {
     "ServeConfig": "server",
     "ServeError": "client",
     "ServeResponse": "client",
-    "ShardCoordinator": "coordinator",
-    "WorkerSlot": "coordinator",
     "classify_payload_from_result": "payloads",
-    "default_worker_id": "client",
     "dumps": "payloads",
     "lint_payload_from_result": "payloads",
-    "run_worker": "client",
     "search_payload": "payloads",
     "search_payload_from_result": "payloads",
 }
 
 if TYPE_CHECKING:  # pragma: no cover - the static view of _EXPORTS
     from repro.serve.batcher import BatcherStats, MicroBatcher
-    from repro.serve.client import (
-        ServeClient,
-        ServeError,
-        ServeResponse,
-        default_worker_id,
-        run_worker,
-    )
-    from repro.serve.coordinator import ShardCoordinator, WorkerSlot
+    from repro.serve.client import ServeClient, ServeError, ServeResponse
     from repro.serve.payloads import (
         classify_payload_from_result,
         dumps,

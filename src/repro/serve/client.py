@@ -1,15 +1,12 @@
-"""Stdlib HTTP client for the serve API + the shard-worker loop.
+"""Stdlib HTTP client for the serve API.
 
 :class:`ServeClient` is a thin ``http.client`` wrapper: one method per
 endpoint, JSON in/out, provenance headers surfaced on the response.  It
 exists so tests, the ``repro client`` CLI, and CI smoke scripts talk to
 the server through one code path (and so nothing here ever needs a
-third-party HTTP library).
-
-:func:`run_worker` is the whole fleet-worker protocol in one call:
-register with the coordinator, receive a ``{spec, shard}`` work order,
-execute the shard locally with :func:`~repro.campaign.runner.run_campaign`,
-and report the ``(task, result)`` pairs back for merging.
+third-party HTTP library).  It imports nothing of the campaign stack:
+fanning a spec out over machines is ``campaign run --shard i/n`` into a
+shared cache (docs/SERVE.md section 5), not a client-side loop.
 
 When telemetry is enabled in the calling process and a span is open
 (e.g. the CLI's root span), every request carries an ``X-Repro-Trace``
@@ -20,18 +17,12 @@ join the caller's trace.
 from __future__ import annotations
 
 import json
-import os
-import socket
 from dataclasses import dataclass, field
 from http.client import HTTPConnection
 from typing import Any
 from urllib.parse import urlencode, urlsplit
 
 import repro.obs as obs
-from repro.campaign.cache import CacheBackend
-from repro.campaign.runner import RunnerConfig, run_campaign
-from repro.campaign.specs import build_spec
-from repro.campaign.tasks import CampaignTask, parse_shard, shard_tasks
 
 
 def _trace_header() -> str | None:
@@ -171,7 +162,7 @@ class ServeClient:
         return self._request("POST", "/v1/campaign", body)
 
     # ------------------------------------------------------------------
-    # status / events / coordinator
+    # status / events
     # ------------------------------------------------------------------
     def status(self) -> ServeResponse:
         return self._request("GET", "/v1/status")
@@ -218,74 +209,9 @@ class ServeClient:
             conn.close()
         return events
 
-    def register(self, worker_id: str) -> ServeResponse:
-        return self._request("POST", "/v1/coordinator/register", {"worker": worker_id})
-
-    def report(
-        self, worker_id: str, entries: list[dict[str, Any]]
-    ) -> ServeResponse:
-        return self._request(
-            "POST",
-            "/v1/coordinator/report",
-            {"worker": worker_id, "results": entries},
-        )
-
-    def coordinator_status(self) -> ServeResponse:
-        return self._request("GET", "/v1/coordinator/status")
-
-
-def default_worker_id() -> str:
-    return f"{socket.gethostname()}-{os.getpid()}"
-
-
-def run_worker(
-    base_url: str,
-    *,
-    worker_id: str | None = None,
-    jobs: int = 1,
-    search_engine: str | None = None,
-    limit: int | None = None,
-    cache: CacheBackend | None = None,
-    timeout: float = 600.0,
-) -> dict[str, Any]:
-    """One full coordinator round trip: register -> run shard -> report.
-
-    The shard is executed locally (``jobs`` campaign workers, optional
-    local ``cache``);
-    results are posted back and merged into the coordinator's ledger and
-    shared cache.  Returns ``{assignment, summary, report}``.
-    """
-    client = ServeClient(base_url, timeout=timeout)
-    worker = worker_id or default_worker_id()
-    assignment = client.register(worker).raise_for_status().payload
-    index, count = parse_shard(assignment["shard"])
-    tasks = shard_tasks(build_spec(assignment["spec"], limit=limit), index, count)
-    config = RunnerConfig(max_workers=jobs, engine=search_engine, retries=0)
-    results, summary = run_campaign(
-        tasks,
-        cache=cache,
-        config=config,
-        spec_name=f"{assignment['spec']}-shard{index}of{count}",
-    )
-    by_hash = {r.task_hash: r for r in results}
-    entries: list[dict[str, Any]] = []
-    seen: set[str] = set()
-    for task in tasks:
-        if task.task_hash in seen:
-            continue
-        seen.add(task.task_hash)
-        entries.append(
-            {"task": task.to_json(), "result": by_hash[task.task_hash].to_json()}
-        )
-    receipt = client.report(worker, entries).raise_for_status().payload
-    return {"assignment": assignment, "summary": summary.to_json(), "report": receipt}
-
 
 __all__ = [
-    "CampaignTask",
     "ServeClient",
     "ServeError",
     "ServeResponse",
-    "default_worker_id",
-    "run_worker",
 ]

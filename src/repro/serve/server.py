@@ -11,15 +11,12 @@ verification queries become service calls:
 ``POST /v1/campaign``      run a whole spec (optionally one shard)
                            through the batcher; returns the summary
 ``GET  /v1/status``        server / batcher / per-tier cache stats,
-                           integrity scans, coordinator state
+                           integrity scans
 ``GET  /v1/events``        live telemetry stream as newline-delimited
                            JSON (docs/OBSERVABILITY.md schema)
 ``GET  /metrics``          Prometheus text exposition of the live
                            registry (counters, gauges, histograms,
                            span summaries)
-``POST /v1/coordinator/register``  claim a ``--shard i/n`` work order
-``POST /v1/coordinator/report``    merge a worker's results back
-``GET  /v1/coordinator/status``    fleet coverage + merged union
 ========================== ===========================================
 
 Requests are validated against the task schema (registered scenario,
@@ -72,7 +69,6 @@ from repro.campaign.scenarios import scenario_names
 from repro.campaign.specs import build_spec, spec_names
 from repro.campaign.tasks import CampaignTask, parse_shard, shard_tasks
 from repro.serve.batcher import MicroBatcher
-from repro.serve.coordinator import ShardCoordinator
 from repro.serve.payloads import (
     classify_payload_from_result,
     dumps,
@@ -82,11 +78,17 @@ from repro.serve.payloads import (
 
 SERVER_NAME = "repro-serve"
 
+#: seconds a client may take over each header line, and over the body
+READ_TIMEOUT_S = 30.0
+#: largest request body accepted (the largest real one is one task query)
+MAX_BODY_BYTES = 1 << 20
+
 _REASONS = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    413: "Content Too Large",
     500: "Internal Server Error",
     502: "Bad Gateway",
     503: "Service Unavailable",
@@ -156,10 +158,6 @@ class ServeConfig:
     search_engine: str | None = None
     retries: int = 0
     task_timeout: float | None = None
-    #: coordinator work order (enabled when shards >= 1)
-    spec: str = "paper-battery"
-    shards: int = 0
-    ledger: str | None = None
     telemetry: bool = True
 
 
@@ -203,7 +201,7 @@ def _serve_headers(result: Any, source: str) -> dict[str, str]:
 
 
 class ReproServer:
-    """One serve instance: cache tiers, batcher, coordinator, HTTP front."""
+    """One serve instance: cache tiers, batcher, HTTP front."""
 
     def __init__(self, config: ServeConfig | None = None) -> None:
         self.config = config or ServeConfig()
@@ -220,14 +218,6 @@ class ReproServer:
             task_timeout=self.config.task_timeout,
             engine=self.config.search_engine,
         )
-        self.coordinator: ShardCoordinator | None = None
-        if self.config.shards >= 1:
-            self.coordinator = ShardCoordinator(
-                spec=self.config.spec,
-                shards=self.config.shards,
-                cache=self.cache,
-                ledger_path=self.config.ledger,
-            )
         self.batcher: MicroBatcher | None = None
         self.host = self.config.host
         self.port = self.config.port
@@ -235,6 +225,8 @@ class ReproServer:
         self.requests = 0
         self.by_endpoint: Counter[str] = Counter()
         self._subscribers: set[asyncio.Queue[dict[str, Any] | None]] = set()
+        #: live connection handlers, so stop() can end them
+        self._handlers: dict[asyncio.Task[None], asyncio.StreamWriter] = {}
         self._tel: obs.Telemetry | None = None
         self._tel_prev: obs.Telemetry | None = None
         self._env_prev: str | None = None
@@ -285,11 +277,21 @@ class ReproServer:
     async def stop(self) -> None:
         if self._server is not None:
             self._server.close()
-            with suppress(Exception):
-                await self._server.wait_closed()
         for queue in list(self._subscribers):
             with suppress(asyncio.QueueFull):
                 queue.put_nowait(None)
+        # end live connections before wait_closed(), which waits for them
+        # from Python 3.12.1; a handler left for asyncio.run to cancel
+        # would print a traceback per connection.  The abort also ends a
+        # handler whose cancellation a pre-3.12 wait_for() swallows.
+        handlers = list(self._handlers.items())
+        for task, writer in handlers:
+            writer.transport.abort()
+            task.cancel()
+        await asyncio.gather(*(task for task, _ in handlers), return_exceptions=True)
+        if self._server is not None:
+            with suppress(Exception):
+                await self._server.wait_closed()
         if self._executor is not None:
             self._executor.shutdown(wait=False, cancel_futures=True)
         if self._tel is not None:
@@ -301,8 +303,6 @@ class ReproServer:
             else:
                 os.environ[obs.ENV_VAR] = self._env_prev
             self._tel = None
-        if self.coordinator is not None:
-            self.coordinator.close()
         close = getattr(self.cold, "close", None)
         if callable(close):
             close()
@@ -358,7 +358,7 @@ class ReproServer:
     # HTTP plumbing
     # ------------------------------------------------------------------
     async def _read_request(self, reader: asyncio.StreamReader) -> _Request:
-        line = await asyncio.wait_for(reader.readline(), timeout=30)
+        line = await asyncio.wait_for(reader.readline(), timeout=READ_TIMEOUT_S)
         if not line:
             raise ConnectionError("client closed before sending a request")
         parts = line.decode("latin-1").split()
@@ -367,13 +367,27 @@ class ReproServer:
         method, target, _version = parts
         headers: dict[str, str] = {}
         while True:
-            raw = await asyncio.wait_for(reader.readline(), timeout=30)
+            raw = await asyncio.wait_for(reader.readline(), timeout=READ_TIMEOUT_S)
             if raw in (b"\r\n", b"\n", b""):
                 break
             key, _, value = raw.decode("latin-1").partition(":")
             headers[key.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or 0)
-        body = await reader.readexactly(length) if length > 0 else b""
+        declared = headers.get("content-length") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            raise ApiError(
+                400, f"Content-Length must be a non-negative integer, got {declared!r}"
+            )
+        length = int(declared)
+        if length > MAX_BODY_BYTES:
+            raise ApiError(
+                413, f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit"
+            )
+        body = (
+            await asyncio.wait_for(reader.readexactly(length), timeout=READ_TIMEOUT_S)
+            if length
+            else b""
+        )
         path, _, qs = target.partition("?")
         query = {k: v[-1] for k, v in parse_qs(qs).items()}
         return _Request(
@@ -383,9 +397,16 @@ class ReproServer:
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        assert task is not None
+        self._handlers[task] = writer
         try:
             try:
                 req = await self._read_request(reader)
+            except ApiError as exc:
+                writer.write(_json_response(exc.status, exc.payload()))
+                await writer.drain()
+                return
             except (ConnectionError, ValueError, asyncio.TimeoutError,
                     asyncio.IncompleteReadError):
                 return
@@ -422,7 +443,10 @@ class ReproServer:
                 await writer.drain()
         except (ConnectionResetError, BrokenPipeError):
             pass
+        except asyncio.CancelledError:
+            pass  # stop() ended this connection; end the task without a traceback
         finally:
+            self._handlers.pop(task, None)
             with suppress(Exception):
                 writer.close()
                 await writer.wait_closed()
@@ -436,9 +460,6 @@ class ReproServer:
             ("POST", "/v1/lint"): self._h_lint,
             ("POST", "/v1/campaign"): self._h_campaign,
             ("GET", "/v1/status"): self._h_status,
-            ("POST", "/v1/coordinator/register"): self._h_coord_register,
-            ("POST", "/v1/coordinator/report"): self._h_coord_report,
-            ("GET", "/v1/coordinator/status"): self._h_coord_status,
         }
         handler = routes.get((req.method, req.path))
         if handler is not None:
@@ -634,9 +655,6 @@ class ReproServer:
             },
             "batcher": self.batcher.stats.to_json(),
             "cache": self._cache_status(),
-            "coordinator": (
-                None if self.coordinator is None else self.coordinator.status()
-            ),
         }
         return 200, payload, None
 
@@ -721,54 +739,3 @@ class ReproServer:
         text = obs.render_prometheus(self._tel)
         writer.write(_text_response(200, text, obs.PROM_CONTENT_TYPE))
         await writer.drain()
-
-    # ------------------------------------------------------------------
-    # coordinator endpoints
-    # ------------------------------------------------------------------
-    def _coordinator(self) -> ShardCoordinator:
-        if self.coordinator is None:
-            raise ApiError(
-                503,
-                "no shard coordinator on this server "
-                "(start with --shards N to enable fan-out)",
-            )
-        return self.coordinator
-
-    async def _h_coord_register(self, req: _Request) -> tuple[int, Any, None]:
-        body = req.json()
-        worker_id = body.get("worker")
-        if not isinstance(worker_id, str) or not worker_id:
-            raise ApiError(400, "worker must be a non-empty string")
-        assignment = self._coordinator().register(worker_id)
-        if self._tel is not None:
-            self._tel.event(
-                "serve.coordinator.register",
-                worker=worker_id,
-                shard=assignment["shard"],
-            )
-        return 200, assignment, None
-
-    async def _h_coord_report(self, req: _Request) -> tuple[int, Any, None]:
-        body = req.json()
-        worker_id = body.get("worker")
-        entries = body.get("results")
-        if not isinstance(worker_id, str) or not worker_id:
-            raise ApiError(400, "worker must be a non-empty string")
-        if not isinstance(entries, list):
-            raise ApiError(400, "results must be a list of {task, result} objects")
-        try:
-            receipt = self._coordinator().report(worker_id, entries)
-        except KeyError as exc:
-            raise ApiError(400, str(exc.args[0])) from None
-        except (TypeError, ValueError) as exc:
-            raise ApiError(400, f"bad report entry: {exc}") from None
-        if self._tel is not None:
-            self._tel.event(
-                "serve.coordinator.report",
-                worker=worker_id,
-                merged=receipt["merged"],
-            )
-        return 200, receipt, None
-
-    async def _h_coord_status(self, req: _Request) -> tuple[int, Any, None]:
-        return 200, self._coordinator().status(), None

@@ -162,3 +162,23 @@ def test_campaign_status_extra_backend_and_run_backend_flag(tmp_path, capsys):
     assert main(["campaign", "status", "--cache-dir", cache_dir,
                  "--cache-backend", "sqlite:"]) == 2
     assert "sqlite backend needs a path" in capsys.readouterr().err
+
+
+def test_sharded_runs_merge_through_a_shared_cache(tmp_path, capsys):
+    """Fan-out: disjoint hash-range shards run into one cache directory,
+    and ``campaign status`` reports their union as the whole spec."""
+    import json
+
+    cache_dir = str(tmp_path / "cache")
+    for shard in ("1/2", "2/2"):
+        assert main(["campaign", "run", "--spec", "quick", "--shard", shard,
+                     "--jobs", "1", "--cache-dir", cache_dir,
+                     "--no-progress"]) == 0
+    capsys.readouterr()
+
+    assert main(["campaign", "status", "--cache-dir", cache_dir, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["merged"] == {"distinct_tasks": 11, "ok": 11, "failed": 0}
+    assert [entry["ledger"] for entry in payload["ledgers"]] == [
+        "quick-shard1of2.jsonl", "quick-shard2of2.jsonl",
+    ]

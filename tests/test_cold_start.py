@@ -10,7 +10,9 @@ of the perfbench ``cli-fresh`` commands in a new interpreter and inspect
   simulator engine nor the serve server;
 * ``lint`` keeps networkx (CDG construction) but loads no numpy;
 * every search engine (``kernel``, ``fast``, ``reference``) loads no
-  numpy and answers byte for byte as the default does.
+  numpy and answers byte for byte as the default does;
+* the serve HTTP client is a pure client: none of the campaign stack,
+  sqlite3 or a process pool.
 
 A module that grows a top-level import of one of these, or a package
 ``__init__`` that starts re-exporting a heavy sibling eagerly, fails here.
@@ -76,6 +78,17 @@ def _run(args: list[str], **env_extra: str) -> dict:
     return got
 
 
+def _probe(code: str):
+    """Run ``code`` in a fresh interpreter; parse the JSON it prints."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env.update(PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=300, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
 @pytest.mark.parametrize(
     "name", [n for n in COMMANDS if not n.startswith("lint")]
 )
@@ -105,6 +118,17 @@ def test_every_engine_loads_no_numpy(engine):
     assert got["stdout"] == _default_search_fig1()
 
 
+def test_serve_client_loads_no_campaign_stack():
+    loaded = set(_probe(
+        "import json, sys, repro.serve.client; print(json.dumps(sorted(sys.modules)))"
+    ))
+    heavy = {
+        m for m in loaded
+        if m.startswith("repro.campaign") or m in ("sqlite3", "concurrent.futures")
+    }
+    assert not heavy, sorted(heavy)
+
+
 def test_lazy_reexports_keep_every_public_path():
     """The PEP 562 package ``__init__``s still serve every name in
     ``__all__`` (the same object the defining module holds), and a
@@ -123,12 +147,6 @@ for pkg in ("analysis", "campaign", "cdg", "core", "experiments", "lint", "serve
     out[pkg] = len(mod.__all__)
 print(json.dumps(out))
 """
-    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
-    env.update(PYTHONPATH=str(SRC))
-    proc = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-        timeout=300, check=True,
-    )
-    got = json.loads(proc.stdout)
+    got = _probe(probe)
     assert got.pop("adapters") == "repro.campaign.adapters"
     assert all(count > 0 for count in got.values()), got

@@ -1,5 +1,6 @@
-"""End-to-end serve API: byte-identity, caching, dedup, errors, fleet."""
+"""End-to-end serve API: byte-identity, caching, dedup, errors, shutdown."""
 
+import socket
 import threading
 import time
 
@@ -7,17 +8,11 @@ import pytest
 
 from repro.cli import main
 from repro.obs import EVENT_KINDS, validate_event
-from repro.serve import (
-    ReproServer,
-    ServeClient,
-    ServeConfig,
-    ShardCoordinator,
-    run_worker,
-)
+from repro.serve import ReproServer, ServeClient, ServeConfig
+from repro.serve import server as server_module
 
 
-@pytest.fixture()
-def server(tmp_path):
+def _start_server(tmp_path) -> tuple[ReproServer, threading.Thread]:
     srv = ReproServer(
         ServeConfig(
             port=0,
@@ -28,9 +23,30 @@ def server(tmp_path):
     thread = threading.Thread(target=srv.run, daemon=True)
     thread.start()
     assert srv.wait_ready(15), "server did not come up"
+    return srv, thread
+
+
+@pytest.fixture()
+def server(tmp_path):
+    srv, thread = _start_server(tmp_path)
     yield srv
     srv.shutdown()
     thread.join(10)
+
+
+def _open_raw(srv: ReproServer, head: str, body: bytes = b"") -> socket.socket:
+    """A raw connection that has sent ``head`` (request line and headers,
+    blank line included) and then ``body``, and reads nothing yet."""
+    sock = socket.create_connection((srv.host, srv.port), timeout=10)
+    sock.sendall(head.encode("latin-1") + body)
+    return sock
+
+
+def _read_to_eof(sock: socket.socket) -> bytes:
+    chunks = []
+    while chunk := sock.recv(65536):
+        chunks.append(chunk)
+    return b"".join(chunks)
 
 
 @pytest.fixture()
@@ -173,6 +189,35 @@ def test_bad_params_and_knobs_are_400(server):
     ).status == 400
 
 
+@pytest.mark.parametrize(
+    "length, body, status_line",
+    [
+        ("abc", b"", b"HTTP/1.1 400 "),
+        ("-5", b"", b"HTTP/1.1 400 "),
+        (str(server_module.MAX_BODY_BYTES + 1), b"", b"HTTP/1.1 413 "),
+        # a body that stalls after 2 of 10 bytes: closed, unanswered,
+        # once the read timeout runs out
+        ("10", b'{"', b""),
+    ],
+    ids=["non-integer", "negative", "over-cap", "stalled-body"],
+)
+def test_bad_content_length_and_stalled_body(
+    server, monkeypatch, length, body, status_line
+):
+    monkeypatch.setattr(server_module, "READ_TIMEOUT_S", 0.5)
+    t0 = time.perf_counter()
+    with _open_raw(
+        server, f"POST /v1/search HTTP/1.1\r\nContent-Length: {length}\r\n\r\n", body
+    ) as sock:
+        reply = _read_to_eof(sock)
+    assert time.perf_counter() - t0 < 5
+    if status_line:
+        assert reply.startswith(status_line), reply[:80]
+        assert b'"error"' in reply
+    else:
+        assert reply == b""
+
+
 def test_unknown_endpoint_is_404_with_directory(server):
     resp = ServeClient(server.url)._request("GET", "/v1/nope")
     assert resp.status == 404
@@ -225,87 +270,22 @@ def test_status_reports_serve_spans(server, client):
 
 
 # ----------------------------------------------------------------------
-# coordinator
+# shutdown
 # ----------------------------------------------------------------------
-def test_coordinator_disabled_is_503(server):
-    resp = ServeClient(server.url)._request("GET", "/v1/coordinator/status")
-    assert resp.status == 503
-    assert "--shards" in resp.payload["error"]
-
-
-@pytest.fixture()
-def fleet_server(tmp_path):
-    srv = ReproServer(
-        ServeConfig(
-            port=0,
-            cache_backend=f"dir:{tmp_path / 'shared-cache'}",
-            window=0.01,
-            spec="quick",
-            shards=2,
-            ledger=str(tmp_path / "merged.jsonl"),
-        )
+def test_shutdown_ends_open_connections_quietly(tmp_path, capfd, caplog):
+    srv, thread = _start_server(tmp_path)
+    stalled = _open_raw(
+        srv, "POST /v1/search HTTP/1.1\r\nContent-Length: 10\r\n\r\n", b'{"'
     )
-    thread = threading.Thread(target=srv.run, daemon=True)
-    thread.start()
-    assert srv.wait_ready(15)
-    yield srv
+    subscriber = _open_raw(srv, "GET /v1/events HTTP/1.1\r\n\r\n")
+    # the stream's status line: both connections are accepted and live
+    assert subscriber.recv(15).startswith(b"HTTP/1.1 200")
     srv.shutdown()
-    thread.join(10)
-
-
-def test_fleet_round_trip_covers_the_spec(fleet_server, tmp_path):
-    out1 = run_worker(fleet_server.url, worker_id="w1", limit=6)
-    out2 = run_worker(fleet_server.url, worker_id="w2", limit=6)
-    shards = {out1["assignment"]["shard"], out2["assignment"]["shard"]}
-    assert shards == {"1/2", "2/2"}  # least-loaded assignment covers both
-    assert out1["summary"]["failed"] == out2["summary"]["failed"] == 0
-
-    c = ServeClient(fleet_server.url)
-    status = c.coordinator_status().raise_for_status().payload
-    assert status["unassigned_shards"] == []
-    assert status["distinct_tasks"] == 6  # shards are disjoint and complete
-    assert status["failed"] == 0
-    assert (tmp_path / "merged.jsonl").exists()
-
-    # re-registering is idempotent (crash-restart safe)
-    again = c.register("w1").raise_for_status().payload
-    assert again["shard"] == out1["assignment"]["shard"]
-
-
-def test_report_rejects_schema_drift(fleet_server):
-    c = ServeClient(fleet_server.url)
-    c.register("drifter").raise_for_status()
-    from repro.campaign.tasks import CampaignTask, TaskResult
-
-    task = CampaignTask.make("reachability", "fig1")
-    result = TaskResult(
-        task_hash="f" * 64, name="bogus", kind="reachability",
-        scenario="fig1", params={}, verdict="unreachable",
-    )
-    resp = c.report(
-        "drifter", [{"task": task.to_json(), "result": result.to_json()}]
-    )
-    assert resp.status == 400
-    assert "hash mismatch" in resp.payload["error"]
-
-    unregistered = c.report("ghost", [])
-    assert unregistered.status == 400
-    assert "register first" in unregistered.payload["error"]
-
-
-def test_coordinator_unit_merges_into_cache(tmp_path):
-    from repro.campaign.cache import MemoryLRUCache
-    from repro.campaign.tasks import CampaignTask, execute_task
-
-    cache = MemoryLRUCache(16)
-    coord = ShardCoordinator(spec="quick", shards=1, cache=cache)
-    coord.register("solo")
-    task = CampaignTask.make("reachability", "debug-sleep", tag="coord")
-    result = execute_task(task)
-    receipt = coord.report(
-        "solo", [{"task": task.to_json(), "result": result.to_json()}]
-    )
-    assert receipt["merged"] == 1
-    assert cache.get(task) is not None  # live success written through
-    assert coord.status()["ok"] == 1
-    coord.close()
+    thread.join(5)
+    assert not thread.is_alive(), "server thread still running after 5 s"
+    with subscriber, stalled:
+        _read_to_eof(subscriber)  # returns on EOF instead of timing out
+        assert _read_to_eof(stalled) == b""
+    assert "Traceback" not in capfd.readouterr().err
+    # asyncio reports callback errors through logging, which pytest captures
+    assert not [r for r in caplog.records if r.name == "asyncio"]
