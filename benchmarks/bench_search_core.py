@@ -2,21 +2,21 @@
 
 Unlike the pytest-benchmark modules in this directory (which regenerate
 paper artifacts), this file is a plain script used by
-``scripts/perf_report.py`` to A/B the table-driven search engine against
+``scripts/perf_report.py`` to A/B the compiled kernel engine against
 the reference implementation.  Each invocation measures exactly one
 scenario in a *fresh* interpreter::
 
-    PYTHONPATH=src REPRO_SEARCH_ENGINE=fast \
+    PYTHONPATH=src REPRO_SEARCH_ENGINE=kernel \
         python benchmarks/bench_search_core.py --scenario thm1-five
 
 and prints a single JSON object: ``{"scenario", "engine", "wall_s",
 "cpu_s", "states", ...}``.  Fresh processes keep the measurements honest:
-no warm engine tables, no memo carry-over, no allocator reuse between the
-engines under comparison.  Each scenario is a *setup* (imports, network
-and message construction -- identical for both engines, untimed) plus a
-*run* (everything the engine switch affects -- timed, and for the fast
+no warm engine tables, no allocator reuse between the engines under
+comparison.  Each scenario is a *setup* (imports, network and message
+construction -- identical for both engines, untimed) plus a *run*
+(everything the engine switch affects -- timed, and for the kernel
 engine that includes building the
-:class:`~repro.analysis.fastpath.FastEngine` transition tables from
+:class:`~repro.analysis.kernelpath.KernelEngine` transition tables from
 scratch).  ``REPRO_SEARCH_ENGINE`` selects the engine because that is the
 same switch real runs use.
 
@@ -148,22 +148,27 @@ SCENARIOS: dict[str, Callable[[], Callable[[], dict[str, Any]]]] = {
 }
 
 
-def _warm_kernel_backend() -> None:
-    """Build or load the compiled kernel library on a toy spec, untimed.
-
-    The disk-cached C build is a one-time artifact cost, not per-search
-    work; on a cold cache it would otherwise charge the kernel engine
-    about half a second of compiler time inside the measured window.  The toy spec shares nothing with any scenario,
-    so the measured search still builds its own tables from scratch.
-    """
-    from repro.analysis.kernelpath import clear_caches, kernel_engine_for
+def _toy_spec():
+    """One single-channel message: shares nothing with any scenario."""
     from repro.analysis.state import CheckerMessage, SystemSpec
 
-    spec = SystemSpec(
+    return SystemSpec(
         messages=(CheckerMessage(path=(0,), length=1, tag="warm"),),
         budgets=(0,),
     )
-    kernel_engine_for(spec).search()
+
+
+def _warm_kernel_backend() -> None:
+    """Build or load the compiled kernel library on the toy spec, untimed.
+
+    The disk-cached C build is a one-time artifact cost, not per-search
+    work; on a cold cache it would otherwise charge the kernel engine
+    about half a second of compiler time inside the measured window.  The
+    measured search still builds its own tables from scratch.
+    """
+    from repro.analysis.kernelpath import clear_caches, kernel_engine_for
+
+    kernel_engine_for(_toy_spec()).search()
     clear_caches()  # drop the toy engine; the compiled backend persists
 
 
@@ -173,8 +178,9 @@ def measure(scenario: str) -> dict[str, Any]:
     from repro.analysis.reachability import resolve_engine
 
     # the engine that will actually run: REPRO_SEARCH_ENGINE, else the
-    # default (the kernel when an accelerated backend resolves)
-    engine = resolve_engine(None)
+    # default (the kernel when its compiled library loads; every scenario
+    # fits the kernel's message limit, as the toy spec does)
+    engine = resolve_engine(None, _toy_spec())
     if engine == "kernel":
         _warm_kernel_backend()
     wall0 = time.perf_counter()

@@ -2,9 +2,9 @@
 
 For every requested scenario this script launches
 ``benchmarks/bench_search_core.py`` once per engine under comparison
-(``REPRO_SEARCH_ENGINE=reference|fast|kernel``) in fresh
-interpreter processes (cold engine tables, no memo carry-over; the
-kernel backend's one-time JIT/C compile is warmed untimed), takes the best of
+(``REPRO_SEARCH_ENGINE=reference|kernel``) in fresh
+interpreter processes (cold engine tables; the kernel's one-time C
+compile is warmed untimed), takes the best of
 ``--repeats`` runs per engine, cross-checks that every engine reports an
 identical ``states`` count (the engines are pinned bit-identical; a
 divergence here is a correctness bug, not a perf result), and writes a
@@ -16,23 +16,22 @@ Usage::
     PYTHONPATH=src python scripts/perf_report.py                  # full set
     PYTHONPATH=src python scripts/perf_report.py --quick          # CI smoke
     PYTHONPATH=src python scripts/perf_report.py \
-        --scenarios fig1-sync --gate kernel:fast:1.0              # gate
+        --scenarios fig1-sync --gate kernel:reference:1.0         # gate
 
 ``--gate FASTER:BASELINE:MIN`` (repeatable) turns the report into a
 regression gate: exit 1 if FASTER's CPU-time speedup over BASELINE falls
 below MIN on any measured scenario.  CPU time is the gated metric because
 the engines are single-process and CI wall clocks are shared-runner
-noise.  ``--min-speedup X`` is the v1 spelling of a wall-clock
-``fast:reference:X`` gate, kept for compatibility.  The CI
-benchmark-smoke job gates ``fast:reference:1.0`` and ``kernel:fast:1.0``
-on the Fig. 1 searches -- an optimized engine must never be slower than
-the engine it supersedes.
+noise.  The CI benchmark-smoke job gates ``kernel:reference:1.0`` on the
+Fig. 1 searches -- the compiled engine must never be slower than the
+oracle it supersedes.
 
 The kernel engine appears in the default engine list only when its
 compiled library loads (a C compiler, or a cached build); without one a
-kernel request runs on the fast engine, and benchmarking it would just
-measure fast twice.  The report records the resolved kernel tier
-(``kernel_tier``: ``"cc"`` or ``null``) next to ``cpu_count``.
+kernel request runs on the reference engine, and benchmarking it would
+just measure the reference twice.  The report records the resolved
+kernel tier (``kernel_tier``: ``"cc"`` or ``null``) next to
+``cpu_count``.
 """
 
 from __future__ import annotations
@@ -64,7 +63,7 @@ DEFAULT_SCENARIOS = (
 QUICK_SCENARIOS = ("fig1-sync", "thm1-five")
 
 #: engines in the default report, slowest first (speedups read downward)
-DEFAULT_ENGINES = ("reference", "fast")
+DEFAULT_ENGINES = ("reference",)
 
 
 def kernel_tier() -> str | None:
@@ -87,7 +86,7 @@ def kernel_tier() -> str | None:
 
 
 def default_engines(tier: str | None) -> tuple[str, ...]:
-    """The default comparison set, plus the kernel when it would be fast."""
+    """The default comparison set, plus the kernel when its library loads."""
     return DEFAULT_ENGINES + ("kernel",) if tier == "cc" else DEFAULT_ENGINES
 
 
@@ -182,8 +181,8 @@ def main(argv: list[str] | None = None) -> int:
         "--engines",
         default=None,
         help="comma-separated engines to compare, slowest first (default: "
-        f"{','.join(DEFAULT_ENGINES)}, plus kernel when an accelerated "
-        "backend is available)",
+        f"{','.join(DEFAULT_ENGINES)}, plus kernel when its compiled "
+        "library loads)",
     )
     parser.add_argument("--repeats", type=int, default=1, help="best-of-N per engine")
     parser.add_argument(
@@ -195,10 +194,6 @@ def main(argv: list[str] | None = None) -> int:
         metavar="FASTER:BASELINE:MIN",
         help="exit 1 if FASTER's CPU speedup over BASELINE falls below MIN "
         "on any scenario (repeatable)",
-    )
-    parser.add_argument(
-        "--min-speedup", type=float, default=None,
-        help="v1 compatibility: a wall-clock fast:reference gate",
     )
     args = parser.parse_args(argv)
 
@@ -245,13 +240,6 @@ def main(argv: list[str] | None = None) -> int:
                 )
             elif got < floor:
                 failed_gate.append(f"{name}: {faster}/{base} {got}x < {floor}x")
-        if args.min_speedup is not None:
-            pair = entry["speedups"].get("fast/reference", {})
-            wall = pair.get("wall")
-            if wall is not None and wall < args.min_speedup:
-                failed_gate.append(
-                    f"{name}: fast/reference {wall}x < {args.min_speedup}x (wall)"
-                )
 
     out = Path(args.output)
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

@@ -3,13 +3,13 @@
 Usage::
 
     python scripts/profile_hotpaths.py sim      # battery's hottest simulate task
-    python scripts/profile_hotpaths.py search   # exhaustive checker (fast engine)
+    python scripts/profile_hotpaths.py search   # exhaustive checker (reference engine)
     python scripts/profile_hotpaths.py kernel   # fused compiled-loop engine
     python scripts/profile_hotpaths.py startup [-- <repro args>]
 
 Prints cProfile's top cumulative entries (``sim``/``search``), the
-kernel engine's backend tier + throughput against the fast engine on the
-same search (``kernel``), or the import cost of one fresh ``python -m
+kernel engine's backend tier + throughput against the reference engine on
+the same search (``kernel``), or the import cost of one fresh ``python -m
 repro`` process (``startup``; default ``search fig1 --json``): self time
 per top-level package under ``-X importtime`` and which third-party
 packages loaded.  Findings that shaped the code (recorded here so
@@ -82,7 +82,8 @@ def profile_search() -> None:
 
     def run() -> None:
         res = search_deadlock(
-            SystemSpec.uniform(msgs, budget=2), find_witness=False, engine="fast"
+            SystemSpec.uniform(msgs, budget=2), find_witness=False,
+            engine="reference",
         )
         assert res.deadlock_reachable
 
@@ -91,17 +92,17 @@ def profile_search() -> None:
 
 
 def profile_kernel() -> None:
-    """Kernel-vs-fast wall time on the fig1-copies search.
+    """Kernel-vs-reference wall time on the fig1-copies search.
 
     The kernel core is one fused loop, so there is no per-phase split to
-    report; the actionable numbers are the resolved backend tier (``cc``,
-    or ``None`` when the kernel ran the fast engine), the states/sec, and
-    the ratio over the fast (fallback) engine on the same spec.
+    report; the actionable numbers are the resolved backend tier (``cc``),
+    the states/sec, and the ratio over the reference (fallback) engine on
+    the same spec.
     """
     import time
 
-    from repro.analysis.fastpath import engine_for
     from repro.analysis.kernelpath import kernel_engine_for, resolve_backend
+    from repro.analysis.reachability import search_deadlock
     from repro.analysis.state import CheckerMessage, SystemSpec
     from repro.core.cyclic_dependency import build_cyclic_dependency_network
 
@@ -116,18 +117,19 @@ def profile_kernel() -> None:
     t0 = time.perf_counter()
     deadlock, states = keng.search(max_states=40_000_000)
     kwall = time.perf_counter() - t0
-    feng = engine_for(spec)
-    feng.search(max_states=40_000_000)  # warm: tables + memo
     t0 = time.perf_counter()
-    feng.search(max_states=40_000_000)
-    fwall = time.perf_counter() - t0
+    search_deadlock(
+        spec, max_states=40_000_000, find_witness=False, engine="reference",
+        certificates="off",
+    )
+    rwall = time.perf_counter() - t0
     print(
         f"kernel search [{resolve_backend()}]: states={states} "
         f"deadlock={deadlock} wall={kwall:.3f}s "
         f"({states / kwall:,.0f} states/s)"
     )
-    print(f"fast search: wall={fwall:.3f}s ({states / fwall:,.0f} states/s)")
-    print(f"kernel/fast speedup: {fwall / kwall:.2f}x")
+    print(f"reference search: wall={rwall:.3f}s ({states / rwall:,.0f} states/s)")
+    print(f"kernel/reference speedup: {rwall / kwall:.2f}x")
 
 
 _IMPORT_LINE = re.compile(r"import time:\s+(\d+) \|\s+(\d+) \|( *)(\S+)")

@@ -1,13 +1,14 @@
-/* Compiled search kernel: fused BFS over the fastpath transition tables.
+/* Compiled search kernel: fused BFS over per-message transition tables.
  *
- * This is the C twin of the `cc` backend in repro/analysis/kernelpath.py.
- * It ports FastEngine._emissions / FastEngine.search / search_witness
- * (src/repro/analysis/fastpath.py) loop for loop: the same grant-round
- * orchestration (scan, deterministic pre-apply, joint-choice product,
- * mixed-radix arbitration), the same fused visited-dedup at emission
- * time, the same deadlock test, the same count/cap/early-exit semantics.
- * Verdicts, states_explored and witness chains are bit-identical to the
- * reference engine; tests/test_kernelpath_differential.py pins that.
+ * This is the C side of the `cc` backend in repro/analysis/kernelpath.py,
+ * which builds the tables (_TableBuilder) and calls rk_search.  It runs
+ * the grant-round machine of SystemSpec.successors (scan, deterministic
+ * pre-apply, joint-choice product, mixed-radix arbitration) over table
+ * rows, dedups against the visited set at emission time, and tests each
+ * new state for a wait-for cycle, with the reference search's
+ * count/cap/early-exit semantics.  Verdicts, states_explored and witness
+ * chains are bit-identical to the reference engine;
+ * tests/test_kernelpath_differential.py pins that.
  *
  * Channel occupancy is a fixed-width array of W uint64 words, so specs
  * with more than 62 channels need no fallback; message count is bounded
@@ -407,7 +408,7 @@ static const int32_t *canon_key(rk_ctx *c, const int32_t *cur) {
     return c->keybuf;
 }
 
-/* wait-for cycle test; mirrors FastEngine._deadlocked truthiness */
+/* wait-for cycle test; truthy exactly when SystemSpec.deadlocked_set is */
 static int is_deadlocked(rk_ctx *c, const int32_t *cur, const uint64_t *mask) {
     int32_t n = c->n, S = c->S, W = c->W;
     int any = 0;
@@ -452,7 +453,7 @@ static int emit(rk_ctx *c, const int32_t *cur, const uint64_t *mask, int64_t roo
     return RK_NOT_FOUND;
 }
 
-/* expand one root state: the grant-round machine of FastEngine._emissions */
+/* expand one root state: the grant-round machine of SystemSpec.successors */
 static int expand_root(rk_ctx *c, int64_t root) {
     const int32_t n = c->n, S = c->S, W = c->W;
     rk_stack *st = &c->stack;

@@ -1,40 +1,42 @@
 """Compiled search kernel: the default search engine.
 
-:class:`KernelEngine` runs the same fused expand/arbitrate/dedup/deadlock
-BFS as :class:`~repro.analysis.fastpath.FastEngine` -- grant rounds,
-deterministic pre-apply, joint-choice enumeration, mixed-radix
-arbitration, in-expansion visited dedup, wait-for-cycle test -- but as
-**one compiled loop over flat transition tables**, eliminating the
-per-state Python interpretation of the fast engine.  Verdicts,
-``states_explored`` (including the early-exit count and the exact
+:class:`KernelEngine` runs the reachability BFS of
+:mod:`repro.analysis.reachability` -- grant rounds, deterministic
+pre-apply, joint-choice enumeration, mixed-radix arbitration,
+in-expansion visited dedup, wait-for-cycle test -- as **one compiled loop
+over flat transition tables**.  Verdicts, ``states_explored`` (including
+the early-exit count and the exact
 :class:`~repro.analysis.reachability.SearchLimitExceeded` behaviour) and
 witnesses are bit-identical to the reference engine;
-``tests/test_kernelpath_differential.py`` pins the three-way contract.
+``tests/test_kernelpath_differential.py`` pins the contract.
 
-The tables are the fast engine's scan records flattened into stdlib
-:class:`array.array` buffers, built once per engine, whose addresses go
-straight to the C loop through :mod:`ctypes`:
+The tables are built once per engine (:class:`_TableBuilder`) as stdlib
+:class:`array.array` buffers whose addresses go straight to the C loop
+through :mod:`ctypes`:
 
-* channels are stored as **indices** (``int32``, ``-1`` = none) and
-  occupancy masks are ``W``-word ``uint64`` arrays -- specs with more
-  than 62 channels need no fallback;
+* every per-message state ``(h, inj, cons, bud)`` reachable under the
+  message's own dynamics gets a small index, so a search state is one
+  row of ``n`` indices and a move is a table lookup;
+* channels are stored as dense bit **positions** (``int32``, ``-1`` =
+  none) and occupancy masks are ``W``-word ``uint64`` arrays -- specs with
+  more than 62 channels need no fallback;
 * the visited store is an open-addressing hash over raw index rows --
   no packed key, so no key-width limit.  Only the per-state ``pending``
-  bitmask bounds the engine: ``n <= 64`` messages (wider specs fall back
-  to the fast engine with a structured :class:`WideSpecFallbackWarning`).
+  bitmask bounds the engine: ``1 <= n <= MAX_KERNEL_MSGS`` messages.
 
 The loop is ``_kernel.c`` (same directory), compiled on first use with the
 system C compiler (``REPRO_CC`` names one) into a shared library cached on
 disk (``REPRO_KERNEL_CACHE``) keyed by source hash and machine
 architecture.  A cached library that fails to load (corrupt, foreign,
-stale ABI) is rebuilt once.  Where no library loads, the engine is
-unavailable: :func:`repro.analysis.reachability.resolve_engine` then
-selects the fast engine, loudly, and a direct :class:`KernelEngine`
-delegates each search to its fast engine with a :class:`RuntimeWarning`.
+stale ABI) is rebuilt once.  Where no library loads, or a spec has more
+than ``MAX_KERNEL_MSGS`` messages,
+:func:`repro.analysis.reachability.resolve_engine` runs the reference
+engine instead, loudly; a direct :class:`KernelEngine` raises.
 
-Witness searches track a parent per arena slot and recover action labels
-after the fact by re-expanding only the chain states through
-``successors_full``, the same scheme the fast engine uses.
+Witness searches track a parent per arena slot; the C side returns the
+chain of index rows from the initial state to the deadlock, and the
+action labels are recovered by re-expanding only the chain states through
+:meth:`~repro.analysis.state.SystemSpec.successors`.
 """
 
 from __future__ import annotations
@@ -45,15 +47,13 @@ import os
 import platform
 import sys
 import threading
-import warnings
 from array import array
 from pathlib import Path
 
-from repro.analysis.fastpath import FastEngine, engine_for
 from repro.analysis.state import SystemSpec
 
 #: widest message count the single-``uint64`` pending bitmask covers;
-#: beyond it the engine delegates to the fast engine wholesale
+#: wider specs search on the reference engine
 MAX_KERNEL_MSGS = 64
 
 _KENGINE_CACHE_LIMIT = 64
@@ -65,7 +65,6 @@ COUNTERS: dict[str, int] = {
     "kernelpath.engine_cache.hits": 0,
     "kernelpath.engine_cache.misses": 0,
     "kernelpath.searches.cc": 0,
-    "kernelpath.fallback.searches": 0,
     "kernelpath.cc.compiles": 0,
     "kernelpath.cc.cache_hits": 0,
     "kernelpath.cc.rebuilds": 0,
@@ -86,7 +85,7 @@ def counters_snapshot() -> dict[str, int]:
 
 
 class WideSpecFallbackWarning(UserWarning):
-    """The kernel engine delegated a too-wide spec to the fast engine.
+    """A kernel request ran on the reference engine: the spec is too wide.
 
     Carries the spec's actual requirements and the engine's limit as
     attributes so tooling can report them structurally; the message spells
@@ -100,18 +99,10 @@ class WideSpecFallbackWarning(UserWarning):
         self.num_bits = num_bits
         self.max_msgs = max_msgs
         super().__init__(
-            f"{engine} engine fell back to the fast engine: spec needs "
+            f"{engine} engine fell back to the reference engine: spec needs "
             f"{n} messages over {num_bits} channel bits, engine limit is "
             f"{max_msgs} messages (verdict unchanged, no speedup)"
         )
-
-
-def warn_wide_fallback(engine: str, n: int, num_bits: int, max_msgs: int) -> None:
-    """Emit the structured wide-spec fallback warning, attributed to the
-    code that called the engine's ``search``/``search_witness``."""
-    warnings.warn(
-        WideSpecFallbackWarning(engine, n, num_bits, max_msgs), stacklevel=4
-    )
 
 
 # ----------------------------------------------------------------------
@@ -227,7 +218,7 @@ def _load_cc_lib() -> ctypes.CDLL | None:
 
     Returns ``None`` -- never raises -- when no C compiler is available,
     compilation fails, or the library will not load; searches then run on
-    the fast engine and :func:`kernel_unavailable_reason` says why.  A
+    the reference engine and :func:`kernel_unavailable_reason` says why.  A
     cached library that fails to load or reports a stale ABI is rebuilt
     once (``kernelpath.cc.rebuilds``) rather than poisoning every later
     process.  Thread-safe: concurrent first searches (serve's
@@ -298,91 +289,109 @@ def peek_engine(spec: SystemSpec) -> "KernelEngine | None":
     return _KENGINES.get(spec)
 
 
-class KernelEngine:
-    """Compiled fused BFS over flat ``array.array`` transition tables."""
+# ----------------------------------------------------------------------
+# transition tables
+# ----------------------------------------------------------------------
+# the per-message moves (the labels SystemSpec.successors uses)
+_TRY, _ADV, _STALL, _DRAIN = "try", "adv", "stall", "drain"
 
-    def __init__(self, spec: SystemSpec, *, fast: FastEngine | None = None) -> None:
-        self.spec = spec
-        self.fast = fast if fast is not None else engine_for(spec)
-        f = self.fast
-        self._n = f._n
-        self.num_bits = f.num_bits
-        n = self._n
-        #: False when the spec exceeds the single-uint64 pending bitmask;
-        #: every search then delegates to the fast engine (counted, and
-        #: warned about, in COUNTERS / WideSpecFallbackWarning)
-        self.kernelizable = 1 <= n <= MAX_KERNEL_MSGS
-        #: BFS levels of the most recent :meth:`search` (telemetry only)
-        self.last_search_depth: int | None = None
-        #: backend the most recent compiled search ran on, ``"cc"``; ``None``
-        #: until one ran (telemetry only)
-        self.last_backend: str | None = None
-        #: per-phase wall seconds of the most recent search -- ``kernel``
-        #: (the compiled call) and, for witness searches, ``witness`` (the
-        #: Python-side path recovery).  Populated only when telemetry is
-        #: enabled; the gate is checked once per search.
-        self.phase_seconds: dict[str, float] = {}
-        if not self.kernelizable:
-            return
-        S = max(len(f._back[i]) for i in range(n))
-        self._S = S
-        W = max(1, (f.num_bits + 63) // 64)
-        self._W = W
+
+def _move(ms: tuple, act: str, path: tuple[int, ...], L: int) -> tuple[tuple, int, int]:
+    """Apply one action to a per-message state: ``(next, acquired,
+    released)``, the channels as bit positions (``-1`` for none).
+
+    This is the only place the flit-train arithmetic of
+    :meth:`SystemSpec.successors` is re-derived; everything downstream
+    reads its results out of tables.
+    """
+    h, inj, cons, bud = ms
+    k = len(path)
+    if act is _TRY:
+        return (1, 1, cons, bud), path[0], -1
+    if act is _STALL:
+        return (h, inj, cons, bud - 1), -1, -1
+    f = inj - cons
+    if act is _ADV and h < k:
+        h += 1
+        acq = path[h - 1]  # the channel just acquired
+        if inj < L and (inj - cons) < h:
+            inj += 1
+        rel = path[h - 1 - f] if inj - cons == f else -1  # tail vacated
+        return (h, inj, cons, bud), acq, rel
+    if act is _ADV:
+        h += 1  # arrival: the header is consumed like a draining flit
+    cons += 1
+    if inj < L and (inj - cons) < k:
+        inj += 1
+    rel = path[k - f] if inj - cons < f else -1  # train shrank
+    return (h, inj, cons, bud), -1, rel
+
+
+def _moves_of(ms: tuple, k: int, L: int) -> tuple[str, ...]:
+    """The actions that can change a per-message state."""
+    h, _inj, cons, bud = ms
+    if cons == L:
+        return ()
+    if h == 0:
+        return (_TRY,)
+    if h <= k:
+        return (_ADV, _STALL) if bud > 0 else (_ADV,)
+    return (_DRAIN,)
+
+
+class _TableBuilder:
+    """One spec's flat ``[message, state]`` transition tables.
+
+    Every channel id the spec touches maps to a dense bit position.
+    Every per-message state reachable from injection start is enumerated
+    and indexed in **sorted tuple order**, so comparing indices compares
+    the underlying states and sorting indices within a symmetry class
+    picks the representative the reference canonicalizer picks.  Per
+    index the tables hold the channel the state requests (``req``) and
+    blocks on (``blk``), the channels its flit train occupies (``occ``,
+    ``W`` words), and up to two move options: the first's channel,
+    successor index and acquired/released channels, the second's
+    successor index and whether it is a wait.
+    """
+
+    def __init__(self, spec: SystemSpec) -> None:
+        bit_of: dict[int, int] = {}
+        for m in spec.messages:
+            for cid in m.path:
+                bit_of.setdefault(cid, len(bit_of))
+        self.bit_of = bit_of
+        n = len(spec.messages)
+        paths = [tuple(bit_of[cid] for cid in m.path) for m in spec.messages]
+        lens = [m.length for m in spec.messages]
+        #: per-message states by index: decodes the kernel's index rows
+        self.back = [
+            self._closure(paths[i], lens[i], spec.budgets[i]) for i in range(n)
+        ]
+        S = max(len(states) for states in self.back)
+        W = max(1, (self.num_bits + 63) // 64)
+        self.S, self.W = S, W
         size = n * S
-        # flat row-major [message, state] tables: int32 ("i"), int8 ("b"),
-        # uint8 ("B") and uint64 occupancy words ("Q", W per state)
-        t_req = array("i", [-1]) * size
-        t_nops = array("b", [0]) * size
-        t_ch0 = array("i", [-1]) * size
-        t_nxt0 = array("i", [0]) * size
-        t_acq0 = array("i", [-1]) * size
-        t_rel0 = array("i", [-1]) * size
-        t_nxt1 = array("i", [0]) * size
-        t_wait1 = array("B", [0]) * size
-        t_occ = array("Q", [0]) * (size * W)
-        t_blk = array("i", [-1]) * size
-        wmask = (1 << 64) - 1
+        # int32 ("i"), int8 ("b"), uint8 ("B") and uint64 words ("Q")
+        self.req = array("i", [-1]) * size
+        self.blk = array("i", [-1]) * size
+        self.occ = array("Q", [0]) * (size * W)
+        self.nops = array("b", [0]) * size
+        self.ch0 = array("i", [-1]) * size
+        self.nxt0 = array("i", [0]) * size
+        self.acq0 = array("i", [-1]) * size
+        self.rel0 = array("i", [-1]) * size
+        self.nxt1 = array("i", [0]) * size
+        self.wait1 = array("B", [0]) * size
         for i in range(n):
-            scan_i = f._scan[i]
-            occ_i = f._occm[i]
-            blk_i = f._blk[i]
-            for ci in range(len(scan_i)):
-                at = i * S + ci
-                req, opts = scan_i[ci]
-                if req:
-                    t_req[at] = req.bit_length() - 1
-                if blk_i[ci]:
-                    t_blk[at] = blk_i[ci].bit_length() - 1
-                ob = occ_i[ci]
-                for w in range(W):
-                    t_occ[at * W + w] = (ob >> (64 * w)) & wmask
-                t_nops[at] = len(opts)
-                if opts:
-                    _lab, chan, nci, acq, rel = opts[0]
-                    if chan is not None:
-                        t_ch0[at] = chan.bit_length() - 1
-                    t_nxt0[at] = nci
-                    if acq:
-                        t_acq0[at] = acq.bit_length() - 1
-                    if rel:
-                        t_rel0[at] = rel.bit_length() - 1
-                if len(opts) > 1:
-                    lab1, _c1, nci1, _a1, _r1 = opts[1]
-                    t_nxt1[at] = nci1
-                    t_wait1[at] = 1 if lab1 == "wait" else 0
-        self._t_req = t_req
-        self._t_nops = t_nops
-        self._t_ch0 = t_ch0
-        self._t_nxt0 = t_nxt0
-        self._t_acq0 = t_acq0
-        self._t_rel0 = t_rel0
-        self._t_nxt1 = t_nxt1
-        self._t_wait1 = t_wait1
-        self._t_occ = t_occ
-        self._t_blk = t_blk
-        self._init_cfg = array("i", f.init_idx)
-        # symmetry classes as (offsets, concatenated ascending columns);
-        # mirrors FastEngine.canon (sort values within each class)
+            idx = {ms: ci for ci, ms in enumerate(self.back[i])}
+            for ci, ms in enumerate(self.back[i]):
+                self._fill(i * S + ci, ms, paths[i], lens[i], idx)
+        self.init = array(
+            "i", [self.back[i].index((0, 0, 0, spec.budgets[i])) for i in range(n)]
+        )
+        # symmetry classes (same path, length and budget) as (offsets,
+        # concatenated ascending columns); the C loop sorts the values
+        # within each class, as the reference canonicalizer does
         groups: dict[tuple, list[int]] = {}
         for i, (m, b) in enumerate(zip(spec.messages, spec.budgets)):
             groups.setdefault((m.path, m.length, b), []).append(i)
@@ -392,32 +401,96 @@ class KernelEngine:
         for ix in classes:
             cols.extend(ix)
             offs.append(len(cols))
-        self._ncls = len(classes)
-        self._cls_off = array("i", offs)
-        self._cls_cols = array("i", cols if cols else [0])
+        self.ncls = len(classes)
+        self.cls_off = array("i", offs)
+        self.cls_cols = array("i", cols if cols else [0])
+
+    @property
+    def num_bits(self) -> int:
+        """Channel bit positions; the occupancy rows hold this many bits."""
+        return len(self.bit_of)
+
+    @staticmethod
+    def _closure(path: tuple[int, ...], L: int, budget: int) -> list[tuple]:
+        """Every per-message state reachable from injection start, sorted."""
+        start = (0, 0, 0, budget)
+        seen = {start}
+        todo = [start]
+        while todo:
+            ms = todo.pop()
+            for act in _moves_of(ms, len(path), L):
+                nxt = _move(ms, act, path, L)[0]
+                if nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
+        return sorted(seen)
+
+    def _fill(
+        self, at: int, ms: tuple, path: tuple[int, ...], L: int, idx: dict
+    ) -> None:
+        """Write the table row of per-message state ``ms`` at flat slot ``at``."""
+        h, inj, cons, bud = ms
+        k = len(path)
+        f = inj - cons
+        if h and f > 0:
+            front = h - 1 if h <= k else k - 1
+            W = self.W
+            for x in range(front - f + 1, front + 1):
+                b = path[x]
+                self.occ[at * W + (b >> 6)] |= 1 << (b & 63)
+        acts = _moves_of(ms, k, L)
+        if not acts:
+            return  # done: no options
+        nxt, acq, rel = _move(ms, acts[0], path, L)
+        self.nops[at] = len(acts)
+        self.nxt0[at] = idx[nxt]
+        self.acq0[at] = acq
+        self.rel0[at] = rel
+        if h == 0:
+            # injection: try for the first channel, or wait in place
+            self.req[at] = self.ch0[at] = path[0]
+            self.nops[at] = 2
+            self.nxt1[at] = idx[ms]
+            self.wait1[at] = 1
+            return
+        if h < k:
+            # in-network advance: arbitrated, and blocks on a held channel
+            self.req[at] = self.blk[at] = self.ch0[at] = path[h]
+        if len(acts) > 1:  # the router may stall any in-network move
+            self.nxt1[at] = idx[_move(ms, _STALL, path, L)[0]]
+
+
+class KernelEngine:
+    """Compiled fused BFS over one spec's flat transition tables."""
+
+    def __init__(self, spec: SystemSpec) -> None:
+        n = len(spec.messages)
+        if not 1 <= n <= MAX_KERNEL_MSGS:
+            raise ValueError(
+                f"the kernel engine searches 1..{MAX_KERNEL_MSGS} messages; "
+                f"this spec has {n}"
+            )
+        self.spec = spec
+        self._tables = _TableBuilder(spec)
+        #: BFS levels of the most recent :meth:`search` (telemetry only)
+        self.last_search_depth: int | None = None
+        #: backend the most recent compiled search ran on, ``"cc"``; ``None``
+        #: until one ran (telemetry only)
+        self.last_backend: str | None = None
+        #: per-phase wall seconds of the most recent search -- ``kernel``
+        #: (the compiled call) and, for witness searches, ``witness`` (the
+        #: Python-side label recovery).  Populated only when telemetry is
+        #: enabled; the gate is checked once per search.
+        self.phase_seconds: dict[str, float] = {}
+
+    @property
+    def num_bits(self) -> int:
+        """Dense channel bit positions the spec's paths use."""
+        return self._tables.num_bits
 
     # ------------------------------------------------------------------
     # compiled call
     # ------------------------------------------------------------------
-    def _delegated(self) -> bool:
-        """Whether this search must run on the fast engine instead -- the
-        spec is too wide for the pending bitmask, or no compiled library
-        loads.  Either way the search is counted and warned about."""
-        if self.kernelizable and _load_cc_lib() is not None:
-            return False
-        COUNTERS["kernelpath.fallback.searches"] += 1
-        if not self.kernelizable:
-            warn_wide_fallback("kernel", self._n, self.num_bits, MAX_KERNEL_MSGS)
-        else:
-            warnings.warn(
-                f"compiled search kernel unavailable "
-                f"({kernel_unavailable_reason()}); the kernel engine ran "
-                "the fast engine (same verdicts, slower)",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        return True
-
     def _run(
         self, max_states: int, symmetry_reduction: bool, track: bool
     ) -> tuple[int, int, int, list[tuple[int, ...]]]:
@@ -425,10 +498,15 @@ class KernelEngine:
         ``chain`` runs from the initial state to the found deadlock (empty
         unless ``track`` and found)."""
         lib = _load_cc_lib()
-        assert lib is not None  # _delegated vetted it
+        if lib is None:
+            raise RuntimeError(
+                f"compiled search kernel unavailable ({kernel_unavailable_reason()})"
+            )
         self.last_backend = "cc"
         COUNTERS["kernelpath.searches.cc"] += 1
-        use_canon = 1 if (symmetry_reduction and self._ncls) else 0
+        t = self._tables
+        n = len(self.spec.messages)
+        use_canon = 1 if (symmetry_reduction and t.ncls) else 0
         c_i32p = ctypes.POINTER(ctypes.c_int32)
         out_count = ctypes.c_int64(0)
         out_depth = ctypes.c_int64(0)
@@ -439,23 +517,23 @@ class KernelEngine:
             return ctypes.c_void_p(buf.buffer_info()[0])
 
         status = lib.rk_search(
-            ctypes.c_int32(self._n),
-            ctypes.c_int32(self._S),
-            ctypes.c_int32(self._W),
-            p(self._t_req),
-            p(self._t_nops),
-            p(self._t_ch0),
-            p(self._t_nxt0),
-            p(self._t_acq0),
-            p(self._t_rel0),
-            p(self._t_nxt1),
-            p(self._t_wait1),
-            p(self._t_occ),
-            p(self._t_blk),
-            p(self._init_cfg),
-            ctypes.c_int32(self._ncls),
-            p(self._cls_off),
-            p(self._cls_cols),
+            ctypes.c_int32(n),
+            ctypes.c_int32(t.S),
+            ctypes.c_int32(t.W),
+            p(t.req),
+            p(t.nops),
+            p(t.ch0),
+            p(t.nxt0),
+            p(t.acq0),
+            p(t.rel0),
+            p(t.nxt1),
+            p(t.wait1),
+            p(t.occ),
+            p(t.blk),
+            p(t.init),
+            ctypes.c_int32(t.ncls),
+            p(t.cls_off),
+            p(t.cls_cols),
             ctypes.c_int32(use_canon),
             ctypes.c_int64(max_states),
             ctypes.c_int32(1 if track else 0),
@@ -466,13 +544,18 @@ class KernelEngine:
         )
         # the C side returns only the found chain, one row per BFS level
         chain: list[tuple[int, ...]] = []
-        n = self._n
         chain_len = int(out_chain_len.value)
         if track and status == _STATUS_FOUND and chain_len:
             flat = out_chain[: chain_len * n]
             chain = [tuple(flat[k * n:(k + 1) * n]) for k in range(chain_len)]
         if track and out_chain:
             lib.rk_free(out_chain)
+        if status == _STATUS_LIMIT:
+            from repro.analysis.reachability import SearchLimitExceeded
+
+            raise SearchLimitExceeded(_LIMIT_MSG.format(max_states=max_states))
+        if status == _STATUS_OOM:  # pragma: no cover - allocator exhaustion
+            raise MemoryError("kernel search ran out of memory")
         return int(status), int(out_count.value), int(out_depth.value), chain
 
     # ------------------------------------------------------------------
@@ -481,15 +564,8 @@ class KernelEngine:
     def search(
         self, *, max_states: int = 2_000_000, symmetry_reduction: bool = True
     ) -> tuple[bool, int]:
-        """Compiled BFS; bit-identical to ``FastEngine.search``."""
-        from repro.analysis.reachability import SearchLimitExceeded
-
-        if self._delegated():
-            result = self.fast.search(
-                max_states=max_states, symmetry_reduction=symmetry_reduction
-            )
-            self.last_search_depth = self.fast.last_search_depth
-            return result
+        """``(deadlock_reachable, states_explored)``, bit-identical to the
+        reference search with ``find_witness=False``."""
         from time import perf_counter
 
         from repro.obs import get as _obs_get
@@ -502,23 +578,22 @@ class KernelEngine:
         )
         if prof:
             self.phase_seconds["kernel"] = perf_counter() - t0
-        if status == _STATUS_LIMIT:
-            raise SearchLimitExceeded(_LIMIT_MSG.format(max_states=max_states))
-        if status == _STATUS_OOM:  # pragma: no cover - allocator exhaustion
-            raise MemoryError("kernel search ran out of memory")
         self.last_search_depth = depth
         return status == _STATUS_FOUND, count
 
     def search_witness(
         self, *, max_states: int = 2_000_000, symmetry_reduction: bool = False
     ) -> tuple[bool, int, list | None, list | None, tuple[int, ...]]:
-        """Compiled witness BFS; mirrors ``FastEngine.search_witness``."""
-        from repro.analysis.reachability import SearchLimitExceeded
+        """``(found, states_explored, steps, states, deadlocked)``: the
+        per-cycle action rows and raw states of a minimum-length deadlock
+        formation (``None`` when no deadlock is reachable).
 
-        if self._delegated():
-            return self.fast.search_witness(
-                max_states=max_states, symmetry_reduction=symmetry_reduction
-            )
+        The compiled BFS yields first occurrences in the reference's
+        order, so every chain state's parent is the reference's parent,
+        and the first :meth:`SystemSpec.successors` entry equal to the
+        next chain state carries the actions the reference's parent map
+        keeps: the witness is step-for-step the reference's.
+        """
         from time import perf_counter
 
         from repro.obs import get as _obs_get
@@ -532,32 +607,23 @@ class KernelEngine:
         if prof:
             self.phase_seconds["kernel"] = perf_counter() - t0
             t0 = perf_counter()
-        if status == _STATUS_LIMIT:
-            raise SearchLimitExceeded(_LIMIT_MSG.format(max_states=max_states))
-        if status == _STATUS_OOM:  # pragma: no cover - allocator exhaustion
-            raise MemoryError("kernel search ran out of memory")
         if status != _STATUS_FOUND:
             return False, count, None, None, ()
-        f = self.fast
-        final = chain[-1]
-        final_mask = 0
-        for i, ci in enumerate(final):
-            final_mask |= f._occm[i][ci]
-        dead = f._deadlocked(final, final_mask)
-        decode = f.decode
-        states = [decode(s) for s in chain[1:]]
+        spec = self.spec
+        back = self._tables.back
+        states = [tuple(back[i][ci] for i, ci in enumerate(row)) for row in chain]
         steps: list[tuple[str, ...]] = []
-        for prev, raw in zip(chain, states):
-            praw = decode(prev)
-            for s, acts, _d in f.successors_full(praw):
-                if s == raw:
+        for prev, nxt in zip(states, states[1:]):
+            for s, acts in spec.successors(prev):
+                if s == nxt:
                     steps.append(acts)
                     break
             else:  # pragma: no cover - parent chain is consistent
                 raise AssertionError("witness edge lost")
+        dead = spec.deadlocked_set(states[-1])
         if prof:
             self.phase_seconds["witness"] = perf_counter() - t0
-        return True, count, steps, states, dead
+        return True, count, steps, states[1:], dead
 
 
 def clear_caches() -> None:

@@ -17,15 +17,9 @@ from dataclasses import dataclass, field
 
 from repro.analysis.state import SystemSpec, SystemState
 
-# imported eagerly (not inside _search_fast) so the engine module's load
-# cost lands at import time, outside any timed search; fastpath itself
-# imports this module's SearchLimitExceeded lazily, so there is no cycle
-from repro.analysis.fastpath import engine_for as _engine_for
-from repro.analysis.fastpath import counters_snapshot as _counters_snapshot
-from repro.analysis.fastpath import peek_engine as _peek_fast
-
-# and for the kernel engine: the module needs only the stdlib (its
-# compiled library loads lazily at the first search, never at import)
+# the kernel engine module needs only the stdlib (its compiled library
+# loads lazily at the first search, never at import)
+from repro.analysis import kernelpath as _kernelpath
 from repro.analysis.kernelpath import counters_snapshot as _k_counters_snapshot
 from repro.analysis.kernelpath import kernel_unavailable_reason as _kernel_unavailable
 from repro.analysis.kernelpath import kernel_engine_for as _kernel_engine_for
@@ -33,51 +27,58 @@ from repro.analysis.kernelpath import peek_engine as _peek_kernel
 from repro.obs import get as _obs_get
 
 #: every name accepted by ``engine=`` / ``REPRO_SEARCH_ENGINE``: the
-#: compiled default, its fallback, and the oracle
-SEARCH_ENGINES = ("kernel", "fast", "reference")
+#: compiled default and the oracle
+SEARCH_ENGINES = ("kernel", "reference")
 
-#: how often a kernel request fell back to the fast engine because no
-#: compiled kernel library loaded (telemetry reads these via snapshot
-#: deltas, like the per-engine COUNTERS dicts)
-ENGINE_COUNTERS: dict[str, int] = {"search.engine.fallback.fast": 0}
+#: how often a kernel request ran on the reference engine instead -- no
+#: compiled kernel library loaded, or the spec was too wide for it
+#: (telemetry reads this via snapshot deltas, like the engine COUNTERS)
+ENGINE_COUNTERS: dict[str, int] = {"search.engine.fallback.reference": 0}
 
-_fallback_warned = False
+#: fallback warning classes already issued in this process
+_fallback_warned: set[type] = set()
 
 
-def resolve_engine(engine: str | None) -> str:
-    """The concrete engine a search request will run on.
+def resolve_engine(engine: str | None, spec: SystemSpec) -> str:
+    """The concrete engine a search of ``spec`` will run on.
 
     ``None`` defers to ``REPRO_SEARCH_ENGINE``; with neither set, the
     request is the compiled ``kernel`` engine.  A kernel request -- the
     default or named -- runs on the kernel when its compiled library
-    loads (a C compiler, or a cached build), else on ``fast``: a loud
-    fallback, with one :class:`RuntimeWarning` per process naming the
-    reason and the ``search.engine.fallback.fast`` counter in
-    :data:`ENGINE_COUNTERS` on every fallen-back search.  Unknown names
-    raise :class:`ValueError`.
+    loads (a C compiler, or a cached build) and ``spec`` has at most
+    ``MAX_KERNEL_MSGS`` messages.  Otherwise it runs on ``reference``: a
+    loud fallback, warned once per process (a
+    :class:`~repro.analysis.kernelpath.WideSpecFallbackWarning` for a
+    wide spec, else a :class:`RuntimeWarning` naming why no library
+    loaded) and counted in ``search.engine.fallback.reference`` on every
+    fallen-back search.  Unknown names raise :class:`ValueError`.
     """
-    global _fallback_warned
     eng = engine or os.environ.get("REPRO_SEARCH_ENGINE") or "kernel"
     if eng not in SEARCH_ENGINES:
         raise ValueError(
-            f"unknown search engine {eng!r}; use "
-            "'kernel', 'fast' or 'reference'"
+            f"unknown search engine {eng!r}; use 'kernel' or 'reference'"
         )
-    if eng != "kernel":
+    if eng == "reference":
         return eng
-    reason = _kernel_unavailable()
-    if reason is None:
-        return "kernel"
-    ENGINE_COUNTERS["search.engine.fallback.fast"] += 1
-    if not _fallback_warned:
-        _fallback_warned = True
-        warnings.warn(
+    n = len(spec.messages)
+    limit = _kernelpath.MAX_KERNEL_MSGS
+    warning: Warning
+    if not 1 <= n <= limit:
+        channels = len({cid for m in spec.messages for cid in m.path})
+        warning = _kernelpath.WideSpecFallbackWarning("kernel", n, channels, limit)
+    else:
+        reason = _kernel_unavailable()
+        if reason is None:
+            return "kernel"
+        warning = RuntimeWarning(
             f"compiled search kernel unavailable ({reason}); falling back "
-            "to the fast engine (same verdicts, slower)",
-            RuntimeWarning,
-            stacklevel=3,
+            "to the reference engine (same verdicts, slower)"
         )
-    return "fast"
+    ENGINE_COUNTERS["search.engine.fallback.reference"] += 1
+    if type(warning) not in _fallback_warned:
+        _fallback_warned.add(type(warning))
+        warnings.warn(warning, stacklevel=3)
+    return "reference"
 
 
 class SearchLimitExceeded(RuntimeError):
@@ -212,15 +213,13 @@ def search_deadlock(
     engine:
         ``"kernel"`` runs the whole search as one compiled fused loop
         through :class:`~repro.analysis.kernelpath.KernelEngine`;
-        ``"fast"`` expands states through the table-driven
-        :class:`~repro.analysis.fastpath.FastEngine`; ``"reference"``
-        keeps the original :meth:`SystemSpec.successors` implementation
-        as a cross-checking oracle.  ``None`` (default) reads
-        ``REPRO_SEARCH_ENGINE``, else picks ``kernel``.  A kernel request
-        falls back to ``fast`` loudly when no compiled kernel library
-        loads (see :func:`resolve_engine`).  All engines produce identical
-        verdicts, ``states_explored`` counts and witnesses (pinned by
-        ``tests/test_fastpath_differential.py`` and
+        ``"reference"`` keeps the original :meth:`SystemSpec.successors`
+        implementation as the cross-checking oracle.  ``None`` (default)
+        reads ``REPRO_SEARCH_ENGINE``, else picks ``kernel``.  A kernel
+        request falls back to ``reference`` loudly when no compiled kernel
+        library loads or the spec is too wide for it (see
+        :func:`resolve_engine`).  Both engines produce identical verdicts,
+        ``states_explored`` counts and witnesses (pinned by
         ``tests/test_kernelpath_differential.py``).
     certificates:
         ``"on"`` (default) consults the static linter first: when
@@ -236,7 +235,7 @@ def search_deadlock(
         be minimum-cycle.  ``"off"`` disables the pre-pass;
         ``"check"`` runs *both* and raises
         :class:`~repro.lint.certificates.CertificateMismatch` if they
-        disagree (the cross-checking analogue of the fast/reference
+        disagree (the cross-checking analogue of the kernel/reference
         engine pair).  The ``REPRO_STATIC_CERTIFICATES`` environment
         variable supplies the default.
 
@@ -256,18 +255,14 @@ def search_deadlock(
             max_states=max_states,
             find_witness=find_witness,
             symmetry_reduction=symmetry_reduction,
-            engine=resolve_engine(engine),
+            engine=resolve_engine(engine, spec),
             certificates=certificates,
         )
 
-    before = {
-        **_counters_snapshot(),
-        **_k_counters_snapshot(),
-        **ENGINE_COUNTERS,
-    }
+    before = {**_k_counters_snapshot(), **ENGINE_COUNTERS}
     # resolved once, inside the metered window (a first-use backend load
     # or fallback counts), and named on the span as the engine that ran
-    resolved = resolve_engine(engine)
+    resolved = resolve_engine(engine, spec)
     with tel.span(
         "search.deadlock",
         engine=resolved,
@@ -284,12 +279,7 @@ def search_deadlock(
             certificates=certificates,
         )
         dur = time.perf_counter() - t0
-        # snapshot before telemetry's own engine_for below
-        after = {
-            **_counters_snapshot(),
-            **_k_counters_snapshot(),
-            **ENGINE_COUNTERS,
-        }
+        after = {**_k_counters_snapshot(), **ENGINE_COUNTERS}
         sp.set(
             verdict="reachable" if result.deadlock_reachable else "deadlock-free",
             states_explored=result.states_explored,
@@ -297,18 +287,11 @@ def search_deadlock(
         )
         if dur > 0 and result.states_explored:
             sp.set(states_per_sec=round(result.states_explored / dur, 1))
-        # per-phase profile + level widths from whichever engine ran
-        # (peeked, so the engine-cache counters stay undisturbed)
+        # per-phase profile from the kernel engine, when it ran (peeked,
+        # so the engine-cache counters stay undisturbed)
         phases: dict[str, float] = {}
-        widths: list[int] = []
         depth: int | None = None
-        if resolved == "fast":
-            feng = _peek_fast(spec)
-            if feng is not None:
-                phases = feng.phase_seconds
-                widths = feng.last_level_widths
-                depth = feng.last_search_depth
-        elif resolved == "kernel":
+        if resolved == "kernel":
             keng = _peek_kernel(spec)
             if keng is not None:
                 phases = keng.phase_seconds
@@ -322,9 +305,7 @@ def search_deadlock(
         if result.states_explored:
             for phase, seconds in phases.items():
                 if seconds > 0:
-                    tel.incr(f"{resolved}path.phase.{phase}_s", round(seconds, 6))
-            for width in widths:
-                tel.observe("search.level.width", width, engine=resolved)
+                    tel.incr(f"kernelpath.phase.{phase}_s", round(seconds, 6))
             if dur > 0:
                 tel.observe(
                     "search.states_per_sec",
@@ -415,8 +396,7 @@ def _search_deadlock_impl(
             symmetry_reduction=symmetry_reduction,
         )
     else:
-        result = _search_engine(
-            _kernel_engine_for(spec) if engine == "kernel" else _engine_for(spec),
+        result = _search_kernel(
             spec,
             max_states=max_states,
             find_witness=find_witness,
@@ -483,16 +463,15 @@ def _search_reference(
     )
 
 
-def _search_engine(
-    eng,
+def _search_kernel(
     spec: SystemSpec,
     *,
     max_states: int,
     find_witness: bool,
     symmetry_reduction: bool,
 ) -> SearchResult:
-    """Search through an optimized engine (kernel or fast: both expose the
-    same ``search`` / ``search_witness`` contract)."""
+    """Search through the compiled :class:`KernelEngine` of ``spec``."""
+    eng = _kernel_engine_for(spec)
     if not find_witness:
         reachable, explored = eng.search(
             max_states=max_states, symmetry_reduction=symmetry_reduction
@@ -504,9 +483,9 @@ def _search_engine(
             spec=spec,
         )
 
-    # witness search: index-domain BFS with bare parent pointers; the
-    # action rows are recovered for the states on the deadlock path only
-    # (see FastEngine.search_witness), so witness searches run at nearly
+    # witness search: compiled BFS with bare parent pointers; the action
+    # rows are recovered for the states on the deadlock path only (see
+    # KernelEngine.search_witness), so witness searches run at nearly
     # verdict-search speed while returning the reference's exact witness
     found, count, steps, states, dead = eng.search_witness(
         max_states=max_states, symmetry_reduction=symmetry_reduction

@@ -50,7 +50,7 @@ class RunnerConfig:
     task_timeout: float | None = None  # seconds; pool mode only
     retries: int = 1  # extra attempts after a failed/timed-out task
     backoff: float = 0.5  # seconds before the first retry wave, then doubled
-    #: search engine (kernel/fast/reference) used inside tasks; ``None``
+    #: search engine (kernel/reference) used inside tasks; ``None``
     #: defers to ``REPRO_SEARCH_ENGINE``/the default.  Execution-only
     #: (never part of task identity or the cache key): the engines are
     #: pinned bit-identical.
@@ -70,7 +70,7 @@ class RunnerConfig:
             if self.engine not in SEARCH_ENGINES:
                 raise ValueError(
                     f"unknown search engine {self.engine!r}; "
-                    "use 'kernel', 'fast' or 'reference'"
+                    "use 'kernel' or 'reference'"
                 )
 
 

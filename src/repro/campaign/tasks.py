@@ -529,7 +529,7 @@ def execute_task(
     timeouts) are the runner's concern.
 
     ``engine`` is an *execution* knob (the search engine --
-    kernel/fast/reference -- used inside a task), deliberately not a task
+    kernel or reference -- used inside a task), deliberately not a task
     parameter: the engines are pinned bit-identical by the differential
     suites, so it never enters the content hash and cached results stay
     valid whatever engine produced them.

@@ -57,7 +57,7 @@ from contextlib import contextmanager
 #: :data:`repro.analysis.reachability.SEARCH_ENGINES` (pinned equal by the
 #: tests), because importing the analysis stack here would tax the
 #: start-up of every command
-SEARCH_ENGINES = ("kernel", "fast", "reference")
+SEARCH_ENGINES = ("kernel", "reference")
 
 
 @contextmanager
@@ -147,6 +147,7 @@ def _certificate_note(code: str | None, short_circuited: bool) -> str | None:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     from repro.analysis import SystemSpec, search_deadlock
+    from repro.analysis.reachability import SearchLimitExceeded
     from repro.campaign.scenarios import build_scenario
     from repro.experiments import render_kv
 
@@ -165,12 +166,16 @@ def _cmd_search(args: argparse.Namespace) -> int:
         )
         return 2
     spec = SystemSpec.uniform(bundle.messages, budget=args.budget)
-    res = search_deadlock(
-        spec,
-        max_states=args.max_states,
-        find_witness=args.witness,
-        engine=args.search_engine,
-    )
+    try:
+        res = search_deadlock(
+            spec,
+            max_states=args.max_states,
+            find_witness=args.witness,
+            engine=args.search_engine,
+        )
+    except SearchLimitExceeded as exc:
+        print(f"search: {exc}", file=sys.stderr)
+        return 2
     verdict = "deadlock" if res.deadlock_reachable else "unreachable"
     note = _certificate_note(res.certificate, res.states_explored == 0)
 
@@ -214,6 +219,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     import json as _json
 
     from repro.analysis.classify import classify_configuration, classify_cycle
+    from repro.analysis.reachability import SearchLimitExceeded
     from repro.campaign.scenarios import build_scenario
     from repro.experiments import render_kv
 
@@ -228,16 +234,20 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
     if bundle.cycle_classify is not None:
         alg, cycle, pairs = bundle.cycle_classify
-        cls = classify_cycle(
-            alg,
-            cycle,
-            pairs=pairs,
-            length_slack=args.length_slack,
-            extra_copies=args.extra_copies,
-            budget=args.budget,
-            max_states=args.max_states,
-            engine=args.search_engine,
-        )
+        try:
+            cls = classify_cycle(
+                alg,
+                cycle,
+                pairs=pairs,
+                length_slack=args.length_slack,
+                extra_copies=args.extra_copies,
+                budget=args.budget,
+                max_states=args.max_states,
+                engine=args.search_engine,
+            )
+        except SearchLimitExceeded as exc:
+            print(f"classify: {exc}", file=sys.stderr)
+            return 2
         verdict = "deadlock" if cls.deadlock_reachable else "false-resource-cycle"
         note = _certificate_note(cls.certificate, cls.scenarios_tested == 0)
         if args.json:
@@ -276,13 +286,17 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    reachable, res = classify_configuration(
-        bundle.messages,
-        budget=args.budget,
-        length_slack=args.length_slack,
-        max_states=args.max_states,
-        engine=args.search_engine,
-    )
+    try:
+        reachable, res = classify_configuration(
+            bundle.messages,
+            budget=args.budget,
+            length_slack=args.length_slack,
+            max_states=args.max_states,
+            engine=args.search_engine,
+        )
+    except SearchLimitExceeded as exc:
+        print(f"classify: {exc}", file=sys.stderr)
+        return 2
     verdict = "deadlock" if reachable else "unreachable"
     note = _certificate_note(res.certificate, res.states_explored == 0)
     if args.json:
@@ -989,9 +1003,10 @@ def build_parser() -> argparse.ArgumentParser:
             choices=SEARCH_ENGINES,
             help="reachability search engine (default: REPRO_SEARCH_ENGINE, "
             "else the compiled 'kernel'; 'kernel' falls back loudly to "
-            "'fast' when no C compiler is available); 'reference' is the "
-            "oracle.  All engines are pinned bit-identical, so this is "
-            "purely an execution knob",
+            "'reference' when no C compiler is available or a spec has "
+            "more than 64 messages); 'reference' is the oracle.  Both "
+            "engines are pinned bit-identical, so this is purely an "
+            "execution knob",
         )
 
     def add_telemetry_flags(p: argparse.ArgumentParser) -> None:
@@ -1412,6 +1427,16 @@ def main(argv: Sequence[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
+    if os.environ.get("REPRO_STATIC_CERTIFICATES") is not None:
+        # lazy, and only when set: a fresh process without the variable
+        # loads nothing for this check
+        from repro.lint.certificates import certificates_mode
+
+        try:
+            certificates_mode()
+        except ValueError as exc:
+            print(f"error: REPRO_STATIC_CERTIFICATES: {exc}", file=sys.stderr)
+            return 2
     try:
         with _telemetry_session(args, args.command):
             return args.fn(args)

@@ -46,7 +46,7 @@ includes the concrete :class:`~repro.analysis.state.CheckerMessage` set of
 its deadlock configuration so tests can hand it back to the search engine.
 
 ``REPRO_STATIC_CERTIFICATES`` (``on`` / ``off`` / ``check``) gates the
-fast-path consumers, mirroring ``REPRO_SEARCH_ENGINE`` from the fast/
+fast-path consumers, mirroring ``REPRO_SEARCH_ENGINE`` from the kernel/
 reference search pattern: ``check`` runs both the certificate and the
 search and raises :class:`CertificateMismatch` on disagreement.
 """

@@ -30,7 +30,7 @@ CAMPAIGN_TASK_SPAN = "campaign.task"
 
 #: per-engine phase-second counters (see docs/OBSERVABILITY.md):
 #: ``<engine>path.phase.<phase>_s``
-_PHASE_COUNTER_RE = re.compile(r"^(fast|kernel)path\.phase\.(\w+)_s$")
+_PHASE_COUNTER_RE = re.compile(r"^(kernel)path\.phase\.(\w+)_s$")
 
 
 class EventStreamError(Exception):
@@ -82,12 +82,11 @@ class TelemetryReport:
     def engine_fallbacks(self) -> dict[str, float]:
         """Nonzero engine-fallback counts.
 
-        Every ``*.fallback.*`` counter: ``search.engine.fallback.fast``
-        (no compiled kernel library, so a kernel request fell back to
-        fast) and ``kernelpath.fallback.searches`` (a spec too wide for the
-        kernel, or a direct kernel engine with no library) -- searches
-        that lost their speedup.  Empty when every
-        search ran on its chosen engine.
+        Every ``*.fallback.*`` counter, today the one
+        ``search.engine.fallback.reference``: kernel requests that ran on
+        the reference engine because no compiled kernel library loaded
+        or the spec was too wide -- searches that lost their speedup.
+        Empty when every search ran on its chosen engine.
         """
         return {
             k: v for k, v in self.counters.items() if ".fallback." in k and v

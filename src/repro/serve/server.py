@@ -153,7 +153,7 @@ class ServeConfig:
     #: micro-batching window in seconds (0 = flush on next loop tick)
     window: float = 0.02
     jobs: int = 1
-    #: search engine (kernel/fast/reference) for in-task
+    #: search engine (kernel/reference) for in-task
     #: searches; None defers to REPRO_SEARCH_ENGINE / the default
     search_engine: str | None = None
     retries: int = 0

@@ -57,7 +57,7 @@ class TestSearchCommand:
         assert main(["search", "fig1", "--params", "[1]"]) == 2
         assert "JSON object" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", ["vector", "auto"])
+    @pytest.mark.parametrize("name", ["vector", "auto", "fast"])
     def test_retired_engine_names_exit_2(self, name, capsys, monkeypatch):
         # the flag is rejected by argparse, naming the valid choices
         with pytest.raises(SystemExit) as exc:
@@ -70,7 +70,47 @@ class TestSearchCommand:
         assert main(["search", "fig1"]) == 2
         err = capsys.readouterr().err
         assert f"REPRO_SEARCH_ENGINE={name!r}" in err
-        assert "kernel, fast, reference" in err
+        assert "kernel, reference" in err
+
+    def test_bad_static_certificates_env_exits_2(self, tmp_path, capsys, monkeypatch):
+        # checked up front, like REPRO_SEARCH_ENGINE: one named line, not a
+        # traceback from inside the search or an error in every task
+        monkeypatch.setenv("REPRO_STATIC_CERTIFICATES", "bogus")
+        assert main(["search", "fig1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "REPRO_STATIC_CERTIFICATES" in err and "'bogus'" in err
+        assert "on, off, check" in err
+        argv = ["campaign", "run", "--spec", "quick", "--no-progress",
+                "--cache-dir", str(tmp_path / "cache")]
+        assert main(argv) == 2
+        assert "REPRO_STATIC_CERTIFICATES" in capsys.readouterr().err
+        monkeypatch.setenv("REPRO_STATIC_CERTIFICATES", "off")
+        assert main(["search", "fig1"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "gen", "--params", '{"m": 3}', "--budget", "3",
+         "--max-states", "1000", "--json"],
+        ["classify", "fig3-panel", "--params", '{"panel": "a"}',
+         "--max-states", "10", "--json"],
+        ["classify", "fig1", "--max-states", "10"],
+    ],
+    ids=["search", "classify-cycle", "classify-configuration"],
+)
+def test_state_cap_is_a_named_failure(argv, capsys):
+    """Hitting --max-states exits 2 with one line naming the cap."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    cap = argv[argv.index("--max-states") + 1]
+    lines = [ln for ln in captured.err.splitlines() if "exceeded" in ln]
+    assert lines == [
+        f"{argv[0]}: exceeded {cap} states; tighten the scenario or raise the cap"
+    ]
+    assert "Traceback" not in captured.err
 
 
 class TestClassifyCommand:

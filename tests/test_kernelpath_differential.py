@@ -1,26 +1,28 @@
-"""Differential pin: the kernel search core is bit-identical to its peers.
+"""Differential pin: the kernel search core is bit-identical to the oracle.
 
 The compiled :class:`~repro.analysis.kernelpath.KernelEngine` -- the
 default search engine -- runs the whole BFS as one fused
 expand/arbitrate/dedup/deadlock-test loop in C (``_kernel.c``, built on
 first use).  These tests assert equivalence against the reference oracle
-and the fast fallback engine on paper-battery scenarios, and on randomly
-generated small specs three-way: identical ``deadlock_reachable``
-verdicts, identical ``states_explored`` counts (symmetry reduction on and
-off), identical :class:`SearchLimitExceeded` behaviour, and witnesses
-equal step-for-step that replay to a genuine deadlock under the
-*reference* dynamics.
+on paper-battery scenarios and on randomly generated small specs:
+identical ``deadlock_reachable`` verdicts, identical ``states_explored``
+counts (symmetry reduction on and off), identical
+:class:`SearchLimitExceeded` behaviour, and witnesses equal step-for-step
+(the kernel recovers their action labels from
+:meth:`SystemSpec.successors`) that replay to a genuine deadlock under
+the *reference* dynamics.
 
 The kernel has no per-spec width limit below ``MAX_KERNEL_MSGS``
 messages, so this suite also pins specs with more than 62 channels as
 bit-identical, and a 13-message ring's state-cap behaviour.
 
 Engine selection (a kernel request, default or named, runs compiled when
-the library loads, else falls back loudly to fast) and the cc tier's disk
-cache (self-healing a corrupt or stale library) are pinned here too.
-Tests that need the compiled library skip cleanly without a C compiler.
-The kernel's forced multi-word occupancy rows and the retired engine
-names live in ``tests/test_vectorpath_differential.py``.
+the library loads and the spec fits, else falls back loudly to the
+reference engine) and the cc tier's disk cache (self-healing a corrupt
+or stale library) are pinned here too.  Tests that need the compiled
+library skip cleanly without a C compiler.  The kernel's forced
+multi-word occupancy rows and the retired engine names live in
+``tests/test_kernel_wide_rows.py``.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from hypothesis import given, settings, strategies as st
 import repro.analysis.kernelpath as kernelpath_mod
 import repro.analysis.reachability as reachability_mod
 from repro import obs
-from repro.analysis.fastpath import engine_for
 from repro.analysis.kernelpath import (
     COUNTERS,
     KernelEngine,
@@ -60,7 +61,7 @@ from repro.analysis.state import CheckerMessage, SystemSpec
 from repro.campaign.scenarios import build_scenario
 from repro.obs import Telemetry
 
-ENGINES = ("reference", "fast", "kernel")
+ENGINES = ("reference", "kernel")
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 _HAVE_CC = kernelpath_mod._load_cc_lib() is not None
@@ -115,44 +116,41 @@ def _assert_valid_witness(spec: SystemSpec, wit: Witness) -> None:
     assert dead == wit.deadlocked
 
 
-def _three_way(spec: SystemSpec, **kw):
-    return {eng: search_deadlock(spec, engine=eng, **kw) for eng in ENGINES}
-
-
 # ----------------------------------------------------------------------
-# battery three-way differential
+# battery differential
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("label,spec", BATTERY, ids=[b[0] for b in BATTERY])
 @pytest.mark.parametrize("symmetry", [False, True], ids=["nosym", "sym"])
 def test_battery_verdicts_and_counts(label, spec, symmetry):
-    res = _three_way(spec, find_witness=False, symmetry_reduction=symmetry)
-    ref = res["reference"]
-    for eng in ("fast", "kernel"):
-        assert res[eng].deadlock_reachable == ref.deadlock_reachable, eng
-        assert res[eng].states_explored == ref.states_explored, eng
+    ref = search_deadlock(
+        spec, engine="reference", find_witness=False, symmetry_reduction=symmetry
+    )
+    got = search_deadlock(
+        spec, engine="kernel", find_witness=False, symmetry_reduction=symmetry
+    )
+    assert got.deadlock_reachable == ref.deadlock_reachable
+    assert got.states_explored == ref.states_explored
 
 
 @pytest.mark.parametrize("label,spec", BATTERY, ids=[b[0] for b in BATTERY])
 def test_battery_witness_equality_and_replay(label, spec):
-    res = _three_way(spec)
-    ref = res["reference"]
-    for eng in ("fast", "kernel"):
-        got = res[eng]
-        assert got.deadlock_reachable == ref.deadlock_reachable, eng
-        assert got.states_explored == ref.states_explored, eng
-        if not ref.deadlock_reachable:
-            assert got.witness is None and ref.witness is None
-            continue
-        assert got.witness is not None and ref.witness is not None
-        assert got.witness.steps == ref.witness.steps, eng
-        assert got.witness.states == ref.witness.states, eng
-        assert got.witness.deadlocked == ref.witness.deadlocked, eng
-        _assert_valid_witness(spec, got.witness)
+    ref = search_deadlock(spec, engine="reference")
+    got = search_deadlock(spec, engine="kernel")
+    assert got.deadlock_reachable == ref.deadlock_reachable
+    assert got.states_explored == ref.states_explored
+    if not ref.deadlock_reachable:
+        assert got.witness is None and ref.witness is None
+        return
+    assert got.witness is not None and ref.witness is not None
+    assert got.witness.steps == ref.witness.steps
+    assert got.witness.states == ref.witness.states
+    assert got.witness.deadlocked == ref.witness.deadlocked
+    _assert_valid_witness(spec, got.witness)
 
 
 @pytest.mark.parametrize("cap", [2, 10, 50])
 def test_state_cap_is_engine_independent(cap):
-    """SearchLimitExceeded parity: all three engines raise at the same count."""
+    """SearchLimitExceeded parity: both engines raise at the same count."""
     spec = BATTERY[0][1]
     outcomes = {}
     for eng in ENGINES:
@@ -163,16 +161,15 @@ def test_state_cap_is_engine_independent(cap):
             outcomes[eng] = res.states_explored
         except SearchLimitExceeded:
             outcomes[eng] = "raised"
-    for eng in ("fast", "kernel"):
-        assert outcomes[eng] == outcomes["reference"], eng
+    assert outcomes["kernel"] == outcomes["reference"]
 
 
 def test_search_engine_names():
-    """The engine set is compiled default + fallback + oracle, and the
+    """The engine set is the compiled default plus the oracle, and the
     CLI's literal copy of it (kept to spare start-up an import) matches."""
     from repro.cli import SEARCH_ENGINES as CLI_ENGINES
 
-    assert SEARCH_ENGINES == ("kernel", "fast", "reference")
+    assert SEARCH_ENGINES == ("kernel", "reference")
     assert CLI_ENGINES == SEARCH_ENGINES
 
 
@@ -204,40 +201,38 @@ def test_wide_channel_specs_bit_identical(label, ring_n, entries, run_lens, budg
     """>62-channel specs run on the kernel (multi-word occupancy masks)
     bit-identically to the reference oracle."""
     spec = _ring_spec(ring_n, entries, run_lens, budget)
-    assert engine_for(spec).num_bits > 62
+    assert KernelEngine(spec).num_bits > 62
     ref = search_deadlock(spec, engine="reference", find_witness=False)
-    for eng in ("fast", "kernel"):
-        got = search_deadlock(spec, engine=eng, find_witness=False)
-        assert got.deadlock_reachable == ref.deadlock_reachable, eng
-        assert got.states_explored == ref.states_explored, eng
+    got = search_deadlock(spec, engine="kernel", find_witness=False)
+    assert got.deadlock_reachable == ref.deadlock_reachable
+    assert got.states_explored == ref.states_explored
 
 
 def test_wide_channel_witnesses_bit_identical():
     spec = _ring_spec(70, (0, 35), (40, 40), budget=0)
     ref = search_deadlock(spec, engine="reference")
     assert ref.deadlock_reachable and ref.witness is not None
-    for eng in ("fast", "kernel"):
-        got = search_deadlock(spec, engine=eng)
-        assert got.witness is not None
-        assert got.witness.steps == ref.witness.steps, eng
-        assert got.witness.states == ref.witness.states, eng
-        assert got.witness.deadlocked == ref.witness.deadlocked, eng
-        _assert_valid_witness(spec, got.witness)
+    got = search_deadlock(spec, engine="kernel")
+    assert got.witness is not None
+    assert got.witness.steps == ref.witness.steps
+    assert got.witness.states == ref.witness.states
+    assert got.witness.deadlocked == ref.witness.deadlocked
+    _assert_valid_witness(spec, got.witness)
 
 
+@requires_cc
 def test_wide_channel_spec_no_kernel_fallback():
     """A ring whose *shared* channels alone need more than 62 bits (82
     channels in all) runs compiled: no WideSpecFallbackWarning, no
     fallback count, and the reference oracle's count and witness."""
     spec = _ring_spec(80, (0, 10), (75, 75), budget=0)
-    assert engine_for(spec).num_bits > 62
+    assert KernelEngine(spec).num_bits > 62
     ref = search_deadlock(spec, engine="reference")
-    before = COUNTERS["kernelpath.fallback.searches"]
+    before = ENGINE_COUNTERS["search.engine.fallback.reference"]
     with warnings.catch_warnings():
         warnings.simplefilter("error", WideSpecFallbackWarning)
         got = search_deadlock(spec, engine="kernel")
-    assert COUNTERS["kernelpath.fallback.searches"] == before
-    assert kernel_engine_for(spec).kernelizable
+    assert ENGINE_COUNTERS["search.engine.fallback.reference"] == before
     assert got.states_explored == ref.states_explored
     assert got.witness is not None and ref.witness is not None
     assert got.witness.steps == ref.witness.steps
@@ -245,54 +240,60 @@ def test_wide_channel_spec_no_kernel_fallback():
     _assert_valid_witness(spec, got.witness)
 
 
+@requires_cc
 def test_wide_key_spec_cap_parity():
     """A 13-message ring with every message moving at once (13-wide rows
     in the kernel's raw-row hash table, 2^13 joint choices per state)
-    hits a state cap identically on the fast and kernel engines.
+    hits a 2,000-state cap on the kernel with the reference's error.
 
     The reference engine sits this one out: its per-state joint-action
     enumeration is exponential in the 13 simultaneous movers, so it
     cannot reach even a 50-state cap in test time (its equivalence is
-    pinned on small specs by the hypothesis differential below).
+    pinned on small specs by the hypothesis differential below), and
+    without a compiled kernel the search would fall back to it.
     """
     spec = _ring_spec(13, tuple(range(13)), (4,) * 13, budget=0)
-    assert kernel_engine_for(spec).kernelizable
-    for eng in ("fast", "kernel"):
-        with pytest.raises(SearchLimitExceeded, match="2000"):
-            search_deadlock(spec, engine=eng, find_witness=False, max_states=2000)
+    with pytest.raises(SearchLimitExceeded, match="2000"):
+        search_deadlock(spec, engine="kernel", find_witness=False, max_states=2000)
 
 
 # ----------------------------------------------------------------------
 # fallback behaviour: structured warning + counters
 # ----------------------------------------------------------------------
 def test_kernel_fallback_warns_with_size_requirement(monkeypatch):
-    """A spec over MAX_KERNEL_MSGS falls back loudly: a structured
-    WideSpecFallbackWarning carrying the spec's size, plus counters.
+    """A spec over MAX_KERNEL_MSGS runs on the reference engine, loudly: a
+    structured WideSpecFallbackWarning carrying the spec's size, once per
+    process, and the fallback counter on every search.  A direct
+    KernelEngine refuses the spec by name.
 
     Shrinking the limit stands in for a 65-message spec, which the
-    fallback's own fast engine could not search in test time anyway.
+    reference engine could not search in test time anyway.
     """
     monkeypatch.setattr(kernelpath_mod, "MAX_KERNEL_MSGS", 2)
+    monkeypatch.setattr(reachability_mod, "_fallback_warned", set())
     spec = BATTERY[0][1]  # fig1: 4 messages
-    keng = KernelEngine(spec, fast=engine_for(spec))
-    assert not keng.kernelizable
-    before = COUNTERS["kernelpath.fallback.searches"]
+    num_bits = len({cid for m in spec.messages for cid in m.path})
+    before = ENGINE_COUNTERS["search.engine.fallback.reference"]
     with pytest.warns(WideSpecFallbackWarning) as rec:
-        got = keng.search()
-    assert COUNTERS["kernelpath.fallback.searches"] == before + 1
+        got = search_deadlock(spec, engine="kernel", find_witness=False)
+    assert ENGINE_COUNTERS["search.engine.fallback.reference"] == before + 1
     warning = rec[0].message
     assert warning.engine == "kernel"
     assert warning.n == 4
-    assert warning.num_bits == keng.num_bits
+    assert warning.num_bits == num_bits
     assert warning.max_msgs == 2
-    assert "4" in str(warning) and "kernel" in str(warning)
-    assert f"{keng.num_bits} channel bits" in str(warning)
-    # the fallback result is the fast engine's, bit for bit
-    assert got == engine_for(spec).search()
-    # witness fallback warns too
-    with pytest.warns(WideSpecFallbackWarning):
-        wit = keng.search_witness()
-    assert wit == engine_for(spec).search_witness()
+    assert "4" in str(warning) and "reference engine" in str(warning)
+    assert f"{num_bits} channel bits" in str(warning)
+    ref = search_deadlock(spec, engine="reference", find_witness=False)
+    assert got.states_explored == ref.states_explored
+    # the next fallback is counted but not warned about again
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", WideSpecFallbackWarning)
+        wit = search_deadlock(spec, engine="kernel")
+    assert ENGINE_COUNTERS["search.engine.fallback.reference"] == before + 2
+    assert wit.witness == search_deadlock(spec, engine="reference").witness
+    with pytest.raises(ValueError, match="1..2 messages"):
+        KernelEngine(spec)
 
 
 # ----------------------------------------------------------------------
@@ -328,7 +329,7 @@ def test_resolve_backend_none_without_library(monkeypatch):
 
 
 @requires_cc
-def test_cc_tier_matches_fast():
+def test_cc_tier_matches_reference():
     kernelpath_mod.clear_caches()
     try:
         spec = BATTERY[1][1]
@@ -337,9 +338,10 @@ def test_cc_tier_matches_fast():
         got = keng.search()
         assert keng.last_backend == "cc"
         assert COUNTERS["kernelpath.searches.cc"] == before + 1
-        assert got == engine_for(spec).search()
+        ref = search_deadlock(spec, engine="reference", find_witness=False)
+        assert got == (ref.deadlock_reachable, ref.states_explored)
         # witness path too: the C kernel returns the parent chain
-        ref = search_deadlock(spec, engine="fast")
+        ref = search_deadlock(spec, engine="reference")
         wit = search_deadlock(spec, engine="kernel")
         assert wit.witness is not None and ref.witness is not None
         assert wit.witness.steps == ref.witness.steps
@@ -347,26 +349,18 @@ def test_cc_tier_matches_fast():
         kernelpath_mod.clear_caches()
 
 
-def test_kernel_engine_without_library_delegates_to_fast(monkeypatch):
-    """A direct KernelEngine user with no compiled library gets the fast
-    engine's answers, counted as a fallback and warned about."""
+def test_kernel_engine_without_library_raises(monkeypatch):
+    """A direct KernelEngine user with no compiled library gets a named
+    error (search_deadlock decides the fallback before it builds one)."""
     monkeypatch.setattr(kernelpath_mod, "_load_cc_lib", lambda: None)
     monkeypatch.setattr(kernelpath_mod, "_cc_error", "no C compiler found (test)")
-    spec = BATTERY[1][1]
-    keng = KernelEngine(spec, fast=engine_for(spec))
-    assert keng.kernelizable
+    keng = KernelEngine(BATTERY[1][1])
     before = dict(COUNTERS)
-    with pytest.warns(RuntimeWarning, match="no C compiler found"):
-        got = keng.search()
-    with pytest.warns(RuntimeWarning, match="no C compiler found"):
-        wit = keng.search_witness()
-    assert got == engine_for(spec).search()
-    assert wit == engine_for(spec).search_witness()
-    assert (
-        COUNTERS["kernelpath.fallback.searches"]
-        == before["kernelpath.fallback.searches"] + 2
-    )
-    assert COUNTERS["kernelpath.searches.cc"] == before["kernelpath.searches.cc"]
+    with pytest.raises(RuntimeError, match="no C compiler found"):
+        keng.search()
+    with pytest.raises(RuntimeError, match="no C compiler found"):
+        keng.search_witness()
+    assert COUNTERS == before
     assert keng.last_backend is None
 
 
@@ -380,7 +374,7 @@ _STALE_ABI_C = "int rk_abi_version(void) { return 999; }\n"
 @pytest.mark.parametrize("poison", ["garbage", "stale-abi"])
 def test_cc_cache_self_heals_bad_library(poison, monkeypatch, tmp_path):
     """A corrupt (or foreign, or stale-ABI) cached library is rebuilt once
-    instead of pinning every later process to the fast-engine fallback."""
+    instead of pinning every later process to the reference fallback."""
     cache = tmp_path / "kcache"
     monkeypatch.setenv("REPRO_KERNEL_CACHE", str(cache))
     monkeypatch.setattr(kernelpath_mod, "_cc_tried", False)
@@ -424,7 +418,7 @@ def test_cc_cache_self_heals_bad_library(poison, monkeypatch, tmp_path):
 
 
 # ----------------------------------------------------------------------
-# default engine selection: kernel, else a loud fallback to fast
+# default engine selection: kernel, else a loud fallback to reference
 # ----------------------------------------------------------------------
 def test_resolve_engine_auto_prefers_kernel_when_accelerated(monkeypatch):
     """Automatic selection (no engine named) picks the compiled kernel
@@ -433,29 +427,31 @@ def test_resolve_engine_auto_prefers_kernel_when_accelerated(monkeypatch):
     if kernel_unavailable_reason() is not None:
         pytest.skip("no compiled kernel library here")
     before = dict(ENGINE_COUNTERS)
-    assert resolve_engine(None) == "kernel"
+    assert resolve_engine(None, BATTERY[0][1]) == "kernel"
     assert ENGINE_COUNTERS == before  # not a fallback
 
 
 def test_resolve_engine_auto_without_kernel(monkeypatch):
     """A kernel request without a compiled library -- the default or
-    named -- runs on fast, counted on every search, warned once per
+    named -- runs on reference, counted on every search, warned once per
     process with the reason."""
     monkeypatch.delenv("REPRO_SEARCH_ENGINE", raising=False)
     monkeypatch.setattr(
         reachability_mod, "_kernel_unavailable", lambda: "no C compiler found (test)"
     )
-    monkeypatch.setattr(reachability_mod, "_fallback_warned", False)
-    before = ENGINE_COUNTERS["search.engine.fallback.fast"]
+    monkeypatch.setattr(reachability_mod, "_fallback_warned", set())
+    spec = BATTERY[0][1]
+    before = ENGINE_COUNTERS["search.engine.fallback.reference"]
     with pytest.warns(RuntimeWarning, match="no C compiler found") as rec:
-        assert resolve_engine(None) == "fast"
-        assert resolve_engine("kernel") == "fast"
+        assert resolve_engine(None, spec) == "reference"
+        assert resolve_engine("kernel", spec) == "reference"
     assert sum(issubclass(w.category, RuntimeWarning) for w in rec) == 1
-    assert ENGINE_COUNTERS["search.engine.fallback.fast"] == before + 2
-    # the other engines are honoured as-is and never counted as a fallback
-    assert resolve_engine("fast") == "fast"
-    assert resolve_engine("reference") == "reference"
-    assert ENGINE_COUNTERS["search.engine.fallback.fast"] == before + 2
+    assert ENGINE_COUNTERS["search.engine.fallback.reference"] == before + 2
+    # a reference request is honoured as-is and never counted as a fallback
+    assert resolve_engine("reference", spec) == "reference"
+    assert ENGINE_COUNTERS["search.engine.fallback.reference"] == before + 2
+    with pytest.raises(ValueError, match="unknown search engine 'fast'"):
+        resolve_engine("fast", spec)
 
 
 def test_auto_engine_env_and_explicit_agree(monkeypatch):
@@ -499,18 +495,18 @@ def test_telemetry_names_the_engine_that_ran(monkeypatch):
     assert attrs["engine"] == "kernel"
     assert attrs["kernel_backend"] == "cc"
     assert counters.get("kernelpath.phase.kernel_s", 0) > 0
-    assert "search.engine.fallback.fast" not in counters
+    assert "search.engine.fallback.reference" not in counters
 
-    # forced fallback: the same default request is labelled fast
+    # forced fallback: the same default request is labelled reference
     monkeypatch.setattr(
         reachability_mod, "_kernel_unavailable", lambda: "no C compiler found (test)"
     )
-    monkeypatch.setattr(reachability_mod, "_fallback_warned", True)
+    monkeypatch.setattr(reachability_mod, "_fallback_warned", {RuntimeWarning})
     attrs, counters = _search_span(spec, find_witness=False)
-    assert attrs["engine"] == "fast"
+    assert attrs["engine"] == "reference"
     assert "kernel_backend" not in attrs
-    assert counters["search.engine.fallback.fast"] == 1
-    assert any(name.startswith("fastpath.phase.") for name in counters)
+    assert counters["search.engine.fallback.reference"] == 1
+    assert not any(".phase." in name for name in counters)
 
 
 @pytest.mark.parametrize(
@@ -519,7 +515,7 @@ def test_telemetry_names_the_engine_that_ran(monkeypatch):
 def test_default_engine_falls_back_loudly_without_compiler(engine_args, tmp_path):
     """No compiler and an empty kernel cache: a kernel search -- the
     default or named -- warns once naming the missing compiler, labels its
-    span ``engine=fast``, counts the fallback where ``telemetry report``
+    span ``engine=reference``, counts the fallback where ``telemetry report``
     shows it, and prints the reference oracle's answer byte for byte."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
     env.update(
@@ -536,7 +532,7 @@ def test_default_engine_falls_back_loudly_without_compiler(engine_args, tmp_path
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.count("RuntimeWarning") == 1, proc.stderr
-    assert "no-such-cc" in proc.stderr and "fast engine" in proc.stderr
+    assert "no-such-cc" in proc.stderr and "reference engine" in proc.stderr
     ref = subprocess.run(
         [*repro, "search", "fig1", "--json", "--search-engine", "reference"],
         env=env, capture_output=True, text=True, timeout=300, cwd=tmp_path,
@@ -548,7 +544,7 @@ def test_default_engine_falls_back_loudly_without_compiler(engine_args, tmp_path
         if '"search.deadlock"' in line
     ]
     ends = [e for e in spans if e["kind"] == "span_end"]
-    assert [e["attrs"]["engine"] for e in ends] == ["fast"]
+    assert [e["attrs"]["engine"] for e in ends] == ["reference"]
 
     report = subprocess.run(
         [*repro, "telemetry", "report", str(events)],
@@ -558,7 +554,7 @@ def test_default_engine_falls_back_loudly_without_compiler(engine_args, tmp_path
     line = next(
         ln for ln in report.stdout.splitlines() if "engine fallbacks" in ln
     )
-    assert "search.engine.fallback.fast=1" in line
+    assert "search.engine.fallback.reference=1" in line
 
 
 # ----------------------------------------------------------------------
@@ -572,7 +568,7 @@ def test_classify_and_delay_thread_kernel_engine():
 
     msgs = build_scenario("fig1", {}).messages
     by_engine = {}
-    for eng in ("fast", "kernel"):
+    for eng in ENGINES:
         reachable, cls_res = classify_configuration(msgs, engine=eng)
         dly = min_delay_to_deadlock(msgs, max_delay=2, engine=eng)
         by_engine[eng] = (
@@ -581,7 +577,7 @@ def test_classify_and_delay_thread_kernel_engine():
             dly.min_delay,
             {k: r.states_explored for k, r in dly.results.items()},
         )
-    assert by_engine["kernel"] == by_engine["fast"]
+    assert by_engine["kernel"] == by_engine["reference"]
 
 
 def test_execute_task_engine_knob_not_in_hash():
@@ -591,28 +587,27 @@ def test_execute_task_engine_knob_not_in_hash():
     from repro.campaign.tasks import execute_task
 
     task = next(t for t in build_spec("paper-battery") if t.kind == "reachability")
-    fast = execute_task(task, engine="fast")
+    ref = execute_task(task, engine="reference")
     for eng in (None, "kernel"):
         got = execute_task(task, engine=eng)
-        assert got.task_hash == fast.task_hash, eng
-        assert got.detail.get("states_explored") == fast.detail.get(
+        assert got.task_hash == ref.task_hash, eng
+        assert got.detail.get("states_explored") == ref.detail.get(
             "states_explored"
         ), eng
 
 
+@requires_cc
 def test_kernel_counters_move():
-    """A kernel search records whether it ran compiled or fell back."""
+    """A compiled kernel search is counted on its tier."""
     spec = BATTERY[0][1]
     before = dict(COUNTERS)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        KernelEngine(spec, fast=engine_for(spec)).search()
-    key = "kernelpath.searches.cc" if _HAVE_CC else "kernelpath.fallback.searches"
+    KernelEngine(spec).search()
+    key = "kernelpath.searches.cc"
     assert COUNTERS[key] == before[key] + 1
 
 
 # ----------------------------------------------------------------------
-# randomly generated small specs (three-way)
+# randomly generated small specs
 # ----------------------------------------------------------------------
 @st.composite
 def small_specs(draw) -> SystemSpec:
@@ -640,7 +635,7 @@ def small_specs(draw) -> SystemSpec:
 
 @settings(max_examples=25, deadline=None)
 @given(spec=small_specs(), symmetry=st.booleans())
-def test_random_specs_three_way_counts(spec, symmetry):
+def test_random_specs_two_way_counts(spec, symmetry):
     res = {}
     for eng in ENGINES:
         try:
@@ -654,20 +649,19 @@ def test_random_specs_three_way_counts(spec, symmetry):
             res[eng] = (got.deadlock_reachable, got.states_explored)
         except SearchLimitExceeded:
             res[eng] = "raised"
-    for eng in ("fast", "kernel"):
-        assert res[eng] == res["reference"], eng
+    assert res["kernel"] == res["reference"]
 
 
 @settings(max_examples=15, deadline=None)
 @given(spec=small_specs())
-def test_random_specs_three_way_witnesses(spec):
+def test_random_specs_two_way_witnesses(spec):
     ref = search_deadlock(spec, engine="reference", max_states=60_000)
-    for eng in ("fast", "kernel"):
-        got = search_deadlock(spec, engine=eng, max_states=60_000)
-        assert got.deadlock_reachable == ref.deadlock_reachable, eng
-        assert got.states_explored == ref.states_explored, eng
-        if ref.deadlock_reachable:
-            assert got.witness is not None and ref.witness is not None
-            assert got.witness.steps == ref.witness.steps, eng
-            assert got.witness.states == ref.witness.states, eng
-            _assert_valid_witness(spec, got.witness)
+    got = search_deadlock(spec, engine="kernel", max_states=60_000)
+    assert got.deadlock_reachable == ref.deadlock_reachable
+    assert got.states_explored == ref.states_explored
+    if ref.deadlock_reachable:
+        assert got.witness is not None and ref.witness is not None
+        assert got.witness.steps == ref.witness.steps
+        assert got.witness.states == ref.witness.states
+        assert got.witness.deadlocked == ref.witness.deadlocked
+        _assert_valid_witness(spec, got.witness)

@@ -76,9 +76,9 @@ class TestRender:
 
     def test_metric_names_are_sanitised(self):
         t = Telemetry()
-        t.incr("fastpath.phase.expand_s", 1.5)
+        t.incr("kernelpath.phase.kernel_s", 1.5)
         samples = parse_samples(render_prometheus(t))
-        assert "repro_fastpath_phase_expand_s_total" in samples
+        assert "repro_kernelpath_phase_kernel_s_total" in samples
 
 
 class TestChecker:
