@@ -27,7 +27,8 @@ Scenarios (all search-bound; the flit-level simulator is out of scope):
                    (Figure 1 plus one interposed copy).
 ``fig1-copies``    six messages (two copies) -- the largest Fig. 1 search.
 ``fig1-b1``        budget 1: the deadlock-positive early-exit search.
-``fig1-delay``     the two-phase ``min_delay_to_deadlock`` sweep on Fig. 1.
+``fig1-delay``     the ``min_delay_to_deadlock`` sweep on Fig. 1 (one
+                   witness-mode search per budget).
 ``gen2-delay``     the Section 6 ``Gen(2)`` delay sweep (the paper
                    battery's dominant search task).
 ``battery-search`` every search-bound task (reachability / classify /

@@ -14,6 +14,12 @@
  * with more than 62 channels need no fallback; message count is bounded
  * by the single uint64 `pending` bitmask (n <= 64).
  *
+ * The visited set is an open-addressing table of 64-bit slots, each a
+ * 32-bit hash tag plus a key index; the keys themselves are the BFS
+ * arena's rows (or, with symmetry reduction, a parallel store of
+ * canonical rows), so every state is stored once.  A search that would
+ * need more than 2^32 slots (2^31 states) ends in RK_OOM.
+ *
  * The file is self-contained C99 with no dependencies beyond libc; the
  * Python side compiles it once per toolchain into a disk-cached shared
  * library and calls rk_search through ctypes.
@@ -72,18 +78,24 @@ static inline int mw_intersects(const uint64_t *a, const uint64_t *b, int32_t W)
 
 typedef struct {
     int32_t *cfg;      /* size * n per-message state indices            */
+    int32_t *key;      /* size * n canonical rows (symmetry reduction)  */
     int64_t *parent;   /* size (only when tracking parents)             */
     int64_t size;
     int64_t cap;
 } rk_arena;
 
-static int arena_reserve(rk_arena *a, int64_t need, int32_t n, int track) {
+static int arena_reserve(rk_arena *a, int64_t need, int32_t n, int track, int canon) {
     if (need <= a->cap) return 1;
     int64_t cap = a->cap ? a->cap : 1024;
     while (cap < need) cap *= 2;
     int32_t *cfg = (int32_t *)realloc(a->cfg, (size_t)cap * n * sizeof(int32_t));
     if (!cfg) return 0;
     a->cfg = cfg;
+    if (canon) {
+        int32_t *key = (int32_t *)realloc(a->key, (size_t)cap * n * sizeof(int32_t));
+        if (!key) return 0;
+        a->key = key;
+    }
     if (track) {
         int64_t *par = (int64_t *)realloc(a->parent, (size_t)cap * sizeof(int64_t));
         if (!par) return 0;
@@ -94,82 +106,99 @@ static int arena_reserve(rk_arena *a, int64_t need, int32_t n, int track) {
 }
 
 /* ------------------------------------------------------------------ */
-/* visited hash set (open addressing over int32 rows)                  */
+/* row hash                                                            */
 /* ------------------------------------------------------------------ */
 
+/* Word-wise multiply-xorshift over an index row: two int32 entries per
+ * 64-bit word (an odd tail entry as a half word), a final multiply so
+ * the high bits -- slot position and tag -- depend on every entry. */
+static inline uint64_t row_hash(const int32_t *row, int32_t n) {
+    uint64_t h = 0x9e3779b97f4a7c15ULL ^ (uint64_t)n;
+    int32_t i = 0;
+    for (; i + 2 <= n; i += 2) {
+        uint64_t w;
+        memcpy(&w, row + i, sizeof(w));
+        h = (h ^ w) * 0xbf58476d1ce4e5b9ULL;
+        h ^= h >> 32;
+    }
+    if (i < n) {
+        h = (h ^ (uint32_t)row[i]) * 0xbf58476d1ce4e5b9ULL;
+        h ^= h >> 32;
+    }
+    return h * 0x94d049bb133111ebULL;
+}
+
+/* ------------------------------------------------------------------ */
+/* visited hash set: tagged slots over rows stored elsewhere           */
+/* ------------------------------------------------------------------ */
+
+/* Each slot is (tag << 32) | (index + 1), 0 when empty: the tag is the
+ * hash's high 32 bits, the slot position its top `lg` bits.  A probe
+ * reads a key row only when the tags match, and growth re-places slots
+ * from their tags without touching the keys.  Positions come from the
+ * tag, so the table stops at 2^32 slots; at load 1/2 that caps a search
+ * at 2^31 states, well inside the 32-bit index. */
 typedef struct {
-    int64_t *slots;    /* index into key arena, -1 empty                */
-    int64_t nslots;    /* power of two                                  */
-    int32_t *keys;     /* used * n                                      */
+    uint64_t *slots;
+    int64_t nslots;    /* 2^lg */
+    int32_t lg;
     int64_t used;
-    int64_t keycap;
 } rk_set;
 
-static uint64_t row_hash(const int32_t *row, int32_t n) {
-    /* FNV-1a over the row bytes, finalized with a xor-shift mix */
-    uint64_t h = 1469598103934665603ULL;
-    const uint8_t *p = (const uint8_t *)row;
-    for (size_t i = 0; i < (size_t)n * sizeof(int32_t); i++) {
-        h ^= p[i];
-        h *= 1099511628211ULL;
-    }
-    h ^= h >> 33;
-    h *= 0xff51afd7ed558ccdULL;
-    h ^= h >> 33;
-    return h;
-}
-
-static int set_init(rk_set *s, int64_t nslots) {
-    s->nslots = nslots;
-    s->slots = (int64_t *)malloc((size_t)nslots * sizeof(int64_t));
-    if (!s->slots) return 0;
-    memset(s->slots, 0xff, (size_t)nslots * sizeof(int64_t));
-    s->keys = NULL;
+static int set_init(rk_set *s, int32_t lg) {
+    s->lg = lg;
+    s->nslots = (int64_t)1 << lg;
     s->used = 0;
-    s->keycap = 0;
-    return 1;
+    s->slots = (uint64_t *)calloc((size_t)s->nslots, sizeof(uint64_t));
+    return s->slots != NULL;
 }
 
-static void set_free(rk_set *s) {
-    free(s->slots);
-    free(s->keys);
-}
-
-static int set_grow(rk_set *s, int32_t n) {
-    int64_t nslots = s->nslots * 2;
-    int64_t *slots = (int64_t *)malloc((size_t)nslots * sizeof(int64_t));
+static int set_grow(rk_set *s) {
+    if (s->lg >= 32) return 0;
+    int32_t lg = s->lg + 1;
+    int64_t nslots = (int64_t)1 << lg;
+    uint64_t *slots = (uint64_t *)calloc((size_t)nslots, sizeof(uint64_t));
     if (!slots) return 0;
-    memset(slots, 0xff, (size_t)nslots * sizeof(int64_t));
-    for (int64_t k = 0; k < s->used; k++) {
-        uint64_t h = row_hash(s->keys + k * n, n) & (uint64_t)(nslots - 1);
-        while (slots[h] >= 0) h = (h + 1) & (uint64_t)(nslots - 1);
-        slots[h] = k;
+    const uint64_t mask = (uint64_t)nslots - 1;
+    for (int64_t k = 0; k < s->nslots; k++) {
+        uint64_t e = s->slots[k];
+        if (!e) continue;
+        uint64_t p = (e >> 32) >> (32 - lg);
+        while (slots[p]) p = (p + 1) & mask;
+        slots[p] = e;
     }
     free(s->slots);
     s->slots = slots;
     s->nslots = nslots;
+    s->lg = lg;
     return 1;
 }
 
-/* insert row if absent; returns 1 inserted, 0 present, -1 OOM */
-static int set_add(rk_set *s, const int32_t *row, int32_t n) {
-    if ((s->used + 1) * 2 >= s->nslots && !set_grow(s, n)) return -1;
-    uint64_t h = row_hash(row, n) & (uint64_t)(s->nslots - 1);
-    while (s->slots[h] >= 0) {
-        if (memcmp(s->keys + s->slots[h] * n, row, (size_t)n * sizeof(int32_t)) == 0)
+/* 1 when `row` (hash h) is among `keys`; else 0, with *at the empty slot
+ * where it belongs */
+static inline int set_find(const rk_set *s, const int32_t *keys, const int32_t *row,
+                           int32_t n, uint64_t h, int64_t *at) {
+    const uint64_t mask = (uint64_t)s->nslots - 1;
+    const uint64_t tag = h >> 32;
+    uint64_t p = h >> (64 - s->lg);
+    for (;;) {
+        uint64_t e = s->slots[p];
+        if (!e) {
+            *at = (int64_t)p;
             return 0;
-        h = (h + 1) & (uint64_t)(s->nslots - 1);
+        }
+        if ((e >> 32) == tag &&
+            memcmp(keys + ((e & 0xffffffffULL) - 1) * n, row,
+                   (size_t)n * sizeof(int32_t)) == 0)
+            return 1;
+        p = (p + 1) & mask;
     }
-    if (s->used >= s->keycap) {
-        int64_t cap = s->keycap ? s->keycap * 2 : 4096;
-        int32_t *keys = (int32_t *)realloc(s->keys, (size_t)cap * n * sizeof(int32_t));
-        if (!keys) return -1;
-        s->keys = keys;
-        s->keycap = cap;
-    }
-    memcpy(s->keys + s->used * n, row, (size_t)n * sizeof(int32_t));
-    s->slots[h] = s->used++;
-    return 1;
+}
+
+/* record key index `used` (hash h) in the empty slot `at` from set_find */
+static inline void set_place(rk_set *s, int64_t at, uint64_t h) {
+    s->slots[at] = (h & 0xffffffff00000000ULL) | (uint64_t)(s->used + 1);
+    s->used++;
 }
 
 /* ------------------------------------------------------------------ */
@@ -177,21 +206,25 @@ static int set_add(rk_set *s, const int32_t *row, int32_t n) {
 /* ------------------------------------------------------------------ */
 
 typedef struct {
-    int64_t *slots;
-    int64_t nslots;
+    int64_t *slots;    /* entry index, -1 empty                         */
+    int64_t nslots;    /* 2^lg                                          */
+    int32_t lg;
     int32_t *cfg;      /* used * n                                      */
     uint64_t *pend;    /* used                                          */
+    int64_t *pos;      /* used: the slot each entry fills (for reset)   */
     int64_t used;
     int64_t cap;
 } rk_nodeset;
 
-static int nodeset_init(rk_nodeset *s, int64_t nslots) {
-    s->nslots = nslots;
-    s->slots = (int64_t *)malloc((size_t)nslots * sizeof(int64_t));
+static int nodeset_init(rk_nodeset *s, int32_t lg) {
+    s->lg = lg;
+    s->nslots = (int64_t)1 << lg;
+    s->slots = (int64_t *)malloc((size_t)s->nslots * sizeof(int64_t));
     if (!s->slots) return 0;
-    memset(s->slots, 0xff, (size_t)nslots * sizeof(int64_t));
+    memset(s->slots, 0xff, (size_t)s->nslots * sizeof(int64_t));
     s->cfg = NULL;
     s->pend = NULL;
+    s->pos = NULL;
     s->used = 0;
     s->cap = 0;
     return 1;
@@ -201,43 +234,49 @@ static void nodeset_free(rk_nodeset *s) {
     free(s->slots);
     free(s->cfg);
     free(s->pend);
+    free(s->pos);
 }
 
+/* per-root reset: empty only the slots this root filled */
 static void nodeset_reset(rk_nodeset *s) {
-    /* cheap per-root reset: the slot table is only cleared when it was
-     * touched (the common node expands without ever branching twice) */
-    if (s->used)
-        memset(s->slots, 0xff, (size_t)s->nslots * sizeof(int64_t));
+    for (int64_t k = 0; k < s->used; k++) s->slots[s->pos[k]] = -1;
     s->used = 0;
 }
 
+static inline uint64_t node_hash(const int32_t *row, uint64_t pend, int32_t n) {
+    return row_hash(row, n) ^ (pend * 0x9e3779b97f4a7c15ULL);
+}
+
 static int nodeset_grow(rk_nodeset *s, int32_t n) {
-    int64_t nslots = s->nslots * 2;
+    int32_t lg = s->lg + 1;
+    int64_t nslots = (int64_t)1 << lg;
     int64_t *slots = (int64_t *)malloc((size_t)nslots * sizeof(int64_t));
     if (!slots) return 0;
     memset(slots, 0xff, (size_t)nslots * sizeof(int64_t));
+    const uint64_t mask = (uint64_t)nslots - 1;
     for (int64_t k = 0; k < s->used; k++) {
-        uint64_t h = (row_hash(s->cfg + k * n, n) ^ (s->pend[k] * 0x9e3779b97f4a7c15ULL))
-                     & (uint64_t)(nslots - 1);
-        while (slots[h] >= 0) h = (h + 1) & (uint64_t)(nslots - 1);
-        slots[h] = k;
+        uint64_t p = node_hash(s->cfg + k * n, s->pend[k], n) >> (64 - lg);
+        while (slots[p] >= 0) p = (p + 1) & mask;
+        slots[p] = k;
+        s->pos[k] = (int64_t)p;
     }
     free(s->slots);
     s->slots = slots;
     s->nslots = nslots;
+    s->lg = lg;
     return 1;
 }
 
 static int nodeset_add(rk_nodeset *s, const int32_t *row, uint64_t pend, int32_t n) {
     if ((s->used + 1) * 2 >= s->nslots && !nodeset_grow(s, n)) return -1;
-    uint64_t h = (row_hash(row, n) ^ (pend * 0x9e3779b97f4a7c15ULL))
-                 & (uint64_t)(s->nslots - 1);
-    while (s->slots[h] >= 0) {
-        int64_t k = s->slots[h];
+    const uint64_t mask = (uint64_t)s->nslots - 1;
+    uint64_t p = node_hash(row, pend, n) >> (64 - s->lg);
+    while (s->slots[p] >= 0) {
+        int64_t k = s->slots[p];
         if (s->pend[k] == pend &&
             memcmp(s->cfg + k * n, row, (size_t)n * sizeof(int32_t)) == 0)
             return 0;
-        h = (h + 1) & (uint64_t)(s->nslots - 1);
+        p = (p + 1) & mask;
     }
     if (s->used >= s->cap) {
         int64_t cap = s->cap ? s->cap * 2 : 1024;
@@ -247,11 +286,15 @@ static int nodeset_add(rk_nodeset *s, const int32_t *row, uint64_t pend, int32_t
         uint64_t *pendarr = (uint64_t *)realloc(s->pend, (size_t)cap * sizeof(uint64_t));
         if (!pendarr) return -1;
         s->pend = pendarr;
+        int64_t *posarr = (int64_t *)realloc(s->pos, (size_t)cap * sizeof(int64_t));
+        if (!posarr) return -1;
+        s->pos = posarr;
         s->cap = cap;
     }
     memcpy(s->cfg + s->used * n, row, (size_t)n * sizeof(int32_t));
     s->pend[s->used] = pend;
-    s->slots[h] = s->used++;
+    s->pos[s->used] = (int64_t)p;
+    s->slots[p] = s->used++;
     return 1;
 }
 
@@ -307,7 +350,7 @@ typedef struct {
     int32_t ncls;            /* symmetry classes (canonicalization)     */
     const int32_t *cls_off;  /* ncls+1 offsets into cls_cols            */
     const int32_t *cls_cols;
-    int use_canon;
+    int canon;               /* symmetry-reduce: keys are canonical rows */
     int64_t max_states;
     int track;
 
@@ -336,8 +379,9 @@ typedef struct {
 
 static void ctx_free(rk_ctx *c) {
     free(c->arena.cfg);
+    free(c->arena.key);
     free(c->arena.parent);
-    set_free(&c->visited);
+    free(c->visited.slots);
     nodeset_free(&c->seen);
     free(c->stack.cfg); free(c->stack.pend); free(c->stack.mask); free(c->stack.fix);
     free(c->kids.cfg); free(c->kids.pend); free(c->kids.mask); free(c->kids.fix);
@@ -353,8 +397,8 @@ static int ctx_alloc(rk_ctx *c) {
     memset(&c->arena, 0, sizeof(c->arena));
     memset(&c->stack, 0, sizeof(c->stack));
     memset(&c->kids, 0, sizeof(c->kids));
-    if (!set_init(&c->visited, 1 << 14)) return 0;
-    if (!nodeset_init(&c->seen, 1 << 10)) return 0;
+    if (!set_init(&c->visited, 14)) return 0;
+    if (!nodeset_init(&c->seen, 10)) return 0;
     c->keybuf = (int32_t *)malloc((size_t)n * sizeof(int32_t));
     c->wait_to = (int32_t *)malloc((size_t)n * sizeof(int32_t));
     c->movers = (int32_t *)malloc((size_t)n * sizeof(int32_t));
@@ -390,7 +434,7 @@ static int ctx_alloc(rk_ctx *c) {
 
 /* canonicalize cur into keybuf: sort values within each symmetry class */
 static const int32_t *canon_key(rk_ctx *c, const int32_t *cur) {
-    if (!c->use_canon || c->ncls == 0) return cur;
+    if (!c->canon) return cur;
     memcpy(c->keybuf, cur, (size_t)c->n * sizeof(int32_t));
     for (int32_t t = 0; t < c->ncls; t++) {
         int32_t lo = c->cls_off[t], hi = c->cls_off[t + 1];
@@ -436,19 +480,34 @@ static int is_deadlocked(rk_ctx *c, const int32_t *cur, const uint64_t *mask) {
     return 0;
 }
 
+/* append a new state to the arena (its key row too, when canonical) and
+ * record it in the visited set at the empty slot `at` */
+static int visit(rk_ctx *c, const int32_t *cur, const int32_t *key, uint64_t h,
+                 int64_t at, int64_t root) {
+    const int32_t n = c->n;
+    rk_arena *a = &c->arena;
+    if (!arena_reserve(a, a->size + 1, n, c->track, c->canon)) return 0;
+    memcpy(a->cfg + a->size * n, cur, (size_t)n * sizeof(int32_t));
+    if (c->canon) memcpy(a->key + a->size * n, key, (size_t)n * sizeof(int32_t));
+    if (c->track) a->parent[a->size] = root;
+    a->size++;
+    set_place(&c->visited, at, h); /* key index == arena slot */
+    return 1;
+}
+
 /* emit one expansion leaf: fused visited-dedup, count/cap, deadlock.
  * Returns RK_NOT_FOUND to continue, RK_FOUND/RK_LIMIT/RK_OOM to stop. */
 static int emit(rk_ctx *c, const int32_t *cur, const uint64_t *mask, int64_t root) {
     const int32_t *key = canon_key(c, cur);
-    int added = set_add(&c->visited, key, c->n);
-    if (added < 0) return RK_OOM;
-    if (!added) return RK_NOT_FOUND; /* duplicate: never counted */
+    rk_set *vis = &c->visited;
+    if ((vis->used + 1) * 2 >= vis->nslots && !set_grow(vis)) return RK_OOM;
+    uint64_t h = row_hash(key, c->n);
+    int64_t at;
+    const int32_t *keys = c->canon ? c->arena.key : c->arena.cfg;
+    if (set_find(vis, keys, key, c->n, h, &at)) return RK_NOT_FOUND; /* never counted */
     c->count++;
     if (c->count > c->max_states) return RK_LIMIT;
-    if (!arena_reserve(&c->arena, c->arena.size + 1, c->n, c->track)) return RK_OOM;
-    memcpy(c->arena.cfg + c->arena.size * c->n, cur, (size_t)c->n * sizeof(int32_t));
-    if (c->track) c->arena.parent[c->arena.size] = root;
-    c->arena.size++;
+    if (!visit(c, cur, key, h, at, root)) return RK_OOM;
     if (is_deadlocked(c, cur, mask)) return RK_FOUND;
     return RK_NOT_FOUND;
 }
@@ -743,7 +802,7 @@ RK_EXPORT int rk_search(
     c.acq0 = acq0; c.rel0 = rel0; c.nxt1 = nxt1; c.wait1 = wait1;
     c.occ = occ; c.blk_ch = blk_ch;
     c.ncls = ncls; c.cls_off = cls_off; c.cls_cols = cls_cols;
-    c.use_canon = use_canon;
+    c.canon = use_canon && ncls > 0;
     c.max_states = max_states;
     c.track = track_parents;
     c.count = 1; /* the initial state */
@@ -754,11 +813,11 @@ RK_EXPORT int rk_search(
 
     int status = RK_OOM;
     if (!ctx_alloc(&c)) goto done;
-    if (!arena_reserve(&c.arena, 1, n, c.track)) goto done;
-    memcpy(c.arena.cfg, init_cfg, (size_t)n * sizeof(int32_t));
-    if (c.track) c.arena.parent[0] = -1;
-    c.arena.size = 1;
-    if (set_add(&c.visited, canon_key(&c, init_cfg), n) < 0) goto done;
+    const int32_t *key0 = canon_key(&c, init_cfg);
+    uint64_t h0 = row_hash(key0, n);
+    /* the set is empty: the initial state takes its home slot */
+    if (!visit(&c, init_cfg, key0, h0, (int64_t)(h0 >> (64 - c.visited.lg)), -1))
+        goto done;
 
     int64_t head = 0, boundary = 1, depth = 0;
     status = RK_NOT_FOUND;

@@ -5,7 +5,8 @@ assumption; delaying messages in flight can complete the cycle.  Section 6
 constructs networks requiring at least ``m`` cycles of adversarial delay
 before deadlock is possible.  :func:`min_delay_to_deadlock` measures that
 threshold exactly by sweeping the per-message stall budget through the
-exhaustive search, and :func:`delay_tolerance_profile` produces the
+exhaustive search -- one search per budget, and a witness for the
+deadlocking one -- and :func:`delay_tolerance_profile` produces the
 ``m -> Δ*(m)`` series reproduced by the generalisation benchmark.
 """
 
@@ -14,7 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Callable, Sequence
 
-from repro.analysis.reachability import SearchResult, search_deadlock
+from repro.analysis.reachability import (
+    SearchResult,
+    _symmetry_canonicalizer,
+    search_deadlock,
+)
 from repro.analysis.state import CheckerMessage, SystemSpec
 
 
@@ -44,28 +49,31 @@ def min_delay_to_deadlock(
     Deadlock reachability is monotone in the budget (a larger budget only
     adds adversary options), so the sweep stops at the first reachable Δ.
 
-    The sweep runs in two phases: every budget is first decided with a
-    verdict-only search (symmetry reduction on, parent pointers off), and
-    only the single deadlocking budget is re-searched in witness mode so
-    ``results[min_delay].witness`` replays exactly as before.  The negative
-    budgets dominate the sweep cost, so skipping their parent maps and
-    deduplicating identical-message permutations is the big win here;
-    their entries report the (smaller) symmetry-reduced state counts.
+    When every message is distinct (no symmetry class, the Section 6
+    ``Gen(m)`` networks and Figure 1), symmetry reduction changes nothing,
+    so a verdict search and a witness search explore the same states.
+    Each budget is then searched once, in witness mode, and
+    ``results[min_delay].witness`` comes from the pass that decided the
+    budget.  Specs with identical messages keep two phases: every budget
+    is decided by a symmetry-reduced verdict-only search, whose entries
+    report the (smaller) reduced state counts, and only the deadlocking
+    budget is searched again in witness mode (symmetry off, so the action
+    rows name the same message copies as a plain witness search).
     """
     results: dict[int, SearchResult] = {}
     for delta in range(max_delay + 1):
         spec = SystemSpec.uniform(messages, budget=delta)
+        one_pass = _symmetry_canonicalizer(spec) is None
         res = search_deadlock(
             spec,
             max_states=max_states,
-            find_witness=False,
+            find_witness=one_pass,
             engine=engine,
         )
         if res.deadlock_reachable:
-            # witness pass: identical to the pre-two-phase search at this
-            # budget (witness mode, no symmetry reduction), so downstream
-            # replay consumers see an unchanged trace
-            results[delta] = search_deadlock(spec, max_states=max_states, engine=engine)
+            if not one_pass:
+                res = search_deadlock(spec, max_states=max_states, engine=engine)
+            results[delta] = res
             return DelayResult(min_delay=delta, max_delay_tested=delta, results=results)
         results[delta] = res
     return DelayResult(min_delay=None, max_delay_tested=max_delay, results=results)

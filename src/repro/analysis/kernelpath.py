@@ -21,8 +21,12 @@ through :mod:`ctypes`:
   none) and occupancy masks are ``W``-word ``uint64`` arrays -- specs with
   more than 62 channels need no fallback;
 * the visited store is an open-addressing hash over raw index rows --
-  no packed key, so no key-width limit.  Only the per-state ``pending``
-  bitmask bounds the engine: ``1 <= n <= MAX_KERNEL_MSGS`` messages.
+  no packed key, so no key-width limit.  Its slots hold a hash tag and
+  the index of a BFS arena row, so each state is stored once.  Only the
+  per-state ``pending`` bitmask bounds the engine:
+  ``1 <= n <= MAX_KERNEL_MSGS`` messages.  A search the C side cannot
+  store (an allocation fails, or past 2**31 states) raises
+  :class:`~repro.analysis.reachability.KernelOutOfMemory`.
 
 The loop is ``_kernel.c`` (same directory), compiled on first use with the
 system C compiler (``REPRO_CC`` names one) into a shared library cached on
@@ -554,8 +558,10 @@ class KernelEngine:
             from repro.analysis.reachability import SearchLimitExceeded
 
             raise SearchLimitExceeded(_LIMIT_MSG.format(max_states=max_states))
-        if status == _STATUS_OOM:  # pragma: no cover - allocator exhaustion
-            raise MemoryError("kernel search ran out of memory")
+        if status == _STATUS_OOM:
+            from repro.analysis.reachability import KernelOutOfMemory
+
+            raise KernelOutOfMemory(int(out_count.value))
         return int(status), int(out_count.value), int(out_depth.value), chain
 
     # ------------------------------------------------------------------

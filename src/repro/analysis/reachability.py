@@ -85,6 +85,22 @@ class SearchLimitExceeded(RuntimeError):
     """The search hit its state cap before finishing -- result unknown."""
 
 
+class KernelOutOfMemory(SearchLimitExceeded):
+    """The compiled kernel could not grow its search storage -- result unknown.
+
+    A limit like the state cap, so callers that report a cap hit (the
+    ``search``/``classify`` commands exit 2 with one line) report this
+    the same way.  ``states_explored`` is the partial count at the stop.
+    """
+
+    def __init__(self, states_explored: int) -> None:
+        self.states_explored = states_explored
+        super().__init__(
+            f"kernel search ran out of memory after {states_explored} states; "
+            "tighten the scenario or lower the cap"
+        )
+
+
 @dataclass
 class Witness:
     """A replayable path from the empty network to a deadlock state.

@@ -113,6 +113,47 @@ def test_state_cap_is_a_named_failure(argv, capsys):
     assert "Traceback" not in captured.err
 
 
+class _OutOfMemoryLib:
+    """A stand-in compiled kernel whose every search reports RK_OOM after
+    exploring 1234 states."""
+
+    def rk_search(self, *args):
+        from repro.analysis.kernelpath import _STATUS_OOM
+
+        args[20]._obj.value = 1234  # out_count, passed by reference
+        return _STATUS_OOM
+
+    def rk_free(self, ptr):  # pragma: no cover - no chain on OOM
+        pass
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "gen", "--params", '{"m": 1}', "--budget", "1"],
+        ["search", "gen", "--params", '{"m": 1}', "--budget", "1", "--witness"],
+        ["classify", "fig1", "--json"],
+    ],
+    ids=["search", "search-witness", "classify-configuration"],
+)
+def test_kernel_out_of_memory_is_a_named_failure(argv, capsys, monkeypatch):
+    """The kernel's out-of-memory status exits 2 with one line carrying the
+    partial state count, like a state-cap hit."""
+    import repro.analysis.kernelpath as kernelpath_mod
+    from repro.analysis.reachability import KernelOutOfMemory, SearchLimitExceeded
+
+    assert issubclass(KernelOutOfMemory, SearchLimitExceeded)
+    monkeypatch.setenv("REPRO_STATIC_CERTIFICATES", "off")
+    monkeypatch.setattr(kernelpath_mod, "_load_cc_lib", lambda: _OutOfMemoryLib())
+    assert main(argv + ["--search-engine", "kernel"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"{argv[0]}: kernel search ran out of memory after 1234 states; "
+        "tighten the scenario or lower the cap"
+    ]
+
+
 class TestClassifyCommand:
     def test_cycle_mode_certificate(self, capsys):
         assert main(["classify", "ring-cycle", "--params", '{"n": 4}']) == 0

@@ -78,18 +78,26 @@ def _certificates_off(monkeypatch):
 
 
 def _battery_specs() -> list[tuple[str, SystemSpec]]:
-    """Small paper-battery scenarios spanning both verdicts."""
+    """Small paper-battery scenarios spanning both verdicts, and the row
+    shapes of the kernel's dedup layer: 3 and 5 messages hash an odd
+    tail entry, and the five-message spec's identical pair (Figure 1
+    plus an M2 copy) keys a symmetry-reduced search by a separate store
+    of canonical rows."""
     fig1 = build_scenario("fig1", {}).messages
     gen1 = build_scenario("gen", {"m": 1}).messages
     overlap = build_scenario(
         "theorem2-overlap", {"ring_n": 6, "entries": (0, 3), "run_lens": (4, 4)}
     ).messages
+    five = fig1 + [CheckerMessage(fig1[1].path, fig1[1].length, "M2copy")]
+    three = build_scenario("fig3-panel", {"panel": "a"}).messages
     return [
         ("fig1-b0", SystemSpec.uniform(fig1, budget=0)),  # unreachable
         ("fig1-b1", SystemSpec.uniform(fig1, budget=1)),  # deadlock
         ("gen1-b0", SystemSpec.uniform(gen1, budget=0)),
         ("gen1-b1", SystemSpec.uniform(gen1, budget=1)),
         ("thm2-overlap-b0", SystemSpec.uniform(overlap, budget=0)),
+        ("five-b0", SystemSpec.uniform(five, budget=0)),
+        ("fig3a-b1", SystemSpec.uniform(three, budget=1)),
     ]
 
 
@@ -146,6 +154,30 @@ def test_battery_witness_equality_and_replay(label, spec):
     assert got.witness.states == ref.witness.states
     assert got.witness.deadlocked == ref.witness.deadlocked
     _assert_valid_witness(spec, got.witness)
+
+
+# ----------------------------------------------------------------------
+# dedup-layer stress: visited-set growth (row shapes: see BATTERY)
+# ----------------------------------------------------------------------
+GEN3_COUNTS = {0: 4892, 1: 52211, 2: 239506, 3: 454725}
+
+
+@requires_cc
+@pytest.mark.parametrize("find_witness", [False, True], ids=["verdict", "witness"])
+def test_gen3_counts_through_many_set_growths(find_witness):
+    """Gen(3)'s per-budget counts (the battery's Δ* sweep sums them to
+    751,334): the visited set grows six times, from 2^14 to 2^20 slots."""
+    msgs = build_scenario("gen", {"m": 3}).messages
+    got = {}
+    for budget in GEN3_COUNTS:
+        res = search_deadlock(
+            SystemSpec.uniform(msgs, budget=budget),
+            engine="kernel",
+            find_witness=find_witness,
+        )
+        assert res.deadlock_reachable == (budget == 3)
+        got[budget] = res.states_explored
+    assert got == GEN3_COUNTS
 
 
 @pytest.mark.parametrize("cap", [2, 10, 50])
