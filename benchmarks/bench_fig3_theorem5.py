@@ -9,8 +9,10 @@ configuration sweep.
 import pytest
 
 from benchmarks.conftest import emit
+from repro.campaign.specs import fig3_panel_tasks
+from repro.campaign.tasks import execute_task
 from repro.experiments import render_table
-from repro.experiments.fig3 import classify_panel, run_condition_sweep, run_fig3_experiment
+from repro.experiments.fig3 import run_condition_sweep, run_fig3_experiment
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +46,6 @@ def test_benchmark_panel_classification(benchmark, panels):
     emit(render_table([r.row() for r in panels], title="E3: Figure 3 / Theorem 5 panels"))
     for r in panels:
         assert r.search_matches_paper and r.conditions_match_search, r.panel
-    res = benchmark.pedantic(
-        classify_panel, args=("e",), rounds=1, iterations=1
-    )
-    assert not res.search_unreachable
+    (panel_e,) = [t for t in fig3_panel_tasks() if t.params_dict()["panel"] == "e"]
+    res = benchmark.pedantic(execute_task, args=(panel_e,), rounds=1, iterations=1)
+    assert res.ok and res.verdict == "deadlock"

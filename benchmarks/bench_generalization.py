@@ -9,15 +9,14 @@ import pytest
 
 from benchmarks.conftest import emit
 from repro.analysis.delay import min_delay_to_deadlock
-from repro.campaign.adapters import generalization_via_campaign
 from repro.core.generalized import generalized_messages
-from repro.experiments import render_table
+from repro.experiments import render_table, run_generalization_experiment
 
 
 @pytest.fixture(scope="module")
 def result():
     # the campaign runner fans the per-m searches out across processes
-    return generalization_via_campaign((1, 2, 3), jobs=3)
+    return run_generalization_experiment((1, 2, 3), jobs=3)
 
 
 def test_delay_grows_linearly(result):

@@ -13,28 +13,28 @@ re-run (or a later ``python -m repro campaign run --spec paper-battery``,
 which issues the identical tasks) is instant.
 
 Run:  python examples/generalization_sweep.py [max_m] [--jobs N] [--cache-dir D]
-(m = 3 takes about a minute cold; each further step is several times slower)
+(m = 3 takes well under a second cold; each further step is about four
+times slower)
 """
 
 import argparse
+import time
 
-from repro.campaign.adapters import run_tasks
 from repro.campaign.specs import gen_tasks
 from repro.core.generalized import build_generalized
+from repro.experiments.grid import run_grid
 from repro.viz import ascii_chart
 
 
 def main(max_m: int = 3, *, jobs: int = 1, cache_dir: str | None = None):
+    t0 = time.perf_counter()
     tasks = gen_tasks(tuple(range(1, max_m + 1)))
-    results, summary = run_tasks(
-        tasks, jobs=jobs, cache_dir=cache_dir, spec_name="gen-example"
-    )
+    results = run_grid(tasks, jobs=jobs, cache_dir=cache_dir, spec_name="gen-example")
+    wall = time.perf_counter() - t0
     series = []
     print("m   ring  approaches  holds       min-delay  seconds    source")
     print("-" * 66)
     for task, res in zip(tasks, results):
-        if not res.ok:
-            raise SystemExit(f"task failed: {res.name}: {res.error}")
         m = int(task.params_dict()["m"])
         c = build_generalized(m)
         min_delay = res.detail["min_delay"]
@@ -51,8 +51,9 @@ def main(max_m: int = 3, *, jobs: int = 1, cache_dir: str | None = None):
     if len(series) > 1:
         print()
         print(ascii_chart(series, x_label="m", y_label="min delay Δ*(m)"))
-    print(f"\n({summary.live} searched live, {summary.from_cache} from cache, "
-          f"{summary.workers} worker(s), {summary.wall_time:.1f}s)")
+    live = sum(r.source == "live" for r in results)
+    print(f"\n({live} searched live, {len(results) - live} from cache, "
+          f"{jobs} worker(s), {wall:.1f}s)")
     print("\npaper: 'a network configuration can be constructed requiring any")
     print("amount of extra delay before deadlock can occur' -- measured Δ*(m) = m.")
 

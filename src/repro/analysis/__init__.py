@@ -50,7 +50,6 @@ _EXPORTS = {
     "CycleClassification": "classify",
     "messages_for_cycle": "classify",
     "min_delay_to_deadlock": "delay",
-    "delay_tolerance_profile": "delay",
     "witness_to_schedule": "schedules",
     "replay_witness": "schedules",
     "AdaptiveMessage": "adaptive_state",
@@ -72,7 +71,7 @@ if TYPE_CHECKING:  # pragma: no cover - the static view of _EXPORTS
         classify_cycle,
         messages_for_cycle,
     )
-    from repro.analysis.delay import delay_tolerance_profile, min_delay_to_deadlock
+    from repro.analysis.delay import min_delay_to_deadlock
     from repro.analysis.reachability import (
         SearchLimitExceeded,
         SearchResult,

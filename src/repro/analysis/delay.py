@@ -6,14 +6,14 @@ constructs networks requiring at least ``m`` cycles of adversarial delay
 before deadlock is possible.  :func:`min_delay_to_deadlock` measures that
 threshold exactly by sweeping the per-message stall budget through the
 exhaustive search -- one search per budget, and a witness for the
-deadlocking one -- and :func:`delay_tolerance_profile` produces the
-``m -> Δ*(m)`` series reproduced by the generalisation benchmark.
+deadlocking one.  The ``m -> Δ*(m)`` series is the campaign's ``gen``
+grid (:func:`repro.campaign.specs.gen_tasks`), run by the E6 experiment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 from repro.analysis.reachability import (
     SearchResult,
@@ -77,29 +77,3 @@ def min_delay_to_deadlock(
             return DelayResult(min_delay=delta, max_delay_tested=delta, results=results)
         results[delta] = res
     return DelayResult(min_delay=None, max_delay_tested=max_delay, results=results)
-
-
-def delay_tolerance_profile(
-    scenario_factory: Callable[[int], Sequence[CheckerMessage]],
-    params: Sequence[int],
-    *,
-    max_delay: int = 24,
-    max_states: int = 6_000_000,
-    engine: str | None = None,
-) -> dict[int, int | None]:
-    """Map each parameter ``m`` to the measured minimum deadlock delay Δ*(m).
-
-    ``scenario_factory(m)`` builds the messages of the Section 6 network
-    ``Gen(m)``; the paper predicts Δ*(m) grows (at least) linearly in ``m``.
-    """
-    profile: dict[int, int | None] = {}
-    for m in params:
-        messages = scenario_factory(m)
-        res = min_delay_to_deadlock(
-            messages,
-            max_delay=max_delay,
-            max_states=max_states,
-            engine=engine,
-        )
-        profile[m] = res.min_delay
-    return profile

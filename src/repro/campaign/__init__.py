@@ -22,7 +22,6 @@ recorded in an append-only ledger:
 :mod:`ledger`     -- :class:`RunLedger` (JSONL) + :class:`CampaignSummary`.
 :mod:`progress`   -- periodic done/total/rate/ETA reporting.
 :mod:`specs`      -- built-in campaign specs (``paper-battery``, ``quick``).
-:mod:`adapters`   -- experiment-shaped front-ends used by the CLI sweeps.
 :mod:`trend`      -- per-task wall-time regression detection across ledgers.
 
 See ``docs/CAMPAIGN.md`` for the task model, cache keying, and ledger

@@ -58,7 +58,7 @@ def build_spec(name: str, *, limit: int | None = None) -> list[CampaignTask]:
 
 
 # ----------------------------------------------------------------------
-# shared builders (also used by the CLI sweep adapters)
+# shared builders (also the E2/E3/E5/E6 experiment grids)
 # ----------------------------------------------------------------------
 def fig2_grid_tasks(
     approach_range=(1, 2, 3, 4), hold_range=(2, 3, 4)
@@ -89,11 +89,11 @@ def fig3_panel_tasks() -> list[CampaignTask]:
 
 
 def fig3_sweep_tasks(samples: int = 20, *, seed: int = 7) -> list[CampaignTask]:
-    """Random Theorem 5 configurations (same draw as ``run_condition_sweep``).
+    """Random Theorem 5 configurations (the E3 condition sweep's draw).
 
     No ``expect``: the point is measuring conditions-vs-search agreement,
-    which the adapter computes from each task's ``conditions_unreachable``
-    detail against its search verdict.
+    which ``run_condition_sweep`` computes from each task's
+    ``conditions_unreachable`` detail against its search verdict.
     """
     rng = random.Random(seed)
     tasks: list[CampaignTask] = []
@@ -119,7 +119,15 @@ def fig3_sweep_tasks(samples: int = 20, *, seed: int = 7) -> list[CampaignTask]:
 
 
 def theorem2_tasks() -> list[CampaignTask]:
-    """The four overlapping-ring families of ``run_theorem2_experiment``."""
+    """Four overlapping-ring configurations (Theorem 2), each must deadlock.
+
+    Three match ``run_theorem2_experiment``'s ``overlap6x3``,
+    ``overlap10x2-deep`` and ``overlap9x3-uneven``.  The first does not:
+    it is an 8-ring with *two* messages (entries 0 and 4, runs of 5),
+    where the experiment's ``overlap8x4`` has four messages -- so no
+    4-message family is in the battery.  Aligning them changes the
+    battery's task hashes (see ROADMAP.md).
+    """
     configs = [
         {"ring_n": 8, "entries": (0, 4), "run_lens": (5, 5)},
         {"ring_n": 6, "entries": (0, 2, 4), "run_lens": (3, 3, 3)},
@@ -147,8 +155,9 @@ def theorem3_tasks(
     """Theorem 3 sweep members; degenerate geometries are filtered here.
 
     No per-task ``expect`` -- the theorem constrains the *conjunction*
-    (minimal AND unreachable must never occur), checked by the adapter
-    from each result's ``minimal`` detail and verdict.
+    (minimal AND unreachable must never occur), checked by
+    ``run_theorem3_experiment`` from each result's ``minimal`` detail and
+    verdict.
     """
     from repro.core.specs import CycleMessageSpec, build_shared_cycle
 

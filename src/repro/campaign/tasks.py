@@ -51,7 +51,9 @@ from dataclasses import dataclass, field
 from typing import Any
 
 #: bump when the result payload or task semantics change; salts the cache key
-#: (v5: new ``adaptive`` and ``cross_check`` kinds; certificate-decided
+#: (v6: configuration-mode ``classify`` results carry the deciding
+#: ``certificate``, as cycle-mode ones always did; v5: new ``adaptive``
+#: and ``cross_check`` kinds; certificate-decided
 #: reachable verdicts now construct witnesses without search, so
 #: witness-bearing results can report ``states_explored`` of 0;
 #: v4: optional per-task ``telemetry`` summary embedded in results when
@@ -59,7 +61,7 @@ from typing import Any
 #: certificate-decided reachability and classify tasks report
 #: ``states_explored``/``scenarios_tested`` of 0 and a ``certificate``
 #: detail; new ``lint`` kind)
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 ANALYSIS_KINDS = (
     "reachability",
@@ -344,7 +346,10 @@ def _run_classify(
         engine=engine,
     )
     verdict = "deadlock" if reachable else "unreachable"
-    return verdict, {"states_explored": res.states_explored}
+    return verdict, {
+        "states_explored": res.states_explored,
+        "certificate": res.certificate,
+    }
 
 
 def _run_min_delay(

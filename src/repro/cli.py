@@ -38,8 +38,9 @@ Examples
     python -m repro campaign run --spec paper-battery --shard 2/3 --cache-dir /shared
     python -m repro campaign status --cache-dir /shared --json
 
-The sweep-shaped commands (``fig3 --sweep``, ``gen``, ``theorem3``) route
-through the campaign runner; ``--jobs``/``--cache-dir`` parallelise and
+The grid-shaped commands (``fig2``, ``fig3``, ``theorem3``, ``gen``) run
+``paper-battery``'s own tasks through the campaign runner; for ``fig3``,
+``theorem3`` and ``gen``, ``--jobs``/``--cache-dir`` parallelise and
 memoise them.  ``search``/``classify``/``campaign run``/``lint`` accept
 ``--telemetry PATH`` (JSONL event stream) and ``--telemetry-snapshot
 PATH`` (end-of-run metrics snapshot).
@@ -445,16 +446,14 @@ def _cmd_fig2(args: argparse.Namespace) -> int:
 
 def _cmd_fig3(args: argparse.Namespace) -> int:
     from repro.experiments import render_table
-    from repro.experiments.fig3 import run_fig3_experiment
+    from repro.experiments.fig3 import run_condition_sweep, run_fig3_experiment
 
-    panels = run_fig3_experiment()
+    panels = run_fig3_experiment(jobs=args.jobs, cache_dir=args.cache_dir)
     print(render_table([r.row() for r in panels], title="E3: Figure 3 / Theorem 5"))
     ok = all(r.search_matches_paper and r.conditions_match_search for r in panels)
     if args.sweep:
-        from repro.campaign.adapters import fig3_sweep_via_campaign
-
-        sweep = fig3_sweep_via_campaign(
-            args.sweep, jobs=args.jobs, cache_dir=args.cache_dir
+        sweep = run_condition_sweep(
+            samples=args.sweep, jobs=args.jobs, cache_dir=args.cache_dir
         )
         print(
             f"\ncondition sweep: agree on {sweep.agree}/{sweep.total} "
@@ -479,10 +478,9 @@ def _cmd_theorem2(args: argparse.Namespace) -> int:
 
 
 def _cmd_theorem3(args: argparse.Namespace) -> int:
-    from repro.campaign.adapters import theorem3_via_campaign
-    from repro.experiments import render_kv
+    from repro.experiments import render_kv, run_theorem3_experiment
 
-    res = theorem3_via_campaign(
+    res = run_theorem3_experiment(
         limit=args.limit, jobs=args.jobs, cache_dir=args.cache_dir
     )
     print(render_kv(res.summary(), title="E5: Theorem 3 sweep"))
@@ -492,10 +490,9 @@ def _cmd_theorem3(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    from repro.campaign.adapters import generalization_via_campaign
-    from repro.experiments import render_table
+    from repro.experiments import render_table, run_generalization_experiment
 
-    res = generalization_via_campaign(
+    res = run_generalization_experiment(
         tuple(range(1, args.max_m + 1)), jobs=args.jobs, cache_dir=args.cache_dir
     )
     print(render_table(res.rows(), title="E6: Gen(m) minimum delay to deadlock"))
@@ -952,7 +949,8 @@ def _cmd_client(args: argparse.Namespace) -> int:
                 )
                 print(f"client {cmd}: HTTP {resp.status}: {detail}", file=sys.stderr)
                 return 1 if resp.status >= 500 else 2
-            # the raw response body: byte-identical to `repro <cmd> --json`
+            # the raw response body: for `search`, byte-identical to
+            # `repro search --json`; classify/lint use the campaign's shape
             sys.stdout.write(resp.body.decode("utf-8"))
             if args.show_source:
                 print(f"source: {resp.source} ({resp.task_hash})", file=sys.stderr)
@@ -1032,7 +1030,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_runner_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--jobs", type=int, default=1,
-            help="parallel worker processes for the sweep (default 1: serial)",
+            help="parallel worker processes for the grid (default 1: serial)",
         )
         p.add_argument(
             "--cache-dir", default=None,
@@ -1270,9 +1268,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "client",
         help="talk to a running `repro serve` instance",
-        description="Query a serve instance: task verdicts (byte-identical "
-        "to the local --json commands), campaign runs (whole or one shard), "
-        "status, metrics, or the telemetry event stream.",
+        description="Query a serve instance: task verdicts (search output "
+        "is byte-identical to the local `search --json`), campaign runs "
+        "(whole or one shard), status, metrics, or the telemetry event stream.",
     )
     p.add_argument(
         "--url", default="http://127.0.0.1:8765", help="server base URL"

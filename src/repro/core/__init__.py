@@ -11,7 +11,7 @@
 * :mod:`generalized` -- the Section 6 family ``Gen(m)``.
 * :mod:`conditions` -- the eight Theorem 5 conditions, executable.
 * :mod:`theory` -- the closed-form Theorem 1 timing argument.
-* :mod:`minimal_search` -- Theorem 3: minimal-routing configuration sweep.
+* :mod:`minimal_search` -- Theorem 3: the Figure 1 nonminimality certificate.
 """
 
 from typing import TYPE_CHECKING
@@ -42,8 +42,6 @@ _EXPORTS = {
     "Theorem1Timing": "theory",
     "analytic_schedule_feasible": "theory",
     "earliest_blocking_analysis": "theory",
-    "sweep_minimal_configs": "minimal_search",
-    "MinimalSweepResult": "minimal_search",
     "predicted_unreachable": "multi_message",
     "run_four_message_sweep": "multi_message",
     "split_shared_fig1": "multi_message",
@@ -63,7 +61,6 @@ if TYPE_CHECKING:  # pragma: no cover - the static view of _EXPORTS
         build_cyclic_dependency_network,
     )
     from repro.core.generalized import build_generalized, generalized_messages
-    from repro.core.minimal_search import MinimalSweepResult, sweep_minimal_configs
     from repro.core.multi_message import (
         predicted_unreachable,
         run_four_message_sweep,

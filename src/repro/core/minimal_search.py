@@ -5,113 +5,19 @@ are not possible with minimal oblivious routing if all the messages in the
 configuration use the shared channel.*  The proof forces
 ``d_1 > d_2 > ... > d_r > d_1`` from subpath minimality -- a contradiction.
 
-Executable form: sweep the shared-cycle parameter family, and for each
-construction record (a) whether its routing is minimal over its domain in
-its own network, and (b) the exhaustive-search classification.  Theorem 3
-predicts the conjunction *minimal AND unreachable* never occurs; the
-paper's Figure 1 instance must additionally certify as nonminimal (its
-approach chains shortcut each other's ring walks).
+Executable form: the E5 experiment (:mod:`repro.experiments.theorem3`)
+sweeps the shared-cycle parameter family, recording per construction
+whether its routing is minimal and its exhaustive-search classification;
+Theorem 3 predicts the conjunction *minimal AND unreachable* never occurs.
+This module holds the other half: the paper's Figure 1 instance must
+certify as nonminimal (its approach chains shortcut each other's ring
+walks).
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from collections.abc import Sequence
-
-from repro.analysis.reachability import search_deadlock
-from repro.analysis.state import SystemSpec
-from repro.core.specs import CycleMessageSpec, build_shared_cycle
 from repro.routing.base import RoutingAlgorithm
-from repro.routing.properties import is_minimal, minimality_slack
-
-
-@dataclass
-class MinimalSweepRecord:
-    """One configuration's verdicts."""
-
-    params: tuple[tuple[int, int], ...]  # (approach, hold) per message
-    minimal: bool
-    deadlock_reachable: bool
-    states_explored: int
-
-    @property
-    def violates_theorem3(self) -> bool:
-        return self.minimal and not self.deadlock_reachable
-
-
-@dataclass
-class MinimalSweepResult:
-    records: list[MinimalSweepRecord] = field(default_factory=list)
-
-    @property
-    def any_violation(self) -> bool:
-        return any(r.violates_theorem3 for r in self.records)
-
-    @property
-    def num_minimal(self) -> int:
-        return sum(1 for r in self.records if r.minimal)
-
-    @property
-    def num_unreachable(self) -> int:
-        return sum(1 for r in self.records if not r.deadlock_reachable)
-
-    def summary(self) -> dict[str, int | bool]:
-        return {
-            "configs": len(self.records),
-            "minimal": self.num_minimal,
-            "unreachable": self.num_unreachable,
-            "minimal_and_unreachable": sum(
-                1 for r in self.records if r.violates_theorem3
-            ),
-            "theorem3_holds": not self.any_violation,
-        }
-
-
-def sweep_minimal_configs(
-    *,
-    num_messages: int = 3,
-    approach_range: Sequence[int] = (1, 2, 3),
-    hold_range: Sequence[int] = (1, 2, 3, 4),
-    max_states: int = 1_000_000,
-    limit: int | None = None,
-) -> MinimalSweepResult:
-    """Sweep all-shared cycle constructions and test Theorem 3's prediction.
-
-    Every message uses the single shared channel ``cs``; the sweep covers
-    the cross product of approach and hold lengths (``limit`` caps the
-    number of configurations for quick runs).
-    """
-    result = MinimalSweepResult()
-    combos = itertools.product(
-        itertools.product(approach_range, hold_range), repeat=num_messages
-    )
-    for count, params in enumerate(combos):
-        if limit is not None and count >= limit:
-            break
-        specs = [
-            CycleMessageSpec(approach_len=a, hold_len=h, label=f"M{i + 1}")
-            for i, (a, h) in enumerate(params)
-        ]
-        try:
-            construction = build_shared_cycle(specs, name=f"minsweep{count}")
-        except ValueError:
-            # degenerate geometry (a walk would pass through its own
-            # destination) -- not a valid oblivious configuration
-            continue
-        alg = construction.algorithm
-        minimal = is_minimal(alg, construction.message_pairs)
-        spec = SystemSpec.uniform(construction.checker_messages(), budget=0)
-        search = search_deadlock(spec, max_states=max_states, find_witness=False)
-        result.records.append(
-            MinimalSweepRecord(
-                params=tuple(params),
-                minimal=minimal,
-                deadlock_reachable=search.deadlock_reachable,
-                states_explored=search.states_explored,
-            )
-        )
-    return result
+from repro.routing.properties import minimality_slack
 
 
 def fig1_nonminimality_certificate() -> dict[str, int]:

@@ -7,18 +7,20 @@ always yields a reachable deadlock.  The experiment:
 2. confirms the minimum witness follows the proof's schedule shape -- the
    message with the longer approach is injected first;
 3. sweeps a family of (approach, hold) parameters and checks *every*
-   two-message configuration deadlocks (the theorem is universal);
+   two-message configuration deadlocks (the theorem is universal) -- the
+   battery's grid, run through the campaign runner;
 4. replays a witness on the flit-level simulator.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from repro.analysis import SystemSpec, search_deadlock
 from repro.analysis.schedules import replay_witness
+from repro.campaign.specs import fig2_grid_tasks
 from repro.core.two_message import build_two_message_config
+from repro.experiments.grid import run_grid
 
 
 @dataclass
@@ -42,7 +44,12 @@ def run_fig2_experiment(
     approach_range: tuple[int, ...] = (1, 2, 3, 4),
     hold_range: tuple[int, ...] = (2, 3, 4),
 ) -> Fig2Result:
-    """Run the E2 battery; the sweep covers ~dozens of configurations."""
+    """Run the E2 battery; the sweep covers ~dozens of configurations.
+
+    The sweep is ``paper-battery``'s own Theorem 4 grid
+    (:func:`repro.campaign.specs.fig2_grid_tasks`), run through the
+    campaign runner.
+    """
     default = build_two_message_config()
     res = search_deadlock(SystemSpec.uniform(default.checker_messages(), budget=0))
     default_dead = res.deadlock_reachable
@@ -65,25 +72,16 @@ def run_fig2_experiment(
         )
         replay_ok = sim.deadlocked
 
-    rows: list[dict[str, object]] = []
-    for d1, d2 in itertools.product(approach_range, repeat=2):
-        for h in hold_range:
-            cfg = build_two_message_config(
-                approach_1=d1, approach_2=d2, hold_1=h, hold_2=h
-            )
-            r = search_deadlock(
-                SystemSpec.uniform(cfg.checker_messages(), budget=0),
-                find_witness=False,
-            )
-            rows.append(
-                {
-                    "d1": d1,
-                    "d2": d2,
-                    "hold": h,
-                    "deadlock": r.deadlock_reachable,
-                    "states": r.states_explored,
-                }
-            )
+    rows = [
+        {
+            "d1": r.params["d1"],
+            "d2": r.params["d2"],
+            "hold": r.params["hold"],
+            "deadlock": r.verdict == "deadlock",
+            "states": r.detail["states_explored"],
+        }
+        for r in run_grid(fig2_grid_tasks(approach_range, hold_range), spec_name="fig2")
+    ]
     return Fig2Result(
         default_deadlocks=default_dead,
         longer_approach_injected_first=first_ok,

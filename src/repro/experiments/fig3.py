@@ -10,18 +10,17 @@ For each of the six reconstructed panels:
 Additionally a random parameter sweep measures the agreement rate between
 the condition set (partly reconstructed from OCR-damaged text -- see
 ``repro/core/conditions.py``) and the search, over configurations within
-Theorem 5's hypotheses.
+Theorem 5's hypotheses.  Both the panels and the sweep are
+``paper-battery``'s own tasks, run through the campaign runner.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
+from pathlib import Path
 
-from repro.analysis import classify_configuration
-from repro.core.conditions import TheoremFiveInput, evaluate_conditions
-from repro.core.specs import CycleMessageSpec, build_shared_cycle
-from repro.core.three_message import FIG3_PANELS, build_three_message_config
+from repro.campaign.specs import fig3_panel_tasks, fig3_sweep_tasks
+from repro.experiments.grid import run_grid
 
 
 @dataclass
@@ -52,26 +51,23 @@ class Fig3PanelResult:
         }
 
 
-def classify_panel(panel: str, *, max_states: int = 20_000_000) -> Fig3PanelResult:
-    params = FIG3_PANELS[panel]
-    construction = build_three_message_config(params)
-    reachable, res = classify_configuration(
-        construction.checker_messages(), budget=0, copy_depth=1, max_states=max_states
-    )
-    report = evaluate_conditions(TheoremFiveInput.from_specs(list(params.specs)))
-    return Fig3PanelResult(
-        panel=panel,
-        expected_unreachable=params.expected_unreachable,
-        search_unreachable=not reachable,
-        conditions_predict_unreachable=report.all_hold,
-        failed_conditions=report.failed(),
-        states_explored=res.states_explored,
-    )
-
-
-def run_fig3_experiment(*, max_states: int = 4_000_000) -> list[Fig3PanelResult]:
-    """Classify all six panels."""
-    return [classify_panel(p, max_states=max_states) for p in FIG3_PANELS]
+def run_fig3_experiment(
+    *, jobs: int = 1, cache_dir: str | Path | None = None
+) -> list[Fig3PanelResult]:
+    """Classify all six panels: ``paper-battery``'s panel tasks."""
+    return [
+        Fig3PanelResult(
+            panel=r.params["panel"],
+            expected_unreachable=r.expect == "unreachable",
+            search_unreachable=r.verdict == "unreachable",
+            conditions_predict_unreachable=r.detail["conditions_unreachable"],
+            failed_conditions=list(r.detail["failed_conditions"]),
+            states_explored=r.detail["states_explored"],
+        )
+        for r in run_grid(
+            fig3_panel_tasks(), jobs=jobs, cache_dir=cache_dir, spec_name="fig3"
+        )
+    ]
 
 
 @dataclass
@@ -89,49 +85,38 @@ def run_condition_sweep(
     *,
     samples: int = 40,
     seed: int = 7,
-    max_states: int = 2_000_000,
+    jobs: int = 1,
+    cache_dir: str | Path | None = None,
 ) -> SweepAgreement:
     """Random three-shared-message configurations: conditions vs search.
 
     Configurations are drawn within Theorem 5's hypotheses (three messages
-    sharing the channel, distinct approach distances).  Reports the
-    agreement rate -- EXPERIMENTS.md records it honestly since conditions
-    6-8 are reconstructions.
+    sharing the channel, distinct approach distances) by
+    :func:`repro.campaign.specs.fig3_sweep_tasks`, whose first 20 samples
+    at seed 7 are ``paper-battery``'s sweep.  Reports the agreement rate --
+    EXPERIMENTS.md records it honestly since conditions 6-8 are
+    reconstructions.
     """
-    rng = random.Random(seed)
-    total = agree = 0
+    results = run_grid(
+        fig3_sweep_tasks(samples, seed=seed),
+        jobs=jobs,
+        cache_dir=cache_dir,
+        spec_name="fig3-sweep",
+    )
+    agree = 0
     disagreements: list[dict[str, object]] = []
-    seen: set[tuple] = set()
-    while total < samples:
-        ds = rng.sample(range(1, 6), 3)
-        hs = [rng.randint(1, 6) for _ in range(3)]
-        key = (tuple(ds), tuple(hs))
-        if key in seen:
-            continue
-        seen.add(key)
-        specs = [
-            CycleMessageSpec(approach_len=d, hold_len=h, label=f"S{i}")
-            for i, (d, h) in enumerate(zip(ds, hs))
-        ]
-        construction = build_shared_cycle(specs, name="sweep")
-        reachable, _res = classify_configuration(
-            construction.checker_messages(),
-            budget=0,
-            copy_depth=1,
-            max_states=max_states,
-        )
-        report = evaluate_conditions(TheoremFiveInput.from_specs(specs))
-        total += 1
-        if report.all_hold == (not reachable):
+    for r in results:
+        conds = bool(r.detail["conditions_unreachable"])
+        if conds == (r.verdict == "unreachable"):
             agree += 1
         else:
             disagreements.append(
                 {
-                    "d": tuple(ds),
-                    "hold": tuple(hs),
-                    "search": "unreachable" if not reachable else "deadlock",
-                    "conds": "unreachable" if report.all_hold else "deadlock",
-                    "failed": report.failed(),
+                    "d": tuple(r.params["approaches"]),
+                    "hold": tuple(r.params["holds"]),
+                    "search": r.verdict,
+                    "conds": "unreachable" if conds else "deadlock",
+                    "failed": list(r.detail["failed_conditions"]),
                 }
             )
-    return SweepAgreement(total=total, agree=agree, disagreements=disagreements)
+    return SweepAgreement(total=len(results), agree=agree, disagreements=disagreements)

@@ -104,16 +104,17 @@ def test_fig3_sweep_flags_parse():
     assert args.sweep == 5 and args.jobs == 3 and args.cache_dir == "/tmp/x"
 
 
-def test_adapter_fig3_sweep_agreement(tmp_path):
-    """The campaign-backed sweep reproduces run_condition_sweep's verdicts."""
-    from repro.campaign.adapters import fig3_sweep_via_campaign
+def test_fig3_sweep_agreement(tmp_path):
+    """The condition sweep agrees with the search on its first 4 draws, and
+    a warm re-run from the same cache reproduces the result."""
     from repro.experiments.fig3 import run_condition_sweep
 
-    direct = run_condition_sweep(samples=4)
-    via = fig3_sweep_via_campaign(4, jobs=1, cache_dir=str(tmp_path / "c"))
-    assert via.total == direct.total == 4
-    assert via.agree == direct.agree
-    assert via.disagreements == direct.disagreements
+    cache_dir = str(tmp_path / "c")
+    cold = run_condition_sweep(samples=4, jobs=1, cache_dir=cache_dir)
+    assert cold.total == 4
+    assert cold.agree == 4
+    assert cold.disagreements == []
+    assert run_condition_sweep(samples=4, cache_dir=cache_dir) == cold
 
 
 def test_campaign_status_json_reports_backend_integrity(tmp_path, capsys):

@@ -137,7 +137,7 @@ def test_lazy_reexports_keep_every_public_path():
     probe = """
 import importlib, json
 import repro.campaign
-out = {"adapters": repro.campaign.adapters.__name__}  # never imported before
+out = {"submodule": repro.campaign.scenarios.__name__}  # never imported before
 for pkg in ("analysis", "campaign", "cdg", "core", "experiments", "lint", "serve"):
     mod = importlib.import_module("repro." + pkg)
     for name in mod.__all__:
@@ -148,5 +148,5 @@ for pkg in ("analysis", "campaign", "cdg", "core", "experiments", "lint", "serve
 print(json.dumps(out))
 """
     got = _probe(probe)
-    assert got.pop("adapters") == "repro.campaign.adapters"
+    assert got.pop("submodule") == "repro.campaign.scenarios"
     assert all(count > 0 for count in got.values()), got

@@ -3,12 +3,13 @@
 import pytest
 
 from repro.core.cyclic_dependency import FIG1_MESSAGES
-from repro.core.minimal_search import fig1_nonminimality_certificate, sweep_minimal_configs
+from repro.core.minimal_search import fig1_nonminimality_certificate
 from repro.core.specs import CycleMessageSpec
 from repro.core.theory import (
     analytic_schedule_feasible,
     earliest_blocking_analysis,
 )
+from repro.experiments.theorem3 import run_theorem3_experiment
 
 
 def fig1_cycle_specs():
@@ -87,11 +88,11 @@ class TestTheorem3:
 
     def test_sweep_no_minimal_unreachable(self):
         """Theorem 3 over a small family: minimal AND unreachable never co-occur."""
-        res = sweep_minimal_configs(
+        res = run_theorem3_experiment(
             num_messages=2,
             approach_range=(1, 2),
             hold_range=(1, 2, 3),
-        )
+        ).sweep
         assert not res.any_violation
         summary = res.summary()
         assert summary["theorem3_holds"]
@@ -99,7 +100,14 @@ class TestTheorem3:
         assert summary["configs"] == 16
 
     def test_sweep_limit(self):
-        res = sweep_minimal_configs(
+        res = run_theorem3_experiment(
             num_messages=2, approach_range=(1, 2), hold_range=(2, 3), limit=5
-        )
+        ).sweep
         assert len(res.records) == 5
+        assert [(r.params, r.states_explored) for r in res.records] == [
+            (((1, 2), (1, 2)), 25),
+            (((1, 2), (1, 3)), 30),
+            (((1, 2), (2, 2)), 28),
+            (((1, 2), (2, 3)), 34),
+            (((1, 3), (1, 2)), 30),
+        ]

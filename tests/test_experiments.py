@@ -1,9 +1,14 @@
 """Experiment driver integration tests (fast configurations)."""
 
-
+from repro.campaign.cache import ResultCache
+from repro.campaign.runner import run_campaign
+from repro.campaign.specs import build_spec, fig2_grid_tasks
+from repro.cli import main
 from repro.experiments import render_kv, render_table
 from repro.experiments.fig2 import run_fig2_experiment
+from repro.experiments.fig3 import run_condition_sweep, run_fig3_experiment
 from repro.experiments.generalization import run_generalization_experiment
+from repro.experiments.grid import run_grid
 from repro.experiments.theorem2 import run_corollary_baselines, run_theorem2_experiment
 from repro.experiments.theorem3 import run_theorem3_experiment
 from repro.experiments.traffic import run_ring_deadlock_probe, run_traffic_experiment
@@ -80,10 +85,42 @@ class TestTheorem3Driver:
 
 class TestGeneralizationDriver:
     def test_m1_only(self):
-        res = run_generalization_experiment(params=(1,), max_delay=3)
+        res = run_generalization_experiment(params=(1,))
         assert res.profile == {1: 1}
         assert res.deadlock_free_under_synchrony
         assert res.rows()[0]["m"] == 1
+
+
+class TestBatteryGrids:
+    """The E2/E3/E5/E6 grids are ``paper-battery``'s own tasks."""
+
+    def test_experiment_grids_share_the_battery_cache(self, tmp_path, capsys):
+        cache_dir = tmp_path / "cache"
+        fig2 = run_grid(fig2_grid_tasks(), cache_dir=cache_dir, spec_name="fig2")
+        panels = run_fig3_experiment(cache_dir=cache_dir)
+        assert main(["fig3", "--sweep", "20", "--cache-dir", str(cache_dir)]) == 0
+        assert main(["theorem3", "--limit", "40", "--cache-dir", str(cache_dir)]) == 0
+        assert main(["gen", "--max-m", "3", "--cache-dir", str(cache_dir)]) == 0
+        capsys.readouterr()
+        assert len(fig2) == 48 and len(panels) == 6
+
+        cached = {p.stem for p in cache_dir.rglob("*.json")}
+        battery = build_spec("paper-battery")
+        assert cached <= {t.task_hash for t in battery}
+        assert len(cached) == 48 + 6 + 20 + 40 + 3
+
+        # the battery's own run of those tasks is served from the same cache
+        shared = [t for t in battery if t.task_hash in cached]
+        _, summary = run_campaign(shared, cache=ResultCache(cache_dir))
+        assert summary.from_cache == summary.total == len(cached)
+
+    def test_theorem3_battery_family_has_no_minimal_configuration(self):
+        """E5 is vacuous on the battery's 40: no minimal routing occurs, so
+        "minimal and unreachable never co-occur" holds trivially there."""
+        summary = run_theorem3_experiment(limit=40).summary()
+        assert summary["minimal"] == 0
+        assert summary["minimal_and_unreachable"] == 0
+        assert summary["unreachable"] == 0
 
 
 class TestTrafficDriver:

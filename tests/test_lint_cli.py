@@ -65,7 +65,8 @@ class TestCampaignLintKind:
         # v4: TaskResult grew the per-task telemetry summary field
         # v5: adaptive/cross_check task kinds; certificate-built witnesses can
         #     legitimately report states_explored == 0
-        assert SCHEMA_VERSION == 5
+        # v6: configuration-mode classify results carry their certificate
+        assert SCHEMA_VERSION == 6
 
     def test_lint_task_executes(self):
         task = CampaignTask.make(

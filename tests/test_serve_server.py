@@ -1,5 +1,6 @@
 """End-to-end serve API: byte-identity, caching, dedup, errors, shutdown."""
 
+import json
 import socket
 import threading
 import time
@@ -150,6 +151,26 @@ def test_classify_endpoint(client):
     assert resp.payload["mode"] in ("cycle", "configuration")
     assert resp.payload["verdict"] in ("deadlock", "unreachable")
     assert resp.payload["deadlock_reachable"] in (True, False)
+
+
+def test_configuration_classify_carries_its_certificate(client, capsys):
+    """A certificate-decided configuration classify names the certificate in
+    the task detail and the served payload, as the local CLI does."""
+    from repro.campaign.tasks import CampaignTask, execute_task
+
+    params = {"subset": ["M1", "M3"]}
+    res = execute_task(CampaignTask.make("classify", "fig1", **params))
+    assert res.ok and res.verdict == "unreachable"
+    assert res.detail["certificate"] == "CRT001"
+    assert res.detail["states_explored"] == 0
+
+    served = client.classify("fig1", params).raise_for_status().payload
+    assert served["mode"] == "configuration"
+    assert served["certificate"] == "CRT001"
+    assert served["states_explored"] == 0
+
+    assert main(["classify", "fig1", "--params", json.dumps(params), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["certificate"] == "CRT001"
 
 
 def test_lint_endpoint(client):
