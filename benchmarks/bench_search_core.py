@@ -6,8 +6,7 @@ paper artifacts), this file is a plain script used by
 the reference implementation.  Each invocation measures exactly one
 scenario in a *fresh* interpreter::
 
-    PYTHONPATH=src REPRO_SEARCH_ENGINE=kernel \
-        python benchmarks/bench_search_core.py --scenario thm1-five
+    PYTHONPATH=src python benchmarks/bench_search_core.py --scenario thm1-five
 
 and prints a single JSON object: ``{"scenario", "engine", "wall_s",
 "cpu_s", "states", ...}``.  Fresh processes keep the measurements honest:
@@ -17,8 +16,11 @@ construction -- identical for both engines, untimed) plus a *run*
 (everything the engine switch affects -- timed, and for the kernel
 engine that includes building the
 :class:`~repro.analysis.kernelpath.KernelEngine` transition tables from
-scratch).  ``REPRO_SEARCH_ENGINE`` selects the engine because that is the
-same switch real runs use.
+scratch).  The program picks the engine, as in real runs: the kernel
+when its compiled library loads, else the reference fallback (which
+``scripts/perf_report.py`` forces with ``REPRO_CC`` naming a missing
+compiler and an empty ``REPRO_KERNEL_CACHE``).  The output's ``engine``
+names the engine that ran.
 
 Scenarios (all search-bound; the flit-level simulator is out of scope):
 
@@ -178,9 +180,9 @@ def measure(scenario: str) -> dict[str, Any]:
     payload = SCENARIOS[scenario]()  # untimed: imports + spec construction
     from repro.analysis.reachability import resolve_engine
 
-    # the engine that will actually run: REPRO_SEARCH_ENGINE, else the
-    # default (the kernel when its compiled library loads; every scenario
-    # fits the kernel's message limit, as the toy spec does)
+    # the engine that will actually run: the kernel when its compiled
+    # library loads, else the reference fallback (every scenario fits the
+    # kernel's message limit, as the toy spec does)
     engine = resolve_engine(None, _toy_spec())
     if engine == "kernel":
         _warm_kernel_backend()

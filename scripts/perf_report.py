@@ -1,9 +1,8 @@
 """N-engine A/B of the search core -> BENCH_search.json (bench-search/v2).
 
 For every requested scenario this script launches
-``benchmarks/bench_search_core.py`` once per engine under comparison
-(``REPRO_SEARCH_ENGINE=reference|kernel``) in fresh
-interpreter processes (cold engine tables; the kernel's one-time C
+``benchmarks/bench_search_core.py`` once per engine under comparison in
+fresh interpreter processes (cold engine tables; the kernel's one-time C
 compile is warmed untimed), takes the best of
 ``--repeats`` runs per engine, cross-checks that every engine reports an
 identical ``states`` count (the engines are pinned bit-identical; a
@@ -26,12 +25,17 @@ noise.  The CI benchmark-smoke job gates ``kernel:reference:1.0`` on the
 Fig. 1 searches -- the compiled engine must never be slower than the
 oracle it supersedes.
 
-The kernel engine appears in the default engine list only when its
-compiled library loads (a C compiler, or a cached build); without one a
-kernel request runs on the reference engine, and benchmarking it would
-just measure the reference twice.  The report records the resolved
-kernel tier (``kernel_tier``: ``"cc"`` or ``null``) next to
-``cpu_count``.
+The program picks its engine itself, so each leg is set up the way real
+runs reach that engine: the ``kernel`` leg runs with the environment as
+given, and the ``reference`` leg runs with ``REPRO_CC`` naming a missing
+compiler and ``REPRO_KERNEL_CACHE`` pointing at an empty directory, so no
+compiled library loads and every search takes the loud fallback.  Each
+run reports the engine that actually ran, and a leg that ran on the
+wrong engine is an error.  The kernel engine appears in the default
+engine list only when its compiled library loads (a C compiler, or a
+cached build); without one it would just measure the reference twice.
+The report records the resolved kernel tier (``kernel_tier``: ``"cc"``
+or ``null``) next to ``cpu_count``.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 from typing import Any
@@ -64,6 +69,10 @@ QUICK_SCENARIOS = ("fig1-sync", "thm1-five")
 
 #: engines in the default report, slowest first (speedups read downward)
 DEFAULT_ENGINES = ("reference",)
+
+#: a compiler name no PATH lookup finds: with it and an empty kernel
+#: cache, no compiled library loads and searches fall back to reference
+MISSING_CC = "repro-no-such-cc"
 
 
 def kernel_tier() -> str | None:
@@ -93,20 +102,28 @@ def default_engines(tier: str | None) -> tuple[str, ...]:
 def run_one(scenario: str, engine: str) -> dict[str, Any]:
     """One fresh-process measurement of ``scenario`` under ``engine``."""
     env = dict(os.environ)
-    env["REPRO_SEARCH_ENGINE"] = engine
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
-    proc = subprocess.run(
-        [sys.executable, str(BENCH), "--scenario", scenario],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=False,
-    )
+    with tempfile.TemporaryDirectory(prefix="repro-nokernel-") as empty:
+        if engine == "reference":
+            env["REPRO_CC"] = MISSING_CC
+            env["REPRO_KERNEL_CACHE"] = empty
+        proc = subprocess.run(
+            [sys.executable, str(BENCH), "--scenario", scenario],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=False,
+        )
     if proc.returncode != 0:
         raise RuntimeError(
             f"{scenario}/{engine} failed (exit {proc.returncode}):\n{proc.stderr}"
         )
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    if result.get("engine") != engine:
+        raise RuntimeError(
+            f"{scenario}: the {engine} leg ran on {result.get('engine')!r}"
+        )
+    return result
 
 
 def best_of(scenario: str, engine: str, repeats: int) -> dict[str, Any]:

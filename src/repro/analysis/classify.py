@@ -50,7 +50,6 @@ def classify_configuration(
     max_copies_total: int = 2,
     length_slack: int = 0,
     max_states: int = 20_000_000,
-    engine: str | None = None,
 ) -> tuple[bool, SearchResult]:
     """Full-adversary reachability verdict for a fixed message-type set.
 
@@ -75,7 +74,6 @@ def classify_configuration(
             max_copies_total=max_copies_total,
             length_slack=length_slack,
             max_states=max_states,
-            engine=engine,
         )
     with tel.span("classify.config", messages=len(messages)) as sp:
         reachable, result = _classify_configuration_impl(
@@ -85,7 +83,6 @@ def classify_configuration(
             max_copies_total=max_copies_total,
             length_slack=length_slack,
             max_states=max_states,
-            engine=engine,
         )
         sp.set(
             verdict="reachable" if reachable else "deadlock-free",
@@ -103,7 +100,6 @@ def _classify_configuration_impl(
     max_copies_total: int,
     length_slack: int,
     max_states: int,
-    engine: str | None,
 ) -> tuple[bool, SearchResult]:
     from repro.analysis.state import CheckerMessage as _CM
 
@@ -131,7 +127,6 @@ def _classify_configuration_impl(
                 spec,
                 max_states=max_states,
                 find_witness=False,
-                engine=engine,
             )
             if last.deadlock_reachable:
                 return True, last
@@ -241,7 +236,6 @@ def classify_cycle(
     budget: int = 0,
     max_states: int = 2_000_000,
     max_scenarios: int = 256,
-    engine: str | None = None,
     certificates: str | None = None,
 ) -> CycleClassification:
     """Decide whether ``cycle`` can produce a reachable deadlock.
@@ -273,7 +267,6 @@ def classify_cycle(
             budget=budget,
             max_states=max_states,
             max_scenarios=max_scenarios,
-            engine=engine,
             certificates=certificates,
         )
     with tel.span("classify.cycle", channels=len(cycle)) as sp:
@@ -286,7 +279,6 @@ def classify_cycle(
             budget=budget,
             max_states=max_states,
             max_scenarios=max_scenarios,
-            engine=engine,
             certificates=certificates,
         )
         sp.set(
@@ -313,7 +305,6 @@ def _classify_cycle_impl(
     budget: int,
     max_states: int,
     max_scenarios: int,
-    engine: str | None,
     certificates: str | None,
 ) -> CycleClassification:
     from repro.lint.certificates import (
@@ -362,7 +353,6 @@ def _classify_cycle_impl(
         budget=budget,
         max_states=max_states,
         max_scenarios=max_scenarios,
-        engine=engine,
     )
     if cert is not None:
         # check mode: certificate claimed reachable; the bounded search must
@@ -387,7 +377,6 @@ def _classify_cycle_search(
     budget: int,
     max_states: int,
     max_scenarios: int,
-    engine: str | None,
 ) -> CycleClassification:
     """The search-based classification (certificate pre-pass already done)."""
     candidates = messages_for_cycle(alg, cycle, pairs)
@@ -442,11 +431,10 @@ def _classify_cycle_search(
                     spec,
                     max_states=max_states,
                     find_witness=False,
-                    engine=engine,
                 )
                 result = probe
                 if probe.deadlock_reachable:
-                    result = search_deadlock(spec, max_states=max_states, engine=engine)
+                    result = search_deadlock(spec, max_states=max_states)
                 if result.deadlock_reachable:
                     return CycleClassification(
                         cycle=cycle,

@@ -42,7 +42,6 @@ def min_delay_to_deadlock(
     *,
     max_delay: int = 16,
     max_states: int = 4_000_000,
-    engine: str | None = None,
 ) -> DelayResult:
     """Smallest uniform per-message stall budget Δ at which deadlock is reachable.
 
@@ -68,11 +67,10 @@ def min_delay_to_deadlock(
             spec,
             max_states=max_states,
             find_witness=one_pass,
-            engine=engine,
         )
         if res.deadlock_reachable:
             if not one_pass:
-                res = search_deadlock(spec, max_states=max_states, engine=engine)
+                res = search_deadlock(spec, max_states=max_states)
             results[delta] = res
             return DelayResult(min_delay=delta, max_delay_tested=delta, results=results)
         results[delta] = res

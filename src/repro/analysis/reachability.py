@@ -9,7 +9,6 @@ bounded); a configurable state cap turns pathological blow-ups into loud
 
 from __future__ import annotations
 
-import os
 import time
 import warnings
 from collections import deque
@@ -26,8 +25,8 @@ from repro.analysis.kernelpath import kernel_engine_for as _kernel_engine_for
 from repro.analysis.kernelpath import peek_engine as _peek_kernel
 from repro.obs import get as _obs_get
 
-#: every name accepted by ``engine=`` / ``REPRO_SEARCH_ENGINE``: the
-#: compiled default and the oracle
+#: every name accepted by ``search_deadlock(engine=...)``: the compiled
+#: default and the oracle
 SEARCH_ENGINES = ("kernel", "reference")
 
 #: how often a kernel request ran on the reference engine instead -- no
@@ -42,10 +41,9 @@ _fallback_warned: set[type] = set()
 def resolve_engine(engine: str | None, spec: SystemSpec) -> str:
     """The concrete engine a search of ``spec`` will run on.
 
-    ``None`` defers to ``REPRO_SEARCH_ENGINE``; with neither set, the
-    request is the compiled ``kernel`` engine.  A kernel request -- the
-    default or named -- runs on the kernel when its compiled library
-    loads (a C compiler, or a cached build) and ``spec`` has at most
+    ``None`` requests the compiled ``kernel`` engine.  A kernel request
+    -- the default or named -- runs on the kernel when its compiled
+    library loads (a C compiler, or a cached build) and ``spec`` has at most
     ``MAX_KERNEL_MSGS`` messages.  Otherwise it runs on ``reference``: a
     loud fallback, warned once per process (a
     :class:`~repro.analysis.kernelpath.WideSpecFallbackWarning` for a
@@ -53,7 +51,7 @@ def resolve_engine(engine: str | None, spec: SystemSpec) -> str:
     loaded) and counted in ``search.engine.fallback.reference`` on every
     fallen-back search.  Unknown names raise :class:`ValueError`.
     """
-    eng = engine or os.environ.get("REPRO_SEARCH_ENGINE") or "kernel"
+    eng = engine or "kernel"
     if eng not in SEARCH_ENGINES:
         raise ValueError(
             f"unknown search engine {eng!r}; use 'kernel' or 'reference'"
@@ -231,7 +229,8 @@ def search_deadlock(
         through :class:`~repro.analysis.kernelpath.KernelEngine`;
         ``"reference"`` keeps the original :meth:`SystemSpec.successors`
         implementation as the cross-checking oracle.  ``None`` (default)
-        reads ``REPRO_SEARCH_ENGINE``, else picks ``kernel``.  A kernel
+        picks ``kernel``.  This is the one place the engine can be named:
+        the layers above always take the default.  A kernel
         request falls back to ``reference`` loudly when no compiled kernel
         library loads or the spec is too wide for it (see
         :func:`resolve_engine`).  Both engines produce identical verdicts,

@@ -384,8 +384,8 @@ class SqliteCache:
         self._conn = sqlite3.connect(
             str(self.path), timeout=timeout, check_same_thread=False
         )
+        self._enable_wal(timeout)
         with self._lock, self._conn:
-            self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.execute(
                 "CREATE TABLE IF NOT EXISTS entries ("
                 " task_hash TEXT PRIMARY KEY,"
@@ -393,6 +393,27 @@ class SqliteCache:
                 " entry TEXT NOT NULL,"
                 " saved_at REAL NOT NULL)"
             )
+
+    def _enable_wal(self, timeout: float) -> None:
+        """Switch the database to WAL journaling.
+
+        On a new file opened by several processes at once the switch can
+        fail with ``database is locked`` at once, without waiting on the
+        connection's busy timeout; retry it until ``timeout`` seconds have
+        passed, then re-raise.
+        """
+        deadline = time.monotonic() + timeout
+        pause = 0.001
+        while True:
+            try:
+                with self._lock, self._conn:
+                    self._conn.execute("PRAGMA journal_mode=WAL")
+                return
+            except sqlite3.OperationalError as exc:
+                if "database is locked" not in str(exc) or time.monotonic() >= deadline:
+                    raise
+            time.sleep(pause)
+            pause = min(pause * 2, 0.05)
 
     def get(self, task: CampaignTask) -> TaskResult | None:
         with self._lock:

@@ -50,11 +50,6 @@ class RunnerConfig:
     task_timeout: float | None = None  # seconds; pool mode only
     retries: int = 1  # extra attempts after a failed/timed-out task
     backoff: float = 0.5  # seconds before the first retry wave, then doubled
-    #: search engine (kernel/reference) used inside tasks; ``None``
-    #: defers to ``REPRO_SEARCH_ENGINE``/the default.  Execution-only
-    #: (never part of task identity or the cache key): the engines are
-    #: pinned bit-identical.
-    engine: str | None = None
 
     def __post_init__(self) -> None:
         if self.max_workers < 1:
@@ -63,15 +58,6 @@ class RunnerConfig:
             raise ValueError("retries must be >= 0")
         if self.task_timeout is not None and self.task_timeout <= 0:
             raise ValueError("task_timeout must be positive")
-        if self.engine is not None:
-            # lazy: configuring a run needs none of the search stack
-            from repro.analysis.reachability import SEARCH_ENGINES
-
-            if self.engine not in SEARCH_ENGINES:
-                raise ValueError(
-                    f"unknown search engine {self.engine!r}; "
-                    "use 'kernel' or 'reference'"
-                )
 
 
 def _trace_scope(carrier: str | None) -> ContextManager[None]:
@@ -89,11 +75,7 @@ def _trace_scope(carrier: str | None) -> ContextManager[None]:
     return nullcontext() if ctx is None else tel.activate(ctx)
 
 
-def _pool_worker(
-    payload: dict,
-    engine: str | None = None,
-    trace_carrier: str | None = None,
-) -> dict:
+def _pool_worker(payload: dict, trace_carrier: str | None = None) -> dict:
     """Worker-process entry: JSON in, JSON out (always picklable).
 
     ``trace_carrier`` joins the task's events to the submitting request's
@@ -103,7 +85,7 @@ def _pool_worker(
     """
     task = CampaignTask.from_json(payload)
     with _trace_scope(trace_carrier):
-        return execute_task(task, worker=f"pid{os.getpid()}", engine=engine).to_json()
+        return execute_task(task, worker=f"pid{os.getpid()}").to_json()
 
 
 def _infra_failure(task: CampaignTask, error: str) -> TaskResult:
@@ -146,18 +128,13 @@ class _WaveExecutor:
         traces: dict[str, str] | None,
     ) -> TaskResult:
         with _trace_scope(traces.get(task.task_hash) if traces else None):
-            return execute_task(
-                task,
-                worker=worker,
-                engine=self.config.engine,
-            )
+            return execute_task(task, worker=worker)
 
     def _run_pool(
         self,
         tasks: Sequence[CampaignTask],
         traces: dict[str, str] | None,
     ) -> list[TaskResult]:
-        engine = self.config.engine
         try:
             from concurrent.futures import ProcessPoolExecutor
 
@@ -174,7 +151,6 @@ class _WaveExecutor:
                     executor.submit(
                         _pool_worker,
                         t.to_json(),
-                        engine,
                         traces.get(t.task_hash) if traces else None,
                     ),
                     t,

@@ -51,7 +51,9 @@ from dataclasses import dataclass, field
 from typing import Any
 
 #: bump when the result payload or task semantics change; salts the cache key
-#: (v6: configuration-mode ``classify`` results carry the deciding
+#: (v7: cycle-mode ``classify`` results carry the classifier's ``notes``,
+#: so a served classification answers like ``repro classify --json``;
+#: v6: configuration-mode ``classify`` results carry the deciding
 #: ``certificate``, as cycle-mode ones always did; v5: new ``adaptive``
 #: and ``cross_check`` kinds; certificate-decided
 #: reachable verdicts now construct witnesses without search, so
@@ -61,7 +63,7 @@ from typing import Any
 #: certificate-decided reachability and classify tasks report
 #: ``states_explored``/``scenarios_tested`` of 0 and a ``certificate``
 #: detail; new ``lint`` kind)
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 ANALYSIS_KINDS = (
     "reachability",
@@ -295,9 +297,7 @@ class TaskResult:
 # ----------------------------------------------------------------------
 # execution (module-level: must be importable/picklable from workers)
 # ----------------------------------------------------------------------
-def _run_reachability(
-    bundle, p: dict[str, Any], engine: str | None = None
-) -> tuple[str, dict[str, Any]]:
+def _run_reachability(bundle, p: dict[str, Any]) -> tuple[str, dict[str, Any]]:
     from repro.analysis import SystemSpec, search_deadlock
 
     spec = SystemSpec.uniform(bundle.messages, budget=int(p.get("budget", 0)))
@@ -305,7 +305,6 @@ def _run_reachability(
         spec,
         max_states=int(p.get("max_states", 4_000_000)),
         find_witness=False,
-        engine=engine,
     )
     verdict = "deadlock" if res.deadlock_reachable else "unreachable"
     return verdict, {
@@ -314,9 +313,7 @@ def _run_reachability(
     }
 
 
-def _run_classify(
-    bundle, p: dict[str, Any], engine: str | None = None
-) -> tuple[str, dict[str, Any]]:
+def _run_classify(bundle, p: dict[str, Any]) -> tuple[str, dict[str, Any]]:
     from repro.analysis.classify import classify_configuration, classify_cycle
 
     if bundle.cycle_classify is not None:
@@ -329,13 +326,13 @@ def _run_classify(
             extra_copies=int(p.get("extra_copies", 1)),
             budget=int(p.get("budget", 0)),
             max_states=int(p.get("max_states", 2_000_000)),
-            engine=engine,
         )
         verdict = "deadlock" if cls.deadlock_reachable else "unreachable"
         return verdict, {
             "tilings_tested": cls.tilings_tested,
             "scenarios_tested": cls.scenarios_tested,
             "certificate": cls.certificate,
+            "notes": cls.notes,
         }
     reachable, res = classify_configuration(
         bundle.messages,
@@ -343,7 +340,6 @@ def _run_classify(
         copy_depth=int(p.get("copy_depth", 1)),
         length_slack=int(p.get("length_slack", 0)),
         max_states=int(p.get("max_states", 4_000_000)),
-        engine=engine,
     )
     verdict = "deadlock" if reachable else "unreachable"
     return verdict, {
@@ -352,16 +348,13 @@ def _run_classify(
     }
 
 
-def _run_min_delay(
-    bundle, p: dict[str, Any], engine: str | None = None
-) -> tuple[str, dict[str, Any]]:
+def _run_min_delay(bundle, p: dict[str, Any]) -> tuple[str, dict[str, Any]]:
     from repro.analysis.delay import min_delay_to_deadlock
 
     res = min_delay_to_deadlock(
         bundle.messages,
         max_delay=int(p.get("max_delay", 8)),
         max_states=int(p.get("max_states", 8_000_000)),
-        engine=engine,
     )
     states = sum(r.states_explored for r in res.results.values())
     if res.min_delay is None:
@@ -376,9 +369,7 @@ def _run_min_delay(
     }
 
 
-def _run_simulate(
-    bundle, p: dict[str, Any], engine: str | None = None
-) -> tuple[str, dict[str, Any]]:
+def _run_simulate(bundle, p: dict[str, Any]) -> tuple[str, dict[str, Any]]:
     from repro.sim import SimConfig, Simulator
 
     net, routing, specs = bundle.sim
@@ -400,9 +391,7 @@ def _run_simulate(
     }
 
 
-def _run_cdg(
-    bundle, p: dict[str, Any], engine: str | None = None
-) -> tuple[str, dict[str, Any]]:
+def _run_cdg(bundle, p: dict[str, Any]) -> tuple[str, dict[str, Any]]:
     from repro.cdg import build_cdg, dally_seitz_numbering, is_acyclic, verify_numbering
 
     alg = bundle.algorithm
@@ -416,9 +405,7 @@ def _run_cdg(
     return "cyclic", detail
 
 
-def _run_lint(
-    bundle, p: dict[str, Any], engine: str | None = None
-) -> tuple[str, dict[str, Any]]:
+def _run_lint(bundle, p: dict[str, Any]) -> tuple[str, dict[str, Any]]:
     from repro.lint import lint_algorithm, lint_messages
 
     if bundle.algorithm is not None:
@@ -439,9 +426,7 @@ def _run_lint(
     }
 
 
-def _run_adaptive(
-    bundle, p: dict[str, Any], engine: str | None = None
-) -> tuple[str, dict[str, Any]]:
+def _run_adaptive(bundle, p: dict[str, Any]) -> tuple[str, dict[str, Any]]:
     from repro.analysis.adaptive_state import search_adaptive_deadlock
 
     if bundle.adaptive is None:
@@ -461,9 +446,7 @@ def _run_adaptive(
     }
 
 
-def _run_cross_check(
-    bundle, p: dict[str, Any], engine: str | None = None
-) -> tuple[str, dict[str, Any]]:
+def _run_cross_check(bundle, p: dict[str, Any]) -> tuple[str, dict[str, Any]]:
     """Witness emission + replay cross-validation for one scenario.
 
     Any layer disagreeing -- the witness failing successor-relation
@@ -481,7 +464,6 @@ def _run_cross_check(
         spec,
         max_states=int(p.get("max_states", 4_000_000)),
         find_witness=True,
-        engine=engine,
     )
     detail: dict[str, Any] = {
         "states_explored": res.states_explored,
@@ -524,7 +506,6 @@ def execute_task(
     task: CampaignTask,
     *,
     worker: str = "",
-    engine: str | None = None,
 ) -> TaskResult:
     """Build the task's scenario and run its analysis.
 
@@ -533,11 +514,10 @@ def execute_task(
     thousand-task campaign.  Infrastructure errors (pool breakage,
     timeouts) are the runner's concern.
 
-    ``engine`` is an *execution* knob (the search engine --
-    kernel or reference -- used inside a task), deliberately not a task
-    parameter: the engines are pinned bit-identical by the differential
-    suites, so it never enters the content hash and cached results stay
-    valid whatever engine produced them.
+    The search engine is not a task parameter: the program picks it
+    (:func:`repro.analysis.reachability.resolve_engine`), and the engines
+    are pinned bit-identical by the differential suites, so cached
+    results stay valid whatever engine produced them.
     """
     from repro.campaign.scenarios import build_scenario
     from repro.obs import get as _obs_get
@@ -554,7 +534,7 @@ def execute_task(
     t0 = time.perf_counter()
     try:
         bundle = build_scenario(task.scenario, p)
-        verdict, detail = _KIND_RUNNERS[task.kind](bundle, p, engine)
+        verdict, detail = _KIND_RUNNERS[task.kind](bundle, p)
         detail.update(bundle.detail)
         result = TaskResult(
             task_hash=task.task_hash,

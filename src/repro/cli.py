@@ -49,16 +49,11 @@ PATH`` (end-of-run metrics snapshot).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
-
-#: ``--search-engine`` choices: a literal copy of
-#: :data:`repro.analysis.reachability.SEARCH_ENGINES` (pinned equal by the
-#: tests), because importing the analysis stack here would tax the
-#: start-up of every command
-SEARCH_ENGINES = ("kernel", "reference")
 
 
 @contextmanager
@@ -172,7 +167,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
             spec,
             max_states=args.max_states,
             find_witness=args.witness,
-            engine=args.search_engine,
         )
     except SearchLimitExceeded as exc:
         print(f"search: {exc}", file=sys.stderr)
@@ -217,12 +211,13 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    import json as _json
-
     from repro.analysis.classify import classify_configuration, classify_cycle
     from repro.analysis.reachability import SearchLimitExceeded
     from repro.campaign.scenarios import build_scenario
     from repro.experiments import render_kv
+
+    # the serve API builds /v1/classify bodies with the same function
+    from repro.serve.payloads import classify_payload, dumps
 
     params = _parse_scenario_params(args, "classify")
     if params is None:
@@ -244,32 +239,29 @@ def _cmd_classify(args: argparse.Namespace) -> int:
                 extra_copies=args.extra_copies,
                 budget=args.budget,
                 max_states=args.max_states,
-                engine=args.search_engine,
             )
         except SearchLimitExceeded as exc:
             print(f"classify: {exc}", file=sys.stderr)
             return 2
-        verdict = "deadlock" if cls.deadlock_reachable else "false-resource-cycle"
-        note = _certificate_note(cls.certificate, cls.scenarios_tested == 0)
+        payload = classify_payload(
+            scenario=args.scenario,
+            params=params,
+            mode="cycle",
+            deadlock_reachable=cls.deadlock_reachable,
+            certificate=cls.certificate,
+            tilings_tested=cls.tilings_tested,
+            scenarios_tested=cls.scenarios_tested,
+            notes=cls.notes,
+        )
         if args.json:
-            payload = {
-                "scenario": args.scenario,
-                "params": params,
-                "mode": "cycle",
-                "verdict": verdict,
-                "deadlock_reachable": cls.deadlock_reachable,
-                "tilings_tested": cls.tilings_tested,
-                "scenarios_tested": cls.scenarios_tested,
-                "certificate": cls.certificate,
-                "notes": cls.notes,
-            }
-            print(_json.dumps(payload, indent=2))
+            print(dumps(payload))
             return 0
+        note = _certificate_note(cls.certificate, cls.scenarios_tested == 0)
         rows = {
             "scenario": args.scenario,
             "mode": "CDG cycle",
             "cycle channels": len(cls.cycle),
-            "verdict": verdict,
+            "verdict": payload["verdict"],
             "tilings tested": cls.tilings_tested,
             "scenarios tested": cls.scenarios_tested,
         }
@@ -293,30 +285,27 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             budget=args.budget,
             length_slack=args.length_slack,
             max_states=args.max_states,
-            engine=args.search_engine,
         )
     except SearchLimitExceeded as exc:
         print(f"classify: {exc}", file=sys.stderr)
         return 2
-    verdict = "deadlock" if reachable else "unreachable"
-    note = _certificate_note(res.certificate, res.states_explored == 0)
+    payload = classify_payload(
+        scenario=args.scenario,
+        params=params,
+        mode="configuration",
+        deadlock_reachable=reachable,
+        certificate=res.certificate,
+        states_explored=res.states_explored,
+    )
     if args.json:
-        payload = {
-            "scenario": args.scenario,
-            "params": params,
-            "mode": "configuration",
-            "verdict": verdict,
-            "deadlock_reachable": reachable,
-            "states_explored": res.states_explored,
-            "certificate": res.certificate,
-        }
-        print(_json.dumps(payload, indent=2))
+        print(dumps(payload))
         return 0
+    note = _certificate_note(res.certificate, res.states_explored == 0)
     rows = {
         "scenario": args.scenario,
         "mode": "configuration",
         "messages": len(bundle.messages),
-        "verdict": verdict,
+        "verdict": payload["verdict"],
         "states explored": res.states_explored,
     }
     if note is not None:
@@ -422,10 +411,7 @@ def _cmd_telemetry_tail(args: argparse.Namespace) -> int:
 def _cmd_fig1(args: argparse.Namespace) -> int:
     from repro.experiments import render_table, run_fig1_experiment
 
-    res = run_fig1_experiment(
-        max_delay=args.max_delay,
-        engine=args.search_engine,
-    )
+    res = run_fig1_experiment(max_delay=args.max_delay)
     print(render_table(res.summary_rows(), title="E1: Figure 1 / Theorem 1"))
     print()
     print("\n".join(res.narrative))
@@ -434,6 +420,26 @@ def _cmd_fig1(args: argparse.Namespace) -> int:
     return 0 if res.matches_paper else 1
 
 
+def _grid_command(
+    fn: Callable[[argparse.Namespace], int],
+) -> Callable[[argparse.Namespace], int]:
+    """A grid command (``fig2``, ``fig3``, ``theorem3``, ``gen``): a failed
+    grid task ends in one ``<cmd>: ...`` line and exit 2, not a traceback."""
+
+    @functools.wraps(fn)
+    def run(args: argparse.Namespace) -> int:
+        from repro.experiments.grid import GridTaskFailed
+
+        try:
+            return fn(args)
+        except GridTaskFailed as exc:
+            print(f"{args.command}: {exc}", file=sys.stderr)
+            return 2
+
+    return run
+
+
+@_grid_command
 def _cmd_fig2(args: argparse.Namespace) -> int:
     from repro.experiments import render_table, run_fig2_experiment
 
@@ -444,6 +450,7 @@ def _cmd_fig2(args: argparse.Namespace) -> int:
     return 0 if res.matches_paper else 1
 
 
+@_grid_command
 def _cmd_fig3(args: argparse.Namespace) -> int:
     from repro.experiments import render_table
     from repro.experiments.fig3 import run_condition_sweep, run_fig3_experiment
@@ -477,6 +484,7 @@ def _cmd_theorem2(args: argparse.Namespace) -> int:
     return 0 if res.all_deadlock else 1
 
 
+@_grid_command
 def _cmd_theorem3(args: argparse.Namespace) -> int:
     from repro.experiments import render_kv, run_theorem3_experiment
 
@@ -489,6 +497,7 @@ def _cmd_theorem3(args: argparse.Namespace) -> int:
     return 0 if res.theorem_holds and res.fig1_certified_nonminimal else 1
 
 
+@_grid_command
 def _cmd_gen(args: argparse.Namespace) -> int:
     from repro.experiments import render_table, run_generalization_experiment
 
@@ -558,7 +567,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
             max_workers=args.jobs,
             task_timeout=args.timeout,
             retries=args.retries,
-            engine=args.search_engine,
         )
         cache = (
             None
@@ -809,8 +817,6 @@ def _lint_one(scenario: str, params: dict, *, max_cycles: int):
 def _cmd_lint(args: argparse.Namespace) -> int:
     import json as _json
 
-    from repro.campaign.scenarios import scenario_names
-
     if bool(args.scenario) == bool(args.all):
         print("lint: give exactly one of <scenario> or --all", file=sys.stderr)
         return 2
@@ -834,20 +840,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             seen.add(key)
             targets.append((task.scenario, params))
     else:
-        if args.scenario not in scenario_names():
-            print(
-                f"lint: unknown scenario {args.scenario!r}; registered: "
-                f"{', '.join(scenario_names())}",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            params = _json.loads(args.params)
-        except _json.JSONDecodeError as exc:
-            print(f"lint: --params is not valid JSON: {exc}", file=sys.stderr)
-            return 2
-        if not isinstance(params, dict):
-            print("lint: --params must be a JSON object", file=sys.stderr)
+        params = _parse_scenario_params(args, "lint")
+        if params is None:
             return 2
         targets.append((args.scenario, params))
 
@@ -899,7 +893,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             hot_capacity=args.hot_capacity,
             window=args.window_ms / 1000.0,
             jobs=args.jobs,
-            search_engine=args.search_engine,
             retries=args.retries,
             task_timeout=args.timeout,
             telemetry=not args.no_telemetry,
@@ -949,8 +942,9 @@ def _cmd_client(args: argparse.Namespace) -> int:
                 )
                 print(f"client {cmd}: HTTP {resp.status}: {detail}", file=sys.stderr)
                 return 1 if resp.status >= 500 else 2
-            # the raw response body: for `search`, byte-identical to
-            # `repro search --json`; classify/lint use the campaign's shape
+            # the raw response body: for `search` and `classify`,
+            # byte-identical to the local `--json` output; lint keeps the
+            # campaign's shape
             sys.stdout.write(resp.body.decode("utf-8"))
             if args.show_source:
                 print(f"source: {resp.source} ({resp.task_hash})", file=sys.stderr)
@@ -995,18 +989,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_search_engine_flag(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--search-engine", default=None,
-            choices=SEARCH_ENGINES,
-            help="reachability search engine (default: REPRO_SEARCH_ENGINE, "
-            "else the compiled 'kernel'; 'kernel' falls back loudly to "
-            "'reference' when no C compiler is available or a spec has "
-            "more than 64 messages); 'reference' is the oracle.  Both "
-            "engines are pinned bit-identical, so this is purely an "
-            "execution knob",
-        )
-
     def add_telemetry_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--telemetry", default=None, metavar="PATH",
@@ -1021,7 +1003,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fig1", help="Figure 1 / Theorem 1 battery")
     p.add_argument("--max-delay", type=int, default=3)
-    add_search_engine_flag(p)
     p.set_defaults(fn=_cmd_fig1)
 
     p = sub.add_parser("fig2", help="Figure 2 / Theorem 4 sweep")
@@ -1088,7 +1069,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="reconstruct and print a replayable deadlock witness",
     )
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    add_search_engine_flag(p)
     add_telemetry_flags(p)
     p.set_defaults(fn=_cmd_search)
 
@@ -1121,7 +1101,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-states", type=int, default=2_000_000, help="per-search state cap"
     )
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    add_search_engine_flag(p)
     add_telemetry_flags(p)
     p.set_defaults(fn=_cmd_classify)
 
@@ -1262,7 +1241,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-telemetry", action="store_true",
         help="disable the telemetry collector (and the /v1/events stream)",
     )
-    add_search_engine_flag(p)
     p.set_defaults(fn=_cmd_serve)
 
     p = sub.add_parser(
@@ -1365,7 +1343,6 @@ def build_parser() -> argparse.ArgumentParser:
         "disjoint, content-stable, and merge via a shared --cache-dir "
         "(see 'campaign status')",
     )
-    add_search_engine_flag(pr)
     add_telemetry_flags(pr)
     pr.set_defaults(fn=_cmd_campaign_run)
 
@@ -1417,14 +1394,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    env_engine = os.environ.get("REPRO_SEARCH_ENGINE")
-    if env_engine and hasattr(args, "search_engine") and env_engine not in SEARCH_ENGINES:
-        print(
-            f"error: REPRO_SEARCH_ENGINE={env_engine!r} is not a search engine; "
-            f"use one of {', '.join(SEARCH_ENGINES)}",
-            file=sys.stderr,
-        )
-        return 2
     if os.environ.get("REPRO_STATIC_CERTIFICATES") is not None:
         # lazy, and only when set: a fresh process without the variable
         # loads nothing for this check

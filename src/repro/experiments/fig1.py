@@ -86,7 +86,6 @@ def run_fig1_experiment(
     *,
     max_delay: int = 6,
     with_copies: bool = True,
-    engine: str | None = None,
 ) -> Fig1Result:
     """Run the full E1 battery.  Takes a few seconds."""
     cdn = build_cyclic_dependency_network()
@@ -98,7 +97,7 @@ def run_fig1_experiment(
     props = analyze_properties(alg, pairs + [("P3", "D1"), ("Src", "X1"), ("N*", "D2")])
 
     msgs = cdn.checker_messages()
-    sync = search_deadlock(SystemSpec.uniform(msgs, budget=0), engine=engine)
+    sync = search_deadlock(SystemSpec.uniform(msgs, budget=0))
 
     copies_ok = True
     if with_copies:
@@ -110,14 +109,12 @@ def run_fig1_experiment(
             SystemSpec.uniform(extra, budget=0),
             max_states=8_000_000,
             find_witness=False,
-            engine=engine,
         ).deadlock_reachable
 
     longer = [CheckerMessage(m.path, m.length + 1, m.tag) for m in msgs]
     longer_ok = not search_deadlock(
         SystemSpec.uniform(longer, budget=0),
         find_witness=False,
-        engine=engine,
     ).deadlock_reachable
 
     # analytic model on the sparse geometry
@@ -131,7 +128,7 @@ def run_fig1_experiment(
     ]
     analytic = analytic_schedule_feasible(cycle_specs)
 
-    delay = min_delay_to_deadlock(msgs, max_delay=max_delay, engine=engine)
+    delay = min_delay_to_deadlock(msgs, max_delay=max_delay)
     replay_ok = False
     if delay.min_delay is not None:
         witness = delay.results[delay.min_delay].witness

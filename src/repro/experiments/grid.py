@@ -16,6 +16,10 @@ from repro.campaign.runner import RunnerConfig, run_campaign
 from repro.campaign.tasks import CampaignTask, TaskResult
 
 
+class GridTaskFailed(RuntimeError):
+    """A task of a paper grid failed, so the grid has no answer."""
+
+
 def run_grid(
     tasks: Sequence[CampaignTask],
     *,
@@ -23,7 +27,8 @@ def run_grid(
     cache_dir: str | Path | None = None,
     spec_name: str = "",
 ) -> list[TaskResult]:
-    """Results in task order; a failed task raises, naming the task."""
+    """Results in task order; a failed task raises :class:`GridTaskFailed`,
+    naming the task and its error."""
     cache = ResultCache(Path(cache_dir)) if cache_dir else None
     results, _ = run_campaign(
         tasks,
@@ -33,5 +38,5 @@ def run_grid(
     )
     for res in results:
         if not res.ok:
-            raise RuntimeError(f"{spec_name} task failed: {res.name}: {res.error}")
+            raise GridTaskFailed(f"{spec_name} task {res.name} failed: {res.error}")
     return results

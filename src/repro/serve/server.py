@@ -153,9 +153,6 @@ class ServeConfig:
     #: micro-batching window in seconds (0 = flush on next loop tick)
     window: float = 0.02
     jobs: int = 1
-    #: search engine (kernel/reference) for in-task
-    #: searches; None defers to REPRO_SEARCH_ENGINE / the default
-    search_engine: str | None = None
     retries: int = 0
     task_timeout: float | None = None
     telemetry: bool = True
@@ -216,7 +213,6 @@ class ReproServer:
             max_workers=self.config.jobs,
             retries=self.config.retries,
             task_timeout=self.config.task_timeout,
-            engine=self.config.search_engine,
         )
         self.batcher: MicroBatcher | None = None
         self.host = self.config.host
@@ -651,7 +647,6 @@ class ReproServer:
                 "telemetry": self.config.telemetry,
                 "window_s": self.config.window,
                 "jobs": self.config.jobs,
-                "search_engine": self.config.search_engine,
             },
             "batcher": self.batcher.stats.to_json(),
             "cache": self._cache_status(),

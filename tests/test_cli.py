@@ -46,3 +46,28 @@ def test_traffic_tiny(capsys):
     assert main(["traffic", "--rates", "0.02"]) == 0
     out = capsys.readouterr().out
     assert "positive control" in out
+
+
+def _failing_runner(bundle, p):
+    raise RuntimeError("injected failure")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["fig2"], ["fig3"], ["theorem3", "--limit", "6"], ["gen", "--max-m", "1"]],
+    ids=["fig2", "fig3", "theorem3", "gen"],
+)
+def test_grid_task_failure_is_a_named_error(argv, capsys, monkeypatch):
+    """A failed grid task ends the command with one named stderr line and
+    exit 2, not a traceback."""
+    from repro.campaign import tasks
+
+    for kind in ("reachability", "classify", "min_delay"):
+        monkeypatch.setitem(tasks._KIND_RUNNERS, kind, _failing_runner)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    assert lines[0].startswith(f"{argv[0]}: ")
+    assert "RuntimeError: injected failure" in lines[0]
+    assert captured.out == ""

@@ -57,24 +57,18 @@ class TestSearchCommand:
         assert main(["search", "fig1", "--params", "[1]"]) == 2
         assert "JSON object" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", ["vector", "auto", "fast"])
-    def test_retired_engine_names_exit_2(self, name, capsys, monkeypatch):
-        # the flag is rejected by argparse, naming the valid choices
+    @pytest.mark.parametrize("name", ["vector", "auto", "fast", "kernel"])
+    def test_retired_engine_names_exit_2(self, name, capsys):
+        # the program picks the engine: --search-engine is gone, so any
+        # value is an unknown argument to argparse
         with pytest.raises(SystemExit) as exc:
             main(["search", "fig1", "--search-engine", name])
         assert exc.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
-        # the environment switch is outside input too: a named error, not
-        # a traceback from deep inside the search
-        monkeypatch.setenv("REPRO_SEARCH_ENGINE", name)
-        assert main(["search", "fig1"]) == 2
-        err = capsys.readouterr().err
-        assert f"REPRO_SEARCH_ENGINE={name!r}" in err
-        assert "kernel, reference" in err
+        assert "unrecognized arguments: --search-engine" in capsys.readouterr().err
 
     def test_bad_static_certificates_env_exits_2(self, tmp_path, capsys, monkeypatch):
-        # checked up front, like REPRO_SEARCH_ENGINE: one named line, not a
-        # traceback from inside the search or an error in every task
+        # checked up front: one named line, not a traceback from inside
+        # the search or an error in every task
         monkeypatch.setenv("REPRO_STATIC_CERTIFICATES", "bogus")
         assert main(["search", "fig1"]) == 2
         err = capsys.readouterr().err
@@ -145,7 +139,7 @@ def test_kernel_out_of_memory_is_a_named_failure(argv, capsys, monkeypatch):
     assert issubclass(KernelOutOfMemory, SearchLimitExceeded)
     monkeypatch.setenv("REPRO_STATIC_CERTIFICATES", "off")
     monkeypatch.setattr(kernelpath_mod, "_load_cc_lib", lambda: _OutOfMemoryLib())
-    assert main(argv + ["--search-engine", "kernel"]) == 2
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [

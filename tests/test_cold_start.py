@@ -9,8 +9,9 @@ of the perfbench ``cli-fresh`` commands in a new interpreter and inspect
   serve stack (asyncio, ``http.server``), no sqlite3, and neither the
   simulator engine nor the serve server;
 * ``lint`` keeps networkx (CDG construction) but loads no numpy;
-* every search engine (``kernel``, ``fast``, ``reference``) loads no
-  numpy and answers byte for byte as the default does;
+* both search engines -- the ``kernel`` and the ``reference`` fallback
+  taken without a C compiler -- load no numpy and answer byte for byte
+  as the default does;
 * the serve HTTP client is a pure client: none of the campaign stack,
   sqlite3 or a process pool.
 
@@ -109,10 +110,16 @@ def _default_search_fig1() -> str:
 
 
 @pytest.mark.parametrize("engine", ["kernel", "reference"])
-def test_every_engine_loads_no_numpy(engine):
-    """Whichever engine is named, a fresh search loads none of the
-    forbidden modules and answers exactly as the default engine does."""
-    got = _run([*COMMANDS["search-fig1"], "--search-engine", engine])
+def test_every_engine_loads_no_numpy(engine, tmp_path):
+    """Whichever engine runs -- the kernel, or the reference fallback
+    forced by a missing compiler and an empty kernel cache -- a fresh
+    search loads none of the forbidden modules and answers exactly as
+    the default does."""
+    no_kernel = {
+        "REPRO_CC": str(tmp_path / "no-such-cc"),
+        "REPRO_KERNEL_CACHE": str(tmp_path / "kcache"),
+    }
+    got = _run(COMMANDS["search-fig1"], **(no_kernel if engine == "reference" else {}))
     loaded = set(got["modules"])
     assert not loaded & SEARCH_FORBIDDEN, sorted(loaded & SEARCH_FORBIDDEN)
     assert got["stdout"] == _default_search_fig1()

@@ -147,10 +147,9 @@ def test_battery_witness_equality_and_replay(label, spec, wide_rows):
 
 
 @pytest.mark.parametrize("label,spec", BATTERY[:2], ids=["fig1-b0", "fig1-b1"])
-def test_battery_default_thresholds_match(label, spec, monkeypatch):
+def test_battery_default_thresholds_match(label, spec):
     """Same pin with nothing forced: no engine named and natural row
     widths, so the search runs on whatever the default selection resolves."""
-    monkeypatch.delenv("REPRO_SEARCH_ENGINE", raising=False)
     ref = search_deadlock(spec, engine="reference", find_witness=False)
     got = search_deadlock(spec, find_witness=False)
     assert got.deadlock_reachable == ref.deadlock_reachable
@@ -185,25 +184,13 @@ def test_unknown_engine_rejected():
             search_deadlock(BATTERY[0][1], engine=name, find_witness=False)
 
 
-def test_env_var_selects_vector(monkeypatch):
-    """REPRO_SEARCH_ENGINE=vector no longer selects an engine: the env
-    switch rejects the retired name exactly as ``engine="vector"`` does."""
-    spec = BATTERY[1][1]
-    monkeypatch.setenv("REPRO_SEARCH_ENGINE", "vector")
-    with pytest.raises(ValueError, match="unknown search engine 'vector'"):
-        search_deadlock(spec, find_witness=False)
-    # an explicit engine still wins over the env var
-    explicit = search_deadlock(spec, engine="kernel", find_witness=False)
-    ref = search_deadlock(spec, engine="reference", find_witness=False)
-    assert explicit.states_explored == ref.states_explored
-
-
 # ----------------------------------------------------------------------
 # integration: classify/delay/campaign plumbing on forced wide rows
 # ----------------------------------------------------------------------
-def test_classify_and_delay_thread_kernel_wide_rows(wide_rows):
-    """The engine knob changes execution only: classify/delay results are
-    identical with the kernel running on forced wide rows.
+def test_classify_and_delay_thread_kernel_wide_rows(wide_rows, running_on):
+    """The engine changes execution only: classify/delay results are
+    identical with the kernel running on forced wide rows and on the
+    reference fallback.
 
     classify runs on the small Theorem 2 ring; delay runs on Fig. 1, whose
     minimum delay to deadlock is 1."""
@@ -216,8 +203,9 @@ def test_classify_and_delay_thread_kernel_wide_rows(wide_rows):
     fig1 = build_scenario("fig1", {}).messages
     by_engine = {}
     for eng in ENGINES:
-        reachable, cls_res = classify_configuration(ring, engine=eng)
-        dly = min_delay_to_deadlock(fig1, max_delay=2, engine=eng)
+        with running_on(eng):
+            reachable, cls_res = classify_configuration(ring)
+            dly = min_delay_to_deadlock(fig1, max_delay=2)
         by_engine[eng] = (
             reachable,
             cls_res.states_explored,
@@ -229,15 +217,17 @@ def test_classify_and_delay_thread_kernel_wide_rows(wide_rows):
     assert by_engine["reference"][2] == 1
 
 
-def test_execute_task_engine_knob_not_in_hash(wide_rows):
-    """engine is an execution knob: task identity (and thus the cache key)
-    must not depend on it, while results must not differ either."""
+def test_execute_task_engine_knob_not_in_hash(wide_rows, running_on):
+    """The engine is not part of a task: task identity (and thus the cache
+    key) is the same on the default and on the forced fallback, and so
+    are the results."""
     from repro.campaign.specs import build_spec
     from repro.campaign.tasks import execute_task
 
     task = next(t for t in build_spec("paper-battery") if t.kind == "reachability")
-    ref = execute_task(task, engine="reference")
-    got = execute_task(task, engine="kernel")
+    with running_on("reference"):
+        ref = execute_task(task)
+    got = execute_task(task)
     assert got.task_hash == ref.task_hash
     assert got.detail.get("states_explored") == ref.detail.get(
         "states_explored"

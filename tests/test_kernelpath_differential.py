@@ -197,22 +197,8 @@ def test_state_cap_is_engine_independent(cap):
 
 
 def test_search_engine_names():
-    """The engine set is the compiled default plus the oracle, and the
-    CLI's literal copy of it (kept to spare start-up an import) matches."""
-    from repro.cli import SEARCH_ENGINES as CLI_ENGINES
-
+    """The engine set is the compiled default plus the oracle."""
     assert SEARCH_ENGINES == ("kernel", "reference")
-    assert CLI_ENGINES == SEARCH_ENGINES
-
-
-def test_env_var_selects_kernel(monkeypatch):
-    """REPRO_SEARCH_ENGINE=kernel is the same switch as engine="kernel"."""
-    spec = BATTERY[1][1]
-    explicit = search_deadlock(spec, engine="kernel", find_witness=False)
-    monkeypatch.setenv("REPRO_SEARCH_ENGINE", "kernel")
-    via_env = search_deadlock(spec, find_witness=False)
-    assert via_env.deadlock_reachable == explicit.deadlock_reachable
-    assert via_env.states_explored == explicit.states_explored
 
 
 # ----------------------------------------------------------------------
@@ -452,10 +438,9 @@ def test_cc_cache_self_heals_bad_library(poison, monkeypatch, tmp_path):
 # ----------------------------------------------------------------------
 # default engine selection: kernel, else a loud fallback to reference
 # ----------------------------------------------------------------------
-def test_resolve_engine_auto_prefers_kernel_when_accelerated(monkeypatch):
+def test_resolve_engine_auto_prefers_kernel_when_accelerated():
     """Automatic selection (no engine named) picks the compiled kernel
     when its library loads, without counting a fallback."""
-    monkeypatch.delenv("REPRO_SEARCH_ENGINE", raising=False)
     if kernel_unavailable_reason() is not None:
         pytest.skip("no compiled kernel library here")
     before = dict(ENGINE_COUNTERS)
@@ -467,7 +452,6 @@ def test_resolve_engine_auto_without_kernel(monkeypatch):
     """A kernel request without a compiled library -- the default or
     named -- runs on reference, counted on every search, warned once per
     process with the reason."""
-    monkeypatch.delenv("REPRO_SEARCH_ENGINE", raising=False)
     monkeypatch.setattr(
         reachability_mod, "_kernel_unavailable", lambda: "no C compiler found (test)"
     )
@@ -487,18 +471,21 @@ def test_resolve_engine_auto_without_kernel(monkeypatch):
 
 
 def test_auto_engine_env_and_explicit_agree(monkeypatch):
-    """The automatically selected engine, the same engine named through
-    REPRO_SEARCH_ENGINE, and the reference oracle all agree."""
+    """The automatically selected engine and the reference oracle agree,
+    and a stale ``REPRO_SEARCH_ENGINE`` (no longer read) changes neither
+    the engine picked nor the answer."""
     spec = BATTERY[1][1]
-    monkeypatch.delenv("REPRO_SEARCH_ENGINE", raising=False)
     default = search_deadlock(spec, find_witness=False)
-    monkeypatch.setenv("REPRO_SEARCH_ENGINE", "kernel")
-    via_env = search_deadlock(spec, find_witness=False)
-    assert via_env.deadlock_reachable == default.deadlock_reachable
-    assert via_env.states_explored == default.states_explored
-    # and the default is bit-identical to the oracle
     ref = search_deadlock(spec, engine="reference", find_witness=False)
+    assert default.deadlock_reachable == ref.deadlock_reachable
     assert default.states_explored == ref.states_explored
+    monkeypatch.setenv("REPRO_SEARCH_ENGINE", "reference")
+    before = dict(ENGINE_COUNTERS)
+    assert resolve_engine(None, spec) == resolve_engine("kernel", spec)
+    stale = search_deadlock(spec, find_witness=False)
+    assert stale.states_explored == default.states_explored
+    if kernel_unavailable_reason() is None:
+        assert ENGINE_COUNTERS == before  # the kernel ran: no fallback
 
 
 def _search_span(spec, **kw):
@@ -521,7 +508,6 @@ def _search_span(spec, **kw):
 def test_telemetry_names_the_engine_that_ran(monkeypatch):
     """The span says which engine actually ran -- the resolved default,
     not the request -- and carries that engine's phase timers."""
-    monkeypatch.delenv("REPRO_SEARCH_ENGINE", raising=False)
     spec = BATTERY[0][1]
     attrs, counters = _search_span(spec, find_witness=False)
     assert attrs["engine"] == "kernel"
@@ -541,14 +527,11 @@ def test_telemetry_names_the_engine_that_ran(monkeypatch):
     assert not any(".phase." in name for name in counters)
 
 
-@pytest.mark.parametrize(
-    "engine_args", [[], ["--search-engine", "kernel"]], ids=["default", "kernel"]
-)
-def test_default_engine_falls_back_loudly_without_compiler(engine_args, tmp_path):
-    """No compiler and an empty kernel cache: a kernel search -- the
-    default or named -- warns once naming the missing compiler, labels its
-    span ``engine=reference``, counts the fallback where ``telemetry report``
-    shows it, and prints the reference oracle's answer byte for byte."""
+def test_default_engine_falls_back_loudly_without_compiler(tmp_path):
+    """No compiler and an empty kernel cache: a search warns once naming
+    the missing compiler, labels its span ``engine=reference``, counts the
+    fallback where ``telemetry report`` shows it, and prints the kernel's
+    answer byte for byte."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
     env.update(
         PYTHONPATH=str(SRC),
@@ -558,19 +541,21 @@ def test_default_engine_falls_back_loudly_without_compiler(engine_args, tmp_path
     events = tmp_path / "ev.jsonl"
     repro = [sys.executable, "-m", "repro"]
     proc = subprocess.run(
-        [*repro, "search", "fig1", "--json", *engine_args,
-         "--telemetry", str(events)],
+        [*repro, "search", "fig1", "--json", "--telemetry", str(events)],
         env=env, capture_output=True, text=True, timeout=300, cwd=tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.count("RuntimeWarning") == 1, proc.stderr
     assert "no-such-cc" in proc.stderr and "reference engine" in proc.stderr
-    ref = subprocess.run(
-        [*repro, "search", "fig1", "--json", "--search-engine", "reference"],
-        env=env, capture_output=True, text=True, timeout=300, cwd=tmp_path,
-        check=True,
+    kernel_env = {
+        k: v for k, v in env.items() if k not in ("REPRO_CC", "REPRO_KERNEL_CACHE")
+    }
+    kernel = subprocess.run(
+        [*repro, "search", "fig1", "--json"],
+        env=kernel_env, capture_output=True, text=True, timeout=300,
+        cwd=tmp_path, check=True,
     )
-    assert proc.stdout == ref.stdout
+    assert proc.stdout == kernel.stdout
     spans = [
         json.loads(line) for line in events.read_text().splitlines()
         if '"search.deadlock"' in line
@@ -592,17 +577,18 @@ def test_default_engine_falls_back_loudly_without_compiler(engine_args, tmp_path
 # ----------------------------------------------------------------------
 # integration: classify/delay/campaign plumbing
 # ----------------------------------------------------------------------
-def test_classify_and_delay_thread_kernel_engine():
-    """The engine knob changes execution only: classify/delay results are
-    identical under the kernel engine."""
+def test_classify_and_delay_thread_kernel_engine(running_on):
+    """The engine changes execution only: classify/delay results are
+    identical on the kernel and on the reference fallback."""
     from repro.analysis.classify import classify_configuration
     from repro.analysis.delay import min_delay_to_deadlock
 
     msgs = build_scenario("fig1", {}).messages
     by_engine = {}
     for eng in ENGINES:
-        reachable, cls_res = classify_configuration(msgs, engine=eng)
-        dly = min_delay_to_deadlock(msgs, max_delay=2, engine=eng)
+        with running_on(eng):
+            reachable, cls_res = classify_configuration(msgs)
+            dly = min_delay_to_deadlock(msgs, max_delay=2)
         by_engine[eng] = (
             reachable,
             cls_res.states_explored,
@@ -612,20 +598,19 @@ def test_classify_and_delay_thread_kernel_engine():
     assert by_engine["kernel"] == by_engine["reference"]
 
 
-def test_execute_task_engine_knob_not_in_hash():
-    """engine is an execution knob: task identity (and thus the cache key)
-    must not depend on it, while results must not differ either."""
+def test_execute_task_engine_knob_not_in_hash(running_on):
+    """The engine is not part of a task: task identity (and thus the cache
+    key) is the same on the default and on the forced fallback, and so
+    are the results."""
     from repro.campaign.specs import build_spec
     from repro.campaign.tasks import execute_task
 
     task = next(t for t in build_spec("paper-battery") if t.kind == "reachability")
-    ref = execute_task(task, engine="reference")
-    for eng in (None, "kernel"):
-        got = execute_task(task, engine=eng)
-        assert got.task_hash == ref.task_hash, eng
-        assert got.detail.get("states_explored") == ref.detail.get(
-            "states_explored"
-        ), eng
+    with running_on("reference"):
+        ref = execute_task(task)
+    got = execute_task(task)
+    assert got.task_hash == ref.task_hash
+    assert got.detail.get("states_explored") == ref.detail.get("states_explored")
 
 
 @requires_cc

@@ -66,7 +66,8 @@ class TestCampaignLintKind:
         # v5: adaptive/cross_check task kinds; certificate-built witnesses can
         #     legitimately report states_explored == 0
         # v6: configuration-mode classify results carry their certificate
-        assert SCHEMA_VERSION == 6
+        # v7: cycle-mode classify results carry the classifier's notes
+        assert SCHEMA_VERSION == 7
 
     def test_lint_task_executes(self):
         task = CampaignTask.make(

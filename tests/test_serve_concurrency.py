@@ -126,6 +126,70 @@ def test_processes_racing_get_put(scheme, tmp_path):
         assert merged.get(_task(i)) is not None
 
 
+#: the barrier the opener processes meet at (set by the pool initializer)
+_OPEN_BARRIER = None
+
+#: rounds of three processes creating one new sqlite file at once
+OPEN_ROUNDS = 40
+
+
+def _init_open_barrier(barrier) -> None:
+    global _OPEN_BARRIER
+    _OPEN_BARRIER = barrier
+
+
+def _open_sqlite_behind_barrier(path: str) -> str | None:
+    """Module-level worker: meet the other openers, then build a
+    SqliteCache on ``path``; the error it raised, or None."""
+    _OPEN_BARRIER.wait(timeout=60)
+    try:
+        SqliteCache(path).close()
+    except Exception as exc:  # noqa: BLE001 - collected for the assert
+        return f"{type(exc).__name__}: {exc}"
+    return None
+
+
+def test_processes_racing_sqlite_open(tmp_path):
+    """Processes opening one *new* sqlite cache file at the same moment
+    (shards started together on a fresh ``--cache-backend sqlite:``) all
+    succeed: switching a new database to WAL can meet ``database is
+    locked``, which the constructor waits out within its timeout."""
+    import multiprocessing
+
+    try:
+        pool = ProcessPoolExecutor(
+            max_workers=3,
+            initializer=_init_open_barrier,
+            initargs=(multiprocessing.Barrier(3),),
+        )
+    except Exception:  # pragma: no cover - sandbox without process support
+        pytest.skip("process pools unavailable in this environment")
+    errors = []
+    with pool:
+        for r in range(OPEN_ROUNDS):
+            path = str(tmp_path / f"fresh{r}.db")
+            futures = [
+                pool.submit(_open_sqlite_behind_barrier, path) for _ in range(3)
+            ]
+            errors += [err for f in futures if (err := f.result(timeout=120))]
+    assert errors == []
+
+
+def test_sqlite_open_gives_up_after_its_timeout(tmp_path):
+    """A lock held past the constructor's timeout is still an error."""
+    import sqlite3
+    import time
+
+    path = tmp_path / "held.db"
+    holder = sqlite3.connect(path, isolation_level=None)
+    holder.execute("BEGIN EXCLUSIVE")
+    t0 = time.monotonic()
+    with pytest.raises(sqlite3.OperationalError, match="database is locked"):
+        SqliteCache(path, timeout=0.2)
+    assert time.monotonic() - t0 < 10
+    holder.close()
+
+
 def test_sqlite_instance_shared_between_threads(tmp_path):
     """One SqliteCache instance is documented as thread-safe (the serve
     loop and its executor thread share one)."""

@@ -173,6 +173,49 @@ def test_configuration_classify_carries_its_certificate(client, capsys):
     assert json.loads(capsys.readouterr().out)["certificate"] == "CRT001"
 
 
+@pytest.mark.parametrize(
+    "scenario,params",
+    [("ring-cycle", {"n": 4}), ("fig3-panel", {"panel": "a"})],
+    ids=["cycle", "configuration"],
+)
+def test_cold_classify_is_byte_identical_to_cli_json(
+    scenario, params, server, client, capsys
+):
+    """A served classification answers byte for byte like the local
+    ``classify --json``, in cycle mode (notes and all) and in
+    configuration mode, also through ``repro client classify``."""
+    argv = ["classify", scenario, "--params", json.dumps(params), "--json"]
+    assert main(argv) == 0
+    cli_out = capsys.readouterr().out
+
+    resp = client.classify(scenario, params).raise_for_status()
+    assert resp.source == "live"
+    assert resp.body.decode("utf-8") == cli_out
+    assert main(["client", "--url", server.url, *argv[:-1]]) == 0
+    assert capsys.readouterr().out == cli_out
+
+
+def test_cycle_classify_payload_says_false_resource_cycle():
+    """The campaign's cycle-mode verdict ``unreachable`` reads
+    ``false-resource-cycle`` in the payload, as in ``repro classify``;
+    the task verdict itself is untouched."""
+    from repro.campaign.tasks import TaskResult
+    from repro.serve.payloads import classify_payload_from_result
+
+    detail = {"tilings_tested": 2, "scenarios_tested": 4, "certificate": None,
+              "notes": ["no tested scenario reaches a deadlock"]}
+    result = TaskResult(
+        task_hash="0" * 64, name="t", kind="classify", scenario="ring-cycle",
+        params={}, verdict="unreachable", detail=detail,
+    )
+    payload = classify_payload_from_result(result, params={})
+    assert payload["mode"] == "cycle"
+    assert payload["verdict"] == "false-resource-cycle"
+    assert payload["deadlock_reachable"] is False
+    assert payload["notes"] == detail["notes"]
+    assert result.verdict == "unreachable"
+
+
 def test_lint_endpoint(client):
     resp = client.lint("fig1").raise_for_status()
     assert "verdict" in resp.payload
