@@ -62,11 +62,7 @@ def cli_search_json() -> str:
 def main() -> int:
     tmp = tempfile.mkdtemp(prefix="serve-smoke-")
     server = ReproServer(
-        ServeConfig(
-            port=0,
-            cache_backend=f"sqlite:{Path(tmp) / 'smoke.db'}",
-            window=0.01,
-        )
+        ServeConfig(port=0, cache_backend=f"sqlite:{Path(tmp) / 'smoke.db'}")
     )
     thread = threading.Thread(target=server.run, daemon=True)
     thread.start()

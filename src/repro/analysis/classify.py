@@ -33,7 +33,11 @@ from dataclasses import dataclass, field
 from collections.abc import Sequence
 
 
-from repro.analysis.reachability import SearchResult, search_deadlock
+from repro.analysis.reachability import (
+    SearchResult,
+    check_options,
+    search_deadlock,
+)
 from repro.analysis.state import CheckerMessage, SystemSpec
 from repro.obs import get as _obs_get
 from repro.routing.base import RoutingAlgorithm
@@ -64,7 +68,10 @@ def classify_configuration(
     lengths up to ``length_slack`` above minimum.
 
     Returns ``(deadlock_reachable, result_of_first_deadlocking_scenario_or_last)``.
+    Raises :class:`ValueError` when an option leaves no scenario to search
+    (``length_slack < 0``) or is otherwise out of range.
     """
+    check_options(budget=budget, length_slack=length_slack, max_states=max_states)
     tel = _obs_get()
     if tel is None:
         return _classify_configuration_impl(
@@ -255,7 +262,17 @@ def classify_cycle(
     :class:`~repro.lint.certificates.CertificateMismatch` on disagreement.
     There is no static deadlock-free verdict at cycle level, so "cycle is a
     false resource cycle" always comes from the search.
+
+    Raises :class:`ValueError` when an option leaves no scenario to search
+    (``length_slack < 0`` or ``extra_copies < 1``) or is otherwise out of
+    range: a verdict over zero scenarios would say nothing.
     """
+    check_options(
+        budget=budget,
+        length_slack=length_slack,
+        extra_copies=extra_copies,
+        max_states=max_states,
+    )
     tel = _obs_get()
     if tel is None:
         return _classify_cycle_impl(

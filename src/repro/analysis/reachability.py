@@ -79,6 +79,29 @@ def resolve_engine(engine: str | None, spec: SystemSpec) -> str:
     return "reference"
 
 
+#: the smallest value of each analysis option; below it the question is
+#: empty (no scenario to test, no state to explore) or has no meaning
+OPTION_MINIMUMS: dict[str, int] = {
+    "budget": 0,
+    "max_states": 1,
+    "length_slack": 0,
+    "extra_copies": 1,
+}
+
+
+def check_options(**options: int) -> None:
+    """Raise :class:`ValueError` naming the first option below its minimum.
+
+    The one range check of the analysis options (keys of
+    :data:`OPTION_MINIMUMS`): the CLI and serve run it where input
+    enters, and the classifiers before they enumerate scenarios.
+    """
+    for name, value in options.items():
+        low = OPTION_MINIMUMS[name]
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
 class SearchLimitExceeded(RuntimeError):
     """The search hit its state cap before finishing -- result unknown."""
 

@@ -143,12 +143,17 @@ def _certificate_note(code: str | None, short_circuited: bool) -> str | None:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     from repro.analysis import SystemSpec, search_deadlock
-    from repro.analysis.reachability import SearchLimitExceeded
+    from repro.analysis.reachability import SearchLimitExceeded, check_options
     from repro.campaign.scenarios import build_scenario
     from repro.experiments import render_kv
 
     params = _parse_scenario_params(args, "search")
     if params is None:
+        return 2
+    try:
+        check_options(budget=args.budget, max_states=args.max_states)
+    except ValueError as exc:
+        print(f"search: {exc}", file=sys.stderr)
         return 2
     try:
         bundle = build_scenario(args.scenario, params)
@@ -212,7 +217,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     from repro.analysis.classify import classify_configuration, classify_cycle
-    from repro.analysis.reachability import SearchLimitExceeded
+    from repro.analysis.reachability import SearchLimitExceeded, check_options
     from repro.campaign.scenarios import build_scenario
     from repro.experiments import render_kv
 
@@ -221,6 +226,16 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
     params = _parse_scenario_params(args, "classify")
     if params is None:
+        return 2
+    try:
+        check_options(
+            budget=args.budget,
+            max_states=args.max_states,
+            length_slack=args.length_slack,
+            extra_copies=args.extra_copies,
+        )
+    except ValueError as exc:
+        print(f"classify: {exc}", file=sys.stderr)
         return 2
     try:
         bundle = build_scenario(args.scenario, params)
@@ -891,7 +906,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             port=args.port,
             cache_backend=args.cache_backend,
             hot_capacity=args.hot_capacity,
-            window=args.window_ms / 1000.0,
             jobs=args.jobs,
             retries=args.retries,
             task_timeout=args.timeout,
@@ -1206,8 +1220,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="verification-as-a-service: async HTTP/JSON API over the campaign "
         "runner (see docs/SERVE.md)",
         description="Start a long-lived HTTP server answering /v1/search, "
-        "/v1/classify, /v1/lint and /v1/campaign from a tiered result cache, "
-        "micro-batching cold misses through the campaign runner.  /v1/events "
+        "/v1/classify, /v1/lint and /v1/campaign from a tiered result cache.  "
+        "Cold misses run through the campaign runner on one execution lane: "
+        "a miss runs at once when the lane is idle, and misses that arrive "
+        "while a batch runs form the next batch.  /v1/events "
         "streams live telemetry as NDJSON.  To fan a spec out over machines, "
         "run `campaign run --shard I/N` on each into one shared cache.",
     )
@@ -1224,11 +1240,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--hot-capacity", type=int, default=1024, metavar="N",
         help="entries held by the in-memory hot tier (0 disables tiering; "
         "default 1024)",
-    )
-    p.add_argument(
-        "--window-ms", type=float, default=20.0, metavar="MS",
-        help="micro-batching window: concurrent cold misses arriving within "
-        "this window run as one campaign batch (default 20ms)",
     )
     p.add_argument("--jobs", type=int, default=1, help="campaign worker processes")
     p.add_argument(

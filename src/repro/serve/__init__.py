@@ -4,8 +4,8 @@ Layers, bottom up:
 
 * :mod:`repro.serve.payloads` -- the canonical verdict payload builders
   shared with the CLI (the byte-identity contract);
-* :mod:`repro.serve.batcher` -- micro-batching + in-flight dedup in
-  front of :func:`~repro.campaign.runner.run_campaign`;
+* :mod:`repro.serve.batcher` -- in-flight dedup and batching on one
+  execution lane in front of :func:`~repro.campaign.runner.run_campaign`;
 * :mod:`repro.serve.server` -- the asyncio HTTP/JSON front
   (``python -m repro serve``);
 * :mod:`repro.serve.client` -- the stdlib HTTP client (``python -m repro

@@ -1,23 +1,27 @@
-"""Micro-batching and in-flight dedup in front of the campaign runner.
+"""Lane batching and in-flight dedup in front of the campaign runner.
 
 The serve hot path has three outcomes, fastest first:
 
 1. **cache hit** -- answered synchronously on the event loop (the
    backend read is microseconds for the memory tier, sub-millisecond
-   for sqlite/directory), never waiting out the batch window;
+   for sqlite/directory), never queued;
 2. **in-flight dedup** -- an identical task is already queued or
    executing: the request awaits the same future, so N concurrent
    identical cold queries run the underlying task exactly once;
-3. **batched execution** -- a genuine cold miss joins the current
-   window; when the window closes the whole batch runs as *one*
-   :func:`~repro.campaign.runner.run_campaign` call in a worker thread
-   (inheriting its dedup/retry/cache/telemetry machinery), and every
+3. **batched execution** -- a genuine cold miss joins the queue.  The
+   batcher has one execution lane: when the lane is idle, the queue
+   runs on the next loop tick (so misses submitted in the same tick
+   share a batch); misses that arrive while a batch runs form the next
+   batch, which starts as soon as the lane frees.  Each batch runs as
+   *one* :func:`~repro.campaign.runner.run_campaign` call in a worker
+   thread (inheriting its retry/telemetry machinery), and every
    waiter's future resolves with its task's result.
 
-The executor is expected to be single-lane (the server passes a
-1-thread pool): overlapping flushes then serialise, which keeps at most
-one process pool alive and lets the next window accumulate while the
-previous batch runs.
+Each cold task is looked up in the cache exactly once, by
+:meth:`MicroBatcher.submit`; the batch runs without a cache and the
+batcher writes its results back (backends refuse failed results).
+The lane keeps at most one campaign wave, and so at most one process
+pool, alive at a time.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ class BatcherStats:
 
 
 class MicroBatcher:
-    """Collects concurrent cache misses into one campaign wave.
+    """Runs cache misses in batches on one execution lane.
 
     Single event loop only; construct it from within the loop that will
     call :meth:`submit`.
@@ -71,21 +75,18 @@ class MicroBatcher:
         *,
         cache: CacheBackend | None,
         config: RunnerConfig | None = None,
-        window: float = 0.02,
         executor: Executor | None = None,
         spec_name: str = "serve",
     ) -> None:
-        if window < 0:
-            raise ValueError(f"window must be >= 0, got {window}")
         self.cache = cache
         self.config = config or RunnerConfig(retries=0)
-        self.window = window
         self.executor = executor
         self.spec_name = spec_name
         self.stats = BatcherStats()
         self._pending: dict[str, asyncio.Future[TaskResult]] = {}
         self._queue: list[CampaignTask] = []
-        self._flush_scheduled = False
+        #: the lane: the task running batches while the queue refills
+        self._lane: asyncio.Task[None] | None = None
         #: task_hash -> traceparent carrier of the request that queued it.
         #: Captured at submit time because the batch thread (and one batch
         #: mixing tasks from different requests) cannot see the submitting
@@ -127,18 +128,21 @@ class MicroBatcher:
             ctx = tel.current_context()
             if ctx is not None:
                 self._trace_carriers[task.task_hash] = obs.format_traceparent(ctx)
-        if not self._flush_scheduled:
-            self._flush_scheduled = True
-            loop.call_later(
-                self.window, lambda: asyncio.ensure_future(self._flush())
-            )
+        if self._lane is None:
+            # a task starts on the next tick: same-tick misses share a batch
+            self._lane = loop.create_task(self._drain())
         return await asyncio.shield(fut), SOURCE_LIVE
 
-    async def _flush(self) -> None:
-        self._flush_scheduled = False
-        batch, self._queue = self._queue, []
-        if not batch:
-            return
+    async def _drain(self) -> None:
+        """Run queued batches back to back until the queue is empty."""
+        try:
+            while self._queue:
+                batch, self._queue = self._queue, []
+                await self._flush(batch)
+        finally:
+            self._lane = None
+
+    async def _flush(self, batch: list[CampaignTask]) -> None:
         self.stats.batches += 1
         self.stats.batched_tasks += len(batch)
         loop = asyncio.get_running_loop()
@@ -169,12 +173,15 @@ class MicroBatcher:
             for task in batch
             if (carrier := self._trace_carriers.get(task.task_hash)) is not None
         }
+        # submit() already missed the cache for every task here
         results, summary = run_campaign(
             batch,
-            cache=self.cache,
             config=self.config,
             spec_name=self.spec_name,
             traces=traces or None,
         )
+        if self.cache is not None:
+            for task, result in zip(batch, results):
+                self.cache.put(task, result)
         self.stats.executed_live += summary.live
         return results

@@ -23,11 +23,11 @@ Requests are validated against the task schema (registered scenario,
 JSON-object params, typed analysis knobs) and content-addressed with the
 existing ``task_hash``; answers come from the tiered cache when
 possible, otherwise through the :class:`~repro.serve.batcher.MicroBatcher`
-(micro-batching window + in-flight dedup, so N concurrent identical
-cold queries execute exactly once).  Task execution runs on a
-single-lane thread executor; ``--jobs`` fans each batch out through the
-campaign process pool from there, keeping the event loop free to answer
-cache hits in microseconds.
+(in-flight dedup, so N concurrent identical cold queries execute exactly
+once, and one execution lane: misses that arrive while a batch runs form
+the next batch).  The lane runs on a one-thread executor; ``--jobs``
+fans each batch out through the campaign process pool from there,
+keeping the event loop free to answer cache hits in microseconds.
 
 Task endpoints attach provenance headers instead of polluting the
 verdict payload (which must stay CLI-identical): ``X-Repro-Source``
@@ -150,8 +150,6 @@ class ServeConfig:
     cache_backend: str | None = None
     #: entries held by the in-memory hot tier; 0 disables tiering
     hot_capacity: int = 1024
-    #: micro-batching window in seconds (0 = flush on next loop tick)
-    window: float = 0.02
     jobs: int = 1
     retries: int = 0
     task_timeout: float | None = None
@@ -242,8 +240,8 @@ class ReproServer:
     async def start(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
-        # single execution lane: overlapping batch flushes serialise here,
-        # so at most one campaign wave (and one process pool) runs at once
+        # the batcher's execution lane: one batch (one campaign wave, at
+        # most one process pool) runs at a time
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve-batch"
         )
@@ -256,7 +254,6 @@ class ReproServer:
         self.batcher = MicroBatcher(
             cache=self.cache,
             config=self.runner_config,
-            window=self.config.window,
             executor=self._executor,
             spec_name="serve",
         )
@@ -312,7 +309,6 @@ class ReproServer:
                     f"{SERVER_NAME} listening on {self.url} "
                     f"(cache: {type(self.cold).__name__}, "
                     f"hot tier: {self.config.hot_capacity}, "
-                    f"window: {self.config.window * 1000:.0f}ms, "
                     f"jobs: {self.config.jobs})"
                 )
             assert self._stop is not None
@@ -499,6 +495,13 @@ class ReproServer:
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ApiError(400, f"{knob} must be an integer, got {value!r}")
             knobs[knob] = value
+        # the search stack loads on first use, not at server start
+        from repro.analysis.reachability import OPTION_MINIMUMS, check_options
+
+        try:
+            check_options(**{k: v for k, v in knobs.items() if k in OPTION_MINIMUMS})
+        except ValueError as exc:
+            raise ApiError(400, str(exc)) from None
         merged = {**params, **knobs}
         try:
             task = CampaignTask(
@@ -645,7 +648,6 @@ class ReproServer:
                 "requests": self.requests,
                 "by_endpoint": dict(sorted(self.by_endpoint.items())),
                 "telemetry": self.config.telemetry,
-                "window_s": self.config.window,
                 "jobs": self.config.jobs,
             },
             "batcher": self.batcher.stats.to_json(),

@@ -91,6 +91,21 @@ class TestClassifyCycle:
         assert cls.is_false_resource_cycle
         assert cls.scenarios_tested >= 1
 
+    @pytest.mark.parametrize(
+        "options",
+        [{"length_slack": -1}, {"extra_copies": 0}, {"budget": -1},
+         {"max_states": 0}],
+        ids=["length-slack", "extra-copies", "budget", "max-states"],
+    )
+    @pytest.mark.parametrize("certificates", ["on", "off"])
+    def test_empty_range_raises_instead_of_a_verdict(
+        self, ring_setup, options, certificates
+    ):
+        alg, cycle = ring_setup
+        name = next(iter(options))
+        with pytest.raises(ValueError, match=f"{name} must be >= "):
+            classify_cycle(alg, cycle, certificates=certificates, **options)
+
 
 class TestClassifyConfiguration:
     def test_copy_augmentation_finds_interposed_deadlock(self):
@@ -105,6 +120,19 @@ class TestClassifyConfiguration:
         assert not base.deadlock_reachable
         reachable, _ = classify_configuration(c.checker_messages(), copy_depth=1)
         assert reachable
+
+    @pytest.mark.parametrize(
+        "options",
+        [{"length_slack": -1}, {"budget": -1}, {"max_states": 0}],
+        ids=["length-slack", "budget", "max-states"],
+    )
+    def test_empty_range_raises_instead_of_a_verdict(self, options):
+        from repro.core.two_message import build_two_message_config
+
+        messages = build_two_message_config().checker_messages()
+        name = next(iter(options))
+        with pytest.raises(ValueError, match=f"{name} must be >= "):
+            classify_configuration(messages, **options)
 
     def test_zero_copy_depth_is_plain_search(self):
         from repro.core.two_message import build_two_message_config

@@ -107,6 +107,32 @@ def test_state_cap_is_a_named_failure(argv, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["search", "fig1", "--budget", "-3"], "search: budget must be >= 0, got -3"),
+        (["search", "fig1", "--max-states", "0"],
+         "search: max_states must be >= 1, got 0"),
+        (["classify", "fig1", "--length-slack", "-1"],
+         "classify: length_slack must be >= 0, got -1"),
+        (["classify", "ring-cycle", "--params", '{"n": 4}', "--extra-copies", "0"],
+         "classify: extra_copies must be >= 1, got 0"),
+        (["classify", "ring-cycle", "--params", '{"n": 4}', "--length-slack", "-1"],
+         "classify: length_slack must be >= 0, got -1"),
+    ],
+    ids=["budget", "max-states", "length-slack", "extra-copies", "cycle-length-slack"],
+)
+def test_out_of_range_option_exits_2(argv, line, capsys, monkeypatch):
+    """An option below its minimum is one ``<cmd>:`` line and exit 2, never
+    a traceback or a verdict over zero scenarios (certificates off, so no
+    static pre-pass can answer first)."""
+    monkeypatch.setenv("REPRO_STATIC_CERTIFICATES", "off")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [line]
+
+
 class _OutOfMemoryLib:
     """A stand-in compiled kernel whose every search reports RK_OOM after
     exploring 1234 states."""

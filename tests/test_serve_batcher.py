@@ -1,4 +1,4 @@
-"""MicroBatcher: window batching, in-flight dedup, cache fast path."""
+"""MicroBatcher: lane batching, in-flight dedup, cache fast path."""
 
 import asyncio
 import time
@@ -31,11 +31,9 @@ def executor():
     pool.shutdown(wait=False, cancel_futures=True)
 
 
-def test_window_collects_concurrent_misses_into_one_batch(executor):
+def test_same_tick_misses_share_one_batch(executor):
     async def run():
-        batcher = MicroBatcher(
-            cache=MemoryLRUCache(64), window=0.05, executor=executor
-        )
+        batcher = MicroBatcher(cache=MemoryLRUCache(64), executor=executor)
         results = await asyncio.gather(
             *(batcher.submit(_task(i)) for i in range(4))
         )
@@ -51,9 +49,7 @@ def test_window_collects_concurrent_misses_into_one_batch(executor):
 
 def test_identical_concurrent_submits_execute_exactly_once(executor):
     async def run():
-        batcher = MicroBatcher(
-            cache=MemoryLRUCache(64), window=0.02, executor=executor
-        )
+        batcher = MicroBatcher(cache=MemoryLRUCache(64), executor=executor)
         task = _task("shared", seconds=0.1)
         results = await asyncio.gather(*(batcher.submit(task) for _ in range(6)))
         return batcher, results
@@ -68,22 +64,26 @@ def test_identical_concurrent_submits_execute_exactly_once(executor):
     assert batcher.inflight == 0
 
 
-def test_cache_hit_answers_without_waiting_the_window(executor):
+def test_cache_hit_never_queues(executor):
     async def run():
-        batcher = MicroBatcher(
-            cache=MemoryLRUCache(64), window=0.5, executor=executor
-        )
+        batcher = MicroBatcher(cache=MemoryLRUCache(64), executor=executor)
         task = _task("warm")
-        await batcher.submit(task)  # cold: pays the window + execution
+        await batcher.submit(task)  # cold: queued and executed
+        # a slow miss holds the lane; the hit must not wait behind it
+        slow = asyncio.ensure_future(batcher.submit(_task("slow", seconds=0.5)))
+        await asyncio.sleep(0.05)
         t0 = time.perf_counter()
         result, source = await batcher.submit(task)
-        return batcher, source, time.perf_counter() - t0, result
+        elapsed = time.perf_counter() - t0
+        await slow
+        return batcher, source, elapsed, result
 
     batcher, source, elapsed, result = asyncio.run(run())
     assert source == SOURCE_CACHE
-    assert elapsed < 0.25  # far below the 0.5s window: never queued
+    assert elapsed < 0.25  # far below the busy lane's 0.5 s batch
     assert result.source == "cache"
     assert batcher.stats.cache_hits == 1
+    assert batcher.stats.batches == 2  # the hit formed no batch
 
 
 def test_task_failures_are_results_not_exceptions(executor, tmp_path):
@@ -93,9 +93,7 @@ def test_task_failures_are_results_not_exceptions(executor, tmp_path):
     token_dir.mkdir()
 
     async def run():
-        batcher = MicroBatcher(
-            cache=MemoryLRUCache(64), window=0.01, executor=executor
-        )
+        batcher = MicroBatcher(cache=MemoryLRUCache(64), executor=executor)
         task = CampaignTask.make(
             "reachability",
             "debug-flaky",
@@ -114,9 +112,7 @@ def test_task_failures_are_results_not_exceptions(executor, tmp_path):
 
 def test_infra_failure_rejects_every_waiter(executor):
     async def run():
-        batcher = MicroBatcher(
-            cache=MemoryLRUCache(64), window=0.02, executor=executor
-        )
+        batcher = MicroBatcher(cache=MemoryLRUCache(64), executor=executor)
         batcher._run_batch = lambda batch: (_ for _ in ()).throw(
             RuntimeError("executor died")
         )
@@ -139,7 +135,7 @@ def test_failed_results_are_not_cached(executor, tmp_path):
     cache = MemoryLRUCache(64)
 
     async def run():
-        batcher = MicroBatcher(cache=cache, window=0.01, executor=executor)
+        batcher = MicroBatcher(cache=cache, executor=executor)
         task = CampaignTask.make(
             "reachability",
             "debug-flaky",
@@ -156,6 +152,20 @@ def test_failed_results_are_not_cached(executor, tmp_path):
     assert len(cache) == 1  # only the success was stored
 
 
-def test_window_must_be_nonnegative(executor):
-    with pytest.raises(ValueError, match="window must be >= 0"):
-        MicroBatcher(cache=None, window=-0.1, executor=executor)
+def test_misses_during_a_running_batch_form_the_next_batch(executor):
+    async def run():
+        batcher = MicroBatcher(cache=MemoryLRUCache(64), executor=executor)
+        first = asyncio.ensure_future(batcher.submit(_task("lane", seconds=0.3)))
+        await asyncio.sleep(0.1)  # the first batch now holds the lane
+        assert batcher.stats.batches == 1
+        later = await asyncio.gather(
+            *(batcher.submit(_task(f"queued{i}")) for i in range(3))
+        )
+        return batcher, [await first, *later]
+
+    batcher, results = asyncio.run(run())
+    assert batcher.stats.batches == 2
+    assert batcher.stats.batched_tasks == 4
+    assert batcher.stats.executed_live == 4
+    assert all(source == SOURCE_LIVE for _, source in results)
+    assert batcher.inflight == 0

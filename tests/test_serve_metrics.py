@@ -22,11 +22,7 @@ from repro.serve import ReproServer, ServeClient, ServeConfig, ServeError
 @pytest.fixture()
 def server(tmp_path):
     srv = ReproServer(
-        ServeConfig(
-            port=0,
-            cache_backend=f"sqlite:{tmp_path / 'serve.db'}",
-            window=0.01,
-        )
+        ServeConfig(port=0, cache_backend=f"sqlite:{tmp_path / 'serve.db'}")
     )
     thread = threading.Thread(target=srv.run, daemon=True)
     thread.start()

@@ -13,14 +13,9 @@ from repro.serve import ReproServer, ServeClient, ServeConfig
 from repro.serve import server as server_module
 
 
-def _start_server(tmp_path) -> tuple[ReproServer, threading.Thread]:
-    srv = ReproServer(
-        ServeConfig(
-            port=0,
-            cache_backend=f"sqlite:{tmp_path / 'serve.db'}",
-            window=0.01,
-        )
-    )
+def _start_server(tmp_path, **config) -> tuple[ReproServer, threading.Thread]:
+    config.setdefault("cache_backend", f"sqlite:{tmp_path / 'serve.db'}")
+    srv = ReproServer(ServeConfig(port=0, **config))
     thread = threading.Thread(target=srv.run, daemon=True)
     thread.start()
     assert srv.wait_ready(15), "server did not come up"
@@ -28,8 +23,9 @@ def _start_server(tmp_path) -> tuple[ReproServer, threading.Thread]:
 
 
 @pytest.fixture()
-def server(tmp_path):
-    srv, thread = _start_server(tmp_path)
+def server(tmp_path, request):
+    """A running server; indirect parametrization passes ServeConfig fields."""
+    srv, thread = _start_server(tmp_path, **getattr(request, "param", {}))
     yield srv
     srv.shutdown()
     thread.join(10)
@@ -104,6 +100,25 @@ def test_repeat_query_is_a_fast_cache_hit(client):
     assert status["batcher"]["cache_hits"] >= 1
 
 
+@pytest.mark.parametrize(
+    "server", [{"cache_backend": "memory"}], indirect=True, ids=["memory"]
+)
+def test_each_cold_miss_is_one_cache_lookup(client):
+    """Three cold queries and three repeats are 3 misses and 3 hits, at
+    the tier level and in each tier's own stats."""
+    scenarios = [("fig1", {}), ("fig2-pair", {"d1": 2, "d2": 1, "hold": 2}),
+                 ("fig3-panel", {"panel": "a"})]
+    for _ in range(2):
+        for scenario, params in scenarios:
+            client.search(scenario, params).raise_for_status()
+    cache = client.status().raise_for_status().payload["cache"]
+    assert cache["tiered"] is True
+    assert (cache["stats"]["hits"], cache["stats"]["misses"]) == (3, 3)
+    assert cache["hit_rate"] == 0.5
+    assert cache["cold"]["stats"]["misses"] == 3  # one durable probe per miss
+    assert cache["stats"]["writes"] == 3
+
+
 def test_cache_is_tiered_memory_over_sqlite(client):
     client.search("fig1").raise_for_status()
     status = client.status().raise_for_status().payload
@@ -115,7 +130,11 @@ def test_cache_is_tiered_memory_over_sqlite(client):
     assert cache["cold"]["entries"] >= 1
 
 
+@pytest.mark.parametrize(
+    "server", [{"jobs": 1}, {"jobs": 2}], indirect=True, ids=["jobs1", "jobs2"]
+)
 def test_concurrent_identical_cold_queries_execute_once(server, client):
+    """Exactly once in the lane's own thread and through the process pool."""
     before = client.status().raise_for_status().payload["batcher"]["executed_live"]
     params = {"seconds": 0.3, "tag": "dedup-probe"}
     bodies, sources, errors = [], [], []
@@ -245,12 +264,42 @@ def test_unknown_scenario_is_400_with_registry(client):
 
 def test_bad_params_and_knobs_are_400(server):
     c = ServeClient(server.url)
-    assert c._request(
-        "POST", "/v1/search", {"scenario": "fig1", "params": [1, 2]}
-    ).status == 400
-    assert c._request(
-        "POST", "/v1/search", {"scenario": "fig1", "budget": "lots"}
-    ).status == 400
+    bodies = [
+        ("/v1/search", {"scenario": "fig1", "params": [1, 2]}, "params"),
+        ("/v1/search", {"scenario": "fig1", "budget": "lots"}, "budget"),
+        ("/v1/search", {"scenario": "fig1", "budget": -3}, "budget"),
+        ("/v1/search", {"scenario": "fig1", "max_states": -1}, "max_states"),
+        ("/v1/search", {"scenario": "fig1", "max_states": 0}, "max_states"),
+        ("/v1/classify", {"scenario": "ring-cycle", "length_slack": -1},
+         "length_slack"),
+        ("/v1/classify", {"scenario": "ring-cycle", "extra_copies": 0},
+         "extra_copies"),
+    ]
+    for path, body, option in bodies:
+        resp = c._request("POST", path, body)
+        assert resp.status == 400, (body, resp.payload)
+        assert option in resp.payload["error"], resp.payload
+    # bodies that are not a JSON object: invalid JSON, an array, not UTF-8
+    for raw in (b'{"scenario": "fig1"', b'["fig1"]', b'{"scenario": "\xff"}'):
+        head = f"POST /v1/search HTTP/1.1\r\nContent-Length: {len(raw)}\r\n\r\n"
+        with _open_raw(server, head, raw) as sock:
+            reply = _read_to_eof(sock)
+        assert reply.startswith(b"HTTP/1.1 400 "), (raw, reply[:80])
+        assert b'"error"' in reply
+
+
+def test_state_cap_is_a_named_502_and_never_cached(client):
+    """A search that hits ``max_states`` fails loudly, names the limit,
+    and runs live again on a repeat instead of answering from the cache."""
+    for _ in range(2):
+        resp = client.search("fig1", max_states=1)
+        assert resp.status == 502
+        assert resp.source is None
+        assert "SearchLimitExceeded" in resp.payload["error"]
+    status = client.status().raise_for_status().payload
+    assert status["batcher"]["executed_live"] == 2
+    assert status["batcher"]["failures"] == 2
+    assert status["batcher"]["cache_hits"] == 0
 
 
 @pytest.mark.parametrize(
