@@ -115,7 +115,7 @@ def profile_kernel() -> None:
     keng = kernel_engine_for(spec)
     keng.search(max_states=40_000_000)  # warm: library build/load + tables
     t0 = time.perf_counter()
-    deadlock, states = keng.search(max_states=40_000_000)
+    deadlock, states, _depth = keng.search(max_states=40_000_000)
     kwall = time.perf_counter() - t0
     t0 = time.perf_counter()
     search_deadlock(

@@ -33,12 +33,8 @@ from dataclasses import dataclass, field
 from collections.abc import Sequence
 
 
-from repro.analysis.reachability import (
-    SearchResult,
-    check_options,
-    search_deadlock,
-)
-from repro.analysis.state import CheckerMessage, SystemSpec
+from repro.analysis.reachability import SearchResult, search_deadlock
+from repro.analysis.state import CheckerMessage, SystemSpec, check_options
 from repro.obs import get as _obs_get
 from repro.routing.base import RoutingAlgorithm
 from repro.topology.channels import Channel, NodeId

@@ -53,8 +53,11 @@ import sys
 import threading
 from array import array
 from pathlib import Path
+from time import perf_counter
 
 from repro.analysis.state import SystemSpec
+from repro.obs import get as _obs_get
+from repro.obs import incr as _obs_incr
 
 #: widest message count the single-``uint64`` pending bitmask covers;
 #: wider specs search on the reference engine
@@ -63,29 +66,12 @@ MAX_KERNEL_MSGS = 64
 _KENGINE_CACHE_LIMIT = 64
 _KENGINES: dict[SystemSpec, "KernelEngine"] = {}
 
-#: cumulative counters, read by the telemetry layer (repro.obs) via
-#: snapshot deltas around a search
-COUNTERS: dict[str, int] = {
-    "kernelpath.engine_cache.hits": 0,
-    "kernelpath.engine_cache.misses": 0,
-    "kernelpath.searches.cc": 0,
-    "kernelpath.cc.compiles": 0,
-    "kernelpath.cc.cache_hits": 0,
-    "kernelpath.cc.rebuilds": 0,
-    "kernelpath.cc.errors": 0,
-}
-
 _STATUS_NOT_FOUND = 0
 _STATUS_FOUND = 1
 _STATUS_LIMIT = 2
 _STATUS_OOM = 3
 
 _LIMIT_MSG = "exceeded {max_states} states; tighten the scenario or raise the cap"
-
-
-def counters_snapshot() -> dict[str, int]:
-    """A copy of :data:`COUNTERS` (diff two to meter one search)."""
-    return dict(COUNTERS)
 
 
 class WideSpecFallbackWarning(UserWarning):
@@ -208,7 +194,7 @@ def _build_cc_lib(so: Path) -> ctypes.CDLL | str:
         if isinstance(lib, str):
             return lib
         os.replace(tmp, so)
-        COUNTERS["kernelpath.cc.compiles"] += 1
+        _obs_incr("kernelpath.cc.compiles")
         return lib
     except (OSError, subprocess.SubprocessError) as exc:
         return f"compile of _kernel.c with {comp} failed: {exc}"
@@ -243,14 +229,14 @@ def _load_cc_lib() -> ctypes.CDLL | None:
             if so.exists():
                 lib = _open_cc_lib(so)
                 if isinstance(lib, str):
-                    COUNTERS["kernelpath.cc.rebuilds"] += 1
+                    _obs_incr("kernelpath.cc.rebuilds")
                     lib = _build_cc_lib(so)
                 else:
-                    COUNTERS["kernelpath.cc.cache_hits"] += 1
+                    _obs_incr("kernelpath.cc.cache_hits")
             else:
                 lib = _build_cc_lib(so)
         if isinstance(lib, str):
-            COUNTERS["kernelpath.cc.errors"] += 1
+            _obs_incr("kernelpath.cc.errors")
             _cc_error = lib
         else:
             _cc_lib = lib
@@ -277,20 +263,14 @@ def kernel_engine_for(spec: SystemSpec) -> "KernelEngine":
     """The (cached) kernel engine for ``spec``."""
     eng = _KENGINES.get(spec)
     if eng is None:
-        COUNTERS["kernelpath.engine_cache.misses"] += 1
+        _obs_incr("kernelpath.engine_cache.misses")
         if len(_KENGINES) >= _KENGINE_CACHE_LIMIT:
             _KENGINES.clear()
         eng = KernelEngine(spec)
         _KENGINES[spec] = eng
     else:
-        COUNTERS["kernelpath.engine_cache.hits"] += 1
+        _obs_incr("kernelpath.engine_cache.hits")
     return eng
-
-
-def peek_engine(spec: SystemSpec) -> "KernelEngine | None":
-    """The cached engine for ``spec``, without counting a cache hit/miss
-    (telemetry peeks must not disturb the metered counters)."""
-    return _KENGINES.get(spec)
 
 
 # ----------------------------------------------------------------------
@@ -476,16 +456,6 @@ class KernelEngine:
             )
         self.spec = spec
         self._tables = _TableBuilder(spec)
-        #: BFS levels of the most recent :meth:`search` (telemetry only)
-        self.last_search_depth: int | None = None
-        #: backend the most recent compiled search ran on, ``"cc"``; ``None``
-        #: until one ran (telemetry only)
-        self.last_backend: str | None = None
-        #: per-phase wall seconds of the most recent search -- ``kernel``
-        #: (the compiled call) and, for witness searches, ``witness`` (the
-        #: Python-side label recovery).  Populated only when telemetry is
-        #: enabled; the gate is checked once per search.
-        self.phase_seconds: dict[str, float] = {}
 
     @property
     def num_bits(self) -> int:
@@ -506,8 +476,7 @@ class KernelEngine:
             raise RuntimeError(
                 f"compiled search kernel unavailable ({kernel_unavailable_reason()})"
             )
-        self.last_backend = "cc"
-        COUNTERS["kernelpath.searches.cc"] += 1
+        _obs_incr("kernelpath.searches.cc")
         t = self._tables
         n = len(self.spec.messages)
         use_canon = 1 if (symmetry_reduction and t.ncls) else 0
@@ -569,23 +538,22 @@ class KernelEngine:
     # ------------------------------------------------------------------
     def search(
         self, *, max_states: int = 2_000_000, symmetry_reduction: bool = True
-    ) -> tuple[bool, int]:
-        """``(deadlock_reachable, states_explored)``, bit-identical to the
-        reference search with ``find_witness=False``."""
-        from time import perf_counter
+    ) -> tuple[bool, int, int]:
+        """``(deadlock_reachable, states_explored, depth)``: the first two
+        bit-identical to the reference search with ``find_witness=False``,
+        ``depth`` the BFS levels the kernel expanded.
 
-        from repro.obs import get as _obs_get
-
-        prof = _obs_get() is not None
-        self.phase_seconds = {}
-        t0 = perf_counter() if prof else 0.0
+        With telemetry on, the compiled call's wall time is counted in
+        ``kernelpath.phase.kernel_s``.
+        """
+        tel = _obs_get()
+        t0 = perf_counter() if tel is not None else 0.0
         status, count, depth, _chain = self._run(
             max_states, symmetry_reduction, track=False
         )
-        if prof:
-            self.phase_seconds["kernel"] = perf_counter() - t0
-        self.last_search_depth = depth
-        return status == _STATUS_FOUND, count
+        if tel is not None:
+            tel.incr("kernelpath.phase.kernel_s", round(perf_counter() - t0, 6))
+        return status == _STATUS_FOUND, count, depth
 
     def search_witness(
         self, *, max_states: int = 2_000_000, symmetry_reduction: bool = False
@@ -599,20 +567,20 @@ class KernelEngine:
         and the first :meth:`SystemSpec.successors` entry equal to the
         next chain state carries the actions the reference's parent map
         keeps: the witness is step-for-step the reference's.
+
+        With telemetry on, the compiled call's wall time is counted in
+        ``kernelpath.phase.kernel_s`` and the label recovery's in
+        ``kernelpath.phase.witness_s``.
         """
-        from time import perf_counter
-
-        from repro.obs import get as _obs_get
-
-        prof = _obs_get() is not None
-        self.phase_seconds = {}
-        t0 = perf_counter() if prof else 0.0
+        tel = _obs_get()
+        t0 = perf_counter() if tel is not None else 0.0
         status, count, _depth, chain = self._run(
             max_states, symmetry_reduction, track=True
         )
-        if prof:
-            self.phase_seconds["kernel"] = perf_counter() - t0
-            t0 = perf_counter()
+        if tel is not None:
+            t1 = perf_counter()
+            tel.incr("kernelpath.phase.kernel_s", round(t1 - t0, 6))
+            t0 = t1
         if status != _STATUS_FOUND:
             return False, count, None, None, ()
         spec = self.spec
@@ -627,8 +595,8 @@ class KernelEngine:
             else:  # pragma: no cover - parent chain is consistent
                 raise AssertionError("witness edge lost")
         dead = spec.deadlocked_set(states[-1])
-        if prof:
-            self.phase_seconds["witness"] = perf_counter() - t0
+        if tel is not None:
+            tel.incr("kernelpath.phase.witness_s", round(perf_counter() - t0, 6))
         return True, count, steps, states[1:], dead
 
 

@@ -19,20 +19,14 @@ from repro.analysis.state import SystemSpec, SystemState
 # the kernel engine module needs only the stdlib (its compiled library
 # loads lazily at the first search, never at import)
 from repro.analysis import kernelpath as _kernelpath
-from repro.analysis.kernelpath import counters_snapshot as _k_counters_snapshot
 from repro.analysis.kernelpath import kernel_unavailable_reason as _kernel_unavailable
 from repro.analysis.kernelpath import kernel_engine_for as _kernel_engine_for
-from repro.analysis.kernelpath import peek_engine as _peek_kernel
 from repro.obs import get as _obs_get
+from repro.obs import incr as _obs_incr
 
 #: every name accepted by ``search_deadlock(engine=...)``: the compiled
 #: default and the oracle
 SEARCH_ENGINES = ("kernel", "reference")
-
-#: how often a kernel request ran on the reference engine instead -- no
-#: compiled kernel library loaded, or the spec was too wide for it
-#: (telemetry reads this via snapshot deltas, like the engine COUNTERS)
-ENGINE_COUNTERS: dict[str, int] = {"search.engine.fallback.reference": 0}
 
 #: fallback warning classes already issued in this process
 _fallback_warned: set[type] = set()
@@ -72,34 +66,11 @@ def resolve_engine(engine: str | None, spec: SystemSpec) -> str:
             f"compiled search kernel unavailable ({reason}); falling back "
             "to the reference engine (same verdicts, slower)"
         )
-    ENGINE_COUNTERS["search.engine.fallback.reference"] += 1
+    _obs_incr("search.engine.fallback.reference")
     if type(warning) not in _fallback_warned:
         _fallback_warned.add(type(warning))
         warnings.warn(warning, stacklevel=3)
     return "reference"
-
-
-#: the smallest value of each analysis option; below it the question is
-#: empty (no scenario to test, no state to explore) or has no meaning
-OPTION_MINIMUMS: dict[str, int] = {
-    "budget": 0,
-    "max_states": 1,
-    "length_slack": 0,
-    "extra_copies": 1,
-}
-
-
-def check_options(**options: int) -> None:
-    """Raise :class:`ValueError` naming the first option below its minimum.
-
-    The one range check of the analysis options (keys of
-    :data:`OPTION_MINIMUMS`): the CLI and serve run it where input
-    enters, and the classifiers before they enumerate scenarios.
-    """
-    for name, value in options.items():
-        low = OPTION_MINIMUMS[name]
-        if value < low:
-            raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 class SearchLimitExceeded(RuntimeError):
@@ -167,6 +138,9 @@ class SearchResult:
     #: verdict, e.g. ``"CRT001"``; ``None`` when the BFS decided alone.
     #: ``states_explored == 0`` iff the certificate alone decided.
     certificate: str | None = None
+    #: BFS levels a verdict-only kernel search expanded (reported as the
+    #: ``frontier_depth`` span attribute); ``None`` on other searches
+    frontier_depth: int | None = field(default=None, repr=False, compare=False)
 
     @property
     def is_false_resource_cycle(self) -> bool:
@@ -297,9 +271,7 @@ def search_deadlock(
             certificates=certificates,
         )
 
-    before = {**_k_counters_snapshot(), **ENGINE_COUNTERS}
-    # resolved once, inside the metered window (a first-use backend load
-    # or fallback counts), and named on the span as the engine that ran
+    # resolved once, and named on the span as the engine that ran
     resolved = resolve_engine(engine, spec)
     with tel.span(
         "search.deadlock",
@@ -317,39 +289,21 @@ def search_deadlock(
             certificates=certificates,
         )
         dur = time.perf_counter() - t0
-        after = {**_k_counters_snapshot(), **ENGINE_COUNTERS}
         sp.set(
             verdict="reachable" if result.deadlock_reachable else "deadlock-free",
             states_explored=result.states_explored,
             certificate=result.certificate,
         )
         if dur > 0 and result.states_explored:
-            sp.set(states_per_sec=round(result.states_explored / dur, 1))
-        # per-phase profile from the kernel engine, when it ran (peeked,
-        # so the engine-cache counters stay undisturbed)
-        phases: dict[str, float] = {}
-        depth: int | None = None
-        if resolved == "kernel":
-            keng = _peek_kernel(spec)
-            if keng is not None:
-                phases = keng.phase_seconds
-                depth = keng.last_search_depth
-                if keng.last_backend is not None:
-                    sp.set(kernel_backend=keng.last_backend)
+            rate = result.states_explored / dur
+            sp.set(states_per_sec=round(rate, 1))
+            tel.observe("search.states_per_sec", rate, engine=resolved)
+        if resolved == "kernel" and result.states_explored:
+            sp.set(kernel_backend=_kernelpath.resolve_backend())
         if result.witness is not None:
             sp.set(frontier_depth=result.witness.num_cycles)
-        elif depth is not None and result.states_explored:
-            sp.set(frontier_depth=depth)
-        if result.states_explored:
-            for phase, seconds in phases.items():
-                if seconds > 0:
-                    tel.incr(f"kernelpath.phase.{phase}_s", round(seconds, 6))
-            if dur > 0:
-                tel.observe(
-                    "search.states_per_sec",
-                    result.states_explored / dur,
-                    engine=resolved,
-                )
+        elif result.frontier_depth is not None:
+            sp.set(frontier_depth=result.frontier_depth)
         tel.incr("search.calls")
         tel.incr("search.states_explored", result.states_explored)
         if result.certificate is not None and result.states_explored == 0:
@@ -359,10 +313,6 @@ def search_deadlock(
                 code=result.certificate,
                 deadlock_reachable=result.deadlock_reachable,
             )
-        for name, value in after.items():
-            delta = value - before.get(name, 0)
-            if delta:
-                tel.incr(name, delta)
     return result
 
 
@@ -511,7 +461,7 @@ def _search_kernel(
     """Search through the compiled :class:`KernelEngine` of ``spec``."""
     eng = _kernel_engine_for(spec)
     if not find_witness:
-        reachable, explored = eng.search(
+        reachable, explored, depth = eng.search(
             max_states=max_states, symmetry_reduction=symmetry_reduction
         )
         return SearchResult(
@@ -519,6 +469,7 @@ def _search_kernel(
             witness=None,
             states_explored=explored,
             spec=spec,
+            frontier_depth=depth,
         )
 
     # witness search: compiled BFS with bare parent pointers; the action

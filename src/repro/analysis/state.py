@@ -46,6 +46,33 @@ from repro.topology.channels import Channel
 #: this flag) when chasing a suspected state-model bug.
 DEBUG_INVARIANTS = os.environ.get("REPRO_DEBUG_INVARIANTS", "") not in ("", "0")
 
+#: the smallest value of each analysis option; below it the question is
+#: empty (no scenario to test, no state to explore, no cycle to lint) or
+#: has no meaning
+OPTION_MINIMUMS: dict[str, int] = {
+    "budget": 0,
+    "max_states": 1,
+    "length_slack": 0,
+    "extra_copies": 1,
+    "max_cycles": 1,
+}
+
+
+def check_options(**options: int) -> None:
+    """Raise :class:`ValueError` naming the first option below its minimum.
+
+    The one range check of the analysis options (keys of
+    :data:`OPTION_MINIMUMS`): the CLI and serve run it where input
+    enters, and the classifiers before they enumerate scenarios.  It
+    lives here, beside the spec model, so ``repro lint`` can run it
+    without loading the search.
+    """
+    for name, value in options.items():
+        low = OPTION_MINIMUMS[name]
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
 # Per-message state: (h, inj, cons, bud)
 MsgState = tuple[int, int, int, int]
 # Full system state: one MsgState per message, in message order.

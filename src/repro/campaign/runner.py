@@ -47,7 +47,9 @@ class RunnerConfig:
     """Execution knobs for :func:`run_campaign`."""
 
     max_workers: int = 1
-    task_timeout: float | None = None  # seconds; pool mode only
+    #: seconds; needs a pool (``max_workers >= 2``), since a serial run
+    #: cannot preempt a task
+    task_timeout: float | None = None
     retries: int = 1  # extra attempts after a failed/timed-out task
     backoff: float = 0.5  # seconds before the first retry wave, then doubled
 
@@ -58,6 +60,11 @@ class RunnerConfig:
             raise ValueError("retries must be >= 0")
         if self.task_timeout is not None and self.task_timeout <= 0:
             raise ValueError("task_timeout must be positive")
+        if self.task_timeout is not None and self.max_workers == 1:
+            raise ValueError(
+                "a task timeout needs worker processes (--jobs 2 or more): "
+                "a serial run cannot stop a task"
+            )
 
 
 def _trace_scope(carrier: str | None) -> ContextManager[None]:

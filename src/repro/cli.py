@@ -143,7 +143,8 @@ def _certificate_note(code: str | None, short_circuited: bool) -> str | None:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     from repro.analysis import SystemSpec, search_deadlock
-    from repro.analysis.reachability import SearchLimitExceeded, check_options
+    from repro.analysis.reachability import SearchLimitExceeded
+    from repro.analysis.state import check_options
     from repro.campaign.scenarios import build_scenario
     from repro.experiments import render_kv
 
@@ -217,7 +218,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     from repro.analysis.classify import classify_configuration, classify_cycle
-    from repro.analysis.reachability import SearchLimitExceeded, check_options
+    from repro.analysis.reachability import SearchLimitExceeded
+    from repro.analysis.state import check_options
     from repro.campaign.scenarios import build_scenario
     from repro.experiments import render_kv
 
@@ -424,9 +426,14 @@ def _cmd_telemetry_tail(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig1(args: argparse.Namespace) -> int:
+    from repro.analysis.reachability import SearchLimitExceeded
     from repro.experiments import render_table, run_fig1_experiment
 
-    res = run_fig1_experiment(max_delay=args.max_delay)
+    try:
+        res = run_fig1_experiment(max_delay=args.max_delay)
+    except SearchLimitExceeded as exc:  # the state cap or kernel memory
+        print(f"fig1: {exc}", file=sys.stderr)
+        return 2
     print(render_table(res.summary_rows(), title="E1: Figure 1 / Theorem 1"))
     print()
     print("\n".join(res.narrative))
@@ -832,8 +839,15 @@ def _lint_one(scenario: str, params: dict, *, max_cycles: int):
 def _cmd_lint(args: argparse.Namespace) -> int:
     import json as _json
 
+    from repro.analysis.state import check_options
+
     if bool(args.scenario) == bool(args.all):
         print("lint: give exactly one of <scenario> or --all", file=sys.stderr)
+        return 2
+    try:
+        check_options(max_cycles=args.max_cycles)
+    except ValueError as exc:
+        print(f"lint: {exc}", file=sys.stderr)
         return 2
 
     targets: list[tuple[str, dict]] = []

@@ -27,7 +27,6 @@ from repro._lazy import lazy_exports
 
 #: public name -> the submodule defining it, imported on first access
 _EXPORTS = {
-    "CERT_COUNTERS": "certificates",
     "ENV_VAR": "certificates",
     "DEADLOCK_FREE": "diagnostics",
     "REACHABLE_DEADLOCK": "diagnostics",
@@ -43,7 +42,6 @@ _EXPORTS = {
     "algorithm_certificate": "certificates",
     "all_rules": "rules",
     "build_crt005_witness": "witness",
-    "bump_counter": "certificates",
     "certificate_witness": "witness",
     "certificates_mode": "certificates",
     "cycle_certificate": "certificates",
@@ -64,13 +62,11 @@ _EXPORTS = {
 
 if TYPE_CHECKING:  # pragma: no cover - the static view of _EXPORTS
     from repro.lint.certificates import (
-        CERT_COUNTERS,
         ENV_VAR,
         Certificate,
         CertificateMismatch,
         adaptive_certificate,
         algorithm_certificate,
-        bump_counter,
         certificates_mode,
         cycle_certificate,
         spec_certificate,

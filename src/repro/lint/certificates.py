@@ -62,6 +62,7 @@ from repro.cdg import cycles as cdg_cycles
 from repro.cdg.analysis import CycleEnumeration, is_acyclic
 from repro.lint.diagnostics import DEADLOCK_FREE, REACHABLE_DEADLOCK
 from repro.lint.tiling import Tiling, cycle_runs, enumerate_tilings
+from repro.obs import incr as _obs_incr
 from repro.routing.base import RoutingAlgorithm
 from repro.routing.properties import PropertyScan
 from repro.topology.channels import Channel, NodeId
@@ -87,29 +88,6 @@ def certificates_mode(override: str | None = None) -> str:
 
 class CertificateMismatch(AssertionError):
     """A static certificate disagreed with the search engine (check mode)."""
-
-
-#: process-wide activity counters for the certificate layer, mirrored into
-#: telemetry when it is enabled; always incremented so tests can assert on
-#: them without standing up the telemetry stack
-CERT_COUNTERS: dict[str, int] = {
-    "lint.certificate.witness_emitted": 0,
-    "lint.certificate.witness_failed": 0,
-    "lint.certificate.replay.pass": 0,
-    "lint.certificate.replay.fail": 0,
-    "lint.certificate.adaptive.decided": 0,
-    "lint.certificate.adaptive.undecided": 0,
-}
-
-
-def bump_counter(name: str, value: int = 1) -> None:
-    """Increment a certificate-activity counter (and telemetry, if on)."""
-    CERT_COUNTERS[name] = CERT_COUNTERS.get(name, 0) + value
-    from repro.obs import get as _obs_get
-
-    tel = _obs_get()
-    if tel is not None:
-        tel.incr(name, value)
 
 
 @dataclass(frozen=True)
@@ -299,7 +277,7 @@ def adaptive_certificate(fn: Any) -> Certificate | None:
     if getattr(fn, "escape_function", None) is not None:
         duato = duato_certificate(fn)
         if duato.deadlock_free:
-            bump_counter("lint.certificate.adaptive.decided")
+            _obs_incr("lint.certificate.adaptive.decided")
             return Certificate(
                 code="CRT008",
                 verdict=DEADLOCK_FREE,
@@ -315,13 +293,13 @@ def adaptive_certificate(fn: Any) -> Certificate | None:
                     "escape_connected": duato.escape_connected,
                 },
             )
-        bump_counter("lint.certificate.adaptive.undecided")
+        _obs_incr("lint.certificate.adaptive.undecided")
         return None
     full = build_adaptive_cdg(fn)
     if is_acyclic(full):
         drain = cdg_cycles.topological_order(full.adj)
         order = {ch.short(): i for i, ch in enumerate(drain)}
-        bump_counter("lint.certificate.adaptive.decided")
+        _obs_incr("lint.certificate.adaptive.decided")
         return Certificate(
             code="CRT001",
             verdict=DEADLOCK_FREE,
@@ -331,7 +309,7 @@ def adaptive_certificate(fn: Any) -> Certificate | None:
             ),
             evidence={"numbering": order, "channels": full.number_of_nodes()},
         )
-    bump_counter("lint.certificate.adaptive.undecided")
+    _obs_incr("lint.certificate.adaptive.undecided")
     return None
 
 

@@ -38,7 +38,8 @@ from typing import Sequence
 
 from repro.analysis.reachability import Witness
 from repro.analysis.state import SystemSpec, SystemState
-from repro.lint.certificates import Certificate, bump_counter
+from repro.lint.certificates import Certificate
+from repro.obs import incr as _obs_incr
 from repro.topology.channels import Channel
 
 #: construction is abandoned (BFS fallback) beyond these sizes: driving
@@ -103,17 +104,17 @@ def build_crt005_witness(
     n = len(cycle)
     m = len(member_indices)
     if m < 2 or sum(held_lengths) != n:
-        bump_counter("lint.certificate.witness_failed")
+        _obs_incr("lint.certificate.witness_failed")
         return None
     if len(spec.messages) > MAX_WITNESS_MESSAGES or n > MAX_WITNESS_CYCLE:
-        bump_counter("lint.certificate.witness_failed")
+        _obs_incr("lint.certificate.witness_failed")
         return None
     # members in cycle order; their held runs must partition the cycle
     # consecutively (member j's blocked channel = member j+1's run start)
     order = sorted(range(m), key=lambda j: starts[j])
     for a, b in zip(order, order[1:] + order[:1]):
         if (starts[a] + held_lengths[a]) % n != starts[b] % n:
-            bump_counter("lint.certificate.witness_failed")
+            _obs_incr("lint.certificate.witness_failed")
             return None
     # position of each member's run start on its own path
     idx: dict[int, int] = {}
@@ -123,13 +124,13 @@ def build_crt005_witness(
         try:
             idx[j] = msg.path.index(cycle[starts[j]])
         except ValueError:
-            bump_counter("lint.certificate.witness_failed")
+            _obs_incr("lint.certificate.witness_failed")
             return None
         if idx[j] + held_lengths[j] >= len(msg.path):
-            bump_counter("lint.certificate.witness_failed")
+            _obs_incr("lint.certificate.witness_failed")
             return None
         if msg.length < held_lengths[j]:
-            bump_counter("lint.certificate.witness_failed")
+            _obs_incr("lint.certificate.witness_failed")
             return None
     # slack-chain injection times, shifted so the earliest is cycle 0
     times = {order[0]: 0}
@@ -141,7 +142,7 @@ def build_crt005_witness(
         inject_at[member_indices[j]] + idx[j] + held_lengths[j] for j in range(m)
     )
     witness = _drive_schedule(spec, inject_at, max_rounds=last_freeze + 2)
-    bump_counter(
+    _obs_incr(
         "lint.certificate.witness_emitted"
         if witness is not None
         else "lint.certificate.witness_failed"
@@ -248,7 +249,7 @@ def replay_certificate_witness(
         witness, network, routing, src_dst, max_cycles=max_cycles  # type: ignore[arg-type]
     )
     ok = bool(result.deadlocked)
-    bump_counter(
+    _obs_incr(
         "lint.certificate.replay.pass" if ok else "lint.certificate.replay.fail"
     )
     return ok

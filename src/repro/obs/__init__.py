@@ -6,7 +6,8 @@ The whole subsystem hangs off one gate, :func:`get`:
   ``None`` without allocating anything -- instrumented call sites do one
   ``if tel is None`` check and run their original bodies untouched.
   This is the provably-negligible disabled mode the benchmark gate
-  relies on.
+  relies on.  A lone counter bump goes through :func:`incr`, which is
+  that same check.
 * ``REPRO_TELEMETRY=on`` (or a CLI ``--telemetry PATH``, which sets the
   variable so worker processes inherit it): :func:`get` lazily creates
   a process-wide :class:`~repro.obs.core.Telemetry` collector.  Attach
@@ -29,6 +30,7 @@ from repro.obs.core import (
     HISTOGRAM_BOUNDS,
     Histogram,
     Mark,
+    Registry,
     Span,
     SpanStats,
     Telemetry,
@@ -76,6 +78,7 @@ __all__ = [
     "Histogram",
     "JsonlExporter",
     "Mark",
+    "Registry",
     "Span",
     "SpanStats",
     "Telemetry",
@@ -87,6 +90,7 @@ __all__ = [
     "extract_traceparent",
     "format_traceparent",
     "get",
+    "incr",
     "inject_env",
     "new_context",
     "parse_traceparent",
@@ -126,6 +130,17 @@ def get() -> Telemetry | None:
         return None
     _active = Telemetry()
     return _active
+
+
+def incr(name: str, value: float = 1, /) -> None:
+    """Add ``value`` to counter ``name`` on the process collector, if any.
+
+    The counting call for code that has no collector in hand: with
+    telemetry off it is the :func:`get` check and allocates nothing.
+    """
+    tel = get()
+    if tel is not None:
+        tel.incr(name, value)
 
 
 def configure(tel: Telemetry | None) -> Telemetry | None:

@@ -5,15 +5,19 @@ One :class:`Telemetry` instance collects everything a run produces:
 * **spans** -- named, nested timing scopes.  The current span is tracked
   in a :class:`contextvars.ContextVar`, so nesting follows the call stack
   (and stays correct under ``asyncio`` or thread pools that copy
-  context).  Every span emits a ``span_start``/``span_end`` event pair
-  and folds its duration into a per-name aggregate.
-* **counters** -- monotonic named sums (``incr``).  Each increment emits
-  one ``counter`` event and accumulates into the registry, so the final
-  registry value always equals the sum of the event stream.
+  context).  Every span emits a ``span_start``/``span_end`` event pair.
+* **counters** -- monotonic named sums (``incr``), one ``counter`` event
+  per increment.
 * **gauges** -- last-value-wins measurements (``gauge``).
 * **histograms** -- bucketed distributions (``observe``): fixed
   exponential buckets, mergeable across processes, with p50/p95/p99
   derivable from the bucket counts alone (see :class:`Histogram`).
+
+The registry (counter sums, gauges, histograms, per-name span
+aggregates) is a fold of the events: :meth:`Registry.fold` is the one
+piece of code that updates it, run on every emitted event by the live
+collector and on every read event by ``repro telemetry report`` and
+``tail``, so the live registry always equals the stream's.
 
 Every event is stamped with a **trace context** (schema v2): a 32-hex
 ``trace`` id naming the originating request, and -- on span events --
@@ -225,15 +229,54 @@ class Mark:
     spans: dict[str, tuple[int, float]]
 
 
-class Telemetry:
-    """A live telemetry collector (spans + counters + gauges + sinks)."""
+@dataclass(eq=False)
+class Registry:
+    """Counter sums, last gauge values, histograms and per-name span
+    aggregates, folded from events one at a time by :meth:`fold`."""
+
+    counters: dict[str, float] = field(default_factory=dict)
+    gauges: dict[str, float] = field(default_factory=dict)
+    histograms: dict[str, Histogram] = field(default_factory=dict)
+    spans: dict[str, SpanStats] = field(default_factory=dict)
+
+    def fold(self, event: dict[str, Any]) -> None:
+        """Apply one event; kinds without a registry effect are ignored.
+
+        No validation: the live collector only folds events it built,
+        and the report validates what it reads before folding it.
+        """
+        kind, name = event["kind"], event["name"]
+        if kind == "counter":
+            self.counters[name] = self.counters.get(name, 0) + event["value"]
+        elif kind == "gauge":
+            self.gauges[name] = event["value"]
+        elif kind == "hist":
+            hist = self.histograms.get(name)
+            if hist is None:
+                hist = self.histograms[name] = Histogram()
+            hist.observe(event["value"])
+        elif kind == "span_end":
+            self.spans.setdefault(name, SpanStats()).add(event["dur_s"])
+
+    def snapshot(self) -> dict[str, Any]:
+        """The whole registry as a JSON-able dict."""
+        return {
+            "counters": dict(sorted(self.counters.items())),
+            "gauges": dict(sorted(self.gauges.items())),
+            "histograms": {
+                k: self.histograms[k].summary() for k in sorted(self.histograms)
+            },
+            "spans": {k: self.spans[k].to_json() for k in sorted(self.spans)},
+        }
+
+
+class Telemetry(Registry):
+    """A live telemetry collector (spans + counters + gauges + sinks);
+    its inherited :class:`Registry` folds every event it emits."""
 
     def __init__(self, *, run_id: str = "") -> None:
+        super().__init__()
         self.run_id = run_id
-        self.counters: dict[str, float] = {}
-        self.gauges: dict[str, float] = {}
-        self.histograms: dict[str, Histogram] = {}
-        self.span_stats: dict[str, SpanStats] = {}
         self._sinks: list[Sink] = []
         self._ids = itertools.count(1)
         self._current: ContextVar[Span | None] = ContextVar(
@@ -331,6 +374,7 @@ class Telemetry:
             event["sid"] = sid
             event["psid"] = psid
         event.update(extra)
+        self.fold(event)
         for sink in self._sinks:
             sink(event)
 
@@ -362,7 +406,6 @@ class Telemetry:
             dur = time.perf_counter() - t0
             self._current.reset(token)
             merged = {**attrs, **sp.attrs}
-            self.span_stats.setdefault(name, SpanStats()).add(dur)
             self._emit(
                 "span_end",
                 name,
@@ -398,7 +441,6 @@ class Telemetry:
         else:
             trace_id, psid = self._parentage()
         gsid = new_span_id()
-        self.span_stats.setdefault(name, SpanStats()).add(dur_s)
         self._emit(
             "span_start", name, span=sid, parent=pid, attrs=dict(attrs),
             trace=trace_id, sid=gsid, psid=psid,
@@ -419,22 +461,16 @@ class Telemetry:
     # counters / gauges / histograms / freeform events
     # ------------------------------------------------------------------
     def incr(self, name: str, value: float = 1, /, **attrs: Any) -> None:
-        """Add ``value`` to counter ``name`` (and emit a ``counter`` event)."""
-        self.counters[name] = self.counters.get(name, 0) + value
+        """Add ``value`` to counter ``name`` (emits a ``counter`` event)."""
         self._emit("counter", name, attrs=dict(attrs), value=value)
 
     def gauge(self, name: str, value: float, /, **attrs: Any) -> None:
         """Set gauge ``name`` to ``value`` (last write wins)."""
-        self.gauges[name] = value
         self._emit("gauge", name, attrs=dict(attrs), value=value)
 
     def observe(self, name: str, value: float, /, **attrs: Any) -> None:
         """Record ``value`` into histogram ``name`` (emits a ``hist``
         event, so streams rebuild the distribution from events alone)."""
-        hist = self.histograms.get(name)
-        if hist is None:
-            hist = self.histograms[name] = Histogram()
-        hist.observe(value)
         self._emit("hist", name, attrs=dict(attrs), value=value)
 
     def event(self, name: str, /, **attrs: Any) -> None:
@@ -448,26 +484,13 @@ class Telemetry:
         self._emit("run_end", name, attrs={**attrs, "snapshot": self.snapshot()})
 
     # ------------------------------------------------------------------
-    # snapshots
+    # registry deltas
     # ------------------------------------------------------------------
-    def snapshot(self) -> dict[str, Any]:
-        """The whole registry as a JSON-able dict."""
-        return {
-            "counters": {k: self.counters[k] for k in sorted(self.counters)},
-            "gauges": {k: self.gauges[k] for k in sorted(self.gauges)},
-            "histograms": {
-                k: self.histograms[k].summary() for k in sorted(self.histograms)
-            },
-            "spans": {
-                k: self.span_stats[k].to_json() for k in sorted(self.span_stats)
-            },
-        }
-
     def mark(self) -> Mark:
         """A snapshot suitable for :meth:`since` deltas."""
         return Mark(
             counters=dict(self.counters),
-            spans={k: (s.count, s.wall_s) for k, s in self.span_stats.items()},
+            spans={k: (s.count, s.wall_s) for k, s in self.spans.items()},
         )
 
     def since(self, mark: Mark) -> dict[str, Any]:
@@ -479,7 +502,7 @@ class Telemetry:
             if delta:
                 counters[name] = round(delta, 6)
         spans: dict[str, dict[str, float]] = {}
-        for name, stats in self.span_stats.items():
+        for name, stats in self.spans.items():
             count0, wall0 = mark.spans.get(name, (0, 0.0))
             if stats.count > count0:
                 spans[name] = {

@@ -1,7 +1,7 @@
 """Prometheus text exposition: render a registry, strictly check output.
 
-:func:`render_prometheus` serialises a live :class:`~repro.obs.core.Telemetry`
-registry in the text exposition format (version 0.0.4):
+:func:`render_prometheus` serialises a :class:`~repro.obs.core.Registry`
+(a live collector's or a report's) in the text exposition format (version 0.0.4):
 
 * counters -> ``repro_<name>_total``,
 * gauges -> ``repro_<name>``,
@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import re
 
-from repro.obs.core import Histogram, Telemetry
+from repro.obs.core import Histogram, Registry
 
 #: the Content-Type a /metrics response must carry
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -71,7 +71,7 @@ def _render_histogram(lines: list[str], metric: str, hist: Histogram) -> None:
     lines.append(f"{metric}_count {hist.count}")
 
 
-def render_prometheus(tel: Telemetry) -> str:
+def render_prometheus(tel: Registry) -> str:
     """The registry in Prometheus text exposition format."""
     lines: list[str] = []
     seen: set[str] = set()
@@ -96,8 +96,8 @@ def render_prometheus(tel: Telemetry) -> str:
         metric = _metric_name(name)
         if family(metric, "histogram", f"repro histogram {name}"):
             _render_histogram(lines, metric, tel.histograms[name])
-    for name in sorted(tel.span_stats):
-        stats = tel.span_stats[name]
+    for name in sorted(tel.spans):
+        stats = tel.spans[name]
         metric = _metric_name(name, suffix="_seconds")
         if family(metric, "summary", f"repro span {name} wall clock"):
             lines.append(f"{metric}_sum {_fmt(round(stats.wall_s, 6))}")

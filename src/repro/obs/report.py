@@ -1,9 +1,9 @@
 """Summarise a telemetry JSONL event stream (``repro telemetry report``).
 
-The summariser rebuilds everything from the events alone -- counters are
-re-summed from ``counter`` events, span aggregates from ``span_end``
-events, histograms from ``hist`` observations -- so it doubles as an
-end-to-end check that the stream is self-sufficient.  For campaign
+The summariser rebuilds everything from the events alone, through the
+same :meth:`~repro.obs.core.Registry.fold` the live collector runs on
+each event it emits, so it doubles as an end-to-end check that the
+stream is self-sufficient.  For campaign
 streams it reproduces the ledger's numbers without the ledger: per-task
 wall times come from the ``campaign.task`` spans and the cache hit rate
 from the ``campaign.cache.*`` counters.
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.obs.core import Histogram, SpanStats
+from repro.obs.core import Registry
 from repro.obs.schema import validate_event
 
 #: span name the campaign runner emits once per finalized task
@@ -42,18 +42,15 @@ class EventStreamError(Exception):
 
 
 @dataclass
-class TelemetryReport:
-    """Everything the summariser recovered from one event stream."""
+class TelemetryReport(Registry):
+    """Everything the summariser recovered from one event stream: the
+    folded :class:`~repro.obs.core.Registry` plus report-only extras."""
 
-    path: str
+    path: str = ""
     events: int = 0
     unparseable_lines: int = 0
     #: (event index, violation) pairs from the schema validator
     invalid: list[tuple[int, str]] = field(default_factory=list)
-    counters: dict[str, float] = field(default_factory=dict)
-    gauges: dict[str, float] = field(default_factory=dict)
-    histograms: dict[str, Histogram] = field(default_factory=dict)
-    spans: dict[str, SpanStats] = field(default_factory=dict)
     #: campaign.task span attrs + duration, in emission order
     tasks: list[dict[str, Any]] = field(default_factory=list)
     run_names: list[str] = field(default_factory=list)
@@ -118,12 +115,7 @@ class TelemetryReport:
             "events": self.events,
             "unparseable_lines": self.unparseable_lines,
             "invalid": [list(pair) for pair in self.invalid],
-            "counters": dict(sorted(self.counters.items())),
-            "gauges": dict(sorted(self.gauges.items())),
-            "histograms": {
-                k: self.histograms[k].summary() for k in sorted(self.histograms)
-            },
-            "spans": {k: self.spans[k].to_json() for k in sorted(self.spans)},
+            **self.snapshot(),
             "tasks": self.tasks,
             "traces": self.traces,
             "cache_hit_rate": self.cache_hit_rate(),
@@ -205,23 +197,13 @@ def fold_events(report: TelemetryReport, events: list[dict[str, Any]]) -> None:
         if errors:
             report.invalid.extend((i, err) for err in errors)
             continue
+        report.fold(event)
         trace = event.get("trace")
         if isinstance(trace, str) and trace not in report.traces:
             report.traces.append(trace)
         kind, name = event["kind"], event["name"]
-        if kind == "counter":
-            report.counters[name] = report.counters.get(name, 0) + event["value"]
-        elif kind == "gauge":
-            report.gauges[name] = event["value"]
-        elif kind == "hist":
-            hist = report.histograms.get(name)
-            if hist is None:
-                hist = report.histograms[name] = Histogram()
-            hist.observe(event["value"])
-        elif kind == "span_end":
-            report.spans.setdefault(name, SpanStats()).add(event["dur_s"])
-            if name == CAMPAIGN_TASK_SPAN:
-                report.tasks.append({**event["attrs"], "dur_s": event["dur_s"]})
+        if kind == "span_end" and name == CAMPAIGN_TASK_SPAN:
+            report.tasks.append({**event["attrs"], "dur_s": event["dur_s"]})
         elif kind in ("run_start", "run_end"):
             if name not in report.run_names:
                 report.run_names.append(name)

@@ -200,6 +200,12 @@ class ReproServer:
 
     def __init__(self, config: ServeConfig | None = None) -> None:
         self.config = config or ServeConfig()
+        # checked first: a bad option must not leave a cache store behind
+        self.runner_config = RunnerConfig(
+            max_workers=self.config.jobs,
+            retries=self.config.retries,
+            task_timeout=self.config.task_timeout,
+        )
         cold = make_backend(self.config.cache_backend)
         self.cold: CacheBackend = cold
         self.cache: CacheBackend
@@ -207,11 +213,6 @@ class ReproServer:
             self.cache = TieredCache(MemoryLRUCache(self.config.hot_capacity), cold)
         else:
             self.cache = cold
-        self.runner_config = RunnerConfig(
-            max_workers=self.config.jobs,
-            retries=self.config.retries,
-            task_timeout=self.config.task_timeout,
-        )
         self.batcher: MicroBatcher | None = None
         self.host = self.config.host
         self.port = self.config.port
@@ -495,11 +496,10 @@ class ReproServer:
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ApiError(400, f"{knob} must be an integer, got {value!r}")
             knobs[knob] = value
-        # the search stack loads on first use, not at server start
-        from repro.analysis.reachability import OPTION_MINIMUMS, check_options
+        from repro.analysis.state import check_options
 
         try:
-            check_options(**{k: v for k, v in knobs.items() if k in OPTION_MINIMUMS})
+            check_options(**knobs)
         except ValueError as exc:
             raise ApiError(400, str(exc)) from None
         merged = {**params, **knobs}

@@ -183,3 +183,37 @@ def test_sharded_runs_merge_through_a_shared_cache(tmp_path, capsys):
     assert [entry["ledger"] for entry in payload["ledgers"]] == [
         "quick-shard1of2.jsonl", "quick-shard2of2.jsonl",
     ]
+
+
+def test_capped_task_fails_by_name_and_is_not_cached(tmp_path, capsys, monkeypatch):
+    """A reachability task that hits its state cap ends ``ok=False`` with
+    a ``SearchLimitExceeded:`` error, stays out of the cache, and makes
+    ``campaign run`` exit 1."""
+    from repro.campaign import CampaignTask, read_ledger
+    from repro.campaign import specs
+    from repro.campaign.cache import ResultCache
+
+    task = CampaignTask.make("reachability", "fig1", max_states=10)
+    monkeypatch.setitem(specs._SPECS, "capped", lambda: [task])
+    cache_dir = tmp_path / "cache"
+    argv = ["campaign", "run", "--spec", "capped", "--jobs", "1",
+            "--retries", "0", "--cache-dir", str(cache_dir), "--no-progress"]
+    assert main(argv) == 1
+    capsys.readouterr()
+    results, _ = read_ledger(cache_dir / "ledgers" / "capped.jsonl")
+    assert len(results) == 1
+    assert results[0].ok is False
+    assert results[0].error.startswith("SearchLimitExceeded:"), results[0].error
+    assert ResultCache(cache_dir).get(task) is None
+
+
+def test_timeout_without_a_pool_is_rejected(capsys):
+    """A serial run cannot stop a task, so ``--timeout`` with ``--jobs 1``
+    is refused up front (one line, exit 2) instead of silently ignored."""
+    argv = ["campaign", "run", "--spec", "quick", "--limit", "1",
+            "--timeout", "0.001", "--no-cache", "--no-progress"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "--jobs 2" in lines[0], captured.err
+    assert captured.out == ""

@@ -141,6 +141,14 @@ def test_invalid_runner_config():
         RunnerConfig(task_timeout=0)
 
 
+def test_task_timeout_needs_a_pool():
+    """Only pool mode can preempt a task, so a serial config refuses a
+    timeout it could not apply."""
+    with pytest.raises(ValueError, match="--jobs 2"):
+        RunnerConfig(task_timeout=1.0)
+    assert RunnerConfig(max_workers=2, task_timeout=1.0).task_timeout == 1.0
+
+
 def test_progress_reporter_emits(capsys):
     import sys
 

@@ -71,3 +71,47 @@ def test_grid_task_failure_is_a_named_error(argv, capsys, monkeypatch):
     assert lines[0].startswith(f"{argv[0]}: ")
     assert "RuntimeError: injected failure" in lines[0]
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("exc_name", ["SearchLimitExceeded", "KernelOutOfMemory"])
+def test_fig1_search_limit_is_a_named_error(exc_name, capsys, monkeypatch):
+    """A state cap (or kernel memory) hit ends ``fig1`` with one named
+    stderr line and exit 2, as ``search`` and ``classify`` do."""
+    from repro.analysis import reachability
+    from repro.experiments import fig1
+
+    exc = (
+        reachability.KernelOutOfMemory(123)
+        if exc_name == "KernelOutOfMemory"
+        else reachability.SearchLimitExceeded("exceeded 10 states")
+    )
+
+    def capped(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(fig1, "search_deadlock", capped)
+    assert main(["fig1"]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    assert lines[0] == f"fig1: {exc}"
+    assert captured.out == ""
+
+
+def test_serve_timeout_without_a_pool_is_rejected(capsys, monkeypatch):
+    """``serve --timeout`` with the default ``--jobs 1`` could never stop
+    a task: one line, exit 2, before the server starts."""
+    from repro.serve import ReproServer, ServeConfig
+
+    def run(self, announce=None):
+        raise AssertionError("the server started")
+
+    monkeypatch.setattr(ReproServer, "run", run)
+    with pytest.raises(ValueError, match="--jobs 2"):
+        ReproServer(ServeConfig(cache_backend="memory", task_timeout=1.0))
+    argv = ["serve", "--port", "0", "--cache-backend", "memory", "--timeout", "1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("serve: "), captured.err
+    assert "--jobs 2" in lines[0]

@@ -102,6 +102,8 @@ def test_lint_loads_no_numpy():
     loaded = set(_run(COMMANDS["lint-fig1"])["modules"])
     assert "numpy" not in loaded
     assert "networkx" in loaded  # the CDG stays a networkx graph
+    # its option range check does not pull in the search
+    assert "repro.analysis.reachability" not in loaded
 
 
 @functools.cache

@@ -42,7 +42,6 @@ import repro.analysis.kernelpath as kernelpath_mod
 import repro.analysis.reachability as reachability_mod
 from repro import obs
 from repro.analysis.kernelpath import (
-    COUNTERS,
     KernelEngine,
     WideSpecFallbackWarning,
     kernel_engine_for,
@@ -50,7 +49,6 @@ from repro.analysis.kernelpath import (
     resolve_backend,
 )
 from repro.analysis.reachability import (
-    ENGINE_COUNTERS,
     SEARCH_ENGINES,
     SearchLimitExceeded,
     Witness,
@@ -246,11 +244,10 @@ def test_wide_channel_spec_no_kernel_fallback():
     spec = _ring_spec(80, (0, 10), (75, 75), budget=0)
     assert KernelEngine(spec).num_bits > 62
     ref = search_deadlock(spec, engine="reference")
-    before = ENGINE_COUNTERS["search.engine.fallback.reference"]
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), obs.scope(Telemetry()) as tel:
         warnings.simplefilter("error", WideSpecFallbackWarning)
         got = search_deadlock(spec, engine="kernel")
-    assert ENGINE_COUNTERS["search.engine.fallback.reference"] == before
+    assert "search.engine.fallback.reference" not in tel.counters
     assert got.states_explored == ref.states_explored
     assert got.witness is not None and ref.witness is not None
     assert got.witness.steps == ref.witness.steps
@@ -291,10 +288,10 @@ def test_kernel_fallback_warns_with_size_requirement(monkeypatch):
     monkeypatch.setattr(reachability_mod, "_fallback_warned", set())
     spec = BATTERY[0][1]  # fig1: 4 messages
     num_bits = len({cid for m in spec.messages for cid in m.path})
-    before = ENGINE_COUNTERS["search.engine.fallback.reference"]
-    with pytest.warns(WideSpecFallbackWarning) as rec:
+    tel = Telemetry()
+    with pytest.warns(WideSpecFallbackWarning) as rec, obs.scope(tel):
         got = search_deadlock(spec, engine="kernel", find_witness=False)
-    assert ENGINE_COUNTERS["search.engine.fallback.reference"] == before + 1
+    assert tel.counters["search.engine.fallback.reference"] == 1
     warning = rec[0].message
     assert warning.engine == "kernel"
     assert warning.n == 4
@@ -305,10 +302,10 @@ def test_kernel_fallback_warns_with_size_requirement(monkeypatch):
     ref = search_deadlock(spec, engine="reference", find_witness=False)
     assert got.states_explored == ref.states_explored
     # the next fallback is counted but not warned about again
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), obs.scope(tel):
         warnings.simplefilter("error", WideSpecFallbackWarning)
         wit = search_deadlock(spec, engine="kernel")
-    assert ENGINE_COUNTERS["search.engine.fallback.reference"] == before + 2
+    assert tel.counters["search.engine.fallback.reference"] == 2
     assert wit.witness == search_deadlock(spec, engine="reference").witness
     with pytest.raises(ValueError, match="1..2 messages"):
         KernelEngine(spec)
@@ -352,12 +349,11 @@ def test_cc_tier_matches_reference():
     try:
         spec = BATTERY[1][1]
         keng = kernel_engine_for(spec)
-        before = COUNTERS["kernelpath.searches.cc"]
-        got = keng.search()
-        assert keng.last_backend == "cc"
-        assert COUNTERS["kernelpath.searches.cc"] == before + 1
+        with obs.scope(Telemetry()) as tel:
+            got = keng.search()
+        assert tel.counters["kernelpath.searches.cc"] == 1
         ref = search_deadlock(spec, engine="reference", find_witness=False)
-        assert got == (ref.deadlock_reachable, ref.states_explored)
+        assert got[:2] == (ref.deadlock_reachable, ref.states_explored)
         # witness path too: the C kernel returns the parent chain
         ref = search_deadlock(spec, engine="reference")
         wit = search_deadlock(spec, engine="kernel")
@@ -373,13 +369,12 @@ def test_kernel_engine_without_library_raises(monkeypatch):
     monkeypatch.setattr(kernelpath_mod, "_load_cc_lib", lambda: None)
     monkeypatch.setattr(kernelpath_mod, "_cc_error", "no C compiler found (test)")
     keng = KernelEngine(BATTERY[1][1])
-    before = dict(COUNTERS)
-    with pytest.raises(RuntimeError, match="no C compiler found"):
-        keng.search()
-    with pytest.raises(RuntimeError, match="no C compiler found"):
-        keng.search_witness()
-    assert COUNTERS == before
-    assert keng.last_backend is None
+    with obs.scope(Telemetry()) as tel:
+        with pytest.raises(RuntimeError, match="no C compiler found"):
+            keng.search()
+        with pytest.raises(RuntimeError, match="no C compiler found"):
+            keng.search_witness()
+    assert tel.counters == {}
 
 
 # ----------------------------------------------------------------------
@@ -411,28 +406,26 @@ def test_cc_cache_self_heals_bad_library(poison, monkeypatch, tmp_path):
         subprocess.run(
             [cc, "-shared", "-fPIC", "-o", str(so), str(src)], check=True
         )
-    before = dict(COUNTERS)
-    assert resolve_backend() == "cc"
-    assert COUNTERS["kernelpath.cc.rebuilds"] == before["kernelpath.cc.rebuilds"] + 1
-    assert COUNTERS["kernelpath.cc.compiles"] == before["kernelpath.cc.compiles"] + 1
-    assert COUNTERS["kernelpath.cc.errors"] == before["kernelpath.cc.errors"]
+    with obs.scope(Telemetry()) as tel:
+        assert resolve_backend() == "cc"
+    assert tel.counters == {"kernelpath.cc.rebuilds": 1, "kernelpath.cc.compiles": 1}
     # a fresh process now loads the healed library straight from the cache
     probe = (
-        "import json, repro.analysis.kernelpath as k; "
+        "import json, repro.obs, repro.analysis.kernelpath as k; "
         "lib = k._load_cc_lib(); "
-        "print(json.dumps([lib is not None, k.COUNTERS]))"
+        "print(json.dumps([lib is not None, repro.obs.get().counters]))"
     )
     env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
-    env.update(PYTHONPATH=str(SRC), REPRO_KERNEL_CACHE=str(cache))
+    env.update(
+        PYTHONPATH=str(SRC), REPRO_KERNEL_CACHE=str(cache), REPRO_TELEMETRY="on"
+    )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True,
         text=True, timeout=120, check=True,
     )
     loaded, counters = json.loads(out.stdout)
     assert loaded
-    assert counters["kernelpath.cc.cache_hits"] == 1
-    assert counters["kernelpath.cc.rebuilds"] == 0
-    assert counters["kernelpath.cc.compiles"] == 0
+    assert counters == {"kernelpath.cc.cache_hits": 1}
 
 
 # ----------------------------------------------------------------------
@@ -443,9 +436,9 @@ def test_resolve_engine_auto_prefers_kernel_when_accelerated():
     when its library loads, without counting a fallback."""
     if kernel_unavailable_reason() is not None:
         pytest.skip("no compiled kernel library here")
-    before = dict(ENGINE_COUNTERS)
-    assert resolve_engine(None, BATTERY[0][1]) == "kernel"
-    assert ENGINE_COUNTERS == before  # not a fallback
+    with obs.scope(Telemetry()) as tel:
+        assert resolve_engine(None, BATTERY[0][1]) == "kernel"
+    assert tel.counters == {}  # not a fallback
 
 
 def test_resolve_engine_auto_without_kernel(monkeypatch):
@@ -457,15 +450,17 @@ def test_resolve_engine_auto_without_kernel(monkeypatch):
     )
     monkeypatch.setattr(reachability_mod, "_fallback_warned", set())
     spec = BATTERY[0][1]
-    before = ENGINE_COUNTERS["search.engine.fallback.reference"]
+    tel = Telemetry()
     with pytest.warns(RuntimeWarning, match="no C compiler found") as rec:
-        assert resolve_engine(None, spec) == "reference"
-        assert resolve_engine("kernel", spec) == "reference"
+        with obs.scope(tel):
+            assert resolve_engine(None, spec) == "reference"
+            assert resolve_engine("kernel", spec) == "reference"
     assert sum(issubclass(w.category, RuntimeWarning) for w in rec) == 1
-    assert ENGINE_COUNTERS["search.engine.fallback.reference"] == before + 2
+    assert tel.counters["search.engine.fallback.reference"] == 2
     # a reference request is honoured as-is and never counted as a fallback
-    assert resolve_engine("reference", spec) == "reference"
-    assert ENGINE_COUNTERS["search.engine.fallback.reference"] == before + 2
+    with obs.scope(tel):
+        assert resolve_engine("reference", spec) == "reference"
+    assert tel.counters["search.engine.fallback.reference"] == 2
     with pytest.raises(ValueError, match="unknown search engine 'fast'"):
         resolve_engine("fast", spec)
 
@@ -480,12 +475,13 @@ def test_auto_engine_env_and_explicit_agree(monkeypatch):
     assert default.deadlock_reachable == ref.deadlock_reachable
     assert default.states_explored == ref.states_explored
     monkeypatch.setenv("REPRO_SEARCH_ENGINE", "reference")
-    before = dict(ENGINE_COUNTERS)
-    assert resolve_engine(None, spec) == resolve_engine("kernel", spec)
-    stale = search_deadlock(spec, find_witness=False)
+    with obs.scope(Telemetry()) as tel:
+        assert resolve_engine(None, spec) == resolve_engine("kernel", spec)
+        stale = search_deadlock(spec, find_witness=False)
     assert stale.states_explored == default.states_explored
     if kernel_unavailable_reason() is None:
-        assert ENGINE_COUNTERS == before  # the kernel ran: no fallback
+        # the kernel ran: no fallback
+        assert "search.engine.fallback.reference" not in tel.counters
 
 
 def _search_span(spec, **kw):
@@ -617,10 +613,9 @@ def test_execute_task_engine_knob_not_in_hash(running_on):
 def test_kernel_counters_move():
     """A compiled kernel search is counted on its tier."""
     spec = BATTERY[0][1]
-    before = dict(COUNTERS)
-    KernelEngine(spec).search()
-    key = "kernelpath.searches.cc"
-    assert COUNTERS[key] == before[key] + 1
+    with obs.scope(Telemetry()) as tel:
+        KernelEngine(spec).search()
+    assert tel.counters["kernelpath.searches.cc"] == 1
 
 
 # ----------------------------------------------------------------------

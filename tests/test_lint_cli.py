@@ -36,6 +36,15 @@ class TestLintCli:
         assert main(["lint", "fig1", "--params", "[1]"]) == 2
         assert "JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    def test_max_cycles_below_one_exits_2(self, value, capsys):
+        assert main(["lint", "fig1", "--max-cycles", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"lint: max_cycles must be >= 1, got {value}"
+        ]
+        assert captured.out == ""
+
     def test_requires_exactly_one_target_form(self, capsys):
         assert main(["lint"]) == 2
         assert main(["lint", "fig1", "--all"]) == 2

@@ -42,8 +42,16 @@ class TestDisabledGate:
         assert obs._active is None
 
     def test_disabled_instrumented_run_allocates_no_collector(self):
-        # drive an instrumented subsystem end to end with telemetry off:
-        # the gate must stay cold
+        # drive every instrumented subsystem end to end with telemetry
+        # off -- the simulator, a kernel search, a certificate-witness
+        # search, both classifiers, the linter and a campaign, each of
+        # which counts through the gate -- and the gate must stay cold
+        from repro.analysis.classify import classify_configuration, classify_cycle
+        from repro.analysis.reachability import search_deadlock
+        from repro.analysis.state import CheckerMessage, SystemSpec
+        from repro.campaign import RunnerConfig, build_spec, run_campaign
+        from repro.campaign.scenarios import build_scenario
+        from repro.lint import lint_algorithm
         from repro.routing import clockwise_ring
         from repro.sim import MessageSpec, Simulator
         from repro.topology import ring
@@ -51,6 +59,29 @@ class TestDisabledGate:
         net = ring(4)
         res = Simulator(net, clockwise_ring(net, 4), [MessageSpec(0, 0, 2, length=2)]).run()
         assert res.completed
+        fig1 = build_scenario("fig1", {})
+        searched = search_deadlock(
+            SystemSpec.uniform(fig1.messages), certificates="off",
+            find_witness=False,
+        )
+        assert searched.states_explored > 0
+        pair = SystemSpec.uniform(
+            [
+                CheckerMessage(path=(0, 1, 2), length=2, tag="a"),
+                CheckerMessage(path=(2, 3, 0), length=2, tag="b"),
+            ]
+        )
+        witnessed = search_deadlock(pair, find_witness=True, certificates="on")
+        assert witnessed.witness is not None and witnessed.states_explored == 0
+        alg, cycle, pairs = build_scenario("ring-cycle", {"n": 4}).cycle_classify
+        assert classify_cycle(alg, cycle, pairs=pairs).deadlock_reachable
+        reachable, _ = classify_configuration(fig1.messages)
+        assert not reachable
+        assert lint_algorithm(alg).verdict
+        _, summary = run_campaign(
+            build_spec("quick", limit=3), config=RunnerConfig()
+        )
+        assert summary.all_expected
         assert obs._active is None
 
     def test_off_values_disable(self, monkeypatch):
@@ -83,8 +114,8 @@ class TestTelemetryCore:
                 assert tel.current_span() is inner
             assert tel.current_span() is outer
         assert tel.current_span() is None
-        assert tel.span_stats["outer"].count == 1
-        assert tel.span_stats["inner"].count == 1
+        assert tel.spans["outer"].count == 1
+        assert tel.spans["inner"].count == 1
 
     def test_counter_registry_equals_event_sum(self):
         tel = Telemetry()
@@ -120,7 +151,7 @@ class TestTelemetryCore:
         assert start["kind"] == "span_start" and end["kind"] == "span_end"
         assert end["attrs"]["name"] == "fig1():reachability"
         assert end["dur_s"] == 0.25
-        assert tel.span_stats["campaign.task"].count == 1
+        assert tel.spans["campaign.task"].count == 1
 
     def test_span_attrs_merged_on_span_end(self):
         tel = Telemetry()
@@ -384,3 +415,81 @@ class TestCampaignIntegration:
         snap = json.loads((tmp_path / "snap.json").read_text())
         assert snap["schema"] == SNAPSHOT_SCHEMA
         assert snap["counters"]["campaign.tasks"] == 4
+
+
+#: what ``campaign run --spec quick --jobs 1 --telemetry`` records into a
+#: fresh cache: every counter (by name, with its value unless it times
+#: something), span name and histogram name, each with its count.  One
+#: stream, whichever route a subsystem counts by, must keep all of them.
+QUICK_COUNTERS = {
+    "campaign.cache.misses": 11,
+    "campaign.tasks": 11,
+    "classify.certificate_short_circuits": 1,
+    "classify.configs": 1,
+    "classify.cycles": 1,
+    "classify.scenarios": 0,
+    "kernelpath.cc.cache_hits": 1,
+    "kernelpath.engine_cache.hits": 1,
+    "kernelpath.engine_cache.misses": 11,
+    "kernelpath.phase.kernel_s": None,
+    "kernelpath.phase.witness_s": None,
+    "kernelpath.searches.cc": 12,
+    "lint.certificate.adaptive.decided": 1,
+    "lint.certificate.replay.pass": 1,
+    "lint.certificate.witness_emitted": 1,
+    "lint.diagnostics": 2,
+    "lint.runs": 1,
+    "search.calls": 13,
+    "search.certificate_short_circuits": 1,
+    "search.states_explored": 40686,
+    "sim.arbitration_conflicts": 0,
+    "sim.cycles": 315,
+    "sim.delivered": 86,
+    "sim.flit_moves": 1210,
+    "sim.runs": 2,
+}
+QUICK_SPANS = {
+    "campaign.run": 1,
+    "campaign.task": 11,
+    "classify.config": 1,
+    "classify.cycle": 1,
+    "lint.algorithm": 1,
+    "repro.campaign": 1,
+    "search.deadlock": 13,
+    "sim.run": 2,
+}
+QUICK_HISTOGRAMS = {"campaign.task.wall_s": 11, "search.states_per_sec": 12}
+
+
+def test_quick_campaign_telemetry_names_pinned(tmp_path):
+    """A serial quick campaign in a fresh process emits exactly the pinned
+    counters, spans and histograms (needs the compiled kernel)."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from repro.analysis.kernelpath import resolve_backend
+
+    if resolve_backend() is None:
+        pytest.skip("no working C compiler")
+    events = tmp_path / "events.jsonl"
+    env = {k: v for k, v in os.environ.items() if k != obs.ENV_VAR}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    subprocess.run(
+        [sys.executable, "-m", "repro", "campaign", "run", "--spec", "quick",
+         "--jobs", "1", "--cache-dir", str(tmp_path / "cache"), "--no-progress",
+         "--telemetry", str(events)],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300,
+        check=True,
+    )
+    report = summarize(events)
+    assert report.schema_valid
+    counters = {
+        k: None if k.endswith("_s") else v for k, v in report.counters.items()
+    }
+    if "kernelpath.cc.compiles" in counters:  # the library was not cached yet
+        counters["kernelpath.cc.cache_hits"] = counters.pop("kernelpath.cc.compiles")
+    assert counters == QUICK_COUNTERS
+    assert {k: s.count for k, s in report.spans.items()} == QUICK_SPANS
+    assert {k: h.count for k, h in report.histograms.items()} == QUICK_HISTOGRAMS

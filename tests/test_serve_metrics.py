@@ -278,13 +278,15 @@ class TestEnginePhaseGate:
         assert "kernelpath.phase.witness_s" in tel.counters
 
     def test_no_profiling_state_accumulates_when_disabled(self):
-        from repro.analysis.kernelpath import peek_engine
+        from repro.analysis.kernelpath import kernel_engine_for
         from repro.analysis.reachability import search_deadlock
 
         spec = self._spec()
         assert obs.get() is None, "telemetry must be off outside scope"
+        engine = kernel_engine_for(spec)
+        fields = dict(vars(engine))
         res = search_deadlock(spec, engine="kernel", certificates="off")
         assert res.states_explored > 0
-        engine = peek_engine(spec)
-        assert engine is not None
-        assert engine.phase_seconds == {}
+        # a search leaves nothing behind on the engine, and no collector
+        assert vars(engine) == fields
+        assert obs._active is None

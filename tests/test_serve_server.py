@@ -274,6 +274,8 @@ def test_bad_params_and_knobs_are_400(server):
          "length_slack"),
         ("/v1/classify", {"scenario": "ring-cycle", "extra_copies": 0},
          "extra_copies"),
+        ("/v1/lint", {"scenario": "fig1", "max_cycles": -1}, "max_cycles"),
+        ("/v1/lint", {"scenario": "fig1", "max_cycles": 0}, "max_cycles"),
     ]
     for path, body, option in bodies:
         resp = c._request("POST", path, body)
@@ -379,7 +381,7 @@ def test_status_reports_serve_spans(server, client):
     tel = server._tel
     assert tel is not None
     assert tel.counters.get("serve.requests", 0) >= 1
-    assert "serve.request" in tel.span_stats
+    assert "serve.request" in tel.spans
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,6 @@ from repro.campaign.scenarios import build_scenario
 from repro.cdg.analysis import find_cycles
 from repro.cdg.build import build_cdg
 from repro.lint import (
-    CERT_COUNTERS,
     certificate_witness,
     lint_algorithm,
     replay_certificate_witness,
@@ -63,10 +62,12 @@ class TestZeroSearchWitness:
         assert validate_witness(bfs.witness) and validate_witness(cert.witness)
 
     def test_emission_bumps_counters(self):
-        before = CERT_COUNTERS["lint.certificate.witness_emitted"]
-        res = search_deadlock(_ring_spec(), find_witness=True, certificates="on")
+        with obs.scope(Telemetry()) as tel:
+            res = search_deadlock(
+                _ring_spec(), find_witness=True, certificates="on"
+            )
         assert res.witness is not None
-        assert CERT_COUNTERS["lint.certificate.witness_emitted"] == before + 1
+        assert tel.counters["lint.certificate.witness_emitted"] == 1
 
     def test_fastpath_counted_in_telemetry(self):
         tel = Telemetry()
@@ -99,11 +100,11 @@ class TestAcceptanceReplay:
 
         net = bundle.algorithm.network
         src_dst = _src_dst_for(res.witness.spec, net)
-        before = CERT_COUNTERS["lint.certificate.replay.pass"]
-        assert replay_certificate_witness(
-            res.witness, net, bundle.algorithm.fn, src_dst
-        )
-        assert CERT_COUNTERS["lint.certificate.replay.pass"] == before + 1
+        with obs.scope(Telemetry()) as tel:
+            assert replay_certificate_witness(
+                res.witness, net, bundle.algorithm.fn, src_dst
+            )
+        assert tel.counters["lint.certificate.replay.pass"] == 1
 
     def test_classify_witness_replays_to_deadlock(self):
         net = ring(4)
@@ -184,10 +185,10 @@ class TestCertificateWitnessAPI:
         from repro.lint import build_crt005_witness
 
         spec = _ring_spec()
-        before = CERT_COUNTERS["lint.certificate.witness_failed"]
         # held lengths that do not sum to the cycle length: reject + count
-        assert (
-            build_crt005_witness(spec, [0, 1], [0, 2], [2, 1], [0, 1, 2, 3])
-            is None
-        )
-        assert CERT_COUNTERS["lint.certificate.witness_failed"] == before + 1
+        with obs.scope(Telemetry()) as tel:
+            assert (
+                build_crt005_witness(spec, [0, 1], [0, 2], [2, 1], [0, 1, 2, 3])
+                is None
+            )
+        assert tel.counters["lint.certificate.witness_failed"] == 1
