@@ -33,13 +33,17 @@ from dataclasses import dataclass, field
 from collections.abc import Sequence
 
 
-from repro.analysis.reachability import SearchResult, search_deadlock
+from repro.analysis.reachability import SearchLimitExceeded, SearchResult, search_deadlock
 from repro.analysis.state import CheckerMessage, SystemSpec, check_options
 from repro.obs import get as _obs_get
 from repro.routing.base import RoutingAlgorithm
 from repro.topology.channels import Channel, NodeId
 
 Pair = tuple[NodeId, NodeId]
+
+#: the most candidate scenarios :func:`classify_cycle` searches; past it,
+#: with no deadlock found, "false resource cycle" would be unshown
+MAX_SCENARIOS = 256
 
 
 def classify_configuration(
@@ -238,7 +242,6 @@ def classify_cycle(
     extra_copies: int = 1,
     budget: int = 0,
     max_states: int = 2_000_000,
-    max_scenarios: int = 256,
     certificates: str | None = None,
 ) -> CycleClassification:
     """Decide whether ``cycle`` can produce a reachable deadlock.
@@ -261,7 +264,10 @@ def classify_cycle(
 
     Raises :class:`ValueError` when an option leaves no scenario to search
     (``length_slack < 0`` or ``extra_copies < 1``) or is otherwise out of
-    range: a verdict over zero scenarios would say nothing.
+    range: a verdict over zero scenarios would say nothing.  Raises
+    :class:`~repro.analysis.reachability.SearchLimitExceeded` when the
+    options ask for more than :data:`MAX_SCENARIOS` scenarios and none
+    within the cap deadlocks.
     """
     check_options(
         budget=budget,
@@ -279,7 +285,6 @@ def classify_cycle(
             extra_copies=extra_copies,
             budget=budget,
             max_states=max_states,
-            max_scenarios=max_scenarios,
             certificates=certificates,
         )
     with tel.span("classify.cycle", channels=len(cycle)) as sp:
@@ -291,7 +296,6 @@ def classify_cycle(
             extra_copies=extra_copies,
             budget=budget,
             max_states=max_states,
-            max_scenarios=max_scenarios,
             certificates=certificates,
         )
         sp.set(
@@ -317,7 +321,6 @@ def _classify_cycle_impl(
     extra_copies: int,
     budget: int,
     max_states: int,
-    max_scenarios: int,
     certificates: str | None,
 ) -> CycleClassification:
     from repro.lint.certificates import (
@@ -365,7 +368,6 @@ def _classify_cycle_impl(
         extra_copies=extra_copies,
         budget=budget,
         max_states=max_states,
-        max_scenarios=max_scenarios,
     )
     if cert is not None:
         # check mode: certificate claimed reachable; the bounded search must
@@ -389,7 +391,6 @@ def _classify_cycle_search(
     extra_copies: int,
     budget: int,
     max_states: int,
-    max_scenarios: int,
 ) -> CycleClassification:
     """The search-based classification (certificate pre-pass already done)."""
     candidates = messages_for_cycle(alg, cycle, pairs)
@@ -421,16 +422,10 @@ def _classify_cycle_search(
         for lengths in itertools.product(*length_options):
             for copies in range(1, extra_copies + 1):
                 scenarios += 1
-                if scenarios > max_scenarios:
-                    notes.append(
-                        f"scenario cap {max_scenarios} reached; verdict covers tested scenarios"
-                    )
-                    return CycleClassification(
-                        cycle=cycle,
-                        deadlock_reachable=False,
-                        tilings_tested=len(tilings),
-                        scenarios_tested=scenarios - 1,
-                        notes=notes,
+                if scenarios > MAX_SCENARIOS:
+                    raise SearchLimitExceeded(
+                        f"no deadlock in the first {MAX_SCENARIOS} cycle scenarios "
+                        "(the cap); lower length_slack or extra_copies"
                     )
                 msgs: list[CheckerMessage] = []
                 for m, ln in zip(base_msgs, lengths):
@@ -438,8 +433,8 @@ def _classify_cycle_search(
                         tag = m.tag if c == 0 else f"{m.tag}(copy{c})"
                         msgs.append(CheckerMessage(path=m.path, length=ln, tag=tag))
                 spec = SystemSpec.uniform(msgs, budget=budget)
-                # verdict first (symmetry-reduced, optionally parallel);
-                # witness search only for the rare deadlocking scenario
+                # verdict first (symmetry-reduced); witness search only
+                # for the rare deadlocking scenario
                 probe = search_deadlock(
                     spec,
                     max_states=max_states,

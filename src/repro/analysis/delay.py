@@ -20,7 +20,7 @@ from repro.analysis.reachability import (
     _symmetry_canonicalizer,
     search_deadlock,
 )
-from repro.analysis.state import CheckerMessage, SystemSpec
+from repro.analysis.state import CheckerMessage, SystemSpec, check_options
 
 
 @dataclass
@@ -58,7 +58,11 @@ def min_delay_to_deadlock(
     report the (smaller) reduced state counts, and only the deadlocking
     budget is searched again in witness mode (symmetry off, so the action
     rows name the same message copies as a plain witness search).
+
+    Raises :class:`ValueError` when ``max_delay < 0`` (no budget to
+    search) or ``max_states < 1``.
     """
+    check_options(max_delay=max_delay, max_states=max_states)
     results: dict[int, SearchResult] = {}
     for delta in range(max_delay + 1):
         spec = SystemSpec.uniform(messages, budget=delta)

@@ -55,6 +55,7 @@ OPTION_MINIMUMS: dict[str, int] = {
     "length_slack": 0,
     "extra_copies": 1,
     "max_cycles": 1,
+    "max_delay": 0,
 }
 
 

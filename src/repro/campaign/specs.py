@@ -121,10 +121,11 @@ def fig3_sweep_tasks(samples: int = 20, *, seed: int = 7) -> list[CampaignTask]:
 def theorem2_tasks() -> list[CampaignTask]:
     """Four overlapping-ring configurations (Theorem 2), each must deadlock.
 
-    Three match ``run_theorem2_experiment``'s ``overlap6x3``,
-    ``overlap10x2-deep`` and ``overlap9x3-uneven``.  The first does not:
-    it is an 8-ring with *two* messages (entries 0 and 4, runs of 5),
-    where the experiment's ``overlap8x4`` has four messages -- so no
+    Three are tasks ``run_theorem2_experiment`` runs itself
+    (``overlap6x3``, ``overlap10x2-deep`` and ``overlap9x3-uneven``, the
+    same hashes).  The first is not: it is an 8-ring with *two* messages
+    (entries 0 and 4, runs of 5), where the experiment's ``overlap8x4``
+    has four, so E4 runs that one task beside the battery's and no
     4-message family is in the battery.  Aligning them changes the
     battery's task hashes (see ROADMAP.md).
     """

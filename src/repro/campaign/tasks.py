@@ -51,7 +51,9 @@ from dataclasses import dataclass, field
 from typing import Any
 
 #: bump when the result payload or task semantics change; salts the cache key
-#: (v7: cycle-mode ``classify`` results carry the classifier's ``notes``,
+#: (v8: ``simulate`` results carry ``mean_latency`` and ``throughput``
+#: unrounded, so the V1 table rounds them once; v7: cycle-mode
+#: ``classify`` results carry the classifier's ``notes``,
 #: so a served classification answers like ``repro classify --json``;
 #: v6: configuration-mode ``classify`` results carry the deciding
 #: ``certificate``, as cycle-mode ones always did; v5: new ``adaptive``
@@ -63,7 +65,7 @@ from typing import Any
 #: certificate-decided reachability and classify tasks report
 #: ``states_explored``/``scenarios_tested`` of 0 and a ``certificate``
 #: detail; new ``lint`` kind)
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 ANALYSIS_KINDS = (
     "reachability",
@@ -386,8 +388,8 @@ def _run_simulate(bundle, p: dict[str, Any]) -> tuple[str, dict[str, Any]]:
         "delivered": res.delivered,
         "total": res.total,
         "cycles": res.cycles,
-        "mean_latency": round(res.stats.mean_latency(), 2),
-        "throughput": round(res.stats.throughput_flits_per_cycle(), 3),
+        "mean_latency": res.stats.mean_latency(),
+        "throughput": res.stats.throughput_flits_per_cycle(),
     }
 
 

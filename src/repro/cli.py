@@ -425,28 +425,12 @@ def _cmd_telemetry_tail(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_fig1(args: argparse.Namespace) -> int:
-    from repro.analysis.reachability import SearchLimitExceeded
-    from repro.experiments import render_table, run_fig1_experiment
-
-    try:
-        res = run_fig1_experiment(max_delay=args.max_delay)
-    except SearchLimitExceeded as exc:  # the state cap or kernel memory
-        print(f"fig1: {exc}", file=sys.stderr)
-        return 2
-    print(render_table(res.summary_rows(), title="E1: Figure 1 / Theorem 1"))
-    print()
-    print("\n".join(res.narrative))
-    print(f"\nmin delay to deadlock: {res.min_delay_to_deadlock}")
-    print(f"matches paper: {res.matches_paper}")
-    return 0 if res.matches_paper else 1
-
-
 def _grid_command(
     fn: Callable[[argparse.Namespace], int],
 ) -> Callable[[argparse.Namespace], int]:
-    """A grid command (``fig2``, ``fig3``, ``theorem3``, ``gen``): a failed
-    grid task ends in one ``<cmd>: ...`` line and exit 2, not a traceback."""
+    """A paper command (they all run campaign tasks): a failed task, or an
+    empty grid, ends in one ``<cmd>: ...`` line and exit 2, not a
+    traceback or a verdict over nothing."""
 
     @functools.wraps(fn)
     def run(args: argparse.Namespace) -> int:
@@ -459,6 +443,19 @@ def _grid_command(
             return 2
 
     return run
+
+
+@_grid_command
+def _cmd_fig1(args: argparse.Namespace) -> int:
+    from repro.experiments import render_table, run_fig1_experiment
+
+    res = run_fig1_experiment(max_delay=args.max_delay)
+    print(render_table(res.summary_rows(), title="E1: Figure 1 / Theorem 1"))
+    print()
+    print("\n".join(res.narrative))
+    print(f"\nmin delay to deadlock: {res.min_delay_to_deadlock}")
+    print(f"matches paper: {res.matches_paper}")
+    return 0 if res.matches_paper else 1
 
 
 @_grid_command
@@ -478,12 +475,14 @@ def _cmd_fig3(args: argparse.Namespace) -> int:
     from repro.experiments.fig3 import run_condition_sweep, run_fig3_experiment
 
     panels = run_fig3_experiment(jobs=args.jobs, cache_dir=args.cache_dir)
+    sweep = (
+        run_condition_sweep(samples=args.sweep, jobs=args.jobs, cache_dir=args.cache_dir)
+        if args.sweep
+        else None
+    )
     print(render_table([r.row() for r in panels], title="E3: Figure 3 / Theorem 5"))
     ok = all(r.search_matches_paper and r.conditions_match_search for r in panels)
-    if args.sweep:
-        sweep = run_condition_sweep(
-            samples=args.sweep, jobs=args.jobs, cache_dir=args.cache_dir
-        )
+    if sweep is not None:
         print(
             f"\ncondition sweep: agree on {sweep.agree}/{sweep.total} "
             f"random configurations"
@@ -494,16 +493,18 @@ def _cmd_fig3(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+@_grid_command
 def _cmd_theorem2(args: argparse.Namespace) -> int:
     from repro.experiments import render_table
     from repro.experiments.theorem2 import run_corollary_baselines, run_theorem2_experiment
+    from repro.experiments.theorem2 import corollaries_match_paper
 
     res = run_theorem2_experiment()
-    print(render_table(res.overlap_rows, title="E4: Theorem 2 overlap configurations"))
     rows = run_corollary_baselines()
+    print(render_table(res.overlap_rows, title="E4: Theorem 2 overlap configurations"))
     print()
     print(render_table(rows, title="E4: Corollary 1-3 baselines"))
-    return 0 if res.all_deadlock else 1
+    return 0 if res.all_deadlock and corollaries_match_paper(rows) else 1
 
 
 @_grid_command
@@ -531,13 +532,14 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0 if res.strictly_increasing else 1
 
 
+@_grid_command
 def _cmd_traffic(args: argparse.Namespace) -> int:
     from repro.experiments import render_table
     from repro.experiments.traffic import run_ring_deadlock_probe, run_traffic_experiment
 
     pts = run_traffic_experiment(rates=tuple(args.rates))
-    print(render_table([p.row() for p in pts], title="V1: traffic baselines"))
     probe = run_ring_deadlock_probe()
+    print(render_table([p.row() for p in pts], title="V1: traffic baselines"))
     print()
     print(render_table([probe.row()], title="V1: ring positive control"))
     return 0 if probe.deadlocked and all(not p.deadlocked for p in pts) else 1

@@ -19,14 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis import SystemSpec, search_deadlock
-from repro.analysis.delay import min_delay_to_deadlock
-from repro.analysis.schedules import replay_witness
-from repro.analysis.state import CheckerMessage
+from repro.campaign.tasks import CampaignTask
 from repro.cdg import build_cdg, cycle_summary
 from repro.core.cyclic_dependency import FIG1_MESSAGES, build_cyclic_dependency_network
 from repro.core.specs import CycleMessageSpec
 from repro.core.theory import analytic_schedule_feasible, earliest_blocking_analysis
+from repro.experiments.grid import run_grid
 from repro.routing.properties import analyze_properties
 
 
@@ -87,35 +85,38 @@ def run_fig1_experiment(
     max_delay: int = 6,
     with_copies: bool = True,
 ) -> Fig1Result:
-    """Run the full E1 battery.  Takes a few seconds."""
+    """Run the full E1 battery.  Takes a few seconds.
+
+    The searches and the witness replay (``cross_check`` at budget Δ*) are
+    ``fig1`` campaign tasks; at ``max_delay=3`` (the CLI default) all are
+    ``paper-battery`` tasks.  The CDG summary, the property scan, the
+    analytic model and the flow model run in-process.
+    """
     cdn = build_cyclic_dependency_network()
     alg = cdn.algorithm
-    cdg = build_cdg(alg)
-    summary = cycle_summary(cdg)
+    summary = cycle_summary(build_cdg(alg))
 
     pairs = list(cdn.message_pairs.values())
     props = analyze_properties(alg, pairs + [("P3", "D1"), ("Src", "X1"), ("N*", "D2")])
 
-    msgs = cdn.checker_messages()
-    sync = search_deadlock(SystemSpec.uniform(msgs, budget=0))
-
-    copies_ok = True
+    tasks = [
+        CampaignTask.make("reachability", "fig1"),
+        CampaignTask.make("reachability", "fig1", extra_length=1),
+        CampaignTask.make("min_delay", "fig1", max_delay=max_delay),
+    ]
     if with_copies:
-        extra = msgs + [
-            CheckerMessage(msgs[1].path, msgs[1].length, "M2copy"),
-            CheckerMessage(msgs[3].path, msgs[3].length, "M4copy"),
-        ]
-        copies_ok = not search_deadlock(
-            SystemSpec.uniform(extra, budget=0),
-            max_states=8_000_000,
-            find_witness=False,
-        ).deadlock_reachable
-
-    longer = [CheckerMessage(m.path, m.length + 1, m.tag) for m in msgs]
-    longer_ok = not search_deadlock(
-        SystemSpec.uniform(longer, budget=0),
-        find_witness=False,
-    ).deadlock_reachable
+        tasks.append(
+            CampaignTask.make("reachability", "fig1", with_copies=True, max_states=8_000_000)
+        )
+    sync, longer, delay, *copies = run_grid(tasks, spec_name="fig1")
+    min_delay = delay.detail["min_delay"]
+    replay_ok = False
+    if min_delay is not None:
+        task = CampaignTask.make("cross_check", "fig1", budget=min_delay, max_states=8_000_000)
+        (cross,) = run_grid([task], spec_name="fig1")
+        replay_ok = bool(
+            cross.detail.get("witness_valid") and cross.detail.get("replay_deadlocked")
+        )
 
     # analytic model on the sparse geometry
     cycle_specs = [
@@ -126,29 +127,19 @@ def run_fig1_experiment(
         )
         for tag, info in FIG1_MESSAGES.items()
     ]
-    analytic = analytic_schedule_feasible(cycle_specs)
-
-    delay = min_delay_to_deadlock(msgs, max_delay=max_delay)
-    replay_ok = False
-    if delay.min_delay is not None:
-        witness = delay.results[delay.min_delay].witness
-        res = replay_witness(witness, cdn.network, cdn.routing, pairs)
-        replay_ok = res.deadlocked
 
     from repro.cdg.flow_model import deadlock_immune_channels
-
-    flow = deadlock_immune_channels(alg)
 
     return Fig1Result(
         cdg_summary=summary,
         properties=props.summary_row(),
-        unreachable_at_sync=not sync.deadlock_reachable,
-        unreachable_with_copies=copies_ok,
-        unreachable_longer_messages=longer_ok,
-        analytic_feasible=analytic.feasible,
-        min_delay_to_deadlock=delay.min_delay,
+        unreachable_at_sync=sync.verdict == "unreachable",
+        unreachable_with_copies=all(r.verdict == "unreachable" for r in copies),
+        unreachable_longer_messages=longer.verdict == "unreachable",
+        analytic_feasible=analytic_schedule_feasible(cycle_specs).feasible,
+        min_delay_to_deadlock=min_delay,
         replay_deadlocked=replay_ok,
-        states_explored=sync.states_explored,
-        flow_model_certifies=flow.certifies_deadlock_freedom,
+        states_explored=sync.detail["states_explored"],
+        flow_model_certifies=deadlock_immune_channels(alg).certifies_deadlock_freedom,
         narrative=earliest_blocking_analysis(cycle_specs),
     )

@@ -1,9 +1,10 @@
-"""Run a paper grid through the campaign runner.
+"""Run a paper command's tasks through the campaign runner.
 
-Each grid-shaped experiment (E2, E3, E5, E6) takes its tasks from the
-``repro.campaign.specs`` builder that ``paper-battery`` uses, so the grid
-is defined once, a sweep warms the cache for a later battery run (and vice
-versa), and ``jobs``/``cache_dir`` parallelise and memoise it.
+Every paper command (E1-E6, V1) runs tasks of the kinds and scenarios
+``paper-battery`` uses (E2, E3, E5 and E6 take the battery's own
+``repro.campaign.specs`` builders), so each question has one code path, a
+command warms the cache for a later battery run (and vice versa), and
+``jobs``/``cache_dir`` parallelise and memoise it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from repro.campaign.tasks import CampaignTask, TaskResult
 
 
 class GridTaskFailed(RuntimeError):
-    """A task of a paper grid failed, so the grid has no answer."""
+    """A task of a paper grid failed, or the grid is empty, so the grid
+    has no answer."""
 
 
 def run_grid(
@@ -27,16 +29,21 @@ def run_grid(
     cache_dir: str | Path | None = None,
     spec_name: str = "",
 ) -> list[TaskResult]:
-    """Results in task order; a failed task raises :class:`GridTaskFailed`,
-    naming the task and its error."""
+    """One result per task, in task order.  A failed task raises
+    :class:`GridTaskFailed` naming the task and its error (tasks are
+    deterministic, so none is re-run); so does an empty grid, whose
+    verdict would say nothing."""
+    if not tasks:
+        raise GridTaskFailed(f"{spec_name} grid is empty: no task to run")
     cache = ResultCache(Path(cache_dir)) if cache_dir else None
     results, _ = run_campaign(
         tasks,
         cache=cache,
-        config=RunnerConfig(max_workers=jobs),
+        config=RunnerConfig(max_workers=jobs, retries=0),
         spec_name=spec_name,
     )
     for res in results:
         if not res.ok:
             raise GridTaskFailed(f"{spec_name} task {res.name} failed: {res.error}")
-    return results
+    by_hash = {res.task_hash: res for res in results}
+    return [by_hash[task.task_hash] for task in tasks]

@@ -14,25 +14,46 @@ is a reachable deadlock.  Verified on:
 * dimension-order mesh, e-cube hypercube, dateline torus (coherent or
   suffix-closed): acyclic CDGs, so the corollaries hold vacuously and the
   Dally--Seitz numbering certificate exists.
+
+Both tables are campaign tasks run through the campaign runner:
+``reachability theorem2-overlap`` for the overlap family (three of the four
+are ``paper-battery`` tasks), and ``classify ring-cycle`` plus
+``cdg baseline-cdg`` for the corollaries (all ``paper-battery`` tasks at
+the default ring size).  Only the property scan runs in-process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
-from repro.analysis import SystemSpec, search_deadlock
-from repro.analysis.classify import classify_cycle
-from repro.cdg import build_cdg, dally_seitz_numbering, find_cycles, is_acyclic, verify_numbering
-from repro.core.within_cycle import OverlapSpec, build_overlapping_ring, theorem2_default
-from repro.routing import (
-    RoutingAlgorithm,
-    clockwise_ring,
-    dateline_torus,
-    dimension_order_mesh,
-    ecube_hypercube,
-)
-from repro.routing.properties import analyze_properties
-from repro.topology import hypercube, mesh, ring, torus
+from repro.campaign.scenarios import build_scenario
+from repro.campaign.tasks import CampaignTask
+from repro.experiments.grid import run_grid
+
+#: (row name, ``theorem2-overlap`` parameters); ``overlap8x4`` is
+#: :func:`repro.core.within_cycle.theorem2_default`
+OVERLAP_CONFIGS: list[tuple[str, dict[str, Any]]] = [
+    ("overlap8x4", {"ring_n": 8, "entries": (0, 2, 4, 6), "run_lens": (4, 4, 4, 4)}),
+    ("overlap6x3", {"ring_n": 6, "entries": (0, 2, 4), "run_lens": (3, 3, 3)}),
+    ("overlap10x2-deep", {"ring_n": 10, "entries": (0, 5), "run_lens": (7, 7)}),
+    (
+        "overlap9x3-uneven",
+        {
+            "ring_n": 9,
+            "entries": (0, 3, 7),
+            "run_lens": (4, 5, 3),
+            "approach_lens": (2, 1, 3),
+        },
+    ),
+]
+
+#: (row name, ``baseline-cdg`` parameters) of the acyclic baselines
+BASELINES: list[tuple[str, dict[str, Any]]] = [
+    ("DOR mesh 4x4", {"algorithm": "dor", "dims": (4, 4)}),
+    ("ecube hcube3", {"algorithm": "ecube", "d": 3}),
+    ("dateline torus 4x4", {"algorithm": "dateline", "dims": (4, 4)}),
+]
 
 
 @dataclass
@@ -46,108 +67,64 @@ class Theorem2Result:
 
 def run_theorem2_experiment() -> Theorem2Result:
     """Every within-cycle-sharing configuration must deadlock."""
-    configs = [
-        ("overlap8x4", theorem2_default()),
-        (
-            "overlap6x3",
-            build_overlapping_ring(
-                6,
-                [
-                    OverlapSpec(entry_pos=0, run_len=3),
-                    OverlapSpec(entry_pos=2, run_len=3),
-                    OverlapSpec(entry_pos=4, run_len=3),
-                ],
-            ),
-        ),
-        (
-            "overlap10x2-deep",
-            build_overlapping_ring(
-                10,
-                [
-                    OverlapSpec(entry_pos=0, run_len=7),
-                    OverlapSpec(entry_pos=5, run_len=7),
-                ],
-            ),
-        ),
-        (
-            "overlap9x3-uneven",
-            build_overlapping_ring(
-                9,
-                [
-                    OverlapSpec(entry_pos=0, run_len=4, approach_len=2),
-                    OverlapSpec(entry_pos=3, run_len=5, approach_len=1),
-                    OverlapSpec(entry_pos=7, run_len=3, approach_len=3),
-                ],
-            ),
-        ),
+    tasks = [
+        CampaignTask.make("reachability", "theorem2-overlap", **cfg)
+        for _, cfg in OVERLAP_CONFIGS
     ]
-    rows: list[dict[str, object]] = []
-    for name, cfg in configs:
-        res = search_deadlock(
-            SystemSpec.uniform(cfg.checker_messages(), budget=0), find_witness=False
-        )
-        rows.append(
+    results = run_grid(tasks, spec_name="theorem2")
+    return Theorem2Result(
+        overlap_rows=[
             {
                 "config": name,
-                "messages": len(cfg.message_pairs),
-                "ring": len(cfg.cycle_channels),
-                "deadlock": res.deadlock_reachable,
-                "states": res.states_explored,
+                "messages": len(cfg["entries"]),
+                "ring": cfg["ring_n"],
+                "deadlock": r.verdict == "deadlock",
+                "states": r.detail["states_explored"],
             }
-        )
-    return Theorem2Result(overlap_rows=rows)
+            for (name, cfg), r in zip(OVERLAP_CONFIGS, results)
+        ]
+    )
 
 
 def run_corollary_baselines(*, ring_n: int = 5) -> list[dict[str, object]]:
-    """Property + cycle-classification table for the classic baselines."""
-    rows: list[dict[str, object]] = []
+    """Property + cycle-classification table for the classic baselines.
 
-    # unrestricted ring: cyclic CDG, must classify as reachable deadlock
-    rnet = ring(ring_n)
-    ralg = RoutingAlgorithm(clockwise_ring(rnet, ring_n))
-    rprops = analyze_properties(ralg)
-    rcdg = build_cdg(ralg)
-    cycles = find_cycles(rcdg)
-    assert len(cycles.cycles) == 1
-    cls = classify_cycle(ralg, cycles.cycles[0], length_slack=0, extra_copies=1)
-    rows.append(
-        {
-            "algorithm": f"cw-ring{ring_n}",
-            "coherent": rprops.coherent,
-            "NxN->C": rprops.input_channel_independent,
-            "cdg acyclic": False,
-            "cycles": 1,
-            "classification": "deadlock" if cls.deadlock_reachable else "unreachable",
-        }
+    The ring's one CDG cycle is classified; every other baseline reads
+    ``no cycles`` only when its CDG is acyclic with a valid Dally--Seitz
+    numbering.
+    """
+    ring = (f"cw-ring{ring_n}", {"algorithm": "clockwise", "n": ring_n})
+    results = run_grid(
+        [CampaignTask.make("classify", "ring-cycle", n=ring_n)]
+        + [CampaignTask.make("cdg", "baseline-cdg", **p) for _, p in BASELINES],
+        spec_name="theorem2",
     )
-
-    for name, net, fn, ndims in [
-        ("DOR mesh 4x4", mesh((4, 4)), None, 2),
-        ("ecube hcube3", hypercube(3), None, 3),
-        ("dateline torus 4x4", torus((4, 4), vcs=2), None, 2),
-    ]:
-        if name.startswith("DOR"):
-            f = dimension_order_mesh(net, 2)
-        elif name.startswith("ecube"):
-            f = ecube_hypercube(net, 3)
+    rows: list[dict[str, object]] = []
+    for (name, params), r in zip([ring, *BASELINES], results):
+        props = build_scenario("baseline-cdg", {**params, "properties": True}).detail
+        if r.kind == "classify":  # the ring-cycle scenario fails unless one cycle
+            acyclic, cycles, verdict = False, 1, r.verdict
         else:
-            f = dateline_torus(net, (4, 4))
-        alg = RoutingAlgorithm(f)
-        props = analyze_properties(alg)
-        cdg = build_cdg(alg)
-        acyclic = is_acyclic(cdg)
-        verdict = "no cycles"
-        if acyclic:
-            numbering = dally_seitz_numbering(cdg)
-            assert verify_numbering(cdg, numbering)
+            acyclic = r.detail["acyclic"]
+            cycles = 0 if acyclic else "?"
+            verdict = "no cycles" if r.detail.get("numbering_valid") else "no numbering"
         rows.append(
             {
                 "algorithm": name,
-                "coherent": props.coherent,
-                "NxN->C": props.input_channel_independent,
+                "coherent": props["coherent"],
+                "NxN->C": props["input_channel_independent"],
                 "cdg acyclic": acyclic,
-                "cycles": 0 if acyclic else "?",
+                "cycles": cycles,
                 "classification": verdict,
             }
         )
     return rows
+
+
+def corollaries_match_paper(rows: list[dict[str, object]]) -> bool:
+    """The ring's cycle is a reachable deadlock and every other baseline
+    has an acyclic CDG with a valid Dally--Seitz numbering."""
+    ring_row, *baselines = rows
+    return ring_row["classification"] == "deadlock" and all(
+        r["classification"] == "no cycles" for r in baselines
+    )

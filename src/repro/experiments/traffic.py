@@ -9,22 +9,18 @@ validate the flit-level simulator in the regimes the paper's model assumes:
 * the unrestricted clockwise ring deadlocks under moderate load -- the
   simulator must catch real deadlocks, or its negative results elsewhere
   would be meaningless.
+
+Every point is a ``simulate traffic`` campaign task run through the
+campaign runner, as ``paper-battery`` runs its own traffic tasks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Sequence
+from dataclasses import dataclass
 
-from repro.routing import (
-    clockwise_ring,
-    dateline_torus,
-    dimension_order_mesh,
-    west_first_mesh,
-)
-from repro.sim import SimConfig, Simulator
-from repro.sim.traffic import uniform_random_traffic
-from repro.topology import mesh, ring, torus
+from repro.campaign.tasks import CampaignTask, TaskResult
+from repro.experiments.grid import run_grid
 
 
 @dataclass
@@ -47,20 +43,17 @@ class TrafficPoint:
             "flits/cycle": round(self.throughput, 2),
         }
 
-
-def _run(name, net, fn, rate, *, cycles=300, length=4, seed=11, max_cycles=60_000) -> TrafficPoint:
-    specs = uniform_random_traffic(net, rate=rate, cycles=cycles, length=length, seed=seed)
-    sim = Simulator(net, fn, specs, config=SimConfig(max_cycles=max_cycles))
-    res = sim.run()
-    return TrafficPoint(
-        algorithm=name,
-        rate=rate,
-        delivered=res.delivered,
-        total=res.total,
-        deadlocked=res.deadlocked,
-        mean_latency=res.stats.mean_latency(),
-        throughput=res.stats.throughput_flits_per_cycle(),
-    )
+    @classmethod
+    def from_result(cls, algorithm: str, r: TaskResult) -> TrafficPoint:
+        return cls(
+            algorithm=algorithm,
+            rate=r.params["rate"],
+            delivered=r.detail["delivered"],
+            total=r.detail["total"],
+            deadlocked=r.verdict == "deadlock",
+            mean_latency=r.detail["mean_latency"],
+            throughput=r.detail["throughput"],
+        )
 
 
 def run_traffic_experiment(
@@ -69,24 +62,41 @@ def run_traffic_experiment(
     mesh_dims: tuple[int, int] = (8, 8),
     cycles: int = 300,
 ) -> list[TrafficPoint]:
-    """Latency/throughput points for the mesh/torus baselines."""
-    points: list[TrafficPoint] = []
-    m = mesh(mesh_dims)
-    dor = dimension_order_mesh(m, 2)
-    wf = west_first_mesh(m)
-    t = torus((4, 4), vcs=2)
-    dt = dateline_torus(t, (4, 4))
-    for rate in rates:
-        points.append(_run(f"DOR mesh {mesh_dims[0]}x{mesh_dims[1]}", m, dor, rate, cycles=cycles))
-        points.append(_run(f"west-first mesh {mesh_dims[0]}x{mesh_dims[1]}", m, wf, rate, cycles=cycles))
-        points.append(_run("dateline torus 4x4", t, dt, rate, cycles=cycles))
-    return points
+    """Latency/throughput points for the mesh/torus baselines.
+
+    Each point is a ``simulate traffic`` campaign task; at the default
+    ``mesh_dims`` and ``cycles`` and the CLI's default rates they are
+    ``paper-battery`` tasks.
+    """
+    x, y = mesh_dims
+    # the scenario's default cycle count stays out of the parameters, so
+    # a default point has the battery's task hash
+    run = {} if cycles == 300 else {"cycles": cycles}
+    cases = [
+        (f"DOR mesh {x}x{y}", {"algorithm": "dor", "dims": mesh_dims}),
+        (f"west-first mesh {x}x{y}", {"algorithm": "west-first", "dims": mesh_dims}),
+        ("dateline torus 4x4", {"algorithm": "dateline", "dims": (4, 4)}),
+    ]
+    points = [(name, rate, case) for rate in rates for name, case in cases]
+    results = run_grid(
+        [
+            CampaignTask.make("simulate", "traffic", rate=rate, **case, **run)
+            for _, rate, case in points
+        ],
+        spec_name="traffic",
+    )
+    return [
+        TrafficPoint.from_result(name, r) for (name, _, _), r in zip(points, results)
+    ]
 
 
 def run_ring_deadlock_probe(
     *, n: int = 8, rate: float = 0.08, cycles: int = 400, length: int = 10, seed: int = 3
 ) -> TrafficPoint:
     """The positive control: unrestricted ring traffic must deadlock."""
-    net = ring(n)
-    fn = clockwise_ring(net, n)
-    return _run(f"cw-ring{n}", net, fn, rate, cycles=cycles, length=length, seed=seed)
+    task = CampaignTask.make(
+        "simulate", "traffic", algorithm="clockwise", n=n, rate=rate,
+        cycles=cycles, length=length, seed=seed,
+    )
+    (r,) = run_grid([task], spec_name="traffic")
+    return TrafficPoint.from_result(f"cw-ring{n}", r)

@@ -3,12 +3,14 @@
 import pytest
 
 from repro.analysis.classify import (
+    MAX_SCENARIOS,
     _cycle_runs,
     classify_configuration,
     classify_cycle,
     enumerate_tilings,
     messages_for_cycle,
 )
+from repro.analysis.reachability import SearchLimitExceeded
 from repro.cdg import build_cdg, find_cycles
 from repro.core.cyclic_dependency import build_cyclic_dependency_network
 from repro.routing import RoutingAlgorithm, clockwise_ring
@@ -90,6 +92,20 @@ class TestClassifyCycle:
         )
         assert cls.is_false_resource_cycle
         assert cls.scenarios_tested >= 1
+
+    def test_scenario_cap_is_a_named_failure_not_a_verdict(self):
+        """Figure 1's cycle at ``length_slack=4`` asks for 625 scenarios;
+        none of the first 256 deadlocks, which says nothing about the
+        rest, so the classifier names the cap rather than calling the
+        cycle a false resource cycle."""
+        cdn = build_cyclic_dependency_network()
+        cycle = find_cycles(build_cdg(cdn.algorithm)).cycles[0]
+        with pytest.raises(SearchLimitExceeded, match=f"first {MAX_SCENARIOS} cycle scenarios"):
+            classify_cycle(cdn.algorithm, cycle, length_slack=4)
+        # 256 scenarios exactly fit the cap and decide the cycle
+        cls = classify_cycle(cdn.algorithm, cycle, length_slack=3)
+        assert cls.is_false_resource_cycle
+        assert cls.scenarios_tested == MAX_SCENARIOS
 
     @pytest.mark.parametrize(
         "options",

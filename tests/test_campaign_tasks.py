@@ -89,6 +89,20 @@ def test_execute_reachability_fig2_deadlocks():
     assert res.task_hash == task.task_hash
 
 
+def test_simulate_reports_unrounded_figures():
+    """The V1 table rounds latency and throughput once; a task that had
+    rounded them already would print some points differently."""
+    from repro.campaign.scenarios import build_scenario
+    from repro.sim import SimConfig, Simulator
+
+    params = {"algorithm": "dor", "dims": (4, 4), "rate": 0.02, "cycles": 60}
+    res = execute_task(CampaignTask.make("simulate", "traffic", **params))
+    net, routing, specs = build_scenario("traffic", params).sim
+    stats = Simulator(net, routing, specs, config=SimConfig(max_cycles=60_000)).run().stats
+    assert res.detail["mean_latency"] == stats.mean_latency()
+    assert res.detail["throughput"] == stats.throughput_flits_per_cycle()
+
+
 def test_execute_captures_task_errors():
     res = execute_task(CampaignTask.make("classify", "fig3-panel", panel="z"))
     assert not res.ok

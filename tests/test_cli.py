@@ -54,15 +54,16 @@ def _failing_runner(bundle, p):
 
 @pytest.mark.parametrize(
     "argv",
-    [["fig2"], ["fig3"], ["theorem3", "--limit", "6"], ["gen", "--max-m", "1"]],
-    ids=["fig2", "fig3", "theorem3", "gen"],
+    [["fig2"], ["fig3"], ["theorem3", "--limit", "6"], ["gen", "--max-m", "1"],
+     ["fig1"], ["theorem2"], ["traffic", "--rates", "0.02"]],
+    ids=["fig2", "fig3", "theorem3", "gen", "fig1", "theorem2", "traffic"],
 )
 def test_grid_task_failure_is_a_named_error(argv, capsys, monkeypatch):
     """A failed grid task ends the command with one named stderr line and
     exit 2, not a traceback."""
     from repro.campaign import tasks
 
-    for kind in ("reachability", "classify", "min_delay"):
+    for kind in ("reachability", "classify", "min_delay", "simulate"):
         monkeypatch.setitem(tasks._KIND_RUNNERS, kind, _failing_runner)
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -73,12 +74,49 @@ def test_grid_task_failure_is_a_named_error(argv, capsys, monkeypatch):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["gen", "--max-m", "0"], "gen grid is empty"),
+        (["theorem3", "--limit", "0"], "theorem3 grid is empty"),
+        (["fig3", "--sweep", "-3"], "fig3-sweep grid is empty"),
+        (["traffic", "--rates", "2"], "ValueError: rate must be in [0, 1]"),
+        (["fig1", "--max-delay", "-1"], "ValueError: max_delay must be >= 0"),
+    ],
+    ids=["gen", "theorem3", "fig3", "traffic", "fig1"],
+)
+def test_empty_or_out_of_range_grid_is_a_named_error(argv, error, capsys):
+    """A grid with no task, or a task argument out of range, is one named
+    stderr line and exit 2: not a verdict over nothing, nor a traceback."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    assert lines[0].startswith(f"{argv[0]}: ")
+    assert error in lines[0]
+    assert captured.out == ""
+
+
+def test_theorem2_exit_reads_the_corollary_table(capsys, monkeypatch):
+    """An invalid Dally--Seitz numbering fails ``theorem2`` (exit 1) and
+    shows in the baseline rows, rather than tripping an ``assert``."""
+    from repro.campaign import tasks
+
+    def bad_numbering(bundle, p):
+        return "acyclic", {"acyclic": True, "numbering_valid": False}
+
+    monkeypatch.setitem(tasks._KIND_RUNNERS, "cdg", bad_numbering)
+    assert main(["theorem2"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("no numbering") == 3
+
+
 @pytest.mark.parametrize("exc_name", ["SearchLimitExceeded", "KernelOutOfMemory"])
 def test_fig1_search_limit_is_a_named_error(exc_name, capsys, monkeypatch):
     """A state cap (or kernel memory) hit ends ``fig1`` with one named
     stderr line and exit 2, as ``search`` and ``classify`` do."""
+    import repro.analysis
     from repro.analysis import reachability
-    from repro.experiments import fig1
 
     exc = (
         reachability.KernelOutOfMemory(123)
@@ -89,12 +127,14 @@ def test_fig1_search_limit_is_a_named_error(exc_name, capsys, monkeypatch):
     def capped(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(fig1, "search_deadlock", capped)
+    # the search the fig1 tasks call
+    monkeypatch.setattr(repro.analysis, "search_deadlock", capped)
     assert main(["fig1"]) == 2
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
     assert len(lines) == 1, captured.err
-    assert lines[0] == f"fig1: {exc}"
+    assert lines[0].startswith("fig1: ")
+    assert lines[0].endswith(f"{exc_name}: {exc}")
     assert captured.out == ""
 
 

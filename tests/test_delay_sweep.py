@@ -152,3 +152,10 @@ def test_identical_messages_keep_two_phases(monkeypatch):
         wit, cdn.network, cdn.routing, pairs + [pairs[1], pairs[3]]
     )
     assert sim.deadlocked
+
+
+def test_negative_max_delay_raises_instead_of_a_verdict():
+    """``max_delay < 0`` leaves no budget to search; the sweep must not
+    answer "no deadlock" over it."""
+    with pytest.raises(ValueError, match="max_delay must be >= 0, got -1"):
+        min_delay_to_deadlock(_fig1()[0], max_delay=-1)

@@ -76,7 +76,8 @@ class TestCampaignLintKind:
         #     legitimately report states_explored == 0
         # v6: configuration-mode classify results carry their certificate
         # v7: cycle-mode classify results carry the classifier's notes
-        assert SCHEMA_VERSION == 7
+        # v8: simulate results carry mean_latency/throughput unrounded
+        assert SCHEMA_VERSION == 8
 
     def test_lint_task_executes(self):
         task = CampaignTask.make(
