@@ -36,7 +36,8 @@ the next person doesn't re-derive them):
   serve/asyncio/sqlite stack (~36 ms) for a ~10 ms search.  Now its third-party list is
   empty apart from whatever the environment's ``.pth`` hooks load under
   ``site``; the rest is the stdlib (dataclasses, ctypes, json) and repro's
-  own modules.  ``lint`` still loads networkx (CDG construction).
+  own modules.  So is ``lint``'s: the CDG is a stdlib
+  ``repro.cdg.graph.DiGraph``.
 """
 
 from __future__ import annotations

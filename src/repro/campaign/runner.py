@@ -8,11 +8,16 @@ Execution model:
   failures of wave ``k``, up to ``retries`` extra attempts with
   exponential backoff between waves (task-level errors are captured into
   results by :func:`~repro.campaign.tasks.execute_task`, so one crashing
-  configuration cannot abort the campaign);
-* with ``max_workers > 1`` a wave runs on a fresh
-  ``concurrent.futures.ProcessPoolExecutor`` -- task payloads cross the
-  process boundary as plain JSON dicts and the worker entry point
-  :func:`_pool_worker` is module-level, so everything pickles;
+  configuration cannot abort the campaign).  A ``final`` failure -- a
+  state cap, kernel memory exhaustion, a rejected parameter -- would fail
+  the same way again, so it is never retried;
+* with ``max_workers > 1`` waves run on one :class:`WorkerPool` (a
+  ``concurrent.futures.ProcessPoolExecutor`` built on first use): the
+  retry waves of a run share it, and a caller that runs many campaigns
+  (the serve batcher) passes its own so every batch shares it.  Task
+  payloads cross the process boundary as plain JSON dicts and the worker
+  entry point :func:`_pool_worker` is module-level, so everything
+  pickles;
 * per-task wall-clock ``task_timeout`` bounds how long the collector waits
   on each future (measured from when collection reaches it, so it is a
   lenient upper bound, and only enforceable under the pool -- a serial
@@ -20,7 +25,9 @@ Execution model:
 * if the pool cannot be created (sandboxes without ``fork``/semaphores) or
   breaks mid-wave, execution degrades to the in-process serial path, which
   produces identical verdicts -- equivalence is pinned by
-  ``tests/test_campaign_runner.py``.
+  ``tests/test_campaign_runner.py``.  A broken pool, or one left running a
+  timed-out task, is dropped without waiting, and the next wave builds a
+  fresh one.
 
 Results stream into the ledger/cache/progress reporter the moment they are
 known; a killed campaign leaves a readable partial ledger behind.
@@ -30,16 +37,20 @@ from __future__ import annotations
 
 import os
 import time
+from concurrent.futures import BrokenExecutor, Future
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from contextlib import nullcontext
 from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
-from typing import ContextManager
+from typing import TYPE_CHECKING, ContextManager
 
 from repro.campaign.cache import CacheBackend
 from repro.campaign.ledger import CampaignSummary, RunLedger
 from repro.campaign.progress import ProgressReporter
 from repro.campaign.tasks import CampaignTask, TaskResult, execute_task
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from concurrent.futures import ProcessPoolExecutor
 
 
 @dataclass
@@ -110,12 +121,50 @@ def _infra_failure(task: CampaignTask, error: str) -> TaskResult:
     )
 
 
+class WorkerPool:
+    """A process pool that outlives one wave.
+
+    Built on first use; :meth:`discard` drops it without waiting (after
+    it broke, or while a timed-out task still runs on it), and the next
+    use builds a fresh one.  Whoever creates it calls :meth:`close`.
+    """
+
+    def __init__(self, max_workers: int) -> None:
+        self.max_workers = max_workers
+        self._executor: ProcessPoolExecutor | None = None
+        self._closed = False
+
+    def get(self) -> ProcessPoolExecutor:
+        if self._closed:
+            raise RuntimeError("worker pool is closed")
+        if self._executor is None:
+            # looked up at call time, so tests can stub the pool out
+            import concurrent.futures
+
+            self._executor = concurrent.futures.ProcessPoolExecutor(
+                max_workers=self.max_workers
+            )
+        return self._executor
+
+    def discard(self, *, wait: bool = False) -> None:
+        """Shut the current pool down; the next :meth:`get` builds a fresh one."""
+        executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=wait, cancel_futures=True)
+
+    def close(self, *, wait: bool = True) -> None:
+        """Shut down for good (``wait``: until the workers have exited)."""
+        self._closed = True
+        self.discard(wait=wait)
+
+
 class _WaveExecutor:
     """Runs one wave of tasks, degrading from pool to serial when needed."""
 
-    def __init__(self, config: RunnerConfig) -> None:
+    def __init__(self, config: RunnerConfig, pool: WorkerPool | None) -> None:
         self.config = config
-        self.serial_forced = config.max_workers <= 1
+        self.pool = pool
+        self.serial_forced = config.max_workers <= 1 or pool is None
 
     def run(
         self,
@@ -137,60 +186,67 @@ class _WaveExecutor:
         with _trace_scope(traces.get(task.task_hash) if traces else None):
             return execute_task(task, worker=worker)
 
+    def _submit(
+        self,
+        tasks: Sequence[CampaignTask],
+        traces: dict[str, str] | None,
+    ) -> list[Future] | None:
+        """One future per task on the pool, or ``None`` without a pool.
+
+        A pool that broke while idle (a worker was killed between waves)
+        refuses the submit; it is replaced once and the wave resubmitted.
+        """
+        assert self.pool is not None
+        for _ in range(2):
+            try:
+                executor = self.pool.get()
+                return [
+                    executor.submit(
+                        _pool_worker,
+                        t.to_json(),
+                        traces.get(t.task_hash) if traces else None,
+                    )
+                    for t in tasks
+                ]
+            except BrokenExecutor:
+                self.pool.discard()
+            except Exception:  # noqa: BLE001 - environment without process support
+                break
+        return None
+
     def _run_pool(
         self,
         tasks: Sequence[CampaignTask],
         traces: dict[str, str] | None,
     ) -> list[TaskResult]:
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-
-            executor = ProcessPoolExecutor(max_workers=self.config.max_workers)
-        except Exception:  # noqa: BLE001 - environment without process support
+        futures = self._submit(tasks, traces)
+        if futures is None:
             self.serial_forced = True
             return [self._run_serial(t, "serial", traces) for t in tasks]
 
         results: list[TaskResult] = []
-        broken = False
-        try:
-            futures = [
-                (
-                    executor.submit(
-                        _pool_worker,
-                        t.to_json(),
-                        traces.get(t.task_hash) if traces else None,
-                    ),
-                    t,
+        broken = stale = False
+        for fut, task in zip(futures, tasks):
+            if broken:
+                results.append(self._run_serial(task, "serial-fallback", traces))
+                continue
+            try:
+                results.append(
+                    TaskResult.from_json(fut.result(timeout=self.config.task_timeout))
                 )
-                for t in tasks
-            ]
-            for fut, task in futures:
-                if broken:
-                    results.append(
-                        self._run_serial(task, "serial-fallback", traces)
-                    )
-                    continue
-                try:
-                    results.append(
-                        TaskResult.from_json(
-                            fut.result(timeout=self.config.task_timeout)
-                        )
-                    )
-                except FuturesTimeoutError:
-                    fut.cancel()
-                    results.append(
-                        _infra_failure(
-                            task, f"timeout after {self.config.task_timeout}s"
-                        )
-                    )
-                except Exception as exc:  # noqa: BLE001 - e.g. BrokenProcessPool
-                    broken = True
-                    self.serial_forced = True
-                    results.append(
-                        _infra_failure(task, f"{type(exc).__name__}: {exc}")
-                    )
-        finally:
-            executor.shutdown(wait=False, cancel_futures=True)
+            except FuturesTimeoutError:
+                if not fut.cancel():  # still running: it keeps its worker
+                    stale = True
+                results.append(
+                    _infra_failure(task, f"timeout after {self.config.task_timeout}s")
+                )
+            except Exception as exc:  # noqa: BLE001 - e.g. BrokenProcessPool
+                broken = True
+                self.serial_forced = True
+                results.append(_infra_failure(task, f"{type(exc).__name__}: {exc}"))
+        if broken or stale:
+            assert self.pool is not None
+            self.pool.discard()
         return results
 
 
@@ -203,6 +259,7 @@ def run_campaign(
     config: RunnerConfig | None = None,
     spec_name: str = "",
     traces: dict[str, str] | None = None,
+    pool: WorkerPool | None = None,
 ) -> tuple[list[TaskResult], CampaignSummary]:
     """Execute a batch of tasks; returns (results in task order, summary).
 
@@ -210,6 +267,10 @@ def run_campaign(
     request that submitted the task (the serve batcher's batches mix
     requests): each task's events and its ``campaign.task`` span then
     join the submitting trace instead of this campaign's own.
+
+    ``pool`` is the caller's :class:`WorkerPool`, kept alive across
+    calls; without one, a run with ``max_workers > 1`` builds its own and
+    shuts it down (without waiting) when it returns.
     """
     from repro.obs import get as _obs_get
 
@@ -224,6 +285,7 @@ def run_campaign(
             spec_name=spec_name,
             tel=None,
             traces=traces,
+            pool=pool,
         )
     with tel.span("campaign.run", spec=spec_name) as sp:
         results, summary = _run_campaign_impl(
@@ -235,6 +297,7 @@ def run_campaign(
             spec_name=spec_name,
             tel=tel,
             traces=traces,
+            pool=pool,
         )
         sp.set(
             tasks=summary.total,
@@ -258,6 +321,7 @@ def _run_campaign_impl(
     spec_name: str,
     tel,
     traces: dict[str, str] | None = None,
+    pool: WorkerPool | None = None,
 ) -> tuple[list[TaskResult], CampaignSummary]:
     config = config or RunnerConfig()
     t0 = time.perf_counter()
@@ -328,20 +392,28 @@ def _run_campaign_impl(
         else:
             wave.append(task)
 
-    executor = _WaveExecutor(config)
-    for attempt in range(1, config.retries + 2):
-        if not wave:
-            break
-        if attempt > 1:
-            time.sleep(config.backoff * (2 ** (attempt - 2)))
-        retry_wave: list[CampaignTask] = []
-        for task, result in zip(wave, executor.run(wave, traces)):
-            result.attempts = attempt
-            if not result.ok and attempt <= config.retries:
-                retry_wave.append(task)
-            else:
-                finalize(task, result)
-        wave = retry_wave
+    own_pool = pool is None and config.max_workers > 1
+    if own_pool:
+        pool = WorkerPool(config.max_workers)
+    executor = _WaveExecutor(config, pool)
+    try:
+        for attempt in range(1, config.retries + 2):
+            if not wave:
+                break
+            if attempt > 1:
+                time.sleep(config.backoff * (2 ** (attempt - 2)))
+            retry_wave: list[CampaignTask] = []
+            for task, result in zip(wave, executor.run(wave, traces)):
+                result.attempts = attempt
+                if not result.ok and not result.final and attempt <= config.retries:
+                    retry_wave.append(task)
+                else:
+                    finalize(task, result)
+            wave = retry_wave
+    finally:
+        if own_pool:
+            assert pool is not None
+            pool.close(wait=False)
 
     summary.wall_time = time.perf_counter() - t0
     if cache is not None:

@@ -244,6 +244,9 @@ class TaskResult:
     worker: str = ""
     source: str = "live"  # "live" | "cache"
     attempts: int = 1
+    #: a failure that would recur on every attempt (a state cap, kernel
+    #: memory exhaustion, a rejected parameter): the runner does not retry it
+    final: bool = False
     expect: str | None = None
     #: per-task telemetry summary (counter/span deltas accumulated while
     #: the task ran); ``None`` unless ``REPRO_TELEMETRY`` was on
@@ -271,6 +274,7 @@ class TaskResult:
             "worker": self.worker,
             "source": self.source,
             "attempts": self.attempts,
+            "final": self.final,
             "expect": self.expect,
             "telemetry": self.telemetry,
         }
@@ -291,6 +295,7 @@ class TaskResult:
             worker=data.get("worker", ""),
             source=data.get("source", "live"),
             attempts=data.get("attempts", 1),
+            final=data.get("final", False),
             expect=data.get("expect"),
             telemetry=data.get("telemetry"),
         )
@@ -513,7 +518,10 @@ def execute_task(
 
     Never raises for task-level failures: the error is captured in the
     result (``ok=False``) so a single bad configuration cannot abort a
-    thousand-task campaign.  Infrastructure errors (pool breakage,
+    thousand-task campaign.  A deterministic failure -- a hit state cap or
+    kernel memory exhaustion (:class:`SearchLimitExceeded`) or a rejected
+    parameter or option (``ValueError``) -- is marked ``final``, so the
+    runner does not retry it.  Infrastructure errors (pool breakage,
     timeouts) are the runner's concern.
 
     The search engine is not a task parameter: the program picks it
@@ -552,6 +560,9 @@ def execute_task(
             expect=task.expect,
         )
     except Exception as exc:  # noqa: BLE001 - captured into the result
+        wall = time.perf_counter() - t0
+        from repro.analysis.reachability import SearchLimitExceeded
+
         result = TaskResult(
             task_hash=task.task_hash,
             name=task.name,
@@ -561,7 +572,8 @@ def execute_task(
             verdict="error",
             ok=False,
             error=f"{type(exc).__name__}: {exc}",
-            wall_time=time.perf_counter() - t0,
+            final=isinstance(exc, (SearchLimitExceeded, ValueError)),
+            wall_time=wall,
             worker=worker,
             expect=task.expect,
         )

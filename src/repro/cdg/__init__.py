@@ -15,6 +15,9 @@ Public API
 :func:`cycle_channels`         -- edge list of a cycle.
 :func:`dally_seitz_numbering`  -- strictly-increasing channel numbering
                                   certificate for acyclic CDGs.
+
+Every graph here is a :class:`repro.cdg.graph.DiGraph`, a stdlib digraph
+in networkx's node and edge order.
 """
 
 from typing import TYPE_CHECKING

@@ -16,17 +16,16 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro.cdg.analysis import is_acyclic
 from repro.cdg.build import build_cdg
 from repro.cdg.cycles import topological_order
+from repro.cdg.graph import DiGraph
 from repro.routing.adaptive import AdaptiveRoutingFunction
 from repro.routing.base import INJECT, RoutingAlgorithm, RoutingError
 from repro.topology.channels import Channel
 
 
-def build_adaptive_cdg(fn: AdaptiveRoutingFunction) -> nx.DiGraph:
+def build_adaptive_cdg(fn: AdaptiveRoutingFunction) -> DiGraph:
     """The extended channel dependency graph of an adaptive function.
 
     Vertices are channels usable by some (source, destination) pair; edge
@@ -34,7 +33,7 @@ def build_adaptive_cdg(fn: AdaptiveRoutingFunction) -> nx.DiGraph:
     ``c2`` immediately after ``c1``.
     """
     net = fn.network
-    g = nx.DiGraph(name=f"acdg({fn.name()})")
+    g = DiGraph(name=f"acdg({fn.name()})")
     for dest in net.nodes:
         frontier: deque = deque()
         seen: set[int] = set()

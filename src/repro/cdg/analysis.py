@@ -11,16 +11,13 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import islice
-from typing import TYPE_CHECKING
 
 from repro.cdg import cycles as _cycles
+from repro.cdg.graph import DiGraph
 from repro.topology.channels import Channel
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    import networkx as nx
 
-
-def is_acyclic(cdg: nx.DiGraph) -> bool:
+def is_acyclic(cdg: DiGraph) -> bool:
     """Dally--Seitz sufficiency check: acyclic CDG implies deadlock freedom."""
     return _cycles.is_acyclic(cdg.adj)
 
@@ -39,7 +36,7 @@ class CycleEnumeration:
         return iter(self.cycles)
 
 
-def find_cycles(cdg: nx.DiGraph, *, max_cycles: int = 10_000) -> CycleEnumeration:
+def find_cycles(cdg: DiGraph, *, max_cycles: int = 10_000) -> CycleEnumeration:
     """Enumerate simple cycles of the CDG (each as a channel tuple).
 
     Keeps the first ``max_cycles`` cycles (one even at a cap of 0, as
@@ -61,7 +58,7 @@ def cycle_channels(cycle: Sequence[Channel]) -> list[tuple[Channel, Channel]]:
 
 
 def cycles_through_channel(
-    cdg: nx.DiGraph, channel: Channel, *, max_cycles: int = 10_000
+    cdg: DiGraph, channel: Channel, *, max_cycles: int = 10_000
 ) -> CycleEnumeration:
     """Simple cycles that include ``channel``.
 
@@ -75,7 +72,7 @@ def cycles_through_channel(
     )
 
 
-def cycle_summary(cdg: nx.DiGraph, *, max_cycles: int = 10_000) -> dict[str, object]:
+def cycle_summary(cdg: DiGraph, *, max_cycles: int = 10_000) -> dict[str, object]:
     """Compact report used by experiment tables."""
     enum = find_cycles(cdg, max_cycles=max_cycles)
     lengths = sorted(len(c) for c in enum.cycles)

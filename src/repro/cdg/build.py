@@ -11,11 +11,10 @@ the paper draws in Section 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from collections.abc import Sequence
+from dataclasses import dataclass, field
 
-import networkx as nx
-
+from repro.cdg.graph import DiGraph
 from repro.routing.base import RoutingAlgorithm
 from repro.topology.channels import Channel, NodeId
 
@@ -38,7 +37,7 @@ class DependencyInfo:
 def build_cdg(
     alg: RoutingAlgorithm,
     pairs: Sequence[Pair] | None = None,
-) -> nx.DiGraph:
+) -> DiGraph:
     """Build the channel dependency graph of ``alg``.
 
     Parameters
@@ -51,7 +50,7 @@ def build_cdg(
 
     Returns
     -------
-    networkx.DiGraph
+    DiGraph
         Vertices are :class:`~repro.topology.channels.Channel` objects.  Every
         channel used by at least one path appears as a vertex (including
         sink channels with no outgoing dependency).  Edge attribute ``info``
@@ -59,7 +58,7 @@ def build_cdg(
     """
     from repro.routing.properties import _domain  # shared domain logic
 
-    g = nx.DiGraph(name=f"cdg({alg.fn.name()})")
+    g = DiGraph(name=f"cdg({alg.fn.name()})")
     for s, d in _domain(alg, pairs):
         path = alg.try_path(s, d)
         if path is None:
@@ -78,7 +77,7 @@ def build_cdg(
     return g
 
 
-def edge_pairs(g: nx.DiGraph, c1: Channel, c2: Channel) -> set[Pair]:
+def edge_pairs(g: DiGraph, c1: Channel, c2: Channel) -> set[Pair]:
     """The (source, destination) pairs inducing dependency ``c1 -> c2``."""
     data = g.get_edge_data(c1, c2)
     if data is None:

@@ -2,10 +2,11 @@
 
 The repository's one simple-cycle enumerator.  It runs on the search path
 (the static-certificate pre-pass of every search), so it is stdlib-only:
-a fresh ``repro search`` process never imports networkx.  The CDG callers
-pass ``cdg.adj`` of a networkx ``DiGraph``; the spec pre-pass passes a
-``dict`` of successor ``dict``\\ s.  Either way the input maps every node to
-its successors (no duplicates), in insertion order.
+a fresh ``repro search`` process imports no third-party package.  The CDG
+callers pass the ``adj`` of a :class:`repro.cdg.graph.DiGraph`; the spec
+pre-pass passes a ``dict`` of successor ``dict``\\ s.  Either way the
+input maps every node to its successors (no duplicates), in insertion
+order.
 
 Output order is networkx 3.x's exactly -- certificate numbering, CRT005
 evidence and ``find_cycles`` listings stay byte-identical -- which means
@@ -13,7 +14,7 @@ mirroring its data-structure choices, set iteration order included:
 
 * :func:`simple_cycles`: self-loops first in node order, then an
   edge-order copy without loops, whose strongly connected components
-  (iterative Tarjan, Nuutila's variant) feed Johnson's search.  Each
+  (:func:`repro.cdg.graph.tarjan_sccs`) feed Johnson's search.  Each
   component yields the cycles through its first node; that node is then
   removed and the component re-split.  A component's node set is
   re-collected one element at a time (``show_nodes``), and iterating it
@@ -25,9 +26,9 @@ mirroring its data-structure choices, set iteration order included:
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Callable, Collection, Hashable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Hashable, Iterator
 
-Adjacency = Mapping[Hashable, Collection[Hashable]]
+from repro.cdg.graph import Adjacency, tarjan_sccs
 
 
 def _generations(adj: Adjacency) -> tuple[list[Hashable], bool]:
@@ -62,50 +63,6 @@ def topological_order(adj: Adjacency) -> list[Hashable]:
 def is_acyclic(adj: Adjacency) -> bool:
     """True iff the directed graph has no cycle (self-loops count)."""
     return _generations(adj)[1]
-
-
-def _sccs(nodes: list[int], nbrs: Callable[[int], Iterable[int]]) -> Iterator[list[int]]:
-    """Strongly connected components, as ``nx.strongly_connected_components``;
-    each listed in the order networkx adds its members to the set."""
-    preorder: dict[int, int] = {}
-    lowlink: dict[int, int] = {}
-    scc_found: set[int] = set()
-    scc_queue: list[int] = []
-    i = 0
-    neighbors = {v: iter(nbrs(v)) for v in nodes}
-    for source in nodes:
-        if source in scc_found:
-            continue
-        queue = [source]
-        while queue:
-            v = queue[-1]
-            if v not in preorder:
-                i += 1
-                preorder[v] = i
-            done = True
-            for w in neighbors[v]:
-                if w not in preorder:
-                    queue.append(w)
-                    done = False
-                    break
-            if not done:
-                continue
-            lowlink[v] = preorder[v]
-            for w in nbrs(v):
-                if w not in scc_found:
-                    if preorder[w] > preorder[v]:
-                        lowlink[v] = min(lowlink[v], lowlink[w])
-                    else:
-                        lowlink[v] = min(lowlink[v], preorder[w])
-            queue.pop()
-            if lowlink[v] == preorder[v]:
-                scc = [v]
-                while scc_queue and preorder[scc_queue[-1]] > preorder[v]:
-                    scc.append(scc_queue.pop())
-                scc_found.update(scc)
-                yield scc
-            else:
-                scc_queue.append(v)
 
 
 def _johnson(nbrs: Callable[[int], list[int]], start: int) -> Iterator[list[int]]:
@@ -196,7 +153,7 @@ def simple_cycles(adj: Adjacency) -> Iterator[list[Hashable]]:
         # how it was built
         return set(nodes[i] for i in members)
 
-    whole = _sccs(list(alive), lambda v: succ[v])
+    whole = tarjan_sccs(list(alive), succ.__getitem__)
     components = [component(c) for c in whole if len(c) >= 2]
     while components:
         c = components.pop()
@@ -217,4 +174,4 @@ def simple_cycles(adj: Adjacency) -> Iterator[list[Hashable]]:
             order = [index[n] for n in shown if index[n] in alive]
         else:
             order = [i for i in alive if i in inside]
-        components.extend(component(s) for s in _sccs(order, inner) if len(s) >= 2)
+        components.extend(component(s) for s in tarjan_sccs(order, inner) if len(s) >= 2)

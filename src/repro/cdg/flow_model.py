@@ -19,12 +19,11 @@ a concrete demonstration that the flow model is sufficient-only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from collections.abc import Sequence
-
-import networkx as nx
+from dataclasses import dataclass, field
 
 from repro.cdg.build import build_cdg
+from repro.cdg.graph import reachable, strongly_connected_components
 from repro.routing.base import RoutingAlgorithm
 from repro.topology.channels import Channel, NodeId
 
@@ -92,13 +91,7 @@ def certification_gap(alg: RoutingAlgorithm, pairs: Sequence[Pair] | None = None
     """
     cdg = build_cdg(alg, pairs)
     on_cycle: set[Channel] = set()
-    for scc in nx.strongly_connected_components(cdg):
+    for scc in strongly_connected_components(cdg.adj):
         if len(scc) > 1 or any(cdg.has_edge(c, c) for c in scc):
             on_cycle.update(scc)
-    gap: set[Channel] = set()
-    for ch in cdg.nodes:
-        if ch in on_cycle or any(
-            nx.has_path(cdg, ch, target) for target in on_cycle
-        ):
-            gap.add(ch)
-    return gap
+    return {ch for ch in cdg.nodes if not on_cycle.isdisjoint(reachable(cdg.adj, ch))}

@@ -11,16 +11,13 @@ form used in the corollary experiments and tests.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import TYPE_CHECKING
 
 from repro.cdg.cycles import is_acyclic, topological_order
+from repro.cdg.graph import DiGraph
 from repro.topology.channels import Channel
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    import networkx as nx
 
-
-def dally_seitz_numbering(cdg: nx.DiGraph) -> dict[Channel, int]:
+def dally_seitz_numbering(cdg: DiGraph) -> dict[Channel, int]:
     """A strictly-increasing channel numbering for an acyclic CDG.
 
     Raises ``ValueError`` when the CDG has a cycle (no such numbering can
@@ -35,9 +32,9 @@ def dally_seitz_numbering(cdg: nx.DiGraph) -> dict[Channel, int]:
     return {ch: i for i, ch in enumerate(topological_order(cdg.adj))}
 
 
-def verify_numbering(cdg: nx.DiGraph, numbering: Mapping[Channel, int]) -> bool:
+def verify_numbering(cdg: DiGraph, numbering: Mapping[Channel, int]) -> bool:
     """True iff ``numbering`` is strictly increasing along every dependency."""
-    for c1, c2 in cdg.edges():
+    for c1, c2 in cdg.edges:
         if c1 not in numbering or c2 not in numbering:
             return False
         if numbering[c1] >= numbering[c2]:

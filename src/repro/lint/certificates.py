@@ -55,20 +55,18 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import Any, Sequence
 
 from repro.analysis.state import CheckerMessage, SystemSpec
 from repro.cdg import cycles as cdg_cycles
 from repro.cdg.analysis import CycleEnumeration, is_acyclic
+from repro.cdg.graph import DiGraph
 from repro.lint.diagnostics import DEADLOCK_FREE, REACHABLE_DEADLOCK
 from repro.lint.tiling import Tiling, cycle_runs, enumerate_tilings
 from repro.obs import incr as _obs_incr
 from repro.routing.base import RoutingAlgorithm
 from repro.routing.properties import PropertyScan
 from repro.topology.channels import Channel, NodeId
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    import networkx as nx
 
 Pair = tuple[NodeId, NodeId]
 
@@ -116,8 +114,7 @@ class Certificate:
 # ----------------------------------------------------------------------
 def spec_adjacency(spec: SystemSpec) -> dict[int, dict[int, None]]:
     """Channel-id dependency graph induced by the spec's message paths, as
-    successor dicts in first-use order (the search pre-pass needs no
-    networkx)."""
+    successor dicts in first-use order (what the search pre-pass walks)."""
     adj: dict[int, dict[int, None]] = {}
     for m in spec.messages:
         for cid in m.path:
@@ -127,14 +124,16 @@ def spec_adjacency(spec: SystemSpec) -> dict[int, dict[int, None]]:
     return adj
 
 
-def spec_dependency_graph(spec: SystemSpec) -> nx.DiGraph:
-    """:func:`spec_adjacency` as a networkx ``DiGraph`` (same order)."""
-    import networkx as nx
-
+def spec_dependency_graph(spec: SystemSpec) -> DiGraph:
+    """:func:`spec_adjacency` as a :class:`~repro.cdg.graph.DiGraph` (same
+    order)."""
     adj = spec_adjacency(spec)
-    g = nx.DiGraph()
-    g.add_nodes_from(adj)
-    g.add_edges_from((a, b) for a, succ in adj.items() for b in succ)
+    g = DiGraph()
+    for a in adj:
+        g.add_node(a)
+    for a, succ in adj.items():
+        for b in succ:
+            g.add_edge(a, b)
     return g
 
 
@@ -397,7 +396,7 @@ def _tiling_messages(
 
 
 def suffix_tiling_messages(
-    alg: RoutingAlgorithm, cdg: nx.DiGraph, cycle: Sequence[Channel]
+    alg: RoutingAlgorithm, cdg: DiGraph, cycle: Sequence[Channel]
 ) -> list[CheckerMessage] | None:
     """One single-flit message per cycle edge, verified to start on it.
 
@@ -443,7 +442,7 @@ def _covers_all_pairs(scan: PropertyScan) -> bool:
 def _corollary_certificate(
     alg: RoutingAlgorithm,
     scan: PropertyScan,
-    cdg: nx.DiGraph,
+    cdg: DiGraph,
     cycle: Sequence[Channel],
 ) -> Certificate | None:
     """Corollary 1/2/3 certificate for one concrete CDG cycle."""
@@ -488,7 +487,7 @@ def cycle_certificate(
     pairs: Sequence[Pair] | None = None,
     *,
     scan: PropertyScan | None = None,
-    cdg: nx.DiGraph | None = None,
+    cdg: DiGraph | None = None,
     max_tilings: int = 256,
 ) -> Certificate | None:
     """Static REACHABLE_DEADLOCK verdict for one CDG cycle, or ``None``.
@@ -585,7 +584,7 @@ def _tiling_evidence(cycle: Sequence[Channel], tiling: Tiling) -> dict[str, Any]
 
 def algorithm_certificate(
     scan: PropertyScan,
-    cdg: nx.DiGraph,
+    cdg: DiGraph,
     cycles: CycleEnumeration,
     *,
     max_probe_cycles: int = 32,

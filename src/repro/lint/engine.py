@@ -25,6 +25,7 @@ from repro.analysis.state import CheckerMessage, SystemSpec
 from repro.cdg import cycles as cdg_cycles
 from repro.cdg.analysis import CycleEnumeration, find_cycles, is_acyclic
 from repro.cdg.build import build_cdg
+from repro.cdg.graph import DiGraph
 from repro.lint.certificates import (
     Certificate,
     algorithm_certificate,
@@ -39,8 +40,6 @@ from repro.topology.channels import NodeId
 from repro.topology.network import Network
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    import networkx as nx
-
     from repro.routing.adaptive import AdaptiveRoutingFunction
 
 Pair = tuple[NodeId, NodeId]
@@ -69,7 +68,7 @@ class LintContext:
         #: projection (first candidate) via ``alg`` as usual
         self.is_adaptive: bool = bool(getattr(alg.fn, "is_adaptive", False))
         self._scan: PropertyScan | None = None
-        self._cdg: nx.DiGraph | None = None
+        self._cdg: DiGraph | None = None
         self._cycles: CycleEnumeration | None = None
         self._route_errors: dict[Pair, RoutingError] | None = None
         self._certificate: Certificate | None = _UNSET
@@ -84,7 +83,7 @@ class LintContext:
         return self._scan
 
     @property
-    def cdg(self) -> nx.DiGraph:
+    def cdg(self) -> DiGraph:
         if self._cdg is None:
             if self.is_adaptive:
                 from repro.cdg.adaptive import build_adaptive_cdg

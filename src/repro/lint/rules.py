@@ -154,12 +154,12 @@ def _top_duplicate_vc(ctx: "LintContext") -> list[Diagnostic]:
     paper_ref="Definition 1",
 )
 def _top_strong(ctx: "LintContext") -> list[Diagnostic]:
-    import networkx as nx
+    from repro.cdg.graph import is_strongly_connected, strongly_connected_components
 
     g = ctx.network.node_digraph()
-    if ctx.network.num_nodes == 0 or nx.is_strongly_connected(g):
+    if ctx.network.num_nodes == 0 or is_strongly_connected(g.adj):
         return []
-    comps = sorted(nx.strongly_connected_components(g), key=len, reverse=True)
+    comps = sorted(strongly_connected_components(g.adj), key=len, reverse=True)
     return [
         Diagnostic(
             code="TOP003",

@@ -20,8 +20,11 @@ The serve hot path has three outcomes, fastest first:
 Each cold task is looked up in the cache exactly once, by
 :meth:`MicroBatcher.submit`; the batch runs without a cache and the
 batcher writes its results back (backends refuse failed results).
-The lane keeps at most one campaign wave, and so at most one process
-pool, alive at a time.
+With ``max_workers > 1`` the batcher owns one
+:class:`~repro.campaign.runner.WorkerPool` for its whole life and hands
+it to every batch, so a cold miss does not pay a pool start-up; the pool
+is rebuilt only after it breaks, and :meth:`MicroBatcher.close` shuts it
+down.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 
 import repro.obs as obs
 from repro.campaign.cache import CacheBackend
-from repro.campaign.runner import RunnerConfig, run_campaign
+from repro.campaign.runner import RunnerConfig, WorkerPool, run_campaign
 from repro.campaign.tasks import CampaignTask, TaskResult
 
 #: how a submit was answered (also the span attr / response header value)
@@ -81,6 +84,10 @@ class MicroBatcher:
         self.cache = cache
         self.config = config or RunnerConfig(retries=0)
         self.executor = executor
+        #: the process pool every batch shares (``None``: batches run serially)
+        self.pool = (
+            WorkerPool(self.config.max_workers) if self.config.max_workers > 1 else None
+        )
         self.spec_name = spec_name
         self.stats = BatcherStats()
         self._pending: dict[str, asyncio.Future[TaskResult]] = {}
@@ -92,6 +99,11 @@ class MicroBatcher:
         #: mixing tasks from different requests) cannot see the submitting
         #: request's contextvars.
         self._trace_carriers: dict[str, str] = {}
+
+    def close(self) -> None:
+        """Shut the process pool down, waiting for its workers to exit."""
+        if self.pool is not None:
+            self.pool.close()
 
     @property
     def inflight(self) -> int:
@@ -179,6 +191,7 @@ class MicroBatcher:
             config=self.config,
             spec_name=self.spec_name,
             traces=traces or None,
+            pool=self.pool,
         )
         if self.cache is not None:
             for task, result in zip(batch, results):

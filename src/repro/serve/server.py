@@ -241,8 +241,8 @@ class ReproServer:
     async def start(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
-        # the batcher's execution lane: one batch (one campaign wave, at
-        # most one process pool) runs at a time
+        # the batcher's execution lane: one batch runs at a time (on the
+        # batcher's process pool with --jobs 2 or more)
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve-batch"
         )
@@ -288,6 +288,8 @@ class ReproServer:
                 await self._server.wait_closed()
         if self._executor is not None:
             self._executor.shutdown(wait=False, cancel_futures=True)
+        if self.batcher is not None:
+            self.batcher.close()
         if self._tel is not None:
             self._tel.event("serve.stop")
             self._tel.remove_sink(self._event_sink)

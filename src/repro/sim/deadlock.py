@@ -30,8 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import networkx as nx
-
+from repro.cdg.graph import DiGraph
 from repro.sim.message import MessageStatus
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -51,13 +50,13 @@ class DeadlockReport:
         return f"deadlock({self.kind}) at cycle {self.cycle} involving messages [{ids}]"
 
 
-def build_wait_for_graph(sim: "Simulator") -> nx.DiGraph:
+def build_wait_for_graph(sim: "Simulator") -> DiGraph:
     """Message wait-for graph of the simulator's current state.
 
     Edge ``m1 -> m2`` when the channel ``m1`` requested (``blocked_on``)
     is owned by ``m2``.
     """
-    g = nx.DiGraph()
+    g = DiGraph()
     live = sim.live_messages()
     for m in live:
         if m.status is MessageStatus.ACTIVE or (

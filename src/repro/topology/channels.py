@@ -9,7 +9,7 @@ independently allocatable resource with its own flit queue, which is exactly
 the resource model of the paper.
 
 Channels are immutable and hashable so they can serve directly as vertices
-of the channel dependency graph (a :mod:`networkx` ``DiGraph``).
+of the channel dependency graph (a :class:`repro.cdg.graph.DiGraph`).
 """
 
 from __future__ import annotations

@@ -21,6 +21,8 @@ from repro.topology.channels import Channel, NodeId
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import networkx as nx
 
+    from repro.cdg.graph import DiGraph
+
 
 class Network:
     """A strongly-connected-by-convention directed multigraph.
@@ -179,13 +181,15 @@ class Network:
             g.add_edge(ch.src, ch.dst, key=ch.cid, channel=ch)
         return g
 
-    def node_digraph(self) -> nx.DiGraph:
+    def node_digraph(self) -> DiGraph:
         """Collapsed simple digraph over nodes (used for shortest paths)."""
-        import networkx as nx
+        from repro.cdg.graph import DiGraph
 
-        g = nx.DiGraph()
-        g.add_nodes_from(self._nodes)
-        g.add_edges_from((ch.src, ch.dst) for ch in self._channels)
+        g = DiGraph(name=self.name)
+        for node in self._nodes:
+            g.add_node(node)
+        for ch in self._channels:
+            g.add_edge(ch.src, ch.dst)
         return g
 
     def shortest_path_lengths(self) -> dict[NodeId, dict[NodeId, int]]:
@@ -196,10 +200,10 @@ class Network:
         """
         cached = self._spl_cache
         if cached is None:
-            import networkx as nx
+            from repro.cdg.graph import bfs_distances
 
-            g = self.node_digraph()
-            cached = {s: d for s, d in nx.all_pairs_shortest_path_length(g)}
+            adj = self.node_digraph().adj
+            cached = {s: bfs_distances(adj, s) for s in adj}
             self._spl_cache = cached
         return cached
 

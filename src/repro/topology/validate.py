@@ -18,13 +18,13 @@ class NetworkValidationError(ValueError):
 
 def check_strongly_connected(net: Network) -> None:
     """Raise :class:`NetworkValidationError` unless ``net`` is strongly connected."""
-    import networkx as nx
+    from repro.cdg.graph import is_strongly_connected, strongly_connected_components
 
     g = net.node_digraph()
     if net.num_nodes == 0:
         raise NetworkValidationError("network has no nodes")
-    if not nx.is_strongly_connected(g):
-        comps = sorted(nx.strongly_connected_components(g), key=len, reverse=True)
+    if not is_strongly_connected(g.adj):
+        comps = sorted(strongly_connected_components(g.adj), key=len, reverse=True)
         raise NetworkValidationError(
             f"network {net.name!r} is not strongly connected: "
             f"{len(comps)} components, largest has {len(comps[0])} of {net.num_nodes} nodes"

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-import networkx as nx
-
+from repro.cdg.graph import DiGraph
 from repro.topology.channels import Channel
 from repro.topology.network import Network
 
@@ -45,7 +44,7 @@ def network_to_dot(
 
 
 def cdg_to_dot(
-    cdg: nx.DiGraph,
+    cdg: DiGraph,
     *,
     cycle: Sequence[Channel] = (),
     name: str = "cdg",

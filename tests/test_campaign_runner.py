@@ -93,6 +93,49 @@ def test_retries_zero_fails_fast(tmp_path):
     assert not results[0].ok and results[0].attempts == 1
 
 
+def test_state_cap_is_final_and_not_retried():
+    """A hit state cap fails the same way on every attempt: with the
+    default one retry, it is reported at attempt 1, without the backoff."""
+    capped = CampaignTask.make("reachability", "gen", m=3, budget=3, max_states=200_000)
+    config = RunnerConfig()
+    assert config.retries == 1
+    (res,), summary = run_campaign([capped], config=config)
+    assert not res.ok and res.final
+    assert res.error.startswith("SearchLimitExceeded: exceeded 200000 states")
+    assert res.attempts == 1
+    assert summary.wall_time < res.wall_time + config.backoff
+
+
+def test_rejected_parameter_is_final():
+    bad = CampaignTask.make("reachability", "fig2-pair", d1=1, d2=1, hold=2, budget=-1)
+    (res,), _ = run_campaign([bad], config=RunnerConfig(retries=2, backoff=5.0))
+    assert not res.ok and res.final and res.error.startswith("ValueError")
+    assert res.attempts == 1
+
+
+def test_retry_waves_share_one_pool(tmp_path):
+    """A flaky task's retry wave runs on the first wave's worker pool."""
+    token_dir = tmp_path / "tokens"
+    token_dir.mkdir()
+    flaky = CampaignTask.make(
+        "reachability", "debug-flaky", token_dir=str(token_dir), fail_times=1
+    )
+    created = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    def counting_pool(*a, **kw):
+        created.append(real(*a, **kw))
+        return created[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(concurrent.futures, "ProcessPoolExecutor", counting_pool)
+        (res,), _ = run_campaign(
+            [flaky], config=RunnerConfig(max_workers=2, retries=2, backoff=0.01)
+        )
+    assert res.ok and res.attempts == 2
+    assert len(created) == 1
+
+
 def test_pool_unavailable_degrades_to_serial(monkeypatch):
     """Environments without process pools still complete the campaign."""
 

@@ -85,7 +85,7 @@ def test_numbering_rejects_cyclic(ring_alg):
 def test_verify_numbering_rejects_bad(mesh_alg):
     cdg = build_cdg(mesh_alg)
     numbering = dally_seitz_numbering(cdg)
-    some_edge = next(iter(cdg.edges()))
+    some_edge = cdg.edges[0]
     bad = dict(numbering)
     bad[some_edge[0]], bad[some_edge[1]] = bad[some_edge[1]], bad[some_edge[0]]
     assert not verify_numbering(cdg, bad)

@@ -8,7 +8,11 @@ of the perfbench ``cli-fresh`` commands in a new interpreter and inspect
 * ``search``/``classify`` load no numpy, networkx or numba, none of the
   serve stack (asyncio, ``http.server``), no sqlite3, and neither the
   simulator engine nor the serve server;
-* ``lint`` keeps networkx (CDG construction) but loads no numpy;
+* ``lint``, ``dot``, a ``minimal-config`` search (hop distances) and a
+  serial ``campaign run --spec quick`` load no networkx either: every
+  graph is a :class:`repro.cdg.graph.DiGraph`.  With networkx made
+  unimportable, ``lint --all``, ``dot`` and the campaign answer exactly
+  as they do normally;
 * both search engines -- the ``kernel`` and the ``reference`` fallback
   taken without a C compiler -- load no numpy and answer byte for byte
   as the default does;
@@ -24,6 +28,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -67,12 +72,12 @@ print(json.dumps({"rc": rc, "stdout": out.getvalue(), "modules": sorted(sys.modu
 """
 
 
-def _run(args: list[str], **env_extra: str) -> dict:
+def _run(args: list[str], cwd: Path | None = None, **env_extra: str) -> dict:
     env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
     env.update(PYTHONPATH=str(SRC), **env_extra)
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD, *args],
-        env=env, capture_output=True, text=True, timeout=300, check=True,
+        env=env, capture_output=True, text=True, timeout=300, check=True, cwd=cwd,
     )
     got = json.loads(proc.stdout)
     assert got["rc"] == 0, proc.stderr
@@ -101,9 +106,74 @@ def test_search_and_classify_start_light(name):
 def test_lint_loads_no_numpy():
     loaded = set(_run(COMMANDS["lint-fig1"])["modules"])
     assert "numpy" not in loaded
-    assert "networkx" in loaded  # the CDG stays a networkx graph
+    assert "networkx" not in loaded  # the CDG is a repro.cdg.graph.DiGraph
     # its option range check does not pull in the search
     assert "repro.analysis.reachability" not in loaded
+
+
+#: graph-building commands beyond cli-fresh; the campaign runs serially,
+#: so its tasks import into this process
+GRAPH_COMMANDS = {
+    "dot-fig1-cdg": ["dot", "fig1-cdg"],
+    "search-minimal-config": [
+        "search", "minimal-config", "--params",
+        '{"approaches": [2, 1, 3], "holds": [3, 2, 4]}', "--json",
+    ],
+    "campaign-quick": [
+        "campaign", "run", "--spec", "quick", "--jobs", "1", "--cache-dir", "cache",
+        "--no-progress",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", list(GRAPH_COMMANDS))
+def test_graph_commands_load_no_networkx(name, tmp_path):
+    loaded = set(_run(GRAPH_COMMANDS[name], cwd=tmp_path)["modules"])
+    assert "networkx" not in loaded
+
+
+_BLOCKABLE_CHILD = """
+import contextlib, io, json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["networkx"] = None  # every import of it raises ImportError
+from repro.cli import main
+runs = []
+for args in json.loads(sys.argv[2]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(args)
+    runs.append([rc, out.getvalue()])
+print(json.dumps(runs))
+"""
+
+
+def test_commands_answer_alike_without_networkx(tmp_path):
+    """``lint --all --json``, ``dot`` and ``campaign run --spec quick`` in
+    a process where networkx cannot be imported print exactly what they
+    print normally (the campaign's measured wall time aside)."""
+    commands = [
+        ["lint", "--all", "--json"],
+        ["dot", "fig1-network"],
+        ["dot", "fig1-cdg"],
+        GRAPH_COMMANDS["campaign-quick"],
+    ]
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env.update(PYTHONPATH=str(SRC))
+    runs = {}
+    for mode in ("blocked", "normal"):
+        (tmp_path / mode).mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-c", _BLOCKABLE_CHILD, mode, json.dumps(commands)],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+            cwd=tmp_path / mode,
+        )
+        runs[mode] = [
+            [rc, re.sub(r"wall time \(s\) *: \S+", "wall time (s) : -", out)]
+            for rc, out in json.loads(proc.stdout)
+        ]
+    assert [rc for rc, _ in runs["blocked"]] == [0, 0, 0, 0]
+    assert "CDG001" in runs["blocked"][0][1]
+    assert runs["blocked"] == runs["normal"]
 
 
 @functools.cache

@@ -1,12 +1,15 @@
 """MicroBatcher: lane batching, in-flight dedup, cache fast path."""
 
 import asyncio
+import os
+import signal
 import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.campaign.cache import MemoryLRUCache
+from repro.campaign.runner import RunnerConfig
 from repro.campaign.tasks import CampaignTask
 from repro.serve.batcher import (
     SOURCE_CACHE,
@@ -169,3 +172,53 @@ def test_misses_during_a_running_batch_form_the_next_batch(executor):
     assert batcher.stats.executed_live == 4
     assert all(source == SOURCE_LIVE for _, source in results)
     assert batcher.inflight == 0
+
+
+def _pool_pids(batcher):
+    return set(batcher.pool._executor._processes)
+
+
+def _wait_for(condition, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return condition()
+
+
+def _exited(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+def test_batches_share_one_process_pool(executor):
+    """With two workers every batch runs on the batcher's one pool: two
+    sequential cold batches land on the same worker processes, a killed
+    worker is replaced by a fresh pool on the next batch, and close()
+    leaves no child process behind."""
+    config = RunnerConfig(max_workers=2, retries=0)
+
+    async def run():
+        batcher = MicroBatcher(cache=MemoryLRUCache(64), config=config, executor=executor)
+        first, _ = await batcher.submit(_task("pool-a"))
+        pids = _pool_pids(batcher)
+        second, _ = await batcher.submit(_task("pool-b"))
+        assert _pool_pids(batcher) == pids
+        old = batcher.pool._executor
+        os.kill(int(first.worker.removeprefix("pid")), signal.SIGKILL)
+        assert _wait_for(lambda: old._broken), "the pool never saw its worker die"
+        third, _ = await batcher.submit(_task("pool-c"))
+        fresh = _pool_pids(batcher)
+        batcher.close()
+        return batcher, [first, second, third], pids, fresh
+
+    batcher, results, pids, fresh = asyncio.run(run())
+    assert batcher.stats.batches == 3
+    assert all(r.ok for r in results)
+    assert {int(r.worker.removeprefix("pid")) for r in results[:2]} <= pids
+    third = int(results[2].worker.removeprefix("pid"))
+    assert third in fresh and not fresh & pids
+    assert all(_exited(pid) for pid in fresh)  # close() waited for them
+    assert _wait_for(lambda: all(_exited(pid) for pid in pids))

@@ -1,6 +1,7 @@
 """End-to-end serve API: byte-identity, caching, dedup, errors, shutdown."""
 
 import json
+import os
 import socket
 import threading
 import time
@@ -404,3 +405,22 @@ def test_shutdown_ends_open_connections_quietly(tmp_path, capfd, caplog):
     assert "Traceback" not in capfd.readouterr().err
     # asyncio reports callback errors through logging, which pytest captures
     assert not [r for r in caplog.records if r.name == "asyncio"]
+
+
+def test_stop_shuts_the_worker_pool_down(tmp_path):
+    """With --jobs 2 the server's one process pool serves every cold
+    query, and stop() leaves none of its workers behind."""
+    srv, thread = _start_server(tmp_path, jobs=2)
+    try:
+        client = ServeClient(srv.url, timeout=120)
+        client.search("fig2-pair", params={"d1": 1, "d2": 1, "hold": 2}).raise_for_status()
+        pids = set(srv.batcher.pool._executor._processes)
+        client.search("fig2-pair", params={"d1": 2, "d2": 1, "hold": 2}).raise_for_status()
+        assert set(srv.batcher.pool._executor._processes) == pids
+    finally:
+        srv.shutdown()
+        thread.join(10)
+    assert pids and not thread.is_alive()
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
