@@ -7,7 +7,10 @@ fleet would:
 1.  cold ``/v1/search`` (must execute live and match the CLI's
     ``search --json`` bytes exactly),
 2.  identical repeat query (must be answered from cache, fast),
-3.  ``/v1/lint`` and a small ``/v1/campaign`` batch,
+3.  ``/v1/classify`` in cycle and configuration mode (must match
+    ``classify --json`` bytes), a search over a scenario with no message
+    set (must be refused, not answered), ``/v1/lint`` and a small
+    ``/v1/campaign`` batch,
 4.  ``/v1/events`` subscription -- every streamed event must validate
     against the telemetry schema,
 5.  ``/v1/status`` -- the hit rate must be nonzero by now,
@@ -47,9 +50,10 @@ def check(name: str, ok: bool, detail: str = "") -> None:
     print(f"[{mark}] {name}" + (f" -- {detail}" if detail else ""))
 
 
-def cli_search_json() -> str:
+def cli_json(*argv: str) -> str:
+    """What ``python -m repro <argv> --json`` prints."""
     proc = subprocess.run(
-        [sys.executable, "-m", "repro", "search", "fig1", "--json"],
+        [sys.executable, "-m", "repro", *argv, "--json"],
         capture_output=True,
         text=True,
         check=True,
@@ -78,7 +82,7 @@ def main() -> int:
         check("cold search executes live", cold.source == "live", cold.source)
         check(
             "cold search matches `search fig1 --json` bytes",
-            cold.body.decode("utf-8") == cli_search_json(),
+            cold.body.decode("utf-8") == cli_json("search", "fig1"),
         )
         check(
             "verdict is the paper's Fig. 1 result (cycle, no deadlock)",
@@ -96,7 +100,21 @@ def main() -> int:
         )
         check("cached bytes identical", warm.body == cold.body)
 
-        # 3. the other endpoints answer
+        # 3. the other endpoints answer; classify like the CLI, in both modes
+        for scenario, params in (("ring-cycle", {"n": 4}), ("fig3-panel", {"panel": "a"})):
+            resp = client.classify(scenario, params).raise_for_status()
+            check(
+                f"classify {scenario} matches `classify --json` bytes",
+                resp.body.decode("utf-8")
+                == cli_json("classify", scenario, "--params", json.dumps(params)),
+            )
+        refused = client.search("ring-cycle", {"n": 4})
+        check(
+            "search over no message set is refused",
+            refused.status == 502
+            and "exposes no message set" in refused.payload.get("error", ""),
+            f"HTTP {refused.status}",
+        )
         lint = client.lint("fig1").raise_for_status()
         check("lint endpoint", "verdict" in lint.payload)
         camp = client.campaign("quick", limit=3).raise_for_status()

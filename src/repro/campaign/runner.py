@@ -26,8 +26,8 @@ Execution model:
   breaks mid-wave, execution degrades to the in-process serial path, which
   produces identical verdicts -- equivalence is pinned by
   ``tests/test_campaign_runner.py``.  A broken pool, or one left running a
-  timed-out task, is dropped without waiting, and the next wave builds a
-  fresh one.
+  timed-out task, is dropped without waiting and its workers terminated,
+  and the next wave builds a fresh one.
 
 Results stream into the ledger/cache/progress reporter the moment they are
 known; a killed campaign leaves a readable partial ledger behind.
@@ -125,8 +125,9 @@ class WorkerPool:
     """A process pool that outlives one wave.
 
     Built on first use; :meth:`discard` drops it without waiting (after
-    it broke, or while a timed-out task still runs on it), and the next
-    use builds a fresh one.  Whoever creates it calls :meth:`close`.
+    it broke, or while a timed-out task still runs on it) and stops its
+    workers, and the next use builds a fresh one.  Whoever creates it
+    calls :meth:`close`.
     """
 
     def __init__(self, max_workers: int) -> None:
@@ -147,10 +148,24 @@ class WorkerPool:
         return self._executor
 
     def discard(self, *, wait: bool = False) -> None:
-        """Shut the current pool down; the next :meth:`get` builds a fresh one."""
+        """Shut the current pool down; the next :meth:`get` builds a fresh one.
+
+        Without ``wait`` the workers are terminated.  A pool is dropped only
+        once every future of its wave has been collected, and batches use it
+        one at a time, so a worker still busy then runs a task that timed
+        out: left alone, it would keep its CPU until the task ended.
+        """
         executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=wait, cancel_futures=True)
+        if executor is None:
+            return
+        # no public API stops a busy worker before Python 3.14's
+        # ProcessPoolExecutor.terminate_workers(); shutdown() clears the
+        # private process table, so read it first
+        workers = list((getattr(executor, "_processes", None) or {}).values())
+        executor.shutdown(wait=wait, cancel_futures=True)
+        if not wait:
+            for proc in workers:
+                proc.terminate()
 
     def close(self, *, wait: bool = True) -> None:
         """Shut down for good (``wait``: until the workers have exited)."""

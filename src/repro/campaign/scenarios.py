@@ -39,6 +39,8 @@ class ScenarioBundle:
     cycle_classify: tuple | None = None  # (algorithm, cycle, pairs)
     adaptive: tuple | None = None  # (adaptive_fn, adaptive_messages)
     detail: dict[str, Any] = field(default_factory=dict)
+    #: the registered scenario name (set by :func:`build_scenario`)
+    name: str = ""
 
 
 def register(name: str):
@@ -60,7 +62,9 @@ def build_scenario(name: str, params: dict[str, Any]) -> ScenarioBundle:
         raise KeyError(
             f"unknown scenario {name!r}; registered: {', '.join(scenario_names())}"
         ) from None
-    return fn(params)
+    bundle = fn(params)
+    bundle.name = name
+    return bundle
 
 
 # ----------------------------------------------------------------------

@@ -51,7 +51,11 @@ from dataclasses import dataclass, field
 from typing import Any
 
 #: bump when the result payload or task semantics change; salts the cache key
-#: (v8: ``simulate`` results carry ``mean_latency`` and ``throughput``
+#: (v9: a ``reachability``, ``classify`` or ``min_delay`` task over a
+#: scenario with no message set fails instead of answering over zero
+#: messages; ``reachability`` takes a ``witness`` param, and it and
+#: ``classify`` record the ``messages`` or ``cycle_channels`` they judged;
+#: v8: ``simulate`` results carry ``mean_latency`` and ``throughput``
 #: unrounded, so the V1 table rounds them once; v7: cycle-mode
 #: ``classify`` results carry the classifier's ``notes``,
 #: so a served classification answers like ``repro classify --json``;
@@ -65,7 +69,7 @@ from typing import Any
 #: certificate-decided reachability and classify tasks report
 #: ``states_explored``/``scenarios_tested`` of 0 and a ``certificate``
 #: detail; new ``lint`` kind)
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
 ANALYSIS_KINDS = (
     "reachability",
@@ -304,20 +308,35 @@ class TaskResult:
 # ----------------------------------------------------------------------
 # execution (module-level: must be importable/picklable from workers)
 # ----------------------------------------------------------------------
+def _messages(bundle) -> list:
+    """The bundle's message set; a verdict over no messages would be vacuous."""
+    if not bundle.messages:
+        raise ValueError(f"scenario {bundle.name!r} exposes no message set")
+    return bundle.messages
+
+
 def _run_reachability(bundle, p: dict[str, Any]) -> tuple[str, dict[str, Any]]:
     from repro.analysis import SystemSpec, search_deadlock
 
-    spec = SystemSpec.uniform(bundle.messages, budget=int(p.get("budget", 0)))
+    messages = _messages(bundle)
+    witness = bool(p.get("witness", False))
+    spec = SystemSpec.uniform(messages, budget=int(p.get("budget", 0)))
     res = search_deadlock(
         spec,
         max_states=int(p.get("max_states", 4_000_000)),
-        find_witness=False,
+        find_witness=witness,
     )
     verdict = "deadlock" if res.deadlock_reachable else "unreachable"
-    return verdict, {
+    detail: dict[str, Any] = {
+        "messages": len(messages),
         "states_explored": res.states_explored,
         "certificate": res.certificate,
     }
+    if witness:  # only `repro search --witness` asks; no battery task does
+        found = res.witness
+        detail["witness_cycles"] = None if found is None else found.num_cycles
+        detail["witness_lines"] = None if found is None else found.render().split("\n")
+    return verdict, detail
 
 
 def _run_classify(bundle, p: dict[str, Any]) -> tuple[str, dict[str, Any]]:
@@ -336,11 +355,17 @@ def _run_classify(bundle, p: dict[str, Any]) -> tuple[str, dict[str, Any]]:
         )
         verdict = "deadlock" if cls.deadlock_reachable else "unreachable"
         return verdict, {
+            "cycle_channels": len(cls.cycle),
             "tilings_tested": cls.tilings_tested,
             "scenarios_tested": cls.scenarios_tested,
             "certificate": cls.certificate,
             "notes": cls.notes,
         }
+    if not bundle.messages:
+        raise ValueError(
+            f"scenario {bundle.name!r} exposes neither a CDG cycle nor a "
+            "message set"
+        )
     reachable, res = classify_configuration(
         bundle.messages,
         budget=int(p.get("budget", 0)),
@@ -350,6 +375,7 @@ def _run_classify(bundle, p: dict[str, Any]) -> tuple[str, dict[str, Any]]:
     )
     verdict = "deadlock" if reachable else "unreachable"
     return verdict, {
+        "messages": len(bundle.messages),
         "states_explored": res.states_explored,
         "certificate": res.certificate,
     }
@@ -359,7 +385,7 @@ def _run_min_delay(bundle, p: dict[str, Any]) -> tuple[str, dict[str, Any]]:
     from repro.analysis.delay import min_delay_to_deadlock
 
     res = min_delay_to_deadlock(
-        bundle.messages,
+        _messages(bundle),
         max_delay=int(p.get("max_delay", 8)),
         max_states=int(p.get("max_states", 8_000_000)),
     )

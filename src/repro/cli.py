@@ -141,193 +141,109 @@ def _certificate_note(code: str | None, short_circuited: bool) -> str | None:
     return f"confirmed by static certificate {code}"
 
 
-def _cmd_search(args: argparse.Namespace) -> int:
-    from repro.analysis import SystemSpec, search_deadlock
-    from repro.analysis.reachability import SearchLimitExceeded
-    from repro.analysis.state import check_options
-    from repro.campaign.scenarios import build_scenario
-    from repro.experiments import render_kv
+def _run_query(args: argparse.Namespace, command: str, kind: str):
+    """Answer one ``search``/``classify`` query through its campaign task.
 
-    params = _parse_scenario_params(args, "search")
+    The task comes from the builder serve uses and runs in this process
+    (no cache, no pool).  Returns ``(scenario_params, result)``, or
+    ``None`` after printing the one ``<command>:`` failure line.
+    """
+    from repro.campaign.query import query_task
+    from repro.campaign.tasks import execute_task
+
+    params = _parse_scenario_params(args, command)
     if params is None:
-        return 2
+        return None
     try:
-        check_options(budget=args.budget, max_states=args.max_states)
+        task = query_task(
+            kind, args.scenario, params, vars(args),
+            witness=getattr(args, "witness", False),
+        )
     except ValueError as exc:
-        print(f"search: {exc}", file=sys.stderr)
-        return 2
-    try:
-        bundle = build_scenario(args.scenario, params)
-    except Exception as exc:  # noqa: BLE001 - reported, drives exit code
-        print(f"search: scenario build failed: {exc}", file=sys.stderr)
-        return 2
-    if not bundle.messages:
-        print(
-            f"search: scenario {args.scenario!r} exposes no message set",
-            file=sys.stderr,
-        )
-        return 2
-    spec = SystemSpec.uniform(bundle.messages, budget=args.budget)
-    try:
-        res = search_deadlock(
-            spec,
-            max_states=args.max_states,
-            find_witness=args.witness,
-        )
-    except SearchLimitExceeded as exc:
-        print(f"search: {exc}", file=sys.stderr)
-        return 2
-    verdict = "deadlock" if res.deadlock_reachable else "unreachable"
-    note = _certificate_note(res.certificate, res.states_explored == 0)
+        print(f"{command}: {exc}", file=sys.stderr)
+        return None
+    result = execute_task(task)
+    if not result.ok:
+        # execute_task reports "<exception type>: <message>"; a final
+        # failure (a state cap, a rejected value) is named by its message
+        error = result.error or ""
+        print(f"{command}: {error.partition(': ')[2] if result.final else error}",
+              file=sys.stderr)
+        return None
+    return params, result
 
+
+def _cmd_search(args: argparse.Namespace) -> int:
+    answer = _run_query(args, "search", "reachability")
+    if answer is None:
+        return 2
+    params, result = answer
     if args.json:
-        # built by the same function the serve API uses, so a cold
-        # /v1/search response body stays byte-identical to this output
-        from repro.serve.payloads import dumps, search_payload
+        from repro.serve.payloads import dumps, search_payload_from_result
 
-        payload = search_payload(
-            scenario=args.scenario,
-            params=params,
-            budget=args.budget,
-            verdict=verdict,
-            deadlock_reachable=res.deadlock_reachable,
-            states_explored=res.states_explored,
-            certificate=res.certificate,
-            witness_cycles=(
-                None if res.witness is None else res.witness.num_cycles
-            ),
-        )
-        print(dumps(payload))
+        print(dumps(search_payload_from_result(result, params=params)))
         return 0
 
+    from repro.experiments import render_kv
+
+    detail = result.detail
     rows = {
         "scenario": args.scenario,
-        "messages": len(bundle.messages),
+        "messages": detail["messages"],
         "budget": args.budget,
-        "verdict": verdict,
-        "states explored": res.states_explored,
+        "verdict": result.verdict,
+        "states explored": detail["states_explored"],
     }
+    note = _certificate_note(detail["certificate"], detail["states_explored"] == 0)
     if note is not None:
         rows["certificate"] = note
     print(render_kv(rows, title="deadlock reachability search"))
-    if res.witness is not None:
+    if detail.get("witness_lines"):
         print()
-        print(res.witness.render())
+        print("\n".join(detail["witness_lines"]))
     return 0
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    from repro.analysis.classify import classify_configuration, classify_cycle
-    from repro.analysis.reachability import SearchLimitExceeded
-    from repro.analysis.state import check_options
-    from repro.campaign.scenarios import build_scenario
-    from repro.experiments import render_kv
+    answer = _run_query(args, "classify", "classify")
+    if answer is None:
+        return 2
+    params, result = answer
+    from repro.serve.payloads import classify_payload_from_result, dumps
 
-    # the serve API builds /v1/classify bodies with the same function
-    from repro.serve.payloads import classify_payload, dumps
-
-    params = _parse_scenario_params(args, "classify")
-    if params is None:
-        return 2
-    try:
-        check_options(
-            budget=args.budget,
-            max_states=args.max_states,
-            length_slack=args.length_slack,
-            extra_copies=args.extra_copies,
-        )
-    except ValueError as exc:
-        print(f"classify: {exc}", file=sys.stderr)
-        return 2
-    try:
-        bundle = build_scenario(args.scenario, params)
-    except Exception as exc:  # noqa: BLE001 - reported, drives exit code
-        print(f"classify: scenario build failed: {exc}", file=sys.stderr)
-        return 2
-
-    if bundle.cycle_classify is not None:
-        alg, cycle, pairs = bundle.cycle_classify
-        try:
-            cls = classify_cycle(
-                alg,
-                cycle,
-                pairs=pairs,
-                length_slack=args.length_slack,
-                extra_copies=args.extra_copies,
-                budget=args.budget,
-                max_states=args.max_states,
-            )
-        except SearchLimitExceeded as exc:
-            print(f"classify: {exc}", file=sys.stderr)
-            return 2
-        payload = classify_payload(
-            scenario=args.scenario,
-            params=params,
-            mode="cycle",
-            deadlock_reachable=cls.deadlock_reachable,
-            certificate=cls.certificate,
-            tilings_tested=cls.tilings_tested,
-            scenarios_tested=cls.scenarios_tested,
-            notes=cls.notes,
-        )
-        if args.json:
-            print(dumps(payload))
-            return 0
-        note = _certificate_note(cls.certificate, cls.scenarios_tested == 0)
-        rows = {
-            "scenario": args.scenario,
-            "mode": "CDG cycle",
-            "cycle channels": len(cls.cycle),
-            "verdict": payload["verdict"],
-            "tilings tested": cls.tilings_tested,
-            "scenarios tested": cls.scenarios_tested,
-        }
-        if note is not None:
-            rows["certificate"] = note
-        print(render_kv(rows, title="cycle classification"))
-        for line in cls.notes:
-            print(f"  note: {line}")
-        return 0
-
-    if not bundle.messages:
-        print(
-            f"classify: scenario {args.scenario!r} exposes neither a CDG "
-            "cycle nor a message set",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        reachable, res = classify_configuration(
-            bundle.messages,
-            budget=args.budget,
-            length_slack=args.length_slack,
-            max_states=args.max_states,
-        )
-    except SearchLimitExceeded as exc:
-        print(f"classify: {exc}", file=sys.stderr)
-        return 2
-    payload = classify_payload(
-        scenario=args.scenario,
-        params=params,
-        mode="configuration",
-        deadlock_reachable=reachable,
-        certificate=res.certificate,
-        states_explored=res.states_explored,
-    )
+    payload = classify_payload_from_result(result, params=params)
     if args.json:
         print(dumps(payload))
         return 0
-    note = _certificate_note(res.certificate, res.states_explored == 0)
-    rows = {
-        "scenario": args.scenario,
-        "mode": "configuration",
-        "messages": len(bundle.messages),
-        "verdict": payload["verdict"],
-        "states explored": res.states_explored,
-    }
+
+    from repro.experiments import render_kv
+
+    detail = result.detail
+    if payload["mode"] == "cycle":
+        rows = {
+            "scenario": args.scenario,
+            "mode": "CDG cycle",
+            "cycle channels": detail["cycle_channels"],
+            "verdict": payload["verdict"],
+            "tilings tested": detail["tilings_tested"],
+            "scenarios tested": detail["scenarios_tested"],
+        }
+        title, searched = "cycle classification", detail["scenarios_tested"]
+    else:
+        rows = {
+            "scenario": args.scenario,
+            "mode": "configuration",
+            "messages": detail["messages"],
+            "verdict": payload["verdict"],
+            "states explored": detail["states_explored"],
+        }
+        title, searched = "configuration classification", detail["states_explored"]
+    note = _certificate_note(detail["certificate"], searched == 0)
     if note is not None:
         rows["certificate"] = note
-    print(render_kv(rows, title="configuration classification"))
+    print(render_kv(rows, title=title))
+    for line in payload.get("notes") or ():
+        print(f"  note: {line}")
     return 0
 
 
@@ -814,14 +730,6 @@ def _cmd_campaign_clean(args: argparse.Namespace) -> int:
     return 0
 
 
-#: task parameters that tune the *analysis*, not the scenario geometry --
-#: dropped when deriving lint targets from a campaign spec so each distinct
-#: construction is linted once
-_ANALYSIS_ONLY_PARAMS = frozenset(
-    {"max_states", "max_delay", "budget", "length_slack", "extra_copies",
-     "copy_depth", "max_cycles", "rate", "cycles", "length", "seed", "msgs"}
-)
-
 
 def _lint_one(scenario: str, params: dict, *, max_cycles: int):
     """Build one scenario and lint it (algorithm if exposed, else messages)."""
@@ -841,21 +749,25 @@ def _lint_one(scenario: str, params: dict, *, max_cycles: int):
 def _cmd_lint(args: argparse.Namespace) -> int:
     import json as _json
 
-    from repro.analysis.state import check_options
+    from repro.campaign.query import query_options
 
     if bool(args.scenario) == bool(args.all):
         print("lint: give exactly one of <scenario> or --all", file=sys.stderr)
         return 2
     try:
-        check_options(max_cycles=args.max_cycles)
+        query_options("lint", vars(args))
     except ValueError as exc:
         print(f"lint: {exc}", file=sys.stderr)
         return 2
 
     targets: list[tuple[str, dict]] = []
     if args.all:
+        from repro.campaign.query import ANALYSIS_OPTIONS
         from repro.campaign.specs import build_spec
 
+        # params that do not change the routing algorithm are dropped, so
+        # each distinct construction is linted once
+        dropped = ANALYSIS_OPTIONS | {"rate", "cycles", "length", "seed", "msgs"}
         seen: set[str] = set()
         for task in build_spec(args.spec):
             if task.scenario.startswith("debug-"):
@@ -863,7 +775,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             params = {
                 k: v
                 for k, v in task.params_dict().items()
-                if k not in _ANALYSIS_ONLY_PARAMS
+                if k not in dropped
             }
             key = _json.dumps([task.scenario, params], sort_keys=True, default=str)
             if key in seen:
@@ -952,18 +864,10 @@ def _cmd_client(args: argparse.Namespace) -> int:
             except _json.JSONDecodeError as exc:
                 print(f"client: --params is not valid JSON: {exc}", file=sys.stderr)
                 return 2
-            if cmd == "search":
-                knobs = {"budget": args.budget, "max_states": args.max_states}
-            elif cmd == "classify":
-                knobs = {
-                    "budget": args.budget,
-                    "max_states": args.max_states,
-                    "length_slack": args.length_slack,
-                    "extra_copies": args.extra_copies,
-                }
-            else:
-                knobs = {"max_cycles": args.max_cycles}
-            resp = getattr(client, cmd)(args.scenario, params, **knobs)
+            from repro.campaign.query import QUERY_OPTIONS
+
+            options = {k: getattr(args, k) for k in QUERY_OPTIONS[_QUERY_KINDS[cmd]]}
+            resp = getattr(client, cmd)(args.scenario, params, **options)
             if not resp.ok:
                 detail = (
                     resp.payload.get("error", "")
@@ -1011,13 +915,34 @@ def _cmd_client(args: argparse.Namespace) -> int:
     return 2  # pragma: no cover - argparse restricts choices
 
 
+#: the query command of each ``repro client`` subcommand -> its task kind
+_QUERY_KINDS = {"search": "reachability", "classify": "classify", "lint": "lint"}
+
+_OPTION_HELP = {
+    "budget": "per-message stall budget",
+    "max_states": "state-count cap per search",
+    "length_slack": "sweep message lengths up to this far above minimum",
+    "extra_copies": "cycle mode: also test up to this many duplicate messages",
+    "max_cycles": "cap on CDG cycle enumeration (truncation is itself reported)",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    from repro.campaign.query import QUERY_OPTIONS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduce Schwiebert (SPAA 1997): deadlock-free oblivious "
         "wormhole routing with cyclic dependencies.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_query_options(p: argparse.ArgumentParser, kind: str) -> None:
+        for name, default in QUERY_OPTIONS[kind].items():
+            p.add_argument(
+                "--" + name.replace("_", "-"), type=int, default=default,
+                help=f"{_OPTION_HELP[name]} (default {default:,})",
+            )
 
     def add_telemetry_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument(
@@ -1090,10 +1015,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--params", default="{}",
         help='scenario parameters as a JSON object, e.g. \'{"subset": ["M1"]}\'',
     )
-    p.add_argument("--budget", type=int, default=0, help="per-message stall budget")
-    p.add_argument(
-        "--max-states", type=int, default=4_000_000, help="state-count cap"
-    )
+    add_query_options(p, "reachability")
     p.add_argument(
         "--witness", action="store_true",
         help="reconstruct and print a replayable deadlock witness",
@@ -1118,18 +1040,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--params", default="{}",
         help='scenario parameters as a JSON object, e.g. \'{"n": 4}\'',
     )
-    p.add_argument("--budget", type=int, default=0, help="per-message stall budget")
-    p.add_argument(
-        "--length-slack", type=int, default=0,
-        help="sweep message lengths up to this far above minimum",
-    )
-    p.add_argument(
-        "--extra-copies", type=int, default=1,
-        help="cycle mode: also test up to this many duplicate messages",
-    )
-    p.add_argument(
-        "--max-states", type=int, default=2_000_000, help="per-search state cap"
-    )
+    add_query_options(p, "classify")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     add_telemetry_flags(p)
     p.set_defaults(fn=_cmd_classify)
@@ -1224,10 +1135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--verbose", action="store_true", help="print per-diagnostic evidence"
     )
-    p.add_argument(
-        "--max-cycles", type=int, default=10_000,
-        help="cap on CDG cycle enumeration (truncation is itself reported)",
-    )
+    add_query_options(p, "lint")
     add_telemetry_flags(p)
     p.set_defaults(fn=_cmd_lint)
 
@@ -1297,21 +1205,10 @@ def build_parser() -> argparse.ArgumentParser:
         )
         kp.set_defaults(fn=_cmd_client)
 
-    kp = ksub.add_parser("search", help="POST /v1/search")
-    add_client_scenario_args(kp)
-    kp.add_argument("--budget", type=int, default=0)
-    kp.add_argument("--max-states", type=int, default=4_000_000)
-
-    kp = ksub.add_parser("classify", help="POST /v1/classify")
-    add_client_scenario_args(kp)
-    kp.add_argument("--budget", type=int, default=0)
-    kp.add_argument("--max-states", type=int, default=2_000_000)
-    kp.add_argument("--length-slack", type=int, default=0)
-    kp.add_argument("--extra-copies", type=int, default=1)
-
-    kp = ksub.add_parser("lint", help="POST /v1/lint")
-    add_client_scenario_args(kp)
-    kp.add_argument("--max-cycles", type=int, default=10_000)
+    for cmd, kind in _QUERY_KINDS.items():
+        kp = ksub.add_parser(cmd, help=f"POST /v1/{cmd}")
+        add_client_scenario_args(kp)
+        add_query_options(kp, kind)
 
     kp = ksub.add_parser("campaign", help="POST /v1/campaign (run a whole spec)")
     kp.add_argument("--spec", default="quick")

@@ -2,8 +2,9 @@
 
 Layers, bottom up:
 
-* :mod:`repro.serve.payloads` -- the canonical verdict payload builders
-  shared with the CLI (the byte-identity contract);
+* :mod:`repro.serve.payloads` -- the verdict payload builders, one per
+  query command, over its task result; the CLI renders through them too
+  (the byte-identity contract);
 * :mod:`repro.serve.batcher` -- in-flight dedup and batching on one
   execution lane in front of :func:`~repro.campaign.runner.run_campaign`;
 * :mod:`repro.serve.server` -- the asyncio HTTP/JSON front
@@ -39,7 +40,6 @@ _EXPORTS = {
     "classify_payload_from_result": "payloads",
     "dumps": "payloads",
     "lint_payload_from_result": "payloads",
-    "search_payload": "payloads",
     "search_payload_from_result": "payloads",
 }
 
@@ -50,7 +50,6 @@ if TYPE_CHECKING:  # pragma: no cover - the static view of _EXPORTS
         classify_payload_from_result,
         dumps,
         lint_payload_from_result,
-        search_payload,
         search_payload_from_result,
     )
     from repro.serve.server import ApiError, ReproServer, ServeConfig

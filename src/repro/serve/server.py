@@ -19,9 +19,11 @@ verification queries become service calls:
                            span summaries)
 ========================== ===========================================
 
-Requests are validated against the task schema (registered scenario,
-JSON-object params, typed analysis knobs) and content-addressed with the
-existing ``task_hash``; answers come from the tiered cache when
+A request becomes a task through the builder ``repro search``/``classify``/
+``lint`` use (:func:`repro.campaign.query.query_task`: JSON-object params
+that name no analysis option, integer options in range), after a check
+that the scenario is registered, and is content-addressed with the
+task's ``task_hash``; answers come from the tiered cache when
 possible, otherwise through the :class:`~repro.serve.batcher.MicroBatcher`
 (in-flight dedup, so N concurrent identical cold queries execute exactly
 once, and one execution lane: misses that arrive while a batch runs form
@@ -64,6 +66,7 @@ from repro.campaign.cache import (
     make_backend,
 )
 from repro.campaign.ledger import CampaignSummary
+from repro.campaign.query import query_task
 from repro.campaign.runner import RunnerConfig
 from repro.campaign.scenarios import scenario_names
 from repro.campaign.specs import build_spec, spec_names
@@ -93,17 +96,6 @@ _REASONS = {
     502: "Bad Gateway",
     503: "Service Unavailable",
 }
-
-#: analysis knobs each endpoint accepts at the body's top level, with
-#: the CLI's defaults -- they merge into the task params (and therefore
-#: the content hash), so "same question" always means "same cache key"
-_KNOBS: dict[str, dict[str, int]] = {
-    "reachability": {"budget": 0, "max_states": 4_000_000},
-    "classify": {"budget": 0, "max_states": 2_000_000, "length_slack": 0,
-                 "extra_copies": 1},
-    "lint": {"max_cycles": 10_000},
-}
-
 
 class ApiError(Exception):
     """A structured 4xx/5xx reply."""
@@ -479,9 +471,9 @@ class ReproServer:
     # ------------------------------------------------------------------
     def _parse_task(
         self, body: dict[str, Any], *, kind: str
-    ) -> tuple[CampaignTask, dict[str, Any], dict[str, int]]:
-        """Validate a request against the task schema; returns
-        ``(task, scenario_params, knobs)``."""
+    ) -> tuple[CampaignTask, dict[str, Any]]:
+        """Validate a request and build its task (the CLI's builder);
+        returns ``(task, scenario_params)``."""
         scenario = body.get("scenario")
         if not isinstance(scenario, str) or scenario not in scenario_names():
             raise ApiError(
@@ -490,28 +482,11 @@ class ReproServer:
                 registered=list(scenario_names()),
             )
         params = body.get("params", {})
-        if not isinstance(params, dict):
-            raise ApiError(400, "params must be a JSON object")
-        knobs: dict[str, int] = {}
-        for knob, default in _KNOBS[kind].items():
-            value = body.get(knob, default)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ApiError(400, f"{knob} must be an integer, got {value!r}")
-            knobs[knob] = value
-        from repro.analysis.state import check_options
-
         try:
-            check_options(**knobs)
+            # the analysis options are top-level body keys
+            return query_task(kind, scenario, params, body), params
         except ValueError as exc:
             raise ApiError(400, str(exc)) from None
-        merged = {**params, **knobs}
-        try:
-            task = CampaignTask(
-                kind=kind, scenario=scenario, params=tuple(merged.items())
-            )
-        except (TypeError, ValueError) as exc:
-            raise ApiError(400, f"invalid task: {exc}") from None
-        return task, params, knobs
 
     async def _submit(
         self, task: CampaignTask, *, endpoint: str
@@ -554,23 +529,21 @@ class ReproServer:
 
     async def _h_search(self, req: _Request) -> tuple[int, Any, dict[str, str]]:
         body = req.json()
-        task, params, knobs = self._parse_task(body, kind="reachability")
+        task, params = self._parse_task(body, kind="reachability")
         result, source = await self._submit(task, endpoint="search")
-        payload = search_payload_from_result(
-            result, params=params, budget=knobs["budget"]
-        )
+        payload = search_payload_from_result(result, params=params)
         return 200, payload, _serve_headers(result, source)
 
     async def _h_classify(self, req: _Request) -> tuple[int, Any, dict[str, str]]:
         body = req.json()
-        task, params, _knobs = self._parse_task(body, kind="classify")
+        task, params = self._parse_task(body, kind="classify")
         result, source = await self._submit(task, endpoint="classify")
         payload = classify_payload_from_result(result, params=params)
         return 200, payload, _serve_headers(result, source)
 
     async def _h_lint(self, req: _Request) -> tuple[int, Any, dict[str, str]]:
         body = req.json()
-        task, params, _knobs = self._parse_task(body, kind="lint")
+        task, params = self._parse_task(body, kind="lint")
         result, source = await self._submit(task, endpoint="lint")
         payload = lint_payload_from_result(result, params=params)
         return 200, payload, _serve_headers(result, source)

@@ -66,6 +66,26 @@ def test_timeout_then_retry_exhaustion(tmp_path):
     assert summary.failed == 1 and not summary.all_expected
 
 
+def test_timed_out_task_does_not_keep_its_worker():
+    """Dropping a pool after a timeout stops its workers: the runaway task
+    does not keep its CPU (or the interpreter's exit) until it ends."""
+    import multiprocessing
+    import time
+
+    before = set(multiprocessing.active_children())
+    slow = CampaignTask.make("reachability", "debug-sleep", seconds=3)
+    t0 = time.perf_counter()
+    (res,), _ = run_campaign(
+        [slow], config=RunnerConfig(max_workers=2, task_timeout=0.2, retries=0)
+    )
+    assert "timeout" in res.error
+    left = set(multiprocessing.active_children()) - before
+    while left and time.perf_counter() - t0 < 1.5:
+        time.sleep(0.05)
+        left = set(multiprocessing.active_children()) - before
+    assert not left, left
+
+
 def test_flaky_task_succeeds_on_retry(tmp_path):
     token_dir = tmp_path / "tokens"
     token_dir.mkdir()

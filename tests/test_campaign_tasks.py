@@ -227,3 +227,44 @@ class TestCrossCheckKind:
             )
         )
         assert not res.ok and "messages" in res.error
+
+
+@pytest.mark.parametrize(
+    "task, wording",
+    [
+        (CampaignTask.make("reachability", "ring-cycle", n=4),
+         "scenario 'ring-cycle' exposes no message set"),
+        (CampaignTask.make("min_delay", "ring-cycle", n=4),
+         "scenario 'ring-cycle' exposes no message set"),
+        (CampaignTask.make("classify", "adaptive-mesh", dims=[3, 3], routing="escape"),
+         "scenario 'adaptive-mesh' exposes neither a CDG cycle nor a message set"),
+    ],
+    ids=["reachability", "min-delay", "classify"],
+)
+def test_no_verdict_over_no_messages(task, wording):
+    """A question about no messages has no answer: the task fails for good
+    (``final``: no retry, never cached) instead of certifying zero messages
+    deadlock-free."""
+    res = execute_task(task)
+    assert not res.ok and res.final, res
+    assert res.error == f"ValueError: {wording}"
+
+
+def test_reachability_witness_param_records_the_schedule():
+    """``witness`` reconstructs the deadlock schedule: its cycle count and
+    the lines of ``Witness.render()``; without it no witness is recorded."""
+    from repro.analysis import SystemSpec, search_deadlock
+    from repro.campaign.scenarios import build_scenario
+
+    params = {"d1": 3, "d2": 1, "hold": 3}
+    res = execute_task(CampaignTask.make("reachability", "fig2-pair", witness=True, **params))
+    assert res.ok and res.verdict == "deadlock"
+    spec = SystemSpec.uniform(build_scenario("fig2-pair", params).messages)
+    witness = search_deadlock(spec, find_witness=True).witness
+    assert res.detail["witness_cycles"] == witness.num_cycles
+    assert "\n".join(res.detail["witness_lines"]) == witness.render()
+    assert res.detail["messages"] == 2
+
+    plain = execute_task(CampaignTask.make("reachability", "fig2-pair", **params))
+    assert "witness_cycles" not in plain.detail
+    assert "witness_lines" not in plain.detail

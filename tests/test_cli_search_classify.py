@@ -133,6 +133,49 @@ def test_out_of_range_option_exits_2(argv, line, capsys, monkeypatch):
     assert captured.err.splitlines() == [line]
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["search", "ring-cycle", "--params", '{"n": 4}'],
+         "search: scenario 'ring-cycle' exposes no message set"),
+        (["classify", "adaptive-mesh", "--params", '{"dims": [3, 3], "routing": "escape"}'],
+         "classify: scenario 'adaptive-mesh' exposes neither a CDG cycle nor a message set"),
+        (["search", "fig1", "--params", '{"max_states": 1}'],
+         "search: params may not set the analysis option 'max_states'; it is not a "
+         "scenario parameter"),
+        (["classify", "fig1", "--params", '{"copy_depth": -1}'],
+         "classify: params may not set the analysis option 'copy_depth'; it is not a "
+         "scenario parameter"),
+        (["search", "fig1", "--params", '{"witness": true}'],
+         "search: params may not set the analysis option 'witness'; it is not a "
+         "scenario parameter"),
+    ],
+    ids=["search-no-messages", "classify-no-messages", "smuggled-max-states",
+         "smuggled-copy-depth", "smuggled-witness"],
+)
+def test_refused_query_is_one_line(argv, line, capsys):
+    """A query serve refuses is refused here too, with one ``<cmd>:`` line
+    and exit 2: both build and run the same task."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [line]
+
+
+def test_option_flags_come_from_the_query_table():
+    """``search``/``classify``/``lint`` and their ``client`` twins default
+    each option to the value serve assumes when a body leaves it out."""
+    from repro.campaign.query import QUERY_OPTIONS
+    from repro.cli import build_parser
+
+    parser = build_parser()
+    for cmd, kind in (("search", "reachability"), ("classify", "classify"),
+                      ("lint", "lint")):
+        for argv in ([cmd, "fig1"], ["client", cmd, "fig1"]):
+            args = vars(parser.parse_args(argv))
+            assert {k: args[k] for k in QUERY_OPTIONS[kind]} == QUERY_OPTIONS[kind]
+
+
 class _OutOfMemoryLib:
     """A stand-in compiled kernel whose every search reports RK_OOM after
     exploring 1234 states."""

@@ -77,7 +77,9 @@ class TestCampaignLintKind:
         # v6: configuration-mode classify results carry their certificate
         # v7: cycle-mode classify results carry the classifier's notes
         # v8: simulate results carry mean_latency/throughput unrounded
-        assert SCHEMA_VERSION == 8
+        # v9: message-less reachability/classify/min_delay tasks fail;
+        #     reachability takes a witness param
+        assert SCHEMA_VERSION == 9
 
     def test_lint_task_executes(self):
         task = CampaignTask.make(

@@ -277,6 +277,9 @@ def test_bad_params_and_knobs_are_400(server):
          "extra_copies"),
         ("/v1/lint", {"scenario": "fig1", "max_cycles": -1}, "max_cycles"),
         ("/v1/lint", {"scenario": "fig1", "max_cycles": 0}, "max_cycles"),
+        # an analysis option smuggled in as a scenario parameter
+        ("/v1/classify", {"scenario": "fig1", "params": {"copy_depth": -1}},
+         "copy_depth"),
     ]
     for path, body, option in bodies:
         resp = c._request("POST", path, body)
@@ -303,6 +306,30 @@ def test_state_cap_is_a_named_502_and_never_cached(client):
     assert status["batcher"]["executed_live"] == 2
     assert status["batcher"]["failures"] == 2
     assert status["batcher"]["cache_hits"] == 0
+
+
+@pytest.mark.parametrize(
+    "path, body, wording",
+    [
+        ("/v1/search", {"scenario": "ring-cycle", "params": {"n": 4}},
+         "scenario 'ring-cycle' exposes no message set"),
+        ("/v1/classify",
+         {"scenario": "adaptive-mesh", "params": {"dims": [3, 3], "routing": "escape"}},
+         "scenario 'adaptive-mesh' exposes neither a CDG cycle nor a message set"),
+    ],
+    ids=["search", "classify"],
+)
+def test_query_over_no_messages_is_refused_and_never_cached(server, path, body, wording):
+    """A scenario without a message set gets no verdict (not a certified
+    ``unreachable`` over zero messages), and the refusal is not cached:
+    a repeat runs live again."""
+    c = ServeClient(server.url)
+    for _ in range(2):
+        resp = c._request("POST", path, body)
+        assert resp.status == 502, resp.payload
+        assert wording in resp.payload["error"]
+    batcher = c.status().raise_for_status().payload["batcher"]
+    assert (batcher["executed_live"], batcher["cache_hits"]) == (2, 0)
 
 
 @pytest.mark.parametrize(
