@@ -7,7 +7,8 @@ Usage::
     python scripts/profile_hotpaths.py kernel   # fused compiled-loop engine
     python scripts/profile_hotpaths.py startup [-- <repro args>]
 
-Prints cProfile's top cumulative entries (``sim``/``search``), the
+Prints cProfile's top cumulative entries (``sim``/``search``; CI keeps
+the ``sim`` table in its ``bench-smoke`` artifact), the
 kernel engine's backend tier + throughput against the reference engine on
 the same search (``kernel``), or the import cost of one fresh ``python -m
 repro`` process (``startup``; default ``search fig1 --json``): self time
@@ -16,15 +17,17 @@ packages loaded.  Findings that shaped the code (recorded here so
 the next person doesn't re-derive them):
 
 * sim (west-first 8x8, rate 0.06: 1,138 messages, 605 cycles, 2,200
-  grant rounds): ~102 k `_request_next` calls but only 6,191 `route`
-  calls -- one per hop, since a blocked header reuses its candidates.
-  What remains is the first grant round of each cycle re-checking every
-  hard-blocked header (~170 per cycle at this load) against the owners of
-  its cached candidates: `_request_next` + `_grant_round` are ~2/3 of
-  the run.  Later rounds examine only woken headers and release passes
-  only moved messages, so `_cascade`/`_release_tail` (~11 k calls each)
-  and the per-cycle deadlock fixpoint (~10%) are minor.  Channel state
-  lives in dicts keyed by int cid; flits are ints.
+  grant rounds): 14,830 `_request_next` calls and 6,191 `route` calls --
+  one per hop, since a blocked header reuses its candidates.  Before
+  headers were parked, the first round of each cycle re-checked every
+  hard-blocked header and every due PENDING message whose injection
+  channel was held (~170 per cycle): 102 k `_request_next` calls, ~2/3 of
+  the run.  Now a header whose candidates are all held is parked until a
+  release wakes it, so the work left follows the flits that move:
+  `_cascade`/`_release_tail` (10,743 calls each), `_grant_round` and
+  `_request_next`, then `detect_deadlock` (605 calls over only the
+  parked ACTIVE headers, ~19 per cycle).  Channel state lives in dicts
+  keyed by int cid; flits are ints.
 * checker: dominated by `occupied_channels` tuple scans; states are plain
   tuples so hashing/dedup is cheap; successor generation allocates the
   option lists lazily per round.

@@ -47,7 +47,12 @@ from typing import TYPE_CHECKING, ContextManager
 from repro.campaign.cache import CacheBackend
 from repro.campaign.ledger import CampaignSummary, RunLedger
 from repro.campaign.progress import ProgressReporter
-from repro.campaign.tasks import CampaignTask, TaskResult, execute_task
+from repro.campaign.tasks import (
+    CampaignTask,
+    TaskResult,
+    execute_task,
+    import_runner_modules,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from concurrent.futures import ProcessPoolExecutor
@@ -142,8 +147,9 @@ class WorkerPool:
             # looked up at call time, so tests can stub the pool out
             import concurrent.futures
 
+            # workers import the analysis stack before their first task
             self._executor = concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.max_workers
+                max_workers=self.max_workers, initializer=import_runner_modules
             )
         return self._executor
 

@@ -85,7 +85,9 @@ def _fig1(p: dict[str, Any]) -> ScenarioBundle:
     cdn = build_cyclic_dependency_network()
     msgs = cdn.checker_messages()
     subset = p.get("subset")
-    if subset:
+    if subset is not None:
+        if not subset:
+            raise ValueError("fig1 subset names no message")
         wanted = {str(t) for t in subset}
         unknown = wanted - {m.tag for m in msgs}
         if unknown:

@@ -45,6 +45,7 @@ the parallel runner can ship tasks to worker processes.
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import time
 from dataclasses import dataclass, field
@@ -534,6 +535,27 @@ _KIND_RUNNERS = {
     "cross_check": _run_cross_check,
 }
 
+#: what the kind runners above and the scenario registry import on first
+#: use: a pool worker imports them at start-up (:func:`import_runner_modules`)
+#: instead of during its first task
+RUNNER_MODULES = (
+    "repro.campaign.scenarios",
+    "repro.analysis",
+    "repro.analysis.classify",
+    "repro.analysis.delay",
+    "repro.analysis.adaptive_state",
+    "repro.sim",
+    "repro.cdg",
+    "repro.lint",
+    "repro.lint.witness",
+)
+
+
+def import_runner_modules() -> None:
+    """Import :data:`RUNNER_MODULES` (a process pool's worker initializer)."""
+    for name in RUNNER_MODULES:
+        importlib.import_module(name)
+
 
 def execute_task(
     task: CampaignTask,
@@ -545,10 +567,11 @@ def execute_task(
     Never raises for task-level failures: the error is captured in the
     result (``ok=False``) so a single bad configuration cannot abort a
     thousand-task campaign.  A deterministic failure -- a hit state cap or
-    kernel memory exhaustion (:class:`SearchLimitExceeded`) or a rejected
-    parameter or option (``ValueError``) -- is marked ``final``, so the
-    runner does not retry it.  Infrastructure errors (pool breakage,
-    timeouts) are the runner's concern.
+    kernel memory exhaustion (:class:`SearchLimitExceeded`), a rejected
+    parameter or option (``ValueError``), or a scenario build that trips
+    over a bad parameter (``KeyError``, ``TypeError``) -- is marked
+    ``final``, so the runner does not retry it.  Infrastructure errors
+    (pool breakage, timeouts) are the runner's concern.
 
     The search engine is not a task parameter: the program picks it
     (:func:`repro.analysis.reachability.resolve_engine`), and the engines
@@ -568,8 +591,10 @@ def execute_task(
 
     p = task.params_dict()
     t0 = time.perf_counter()
+    built = False
     try:
         bundle = build_scenario(task.scenario, p)
+        built = True
         verdict, detail = _KIND_RUNNERS[task.kind](bundle, p)
         detail.update(bundle.detail)
         result = TaskResult(
@@ -598,7 +623,8 @@ def execute_task(
             verdict="error",
             ok=False,
             error=f"{type(exc).__name__}: {exc}",
-            final=isinstance(exc, (SearchLimitExceeded, ValueError)),
+            final=isinstance(exc, (SearchLimitExceeded, ValueError))
+            or (not built and isinstance(exc, (KeyError, TypeError))),
             wall_time=wall,
             worker=worker,
             expect=task.expect,

@@ -21,11 +21,14 @@ mirroring its data-structure choices, set iteration order included:
   follows that set's order whenever it is less than half the remaining
   graph (networkx's ``FilterAtlas``).
 * :func:`topological_order`: Kahn generations, as ``topological_sort``.
+
+:func:`shortest_cycle` names one cycle without enumerating any, for
+callers that need evidence of a cycle but not the list.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import defaultdict, deque
 from collections.abc import Callable, Hashable, Iterator
 
 from repro.cdg.graph import Adjacency, tarjan_sccs
@@ -63,6 +66,37 @@ def topological_order(adj: Adjacency) -> list[Hashable]:
 def is_acyclic(adj: Adjacency) -> bool:
     """True iff the directed graph has no cycle (self-loops count)."""
     return _generations(adj)[1]
+
+
+def shortest_cycle(adj: Adjacency) -> list[Hashable] | None:
+    """One shortest simple cycle as a node list, or None when acyclic.
+
+    A breadth-first search from every node, in node order, keeps the first
+    shortest cycle through it; O(V * (V + E)), with no enumeration.
+    """
+    best: list[Hashable] | None = None
+    for start in adj:
+        parent: dict[Hashable, Hashable] = {start: start}
+        depth = {start: 0}
+        frontier = deque([start])
+        while frontier:
+            u = frontier.popleft()
+            if best is not None and depth[u] + 1 >= len(best):
+                break  # nothing shorter through ``start``
+            if start in adj[u]:
+                cycle = [u]
+                while cycle[-1] != start:
+                    cycle.append(parent[cycle[-1]])
+                best = cycle[::-1]
+                break
+            for v in adj[u]:
+                if v not in parent:
+                    parent[v] = u
+                    depth[v] = depth[u] + 1
+                    frontier.append(v)
+        if best is not None and len(best) == 1:
+            break  # a self-loop
+    return best
 
 
 def _johnson(nbrs: Callable[[int], list[int]], start: int) -> Iterator[list[int]]:

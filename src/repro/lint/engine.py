@@ -98,6 +98,17 @@ class LintContext:
         return is_acyclic(self.cdg)
 
     @property
+    def needs_cycles(self) -> bool:
+        """Whether any rule needs the cycle list.
+
+        An adaptive target's certificate (CRT008, or CRT001 on the full
+        CDG) never reads it, so once that certificate decides the verdict
+        the CDG rules only need to know the CDG is cyclic.  An oblivious
+        target's certificate is built from the cycle list.
+        """
+        return not (self.is_adaptive and self.certificate() is not None)
+
+    @property
     def cycles(self) -> CycleEnumeration:
         if self._cycles is None:
             self._cycles = find_cycles(self.cdg, max_cycles=self.max_cycles)

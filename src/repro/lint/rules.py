@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
+from repro.cdg.cycles import shortest_cycle
 from repro.lint.diagnostics import DEADLOCK_FREE, REACHABLE_DEADLOCK, Diagnostic
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -374,22 +375,31 @@ def _prp_ici(ctx: "LintContext") -> list[Diagnostic]:
 def _cdg_cyclic(ctx: "LintContext") -> list[Diagnostic]:
     if ctx.cdg_acyclic:
         return []
-    cycles = ctx.cycles
-    shortest = min(cycles.cycles, key=len) if cycles.cycles else None
+    if ctx.needs_cycles:
+        cycles = ctx.cycles
+        shortest = min(cycles.cycles, key=len) if cycles.cycles else None
+        found = f"CDG has {len(cycles)}{'+' if cycles.truncated else ''} simple cycle(s)"
+        evidence = {
+            "num_cycles": len(cycles),
+            "truncated": cycles.truncated,
+            "shortest_cycle": list(shortest) if shortest is not None else None,
+        }
+    else:
+        found = "CDG is cyclic (cycles not enumerated: the certificate decides the verdict)"
+        evidence = {
+            "num_cycles": None,
+            "truncated": None,
+            "shortest_cycle": shortest_cycle(ctx.cdg.adj),
+        }
     return [
         Diagnostic(
             code="CDG001",
             severity="info",
             message=(
-                f"CDG has {len(cycles)}{'+' if cycles.truncated else ''} simple "
-                "cycle(s): Dally-Seitz does not apply; deadlock freedom, if any, "
+                f"{found}: Dally-Seitz does not apply; deadlock freedom, if any, "
                 "must come from unreachability"
             ),
-            evidence={
-                "num_cycles": len(cycles),
-                "truncated": cycles.truncated,
-                "shortest_cycle": list(shortest) if shortest is not None else None,
-            },
+            evidence=evidence,
         )
     ]
 
@@ -401,7 +411,7 @@ def _cdg_cyclic(ctx: "LintContext") -> list[Diagnostic]:
     paper_ref="analysis soundness (no silent truncation)",
 )
 def _cdg_truncated(ctx: "LintContext") -> list[Diagnostic]:
-    if not ctx.cycles.truncated:
+    if not ctx.needs_cycles or not ctx.cycles.truncated:
         return []
     return [
         Diagnostic(

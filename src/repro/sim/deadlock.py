@@ -78,32 +78,44 @@ def detect_deadlock(sim: "Simulator") -> DeadlockReport | None:
     Only messages that *hold at least one channel* (ACTIVE) can be
     deadlocked per Definition 6; a PENDING message blocked at injection
     merely waits, and the channel it waits on will be released unless its
-    owner is itself deadlocked.  Walks only the simulator's live messages:
-    finished and not-yet-due ones hold no wait.
+    owner is itself deadlocked.  Walks only the simulator's
+    :meth:`~repro.sim.engine.Simulator.blocked_headers`: every other
+    message moved, lost arbitration or was woken this cycle, or is not in
+    the network, and none of them can be in the fixpoint.
     """
     waits: dict[int, list[int]] = {}  # mid -> owners of every blocked candidate
-    for m in sim.live_messages():
-        if m.status is not MessageStatus.ACTIVE:
-            continue
+    for m in sim.blocked_headers():
         if m.blocked_candidates:
             cands = m.blocked_candidates
         elif m.blocked_on is not None:
             cands = [m.blocked_on]
         else:
             continue
+        mid = m.spec.mid
         owners = [sim.channel_owner(c) for c in cands]
-        if any(o is None or o == m.mid for o in owners):
+        if any(o is None or o == mid for o in owners):
             continue  # some candidate free (or self-held): not hard-blocked
-        waits[m.mid] = [o for o in owners if o is not None]
+        waits[mid] = owners
+    if not waits:
+        return None
 
+    # greatest fixpoint: drop every member waiting on a non-member, and
+    # then whoever waits on a dropped member
+    waiters_of: dict[int, list[int]] = {}
+    dropped = []
+    for mid, owners in waits.items():
+        for owner in owners:
+            if owner in waits:
+                waiters_of.setdefault(owner, []).append(mid)
+            else:
+                dropped.append(mid)
     S = set(waits)
-    changed = True
-    while changed:
-        changed = False
-        for mid in list(S):
-            if any(owner not in S for owner in waits[mid]):
-                S.discard(mid)
-                changed = True
+    S.difference_update(dropped)
+    while dropped:
+        for waiter in waiters_of.get(dropped.pop(), ()):
+            if waiter in S:
+                S.discard(waiter)
+                dropped.append(waiter)
     if not S:
         return None
     return DeadlockReport(cycle=sim.cycle, message_ids=tuple(sorted(S)))

@@ -28,7 +28,6 @@ by tests in ``tests/test_cross_validation.py``).
 
 from __future__ import annotations
 
-import bisect
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -146,24 +145,37 @@ class Simulator:
     """The wormhole engine.  One instance simulates one scenario.
 
     Per-cycle work is proportional to the messages that can act, not to
-    every message ever scheduled:
+    every message ever scheduled, nor to every message that waits:
 
-    * the *live list* holds the due PENDING, ACTIVE and DRAINING messages
-      in ``messages`` insertion order; messages join it from an
-      ``inject_time``-sorted queue when they fall due and leave it after
-      the fairness pass that follows their DELIVERED/FAILED transition;
-    * grant rounds after the first re-examine only the headers *woken* by
-      the previous round's release pass (a freed channel wakes every
-      header hard-blocked on it) -- any other header would recompute the
-      same blocked request;
+    * the *live list* holds the due PENDING, ACTIVE and DRAINING messages;
+      messages join it from an ``inject_time``-sorted queue when they fall
+      due and leave it at the end of the cycle in which they are
+      DELIVERED or FAILED;
+    * a header whose every candidate is held by another message is
+      *parked* (a PENDING message at injection included): it drops out of
+      the grant rounds, and its waiter entries on its candidates persist
+      across cycles.  The release of one of those candidates unparks it
+      into the next round, or into the next cycle's first round once the
+      cycle's rounds have ended.  An unreleased candidate keeps its owner
+      (owners change only by acquiring free channels, or by release), so
+      a parked header would recompute the same blocked request every round;
+    * the first round examines the live messages that are not parked
+      (kept incrementally); later rounds examine only the headers woken by
+      the previous round's release pass;
     * each release pass visits only the messages whose flits moved in
       that round, and the per-cycle ``sent``/``received`` reset only the
       queues flagged in the previous cycle;
+    * the fairness pass visits only the ACTIVE messages, and the deadlock
+      test only the parked ACTIVE headers (:meth:`blocked_headers`);
     * a header reuses its routed candidate list while its leading channel
       is unchanged (routing functions are pure maps ``R: C x N -> C``).
 
-    Every walk keeps insertion order, because random arbitration and the
-    trace hook observe it.
+    A message with stall entries is never parked: it is examined every
+    cycle, so its ``stalled`` events keep their order, and its waiter
+    entries last only for the cycle.
+
+    Every walk that can be observed keeps insertion order, because random
+    arbitration and the trace hook observe it.
     """
 
     def __init__(
@@ -211,15 +223,36 @@ class Simulator:
         #: not-yet-due messages, latest ``inject_time`` first (pop() is next)
         self._future = sorted(
             self.messages.values(),
-            key=lambda m: (m.spec.inject_time, self._pos[m.mid]),
+            key=lambda m: (m.spec.inject_time, self._pos[m.spec.mid]),
             reverse=True,
         )
-        self._live: list[MessageState] = []
+        #: position -> live message (due PENDING, ACTIVE, DRAINING)
+        self._live: dict[int, MessageState] = {}
+        #: positions of the messages that finished this cycle
+        self._leaving: list[int] = []
+        #: position -> live message that is not parked (first-round examine set)
+        self._ready: dict[int, MessageState] = {}
+        #: position -> ACTIVE message (the fairness pass's set)
+        self._active: dict[int, MessageState] = {}
+        #: position -> candidate list of a parked header (its parking token)
+        self._parked: dict[int, list[Channel]] = {}
+        #: position -> parked ACTIVE header (the deadlock test's set)
+        self._parked_headers: dict[int, MessageState] = {}
+        #: positions of the messages with stall entries: never parked
+        self._unparkable = (
+            frozenset(
+                p for mid, p in self._pos.items() if stalls.total_budget(mid)
+            )
+            if stalls is not None
+            else frozenset()
+        )
         self._finished = 0  # DELIVERED + FAILED
         #: queues whose sent/received flags were set this cycle
         self._flagged: list[_ChannelQueue] = []
-        #: cid -> (position, header) of the headers hard-blocked on it this cycle
-        self._waiters: dict[int, list[tuple[int, MessageState]]] = {}
+        #: cid -> (position, header, token) of the headers parked on it
+        self._waiters: dict[int, list[tuple[int, MessageState, list[Channel]]]] = {}
+        #: cid -> (position, header) of unparkable headers blocked on it this cycle
+        self._cycle_waiters: dict[int, list[tuple[int, MessageState]]] = {}
         #: position -> header to re-examine in the next grant round
         self._wake: dict[int, MessageState] = {}
         #: position -> message whose flits moved in the current round
@@ -242,14 +275,27 @@ class Simulator:
         Insertion-ordered.  Every other message is either not yet due or
         finished, holds no wait-for edge, and never acts again.
         """
-        return self._live
+        live = self._live
+        return [live[p] for p in sorted(live)]
+
+    def blocked_headers(self) -> list[MessageState]:
+        """The ACTIVE messages that can be in a deadlock.
+
+        The parked ACTIVE headers, plus the ACTIVE messages with stall
+        entries (never parked, and their blocked state may date from an
+        earlier cycle when they are stalled).  Any other ACTIVE header
+        moved, lost arbitration to a message that moved, or was woken by
+        a release this cycle, so it cannot be in the fixpoint.
+        """
+        headers = list(self._parked_headers.values())
+        if self._unparkable:
+            unparkable = self._unparkable
+            headers += [m for p, m in self._active.items() if p in unparkable]
+        return headers
 
     def _emit(self, kind: str, **data: object) -> None:
         if self.trace is not None:
             self.trace(self.cycle, kind, data)
-
-    def _stalled(self, m: MessageState) -> bool:
-        return self.stalls is not None and self.stalls.stalled(m.mid, self.cycle)
 
     def _admit_due(self) -> None:
         """Move messages whose injection time has come into the live list."""
@@ -257,12 +303,28 @@ class Simulator:
         cycle = self.cycle
         pos = self._pos
         while future and future[-1].spec.inject_time <= cycle:
-            bisect.insort(self._live, future.pop(), key=lambda m: pos[m.mid])
+            m = future.pop()
+            p = pos[m.spec.mid]
+            self._live[p] = m
+            self._ready[p] = m
+
+    def _finish(self, m: MessageState, p: int) -> None:
+        """Retire a DELIVERED or FAILED message.
+
+        It leaves the live list at the end of the cycle; its consecutive
+        wait ends now, as the fairness pass would end it.
+        """
+        self._finished += 1
+        self._leaving.append(p)
+        self._ready.pop(p, None)
+        self._active.pop(p, None)
+        self._routes.pop(m.spec.mid, None)
+        m._current_wait = 0
 
     def _fail(self, m: MessageState, kind: str) -> None:
         m.status = MessageStatus.FAILED
-        self._finished += 1
-        self._emit(kind, mid=m.mid)
+        self._finish(m, self._pos[m.spec.mid])
+        self._emit(kind, mid=m.spec.mid)
 
     # ------------------------------------------------------------------
     # one synchronous cycle
@@ -286,12 +348,12 @@ class Simulator:
             q.received = False
         self._flagged.clear()
         self._moved_this_cycle = False
-        self._waiters.clear()
+        self._cycle_waiters.clear()
         self._admit_due()
-        finished_before = self._finished
 
         acted: set[int] = set()  # header moved / stalled / lost this cycle
-        examine = self._live
+        ready = self._ready
+        examine = [ready[p] for p in sorted(ready)]
         first_round = True
         while True:
             moved_this_round = self._grant_round(examine, acted, first_round=first_round)
@@ -306,7 +368,9 @@ class Simulator:
             wake = self._wake
             examine = [wake[p] for p in sorted(wake)]
             wake.clear()
-        self._wake.clear()  # woken by the last release pass: the cycle is over
+        # woken by the last release pass: the cycle is over, and the woken
+        # headers are back in the next cycle's first round
+        self._wake.clear()
 
         if self.config.track_utilization:
             busy = self.stats.channel_busy_cycles
@@ -314,23 +378,22 @@ class Simulator:
                 if q.queue:
                     busy[q.channel.cid] = busy.get(q.channel.cid, 0) + 1
 
-        # fairness accounting (Assumption 5: starvation must be visible)
-        for m in self._live:
-            if m.status is MessageStatus.ACTIVE and m.blocked_on is not None:
+        # fairness accounting (Assumption 5: starvation must be visible);
+        # other messages never wait: PENDING and DRAINING ones keep a zero
+        # consecutive wait, which _finish and arrival set
+        for m in self._active.values():
+            if m.blocked_on is not None:
                 m.wait_cycles += 1
                 m._current_wait += 1
                 if m._current_wait > m.max_consecutive_wait:
                     m.max_consecutive_wait = m._current_wait
             else:
                 m._current_wait = 0
-        if self._finished != finished_before:
-            live = []
-            for m in self._live:
-                if m.status is MessageStatus.DELIVERED or m.status is MessageStatus.FAILED:
-                    self._routes.pop(m.mid, None)
-                else:
-                    live.append(m)
-            self._live = live
+        if self._leaving:
+            live = self._live
+            for p in self._leaving:
+                del live[p]
+            self._leaving.clear()
 
         if not self._moved_this_cycle:
             self._idle_cycles += 1
@@ -338,7 +401,7 @@ class Simulator:
             self._idle_cycles = 0
         self.cycle += 1
 
-    def _request_next(self, m: MessageState, in_channel, node, requests) -> None:
+    def _request_next(self, m: MessageState, p: int, in_channel, node, requests) -> None:
         """Compute the header's request (oblivious or adaptive) for a round.
 
         Oblivious functions have one next channel; adaptive functions
@@ -346,9 +409,11 @@ class Simulator:
         the header requests the first *free* candidate, blocking only when
         every candidate is held by another message (OR semantics).  A
         hard-blocked header is registered as a waiter on each candidate so
-        the release that frees one wakes it for the next round.
+        the release that frees one wakes it; it is parked unless it has
+        stall entries.
         """
-        mid = m.mid
+        spec = m.spec
+        mid = spec.mid
         route = self._routes.get(mid)
         if route is not None and route[0] is in_channel:
             cands = route[1]
@@ -356,9 +421,9 @@ class Simulator:
             try:
                 if self._adaptive:
                     adaptive = cast(AdaptiveRoutingFunction, self.routing)
-                    cands = adaptive.candidates(in_channel, node, m.spec.dst)
+                    cands = adaptive.candidates(in_channel, node, spec.dst)
                 else:
-                    cands = [self.routing.route(in_channel, node, m.spec.dst)]
+                    cands = [self.routing.route(in_channel, node, spec.dst)]
             except RoutingError:
                 self._fail(m, "routing_failed")
                 return
@@ -377,28 +442,42 @@ class Simulator:
         # all candidates held by other messages
         m.first_request_cycle.setdefault(usable[0].cid, self.cycle)
         m.blocked_on = usable[0]
-        m.blocked_candidates = list(usable)
-        entry = (self._pos[mid], m)
+        m.blocked_candidates = usable
+        if p in self._unparkable:
+            entry = (p, m)
+            cycle_waiters = self._cycle_waiters
+            for c in usable:
+                cycle_waiters.setdefault(c.cid, []).append(entry)
+            return
+        self._parked[p] = usable
+        del self._ready[p]
+        if m.status is MessageStatus.ACTIVE:
+            self._parked_headers[p] = m
+        parked_entry = (p, m, usable)
         waiters = self._waiters
         for c in usable:
-            waiters.setdefault(c.cid, []).append(entry)
+            waiters.setdefault(c.cid, []).append(parked_entry)
 
     def _grant_round(
         self, examine: list[MessageState], acted: set[int], *, first_round: bool
     ) -> bool:
         """One request/arbitrate/apply round; returns True if a header moved.
 
-        ``examine`` is the live list in the first round and the woken
-        headers afterwards, insertion-ordered either way.
+        ``examine`` is the unparked live list in the first round and the
+        woken headers afterwards, insertion-ordered either way.
         """
         requests: dict[int, list[MessageState]] = {}  # cid -> requesters
         arrivals: list[MessageState] = []
         drains: list[MessageState] = []
         movers: list[tuple[MessageState, Channel]] = []
         store_and_forward = self.config.switching == "store_and_forward"
+        pos = self._pos
+        stalls = self.stalls
+        cycle = self.cycle
 
         for m in examine:
-            mid = m.mid
+            spec = m.spec
+            mid = spec.mid
             if mid in acted:
                 continue
             status = m.status
@@ -408,12 +487,13 @@ class Simulator:
                     acted.add(mid)
                 continue
             if status is MessageStatus.PENDING:
-                if not self._stalled(m):  # live PENDING messages are due
-                    self._request_next(m, INJECT, m.spec.src, requests)
+                # live PENDING messages are due
+                if stalls is None or not stalls.stalled(mid, cycle):
+                    self._request_next(m, pos[mid], INJECT, spec.src, requests)
                 continue
             if status is not MessageStatus.ACTIVE:
                 continue
-            if self._stalled(m):
+            if stalls is not None and stalls.stalled(mid, cycle):
                 acted.add(mid)
                 self._emit("stalled", mid=mid)
                 continue
@@ -422,31 +502,30 @@ class Simulator:
                 # the whole packet must accumulate in the current queue
                 # before the header may move on (or be delivered)
                 lq = self._queues[leading.cid]
-                if len(lq.queue) < m.spec.length:
+                if len(lq.queue) < spec.length:
                     if first_round:  # this round's cascade may complete it
-                        self._wake[self._pos[mid]] = m
+                        self._wake[pos[mid]] = m
                     continue  # keep accumulating (cascade still runs)
             node = leading.dst
-            if node == m.spec.dst:
+            if node == spec.dst:
                 arrivals.append(m)
                 acted.add(mid)
                 continue
-            self._request_next(m, leading, node, requests)
+            self._request_next(m, pos[mid], leading, node, requests)
 
         for cid, reqs in requests.items():
             ch = self._queues[cid].channel
-            winner = self.arbitration.choose(ch, reqs, self.cycle) if len(reqs) > 1 else reqs[0]
+            winner = self.arbitration.choose(ch, reqs, cycle) if len(reqs) > 1 else reqs[0]
             if winner not in reqs:
                 raise RuntimeError("arbitration returned a non-requester")
             for m in reqs:
                 if m is winner:
                     m.blocked_on = None
                     movers.append((m, ch))
-                    acted.add(m.mid)
                 else:
                     # a loser cannot reach another channel this cycle
                     m.blocked_on = ch
-                    acted.add(m.mid)
+                acted.add(m.spec.mid)
             if len(reqs) > 1:
                 self.stats.arbitration_conflicts += 1
 
@@ -464,13 +543,13 @@ class Simulator:
             self._cascade(m)
 
         # data flits of messages whose header did not move still advance
-        # into any space the train has (only possible with buffer_depth > 1).
+        # into any space the train has (only possible with buffer_depth > 1);
+        # a message's cascade touches only its own queues, so order is free
         if first_round and self.config.buffer_depth > 1:
-            for m in self._live:
-                if (
-                    m.status is MessageStatus.ACTIVE
-                    and m.mid not in acted
-                    and not self._stalled(m)
+            for m in self._active.values():
+                mid = m.spec.mid
+                if mid not in acted and not (
+                    stalls is not None and stalls.stalled(mid, cycle)
                 ):
                     self._cascade(m)
 
@@ -482,7 +561,7 @@ class Simulator:
     def _apply_injection_acquire(self, m: MessageState, ch: Channel) -> None:
         q = self._queues[ch.cid]
         assert q.owner is None
-        q.owner = m.mid
+        q.owner = m.spec.mid
         q.queue.append(0)  # header flit index 0
         q.received = True
         self._flagged.append(q)
@@ -492,9 +571,10 @@ class Simulator:
         m.inject_cycle = self.cycle
         m.blocked_on = None
         m.blocked_candidates = []
+        self._active[self._pos[m.spec.mid]] = m
         self._moved_this_cycle = True
         self.stats.flit_moves += 1
-        self._emit("inject", mid=m.mid, channel=ch.cid)
+        self._emit("inject", mid=m.spec.mid, channel=ch.cid)
 
     def _apply_header_advance(self, m: MessageState, ch: Channel) -> None:
         leading = m.acquired[-1]
@@ -503,7 +583,7 @@ class Simulator:
         assert nq.owner is None and lq.queue and lq.queue[0] == 0
         flit = lq.queue.popleft()
         lq.sent = True
-        nq.owner = m.mid
+        nq.owner = m.spec.mid
         nq.queue.append(flit)
         nq.received = True
         self._flagged += (lq, nq)
@@ -512,7 +592,7 @@ class Simulator:
         m.blocked_candidates = []
         self._moved_this_cycle = True
         self.stats.flit_moves += 1
-        self._emit("advance", mid=m.mid, channel=ch.cid)
+        self._emit("advance", mid=m.spec.mid, channel=ch.cid)
 
     def _apply_front_consume(self, m: MessageState, *, arrival: bool) -> None:
         leading = m.acquired[-1]
@@ -527,9 +607,11 @@ class Simulator:
         if arrival:
             m.arrival_cycle = self.cycle
             m.status = MessageStatus.DRAINING
-            self._emit("arrive", mid=m.mid)
+            self._active.pop(self._pos[m.spec.mid])
+            m._current_wait = 0
+            self._emit("arrive", mid=m.spec.mid)
         else:
-            self._emit("consume", mid=m.mid)
+            self._emit("consume", mid=m.spec.mid)
 
     def _cascade(self, m: MessageState) -> None:
         """Slide the flit train forward one slot where space allows.
@@ -537,7 +619,7 @@ class Simulator:
         Every move of ``m``'s flits ends in a cascade, so this is where
         ``m`` is marked for the round's release pass.
         """
-        self._touched[self._pos[m.mid]] = m
+        self._touched[self._pos[m.spec.mid]] = m
         acq = m.acquired
         depth = self.config.buffer_depth
         queues = self._queues
@@ -570,9 +652,12 @@ class Simulator:
     def _release_tail(self, m: MessageState) -> None:
         """Release emptied channels whose tail flit has passed (Assumption 4).
 
-        A freed channel wakes the headers hard-blocked on it this cycle.
+        A freed channel wakes the headers still parked on it (an entry
+        whose token is not the header's current parking is stale) and the
+        unparkable headers blocked on it this cycle.
         """
-        tail_passed_injection = m.flits_injected == m.spec.length
+        spec = m.spec
+        tail_passed_injection = m.flits_injected == spec.length
         while m.acquired:
             back = m.acquired[0]
             q = self._queues[back.cid]
@@ -582,18 +667,25 @@ class Simulator:
             m.acquired.pop(0)
             waiters = self._waiters.pop(back.cid, None)
             if waiters:
-                self._wake.update(waiters)
-            self._emit("release", mid=m.mid, channel=back.cid)
-        if (
-            m.status is MessageStatus.DRAINING
-            and m.flits_consumed == m.spec.length
-        ):
+                parked = self._parked
+                for p, header, token in waiters:
+                    if parked.get(p) is token:
+                        del parked[p]
+                        self._parked_headers.pop(p, None)
+                        self._ready[p] = header
+                        self._wake[p] = header
+            if self._cycle_waiters:
+                waiters = self._cycle_waiters.pop(back.cid, None)
+                if waiters:
+                    self._wake.update(waiters)
+            self._emit("release", mid=spec.mid, channel=back.cid)
+        if m.status is MessageStatus.DRAINING and m.flits_consumed == spec.length:
             assert not m.acquired
             m.status = MessageStatus.DELIVERED
             m.done_cycle = self.cycle
-            self._finished += 1
+            self._finish(m, self._pos[spec.mid])
             self.stats.record_delivery(m)
-            self._emit("deliver", mid=m.mid)
+            self._emit("deliver", mid=spec.mid)
 
     # ------------------------------------------------------------------
     # run loop
@@ -663,7 +755,9 @@ class Simulator:
             if self._quiesced():
                 deadlock = DeadlockReport(
                     cycle=self.cycle,
-                    message_ids=tuple(m.mid for m in self._live if m.in_network),
+                    message_ids=tuple(
+                        m.spec.mid for m in self.live_messages() if m.in_network
+                    ),
                     kind="quiescence",
                 )
                 break

@@ -1,6 +1,12 @@
 """Runner: parallel/serial equivalence, timeout, retry, fallback, ledger."""
 
 import concurrent.futures
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +14,7 @@ from repro.campaign.cache import ResultCache
 from repro.campaign.ledger import RunLedger, read_ledger
 from repro.campaign.progress import ProgressReporter
 from repro.campaign.runner import RunnerConfig, run_campaign
-from repro.campaign.tasks import CampaignTask
+from repro.campaign.tasks import RUNNER_MODULES, CampaignTask
 
 
 def _small_battery() -> list[CampaignTask]:
@@ -133,6 +139,18 @@ def test_rejected_parameter_is_final():
     assert res.attempts == 1
 
 
+def test_failed_scenario_build_is_final():
+    """A build that trips over a bad parameter fails the same way every
+    time: reported at attempt 1, without the retry backoff."""
+    bad = CampaignTask.make("classify", "fig3-panel", panel="z")
+    config = RunnerConfig()
+    assert config.retries == 1
+    (res,), summary = run_campaign([bad], config=config)
+    assert not res.ok and res.final and res.error == "KeyError: 'z'"
+    assert res.attempts == 1
+    assert summary.wall_time < res.wall_time + config.backoff
+
+
 def test_retry_waves_share_one_pool(tmp_path):
     """A flaky task's retry wave runs on the first wave's worker pool."""
     token_dir = tmp_path / "tokens"
@@ -154,6 +172,37 @@ def test_retry_waves_share_one_pool(tmp_path):
         )
     assert res.ok and res.attempts == 2
     assert len(created) == 1
+
+
+def test_pool_workers_import_the_runners_before_their_first_task():
+    """A worker's first task does not pay the analysis-stack imports.
+
+    Run in a fresh interpreter that has imported only the runner, so the
+    forked workers cannot inherit the modules from the test process."""
+    code = textwrap.dedent(
+        """
+        import json, sys
+        from repro.campaign.runner import WorkerPool
+        from repro.campaign.tasks import RUNNER_MODULES
+
+        def loaded():
+            return [m for m in RUNNER_MODULES if m in sys.modules]
+
+        parent = loaded()
+        pool = WorkerPool(2)
+        worker = pool.get().submit(loaded).result(timeout=60)
+        pool.close()
+        print(json.dumps({"parent": parent, "worker": worker}))
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    seen = json.loads(out.stdout)
+    assert "repro.sim" not in seen["parent"]  # the check can fail
+    assert seen["worker"] == list(RUNNER_MODULES)
 
 
 def test_pool_unavailable_degrades_to_serial(monkeypatch):

@@ -26,7 +26,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cdg.cycles import is_acyclic, simple_cycles, topological_order
+from repro.cdg.cycles import is_acyclic, shortest_cycle, simple_cycles, topological_order
 from repro.cdg.graph import (
     DiGraph,
     bfs_distances,
@@ -184,6 +184,20 @@ def test_set_order_regressions(seed, kind):
     wholesale, its set order ignored, or its members added out of order."""
     _assert_same(sparse_graph(seed, kind))
     _assert_same_traversals(sparse_graph(seed, kind))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=digraphs())
+def test_shortest_cycle_is_a_shortest_networkx_cycle(pair):
+    ours, oracle = pair
+    cycle = shortest_cycle(ours.adj)
+    lengths = [len(c) for c in nx.simple_cycles(oracle)]
+    if not lengths:
+        assert cycle is None
+        return
+    assert len(cycle) == min(lengths)
+    assert len(set(cycle)) == len(cycle)
+    assert all(oracle.has_edge(u, cycle[(i + 1) % len(cycle)]) for i, u in enumerate(cycle))
 
 
 def test_self_loops_come_first_in_node_order():

@@ -47,6 +47,13 @@ class TestSearchCommand:
         assert payload["states_explored"] == 2336
         assert payload["witness_cycles"] is None
 
+    def test_empty_subset_is_refused(self, capsys):
+        # no messages to judge: not read as "all four messages"
+        assert main(["search", "fig1", "--params", '{"subset": []}']) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "search: fig1 subset names no message\n"
+
     def test_unknown_scenario_exits_2(self, capsys):
         assert main(["search", "no-such-scenario"]) == 2
         assert "unknown scenario" in capsys.readouterr().err

@@ -247,6 +247,51 @@ class TestCdgRules:
         assert rep.verdict == "reachable_deadlock"
 
 
+class TestCyclesWalked:
+    """An adaptive target decided by its certificate enumerates no cycles."""
+
+    @staticmethod
+    def _lint_counting(monkeypatch, alg):
+        from repro.cdg import cycles as cdg_cycles
+
+        walked = 0
+        real = cdg_cycles.simple_cycles
+
+        def counting(adj):
+            nonlocal walked
+            for cycle in real(adj):
+                walked += 1
+                yield cycle
+
+        monkeypatch.setattr(cdg_cycles, "simple_cycles", counting)
+        return lint_algorithm(alg), walked
+
+    def test_certified_adaptive_target_walks_no_cycles(self, monkeypatch):
+        from repro.cdg.adaptive import build_adaptive_cdg
+
+        alg = build_scenario("adaptive-mesh", {"dims": [3, 3], "routing": "escape"}).algorithm
+        rep, walked = self._lint_counting(monkeypatch, alg)
+        assert walked == 0
+        assert rep.verdict == "deadlock_free"
+        assert rep.certificate_diagnostic.code == "CRT008"
+        assert "CDG002" not in [d.code for d in rep.diagnostics]
+        (cdg1,) = [d for d in rep.diagnostics if d.code == "CDG001"]
+        assert cdg1.evidence["num_cycles"] is None
+        assert cdg1.evidence["truncated"] is None
+        # one shortest cycle: four channels around one mesh square
+        cycle = cdg1.evidence["shortest_cycle"]
+        assert len(cycle) == 4
+        adj = build_adaptive_cdg(alg.fn).adj
+        assert all(cycle[(i + 1) % 4] in adj[c] for i, c in enumerate(cycle))
+
+    def test_undecided_adaptive_target_still_enumerates(self, monkeypatch):
+        alg = build_scenario("adaptive-mesh", {"dims": [3, 3], "routing": "full"}).algorithm
+        rep, walked = self._lint_counting(monkeypatch, alg)
+        assert rep.verdict == "undecided"
+        (cdg1,) = [d for d in rep.diagnostics if d.code == "CDG001"]
+        assert cdg1.evidence["num_cycles"] == walked > 0
+
+
 # ----------------------------------------------------------------------
 # certificate exclusivity + spec-level lint
 # ----------------------------------------------------------------------

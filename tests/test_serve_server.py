@@ -316,8 +316,10 @@ def test_state_cap_is_a_named_502_and_never_cached(client):
         ("/v1/classify",
          {"scenario": "adaptive-mesh", "params": {"dims": [3, 3], "routing": "escape"}},
          "scenario 'adaptive-mesh' exposes neither a CDG cycle nor a message set"),
+        ("/v1/search", {"scenario": "fig1", "params": {"subset": []}},
+         "fig1 subset names no message"),
     ],
-    ids=["search", "classify"],
+    ids=["search", "classify", "empty-subset"],
 )
 def test_query_over_no_messages_is_refused_and_never_cached(server, path, body, wording):
     """A scenario without a message set gets no verdict (not a certified

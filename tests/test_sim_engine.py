@@ -303,3 +303,58 @@ class TestRouteReuse:
         for _ in range(5):
             sim.step()
         assert counting.calls == hops
+
+
+class TestParking:
+    """A hard-blocked header is re-examined only after a release wakes it."""
+
+    def test_request_calls_bounded_by_hops_losses_and_wakes(self):
+        from repro.routing import RoutingAlgorithm, west_first_mesh
+        from repro.sim import FifoArbitration
+        from repro.sim.traffic import uniform_random_traffic
+
+        net = mesh((8, 8))
+        fn = west_first_mesh(net)
+        specs = uniform_random_traffic(net, rate=0.06, cycles=120, length=4, seed=5)
+
+        class CountingFifo(FifoArbitration):
+            losses = 0
+
+            def choose(self, channel, requesters, cycle):
+                self.losses += len(requesters) - 1
+                return super().choose(channel, requesters, cycle)
+
+        wakes = 0
+
+        def on_event(cycle, kind, data):
+            # every header hard-blocked on the released channel may wake
+            nonlocal wakes
+            if kind == "release":
+                cid = data["channel"]
+                wakes += sum(
+                    1
+                    for m in sim.live_messages()
+                    if any(c.cid == cid for c in m.blocked_candidates)
+                )
+
+        arbitration = CountingFifo()
+        sim = Simulator(net, fn, specs, arbitration=arbitration, trace=on_event)
+        calls = 0
+        request_next = sim._request_next
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return request_next(*args)
+
+        sim._request_next = counting
+        res = sim.run()
+        assert res.completed
+        # contention happened: headers waited, lost arbitration, were woken
+        assert sum(m.wait_cycles for m in res.messages.values()) > 0
+        assert arbitration.losses > 0 and wakes > 0
+        # every request is a message's first try at a hop (the injection
+        # channel included), a retry the cycle after it lost arbitration,
+        # or a retry after a release woke it; a parked header costs nothing
+        hops = sum(len(RoutingAlgorithm(fn).path(s.src, s.dst)) for s in specs)
+        assert calls <= hops + arbitration.losses + wakes

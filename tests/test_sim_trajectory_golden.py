@@ -11,6 +11,11 @@ of the full observable trajectories:
 * final channel-queue owners and flit contents;
 * the complete stream of trace-hook events, in emission order.
 
+For the scenarios in ``PER_CYCLE`` the fixture's ``per_cycle`` entry also
+pins every cycle of the run: the report of the run loop's deadlock test
+after that cycle and the sum of ``wait_cycles`` over all messages.  These
+were recorded on the loop that visited every live message each cycle.
+
 Any optimisation of the run loop must leave all of them bit-identical.
 The matrix covers every branch of the loop: the campaign's traffic tasks,
 all four arbitration policies (random and round-robin carry state, so
@@ -35,6 +40,7 @@ import sys
 from collections.abc import Callable
 from pathlib import Path
 from typing import Any
+from unittest import mock
 
 import pytest
 
@@ -43,6 +49,7 @@ from repro.campaign.specs import traffic_tasks
 from repro.routing import clockwise_ring, dimension_order_mesh, west_first_mesh
 from repro.routing.adaptive import FullyAdaptiveMesh, duato_escape_mesh
 from repro.routing.base import RoutingError, RoutingFunction
+from repro.sim import engine as sim_engine
 from repro.sim import (
     AdversarialArbitration,
     FifoArbitration,
@@ -332,10 +339,56 @@ def fingerprint(build: Callable[[], dict[str, Any]]) -> dict[str, Any]:
     }
 
 
+def per_cycle(build: Callable[[], dict[str, Any]]) -> dict[str, Any]:
+    """Per-cycle deadlock verdicts and wait sums of one run.
+
+    Wraps the run loop's own call of ``detect_deadlock``, so the series
+    is what ``Simulator.run`` saw, cycle by cycle.
+    """
+    series: list[Any] = []
+    reports = 0
+    real = sim_engine.detect_deadlock
+
+    def recording(sim):
+        nonlocal reports
+        report = real(sim)
+        waited = sum(m.wait_cycles for m in sim.messages.values())
+        if report is None:
+            series.append([sim.cycle, waited, None])
+        else:
+            reports += 1
+            series.append([sim.cycle, waited, [report.kind, list(report.message_ids)]])
+        return report
+
+    kwargs = build()
+    sim = Simulator(kwargs.pop("network"), kwargs.pop("routing"), kwargs.pop("specs"), **kwargs)
+    with mock.patch.object(sim_engine, "detect_deadlock", recording):
+        sim.run()
+    return {
+        "cycles": len(series),
+        "deadlock_reports": reports,
+        "final_wait_cycles": series[-1][1] if series else 0,
+        "series_sha256": _digest(series),
+    }
+
+
 # ----------------------------------------------------------------------
 # the test
 # ----------------------------------------------------------------------
 SCENARIOS = scenarios()
+
+#: scenarios pinned cycle by cycle: the battery's two busiest traffic
+#: tasks, both adaptive routings, stall schedules and a run that keeps
+#: going after deadlock
+PER_CYCLE = (
+    "task:traffic(algorithm=dor,dims=(8, 8),rate=0.06):simulate",
+    "task:traffic(algorithm=west-first,dims=(8, 8),rate=0.06):simulate",
+    "mesh4-fully-adaptive",
+    "mesh4-fully-adaptive-light",
+    "mesh4-duato-escape",
+    "mesh4-stall-schedule",
+    "ring8-no-stop-on-deadlock",
+)
 
 
 @pytest.fixture(scope="module")
@@ -344,7 +397,8 @@ def golden() -> dict[str, Any]:
 
 
 def test_fixture_covers_every_scenario(golden):
-    assert sorted(golden) == sorted(SCENARIOS)
+    assert sorted(k for k in golden if k != "per_cycle") == sorted(SCENARIOS)
+    assert sorted(golden["per_cycle"]) == sorted(PER_CYCLE)
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -352,10 +406,18 @@ def test_trajectory_matches_golden(name, golden):
     assert fingerprint(SCENARIOS[name]) == golden[name]
 
 
+@pytest.mark.parametrize("name", PER_CYCLE)
+def test_per_cycle_matches_golden(name, golden):
+    assert per_cycle(SCENARIOS[name]) == golden["per_cycle"][name]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: test_sim_trajectory_golden.py --write")
     FIXTURE.parent.mkdir(exist_ok=True)
-    data = {name: fingerprint(build) for name, build in sorted(SCENARIOS.items())}
+    data: dict[str, Any] = {
+        name: fingerprint(build) for name, build in sorted(SCENARIOS.items())
+    }
+    data["per_cycle"] = {name: per_cycle(SCENARIOS[name]) for name in PER_CYCLE}
     FIXTURE.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(data)} scenarios to {FIXTURE}")
