@@ -9,8 +9,8 @@ fleet would:
 2.  identical repeat query (must be answered from cache, fast),
 3.  ``/v1/classify`` in cycle and configuration mode (must match
     ``classify --json`` bytes), a search over a scenario with no message
-    set (must be refused, not answered), ``/v1/lint`` and a small
-    ``/v1/campaign`` batch,
+    set (must be refused, not answered), ``/v1/lint`` (must match ``lint
+    --json`` bytes) and a small ``/v1/campaign`` batch,
 4.  ``/v1/events`` subscription -- every streamed event must validate
     against the telemetry schema,
 5.  ``/v1/status`` -- the hit rate must be nonzero by now,
@@ -116,7 +116,10 @@ def main() -> int:
             f"HTTP {refused.status}",
         )
         lint = client.lint("fig1").raise_for_status()
-        check("lint endpoint", "verdict" in lint.payload)
+        check(
+            "lint fig1 matches `lint fig1 --json` bytes",
+            lint.body.decode("utf-8") == cli_json("lint", "fig1"),
+        )
         camp = client.campaign("quick", limit=3).raise_for_status()
         check(
             "campaign endpoint runs the quick spec",

@@ -36,6 +36,7 @@ known; a killed campaign leaves a readable partial ledger behind.
 from __future__ import annotations
 
 import os
+import signal
 import time
 from concurrent.futures import BrokenExecutor, Future
 from concurrent.futures import TimeoutError as FuturesTimeoutError
@@ -111,6 +112,15 @@ def _pool_worker(payload: dict, trace_carrier: str | None = None) -> dict:
         return execute_task(task, worker=f"pid{os.getpid()}").to_json()
 
 
+def _start_worker() -> None:
+    """A pool worker's initializer.  SIGTERM goes back to its default: a
+    worker forked from ``repro serve`` inherits the server's handler and
+    wakeup fd, so a terminate() would stop the server, not the worker."""
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    import_runner_modules()
+
+
 def _infra_failure(task: CampaignTask, error: str) -> TaskResult:
     return TaskResult(
         task_hash=task.task_hash,
@@ -149,7 +159,7 @@ class WorkerPool:
 
             # workers import the analysis stack before their first task
             self._executor = concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.max_workers, initializer=import_runner_modules
+                max_workers=self.max_workers, initializer=_start_worker
             )
         return self._executor
 

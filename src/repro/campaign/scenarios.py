@@ -97,9 +97,13 @@ def _fig1(p: dict[str, Any]) -> ScenarioBundle:
     if extra:
         msgs = [CheckerMessage(m.path, m.length + extra, m.tag) for m in msgs]
     if p.get("with_copies"):
+        by_tag = {m.tag: m for m in msgs}
+        for tag in ("M2", "M4"):
+            if tag not in by_tag:
+                raise ValueError(f"fig1 with_copies needs message {tag}, not in the subset")
         msgs = msgs + [
-            CheckerMessage(msgs[1].path, msgs[1].length, "M2copy"),
-            CheckerMessage(msgs[3].path, msgs[3].length, "M4copy"),
+            CheckerMessage(by_tag[tag].path, by_tag[tag].length, f"{tag}copy")
+            for tag in ("M2", "M4")
         ]
     return ScenarioBundle(messages=msgs, algorithm=cdn.algorithm)
 

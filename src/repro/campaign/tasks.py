@@ -20,7 +20,7 @@ A :class:`CampaignTask` names *what* to verify -- a registered scenario
 ``lint``
     the static deadlock linter (:func:`repro.lint.lint_algorithm` /
     :func:`repro.lint.lint_messages`): rule diagnostics plus at most one
-    search-free certificate verdict;
+    search-free certificate verdict, with the whole report in the detail;
 ``adaptive``
     exhaustive adaptive-routing search
     (:func:`repro.analysis.adaptive_state.search_adaptive_deadlock`) over
@@ -52,10 +52,12 @@ from dataclasses import dataclass, field
 from typing import Any
 
 #: bump when the result payload or task semantics change; salts the cache key
-#: (v9: a ``reachability``, ``classify`` or ``min_delay`` task over a
-#: scenario with no message set fails instead of answering over zero
-#: messages; ``reachability`` takes a ``witness`` param, and it and
-#: ``classify`` record the ``messages`` or ``cycle_channels`` they judged;
+#: (v10: a ``lint`` result's detail carries the whole report, its target
+#: named as ``repro lint`` names it; v9: a ``reachability``, ``classify``
+#: or ``min_delay`` task over a scenario with no message set fails instead
+#: of answering over zero messages; ``reachability`` takes a ``witness``
+#: param, and it and ``classify`` record the ``messages`` or
+#: ``cycle_channels`` they judged;
 #: v8: ``simulate`` results carry ``mean_latency`` and ``throughput``
 #: unrounded, so the V1 table rounds them once; v7: cycle-mode
 #: ``classify`` results carry the classifier's ``notes``,
@@ -70,7 +72,7 @@ from typing import Any
 #: certificate-decided reachability and classify tasks report
 #: ``states_explored``/``scenarios_tested`` of 0 and a ``certificate``
 #: detail; new ``lint`` kind)
-SCHEMA_VERSION = 9
+SCHEMA_VERSION = 10
 
 ANALYSIS_KINDS = (
     "reachability",
@@ -440,23 +442,28 @@ def _run_cdg(bundle, p: dict[str, Any]) -> tuple[str, dict[str, Any]]:
 
 
 def _run_lint(bundle, p: dict[str, Any]) -> tuple[str, dict[str, Any]]:
+    """Lint the bundle's algorithm, else its messages, as target
+    ``scenario(k=v,...)`` over the sorted scenario params (no analysis
+    options); the detail carries the whole report's JSON."""
+    from repro.campaign.query import ANALYSIS_OPTIONS
     from repro.lint import lint_algorithm, lint_messages
 
+    ps = ",".join(
+        f"{k}={v}" for k, v in sorted(p.items()) if k not in ANALYSIS_OPTIONS
+    )
+    target = f"{bundle.name}({ps})" if ps else bundle.name
     if bundle.algorithm is not None:
         report = lint_algorithm(
-            bundle.algorithm, max_cycles=int(p.get("max_cycles", 10_000))
+            bundle.algorithm, name=target, max_cycles=int(p.get("max_cycles", 10_000))
         )
     elif bundle.messages:
-        report = lint_messages(bundle.messages, budget=int(p.get("budget", 0)))
+        report = lint_messages(bundle.messages, budget=int(p.get("budget", 0)), name=target)
     else:
         raise ValueError("scenario exposes neither an algorithm nor messages to lint")
     cert_diag = report.certificate_diagnostic
     return report.verdict, {
         "certificate": None if cert_diag is None else cert_diag.code,
-        "max_severity": report.max_severity,
-        "diagnostics": sorted(d.code for d in report.diagnostics),
-        "errors": len(report.errors),
-        "rules_run": len(report.rules_run),
+        "report": report.to_json(),
     }
 
 

@@ -731,33 +731,19 @@ def _cmd_campaign_clean(args: argparse.Namespace) -> int:
 
 
 
-def _lint_one(scenario: str, params: dict, *, max_cycles: int):
-    """Build one scenario and lint it (algorithm if exposed, else messages)."""
-    from repro.campaign.scenarios import build_scenario
-    from repro.lint import lint_algorithm, lint_messages
-
-    bundle = build_scenario(scenario, params)
-    ps = ",".join(f"{k}={v}" for k, v in sorted(params.items()))
-    target = f"{scenario}({ps})" if ps else scenario
-    if bundle.algorithm is not None:
-        return lint_algorithm(bundle.algorithm, name=target, max_cycles=max_cycles)
-    if bundle.messages:
-        return lint_messages(bundle.messages, name=target)
-    raise ValueError(f"scenario {scenario!r} exposes nothing to lint")
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
+    """Lint one scenario, or each distinct construction of ``--spec``,
+    through its campaign ``lint`` task; every output is rendered from the
+    tasks' report JSON."""
     import json as _json
 
-    from repro.campaign.query import query_options
+    from repro.campaign.query import query_task
+    from repro.campaign.tasks import execute_task
+    from repro.lint.diagnostics import render_report
+    from repro.serve.payloads import dumps
 
     if bool(args.scenario) == bool(args.all):
         print("lint: give exactly one of <scenario> or --all", file=sys.stderr)
-        return 2
-    try:
-        query_options("lint", vars(args))
-    except ValueError as exc:
-        print(f"lint: {exc}", file=sys.stderr)
         return 2
 
     targets: list[tuple[str, dict]] = []
@@ -788,16 +774,21 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             return 2
         targets.append((args.scenario, params))
 
+    try:
+        tasks = [query_task("lint", scenario, params, vars(args))
+                 for scenario, params in targets]
+    except ValueError as exc:
+        print(f"lint: {exc}", file=sys.stderr)
+        return 2
     reports = []
-    exit_code = 0
-    for scenario, params in targets:
-        try:
-            report = _lint_one(scenario, params, max_cycles=args.max_cycles)
-        except Exception as exc:  # noqa: BLE001 - reported, drives exit code
-            print(f"lint {scenario}{params}: build failed: {exc}", file=sys.stderr)
+    for (scenario, params), task in zip(targets, tasks):
+        result = execute_task(task)
+        if not result.ok:
+            # execute_task reports "<exception type>: <message>"
+            print(f"lint {scenario}{params}: build failed: "
+                  f"{(result.error or '').partition(': ')[2]}", file=sys.stderr)
             return 2
-        reports.append(report)
-        exit_code = max(exit_code, report.exit_code)
+        reports.append(result.detail["report"])
 
     if getattr(args, "sarif", None):
         from pathlib import Path
@@ -809,20 +800,19 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         print(f"wrote SARIF log ({len(log['runs'][0]['results'])} results) "
               f"to {args.sarif}", file=sys.stderr)
 
+    errors = sum(d["severity"] == "error" for r in reports for d in r["diagnostics"])
     if args.json:
-        payload = [r.to_json() for r in reports]
-        print(_json.dumps(payload[0] if not args.all else payload, indent=2))
+        print(dumps(reports if args.all else reports[0]))
     else:
         for report in reports:
-            print(report.render(verbose=args.verbose))
+            print(render_report(report, verbose=args.verbose))
         if args.all:
-            decided = sum(1 for r in reports if r.verdict != "undecided")
-            errors = sum(len(r.errors) for r in reports)
+            decided = sum(r["verdict"] != "undecided" for r in reports)
             print(
                 f"\n{len(reports)} targets linted: {decided} certificate-decided, "
                 f"{errors} error-severity finding(s)"
             )
-    return exit_code
+    return 1 if errors else 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -876,9 +866,8 @@ def _cmd_client(args: argparse.Namespace) -> int:
                 )
                 print(f"client {cmd}: HTTP {resp.status}: {detail}", file=sys.stderr)
                 return 1 if resp.status >= 500 else 2
-            # the raw response body: for `search` and `classify`,
-            # byte-identical to the local `--json` output; lint keeps the
-            # campaign's shape
+            # the raw response body: byte-identical to the local `--json`
+            # output
             sys.stdout.write(resp.body.decode("utf-8"))
             if args.show_source:
                 print(f"source: {resp.source} ({resp.task_hash})", file=sys.stderr)

@@ -13,7 +13,9 @@ A :class:`LintReport` is the outcome of one lint run: the diagnostics, the
 rules that ran, and at most one *certificate* -- a static verdict strong
 enough to replace the reachability search (``DEADLOCK_FREE`` from
 Dally--Seitz acyclicity, ``REACHABLE_DEADLOCK`` from the Section 5
-corollaries / theorem constructions).
+corollaries / theorem constructions).  Its JSON form, which the campaign
+``lint`` task carries, is the one every lint output is computed from:
+:func:`render_report` renders its text.
 """
 
 from __future__ import annotations
@@ -81,10 +83,6 @@ class Diagnostic:
             "evidence": {k: jsonable(v) for k, v in self.evidence.items()},
             "certificate": self.certificate,
         }
-
-    def render(self) -> str:
-        cert = f"  [certificate: {self.certificate}]" if self.certificate else ""
-        return f"{self.code} {self.severity}: {self.message}{cert}"
 
 
 @dataclass
@@ -157,14 +155,19 @@ class LintReport:
             "diagnostics": [d.to_json() for d in self.diagnostics],
         }
 
-    def render(self, *, verbose: bool = False) -> str:
-        lines = [f"lint {self.target}: verdict={self.verdict}"
-                 f" ({len(self.diagnostics)} finding"
-                 f"{'s' if len(self.diagnostics) != 1 else ''},"
-                 f" {len(self.rules_run)} rules run)"]
-        for d in self.diagnostics:
-            lines.append("  " + d.render())
-            if verbose and d.evidence:
-                for k, v in d.evidence.items():
-                    lines.append(f"      {k}: {jsonable(v)}")
-        return "\n".join(lines)
+
+def render_report(report: Mapping[str, Any], *, verbose: bool = False) -> str:
+    """The text form of one report's JSON (:meth:`LintReport.to_json`):
+    a verdict line, then one line per diagnostic, each followed by its
+    evidence when ``verbose``."""
+    diagnostics = report["diagnostics"]
+    lines = [f"lint {report['target']}: verdict={report['verdict']}"
+             f" ({len(diagnostics)} finding"
+             f"{'s' if len(diagnostics) != 1 else ''},"
+             f" {len(report['rules_run'])} rules run)"]
+    for d in diagnostics:
+        cert = f"  [certificate: {d['certificate']}]" if d["certificate"] else ""
+        lines.append(f"  {d['code']} {d['severity']}: {d['message']}{cert}")
+        if verbose:
+            lines.extend(f"      {k}: {v}" for k, v in d["evidence"].items())
+    return "\n".join(lines)

@@ -1,6 +1,7 @@
 """SARIF 2.1.0 export for lint reports (``repro lint --sarif``).
 
-Lowers :class:`~repro.lint.diagnostics.LintReport` objects to a single
+Lowers lint reports, in their JSON form
+(:meth:`~repro.lint.diagnostics.LintReport.to_json`), to a single
 `SARIF <https://docs.oasis-open.org/sarif/sarif/v2.1.0/sarif-v2.1.0.html>`_
 log so CI systems and editors can annotate lint targets.  One run per
 log; one result per diagnostic; rule metadata (title, severity, paper
@@ -15,9 +16,8 @@ lint CLI's exit-code criterion.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Mapping, Sequence
 
-from repro.lint.diagnostics import LintReport, jsonable
 from repro.lint.rules import get_rule
 
 SARIF_VERSION = "2.1.0"
@@ -68,31 +68,29 @@ def _rule_entry(code: str, help_base: str) -> dict[str, Any]:
 
 
 def sarif_log(
-    reports: Sequence[LintReport], *, help_base: str = HELP_BASE
+    reports: Sequence[Mapping[str, Any]], *, help_base: str = HELP_BASE
 ) -> dict[str, Any]:
     """One SARIF 2.1.0 log covering every report's diagnostics."""
-    codes = sorted({d.code for report in reports for d in report.diagnostics})
+    codes = sorted({d["code"] for report in reports for d in report["diagnostics"]})
     results: list[dict[str, Any]] = []
     for report in reports:
-        for diag in report.diagnostics:
+        for diag in report["diagnostics"]:
             result: dict[str, Any] = {
-                "ruleId": diag.code,
-                "level": LEVELS[diag.severity],
-                "message": {"text": diag.message},
+                "ruleId": diag["code"],
+                "level": LEVELS[diag["severity"]],
+                "message": {"text": diag["message"]},
                 "locations": [
                     {
                         "logicalLocations": [
-                            {"name": report.target, "kind": "module"}
+                            {"name": report["target"], "kind": "module"}
                         ]
                     }
                 ],
                 "properties": {
-                    "target": report.target,
-                    "verdict": report.verdict,
-                    "certificate": diag.certificate,
-                    "evidence": {
-                        k: jsonable(v) for k, v in diag.evidence.items()
-                    },
+                    "target": report["target"],
+                    "verdict": report["verdict"],
+                    "certificate": diag["certificate"],
+                    "evidence": diag["evidence"],
                 },
             }
             results.append(result)

@@ -39,7 +39,6 @@ _EXPORTS = {
     "ServeResponse": "client",
     "classify_payload_from_result": "payloads",
     "dumps": "payloads",
-    "lint_payload_from_result": "payloads",
     "search_payload_from_result": "payloads",
 }
 
@@ -49,7 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover - the static view of _EXPORTS
     from repro.serve.payloads import (
         classify_payload_from_result,
         dumps,
-        lint_payload_from_result,
         search_payload_from_result,
     )
     from repro.serve.server import ApiError, ReproServer, ServeConfig

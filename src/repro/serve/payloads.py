@@ -1,13 +1,14 @@
 """Verdict payloads of the query commands, built from their task results.
 
-A ``/v1/search`` (or ``/v1/classify``) response body and the output of
-``python -m repro search ... --json`` (or ``classify ... --json``) are
-*byte-identical*: same keys, same order, same serialisation.  That holds
-by construction: both sides answer the query through the same campaign
-task (:func:`repro.campaign.query.query_task`) and render its
-:class:`~repro.campaign.tasks.TaskResult` through the one builder of
-their command here.  ``/v1/lint`` has a builder of its own; ``repro lint
---json`` prints the full lint report instead.
+A ``/v1/search``, ``/v1/classify`` or ``/v1/lint`` response body and the
+output of ``python -m repro search ... --json`` (``classify ... --json``,
+``lint ... --json``) are *byte-identical*: same keys, same order, same
+serialisation.  That holds by construction: both sides answer the query
+through the same campaign task (:func:`repro.campaign.query.query_task`)
+and render its :class:`~repro.campaign.tasks.TaskResult` the same way:
+``search`` and ``classify`` through the one builder of their command
+here, ``lint`` as the lint report its result carries
+(``detail["report"]``).
 
 Every builder takes a task result and returns a plain ordered dict;
 :func:`dumps` is the one serialisation (``json.dumps(..., indent=2)``)
@@ -87,19 +88,3 @@ def classify_payload_from_result(
         "certificate": detail.get("certificate"),
     }
 
-
-def lint_payload_from_result(
-    result: TaskResult, *, params: dict[str, Any]
-) -> dict[str, Any]:
-    """The ``/v1/lint`` payload from a campaign ``lint`` result."""
-    detail = result.detail
-    return {
-        "scenario": result.scenario,
-        "params": params,
-        "verdict": result.verdict,
-        "certificate": detail.get("certificate"),
-        "max_severity": detail.get("max_severity"),
-        "diagnostics": detail.get("diagnostics"),
-        "errors": detail.get("errors"),
-        "rules_run": detail.get("rules_run"),
-    }

@@ -6,8 +6,10 @@ verification queries become service calls:
 ========================== ===========================================
 ``POST /v1/search``        deadlock reachability for one scenario;
                            byte-identical to ``repro search --json``
-``POST /v1/classify``      full-adversary classification
-``POST /v1/lint``          static linter verdict + diagnostics
+``POST /v1/classify``      full-adversary classification;
+                           byte-identical to ``repro classify --json``
+``POST /v1/lint``          the static linter's report; byte-identical
+                           to ``repro lint --json``
 ``POST /v1/campaign``      run a whole spec (optionally one shard)
                            through the batcher; returns the summary
 ``GET  /v1/status``        server / batcher / per-tier cache stats,
@@ -48,6 +50,7 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import signal
 import threading
 import time
 from collections import Counter
@@ -75,7 +78,6 @@ from repro.serve.batcher import MicroBatcher
 from repro.serve.payloads import (
     classify_payload_from_result,
     dumps,
-    lint_payload_from_result,
     search_payload_from_result,
 )
 
@@ -298,6 +300,11 @@ class ReproServer:
 
     async def run_async(self, announce: Callable[[str], None] | None = None) -> None:
         await self.start()
+        assert self._stop is not None
+        if threading.current_thread() is threading.main_thread():
+            # SIGTERM takes SIGINT's way out: through stop(), which also
+            # shuts the worker pool down; closing the loop removes the handler
+            asyncio.get_running_loop().add_signal_handler(signal.SIGTERM, self._stop.set)
         try:
             if announce is not None:
                 announce(
@@ -306,7 +313,6 @@ class ReproServer:
                     f"hot tier: {self.config.hot_capacity}, "
                     f"jobs: {self.config.jobs})"
                 )
-            assert self._stop is not None
             await self._stop.wait()
         finally:
             await self.stop()
@@ -543,10 +549,9 @@ class ReproServer:
 
     async def _h_lint(self, req: _Request) -> tuple[int, Any, dict[str, str]]:
         body = req.json()
-        task, params = self._parse_task(body, kind="lint")
+        task, _ = self._parse_task(body, kind="lint")
         result, source = await self._submit(task, endpoint="lint")
-        payload = lint_payload_from_result(result, params=params)
-        return 200, payload, _serve_headers(result, source)
+        return 200, result.detail["report"], _serve_headers(result, source)
 
     async def _h_campaign(self, req: _Request) -> tuple[int, Any, None]:
         body = req.json()

@@ -151,6 +151,59 @@ def test_failed_scenario_build_is_final():
     assert summary.wall_time < res.wall_time + config.backoff
 
 
+def test_fig1_copies_outside_the_subset_are_final():
+    """``with_copies`` over a ``subset`` without M2 or M4 is refused by
+    name at attempt 1, not retried as an index error."""
+    bad = CampaignTask.make(
+        "reachability", "fig1", subset=("M1", "M2"), with_copies=True
+    )
+    (res,), _ = run_campaign([bad], config=RunnerConfig())
+    assert not res.ok and res.final and res.attempts == 1
+    assert res.error == "ValueError: fig1 with_copies needs message M4, not in the subset"
+
+
+def test_fig1_copies_are_picked_by_tag():
+    from repro.campaign.scenarios import build_scenario
+
+    msgs = build_scenario("fig1", {"subset": ["M4", "M2"], "with_copies": True}).messages
+    by_tag = {m.tag: m for m in msgs}
+    assert [m.tag for m in msgs] == ["M2", "M4", "M2copy", "M4copy"]
+    for tag in ("M2", "M4"):
+        assert by_tag[f"{tag}copy"].path == by_tag[tag].path
+
+
+def test_discard_terminates_workers_under_a_sigterm_handler():
+    """A pool forked by a process whose event loop handles SIGTERM (as
+    ``repro serve``'s does) still terminates its workers on discard(),
+    and the parent's handler does not fire for them."""
+    import asyncio
+    import signal
+    import time
+
+    from repro.campaign.runner import WorkerPool
+
+    async def run():
+        loop = asyncio.get_running_loop()
+        fired = asyncio.Event()
+        loop.add_signal_handler(signal.SIGTERM, fired.set)
+        pool = WorkerPool(1)
+        try:
+            executor = pool.get()
+            executor.submit(os.getpid).result(timeout=60)  # the worker is up
+            (worker,) = executor._processes.values()
+            executor.submit(time.sleep, 60)
+            time.sleep(0.5)  # the worker is busy with it: only a signal ends it
+            pool.discard()
+            worker.join(10)
+            await asyncio.sleep(0.2)  # a stray wakeup byte would be read by now
+            return worker.exitcode, fired.is_set()
+        finally:
+            loop.remove_signal_handler(signal.SIGTERM)
+            pool.close()
+
+    assert asyncio.run(run()) == (-signal.SIGTERM, False)
+
+
 def test_retry_waves_share_one_pool(tmp_path):
     """A flaky task's retry wave runs on the first wave's worker pool."""
     token_dir = tmp_path / "tokens"

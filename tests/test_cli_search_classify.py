@@ -54,6 +54,20 @@ class TestSearchCommand:
         assert captured.out == ""
         assert captured.err == "search: fig1 subset names no message\n"
 
+    @pytest.mark.parametrize(
+        "subset,missing", [(["M1", "M2"], "M4"), (["M1", "M3", "M4"], "M2")]
+    )
+    def test_copies_of_a_message_the_subset_drops_are_refused(
+        self, subset, missing, capsys
+    ):
+        params = json.dumps({"subset": subset, "with_copies": True})
+        assert main(["search", "fig1", "--params", params]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"search: fig1 with_copies needs message {missing}, not in the subset\n"
+        )
+
     def test_unknown_scenario_exits_2(self, capsys):
         assert main(["search", "no-such-scenario"]) == 2
         assert "unknown scenario" in capsys.readouterr().err

@@ -79,7 +79,8 @@ class TestCampaignLintKind:
         # v8: simulate results carry mean_latency/throughput unrounded
         # v9: message-less reachability/classify/min_delay tasks fail;
         #     reachability takes a witness param
-        assert SCHEMA_VERSION == 9
+        # v10: lint results carry the full report
+        assert SCHEMA_VERSION == 10
 
     def test_lint_task_executes(self):
         task = CampaignTask.make(
@@ -89,9 +90,13 @@ class TestCampaignLintKind:
         assert res.ok and res.verdict == "reachable_deadlock"
         assert res.expect_matches is True
         assert res.detail["certificate"] == "CRT005"
-        assert res.detail["errors"] == 0
-        assert "CRT005" in res.detail["diagnostics"]
-        assert res.detail["rules_run"] >= 10
+        report = res.detail["report"]
+        assert report["target"] == "ring-cycle(n=4)"
+        assert report["certificate_code"] == "CRT005"
+        diagnostics = report["diagnostics"]
+        assert not [d for d in diagnostics if d["severity"] == "error"]
+        assert "CRT005" in {d["code"] for d in diagnostics}
+        assert len(report["rules_run"]) >= 10
 
     def test_lint_task_message_level(self):
         # fig1 exposes an algorithm, so force message-level via a scenario

@@ -18,6 +18,7 @@ from repro.lint import (
     lint_algorithm,
     lint_messages,
 )
+from repro.lint.diagnostics import render_report
 from repro.lint.rules import register_rule
 from repro.routing import RoutingAlgorithm, TableRouting, clockwise_ring
 from repro.routing.base import RoutingFunction
@@ -116,7 +117,7 @@ class TestDiagnostics:
     def test_render_mentions_codes_and_certificate(self):
         net = ring(4)
         rep = lint_algorithm(RoutingAlgorithm(clockwise_ring(net, 4)))
-        out = rep.render(verbose=True)
+        out = render_report(rep.to_json(), verbose=True)
         assert "CRT005" in out and "certificate: REACHABLE_DEADLOCK" in out
         assert "verdict=reachable_deadlock" in out
 

@@ -2,9 +2,16 @@
 
 import json
 import os
+import re
+import select
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
+from contextlib import suppress
+from pathlib import Path
 
 import pytest
 
@@ -236,11 +243,20 @@ def test_cycle_classify_payload_says_false_resource_cycle():
     assert result.verdict == "unreachable"
 
 
-def test_lint_endpoint(client):
-    resp = client.lint("fig1").raise_for_status()
-    assert "verdict" in resp.payload
-    assert isinstance(resp.payload["rules_run"], int)
-    assert isinstance(resp.payload["diagnostics"], list)
+def test_lint_endpoint(client, capsys):
+    """A served lint answers byte for byte like the local ``lint --json``:
+    an undecided target, a CRT005 ring and a CRT008 escape mesh."""
+    for scenario, params in [
+        ("fig1", {}),
+        ("ring-cycle", {"n": 4}),
+        ("adaptive-mesh", {"dims": [3, 3], "routing": "escape"}),
+    ]:
+        argv = ["lint", scenario, "--params", json.dumps(params), "--json"]
+        assert main(argv) == 0
+        cli_out = capsys.readouterr().out
+        resp = client.lint(scenario, params).raise_for_status()
+        assert resp.source == "live"
+        assert resp.body.decode("utf-8") == cli_out
 
 
 def test_campaign_endpoint_runs_a_spec(client):
@@ -453,3 +469,56 @@ def test_stop_shuts_the_worker_pool_down(tmp_path):
     for pid in pids:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+
+
+def _children(pid: int) -> set[int]:
+    """The live child processes of ``pid``, whichever of its threads forked them."""
+    found: set[int] = set()
+    for task in Path(f"/proc/{pid}/task").iterdir():
+        with suppress(FileNotFoundError):
+            found.update(int(c) for c in (task / "children").read_text().split())
+    return found
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+@pytest.mark.skipif(
+    not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
+    reason="needs /proc/<pid>/task/<tid>/children",
+)
+def test_sigterm_stops_serve_and_its_workers():
+    """``kill <serve pid>`` takes the stop path SIGINT takes: the server
+    exits 0 and shuts its process pool down, leaving no worker behind."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-u", "-m", "repro", "serve", "--port", "0", "--jobs", "2",
+         "--cache-backend", "memory"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+    )
+    workers: set[int] = set()
+    try:
+        assert select.select([proc.stdout], [], [], 60)[0], "serve did not announce"
+        url = re.search(r"listening on (\S+)", proc.stdout.readline()).group(1)
+        resp = ServeClient(url, timeout=120).search("fig1").raise_for_status()
+        assert resp.source == "live"
+        workers = _children(proc.pid)
+        proc.send_signal(signal.SIGTERM)
+        returncode = proc.wait(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+        left = [pid for pid in workers if _alive(pid)]
+        for pid in left:  # a failed run leaves no stray worker either
+            os.kill(pid, signal.SIGKILL)
+    assert workers
+    assert returncode == 0
+    assert not left, f"workers {left} outlived the server"
