@@ -115,11 +115,14 @@ def main() -> int:
             and "exposes no message set" in refused.payload.get("error", ""),
             f"HTTP {refused.status}",
         )
-        lint = client.lint("fig1").raise_for_status()
-        check(
-            "lint fig1 matches `lint fig1 --json` bytes",
-            lint.body.decode("utf-8") == cli_json("lint", "fig1"),
-        )
+        local_lint = cli_json("lint", "fig1")
+        for source in ("live", "cache"):
+            lint = client.lint("fig1").raise_for_status()
+            check(
+                f"lint fig1 ({source}) matches `lint fig1 --json` bytes",
+                lint.source == source and lint.body.decode("utf-8") == local_lint,
+                f"source={lint.source}",
+            )
         camp = client.campaign("quick", limit=3).raise_for_status()
         check(
             "campaign endpoint runs the quick spec",

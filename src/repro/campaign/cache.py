@@ -7,9 +7,10 @@ serialised :class:`~repro.campaign.tasks.TaskResult` -- keyed by
 ``campaign-v<SCHEMA_VERSION>`` invalidates every entry at once when the
 schema changes; a salt mismatch counts as *stale* rather than a miss so
 re-verification pressure stays visible in the stats.  Corrupt or
-unreadable entries are likewise stale, never fatal.  Failed results
-(``ok=False``) are not cached: a crashed or timed-out task should
-re-run, not replay its failure forever.
+unreadable entries are likewise stale, never fatal.  An entry keeps the
+result's key order, so a hit prints the live result's bytes.  Failed
+results (``ok=False``) are not cached: a crashed or timed-out task
+should re-run, not replay its failure forever.
 
 Backends (all satisfying the :class:`CacheBackend` protocol):
 
@@ -239,7 +240,7 @@ class ResultCache:
         )
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(entry, fh, indent=1, sort_keys=True)
+                json.dump(entry, fh, indent=1)
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp_name, path)
@@ -327,7 +328,7 @@ class MemoryLRUCache:
     def put(self, task: CampaignTask, result: TaskResult) -> None:
         if not result.ok:
             return
-        text = json.dumps(_encode_entry(self.salt, task, result), sort_keys=True)
+        text = json.dumps(_encode_entry(self.salt, task, result))
         with self._lock:
             self._entries[task.task_hash] = text
             self._entries.move_to_end(task.task_hash)
@@ -439,7 +440,7 @@ class SqliteCache:
             self._conn.execute(
                 "INSERT OR REPLACE INTO entries (task_hash, salt, entry, saved_at)"
                 " VALUES (?, ?, ?, ?)",
-                (task.task_hash, self.salt, json.dumps(entry, sort_keys=True),
+                (task.task_hash, self.salt, json.dumps(entry),
                  entry["saved_at"]),
             )
         self.stats.writes += 1

@@ -739,7 +739,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
     from repro.campaign.query import query_task
     from repro.campaign.tasks import execute_task
-    from repro.lint.diagnostics import render_report
+    from repro.lint.diagnostics import render_report, report_errors, report_exit_code
     from repro.serve.payloads import dumps
 
     if bool(args.scenario) == bool(args.all):
@@ -800,7 +800,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         print(f"wrote SARIF log ({len(log['runs'][0]['results'])} results) "
               f"to {args.sarif}", file=sys.stderr)
 
-    errors = sum(d["severity"] == "error" for r in reports for d in r["diagnostics"])
     if args.json:
         print(dumps(reports if args.all else reports[0]))
     else:
@@ -808,11 +807,12 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             print(render_report(report, verbose=args.verbose))
         if args.all:
             decided = sum(r["verdict"] != "undecided" for r in reports)
+            errors = sum(map(report_errors, reports))
             print(
                 f"\n{len(reports)} targets linted: {decided} certificate-decided, "
                 f"{errors} error-severity finding(s)"
             )
-    return 1 if errors else 0
+    return max(map(report_exit_code, reports), default=0)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -866,8 +866,7 @@ def _cmd_client(args: argparse.Namespace) -> int:
                 )
                 print(f"client {cmd}: HTTP {resp.status}: {detail}", file=sys.stderr)
                 return 1 if resp.status >= 500 else 2
-            # the raw response body: byte-identical to the local `--json`
-            # output
+            # the raw response body: byte-identical to the local `--json` output
             sys.stdout.write(resp.body.decode("utf-8"))
             if args.show_source:
                 print(f"source: {resp.source} ({resp.task_hash})", file=sys.stderr)

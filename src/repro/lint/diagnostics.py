@@ -13,9 +13,9 @@ A :class:`LintReport` is the outcome of one lint run: the diagnostics, the
 rules that ran, and at most one *certificate* -- a static verdict strong
 enough to replace the reachability search (``DEADLOCK_FREE`` from
 Dally--Seitz acyclicity, ``REACHABLE_DEADLOCK`` from the Section 5
-corollaries / theorem constructions).  Its JSON form, which the campaign
-``lint`` task carries, is the one every lint output is computed from:
-:func:`render_report` renders its text.
+corollaries / theorem constructions).  Its JSON form, carried by the
+campaign ``lint`` task, is what :func:`render_report` (every lint output)
+and :func:`report_exit_code` read.
 """
 
 from __future__ import annotations
@@ -119,23 +119,11 @@ class LintReport:
             return "reachable_deadlock"
         return "undecided"
 
-    def by_severity(self, severity: str) -> list[Diagnostic]:
-        return [d for d in self.diagnostics if d.severity == severity]
-
-    @property
-    def errors(self) -> list[Diagnostic]:
-        return self.by_severity("error")
-
     @property
     def max_severity(self) -> str | None:
         if not self.diagnostics:
             return None
         return max((d.severity for d in self.diagnostics), key=_SEV_RANK.__getitem__)
-
-    @property
-    def exit_code(self) -> int:
-        """0 when clean (no error-severity findings), 1 otherwise."""
-        return 1 if self.errors else 0
 
     # ------------------------------------------------------------------
     # output
@@ -171,3 +159,13 @@ def render_report(report: Mapping[str, Any], *, verbose: bool = False) -> str:
         if verbose:
             lines.extend(f"      {k}: {v}" for k, v in d["evidence"].items())
     return "\n".join(lines)
+
+
+def report_errors(report: Mapping[str, Any]) -> int:
+    """How many of a report JSON's diagnostics have severity ``error``."""
+    return sum(d["severity"] == "error" for d in report["diagnostics"])
+
+
+def report_exit_code(report: Mapping[str, Any]) -> int:
+    """0 when a report JSON is clean (no error-severity findings), 1 otherwise."""
+    return 1 if report_errors(report) else 0

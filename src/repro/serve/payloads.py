@@ -87,4 +87,3 @@ def classify_payload_from_result(
         "states_explored": detail.get("states_explored"),
         "certificate": detail.get("certificate"),
     }
-

@@ -18,7 +18,7 @@ from repro.lint import (
     lint_algorithm,
     lint_messages,
 )
-from repro.lint.diagnostics import render_report
+from repro.lint.diagnostics import render_report, report_exit_code
 from repro.lint.rules import register_rule
 from repro.routing import RoutingAlgorithm, TableRouting, clockwise_ring
 from repro.routing.base import RoutingFunction
@@ -78,12 +78,12 @@ class TestDiagnostics:
 
     def test_report_verdicts_and_exit_code(self):
         rep = LintReport(target="t")
-        assert rep.verdict == "undecided" and rep.exit_code == 0
+        assert rep.verdict == "undecided" and report_exit_code(rep.to_json()) == 0
         assert rep.max_severity is None
         rep.diagnostics.append(Diagnostic(code="A", severity="warning", message="w"))
-        assert rep.exit_code == 0 and rep.max_severity == "warning"
+        assert report_exit_code(rep.to_json()) == 0 and rep.max_severity == "warning"
         rep.diagnostics.append(Diagnostic(code="B", severity="error", message="e"))
-        assert rep.exit_code == 1 and rep.max_severity == "error"
+        assert report_exit_code(rep.to_json()) == 1 and rep.max_severity == "error"
         rep.diagnostics.append(
             Diagnostic(
                 code="CRT001", severity="info", message="c", certificate=DEADLOCK_FREE
@@ -151,7 +151,7 @@ class TestTopologyRules:
         rep = lint_algorithm(alg, pairs=[("A", "B")])
         (diag,) = [d for d in rep.diagnostics if d.code == "TOP002"]
         assert diag.severity == "error"
-        assert rep.exit_code == 1
+        assert report_exit_code(rep.to_json()) == 1
         assert diag.evidence["duplicates"][0]["link"] == "A->B"
 
     def test_clean_mesh_has_no_topology_findings(self):
@@ -185,7 +185,7 @@ class TestRoutingRules:
         alg = _table_alg(net, {(0, 1): [0, 1]})
         rep = lint_algorithm(alg, pairs=[(0, 1), (0, 2)])
         (diag,) = [d for d in rep.diagnostics if d.code == "RTE001"]
-        assert diag.severity == "error" and rep.exit_code == 1
+        assert diag.severity == "error" and report_exit_code(rep.to_json()) == 1
         assert diag.evidence["pairs"][0]["pair"] == (0, 2)
 
     def test_rte002_broken_route_suppresses_certificates(self):
@@ -210,7 +210,7 @@ class TestRoutingRules:
         codes = {d.code for d in rep.diagnostics}
         assert {"RTE003", "PRP001", "PRP002", "PRP004", "CDG001"} <= codes
         assert rep.verdict == "undecided"  # the paper's whole point
-        assert rep.exit_code == 0  # structural facts, not errors
+        assert report_exit_code(rep.to_json()) == 0  # structural facts, not errors
         (rte3,) = [d for d in rep.diagnostics if d.code == "RTE003"]
         assert rte3.evidence["max_slack"] >= 1
 

@@ -67,6 +67,17 @@ def test_miss_put_hit_roundtrip(kind, tmp_path):
 
 
 @pytest.mark.parametrize("kind", BACKENDS)
+def test_hit_keeps_the_result_key_order(kind, tmp_path):
+    """A hit serialises to the live result's bytes: ``/v1/lint`` returns
+    a stored lint report as is, and must match ``repro lint --json``."""
+    detail = {"report": {"target": "t", "verdict": "undecided",
+                         "evidence": {"worst": 1, "max_slack": 2}}}
+    cache = _backend(kind, tmp_path)
+    cache.put(TASK, _result(detail=detail))
+    assert json.dumps(cache.get(TASK).detail) == json.dumps(detail)
+
+
+@pytest.mark.parametrize("kind", BACKENDS)
 def test_hits_are_independent_objects(kind, tmp_path):
     """Two gets must never share one mutable TaskResult (the runner
     rewrites source/expect on hits)."""

@@ -244,8 +244,9 @@ def test_cycle_classify_payload_says_false_resource_cycle():
 
 
 def test_lint_endpoint(client, capsys):
-    """A served lint answers byte for byte like the local ``lint --json``:
-    an undecided target, a CRT005 ring and a CRT008 escape mesh."""
+    """A served lint answers byte for byte like the local ``lint --json``,
+    computed live and again from the cache: an undecided target, a CRT005
+    ring and a CRT008 escape mesh."""
     for scenario, params in [
         ("fig1", {}),
         ("ring-cycle", {"n": 4}),
@@ -254,9 +255,10 @@ def test_lint_endpoint(client, capsys):
         argv = ["lint", scenario, "--params", json.dumps(params), "--json"]
         assert main(argv) == 0
         cli_out = capsys.readouterr().out
-        resp = client.lint(scenario, params).raise_for_status()
-        assert resp.source == "live"
-        assert resp.body.decode("utf-8") == cli_out
+        for source in ("live", "cache"):
+            resp = client.lint(scenario, params).raise_for_status()
+            assert resp.source == source
+            assert resp.body.decode("utf-8") == cli_out
 
 
 def test_campaign_endpoint_runs_a_spec(client):
