@@ -20,19 +20,29 @@ tuple of channel ids acquired so far.  The flit train occupies the last
 larger than the oblivious checker's, so this is for small certification
 scenarios (the tests and the E7 experiment), with a hard state cap.
 
-Only *progressive* adaptive functions terminate here: if candidates allow
-walking in circles the taken-path grows without bound, caught by
-``max_path_len``.
+The adversary is the oblivious checker's, written once in
+:class:`repro.analysis.state.CycleExpander`: injection times, stalls and
+arbitration winners, plus the route choice.  A route choice is labelled
+with the channel it takes (``"adv:<cid>"``) beside ``wait``, ``stall``,
+``drain``, ``lose``, ``freeze`` and ``done``, so the search over
+:func:`repro.analysis.reachability.explore` returns a replayable
+:class:`~repro.analysis.reachability.Witness` for every reachable answer.
+
+Paths stay finite whatever the routing function: a header's candidates
+never include a channel it has already taken, so a route takes each
+channel at most once and ``len(taken)`` never exceeds the network's
+channel count.  A routing function that would walk in circles strands
+the header (no candidate left) rather than growing its state.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from collections.abc import Sequence
 
 from repro.analysis import state as _state_mod
-from repro.analysis.reachability import SearchLimitExceeded
+from repro.analysis.reachability import SearchLimitExceeded, Witness, explore
+from repro.analysis.state import CycleExpander, Option
 from repro.routing.adaptive import AdaptiveRoutingFunction
 from repro.routing.base import INJECT, RoutingError
 from repro.topology.channels import NodeId
@@ -63,13 +73,16 @@ class AdaptiveSearchResult:
     deadlock_reachable: bool
     states_explored: int
     deadlocked_tags: tuple[str, ...] = ()
+    #: a minimum-cycle deadlock formation over the :class:`AdaptiveSystem`
+    #: for every reachable answer the search decided
+    witness: Witness | None = None
     #: rule code of the static certificate that decided (or confirmed) the
     #: verdict, e.g. ``"CRT008"``; ``None`` when the search decided alone.
     #: ``states_explored == 0`` iff the certificate alone decided.
     certificate: str | None = None
 
 
-class AdaptiveSystem:
+class AdaptiveSystem(CycleExpander):
     """Successor relation for adaptive messages under the full adversary."""
 
     def __init__(
@@ -78,14 +91,14 @@ class AdaptiveSystem:
         messages: Sequence[AdaptiveMessage],
         *,
         budget: int = 0,
-        max_path_len: int | None = None,
     ) -> None:
         self.fn = fn
         self.network = fn.network
         self.messages = tuple(messages)
         self.budget = budget
-        self.max_path_len = max_path_len or 2 * self.network.num_channels
         self._chan = {c.cid: c for c in self.network.channels}
+        #: the label of the route choice that takes each channel
+        self._adv = {cid: f"adv:{cid}" for cid in self._chan}
         # routing candidates are a pure function of (taken, i); the search
         # asks for them once in deadlocked_set and again when expanding, so
         # memoizing halves the routing-function traffic on the hot path
@@ -156,137 +169,61 @@ class AdaptiveSystem:
         return tuple(sorted(S))
 
     # ------------------------------------------------------------------
-    def successors(self, state: AdaptiveSystemState) -> list[AdaptiveSystemState]:
-        """One synchronous cycle with pipelined handoff (round-based)."""
-        results: list[AdaptiveSystemState] = []
-        seen: set[AdaptiveSystemState] = set()
+    # the adversary's moves (expanded by CycleExpander.successors)
+    # ------------------------------------------------------------------
+    def _options(
+        self, cur: list[AdaptiveMsgState], pending: frozenset[int], last: list[str]
+    ) -> dict[int, list[Option]]:
+        occ = self.occupied(tuple(cur))
+        options: dict[int, list[Option]] = {}
+        for i in pending:
+            taken, inj, cons, bud = cur[i]
+            msg = self.messages[i]
+            if cons == msg.length:
+                last[i] = "done"
+                continue
+            if taken and self._node(taken, i) == msg.dst:
+                # header is in its final channel: consumption proceeds
+                # one flit per cycle; the very first consumption (the
+                # arrival move) is still a router step and stallable
+                opts_d: list[Option] = [("drain", None)]
+                if cons == 0 and bud > 0:
+                    opts_d.append(("stall", None))
+                options[i] = opts_d
+                continue
+            free = [c for c in self._candidates(taken, i) if c not in occ]
+            if not free:
+                # blocked: frozen in the network, silently pending at
+                # injection; either may retry in a later round
+                if taken:
+                    last[i] = "freeze"
+                continue
+            adv = self._adv
+            opts: list[Option] = [(adv[c], c) for c in free]
+            if bud > 0:
+                opts.append(("stall", None))
+            if not taken:
+                opts.append(("wait", None))
+            options[i] = opts
+        return options
 
-        def emit(cur: list[AdaptiveMsgState]) -> None:
-            t = tuple(cur)
-            if t not in seen:
-                seen.add(t)
-                results.append(t)
-
-        def run_round(cur: list[AdaptiveMsgState], pending: frozenset[int]) -> None:
-            occ = self.occupied(tuple(cur))
-            options: dict[int, list[tuple[str, int | None]]] = {}
-            for i in pending:
-                taken, inj, cons, bud = cur[i]
-                msg = self.messages[i]
-                if cons == msg.length:
-                    continue
-                node = self._node(taken, i)
-                if taken and node == msg.dst:
-                    # header is in its final channel: consumption proceeds
-                    # one flit per cycle; the very first consumption (the
-                    # arrival move) is still a router step and stallable
-                    opts_d: list[tuple[str, int | None]] = [("drain", None)]
-                    if cons == 0 and bud > 0:
-                        opts_d.append(("stall", None))
-                    options[i] = opts_d
-                    continue
-                if len(taken) >= self.max_path_len:
-                    raise SearchLimitExceeded(
-                        "adaptive path exceeded max_path_len; the routing "
-                        "function is not progressive"
-                    )
-                cands = self._candidates(taken, i)
-                free = [c for c in cands if c not in occ]
-                opts: list[tuple[str, int | None]] = []
-                for c in free:
-                    opts.append(("adv", c))
-                if free and bud > 0:
-                    opts.append(("stall", None))
-                if not taken:
-                    if free:
-                        opts.append(("wait", None))
-                    else:
-                        continue  # blocked at injection: silently pending
-                elif not free:
-                    continue  # frozen this round; may retry next round
-                options[i] = opts
-
-            movers = sorted(options)
-            if not movers:
-                emit(cur)
-                return
-
-            def choose(idx: int, chosen: dict[int, tuple[str, int | None]]) -> None:
-                if idx == len(movers):
-                    resolve(dict(chosen))
-                    return
-                i = movers[idx]
-                for opt in options[i]:
-                    chosen[i] = opt
-                    choose(idx + 1, chosen)
-                del chosen[i]
-
-            def resolve(chosen: dict[int, tuple[str, int | None]]) -> None:
-                requests: dict[int, list[int]] = {}
-                for i, (act, chan) in chosen.items():
-                    if chan is not None:
-                        requests.setdefault(chan, []).append(i)
-                contested = [c for c, cands in requests.items() if len(cands) > 1]
-
-                def finish(winners: dict[int, int]) -> None:
-                    nxt = list(cur)
-                    nxt_pending = set(pending)
-                    moved = False
-                    for i, (act, chan) in chosen.items():
-                        taken, inj, cons, bud = nxt[i]
-                        msg = self.messages[i]
-                        final = act
-                        if chan is not None and chan in winners and winners[chan] != i:
-                            final = "lose"
-                        if final == "adv":
-                            assert chan is not None
-                            was_empty = not taken
-                            taken = taken + (chan,)
-                            if was_empty:
-                                inj = 1
-                            elif inj < msg.length and (inj - cons) < len(taken):
-                                inj += 1
-                            nxt[i] = (taken, inj, cons, bud)
-                            nxt_pending.discard(i)
-                            moved = True
-                        elif final == "drain":
-                            cons += 1
-                            if inj < msg.length and (inj - cons) < len(taken):
-                                inj += 1
-                            nxt[i] = (taken, inj, cons, bud)
-                            nxt_pending.discard(i)
-                            moved = True
-                        elif final == "stall":
-                            nxt[i] = (taken, inj, cons, bud - 1)
-                            nxt_pending.discard(i)
-                        elif final == "lose":
-                            nxt_pending.discard(i)
-                        # "wait": stays pending
-                    if moved:
-                        run_round(nxt, frozenset(nxt_pending))
-                    else:
-                        emit(nxt)
-
-                if not contested:
-                    finish({})
-                    return
-
-                def branch(ci: int, winners: dict[int, int]) -> None:
-                    if ci == len(contested):
-                        finish(dict(winners))
-                        return
-                    chan = contested[ci]
-                    for w in requests[chan]:
-                        winners[chan] = w
-                        branch(ci + 1, winners)
-                    del winners[chan]
-
-                branch(0, {})
-
-            choose(0, {})
-
-        run_round(list(state), frozenset(range(len(self.messages))))
-        return results
+    def _apply(
+        self, i: int, ms: AdaptiveMsgState, label: str, chan: int | None
+    ) -> AdaptiveMsgState:
+        taken, inj, cons, bud = ms
+        if label == "stall":
+            return (taken, inj, cons, bud - 1)
+        length = self.messages[i].length
+        if label == "drain":
+            cons += 1
+        else:  # a route choice: the header takes ``chan``
+            assert chan is not None
+            if not taken:
+                return ((chan,), 1, cons, bud)
+            taken = taken + (chan,)
+        if inj < length and (inj - cons) < len(taken):
+            inj += 1
+        return (taken, inj, cons, bud)
 
 
 def search_adaptive_deadlock(
@@ -323,8 +260,21 @@ def search_adaptive_deadlock(
             deadlock_reachable=False, states_explored=0, certificate=cert.code
         )
 
-    result = _search_adaptive_impl(
-        fn, messages, budget=budget, max_states=max_states
+    system = AdaptiveSystem(fn, messages, budget=budget)
+    try:
+        found, explored, witness = explore(
+            system, max_states=max_states, find_witness=True
+        )
+    except SearchLimitExceeded:
+        raise SearchLimitExceeded(
+            f"adaptive search exceeded {max_states} states"
+        ) from None
+    dead = witness.deadlocked if witness is not None else ()
+    result = AdaptiveSearchResult(
+        deadlock_reachable=found,
+        states_explored=explored,
+        deadlocked_tags=tuple(system.messages[i].tag or f"msg{i}" for i in dead),
+        witness=witness,
     )
     if cert is not None:
         if cert_mode == "check" and result.deadlock_reachable != cert.deadlock_reachable:
@@ -336,37 +286,3 @@ def search_adaptive_deadlock(
             )
         result.certificate = cert.code
     return result
-
-
-def _search_adaptive_impl(
-    fn: AdaptiveRoutingFunction,
-    messages: Sequence[AdaptiveMessage],
-    *,
-    budget: int,
-    max_states: int,
-) -> AdaptiveSearchResult:
-    system = AdaptiveSystem(fn, messages, budget=budget)
-    init = system.initial_state()
-    visited: set[AdaptiveSystemState] = {init}
-    queue: deque[AdaptiveSystemState] = deque([init])
-    while queue:
-        state = queue.popleft()
-        for nxt in system.successors(state):
-            if nxt in visited:
-                continue
-            visited.add(nxt)
-            if len(visited) > max_states:
-                raise SearchLimitExceeded(
-                    f"adaptive search exceeded {max_states} states"
-                )
-            dead = system.deadlocked_set(nxt)
-            if dead:
-                return AdaptiveSearchResult(
-                    deadlock_reachable=True,
-                    states_explored=len(visited),
-                    deadlocked_tags=tuple(
-                        messages[i].tag or f"msg{i}" for i in dead
-                    ),
-                )
-            queue.append(nxt)
-    return AdaptiveSearchResult(deadlock_reachable=False, states_explored=len(visited))

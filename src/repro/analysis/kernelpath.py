@@ -285,7 +285,7 @@ def _move(ms: tuple, act: str, path: tuple[int, ...], L: int) -> tuple[tuple, in
     released)``, the channels as bit positions (``-1`` for none).
 
     This is the only place the flit-train arithmetic of
-    :meth:`SystemSpec.successors` is re-derived; everything downstream
+    :meth:`SystemSpec._apply` is re-derived; everything downstream
     reads its results out of tables.
     """
     h, inj, cons, bud = ms

@@ -5,6 +5,11 @@ described in :mod:`repro.analysis.state`.  Terminates because the state
 space is finite (header positions, flit counts and budgets are all
 bounded); a configurable state cap turns pathological blow-ups into loud
 :class:`SearchLimitExceeded` errors instead of silently-partial answers.
+
+:func:`explore` is the one Python exploration loop: the reference engine
+runs it over a :class:`SystemSpec`, the adaptive search of
+:mod:`repro.analysis.adaptive_state` over an ``AdaptiveSystem``.  The
+compiled kernel (:mod:`repro.analysis.kernelpath`) keeps its own loop.
 """
 
 from __future__ import annotations
@@ -12,7 +17,9 @@ from __future__ import annotations
 import time
 import warnings
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any
 
 from repro.analysis.state import SystemSpec, SystemState
 
@@ -21,6 +28,7 @@ from repro.analysis.state import SystemSpec, SystemState
 from repro.analysis import kernelpath as _kernelpath
 from repro.analysis.kernelpath import kernel_unavailable_reason as _kernel_unavailable
 from repro.analysis.kernelpath import kernel_engine_for as _kernel_engine_for
+from repro.analysis.kernelpath import _LIMIT_MSG
 from repro.obs import get as _obs_get
 from repro.obs import incr as _obs_incr
 
@@ -93,19 +101,39 @@ class KernelOutOfMemory(SearchLimitExceeded):
         )
 
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from typing import Protocol
+
+    class SearchSystem(Protocol):
+        """What :func:`explore` and a :class:`Witness` read of a system:
+        :class:`SystemSpec` and
+        :class:`~repro.analysis.adaptive_state.AdaptiveSystem` fit."""
+
+        @property
+        def messages(self) -> Any: ...
+
+        def initial_state(self) -> Any: ...
+
+        def successors(self, state: Any) -> list[tuple[Any, tuple[str, ...]]]: ...
+
+        def deadlocked_set(self, state: Any) -> tuple[int, ...]: ...
+
+
 @dataclass
 class Witness:
     """A replayable path from the empty network to a deadlock state.
 
+    ``spec`` is the searched system (a :class:`SystemSpec`, or an
+    :class:`~repro.analysis.adaptive_state.AdaptiveSystem`).
     ``steps[t]`` is the tuple of per-message actions taken in cycle ``t``;
     ``states[t]`` is the state *after* that cycle (``states[-1]`` is the
     deadlock state).  ``deadlocked`` lists the message indices on the
     wait-for cycle.
     """
 
-    spec: SystemSpec
+    spec: SearchSystem
     steps: list[tuple[str, ...]]
-    states: list[SystemState]
+    states: list[Any]
     deadlocked: tuple[int, ...]
 
     @property
@@ -133,7 +161,7 @@ class SearchResult:
     deadlock_reachable: bool
     witness: Witness | None
     states_explored: int
-    spec: SystemSpec | None = field(repr=False, default=None)
+    spec: SearchSystem | None = field(repr=False, default=None)
     #: rule code of the static certificate that decided (or confirmed) the
     #: verdict, e.g. ``"CRT001"``; ``None`` when the BFS decided alone.
     #: ``states_explored == 0`` iff the certificate alone decided.
@@ -224,9 +252,9 @@ def search_deadlock(
     engine:
         ``"kernel"`` runs the whole search as one compiled fused loop
         through :class:`~repro.analysis.kernelpath.KernelEngine`;
-        ``"reference"`` keeps the original :meth:`SystemSpec.successors`
-        implementation as the cross-checking oracle.  ``None`` (default)
-        picks ``kernel``.  This is the one place the engine can be named:
+        ``"reference"`` runs :func:`explore` over
+        :meth:`SystemSpec.successors` as the cross-checking oracle.
+        ``None`` (default) picks ``kernel``.  This is the one place the engine can be named:
         the layers above always take the default.  A kernel
         request falls back to ``reference`` loudly when no compiled kernel
         library loads or the spec is too wide for it (see
@@ -376,12 +404,17 @@ def _search_deadlock_impl(
             )
 
     if engine == "reference":
-        result = _search_reference(
+        found, explored, witness = explore(
             spec,
-            init,
             max_states=max_states,
             find_witness=find_witness,
-            symmetry_reduction=symmetry_reduction,
+            canon=_symmetry_canonicalizer(spec) if symmetry_reduction else None,
+        )
+        result = SearchResult(
+            deadlock_reachable=found,
+            witness=witness,
+            states_explored=explored,
+            spec=spec,
         )
     else:
         result = _search_kernel(
@@ -401,54 +434,6 @@ def _search_deadlock_impl(
             )
         result.certificate = cert.code
     return result
-
-
-def _search_reference(
-    spec: SystemSpec,
-    init: SystemState,
-    *,
-    max_states: int,
-    find_witness: bool,
-    symmetry_reduction: bool,
-) -> SearchResult:
-    """The original :meth:`SystemSpec.successors`-driven BFS (oracle engine)."""
-    canon = _symmetry_canonicalizer(spec) if symmetry_reduction else None
-    visited: set[SystemState] = {canon(init) if canon else init}
-    parent: dict[SystemState, tuple[SystemState, tuple[str, ...]]] = {}
-    queue: deque[SystemState] = deque([init])
-
-    while queue:
-        state = queue.popleft()
-        for nxt, actions in spec.successors(state):
-            key = canon(nxt) if canon else nxt
-            if key in visited:
-                continue
-            visited.add(key)
-            if len(visited) > max_states:
-                raise SearchLimitExceeded(
-                    f"exceeded {max_states} states; tighten the scenario or raise the cap"
-                )
-            if find_witness:
-                parent[nxt] = (state, actions)
-            dead = spec.deadlocked_set(nxt)
-            if dead:
-                witness = None
-                if find_witness:
-                    witness = _rebuild_witness(spec, parent, init, nxt, dead)
-                return SearchResult(
-                    deadlock_reachable=True,
-                    witness=witness,
-                    states_explored=len(visited),
-                    spec=spec,
-                )
-            queue.append(nxt)
-
-    return SearchResult(
-        deadlock_reachable=False,
-        witness=None,
-        states_explored=len(visited),
-        spec=spec,
-    )
 
 
 def _search_kernel(
@@ -491,21 +476,56 @@ def _search_kernel(
     )
 
 
-def _rebuild_witness(
-    spec: SystemSpec,
-    parent: dict[SystemState, tuple[SystemState, tuple[str, ...]]],
-    init: SystemState,
-    final: SystemState,
-    dead: tuple[int, ...],
-) -> Witness:
-    steps: list[tuple[str, ...]] = []
-    states: list[SystemState] = []
-    cur = final
-    while cur != init:
-        prev, actions = parent[cur]
-        steps.append(actions)
-        states.append(cur)
-        cur = prev
-    steps.reverse()
-    states.reverse()
-    return Witness(spec=spec, steps=steps, states=states, deadlocked=dead)
+def explore(
+    system: SearchSystem,
+    *,
+    max_states: int,
+    find_witness: bool,
+    canon: Callable[[Any], Any] | None = None,
+) -> tuple[bool, int, Witness | None]:
+    """Breadth-first search of ``system`` for a reachable deadlock.
+
+    The one exploration loop of the Python side: the reference engine
+    runs it over a :class:`SystemSpec`, the adaptive search over an
+    :class:`~repro.analysis.adaptive_state.AdaptiveSystem`.  It reads
+    only the :class:`SearchSystem` protocol, stops at the first
+    deadlocked state it discovers and returns ``(deadlock_reachable,
+    states_explored, witness)``.  ``states_explored`` counts distinct
+    states (up to ``canon``, which maps a state to its dedup key), and
+    one past ``max_states`` raises :class:`SearchLimitExceeded`.  With
+    ``find_witness`` a parent map is kept and a reachable answer carries
+    its minimum-cycle :class:`Witness`: the first emission that reached
+    each state on the path names that step's actions.
+    """
+    init = system.initial_state()
+    visited = {canon(init) if canon else init}
+    parent: dict[Any, tuple[Any, tuple[str, ...]]] = {}
+    queue = deque([init])
+    while queue:
+        state = queue.popleft()
+        for nxt, actions in system.successors(state):
+            key = canon(nxt) if canon else nxt
+            if key in visited:
+                continue
+            visited.add(key)
+            if len(visited) > max_states:
+                raise SearchLimitExceeded(_LIMIT_MSG.format(max_states=max_states))
+            if find_witness:
+                parent[nxt] = (state, actions)
+            dead = system.deadlocked_set(nxt)
+            if dead:
+                witness = None
+                if find_witness:
+                    steps: list[tuple[str, ...]] = []
+                    states = []
+                    cur = nxt
+                    while cur != init:
+                        states.append(cur)
+                        cur, acts = parent[cur]
+                        steps.append(acts)
+                    steps.reverse()
+                    states.reverse()
+                    witness = Witness(spec=system, steps=steps, states=states, deadlocked=dead)
+                return True, len(visited), witness
+            queue.append(nxt)
+    return False, len(visited), None

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import product
 from collections.abc import Sequence
 
 from repro.topology.channels import Channel
@@ -112,8 +113,122 @@ class CheckerMessage:
         return cls(path=tuple(c.cid for c in channels), length=length, tag=tag)
 
 
+#: one move option of a message in a grant round: the action's label and
+#: the channel it requests (``None`` when it requests no arbitration)
+Option = tuple[str, int | None]
+
+
+class CycleExpander:
+    """The adversary of one synchronous cycle, written once.
+
+    :meth:`successors` enumerates every joint choice of the adversary --
+    each message's move, the winner of each contested channel -- for the
+    oblivious :class:`SystemSpec` and the adaptive
+    :class:`~repro.analysis.adaptive_state.AdaptiveSystem` alike.  A
+    system supplies two hooks:
+
+    ``_options(cur, pending, last)``
+        the move options of each message in ``pending`` that can move in
+        this round, as ``{i: [(label, channel), ...]}``; a message with
+        none may label itself in ``last`` (``"freeze"``, ``"done"``).
+    ``_apply(i, ms, label, channel)``
+        message ``i``'s state after the chosen move.
+
+    A label other than ``"wait"`` and ``"stall"`` is a move that can free
+    a channel.
+    """
+
+    def _options(
+        self, cur: list, pending: frozenset[int], last: list[str]
+    ) -> dict[int, list[Option]]:
+        raise NotImplementedError
+
+    def _apply(self, i: int, ms: tuple, label: str, chan: int | None) -> tuple:
+        raise NotImplementedError
+
+    def successors(self, state: tuple) -> list[tuple[tuple, tuple[str, ...]]]:
+        """All successor states for one synchronous cycle.
+
+        Returns ``(next_state, actions)`` pairs where ``actions[i]`` is the
+        last move message ``i`` took this cycle (``"wait"``, ``"stall"``,
+        ``"freeze"``, ``"drain"``, ``"done"``, ``"lose"``, or the system's
+        label of an advance).  The search deduplicates states; here every
+        distinct joint choice is emitted so witnesses stay exact.
+
+        **Pipelined channel handoff.**  Flits stream: when a tail flit
+        vacates a channel during a cycle, another header may enter that
+        channel in the *same* cycle (this is how the paper's schedules use
+        ``cs`` -- "immediately after M1 has traversed [cs], the second
+        message starts traversing [cs]").  The cycle is therefore expanded
+        in *rounds*: each round moves messages whose next channel is
+        currently free, applies the moves (which can free tail channels),
+        and repeats until nothing else can move.  Each message moves at
+        most one hop per cycle.  Simultaneous requests for one free
+        channel branch over every possible winner; the losers ``"lose"``.
+        """
+        results: list[tuple[tuple, tuple[str, ...]]] = []
+        seen: set[tuple[tuple, tuple[str, ...]]] = set()
+        apply = self._apply
+
+        def emit(cur: list, last: list[str]) -> None:
+            key = (tuple(cur), tuple(last))
+            if key not in seen:
+                seen.add(key)
+                results.append(key)
+
+        def run_round(cur: list, pending: frozenset[int], last: list[str]) -> None:
+            """Branch over one grant round; ``pending`` may still move."""
+            options = self._options(cur, pending, last)
+            if not options:
+                emit(cur, last)
+                return
+            movers = sorted(options)
+            # every joint choice, then every winner of each contested channel
+            for combo in product(*[options[i] for i in movers]):
+                chosen = list(zip(movers, combo))
+                requests: dict[int, list[int]] = {}
+                for i, (_act, chan) in chosen:
+                    if chan is not None:
+                        requests.setdefault(chan, []).append(i)
+                contested = [c for c, cands in requests.items() if len(cands) > 1]
+                for ws in product(*[requests[c] for c in contested]):
+                    finish(cur, pending, last, chosen, dict(zip(contested, ws)))
+
+        def finish(
+            cur: list,
+            pending: frozenset[int],
+            last: list[str],
+            chosen: list[tuple[int, Option]],
+            winners: dict[int, int],
+        ) -> None:
+            nxt = list(cur)
+            nxt_last = list(last)
+            nxt_pending = set(pending)
+            moved_any = False
+            for i, (act, chan) in chosen:
+                if chan is not None and chan in winners and winners[chan] != i:
+                    act = "lose"
+                    nxt_pending.discard(i)
+                elif act != "wait":  # a waiter may try in a later round
+                    nxt[i] = apply(i, nxt[i], act, chan)
+                    nxt_pending.discard(i)
+                    if act != "stall":
+                        moved_any = True
+                nxt_last[i] = act
+            # messages whose channel was occupied stay pending; if nothing
+            # moved this round, no channel freed -> fixpoint
+            if moved_any:
+                run_round(nxt, frozenset(nxt_pending), nxt_last)
+            else:
+                emit(nxt, nxt_last)
+
+        n = len(state)
+        run_round(list(state), frozenset(range(n)), ["wait"] * n)
+        return results
+
+
 @dataclass(frozen=True)
-class SystemSpec:
+class SystemSpec(CycleExpander):
     """A checker scenario: messages plus per-message stall budgets."""
 
     messages: tuple[CheckerMessage, ...]
@@ -216,169 +331,63 @@ class SystemSpec:
                 color[n] = 2
         return ()
 
+
     # ------------------------------------------------------------------
-    # successor generation
+    # the adversary's moves (expanded by CycleExpander.successors)
     # ------------------------------------------------------------------
-    def successors(self, state: SystemState) -> list[tuple[SystemState, tuple[str, ...]]]:
-        """All successor states for one synchronous cycle.
-
-        Returns ``(next_state, actions)`` pairs where ``actions[i]`` is the
-        last move message ``i`` took this cycle (``"wait"``, ``"try"``,
-        ``"adv"``, ``"stall"``, ``"freeze"``, ``"drain"``, ``"done"``,
-        ``"lose"``).  The search deduplicates states; here every distinct
-        joint choice is emitted so witnesses stay exact.
-
-        **Pipelined channel handoff.**  Flits stream: when a tail flit
-        vacates a channel during a cycle, another header may enter that
-        channel in the *same* cycle (this is how the paper's schedules use
-        ``cs`` -- "immediately after M1 has traversed [cs], the second
-        message starts traversing [cs]").  The cycle is therefore expanded
-        in *rounds*: each round moves messages whose next channel is
-        currently free, applies the moves (which can free tail channels),
-        and repeats until nothing else can move.  Each message moves at
-        most one hop per cycle.
-        """
-        n = len(self.messages)
-        results: list[tuple[SystemState, tuple[str, ...]]] = []
-        seen: set[tuple[SystemState, tuple[str, ...]]] = set()
-
+    def _options(
+        self, cur: list[MsgState], pending: frozenset[int], last: list[str]
+    ) -> dict[int, list[Option]]:
+        occ = self.occupied_channels(tuple(cur))
         ks = self._ks  # type: ignore[attr-defined]
         lens = self._lens  # type: ignore[attr-defined]
         paths = self._paths  # type: ignore[attr-defined]
-
-        def apply_action(cur: list[MsgState], i: int, act: str) -> None:
+        options: dict[int, list[Option]] = {}
+        for i in pending:
             h, inj, cons, bud = cur[i]
             k = ks[i]
-            if act == "stall":
-                bud -= 1
-            elif act == "try":
-                h, inj = 1, 1
-            elif act == "adv":
-                h += 1
-                if h == k + 1:
-                    cons += 1  # header consumed on arrival
-                if inj < lens[i] and (inj - cons) < min(h, k):
-                    inj += 1
-            elif act == "drain":
-                cons += 1
-                if inj < lens[i] and (inj - cons) < k:
-                    inj += 1
-            else:  # pragma: no cover - defensive
-                raise AssertionError(f"unknown action {act!r}")
-            cur[i] = (h, inj, cons, bud)
-
-        def emit(cur: list[MsgState], last: list[str]) -> None:
-            key = (tuple(cur), tuple(last))
-            if key not in seen:
-                seen.add(key)
-                results.append(key)
-
-        def run_round(cur: list[MsgState], pending: frozenset[int], last: list[str]) -> None:
-            """Branch over one grant round; ``pending`` may still move."""
-            occ = self.occupied_channels(tuple(cur))
-            # per-pending-message move options this round
-            options: dict[int, list[tuple[str, int | None]]] = {}
-            for i in pending:
-                h, inj, cons, bud = cur[i]
-                k = ks[i]
-                path = paths[i]
-                if cons == lens[i]:
-                    last[i] = "done"
-                    continue
-                if h == 0:
-                    first = path[0]
-                    if first not in occ:
-                        options[i] = [("try", first), ("wait", None)]
-                    # else: stays pending silently (may free later round)
-                elif h <= k - 1:
-                    nxt = path[h]
-                    if nxt not in occ:
-                        opts: list[tuple[str, int | None]] = [("adv", nxt)]
-                        if bud > 0:
-                            opts.append(("stall", None))
-                        options[i] = opts
-                    else:
-                        last[i] = "freeze"
-                elif h == k:
-                    # arrival into the node: no arbitration, but the router
-                    # may stall it (it is an in-network move).
-                    opts = [("adv", None)]
+            if cons == lens[i]:
+                last[i] = "done"
+            elif h == 0:
+                first = paths[i][0]
+                if first not in occ:
+                    options[i] = [("try", first), ("wait", None)]
+                # else: stays pending silently (may free later round)
+            elif h <= k - 1:
+                nxt = paths[i][h]
+                if nxt not in occ:
+                    opts: list[Option] = [("adv", nxt)]
                     if bud > 0:
                         opts.append(("stall", None))
                     options[i] = opts
-                else:  # h == k + 1: draining, forced consumption
-                    options[i] = [("drain", None)]
+                else:
+                    last[i] = "freeze"
+            elif h == k:
+                # arrival into the node: no arbitration, but the router
+                # may stall it (it is an in-network move).
+                options[i] = [("adv", None), ("stall", None)] if bud > 0 else [("adv", None)]
+            else:  # h == k + 1: draining, forced consumption
+                options[i] = [("drain", None)]
+        return options
 
-            movers = sorted(options)
-            if not movers:
-                emit(cur, last)
-                return
-
-            def choose(idx: int, chosen: dict[int, tuple[str, int | None]]) -> None:
-                if idx == len(movers):
-                    resolve(dict(chosen))
-                    return
-                i = movers[idx]
-                for opt in options[i]:
-                    chosen[i] = opt
-                    choose(idx + 1, chosen)
-                del chosen[i]
-
-            def resolve(chosen: dict[int, tuple[str, int | None]]) -> None:
-                requests: dict[int, list[int]] = {}
-                for i, (act, chan) in chosen.items():
-                    if chan is not None:
-                        requests.setdefault(chan, []).append(i)
-                contested = [c for c, cands in requests.items() if len(cands) > 1]
-
-                def finish(winners: dict[int, int]) -> None:
-                    nxt = list(cur)
-                    nxt_last = list(last)
-                    nxt_pending = set(pending)
-                    moved_any = False
-                    for i, (act, chan) in chosen.items():
-                        final = act
-                        if chan is not None and chan in winners and winners[chan] != i:
-                            final = "lose"
-                        if final in ("adv", "try", "drain"):
-                            apply_action(nxt, i, final)
-                            nxt_pending.discard(i)
-                            moved_any = True
-                        elif final == "stall":
-                            apply_action(nxt, i, final)
-                            nxt_pending.discard(i)
-                        elif final == "lose":
-                            nxt_pending.discard(i)
-                        # "wait": stays pending (may try again later round)
-                        nxt_last[i] = final
-                    # messages whose channel was occupied stay pending; if
-                    # nothing moved this round, no channel freed -> fixpoint
-                    if moved_any:
-                        run_round(nxt, frozenset(nxt_pending), nxt_last)
-                    else:
-                        emit(nxt, nxt_last)
-
-                if not contested:
-                    finish({})
-                    return
-
-                def branch(ci: int, winners: dict[int, int]) -> None:
-                    if ci == len(contested):
-                        finish(dict(winners))
-                        return
-                    chan = contested[ci]
-                    for w in requests[chan]:
-                        winners[chan] = w
-                        branch(ci + 1, winners)
-                    del winners[chan]
-
-                branch(0, {})
-
-            choose(0, {})
-
-        init_last = ["wait"] * n
-        for i, (h, inj, cons, bud) in enumerate(state):
-            if cons == self.messages[i].length and self.messages[i].length > 0 and h > 0:
-                init_last[i] = "done"
-        run_round(list(state), frozenset(range(n)), init_last)
-        return results
+    def _apply(self, i: int, ms: MsgState, label: str, chan: int | None) -> MsgState:
+        h, inj, cons, bud = ms
+        k = self._ks[i]  # type: ignore[attr-defined]
+        length = self._lens[i]  # type: ignore[attr-defined]
+        if label == "stall":
+            bud -= 1
+        elif label == "try":
+            h, inj = 1, 1
+        elif label == "adv":
+            h += 1
+            if h == k + 1:
+                cons += 1  # header consumed on arrival
+            if inj < length and (inj - cons) < min(h, k):
+                inj += 1
+        elif label == "drain":
+            cons += 1
+            if inj < length and (inj - cons) < k:
+                inj += 1
+        else:  # pragma: no cover - defensive
+            raise AssertionError(f"unknown action {label!r}")
+        return (h, inj, cons, bud)

@@ -139,10 +139,10 @@ def _infra_failure(task: CampaignTask, error: str) -> TaskResult:
 class WorkerPool:
     """A process pool that outlives one wave.
 
-    Built on first use; :meth:`discard` drops it without waiting (after
-    it broke, or while a timed-out task still runs on it) and stops its
-    workers, and the next use builds a fresh one.  Whoever creates it
-    calls :meth:`close`.
+    Built on first use, or by :meth:`start`; :meth:`discard` drops it
+    without waiting (after it broke, or while a timed-out task still runs
+    on it) and stops its workers, and the next use builds a fresh one.
+    Whoever creates it calls :meth:`close`.
     """
 
     def __init__(self, max_workers: int) -> None:
@@ -162,6 +162,23 @@ class WorkerPool:
                 max_workers=self.max_workers, initializer=_start_worker
             )
         return self._executor
+
+    def start(self) -> None:
+        """Start every worker now, with the task runners' modules loaded.
+
+        The modules are imported here first, so a forked worker starts
+        with them (a spawned one imports them in its initializer).  Under
+        fork the first submit starts every worker, else each no-op submit
+        starts one.  Without process support the pool is dropped, and the
+        first wave falls back to serial as it would have anyway.
+        """
+        import_runner_modules()
+        try:
+            executor = self.get()
+            for fut in [executor.submit(int) for _ in range(self.max_workers)]:
+                fut.result(timeout=60)
+        except Exception:  # noqa: BLE001 - environment without process support
+            self.discard()
 
     def discard(self, *, wait: bool = False) -> None:
         """Shut the current pool down; the next :meth:`get` builds a fresh one.

@@ -52,8 +52,9 @@ from dataclasses import dataclass, field
 from typing import Any
 
 #: bump when the result payload or task semantics change; salts the cache key
-#: (v10: a ``lint`` result's detail carries the whole report, its target
-#: named as ``repro lint`` names it; v9: a ``reachability``, ``classify``
+#: (v11: a reachable ``adaptive`` result records its witness's
+#: ``witness_cycles``; v10: a ``lint`` result's detail carries the whole
+#: report, its target named as ``repro lint`` names it; v9: a ``reachability``, ``classify``
 #: or ``min_delay`` task over a scenario with no message set fails instead
 #: of answering over zero messages; ``reachability`` takes a ``witness``
 #: param, and it and ``classify`` record the ``messages`` or
@@ -72,7 +73,7 @@ from typing import Any
 #: certificate-decided reachability and classify tasks report
 #: ``states_explored``/``scenarios_tested`` of 0 and a ``certificate``
 #: detail; new ``lint`` kind)
-SCHEMA_VERSION = 10
+SCHEMA_VERSION = 11
 
 ANALYSIS_KINDS = (
     "reachability",
@@ -484,6 +485,7 @@ def _run_adaptive(bundle, p: dict[str, Any]) -> tuple[str, dict[str, Any]]:
         "states_explored": res.states_explored,
         "certificate": res.certificate,
         "deadlocked_tags": list(res.deadlocked_tags),
+        "witness_cycles": None if res.witness is None else res.witness.num_cycles,
     }
 
 

@@ -206,13 +206,14 @@ def _schedule_actions_ok(
 
 
 def validate_witness(witness: Witness) -> bool:
-    """Replay a witness step by step through ``SystemSpec.successors``.
+    """Replay a witness step by step through its system's ``successors``.
 
     Every ``(steps[t], states[t])`` pair must be a genuine successor of
-    the previous state, and the final state's wait-for cycle must be
+    the previous state, and the final state's deadlocked set must be
     exactly the witness's ``deadlocked`` set.  This is the independent
     soundness check applied to constructed (non-BFS) witnesses; it works
-    equally on BFS-produced ones.
+    equally on BFS-produced ones, oblivious (:class:`SystemSpec`) or
+    adaptive (:class:`~repro.analysis.adaptive_state.AdaptiveSystem`).
     """
     spec = witness.spec
     if not witness.steps or len(witness.steps) != len(witness.states):

@@ -252,6 +252,10 @@ class ReproServer:
             executor=self._executor,
             spec_name="serve",
         )
+        if self.batcher.pool is not None:
+            # with --jobs 2 or more the workers start before the server
+            # listens, so no cold query waits for a worker's start-up
+            self.batcher.pool.start()
         self._server = await asyncio.start_server(
             self._handle, self.config.host, self.config.port
         )

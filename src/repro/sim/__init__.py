@@ -22,7 +22,7 @@ Public API
 :class:`Simulator`                          -- the engine.
 :class:`SimConfig`                          -- buffer depth, limits, policy.
 :mod:`arbitration`                          -- arbitration policies.
-:mod:`traffic`                              -- synthetic traffic generators.
+:mod:`traffic`                              -- uniform random traffic.
 :func:`detect_deadlock`                     -- greatest-fixpoint deadlock test.
 """
 
@@ -37,14 +37,8 @@ from repro.sim.arbitration import (
 from repro.sim.engine import Simulator, SimConfig, SimResult
 from repro.sim.deadlock import detect_deadlock, build_wait_for_graph, DeadlockReport
 from repro.sim.injection import InjectionSchedule, StallSchedule
-from repro.sim.traffic import (
-    uniform_random_traffic,
-    transpose_traffic,
-    hotspot_traffic,
-    permutation_traffic,
-)
+from repro.sim.traffic import uniform_random_traffic
 from repro.sim.stats import SimStats
-from repro.sim.packets import TransferSpec, segment_transfers, reassemble, TransferReport
 from repro.sim.router_cost import RouterCostModel, router_cost, network_cost
 
 __all__ = [
@@ -65,14 +59,7 @@ __all__ = [
     "InjectionSchedule",
     "StallSchedule",
     "uniform_random_traffic",
-    "transpose_traffic",
-    "hotspot_traffic",
-    "permutation_traffic",
     "SimStats",
-    "TransferSpec",
-    "segment_transfers",
-    "reassemble",
-    "TransferReport",
     "RouterCostModel",
     "router_cost",
     "network_cost",

@@ -1,29 +1,22 @@
-"""Synthetic traffic generators for the substrate-validation benchmarks.
+"""Synthetic traffic for the substrate-validation benchmarks.
 
-These produce :class:`~repro.sim.message.MessageSpec` lists for the classic
-interconnection-network workloads: uniform random, transpose/permutation and
-hotspot.  All generators are seeded for reproducibility.
+Uniform random traffic as :class:`~repro.sim.message.MessageSpec` lists,
+seeded for reproducibility: the V1 table, the paper battery's
+``simulate`` tasks and perfbench all use it.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Callable, Sequence
 
 from repro.sim.message import MessageSpec
-from repro.topology.channels import NodeId
 from repro.topology.network import Network
 
 
-def _bernoulli_injections(
-    net: Network,
-    *,
-    rate: float,
-    cycles: int,
-    length: int,
-    choose_dest: Callable[[random.Random, NodeId, Sequence[NodeId]], NodeId],
-    seed: int,
+def uniform_random_traffic(
+    net: Network, *, rate: float, cycles: int, length: int = 4, seed: int = 0
 ) -> list[MessageSpec]:
+    """Each node injects Bernoulli(rate) per cycle to a uniform random destination."""
     if not 0.0 <= rate <= 1.0:
         raise ValueError("rate must be in [0, 1] (messages/node/cycle)")
     if cycles < 1 or length < 1:
@@ -34,91 +27,12 @@ def _bernoulli_injections(
     for t in range(cycles):
         for node in nodes:
             if rng.random() < rate:
-                dst = choose_dest(rng, node, nodes)
-                if dst == node:
-                    continue
+                dst = rng.choice(nodes)
+                while dst == node:
+                    dst = rng.choice(nodes)
                 specs.append(
                     MessageSpec(
                         mid=len(specs), src=node, dst=dst, length=length, inject_time=t
                     )
                 )
     return specs
-
-
-def uniform_random_traffic(
-    net: Network, *, rate: float, cycles: int, length: int = 4, seed: int = 0
-) -> list[MessageSpec]:
-    """Each node injects Bernoulli(rate) per cycle to a uniform random destination."""
-
-    def choose(rng: random.Random, src: NodeId, nodes: Sequence[NodeId]) -> NodeId:
-        while True:
-            d = rng.choice(nodes)
-            if d != src:
-                return d
-
-    return _bernoulli_injections(
-        net, rate=rate, cycles=cycles, length=length, choose_dest=choose, seed=seed
-    )
-
-
-def transpose_traffic(
-    net: Network, *, rate: float, cycles: int, length: int = 4, seed: int = 0
-) -> list[MessageSpec]:
-    """Matrix-transpose pattern for 2-D coordinate meshes: ``(x, y) -> (y, x)``."""
-
-    def choose(rng: random.Random, src: NodeId, nodes: Sequence[NodeId]) -> NodeId:
-        if not isinstance(src, tuple) or len(src) != 2:
-            raise ValueError("transpose traffic requires 2-D coordinate node ids")
-        return (src[1], src[0])
-
-    return _bernoulli_injections(
-        net, rate=rate, cycles=cycles, length=length, choose_dest=choose, seed=seed
-    )
-
-
-def hotspot_traffic(
-    net: Network,
-    *,
-    rate: float,
-    cycles: int,
-    hotspot: NodeId,
-    hotspot_fraction: float = 0.3,
-    length: int = 4,
-    seed: int = 0,
-) -> list[MessageSpec]:
-    """Uniform traffic with a fraction redirected to one hot node."""
-    if not 0.0 <= hotspot_fraction <= 1.0:
-        raise ValueError("hotspot_fraction must be in [0, 1]")
-
-    def choose(rng: random.Random, src: NodeId, nodes: Sequence[NodeId]) -> NodeId:
-        if rng.random() < hotspot_fraction and src != hotspot:
-            return hotspot
-        while True:
-            d = rng.choice(nodes)
-            if d != src:
-                return d
-
-    return _bernoulli_injections(
-        net, rate=rate, cycles=cycles, length=length, choose_dest=choose, seed=seed
-    )
-
-
-def permutation_traffic(
-    net: Network, *, length: int = 4, seed: int = 0, at: int = 0
-) -> list[MessageSpec]:
-    """One message per node under a random fixed-point-free permutation."""
-    rng = random.Random(seed)
-    nodes = net.nodes
-    n = len(nodes)
-    if n < 2:
-        raise ValueError("need at least two nodes")
-    # derangement by retry (expected ~e tries)
-    while True:
-        perm = list(range(n))
-        rng.shuffle(perm)
-        if all(perm[i] != i for i in range(n)):
-            break
-    return [
-        MessageSpec(mid=i, src=nodes[i], dst=nodes[perm[i]], length=length, inject_time=at)
-        for i in range(n)
-    ]

@@ -138,7 +138,7 @@ class TestKnotSemantics:
         while frontier:
             state = frontier.pop()
             assert system.deadlocked_set(state) == ()
-            for nxt in system.successors(state):
+            for nxt, _acts in system.successors(state):
                 if nxt not in seen:
                     seen.add(nxt)
                     frontier.append(nxt)
@@ -157,7 +157,7 @@ class TestKnotSemantics:
             if system.deadlocked_set(state):
                 dead_state = state
                 break
-            for nxt in system.successors(state):
+            for nxt, _acts in system.successors(state):
                 if nxt not in seen:
                     seen.add(nxt)
                     frontier.append(nxt)

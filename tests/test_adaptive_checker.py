@@ -7,7 +7,9 @@ from repro.analysis.adaptive_state import (
     AdaptiveSystem,
     search_adaptive_deadlock,
 )
-from repro.analysis.reachability import SearchLimitExceeded
+from repro.analysis.reachability import SearchLimitExceeded, Witness
+from repro.campaign.scenarios import build_scenario
+from repro.lint.witness import validate_witness
 from repro.routing.adaptive import AdaptiveRoutingFunction, FullyAdaptiveMesh
 from repro.topology import mesh, ring
 
@@ -114,3 +116,60 @@ class TestGuards:
         ]
         with pytest.raises(SearchLimitExceeded):
             search_adaptive_deadlock(fn, msgs, max_states=50)
+
+
+class TestWitness:
+    """A reachable adaptive answer carries a replayable witness."""
+
+    @pytest.fixture(scope="class")
+    def four_corners(self):
+        fn, msgs = build_scenario(
+            "adaptive-mesh", {"routing": "full", "dims": (2, 2), "msgs": 4}
+        ).adaptive
+        return fn, msgs, search_adaptive_deadlock(fn, msgs, certificates="off")
+
+    def test_witness_replays_through_the_successor_relation(self, four_corners):
+        _fn, _msgs, res = four_corners
+        assert res.deadlock_reachable and res.states_explored == 12
+        assert isinstance(res.witness.spec, AdaptiveSystem)
+        assert validate_witness(res.witness)
+
+    def test_final_step_deadlocks_the_reported_tags(self, four_corners):
+        _fn, msgs, res = four_corners
+        wit = res.witness
+        assert wit.spec.deadlocked_set(wit.states[-1]) == wit.deadlocked
+        assert tuple(msgs[i].tag for i in wit.deadlocked) == res.deadlocked_tags
+        assert res.deadlocked_tags == ("c0", "c1", "c2", "c3")
+
+    def test_route_choice_names_the_channel_taken(self, four_corners):
+        _fn, _msgs, res = four_corners
+        prev = res.witness.spec.initial_state()
+        for acts, state in zip(res.witness.steps, res.witness.states):
+            for act, before, after in zip(acts, prev, state):
+                if act.startswith("adv:"):
+                    assert after[0] == before[0] + (int(act[4:]),)
+            prev = state
+
+    def test_a_wrong_route_label_fails_validation(self, four_corners):
+        _fn, _msgs, res = four_corners
+        wit = res.witness
+        row = list(wit.steps[0])
+        other = next(
+            c for c in wit.spec._chan if f"adv:{c}" not in row
+        )
+        row[0] = f"adv:{other}"
+        forged = Witness(
+            spec=wit.spec,
+            steps=[tuple(row)] + wit.steps[1:],
+            states=wit.states,
+            deadlocked=wit.deadlocked,
+        )
+        assert not validate_witness(forged)
+
+    def test_unreachable_answer_has_no_witness(self):
+        fn, msgs = build_scenario(
+            "adaptive-mesh", {"routing": "full", "dims": (2, 2), "msgs": 2}
+        ).adaptive
+        res = search_adaptive_deadlock(fn, msgs, certificates="off")
+        assert not res.deadlock_reachable and res.witness is None
+        assert res.deadlocked_tags == ()

@@ -188,6 +188,18 @@ class TestAdaptiveKind:
         assert res.ok and res.verdict == "deadlock"
         assert set(res.detail["deadlocked_tags"]) == {"c0", "c1", "c2", "c3"}
         assert res.detail["certificate"] is None
+        # the search's witness: all four corners take their first hop at once
+        assert res.detail["witness_cycles"] == 1
+
+    def test_unreachable_search_records_no_witness(self):
+        task = CampaignTask.make(
+            "adaptive", "adaptive-mesh",
+            routing="full", dims=[2, 2], msgs=2, expect="unreachable",
+        )
+        res = execute_task(task)
+        assert res.ok and res.verdict == "unreachable"
+        assert res.detail["states_explored"] == 71
+        assert res.detail["witness_cycles"] is None
 
     def test_non_adaptive_scenario_is_captured(self):
         res = execute_task(CampaignTask.make("adaptive", "fig1"))

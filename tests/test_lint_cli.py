@@ -80,7 +80,8 @@ class TestCampaignLintKind:
         # v9: message-less reachability/classify/min_delay tasks fail;
         #     reachability takes a witness param
         # v10: lint results carry the full report
-        assert SCHEMA_VERSION == 10
+        # v11: reachable adaptive results record witness_cycles
+        assert SCHEMA_VERSION == 11
 
     def test_lint_task_executes(self):
         task = CampaignTask.make(

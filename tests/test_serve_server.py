@@ -8,6 +8,7 @@ import signal
 import socket
 import subprocess
 import sys
+import textwrap
 import threading
 import time
 from contextlib import suppress
@@ -471,6 +472,58 @@ def test_stop_shuts_the_worker_pool_down(tmp_path):
     for pid in pids:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+
+
+def test_jobs_2_starts_its_workers_at_boot():
+    """With --jobs 2 the pool's workers are up, with the task runners'
+    modules imported, when the server starts listening, so the first cold
+    query does not wait for them; with --jobs 1 boot builds no pool and
+    imports none of those modules.  Run in a fresh interpreter, which has
+    not imported them before the server boots."""
+    code = textwrap.dedent(
+        """
+        import json, sys, threading
+        from repro.campaign.tasks import RUNNER_MODULES
+        from repro.serve import ReproServer, ServeConfig
+
+        def loaded():
+            return [m for m in RUNNER_MODULES if m in sys.modules]
+
+        out = {"before": loaded()}
+        for jobs in (1, 2):
+            srv = ReproServer(
+                ServeConfig(port=0, jobs=jobs, cache_backend="memory", telemetry=False)
+            )
+            thread = threading.Thread(target=srv.run, daemon=True)
+            thread.start()
+            assert srv.wait_ready(60)
+            pool = srv.batcher.pool
+            executor = None if pool is None else pool._executor
+            procs = [] if executor is None else list(executor._processes.values())
+            out[jobs] = {
+                "pool": pool is not None,
+                "parent": loaded(),
+                "alive": [p.is_alive() for p in procs],
+                "worker": [executor.submit(loaded).result(60) for _ in procs],
+            }
+            srv.shutdown()
+            thread.join(30)
+        print(json.dumps(out))
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    seen = json.loads(out.stdout)
+    from repro.campaign.tasks import RUNNER_MODULES
+
+    assert "repro.sim" not in seen["before"]  # the check can fail
+    assert seen["1"] == {"pool": False, "parent": seen["before"], "alive": [], "worker": []}
+    assert seen["2"]["pool"] and seen["2"]["alive"] == [True, True]
+    assert seen["2"]["parent"] == list(RUNNER_MODULES)
+    assert seen["2"]["worker"] == [list(RUNNER_MODULES)] * 2
 
 
 def _children(pid: int) -> set[int]:

@@ -5,12 +5,7 @@ import pytest
 from repro.sim.injection import InjectionSchedule, StallSchedule
 from repro.sim.message import MessageSpec
 from repro.sim.stats import SimStats
-from repro.sim.traffic import (
-    hotspot_traffic,
-    permutation_traffic,
-    transpose_traffic,
-    uniform_random_traffic,
-)
+from repro.sim.traffic import uniform_random_traffic
 from repro.topology import mesh, ring
 
 
@@ -33,32 +28,6 @@ class TestTraffic:
         assert [(s.src, s.dst, s.inject_time) for s in a] == [
             (s.src, s.dst, s.inject_time) for s in b
         ]
-
-    def test_transpose_targets(self):
-        net = mesh((3, 3))
-        for s in transpose_traffic(net, rate=0.5, cycles=20, seed=3):
-            assert s.dst == (s.src[1], s.src[0])
-
-    def test_transpose_requires_2d(self):
-        net = ring(5)
-        with pytest.raises(ValueError):
-            transpose_traffic(net, rate=0.5, cycles=5)
-
-    def test_hotspot_bias(self):
-        net = mesh((4, 4))
-        specs = hotspot_traffic(
-            net, rate=0.3, cycles=300, hotspot=(0, 0), hotspot_fraction=0.5, seed=4
-        )
-        frac = sum(1 for s in specs if s.dst == (0, 0)) / len(specs)
-        assert frac > 0.3
-
-    def test_permutation_is_derangement(self):
-        net = mesh((3, 3))
-        specs = permutation_traffic(net, seed=5)
-        assert len(specs) == 9
-        assert all(s.src != s.dst for s in specs)
-        dsts = [s.dst for s in specs]
-        assert len(set(dsts)) == 9  # a permutation
 
     def test_bad_rate_rejected(self):
         net = ring(5)
