@@ -55,13 +55,11 @@ _EXPORTS = {
     "AdaptiveMessage": "adaptive_state",
     "AdaptiveSystem": "adaptive_state",
     "search_adaptive_deadlock": "adaptive_state",
-    "AdaptiveSearchResult": "adaptive_state",
 }
 
 if TYPE_CHECKING:  # pragma: no cover - the static view of _EXPORTS
     from repro.analysis.adaptive_state import (
         AdaptiveMessage,
-        AdaptiveSearchResult,
         AdaptiveSystem,
         search_adaptive_deadlock,
     )

@@ -40,8 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from repro.analysis import state as _state_mod
-from repro.analysis.reachability import SearchLimitExceeded, Witness, explore
+from repro.analysis.reachability import SearchLimitExceeded, SearchResult, explore
 from repro.analysis.state import CycleExpander, Option
 from repro.routing.adaptive import AdaptiveRoutingFunction
 from repro.routing.base import INJECT, RoutingError
@@ -66,20 +65,6 @@ class AdaptiveMessage:
             raise ValueError("src == dst")
         if self.length < 1:
             raise ValueError("length must be >= 1")
-
-
-@dataclass
-class AdaptiveSearchResult:
-    deadlock_reachable: bool
-    states_explored: int
-    deadlocked_tags: tuple[str, ...] = ()
-    #: a minimum-cycle deadlock formation over the :class:`AdaptiveSystem`
-    #: for every reachable answer the search decided
-    witness: Witness | None = None
-    #: rule code of the static certificate that decided (or confirmed) the
-    #: verdict, e.g. ``"CRT008"``; ``None`` when the search decided alone.
-    #: ``states_explored == 0`` iff the certificate alone decided.
-    certificate: str | None = None
 
 
 class AdaptiveSystem(CycleExpander):
@@ -110,15 +95,11 @@ class AdaptiveSystem(CycleExpander):
     # ------------------------------------------------------------------
     def occupied(self, state: AdaptiveSystemState) -> dict[int, int]:
         occ: dict[int, int] = {}
-        # read through the module so monkeypatched/env-enabled flags apply
-        debug = _state_mod.DEBUG_INVARIANTS
         for i, (taken, inj, cons, _bud) in enumerate(state):
             f = inj - cons
             if f <= 0:
                 continue
             for cid in taken[len(taken) - f :]:
-                if debug and cid in occ:
-                    raise AssertionError("channel double-booked")
                 occ[cid] = i
         return occ
 
@@ -233,56 +214,47 @@ def search_adaptive_deadlock(
     budget: int = 0,
     max_states: int = 500_000,
     certificates: str | None = None,
-) -> AdaptiveSearchResult:
+) -> SearchResult:
     """BFS over every schedule, arbitration outcome AND route choice.
 
-    ``certificates`` mirrors :func:`repro.analysis.reachability.search_deadlock`:
-    ``"on"`` (default) consults
-    :func:`repro.lint.certificates.adaptive_certificate` first -- Duato's
+    Returns a :class:`~repro.analysis.reachability.SearchResult` whose
+    ``spec`` is the searched :class:`AdaptiveSystem`; every reachable
+    answer the search decides carries its minimum-cycle witness.
+
+    ``certificates`` mirrors :func:`repro.analysis.reachability.search_deadlock`
+    (the contract is :func:`repro.lint.certificates.certified_search`):
+    :func:`repro.lint.certificates.adaptive_certificate` -- Duato's
     escape-channel condition (CRT008) or an acyclic full adaptive CDG
-    (CRT001) decides DEADLOCK_FREE with zero states explored; ``"off"``
-    disables the pre-pass; ``"check"`` runs both and raises
-    :class:`~repro.lint.certificates.CertificateMismatch` on disagreement.
-    The ``REPRO_STATIC_CERTIFICATES`` environment variable supplies the
-    default mode.
+    (CRT001) -- decides DEADLOCK_FREE with zero states explored.
     """
     # lazy import: lint sits above analysis in the layering
-    from repro.lint.certificates import (
-        CertificateMismatch,
-        adaptive_certificate,
-        certificates_mode,
-    )
-
-    cert_mode = certificates_mode(certificates)
-    cert = adaptive_certificate(fn) if cert_mode != "off" else None
-    if cert is not None and cert_mode == "on" and not cert.deadlock_reachable:
-        return AdaptiveSearchResult(
-            deadlock_reachable=False, states_explored=0, certificate=cert.code
-        )
+    from repro.lint import certificates as certs
 
     system = AdaptiveSystem(fn, messages, budget=budget)
-    try:
-        found, explored, witness = explore(
-            system, max_states=max_states, find_witness=True
+
+    def shortcut(cert: certs.Certificate) -> SearchResult | None:
+        if cert.deadlock_reachable:
+            return None
+        return SearchResult(
+            deadlock_reachable=False, witness=None, states_explored=0, spec=system
         )
-    except SearchLimitExceeded:
-        raise SearchLimitExceeded(
-            f"adaptive search exceeded {max_states} states"
-        ) from None
-    dead = witness.deadlocked if witness is not None else ()
-    result = AdaptiveSearchResult(
-        deadlock_reachable=found,
-        states_explored=explored,
-        deadlocked_tags=tuple(system.messages[i].tag or f"msg{i}" for i in dead),
-        witness=witness,
-    )
-    if cert is not None:
-        if cert_mode == "check" and result.deadlock_reachable != cert.deadlock_reachable:
-            raise CertificateMismatch(
-                f"static certificate {cert.code} says "
-                f"{'reachable' if cert.deadlock_reachable else 'deadlock-free'} "
-                f"but the adaptive search found the opposite "
-                f"({result.states_explored} states explored)"
+
+    def search() -> SearchResult:
+        try:
+            found, explored, witness = explore(
+                system, max_states=max_states, find_witness=True
             )
-        result.certificate = cert.code
-    return result
+        except SearchLimitExceeded:
+            raise SearchLimitExceeded(
+                f"adaptive search exceeded {max_states} states"
+            ) from None
+        return SearchResult(
+            deadlock_reachable=found,
+            witness=witness,
+            states_explored=explored,
+            spec=system,
+        )
+
+    return certs.certified_search(
+        certificates, lambda: certs.adaptive_certificate(fn), shortcut, search
+    )

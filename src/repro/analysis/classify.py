@@ -253,7 +253,8 @@ def classify_cycle(
     proof).  ``budget`` is the per-message stall allowance (0 = the paper's
     tight synchrony).
 
-    ``certificates`` mirrors :func:`~repro.analysis.reachability.search_deadlock`:
+    ``certificates`` mirrors :func:`~repro.analysis.reachability.search_deadlock`
+    (the contract is :func:`repro.lint.certificates.certified_search`):
     ``"on"`` (default) asks :func:`repro.lint.certificates.cycle_certificate`
     first and skips every search when a static REACHABLE_DEADLOCK argument
     (Corollaries 1-3, Theorems 2-4) applies; ``"off"`` disables the
@@ -323,18 +324,12 @@ def _classify_cycle_impl(
     max_states: int,
     certificates: str | None,
 ) -> CycleClassification:
-    from repro.lint.certificates import (
-        CertificateMismatch,
-        certificates_mode,
-        cycle_certificate,
-    )
+    # the certificate contract (lazy import: lint sits above analysis)
+    from repro.lint import certificates as certs
 
     cycle = tuple(cycle)
-    cert_mode = certificates_mode(certificates)
-    cert = (
-        cycle_certificate(alg, cycle, pairs) if cert_mode != "off" else None
-    )
-    if cert is not None and cert_mode == "on":
+
+    def shortcut(cert: certs.Certificate) -> CycleClassification:
         # constructive certificates (CRT005) also yield a zero-search
         # witness over the certificate's own message set; the others
         # leave witness_result as None (existence without a schedule)
@@ -357,29 +352,25 @@ def _classify_cycle_impl(
             scenarios_tested=0,
             witness_result=witness_result,
             notes=[f"static certificate {cert.code}: {cert.rationale}"],
-            certificate=cert.code,
         )
 
-    result = _classify_cycle_search(
-        alg,
-        cycle,
-        pairs=pairs,
-        length_slack=length_slack,
-        extra_copies=extra_copies,
-        budget=budget,
-        max_states=max_states,
+    # in check mode the bounded search must agree with the certificate:
+    # its scenario family includes the certificate's tiling
+    return certs.certified_search(
+        certificates,
+        lambda: certs.cycle_certificate(alg, cycle, pairs),
+        shortcut,
+        lambda: _classify_cycle_search(
+            alg,
+            cycle,
+            pairs=pairs,
+            length_slack=length_slack,
+            extra_copies=extra_copies,
+            budget=budget,
+            max_states=max_states,
+            certificates=certificates,
+        ),
     )
-    if cert is not None:
-        # check mode: certificate claimed reachable; the bounded search must
-        # agree (its scenario family includes the certificate's tiling)
-        if not result.deadlock_reachable:
-            raise CertificateMismatch(
-                f"static certificate {cert.code} says the cycle deadlock is "
-                f"reachable but the search classified it as a false resource "
-                f"cycle ({result.scenarios_tested} scenarios tested)"
-            )
-        result.certificate = cert.code
-    return result
 
 
 def _classify_cycle_search(
@@ -391,8 +382,10 @@ def _classify_cycle_search(
     extra_copies: int,
     budget: int,
     max_states: int,
+    certificates: str | None,
 ) -> CycleClassification:
-    """The search-based classification (certificate pre-pass already done)."""
+    """The search-based classification (certificate pre-pass already done);
+    each scenario search runs in the same ``certificates`` mode."""
     candidates = messages_for_cycle(alg, cycle, pairs)
     tilings = enumerate_tilings(cycle, candidates)
     notes: list[str] = []
@@ -439,10 +432,13 @@ def _classify_cycle_search(
                     spec,
                     max_states=max_states,
                     find_witness=False,
+                    certificates=certificates,
                 )
                 result = probe
                 if probe.deadlock_reachable:
-                    result = search_deadlock(spec, max_states=max_states)
+                    result = search_deadlock(
+                        spec, max_states=max_states, certificates=certificates
+                    )
                 if result.deadlock_reachable:
                     return CycleClassification(
                         cycle=cycle,

@@ -276,53 +276,6 @@ def kernel_engine_for(spec: SystemSpec) -> "KernelEngine":
 # ----------------------------------------------------------------------
 # transition tables
 # ----------------------------------------------------------------------
-# the per-message moves (the labels SystemSpec.successors uses)
-_TRY, _ADV, _STALL, _DRAIN = "try", "adv", "stall", "drain"
-
-
-def _move(ms: tuple, act: str, path: tuple[int, ...], L: int) -> tuple[tuple, int, int]:
-    """Apply one action to a per-message state: ``(next, acquired,
-    released)``, the channels as bit positions (``-1`` for none).
-
-    This is the only place the flit-train arithmetic of
-    :meth:`SystemSpec._apply` is re-derived; everything downstream
-    reads its results out of tables.
-    """
-    h, inj, cons, bud = ms
-    k = len(path)
-    if act is _TRY:
-        return (1, 1, cons, bud), path[0], -1
-    if act is _STALL:
-        return (h, inj, cons, bud - 1), -1, -1
-    f = inj - cons
-    if act is _ADV and h < k:
-        h += 1
-        acq = path[h - 1]  # the channel just acquired
-        if inj < L and (inj - cons) < h:
-            inj += 1
-        rel = path[h - 1 - f] if inj - cons == f else -1  # tail vacated
-        return (h, inj, cons, bud), acq, rel
-    if act is _ADV:
-        h += 1  # arrival: the header is consumed like a draining flit
-    cons += 1
-    if inj < L and (inj - cons) < k:
-        inj += 1
-    rel = path[k - f] if inj - cons < f else -1  # train shrank
-    return (h, inj, cons, bud), -1, rel
-
-
-def _moves_of(ms: tuple, k: int, L: int) -> tuple[str, ...]:
-    """The actions that can change a per-message state."""
-    h, _inj, cons, bud = ms
-    if cons == L:
-        return ()
-    if h == 0:
-        return (_TRY,)
-    if h <= k:
-        return (_ADV, _STALL) if bud > 0 else (_ADV,)
-    return (_DRAIN,)
-
-
 class _TableBuilder:
     """One spec's flat ``[message, state]`` transition tables.
 
@@ -345,12 +298,8 @@ class _TableBuilder:
                 bit_of.setdefault(cid, len(bit_of))
         self.bit_of = bit_of
         n = len(spec.messages)
-        paths = [tuple(bit_of[cid] for cid in m.path) for m in spec.messages]
-        lens = [m.length for m in spec.messages]
         #: per-message states by index: decodes the kernel's index rows
-        self.back = [
-            self._closure(paths[i], lens[i], spec.budgets[i]) for i in range(n)
-        ]
+        self.back = [self._closure(spec, i) for i in range(n)]
         S = max(len(states) for states in self.back)
         W = max(1, (self.num_bits + 63) // 64)
         self.S, self.W = S, W
@@ -369,7 +318,7 @@ class _TableBuilder:
         for i in range(n):
             idx = {ms: ci for ci, ms in enumerate(self.back[i])}
             for ci, ms in enumerate(self.back[i]):
-                self._fill(i * S + ci, ms, paths[i], lens[i], idx)
+                self._fill(spec, i, i * S + ci, ms, idx)
         self.init = array(
             "i", [self.back[i].index((0, 0, 0, spec.budgets[i])) for i in range(n)]
         )
@@ -395,53 +344,55 @@ class _TableBuilder:
         return len(self.bit_of)
 
     @staticmethod
-    def _closure(path: tuple[int, ...], L: int, budget: int) -> list[tuple]:
-        """Every per-message state reachable from injection start, sorted."""
-        start = (0, 0, 0, budget)
+    def _closure(spec: SystemSpec, i: int) -> list[tuple]:
+        """Every state of message ``i`` reachable from injection start
+        under its own moves, sorted."""
+        start = (0, 0, 0, spec.budgets[i])
         seen = {start}
         todo = [start]
         while todo:
             ms = todo.pop()
-            for act in _moves_of(ms, len(path), L):
-                nxt = _move(ms, act, path, L)[0]
+            for label, chan in spec.moves(i, ms):
+                nxt = spec._apply(i, ms, label, chan)
                 if nxt not in seen:
                     seen.add(nxt)
                     todo.append(nxt)
         return sorted(seen)
 
-    def _fill(
-        self, at: int, ms: tuple, path: tuple[int, ...], L: int, idx: dict
-    ) -> None:
-        """Write the table row of per-message state ``ms`` at flat slot ``at``."""
-        h, inj, cons, bud = ms
-        k = len(path)
-        f = inj - cons
-        if h and f > 0:
-            front = h - 1 if h <= k else k - 1
-            W = self.W
-            for x in range(front - f + 1, front + 1):
-                b = path[x]
-                self.occ[at * W + (b >> 6)] |= 1 << (b & 63)
-        acts = _moves_of(ms, k, L)
-        if not acts:
+    def _fill(self, spec: SystemSpec, i: int, at: int, ms: tuple, idx: dict) -> None:
+        """Write the table row of message ``i``'s state ``ms`` at flat slot
+        ``at``."""
+        bit_of, W, occ = self.bit_of, self.W, self.occ
+        train = spec.flit_train(i, ms)
+        for cid in train:
+            b = bit_of[cid]
+            occ[at * W + (b >> 6)] |= 1 << (b & 63)
+        moves = spec.moves(i, ms)
+        if not moves:
             return  # done: no options
-        nxt, acq, rel = _move(ms, acts[0], path, L)
-        self.nops[at] = len(acts)
+        self.nops[at] = len(moves)
+        label, chan = moves[0]
+        nxt = spec._apply(i, ms, label, chan)
         self.nxt0[at] = idx[nxt]
-        self.acq0[at] = acq
-        self.rel0[at] = rel
-        if h == 0:
-            # injection: try for the first channel, or wait in place
-            self.req[at] = self.ch0[at] = path[0]
-            self.nops[at] = 2
-            self.nxt1[at] = idx[ms]
-            self.wait1[at] = 1
-            return
-        if h < k:
-            # in-network advance: arbitrated, and blocks on a held channel
-            self.req[at] = self.blk[at] = self.ch0[at] = path[h]
-        if len(acts) > 1:  # the router may stall any in-network move
-            self.nxt1[at] = idx[_move(ms, _STALL, path, L)[0]]
+        # the channels acquired and released are the set difference of
+        # the trains before and after; a train slides forward along its
+        # path, so it can gain a channel only at its front and lose one
+        # only at its tail
+        after = spec.flit_train(i, nxt)
+        if after and after[-1] not in train:
+            self.acq0[at] = bit_of[after[-1]]
+        if train and train[0] not in after:
+            self.rel0[at] = bit_of[train[0]]
+        if chan is not None:
+            # an arbitrated request; a header in the network also blocks
+            # on it (an injection merely waits)
+            self.req[at] = self.ch0[at] = bit_of[chan]
+            if ms[0]:
+                self.blk[at] = bit_of[chan]
+        if len(moves) > 1:  # the injection's wait, or the router's stall
+            label, chan = moves[1]
+            self.nxt1[at] = idx[spec._apply(i, ms, label, chan)]
+            self.wait1[at] = label == "wait"
 
 
 class KernelEngine:

@@ -140,9 +140,14 @@ class Witness:
     def num_cycles(self) -> int:
         return len(self.steps)
 
+    @property
+    def tags(self) -> list[str]:
+        """Each message's name in reports: its tag, else ``msg<index>``."""
+        return [m.tag or f"msg{i}" for i, m in enumerate(self.spec.messages)]
+
     def render(self) -> str:
         """Human-readable cycle-by-cycle account of the deadlock formation."""
-        tags = [m.tag or f"msg{i}" for i, m in enumerate(self.spec.messages)]
+        tags = self.tags
         lines = [f"deadlock witness over {self.num_cycles} cycles; "
                  f"cycle members: {', '.join(tags[i] for i in self.deadlocked)}"]
         for t, (acts, st) in enumerate(zip(self.steps, self.states)):
@@ -156,7 +161,10 @@ class Witness:
 
 @dataclass
 class SearchResult:
-    """Outcome of :func:`search_deadlock`."""
+    """Outcome of :func:`search_deadlock` (``spec`` a :class:`SystemSpec`)
+    and of
+    :func:`~repro.analysis.adaptive_state.search_adaptive_deadlock`
+    (``spec`` an :class:`~repro.analysis.adaptive_state.AdaptiveSystem`)."""
 
     deadlock_reachable: bool
     witness: Witness | None
@@ -174,6 +182,15 @@ class SearchResult:
     def is_false_resource_cycle(self) -> bool:
         """Convenience alias: unreachable deadlock == false resource cycle."""
         return not self.deadlock_reachable
+
+    @property
+    def deadlocked_tags(self) -> tuple[str, ...]:
+        """The witness's deadlocked members by :attr:`Witness.tags` name;
+        empty without a witness."""
+        if self.witness is None:
+            return ()
+        tags = self.witness.tags
+        return tuple(tags[i] for i in self.witness.deadlocked)
 
 
 def _symmetry_canonicalizer(spec: SystemSpec):
@@ -262,6 +279,9 @@ def search_deadlock(
         ``states_explored`` counts and witnesses (pinned by
         ``tests/test_kernelpath_differential.py``).
     certificates:
+        The static-certificate mode of
+        :func:`repro.lint.certificates.certified_search`, the one
+        contract of every search entry point.
         ``"on"`` (default) consults the static linter first: when
         :func:`repro.lint.certificates.spec_certificate` decides the
         verdict, the BFS is skipped entirely (``states_explored == 0``,
@@ -354,86 +374,59 @@ def _search_deadlock_impl(
     certificates: str | None,
 ) -> SearchResult:
     """The search proper; ``engine`` is already a concrete engine name."""
-    if symmetry_reduction is None:
-        symmetry_reduction = not find_witness
+    reduce = not find_witness if symmetry_reduction is None else symmetry_reduction
 
     init = spec.initial_state()
     dead = spec.deadlocked_set(init)
     if dead:  # pragma: no cover - empty network can't deadlock
         raise AssertionError("initial state deadlocked; spec is malformed")
 
-    # static-certificate pre-pass (lazy import: lint sits above analysis)
-    from repro.lint.certificates import (
-        CertificateMismatch,
-        certificates_mode,
-        spec_certificate,
-    )
+    def shortcut(cert) -> SearchResult | None:
+        # a reachable certificate with a witness requested builds its
+        # stall-free schedule (zero search states); only a failed
+        # construction falls through to the BFS
+        wit = None
+        if cert.deadlock_reachable and find_witness:
+            from repro.lint.witness import certificate_witness
 
-    cert_mode = certificates_mode(certificates)
-    cert = spec_certificate(spec) if cert_mode != "off" else None
-    if cert is not None and cert_mode == "on":
-        if not cert.deadlock_reachable:
-            return SearchResult(
-                deadlock_reachable=False,
-                witness=None,
-                states_explored=0,
-                spec=spec,
-                certificate=cert.code,
-            )
-        if not find_witness:
-            return SearchResult(
-                deadlock_reachable=True,
-                witness=None,
-                states_explored=0,
-                spec=spec,
-                certificate=cert.code,
-            )
-        # reachable certificate with a witness requested: construct the
-        # certificate's stall-free schedule directly (zero search states);
-        # only a failed construction falls through to the BFS.
-        from repro.lint.witness import certificate_witness
+            wit = certificate_witness(cert, spec)
+            if wit is None:
+                return None
+        return SearchResult(
+            deadlock_reachable=cert.deadlock_reachable,
+            witness=wit,
+            states_explored=0,
+            spec=spec,
+        )
 
-        wit = certificate_witness(cert, spec)
-        if wit is not None:
-            return SearchResult(
-                deadlock_reachable=True,
-                witness=wit,
-                states_explored=0,
-                spec=spec,
-                certificate=cert.code,
+    def search() -> SearchResult:
+        if engine != "reference":
+            return _search_kernel(
+                spec,
+                max_states=max_states,
+                find_witness=find_witness,
+                symmetry_reduction=reduce,
             )
-
-    if engine == "reference":
         found, explored, witness = explore(
             spec,
             max_states=max_states,
             find_witness=find_witness,
-            canon=_symmetry_canonicalizer(spec) if symmetry_reduction else None,
+            canon=_symmetry_canonicalizer(spec) if reduce else None,
         )
-        result = SearchResult(
+        return SearchResult(
             deadlock_reachable=found,
             witness=witness,
             states_explored=explored,
             spec=spec,
         )
-    else:
-        result = _search_kernel(
-            spec,
-            max_states=max_states,
-            find_witness=find_witness,
-            symmetry_reduction=symmetry_reduction,
-        )
 
-    if cert is not None:
-        if cert_mode == "check" and result.deadlock_reachable != cert.deadlock_reachable:
-            raise CertificateMismatch(
-                f"static certificate {cert.code} says "
-                f"{'reachable' if cert.deadlock_reachable else 'deadlock-free'} "
-                f"but the search found the opposite "
-                f"({result.states_explored} states explored)"
-            )
-        result.certificate = cert.code
-    return result
+    # the certificate contract (lazy import: lint sits above analysis);
+    # spec_certificate is looked up at each call
+    from repro.lint import certificates as certs
+
+    return certs.certified_search(
+        certificates, lambda: certs.spec_certificate(spec), shortcut, search
+    )
 
 
 def _search_kernel(

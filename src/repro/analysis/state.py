@@ -34,18 +34,11 @@ winner.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import product
 from collections.abc import Sequence
 
 from repro.topology.channels import Channel
-
-#: Cross-checking invariants (e.g. "no two messages occupy one channel")
-#: sit on the hottest loops of the search; they are disabled by default and
-#: re-enabled by setting ``REPRO_DEBUG_INVARIANTS=1`` (or monkeypatching
-#: this flag) when chasing a suspected state-model bug.
-DEBUG_INVARIANTS = os.environ.get("REPRO_DEBUG_INVARIANTS", "") not in ("", "0")
 
 #: the smallest value of each analysis option; below it the question is
 #: empty (no scenario to test, no state to explore, no cycle to lint) or
@@ -244,6 +237,11 @@ class SystemSpec(CycleExpander):
         object.__setattr__(self, "_paths", tuple(m.path for m in self.messages))
         object.__setattr__(self, "_ks", tuple(len(m.path) for m in self.messages))
         object.__setattr__(self, "_lens", tuple(m.length for m in self.messages))
+        # the successor relation reads moves() and flit_train() through
+        # per-message memos (state -> result): a message has few states,
+        # and a lookup beats a call
+        object.__setattr__(self, "_move_memo", tuple({} for _ in self.messages))
+        object.__setattr__(self, "_train_memo", tuple({} for _ in self.messages))
 
     @classmethod
     def uniform(
@@ -258,27 +256,24 @@ class SystemSpec(CycleExpander):
     # ------------------------------------------------------------------
     # state interpretation
     # ------------------------------------------------------------------
+    def flit_train(self, i: int, ms: MsgState) -> tuple[int, ...]:
+        """The channels message ``i``'s flit train holds in state ``ms``:
+        the ``inj - cons`` path channels ending at the front channel
+        ``min(h, k) - 1`` (none before injection or once drained)."""
+        h, inj, cons, _bud = ms
+        k = self._ks[i]  # type: ignore[attr-defined]
+        end = h if h <= k else k
+        return self._paths[i][end - inj + cons:end]  # type: ignore[attr-defined]
+
     def occupied_channels(self, state: SystemState) -> dict[int, int]:
         """Map channel id -> index of the occupying message."""
         occ: dict[int, int] = {}
-        paths = self._paths  # type: ignore[attr-defined]
-        ks = self._ks  # type: ignore[attr-defined]
-        debug = DEBUG_INVARIANTS
-        for i, (h, inj, cons, _bud) in enumerate(state):
-            if h == 0:
-                continue
-            f = inj - cons
-            if f <= 0:
-                continue
-            k = ks[i]
-            front = h - 1 if h <= k else k - 1
-            path = paths[i]
-            for idx in range(front - f + 1, front + 1):
-                cid = path[idx]
-                if debug and cid in occ:
-                    raise AssertionError(
-                        "two messages occupy one channel: invariant broken"
-                    )
+        trains = self._train_memo  # type: ignore[attr-defined]
+        for i, ms in enumerate(state):
+            train = trains[i].get(ms)
+            if train is None:
+                train = trains[i][ms] = self.flit_train(i, ms)
+            for cid in train:
                 occ[cid] = i
         return occ
 
@@ -335,39 +330,45 @@ class SystemSpec(CycleExpander):
     # ------------------------------------------------------------------
     # the adversary's moves (expanded by CycleExpander.successors)
     # ------------------------------------------------------------------
+    def moves(self, i: int, ms: MsgState) -> list[Option]:
+        """Message ``i``'s move options in state ``ms`` when the channel it
+        requests (the first option's) is free; none once it is done.
+
+        A message at injection tries for its first path channel or waits;
+        a header in the network advances, into its next channel or (from
+        the last) into the node, and the router may stall it while budget
+        remains; a consumed header drains one flit per cycle.
+        """
+        h, _inj, cons, bud = ms
+        k = self._ks[i]  # type: ignore[attr-defined]
+        if cons == self._lens[i]:  # type: ignore[attr-defined]
+            return []
+        if h == 0:
+            return [("try", self._paths[i][0]), ("wait", None)]  # type: ignore[attr-defined]
+        if h > k:
+            return [("drain", None)]
+        # the arrival into the node (h == k) requests no arbitration
+        adv: Option = ("adv", self._paths[i][h] if h < k else None)  # type: ignore[attr-defined]
+        return [adv, ("stall", None)] if bud > 0 else [adv]
+
     def _options(
         self, cur: list[MsgState], pending: frozenset[int], last: list[str]
     ) -> dict[int, list[Option]]:
         occ = self.occupied_channels(tuple(cur))
-        ks = self._ks  # type: ignore[attr-defined]
-        lens = self._lens  # type: ignore[attr-defined]
-        paths = self._paths  # type: ignore[attr-defined]
+        moves = self._move_memo  # type: ignore[attr-defined]
         options: dict[int, list[Option]] = {}
         for i in pending:
-            h, inj, cons, bud = cur[i]
-            k = ks[i]
-            if cons == lens[i]:
+            ms = cur[i]
+            opts = moves[i].get(ms)
+            if opts is None:
+                opts = moves[i][ms] = self.moves(i, ms)
+            if not opts:
                 last[i] = "done"
-            elif h == 0:
-                first = paths[i][0]
-                if first not in occ:
-                    options[i] = [("try", first), ("wait", None)]
-                # else: stays pending silently (may free later round)
-            elif h <= k - 1:
-                nxt = paths[i][h]
-                if nxt not in occ:
-                    opts: list[Option] = [("adv", nxt)]
-                    if bud > 0:
-                        opts.append(("stall", None))
-                    options[i] = opts
-                else:
-                    last[i] = "freeze"
-            elif h == k:
-                # arrival into the node: no arbitration, but the router
-                # may stall it (it is an in-network move).
-                options[i] = [("adv", None), ("stall", None)] if bud > 0 else [("adv", None)]
-            else:  # h == k + 1: draining, forced consumption
-                options[i] = [("drain", None)]
+            elif opts[0][1] not in occ:
+                options[i] = opts
+            elif ms[0]:
+                last[i] = "freeze"
+            # else: an injection stays pending silently (may free later round)
         return options
 
     def _apply(self, i: int, ms: MsgState, label: str, chan: int | None) -> MsgState:
@@ -388,6 +389,8 @@ class SystemSpec(CycleExpander):
             cons += 1
             if inj < length and (inj - cons) < k:
                 inj += 1
+        elif label == "wait":
+            pass  # an injection's wait keeps the state
         else:  # pragma: no cover - defensive
             raise AssertionError(f"unknown action {label!r}")
         return (h, inj, cons, bud)

@@ -22,7 +22,6 @@ recorded in an append-only ledger:
 :mod:`ledger`     -- :class:`RunLedger` (JSONL) + :class:`CampaignSummary`.
 :mod:`progress`   -- periodic done/total/rate/ETA reporting.
 :mod:`specs`      -- built-in campaign specs (``paper-battery``, ``quick``).
-:mod:`trend`      -- per-task wall-time regression detection across ledgers.
 
 See ``docs/CAMPAIGN.md`` for the task model, cache keying, and ledger
 schema.
@@ -40,8 +39,6 @@ _EXPORTS = {
     "parse_shard": "tasks",
     "shard_tasks": "tasks",
     "SCHEMA_VERSION": "tasks",
-    "TrendReport": "trend",
-    "compare_ledgers": "trend",
     "CacheBackend": "cache",
     "CacheIntegrity": "cache",
     "CacheStats": "cache",
@@ -85,7 +82,6 @@ if TYPE_CHECKING:  # pragma: no cover - the static view of _EXPORTS
         parse_shard,
         shard_tasks,
     )
-    from repro.campaign.trend import TrendReport, compare_ledgers
 
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 __all__ = list(_EXPORTS)

@@ -4,7 +4,8 @@ Every task outcome -- cache hit or live, success or failure -- becomes one
 ``{"type": "result", ...}`` line the moment it is known (flushed, so a
 killed campaign leaves a readable partial ledger).  A finished campaign
 appends one ``{"type": "summary", ...}`` line.  Ledgers accumulate across
-runs of the same spec; ``read_ledger`` returns everything for trending.
+runs of the same spec; ``read_ledger`` returns everything (``campaign
+status`` merges shard ledgers from it).
 
 Result line fields: ``task_hash``, ``name``, ``kind``, ``scenario``,
 ``params``, ``verdict``, ``detail`` (states explored etc.), ``ok``,

@@ -20,7 +20,6 @@ Examples
     # verification campaigns: parallel, cached, ledgered sweeps
     python -m repro campaign run --spec paper-battery --jobs 4
     python -m repro campaign run --spec paper-battery --shard 1/3
-    python -m repro campaign trend old.jsonl new.jsonl --threshold 1.5
     python -m repro campaign status
     python -m repro campaign clean
 
@@ -558,11 +557,9 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    cache = backends[0][1]
 
     ledger_dir = Path(args.cache_dir) / "ledgers"
-    rows = []
-    ledgers_json = []
+    ledgers = []
     merged: dict[str, bool] = {}  # task_hash -> ok of latest execution
     tele_counters: dict[str, float] = {}
     tele_tasks = 0
@@ -575,142 +572,85 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
                 tele_tasks += 1
                 for key, value in res.telemetry.get("counters", {}).items():
                     tele_counters[key] = tele_counters.get(key, 0) + value
-        rows.append(
-            {
-                "ledger": path.name,
-                "results": len(results),
-                "distinct tasks": len({r.task_hash for r in results}),
-                "runs": len(summaries),
-                "last wall (s)": last.get("wall_time", "-"),
-                "last cache hits": last.get("from_cache", "-"),
-                "last failed": last.get("failed", "-"),
-                "last matches": (
-                    "-" if not last
-                    else not last.get("expect_mismatches") and not last.get("failed")
-                ),
-            }
-        )
-        ledgers_json.append(
+        ledgers.append(
             {
                 "ledger": path.name,
                 "results": len(results),
                 "distinct_tasks": len({r.task_hash for r in results}),
                 "runs": len(summaries),
+                "last_wall_s": last.get("wall_time"),
+                "last_cache_hits": last.get("from_cache"),
+                "last_failed": last.get("failed"),
+                "last_matches": (
+                    None if not last
+                    else not last.get("expect_mismatches") and not last.get("failed")
+                ),
             }
         )
     ok = sum(1 for good in merged.values() if good)
-
-    if args.json:
-        scans = [(spec, be, be.integrity()) for spec, be in backends]
-        payload = {
-            "cache_dir": args.cache_dir,
-            "backends": [
-                {
-                    "spec": spec,
-                    "backend": type(be).__name__,
-                    "entries": len(be),
-                    "integrity": report.to_json(),
-                }
-                for spec, be, report in scans
-            ],
-            "ledgers": ledgers_json,
-            "merged": {
-                "distinct_tasks": len(merged),
-                "ok": ok,
-                "failed": len(merged) - ok,
-            },
-            "telemetry_rollup": {
-                "tasks": tele_tasks,
-                "counters": {
-                    k: round(tele_counters[k], 6) for k in sorted(tele_counters)
-                },
-            },
-        }
-        print(_json.dumps(payload, indent=2))
-        return 0 if all(report.healthy for _, _, report in scans) else 1
-
-    integrity = cache.integrity()
-    print(render_kv(
-        {
-            "cache": backend_specs[0],
-            "backend": type(cache).__name__,
-            "cached results": len(cache),
-            "schema salt": integrity.salt,
-            "corrupt": integrity.corrupt,
-            "stale salt": integrity.stale_salt,
-        },
-        title="campaign cache",
-    ))
-    for spec, be in backends[1:]:
-        extra = be.integrity()
-        print()
-        print(render_kv(
+    payload = {
+        "cache_dir": args.cache_dir,
+        "backends": [
             {
-                "cache": spec,
+                "spec": spec,
                 "backend": type(be).__name__,
-                "cached results": len(be),
-                "schema salt": extra.salt,
-                "corrupt": extra.corrupt,
-                "stale salt": extra.stale_salt,
+                "entries": len(be),
+                "integrity": be.integrity().to_json(),
+            }
+            for spec, be in backends
+        ],
+        "ledgers": ledgers,
+        "merged": {"distinct_tasks": len(merged), "ok": ok, "failed": len(merged) - ok},
+        "telemetry_rollup": {
+            "tasks": tele_tasks,
+            "counters": {k: round(tele_counters[k], 6) for k in sorted(tele_counters)},
+        },
+    }
+    # one exit rule for both formats: any unhealthy backend fails
+    rc = 0 if all(b["integrity"]["healthy"] for b in payload["backends"]) else 1
+    if args.json:
+        print(_json.dumps(payload, indent=2))
+        return rc
+
+    blocks = [
+        render_kv(
+            {
+                "cache": b["spec"],
+                "backend": b["backend"],
+                "cached results": b["entries"],
+                "schema salt": b["integrity"]["salt"],
+                "corrupt": b["integrity"]["corrupt"],
+                "stale salt": b["integrity"]["stale_salt"],
+                "healthy": b["integrity"]["healthy"],
             },
-            title="extra cache backend",
-        ))
-    print()
-    print(render_table(rows, title="campaign ledgers"))
-    if rows:
+            title="campaign cache",
+        )
+        for b in payload["backends"]
+    ]
+    blocks.append(render_table(
+        [
+            {k.replace("_", " "): "-" if v is None else v for k, v in row.items()}
+            for row in ledgers
+        ],
+        title="campaign ledgers",
+    ))
+    if ledgers:
         # the union view is how sharded runs (--shard i/n) are merged:
         # shards share the cache and write disjoint hash-keyed ledgers
-        print()
-        print(render_kv(
-            {"distinct tasks": len(merged), "ok": ok, "failed": len(merged) - ok},
+        blocks.append(render_kv(
+            {k.replace("_", " "): v for k, v in payload["merged"].items()},
             title="merged across ledgers",
         ))
-    if tele_counters:
+    rollup = payload["telemetry_rollup"]
+    if rollup["counters"]:
         # roll-up of the per-task telemetry summaries embedded in ledger
         # records by runs executed with REPRO_TELEMETRY on
-        rollup = {"task executions with telemetry": tele_tasks}
-        rollup.update(
-            {k: round(tele_counters[k], 6) for k in sorted(tele_counters)}
-        )
-        print()
-        print(render_kv(rollup, title="telemetry roll-up"))
-    return 0
-
-
-def _cmd_campaign_trend(args: argparse.Namespace) -> int:
-    from repro.campaign import compare_ledgers
-    from repro.experiments import render_kv, render_table
-
-    try:
-        report = compare_ledgers(
-            args.old, args.new,
-            threshold=args.threshold,
-            min_seconds=args.min_seconds,
-            states_threshold=args.states_threshold,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(render_kv(report.summary_rows(), title="campaign trend"))
-    if report.regressions:
-        print()
-        print(render_table(
-            [ln.row() for ln in report.regressions],
-            title=f"regressions (> {report.threshold:g}x)",
+        blocks.append(render_kv(
+            {"task executions with telemetry": rollup["tasks"], **rollup["counters"]},
+            title="telemetry roll-up",
         ))
-    if report.improvements:
-        print()
-        print(render_table(
-            [ln.row() for ln in report.improvements],
-            title=f"improvements (< 1/{report.threshold:g}x)",
-        ))
-    if report.states_regressions:
-        print()
-        print(render_table(
-            [ln.row() for ln in report.states_regressions],
-            title=f"search-work regressions (states > {report.states_threshold:g}x)",
-        ))
-    return 0 if report.ok else 1
+    print("\n\n".join(blocks))
+    return rc
 
 
 def _cmd_campaign_clean(args: argparse.Namespace) -> int:
@@ -1258,34 +1198,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_telemetry_flags(pr)
     pr.set_defaults(fn=_cmd_campaign_run)
 
-    pt = csub.add_parser(
-        "trend", help="diff per-task wall times between two run ledgers"
-    )
-    pt.add_argument("old", help="baseline ledger (JSONL)")
-    pt.add_argument("new", help="candidate ledger (JSONL)")
-    pt.add_argument(
-        "--threshold", type=float, default=1.5,
-        help="flag tasks whose wall time grew beyond this ratio (default 1.5)",
-    )
-    pt.add_argument(
-        "--min-seconds", type=float, default=0.05,
-        help="ignore tasks faster than this in the new ledger (noise floor)",
-    )
-    pt.add_argument(
-        "--states-threshold", type=float, default=1.0,
-        help="allowed growth ratio of per-task states_explored before the "
-        "trend fails (default 1.0: any growth in search work is a "
-        "regression -- state counts are exact, so no noise floor applies)",
-    )
-    pt.set_defaults(fn=_cmd_campaign_trend)
-
     ps = csub.add_parser(
         "status",
         help="summarise cache + ledgers (with per-backend integrity)",
         description="Report cache contents, per-backend integrity scans "
         "(corrupt entries, stale schema salts), per-ledger run history and "
-        "the merged cross-shard union.  --json exits 1 if any scanned "
-        "backend is unhealthy.",
+        "the merged cross-shard union.  Exits 1 if any scanned backend is "
+        "unhealthy; --json prints the report the text is rendered from.",
     )
     ps.add_argument("--cache-dir", default=".campaign-cache")
     ps.add_argument(

@@ -48,14 +48,15 @@ its deadlock configuration so tests can hand it back to the search engine.
 ``REPRO_STATIC_CERTIFICATES`` (``on`` / ``off`` / ``check``) gates the
 fast-path consumers, in the spirit of the kernel/reference oracle pair:
 ``check`` runs both the certificate and the search and raises
-:class:`CertificateMismatch` on disagreement.
+:class:`CertificateMismatch` on disagreement.  :func:`certified_search`
+is that contract, written once for every search entry point.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Callable, Protocol, Sequence, TypeVar
 
 from repro.analysis.state import CheckerMessage, SystemSpec
 from repro.cdg import cycles as cdg_cycles
@@ -107,6 +108,63 @@ class Certificate:
     @property
     def deadlock_reachable(self) -> bool:
         return self.verdict == REACHABLE_DEADLOCK
+
+
+class Answer(Protocol):
+    """What the contract reads and stamps on a search's answer."""
+
+    deadlock_reachable: bool
+    certificate: str | None
+
+
+R = TypeVar("R", bound=Answer)
+
+
+def certified_search(
+    certificates: str | None,
+    certify: Callable[[], Certificate | None],
+    shortcut: Callable[[Certificate], R | None],
+    search: Callable[[], R],
+) -> R:
+    """Answer a search query under the static-certificate contract.
+
+    The one statement of the ``on``/``off``/``check`` rule, shared by
+    :func:`~repro.analysis.reachability.search_deadlock`,
+    :func:`~repro.analysis.adaptive_state.search_adaptive_deadlock` and
+    :func:`~repro.analysis.classify.classify_cycle`.  ``certificates``
+    names the mode (``None``: :data:`ENV_VAR`, else ``on``):
+
+    ``off``
+        ``search()`` alone; ``certify`` is not called.
+    ``on``
+        ``certify()`` first; when it issues a certificate,
+        ``shortcut(cert)`` answers without searching, or returns ``None``
+        to let ``search()`` answer.
+    ``check``
+        ``certify()`` and ``search()`` both; a certificate whose verdict
+        the search contradicts raises :class:`CertificateMismatch`.
+
+    Whenever a certificate was issued, the answer's ``certificate`` is
+    stamped with its rule code.
+    """
+    mode = certificates_mode(certificates)
+    cert = certify() if mode != "off" else None
+    result = shortcut(cert) if cert is not None and mode == "on" else None
+    if result is None:
+        result = search()
+        if (
+            cert is not None
+            and mode == "check"
+            and result.deadlock_reachable != cert.deadlock_reachable
+        ):
+            claim = "reachable" if cert.deadlock_reachable else "deadlock-free"
+            raise CertificateMismatch(
+                f"static certificate {cert.code} says {claim} but the search "
+                "found the opposite"
+            )
+    if cert is not None:
+        result.certificate = cert.code
+    return result
 
 
 # ----------------------------------------------------------------------

@@ -9,8 +9,7 @@ ledger.
 JSON report.  Field conventions deliberately match the committed search
 benchmark (``BENCH_search.json`` / ``scripts/perf_report.py``): per-name
 wall clock is ``wall_s``, the header carries ``schema`` / ``generated``
-/ ``python`` / ``platform``, so the same diffing habits (and tools like
-``campaign trend``) transfer.
+/ ``python`` / ``platform``, so the same diffing habits transfer.
 """
 
 from __future__ import annotations

@@ -150,3 +150,62 @@ class TestDeadlockDetection:
             SystemSpec(messages=(linear_message(0, 2, 1),), budgets=(-1,))
         with pytest.raises(ValueError):
             SystemSpec(messages=(linear_message(0, 2, 1),), budgets=(0, 0))
+
+
+def _trains_oblivious(spec, state):
+    return [spec.flit_train(i, ms) for i, ms in enumerate(state)]
+
+
+def _trains_adaptive(_system, state):
+    # the flit train is the last inj - cons channels the header took
+    return [taken[len(taken) - (inj - cons):] if inj > cons else ()
+            for taken, inj, cons, _bud in state]
+
+
+def _fig1_budget0():
+    from repro.campaign.scenarios import build_scenario
+
+    return SystemSpec.uniform(build_scenario("fig1", {}).messages, budget=0)
+
+
+def _adaptive_mesh_2x2(**params):
+    def build():
+        from repro.analysis.adaptive_state import AdaptiveSystem
+        from repro.campaign.scenarios import build_scenario
+
+        bundle = build_scenario("adaptive-mesh", {"dims": [2, 2], **params})
+        return AdaptiveSystem(*bundle.adaptive)
+
+    return build
+
+
+class TestExclusiveChannels:
+    """No channel is ever in two messages' flit trains: a whole-space
+    check over every reachable state, deadlocked ones included."""
+
+    @pytest.mark.parametrize(
+        "build,trains",
+        [
+            (_fig1_budget0, _trains_oblivious),
+            # the four-corners knot: its deadlocked states are in the space
+            (_adaptive_mesh_2x2(routing="full"), _trains_adaptive),
+            (_adaptive_mesh_2x2(routing="escape", msgs=3), _trains_adaptive),
+        ],
+        ids=["fig1-budget0", "adaptive-mesh-2x2-full", "adaptive-mesh-2x2-escape3"],
+    )
+    def test_no_channel_held_twice(self, build, trains):
+        from collections import deque
+
+        system = build()
+        init = system.initial_state()
+        seen = {init}
+        queue = deque([init])
+        while queue:
+            state = queue.popleft()
+            held = [cid for train in trains(system, state) for cid in train]
+            assert len(held) == len(set(held)), f"channel held twice in {state}"
+            for nxt, _acts in system.successors(state):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+        assert len(seen) > 100  # the check saw a real state space

@@ -143,6 +143,31 @@ def test_campaign_status_json_reports_backend_integrity(tmp_path, capsys):
     assert payload["backends"][0]["integrity"]["healthy"] is False
 
 
+def test_campaign_status_text_and_json_share_one_exit_rule(tmp_path, capsys):
+    """Text mode renders the ``--json`` report and exits like it: 1 on a
+    corrupt cache entry, not 0."""
+    import json
+
+    cache_dir = str(tmp_path / "cache")
+    assert main(["campaign", "run", "--spec", "quick", "--limit", "2",
+                 "--jobs", "1", "--cache-dir", cache_dir, "--no-progress"]) == 0
+    capsys.readouterr()
+    assert main(["campaign", "status", "--cache-dir", cache_dir]) == 0
+    assert "healthy        : True" in capsys.readouterr().out
+
+    (victim,) = sorted((tmp_path / "cache").glob("*/*.json"))[:1]
+    victim.write_text("{broken", encoding="utf-8")
+    assert main(["campaign", "status", "--cache-dir", cache_dir]) == 1
+    text = capsys.readouterr().out
+    assert main(["campaign", "status", "--cache-dir", cache_dir, "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    (backend,) = payload["backends"]
+    assert f"corrupt        : {backend['integrity']['corrupt']}" in text
+    assert "healthy        : False" in text
+    (ledger,) = payload["ledgers"]
+    assert ledger["ledger"] in text and ledger["last_failed"] == 0
+
+
 def test_campaign_status_extra_backend_and_run_backend_flag(tmp_path, capsys):
     cache_dir = str(tmp_path / "cache")
     db = str(tmp_path / "shared.db")

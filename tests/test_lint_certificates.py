@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.classify import classify_cycle
-from repro.analysis.reachability import search_deadlock
+from repro.analysis.reachability import SearchResult, search_deadlock
 from repro.analysis.state import CheckerMessage, SystemSpec
 from repro.campaign.scenarios import build_scenario
 from repro.cdg.analysis import find_cycles
@@ -203,6 +203,13 @@ class TestClassifyFastPath:
         assert cls.deadlock_reachable
         assert cls.scenarios_tested >= 1 and cls.certificate is None
 
+    def test_off_mode_reaches_the_scenario_searches(self, ring_cycle):
+        """``off`` holds for the searches of each scenario too: the
+        answer's witness comes from the BFS, not a CRT005 schedule."""
+        alg, cycle = ring_cycle
+        wit = classify_cycle(alg, cycle, certificates="off").witness_result
+        assert wit.certificate is None and wit.states_explored > 0
+
     def test_check_mode_annotates_after_searching(self, ring_cycle):
         alg, cycle = ring_cycle
         cls = classify_cycle(alg, cycle, certificates="check")
@@ -218,6 +225,72 @@ class TestClassifyFastPath:
             if not cls.deadlock_reachable:
                 assert cls.certificate is None
                 assert cls.scenarios_tested >= 1
+
+
+# ----------------------------------------------------------------------
+# the one certificate contract, at each of its entry points
+# ----------------------------------------------------------------------
+def _contract_search(mode):
+    return search_deadlock(_ring_spec(), find_witness=False, certificates=mode)
+
+
+def _contract_adaptive(mode):
+    from repro.analysis.adaptive_state import search_adaptive_deadlock
+
+    bundle = build_scenario("adaptive-mesh", {"dims": [2, 2], "msgs": 2})
+    return search_adaptive_deadlock(*bundle.adaptive, certificates=mode)
+
+
+def _contract_classify(mode):
+    alg = RoutingAlgorithm(clockwise_ring(ring(4), 4))
+    (cycle,) = find_cycles(build_cdg(alg)).cycles
+    return classify_cycle(alg, cycle, certificates=mode)
+
+
+#: entry point -> (query by mode, the certifier it consults, its work
+#: count, the code its certificate issues)
+CONTRACT_ENTRY_POINTS = {
+    "search_deadlock": (_contract_search, "spec_certificate", "states_explored", "CRT005"),
+    "search_adaptive_deadlock": (
+        _contract_adaptive, "adaptive_certificate", "states_explored", "CRT008",
+    ),
+    "classify_cycle": (_contract_classify, "cycle_certificate", "scenarios_tested", "CRT005"),
+}
+
+
+@pytest.mark.parametrize("mode", ["off", "on", "check", "check-forged"])
+@pytest.mark.parametrize("entry", sorted(CONTRACT_ENTRY_POINTS))
+def test_certificate_contract(entry, mode, monkeypatch):
+    """``off`` searches without a certificate; ``on`` lets a deciding
+    certificate skip all work; ``check`` searches and stamps the code; a
+    forged certificate with the wrong verdict is a named mismatch."""
+    import repro.lint.certificates as certs
+    from repro.lint.diagnostics import DEADLOCK_FREE, REACHABLE_DEADLOCK
+
+    query, certifier, work, code = CONTRACT_ENTRY_POINTS[entry]
+    truth = query("off")
+    if mode == "check-forged":
+        forged = certs.Certificate(
+            code="CRT004",
+            verdict=DEADLOCK_FREE if truth.deadlock_reachable else REACHABLE_DEADLOCK,
+            rationale="forged",
+        )
+        monkeypatch.setattr(certs, certifier, lambda *args, **kw: forged)
+        with pytest.raises(CertificateMismatch, match="CRT004"):
+            query("check")
+        return
+    res = query(mode)
+    assert res.deadlock_reachable == truth.deadlock_reachable
+    if entry == "search_adaptive_deadlock":  # one result type for both searches
+        from repro.analysis.adaptive_state import AdaptiveSystem
+
+        assert isinstance(res, SearchResult) and isinstance(res.spec, AdaptiveSystem)
+    if mode == "off":
+        assert res.certificate is None and getattr(res, work) > 0
+    elif mode == "on":
+        assert res.certificate == code and getattr(res, work) == 0
+    else:
+        assert res.certificate == code and getattr(res, work) > 0
 
 
 # ----------------------------------------------------------------------
