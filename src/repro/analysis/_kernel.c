@@ -34,7 +34,7 @@
 #define RK_LIMIT 2
 #define RK_OOM 3
 
-#define RK_ABI_VERSION 1
+#define RK_ABI_VERSION 2
 
 #ifdef _WIN32
 #define RK_EXPORT __declspec(dllexport)
@@ -337,11 +337,10 @@ static int stack_reserve(rk_stack *s, int64_t need, int32_t n, int32_t W) {
 
 typedef struct {
     int32_t n, S, W;
-    const int32_t *req_ch;   /* n*S: channel this state waits on, -1    */
     const int8_t *nops;      /* n*S: option count 0..2                  */
-    const int32_t *ch0;      /* n*S: option-0 arbitration channel, -1   */
+    const int32_t *ch0;      /* n*S: option-0 channel: requested, and   */
+                             /* acquired when granted; -1 for none      */
     const int32_t *nxt0;     /* n*S: option-0 successor index           */
-    const int32_t *acq0;     /* n*S: option-0 acquired channel, -1      */
     const int32_t *rel0;     /* n*S: option-0 released channel, -1      */
     const int32_t *nxt1;     /* n*S: option-1 successor index           */
     const uint8_t *wait1;    /* n*S: option-1 is wait (1) vs stall (0)  */
@@ -366,7 +365,7 @@ typedef struct {
     int32_t *wait_to;        /* n: deadlock wait-for pointers           */
     int32_t *movers;         /* n */
     int32_t *bmov;           /* n: branching movers                     */
-    int32_t *bnxt0, *bacq0, *brel0, *bnxt1, *bch0; /* n: cached options */
+    int32_t *bnxt0, *brel0, *bnxt1, *bch0; /* n: cached options */
     uint8_t *btwo, *bwait1;  /* n */
     int32_t *chose;          /* n: chosen channel per branching mover   */
     uint8_t *cdig;           /* n: chosen option digit per mover (0/1)  */
@@ -386,7 +385,7 @@ static void ctx_free(rk_ctx *c) {
     free(c->stack.cfg); free(c->stack.pend); free(c->stack.mask); free(c->stack.fix);
     free(c->kids.cfg); free(c->kids.pend); free(c->kids.mask); free(c->kids.fix);
     free(c->keybuf); free(c->wait_to); free(c->movers); free(c->bmov);
-    free(c->bnxt0); free(c->bacq0); free(c->brel0); free(c->bnxt1); free(c->bch0);
+    free(c->bnxt0); free(c->brel0); free(c->bnxt1); free(c->bch0);
     free(c->btwo); free(c->bwait1); free(c->chose); free(c->cdig);
     free(c->t_ch); free(c->t_cnt); free(c->t_mem); free(c->winner_of);
     free(c->want);
@@ -404,7 +403,6 @@ static int ctx_alloc(rk_ctx *c) {
     c->movers = (int32_t *)malloc((size_t)n * sizeof(int32_t));
     c->bmov = (int32_t *)malloc((size_t)n * sizeof(int32_t));
     c->bnxt0 = (int32_t *)malloc((size_t)n * sizeof(int32_t));
-    c->bacq0 = (int32_t *)malloc((size_t)n * sizeof(int32_t));
     c->brel0 = (int32_t *)malloc((size_t)n * sizeof(int32_t));
     c->bnxt1 = (int32_t *)malloc((size_t)n * sizeof(int32_t));
     c->bch0 = (int32_t *)malloc((size_t)n * sizeof(int32_t));
@@ -419,7 +417,7 @@ static int ctx_alloc(rk_ctx *c) {
     /* one block for the 7 W-word scratch masks */
     c->want = (uint64_t *)malloc((size_t)7 * W * sizeof(uint64_t));
     if (!c->keybuf || !c->wait_to || !c->movers || !c->bmov || !c->bnxt0 ||
-        !c->bacq0 || !c->brel0 || !c->bnxt1 || !c->bch0 || !c->btwo ||
+        !c->brel0 || !c->bnxt1 || !c->bch0 || !c->btwo ||
         !c->bwait1 || !c->chose || !c->cdig || !c->t_ch || !c->t_cnt || !c->t_mem ||
         !c->winner_of || !c->want)
         return 0;
@@ -553,7 +551,7 @@ static int expand_root(rk_ctx *c, int64_t root) {
                 for (int32_t i = 0; i < n; i++) {
                     if (!((pending >> i) & 1u)) continue;
                     int64_t idx = (int64_t)i * S + cur[i];
-                    int32_t rc = c->req_ch[idx];
+                    int32_t rc = c->ch0[idx];
                     int8_t no = c->nops[idx];
                     if (rc >= 0 && mw_test(mask, rc)) {
                         mw_set(c->want, rc); /* blocked */
@@ -576,9 +574,9 @@ static int expand_root(rk_ctx *c, int64_t root) {
                     for (int k = 0; k < nm; k++) {
                         int32_t i = c->movers[k];
                         int64_t idx = (int64_t)i * S + cur[i];
-                        int32_t acq = c->acq0[idx], rel = c->rel0[idx];
+                        int32_t ch = c->ch0[idx], rel = c->rel0[idx];
                         cur[i] = c->nxt0[idx];
-                        if (acq >= 0) mw_set(mask, acq);
+                        if (ch >= 0) mw_set(mask, ch);
                         if (rel >= 0) {
                             mw_clear(mask, rel);
                             mw_set(c->freed, rel);
@@ -611,9 +609,9 @@ static int expand_root(rk_ctx *c, int64_t root) {
                         continue;
                     }
                     /* deterministic: pre-apply in place */
-                    int32_t acq = c->acq0[idx], rel = c->rel0[idx];
+                    int32_t rel = c->rel0[idx];
                     cur[i] = c->nxt0[idx];
-                    if (acq >= 0) mw_set(mask, acq);
+                    if (ch >= 0) mw_set(mask, ch);
                     if (rel >= 0) {
                         mw_clear(mask, rel);
                         mw_set(c->freed, rel);
@@ -645,7 +643,6 @@ static int expand_root(rk_ctx *c, int64_t root) {
             int64_t idx = (int64_t)i * S + cur[i];
             c->bch0[k] = c->ch0[idx];
             c->bnxt0[k] = c->nxt0[idx];
-            c->bacq0[k] = c->acq0[idx];
             c->brel0[k] = c->rel0[idx];
             c->bnxt1[k] = c->nxt1[idx];
             c->bwait1[k] = c->wait1[idx];
@@ -731,7 +728,7 @@ static int expand_root(rk_ctx *c, int64_t root) {
                         nxt[i] = c->bnxt0[k];
                         npend &= ~((uint64_t)1 << i);
                         moved = 1;
-                        if (c->bacq0[k] >= 0) mw_set(nmask, c->bacq0[k]);
+                        if (ch >= 0) mw_set(nmask, ch);
                         if (c->brel0[k] >= 0) mw_clear(nmask, c->brel0[k]);
                     } else if (c->bwait1[k]) {
                         /* wait: stays pending, nothing changes */
@@ -781,9 +778,9 @@ RK_EXPORT void rk_free(void *p) { free(p); }
  * rk_free. */
 RK_EXPORT int rk_search(
     int32_t n, int32_t S, int32_t W,
-    const int32_t *req_ch, const int8_t *nops,
+    const int8_t *nops,
     const int32_t *ch0, const int32_t *nxt0,
-    const int32_t *acq0, const int32_t *rel0,
+    const int32_t *rel0,
     const int32_t *nxt1, const uint8_t *wait1,
     const uint64_t *occ, const int32_t *blk_ch,
     const int32_t *init_cfg,
@@ -798,8 +795,8 @@ RK_EXPORT int rk_search(
     rk_ctx c;
     memset(&c, 0, sizeof(c));
     c.n = n; c.S = S; c.W = W;
-    c.req_ch = req_ch; c.nops = nops; c.ch0 = ch0; c.nxt0 = nxt0;
-    c.acq0 = acq0; c.rel0 = rel0; c.nxt1 = nxt1; c.wait1 = wait1;
+    c.nops = nops; c.ch0 = ch0; c.nxt0 = nxt0;
+    c.rel0 = rel0; c.nxt1 = nxt1; c.wait1 = wait1;
     c.occ = occ; c.blk_ch = blk_ch;
     c.ncls = ncls; c.cls_off = cls_off; c.cls_cols = cls_cols;
     c.canon = use_canon && ncls > 0;

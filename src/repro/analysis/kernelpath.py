@@ -99,7 +99,7 @@ class WideSpecFallbackWarning(UserWarning):
 # cc tier: runtime-compiled shared library through ctypes
 # ----------------------------------------------------------------------
 _CC_SRC = Path(__file__).with_name("_kernel.c")
-_CC_ABI = 1
+_CC_ABI = 2
 _cc_lib: ctypes.CDLL | None = None
 _cc_tried = False
 _cc_lock = threading.Lock()
@@ -284,11 +284,12 @@ class _TableBuilder:
     and indexed in **sorted tuple order**, so comparing indices compares
     the underlying states and sorting indices within a symmetry class
     picks the representative the reference canonicalizer picks.  Per
-    index the tables hold the channel the state requests (``req``) and
-    blocks on (``blk``), the channels its flit train occupies (``occ``,
-    ``W`` words), and up to two move options: the first's channel,
-    successor index and acquired/released channels, the second's
-    successor index and whether it is a wait.
+    index the tables hold the channels its flit train occupies (``occ``,
+    ``W`` words), the channel it blocks on (``blk``), and up to two move
+    options: the first's channel (``ch0``: the channel the state requests,
+    and the one its train gains when the move is made), successor index
+    and released channel, the second's successor index and whether it is
+    a wait.
     """
 
     def __init__(self, spec: SystemSpec) -> None:
@@ -305,13 +306,11 @@ class _TableBuilder:
         self.S, self.W = S, W
         size = n * S
         # int32 ("i"), int8 ("b"), uint8 ("B") and uint64 words ("Q")
-        self.req = array("i", [-1]) * size
         self.blk = array("i", [-1]) * size
         self.occ = array("Q", [0]) * (size * W)
         self.nops = array("b", [0]) * size
         self.ch0 = array("i", [-1]) * size
         self.nxt0 = array("i", [0]) * size
-        self.acq0 = array("i", [-1]) * size
         self.rel0 = array("i", [-1]) * size
         self.nxt1 = array("i", [0]) * size
         self.wait1 = array("B", [0]) * size
@@ -377,16 +376,21 @@ class _TableBuilder:
         # the channels acquired and released are the set difference of
         # the trains before and after; a train slides forward along its
         # path, so it can gain a channel only at its front and lose one
-        # only at its tail
+        # only at its tail.  The C loop sets the gained channel from
+        # ``ch0``, so a move must gain exactly the channel it requests.
         after = spec.flit_train(i, nxt)
-        if after and after[-1] not in train:
-            self.acq0[at] = bit_of[after[-1]]
+        gained = after[-1] if after and after[-1] not in train else None
+        if gained != chan:
+            raise RuntimeError(
+                f"message {i} state {ms}: move {label!r} requests channel "
+                f"{chan} but its flit train gains {gained}"
+            )
         if train and train[0] not in after:
             self.rel0[at] = bit_of[train[0]]
         if chan is not None:
             # an arbitrated request; a header in the network also blocks
             # on it (an injection merely waits)
-            self.req[at] = self.ch0[at] = bit_of[chan]
+            self.ch0[at] = bit_of[chan]
             if ms[0]:
                 self.blk[at] = bit_of[chan]
         if len(moves) > 1:  # the injection's wait, or the router's stall
@@ -444,11 +448,9 @@ class KernelEngine:
             ctypes.c_int32(n),
             ctypes.c_int32(t.S),
             ctypes.c_int32(t.W),
-            p(t.req),
             p(t.nops),
             p(t.ch0),
             p(t.nxt0),
-            p(t.acq0),
             p(t.rel0),
             p(t.nxt1),
             p(t.wait1),

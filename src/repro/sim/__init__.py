@@ -12,9 +12,9 @@ model exactly:
   has left it;
 * blocked messages stay in the network holding every channel they occupy;
 * arriving messages are consumed at one flit per cycle (Assumption 2);
-* arbitration among simultaneous requests is pluggable, including the
-  paper's adversarial "the message that can lead to deadlock wins" policy
-  (Section 3) and a starvation-free FIFO default (Assumption 5).
+* arbitration among simultaneous requests is pluggable: a starvation-free
+  FIFO default (Assumption 5) and the paper's adversarial "the message
+  that can lead to deadlock wins" policy (Section 3).
 
 Public API
 ----------
@@ -30,13 +30,11 @@ from repro.sim.message import MessageSpec, MessageState, MessageStatus
 from repro.sim.arbitration import (
     ArbitrationPolicy,
     FifoArbitration,
-    RoundRobinArbitration,
-    RandomArbitration,
     AdversarialArbitration,
 )
 from repro.sim.engine import Simulator, SimConfig, SimResult
 from repro.sim.deadlock import detect_deadlock, build_wait_for_graph, DeadlockReport
-from repro.sim.injection import InjectionSchedule, StallSchedule
+from repro.sim.injection import StallSchedule
 from repro.sim.traffic import uniform_random_traffic
 from repro.sim.stats import SimStats
 from repro.sim.router_cost import RouterCostModel, router_cost, network_cost
@@ -47,8 +45,6 @@ __all__ = [
     "MessageStatus",
     "ArbitrationPolicy",
     "FifoArbitration",
-    "RoundRobinArbitration",
-    "RandomArbitration",
     "AdversarialArbitration",
     "Simulator",
     "SimConfig",
@@ -56,7 +52,6 @@ __all__ = [
     "detect_deadlock",
     "build_wait_for_graph",
     "DeadlockReport",
-    "InjectionSchedule",
     "StallSchedule",
     "uniform_random_traffic",
     "SimStats",

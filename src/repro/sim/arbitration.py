@@ -17,7 +17,6 @@ subsumes all policies.
 
 from __future__ import annotations
 
-import random
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
 
@@ -34,9 +33,6 @@ class ArbitrationPolicy(ABC):
     ) -> MessageState:
         """Return the winning requester (must be an element of ``requesters``)."""
 
-    def reset(self) -> None:
-        """Clear inter-cycle state (called when a simulator is reset)."""
-
 
 class FifoArbitration(ArbitrationPolicy):
     """Longest-waiting requester wins; ties broken by lowest message id.
@@ -52,42 +48,6 @@ class FifoArbitration(ArbitrationPolicy):
             requesters,
             key=lambda m: (m.first_request_cycle.get(channel.cid, cycle), m.mid),
         )
-
-
-class RoundRobinArbitration(ArbitrationPolicy):
-    """Per-channel rotating priority over message ids."""
-
-    def __init__(self) -> None:
-        self._last_winner: dict[int, int] = {}
-
-    def choose(
-        self, channel: Channel, requesters: Sequence[MessageState], cycle: int
-    ) -> MessageState:
-        last = self._last_winner.get(channel.cid, -1)
-        winner = min(
-            requesters, key=lambda m: ((m.mid - last - 1) % (1 << 30), m.mid)
-        )
-        self._last_winner[channel.cid] = winner.mid
-        return winner
-
-    def reset(self) -> None:
-        self._last_winner.clear()
-
-
-class RandomArbitration(ArbitrationPolicy):
-    """Seeded uniform choice -- used for Monte-Carlo deadlock hunting."""
-
-    def __init__(self, seed: int = 0) -> None:
-        self.seed = seed
-        self._rng = random.Random(seed)
-
-    def choose(
-        self, channel: Channel, requesters: Sequence[MessageState], cycle: int
-    ) -> MessageState:
-        return self._rng.choice(list(requesters))
-
-    def reset(self) -> None:
-        self._rng = random.Random(self.seed)
 
 
 class AdversarialArbitration(ArbitrationPolicy):

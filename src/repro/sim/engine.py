@@ -52,20 +52,11 @@ TraceHook = Callable[[int, str, dict], None]
 class SimConfig:
     """Engine knobs.
 
-    ``buffer_depth``: flit capacity of every channel queue.
-    ``switching``: the switching-technique continuum from the paper's
-    introduction --
-
-    * ``"wormhole"`` (default): the header advances as soon as the next
-      channel is free; data flits trail behind.
-    * ``"store_and_forward"``: the header advances only after the *entire*
-      message has accumulated in the current channel queue (``buffer_depth``
-      must therefore be >= the longest message).
-    * ``"virtual_cut_through"``: wormhole advancement, but buffers are
-      expected to be message-sized so a blocked message collapses into one
-      queue; behaviourally this is wormhole with deep buffers, and the
-      constructor only validates the intent.
-
+    ``buffer_depth``: flit capacity of every channel queue.  Switching is
+    always wormhole: the header advances as soon as the next channel is
+    free and data flits trail behind; a depth of at least the message
+    length gives virtual cut-through's footprint (a blocked message
+    collapses into one queue).
     ``max_cycles``: hard stop (the run is then reported ``timed_out``).
     ``stop_on_deadlock``: halt as soon as :func:`detect_deadlock` finds a
     set of messages that can never progress.
@@ -76,7 +67,6 @@ class SimConfig:
     """
 
     buffer_depth: int = 1
-    switching: str = "wormhole"
     max_cycles: int = 100_000
     stop_on_deadlock: bool = True
     quiescence_window: int = 64
@@ -89,22 +79,6 @@ class SimConfig:
             raise ValueError("buffer_depth must be >= 1")
         if self.max_cycles < 1:
             raise ValueError("max_cycles must be >= 1")
-        if self.switching not in ("wormhole", "store_and_forward", "virtual_cut_through"):
-            raise ValueError(f"unknown switching technique {self.switching!r}")
-
-    @classmethod
-    def store_and_forward(cls, max_message_length: int, **kw) -> "SimConfig":
-        """Store-and-forward with buffers sized for the longest message."""
-        return cls(
-            buffer_depth=max_message_length, switching="store_and_forward", **kw
-        )
-
-    @classmethod
-    def virtual_cut_through(cls, max_message_length: int, **kw) -> "SimConfig":
-        """Virtual cut-through: eager advance with message-sized buffers."""
-        return cls(
-            buffer_depth=max_message_length, switching="virtual_cut_through", **kw
-        )
 
 
 @dataclass
@@ -174,8 +148,8 @@ class Simulator:
     cycle, so its ``stalled`` events keep their order, and its waiter
     entries last only for the cycle.
 
-    Every walk that can be observed keeps insertion order, because random
-    arbitration and the trace hook observe it.
+    Every walk that can be observed keeps insertion order, because the
+    trace hook observes it.
     """
 
     def __init__(
@@ -200,15 +174,6 @@ class Simulator:
         for spec in specs:
             if spec.mid in self.messages:
                 raise ValueError(f"duplicate message id {spec.mid}")
-            if (
-                self.config.switching == "store_and_forward"
-                and spec.length > self.config.buffer_depth
-            ):
-                raise ValueError(
-                    f"store-and-forward needs buffer_depth >= message length "
-                    f"({spec.length} > {self.config.buffer_depth}); use "
-                    "SimConfig.store_and_forward(max_message_length)"
-                )
             self.messages[spec.mid] = MessageState(spec=spec)
         self._queues: dict[int, _ChannelQueue] = {
             ch.cid: _ChannelQueue(ch) for ch in network.channels
@@ -470,7 +435,6 @@ class Simulator:
         arrivals: list[MessageState] = []
         drains: list[MessageState] = []
         movers: list[tuple[MessageState, Channel]] = []
-        store_and_forward = self.config.switching == "store_and_forward"
         pos = self._pos
         stalls = self.stalls
         cycle = self.cycle
@@ -498,14 +462,6 @@ class Simulator:
                 self._emit("stalled", mid=mid)
                 continue
             leading = m.acquired[-1]
-            if store_and_forward:
-                # the whole packet must accumulate in the current queue
-                # before the header may move on (or be delivered)
-                lq = self._queues[leading.cid]
-                if len(lq.queue) < spec.length:
-                    if first_round:  # this round's cascade may complete it
-                        self._wake[pos[mid]] = m
-                    continue  # keep accumulating (cascade still runs)
             node = leading.dst
             if node == spec.dst:
                 arrivals.append(m)
@@ -710,11 +666,7 @@ class Simulator:
         tel = _obs_get()
         if tel is None:
             return self._run_impl()
-        with tel.span(
-            "sim.run",
-            messages=len(self.messages),
-            switching=self.config.switching,
-        ) as sp:
+        with tel.span("sim.run", messages=len(self.messages)) as sp:
             t0 = time.perf_counter()
             result = self._run_impl()
             dur = time.perf_counter() - t0

@@ -1,54 +1,13 @@
-"""Injection and stall scheduling.
+"""Stall scheduling.
 
-:class:`InjectionSchedule` is a convenience builder for explicit message
-lists (the figure experiments inject specific messages at specific times).
 :class:`StallSchedule` encodes the Section 6 adversary: a router may delay a
 message's in-network progress on chosen cycles.  The deterministic simulator
-consumes both; the model checker explores stalls nondeterministically
-instead.
+consumes it; the model checker explores stalls nondeterministically instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from collections.abc import Iterable, Mapping
-
-from repro.sim.message import MessageSpec
-from repro.topology.channels import NodeId
-
-
-@dataclass
-class InjectionSchedule:
-    """Ordered builder of :class:`MessageSpec` lists with auto ids."""
-
-    specs: list[MessageSpec] = field(default_factory=list)
-
-    def add(
-        self,
-        src: NodeId,
-        dst: NodeId,
-        *,
-        length: int,
-        at: int = 0,
-        tag: str = "",
-    ) -> MessageSpec:
-        spec = MessageSpec(
-            mid=len(self.specs), src=src, dst=dst, length=length, inject_time=at, tag=tag
-        )
-        self.specs.append(spec)
-        return spec
-
-    def extend(self, specs: Iterable[MessageSpec]) -> None:
-        for s in specs:
-            if any(s.mid == existing.mid for existing in self.specs):
-                raise ValueError(f"duplicate message id {s.mid}")
-            self.specs.append(s)
-
-    def __iter__(self):
-        return iter(self.specs)
-
-    def __len__(self) -> int:
-        return len(self.specs)
 
 
 class StallSchedule:
@@ -72,15 +31,3 @@ class StallSchedule:
     def total_budget(self, mid: int) -> int:
         """Number of stall cycles scheduled for ``mid``."""
         return len(self._stalls.get(mid, frozenset()))
-
-    @classmethod
-    def delay_window(cls, mid: int, start: int, count: int) -> "StallSchedule":
-        """Stall ``mid`` for ``count`` consecutive cycles starting at ``start``."""
-        return cls({mid: range(start, start + count)})
-
-    def merged(self, other: "StallSchedule") -> "StallSchedule":
-        out = StallSchedule()
-        out._stalls = dict(self._stalls)
-        for mid, cycles in other._stalls.items():
-            out._stalls[mid] = out._stalls.get(mid, frozenset()) | cycles
-        return out

@@ -96,16 +96,8 @@ class MessageState:
         return self.spec.mid
 
     @property
-    def leading_channel(self) -> Channel | None:
-        return self.acquired[-1] if self.acquired else None
-
-    @property
     def in_network(self) -> bool:
         return self.status in (MessageStatus.ACTIVE, MessageStatus.DRAINING)
-
-    @property
-    def flits_in_network(self) -> int:
-        return self.flits_injected - self.flits_consumed
 
     def latency(self) -> int | None:
         """Injection-to-last-flit-consumed latency, if delivered."""

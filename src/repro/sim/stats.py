@@ -49,18 +49,6 @@ class SimStats:
     def mean_latency(self) -> float:
         return self.latencies.mean()  # exact: tracked sum / count
 
-    def p50_latency(self) -> float:
-        return self.latencies.quantile(0.5)
-
-    def p95_latency(self) -> float:
-        return self.latencies.quantile(0.95)
-
-    def p99_latency(self) -> float:
-        return self.latencies.quantile(0.99)
-
-    def max_latency(self) -> int:
-        return int(self.latencies.max) if self.latencies.count else 0
-
     def throughput_flits_per_cycle(self) -> float:
         if self.cycles == 0:
             return 0.0
@@ -76,15 +64,3 @@ class SimStats:
         """The ``k`` busiest channels as ``(cid, utilization)`` pairs."""
         ranked = sorted(self.channel_busy_cycles.items(), key=lambda kv: -kv[1])
         return [(cid, self.channel_utilization(cid)) for cid, _ in ranked[:k]]
-
-    def summary(self) -> dict[str, float]:
-        return {
-            "cycles": float(self.cycles),
-            "delivered_messages": float(self.delivered_messages),
-            "mean_latency": self.mean_latency(),
-            "p50_latency": self.p50_latency(),
-            "p95_latency": self.p95_latency(),
-            "p99_latency": self.p99_latency(),
-            "throughput_flits_per_cycle": self.throughput_flits_per_cycle(),
-            "arbitration_conflicts": float(self.arbitration_conflicts),
-        }

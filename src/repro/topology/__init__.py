@@ -13,7 +13,9 @@ Public API
 :class:`Network`      -- directed multigraph of nodes and channels.
 :mod:`builders`       -- ``ring``, ``mesh``, ``torus``, ``hypercube``,
                          ``star``, ``from_edges``.
-:mod:`validate`       -- structural validation helpers.
+
+Structural checks (dangling nodes, duplicate VCs, strong connectivity) are
+the lint rules TOP001--TOP003 (:mod:`repro.lint.rules`).
 """
 
 from repro.topology.channels import Channel
@@ -26,11 +28,6 @@ from repro.topology.builders import (
     star,
     from_edges,
 )
-from repro.topology.validate import (
-    check_strongly_connected,
-    check_network,
-    NetworkValidationError,
-)
 
 __all__ = [
     "Channel",
@@ -41,7 +38,4 @@ __all__ = [
     "hypercube",
     "star",
     "from_edges",
-    "check_strongly_connected",
-    "check_network",
-    "NetworkValidationError",
 ]

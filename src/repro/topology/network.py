@@ -19,8 +19,6 @@ from typing import TYPE_CHECKING
 from repro.topology.channels import Channel, NodeId
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    import networkx as nx
-
     from repro.cdg.graph import DiGraph
 
 
@@ -28,9 +26,8 @@ class Network:
     """A strongly-connected-by-convention directed multigraph.
 
     Construction does not enforce strong connectivity (the paper's custom
-    figures are built channel-by-channel); call
-    :func:`repro.topology.validate.check_strongly_connected` when the
-    property is required.
+    figures are built channel-by-channel); ``repro lint`` reports a network
+    that lacks it (rule TOP003).
     """
 
     def __init__(self, name: str = "network") -> None:
@@ -171,16 +168,6 @@ class Network:
     # ------------------------------------------------------------------
     # graph views
     # ------------------------------------------------------------------
-    def to_networkx(self) -> nx.MultiDiGraph:
-        """Export as a :class:`networkx.MultiDiGraph` (channel on edge data)."""
-        import networkx as nx
-
-        g = nx.MultiDiGraph(name=self.name)
-        g.add_nodes_from(self._nodes)
-        for ch in self._channels:
-            g.add_edge(ch.src, ch.dst, key=ch.cid, channel=ch)
-        return g
-
     def node_digraph(self) -> DiGraph:
         """Collapsed simple digraph over nodes (used for shortest paths)."""
         from repro.cdg.graph import DiGraph

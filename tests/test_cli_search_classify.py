@@ -204,7 +204,7 @@ class _OutOfMemoryLib:
     def rk_search(self, *args):
         from repro.analysis.kernelpath import _STATUS_OOM
 
-        args[20]._obj.value = 1234  # out_count, passed by reference
+        args[-4]._obj.value = 1234  # out_count (4th from last), by reference
         return _STATUS_OOM
 
     def rk_free(self, ptr):  # pragma: no cover - no chain on OOM

@@ -5,6 +5,7 @@ import pytest
 from repro.analysis import SystemSpec, search_deadlock
 from repro.analysis.state import CheckerMessage
 from repro.cdg import build_cdg, dally_seitz_numbering, find_cycles, is_acyclic
+from repro.cdg.graph import is_strongly_connected
 from repro.core.cyclic_dependency import (
     FIG1_MESSAGES,
     RING_ORDER,
@@ -17,7 +18,6 @@ from repro.routing.properties import (
     is_minimal,
     is_suffix_closed,
 )
-from repro.topology import check_strongly_connected
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +27,7 @@ def cdn():
 
 class TestConstruction:
     def test_strongly_connected(self, cdn):
-        check_strongly_connected(cdn.network)
+        assert is_strongly_connected(cdn.network.node_digraph().adj)
 
     def test_ring_has_14_channels(self, cdn):
         assert len(cdn.cycle_channels) == 14

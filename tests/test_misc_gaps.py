@@ -49,9 +49,8 @@ class TestMessageState:
 
     def test_leading_channel_none_initially(self):
         m = MessageState(spec=MessageSpec(0, "A", "B", length=2))
-        assert m.leading_channel is None
+        assert not m.acquired  # the leading channel is acquired[-1]
         assert not m.in_network
-        assert m.flits_in_network == 0
 
 
 class TestScriptedArbitrationDivergence:

@@ -7,8 +7,6 @@ from repro.sim import (
     AdversarialArbitration,
     FifoArbitration,
     MessageSpec,
-    RandomArbitration,
-    RoundRobinArbitration,
     Simulator,
 )
 from repro.sim.message import MessageState
@@ -38,21 +36,6 @@ def test_fifo_tie_breaks_by_mid(chan):
     a = _mk(0, first_request=2)
     b = _mk(1, first_request=2)
     assert FifoArbitration().choose(chan, [a, b], 10) is a
-
-
-def test_round_robin_rotates(chan):
-    rr = RoundRobinArbitration()
-    msgs = [_mk(i) for i in range(3)]
-    w1 = rr.choose(chan, msgs, 0)
-    w2 = rr.choose(chan, msgs, 1)
-    assert w1 is not w2
-
-
-def test_random_is_seeded(chan):
-    msgs = [_mk(i) for i in range(5)]
-    seq1 = [RandomArbitration(seed=9).choose(chan, msgs, t).mid for t in range(10)]
-    seq2 = [RandomArbitration(seed=9).choose(chan, msgs, t).mid for t in range(10)]
-    assert seq1 == seq2
 
 
 def test_adversarial_prefers_tagged(chan):

@@ -29,19 +29,9 @@ class TestSimConfigValidation:
             SimConfig(max_cycles=-1)
 
     def test_rejects_unknown_switching(self):
-        with pytest.raises(ValueError, match="unknown switching"):
-            SimConfig(switching="circuit")
-        with pytest.raises(ValueError, match="unknown switching"):
-            SimConfig(switching="Wormhole")  # exact strings only
-
-    def test_valid_switching_accepted(self):
-        for s in ("wormhole", "store_and_forward", "virtual_cut_through"):
-            assert SimConfig(buffer_depth=8, switching=s).switching == s
-
-    def test_classmethod_constructors_validate_too(self):
-        with pytest.raises(ValueError, match="buffer_depth"):
-            SimConfig.store_and_forward(0)
-        assert SimConfig.virtual_cut_through(4).buffer_depth == 4
+        """Switching is always wormhole: there is no technique to pick."""
+        with pytest.raises(TypeError, match="switching"):
+            SimConfig(switching="store_and_forward")
 
 
 class TestSingleMessage:

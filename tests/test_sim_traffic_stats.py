@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.injection import InjectionSchedule, StallSchedule
+from repro.sim.injection import StallSchedule
 from repro.sim.message import MessageSpec
 from repro.sim.stats import SimStats
 from repro.sim.traffic import uniform_random_traffic
@@ -41,22 +41,6 @@ class TestTraffic:
         assert len(set(mids)) == len(mids)
 
 
-class TestInjectionSchedule:
-    def test_add_assigns_ids(self):
-        sched = InjectionSchedule()
-        a = sched.add("A", "B", length=3)
-        b = sched.add("B", "C", length=2, at=4, tag="M2")
-        assert (a.mid, b.mid) == (0, 1)
-        assert len(sched) == 2
-        assert list(sched)[1].tag == "M2"
-
-    def test_extend_rejects_duplicates(self):
-        sched = InjectionSchedule()
-        sched.add("A", "B", length=1)
-        with pytest.raises(ValueError):
-            sched.extend([MessageSpec(0, "X", "Y", length=1)])
-
-
 class TestStallSchedule:
     def test_stalled_lookup(self):
         s = StallSchedule({3: [5, 6, 9]})
@@ -64,16 +48,6 @@ class TestStallSchedule:
         assert not s.stalled(3, 7)
         assert not s.stalled(4, 5)
         assert s.total_budget(3) == 3
-
-    def test_delay_window(self):
-        s = StallSchedule.delay_window(1, start=10, count=3)
-        assert [s.stalled(1, t) for t in range(9, 14)] == [False, True, True, True, False]
-
-    def test_merged(self):
-        a = StallSchedule({1: [1]})
-        b = StallSchedule({1: [2], 2: [3]})
-        m = a.merged(b)
-        assert m.stalled(1, 1) and m.stalled(1, 2) and m.stalled(2, 3)
 
 
 class TestMessageSpecValidation:
@@ -95,11 +69,6 @@ class TestMessageSpecValidation:
 
 
 class TestStats:
-    def test_summary_empty(self):
-        s = SimStats()
-        out = s.summary()
-        assert out["delivered_messages"] == 0
-
     def test_throughput(self):
         s = SimStats()
         s.cycles = 100

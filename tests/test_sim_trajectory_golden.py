@@ -18,11 +18,11 @@ were recorded on the loop that visited every live message each cycle.
 
 Any optimisation of the run loop must leave all of them bit-identical.
 The matrix covers every branch of the loop: the campaign's traffic tasks,
-all four arbitration policies (random and round-robin carry state, so
-order of ``choose`` calls matters), deep buffers, store-and-forward,
-virtual cut-through with utilisation tracking, stall schedules (in the
-network and at injection), OR-semantics adaptive routing, routing
-failures, self-blocking, and a ring that keeps running after deadlock.
+both arbitration policies (FIFO and adversarial), deep buffers,
+message-sized buffers (virtual cut-through's footprint) with utilisation
+tracking, stall schedules (in the network and at injection), OR-semantics
+adaptive routing, routing failures, self-blocking, and a ring that keeps
+running after deadlock.
 
 The fixture records the semantics of the run loop; it is not rewritten to
 make a change pass.  Only a deliberate change of simulator semantics may
@@ -54,8 +54,6 @@ from repro.sim import (
     AdversarialArbitration,
     FifoArbitration,
     MessageSpec,
-    RandomArbitration,
-    RoundRobinArbitration,
     SimConfig,
     Simulator,
 )
@@ -129,8 +127,6 @@ def _mesh_arbitration(algorithm: str, policy: str) -> Callable[[], dict[str, Any
         specs = _tagged(uniform_random_traffic(net, rate=0.07, cycles=120, length=4, seed=21))
         arb = {
             "fifo": FifoArbitration,
-            "round-robin": RoundRobinArbitration,
-            "random": lambda: RandomArbitration(seed=5),
             "adversarial": lambda: AdversarialArbitration(prefer=("t2", "t0")),
         }[policy]()
         return dict(network=net, routing=fn, specs=specs, arbitration=arb)
@@ -149,18 +145,6 @@ def _deep_buffers():
     )
 
 
-def _store_and_forward():
-    net = mesh((4, 4))
-    base = uniform_random_traffic(net, rate=0.08, cycles=150, length=4, seed=4)
-    specs = [dataclasses.replace(s, length=1 + s.mid % 4) for s in base]
-    return dict(
-        network=net,
-        routing=dimension_order_mesh(net, 2),
-        specs=specs,
-        config=SimConfig.store_and_forward(4),
-    )
-
-
 def _cut_through():
     net = mesh((4, 4))
     specs = uniform_random_traffic(net, rate=0.1, cycles=150, length=5, seed=6)
@@ -168,7 +152,7 @@ def _cut_through():
         network=net,
         routing=west_first_mesh(net),
         specs=specs,
-        config=SimConfig.virtual_cut_through(5, track_utilization=True),
+        config=SimConfig(buffer_depth=5, track_utilization=True),
     )
 
 
@@ -248,12 +232,11 @@ def _failures():
 def scenarios() -> dict[str, Callable[[], dict[str, Any]]]:
     out = _traffic_task_scenarios()
     for algorithm in ("dor", "west-first"):
-        for policy in ("fifo", "round-robin", "random", "adversarial"):
+        for policy in ("fifo", "adversarial"):
             out[f"mesh8-{algorithm}-{policy}"] = _mesh_arbitration(algorithm, policy)
     out.update(
         {
             "mesh4-buffer-depth-3": _deep_buffers,
-            "mesh4-store-and-forward": _store_and_forward,
             "mesh4-cut-through-utilization": _cut_through,
             "mesh4-stall-schedule": _stalls,
             "mesh4-fully-adaptive": _fully_adaptive,

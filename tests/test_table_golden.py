@@ -14,7 +14,11 @@ keeps a sha256 over all of its tables, and per table name a sha256 over
 that table in every spec, in fixture order:
 
 ``req blk occ nops ch0 nxt0 acq0 rel0 nxt1 wait1 init cls_off cls_cols``
-    the :class:`array.array` buffers, as raw bytes;
+    the :class:`array.array` buffers, as raw bytes.  The fixture was
+    recorded when the channel a state requests (``req``) and the one its
+    first move acquires (``acq0``) were arrays of their own; they always
+    equalled ``ch0``, which is now the one array, hashed under all three
+    names;
 ``back``
     the per-message states by index;
 ``bit_of`` and ``shape``
@@ -49,10 +53,12 @@ ARRAYS = (
     "nxt1", "wait1", "init", "cls_off", "cls_cols",
 )
 PARTS = ARRAYS + ("back", "bit_of", "shape")
+#: recorded table names now served by one merged array
+MERGED = {"req": "ch0", "acq0": "ch0"}
 
 
 def _part_bytes(tables: kernelpath._TableBuilder) -> dict[str, bytes]:
-    out = {name: getattr(tables, name).tobytes() for name in ARRAYS}
+    out = {name: getattr(tables, MERGED.get(name, name)).tobytes() for name in ARRAYS}
     out["back"] = repr(tables.back).encode()
     out["bit_of"] = repr(sorted(tables.bit_of.items())).encode()
     out["shape"] = repr((tables.S, tables.W, tables.ncls, tables.num_bits)).encode()
@@ -149,6 +155,28 @@ def test_every_spec_matches_golden(golden, current):
         if a != b
     ]
     assert not bad, f"tables differ for fixture specs {bad[:10]}"
+
+
+@pytest.mark.parametrize("forge", ["other-channel", "unrequested-channel"])
+def test_builder_refuses_a_train_that_gains_an_unrequested_channel(forge, monkeypatch):
+    """The C loop marks a granted move's ``ch0`` as acquired, so a train
+    that gains any other channel must stop the build, not mislead it."""
+    spec = SystemSpec(
+        messages=(CheckerMessage(path=(3, 4, 5), length=2),), budgets=(0,)
+    )
+    real = SystemSpec.flit_train
+
+    def forged(self, i, ms):
+        train = real(self, i, ms)
+        if forge == "other-channel" and train == (3,):
+            return (4,)  # the injection requests 3
+        if forge == "unrequested-channel" and ms[0] == 4:
+            return train + (3,)  # the arrival into the node requests nothing
+        return train
+
+    monkeypatch.setattr(SystemSpec, "flit_train", forged)
+    with pytest.raises(RuntimeError, match="gains"):
+        kernelpath._TableBuilder(spec)
 
 
 if __name__ == "__main__":

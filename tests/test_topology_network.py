@@ -98,15 +98,6 @@ def test_distances_follow_mutation_without_invalidation():
     assert net.shortest_path_lengths()[4] == {4: 0}
 
 
-def test_to_networkx_roundtrip(triangle):
-    g = triangle.to_networkx()
-    assert g.number_of_nodes() == 3
-    assert g.number_of_edges() == 3
-    # channel objects ride along on edges
-    datas = [d["channel"].label for _, _, d in g.edges(data=True)]
-    assert sorted(datas) == ["ab", "bc", "ca"]
-
-
 def test_node_digraph_collapses_parallels():
     net = Network()
     net.add_channel("A", "B", vc=0)
