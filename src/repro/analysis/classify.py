@@ -31,11 +31,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from collections.abc import Sequence
+from typing import cast
 
 
 from repro.analysis.reachability import SearchLimitExceeded, SearchResult, search_deadlock
 from repro.analysis.state import CheckerMessage, SystemSpec, check_options
-from repro.obs import get as _obs_get
+from repro.obs import span as _obs_span
 from repro.routing.base import RoutingAlgorithm
 from repro.topology.channels import Channel, NodeId
 
@@ -72,84 +73,40 @@ def classify_configuration(
     (``length_slack < 0``) or is otherwise out of range.
     """
     check_options(budget=budget, length_slack=length_slack, max_states=max_states)
-    tel = _obs_get()
-    if tel is None:
-        return _classify_configuration_impl(
-            messages,
-            budget=budget,
-            copy_depth=copy_depth,
-            max_copies_total=max_copies_total,
-            length_slack=length_slack,
-            max_states=max_states,
+    with _obs_span("classify.config", messages=len(messages)) as sp:
+        base = list(messages)
+        n = len(base)
+        copy_subsets: list[tuple[int, ...]] = [()]
+        for r in range(1, min(copy_depth * n, max_copies_total) + 1):
+            copy_subsets.extend(
+                s
+                for s in itertools.combinations_with_replacement(range(n), r)
+                if all(s.count(i) <= copy_depth for i in set(s))
+            )
+        all_lengths = itertools.product(
+            *[range(m.length, m.length + length_slack + 1) for m in base]
         )
-    with tel.span("classify.config", messages=len(messages)) as sp:
-        reachable, result = _classify_configuration_impl(
-            messages,
-            budget=budget,
-            copy_depth=copy_depth,
-            max_copies_total=max_copies_total,
-            length_slack=length_slack,
-            max_states=max_states,
-        )
-        sp.set(
-            verdict="reachable" if reachable else "deadlock-free",
-            certificate=result.certificate,
-        )
-        tel.incr("classify.configs")
-    return reachable, result
-
-
-def _classify_configuration_impl(
-    messages: Sequence["CheckerMessage"],
-    *,
-    budget: int,
-    copy_depth: int,
-    max_copies_total: int,
-    length_slack: int,
-    max_states: int,
-) -> tuple[bool, SearchResult]:
-    from repro.analysis.state import CheckerMessage as _CM
-
-    base = list(messages)
-    n = len(base)
-    copy_subsets: list[tuple[int, ...]] = [()]
-    for r in range(1, min(copy_depth * n, max_copies_total) + 1):
-        copy_subsets.extend(
-            s
-            for s in itertools.combinations_with_replacement(range(n), r)
-            if all(s.count(i) <= copy_depth for i in set(s))
-        )
-    last: SearchResult | None = None
-    for lengths in itertools.product(
-        *[range(m.length, m.length + length_slack + 1) for m in base]
-    ):
-        sized = [_CM(m.path, ln, m.tag) for m, ln in zip(base, lengths)]
-        for subset in copy_subsets:
-            msgs = list(sized) + [
-                _CM(sized[i].path, sized[i].length, f"{sized[i].tag}+{j}")
+        result: SearchResult | None = None
+        for lengths, subset in itertools.product(all_lengths, copy_subsets):
+            sized = [CheckerMessage(m.path, ln, m.tag) for m, ln in zip(base, lengths)]
+            msgs = sized + [
+                CheckerMessage(sized[i].path, sized[i].length, f"{sized[i].tag}+{j}")
                 for j, i in enumerate(subset)
             ]
-            spec = SystemSpec.uniform(msgs, budget=budget)
-            last = search_deadlock(
-                spec,
+            result = search_deadlock(
+                SystemSpec.uniform(msgs, budget=budget),
                 max_states=max_states,
                 find_witness=False,
             )
-            if last.deadlock_reachable:
-                return True, last
-    assert last is not None
-    return False, last
-
-
-@dataclass
-class CycleTiling:
-    """One Definition-6 candidate: messages in cycle order with held segments."""
-
-    pairs: list[Pair]
-    held_lengths: list[int]  # cycle channels held by each message
-
-    def __len__(self) -> int:
-        return len(self.pairs)
+            if result.deadlock_reachable:
+                break
+        assert result is not None
+        sp.set(
+            verdict="reachable" if result.deadlock_reachable else "deadlock-free",
+            certificate=result.certificate,
+        )
+        sp.incr("classify.configs")
+    return result.deadlock_reachable, result
 
 
 @dataclass
@@ -172,65 +129,25 @@ class CycleClassification:
         return not self.deadlock_reachable
 
 
-def _cycle_runs(
-    cycle: Sequence[Channel], path: Sequence[Channel]
-) -> list[tuple[int, int]]:
-    """Maximal runs of ``path`` along ``cycle``, as (start index, length).
-
-    Thin channel-object wrapper over the shared cid-domain implementation
-    in :func:`repro.lint.tiling.cycle_runs` (the static certificates use
-    the same core, so classifier and linter cannot drift apart).
-    """
-    from repro.lint.tiling import cycle_runs
-
-    return cycle_runs([ch.cid for ch in cycle], [ch.cid for ch in path])
-
-
 def messages_for_cycle(
     alg: RoutingAlgorithm,
     cycle: Sequence[Channel],
     pairs: Sequence[Pair] | None = None,
 ) -> dict[Pair, list[tuple[int, int]]]:
     """Pairs whose path intersects the cycle, with their cycle runs."""
+    from repro.lint.tiling import cycle_runs
     from repro.routing.properties import _domain
 
+    cycle_cids = [ch.cid for ch in cycle]
     out: dict[Pair, list[tuple[int, int]]] = {}
     for pair in _domain(alg, pairs):
         path = alg.try_path(*pair)
         if path is None:
             continue
-        runs = _cycle_runs(cycle, path)
+        runs = cycle_runs(cycle_cids, [ch.cid for ch in path])
         if runs:
             out[pair] = runs
     return out
-
-
-def enumerate_tilings(
-    cycle: Sequence[Channel],
-    candidates: dict[Pair, list[tuple[int, int]]],
-    *,
-    max_tilings: int = 512,
-) -> list[CycleTiling]:
-    """All ways to tile the cycle with message segments per Definition 6.
-
-    Each tiling is a cyclic sequence of distinct messages: message ``i``
-    holds cycle channels ``[start_i, start_{i+1})`` (in cycle order), where
-    ``start_{i+1}`` lies strictly inside message ``i``'s run -- that is
-    exactly "the first channel message ``m_{i+1}`` uses in the cycle blocks
-    ``m_i``" from the paper's deadlock definition.
-
-    Thin wrapper over the shared implementation in
-    :func:`repro.lint.tiling.enumerate_tilings` (also used by the static
-    certificates), preserving the historical :class:`CycleTiling` return
-    type.
-    """
-    from repro.lint.tiling import enumerate_tilings as _enumerate
-
-    tilings = _enumerate(len(cycle), candidates, max_tilings=max_tilings)
-    return [
-        CycleTiling(pairs=list(t.members), held_lengths=list(t.held_lengths))
-        for t in tilings
-    ]
 
 
 def classify_cycle(
@@ -276,54 +193,6 @@ def classify_cycle(
         extra_copies=extra_copies,
         max_states=max_states,
     )
-    tel = _obs_get()
-    if tel is None:
-        return _classify_cycle_impl(
-            alg,
-            cycle,
-            pairs=pairs,
-            length_slack=length_slack,
-            extra_copies=extra_copies,
-            budget=budget,
-            max_states=max_states,
-            certificates=certificates,
-        )
-    with tel.span("classify.cycle", channels=len(cycle)) as sp:
-        result = _classify_cycle_impl(
-            alg,
-            cycle,
-            pairs=pairs,
-            length_slack=length_slack,
-            extra_copies=extra_copies,
-            budget=budget,
-            max_states=max_states,
-            certificates=certificates,
-        )
-        sp.set(
-            verdict="reachable" if result.deadlock_reachable else "false-cycle",
-            tilings_tested=result.tilings_tested,
-            scenarios_tested=result.scenarios_tested,
-            certificate=result.certificate,
-        )
-        tel.incr("classify.cycles")
-        tel.incr("classify.scenarios", result.scenarios_tested)
-        if result.certificate is not None and result.scenarios_tested == 0:
-            tel.incr("classify.certificate_short_circuits")
-            tel.event("classify.certificate_fastpath", code=result.certificate)
-    return result
-
-
-def _classify_cycle_impl(
-    alg: RoutingAlgorithm,
-    cycle: Sequence[Channel],
-    *,
-    pairs: Sequence[Pair] | None,
-    length_slack: int,
-    extra_copies: int,
-    budget: int,
-    max_states: int,
-    certificates: str | None,
-) -> CycleClassification:
     # the certificate contract (lazy import: lint sits above analysis)
     from repro.lint import certificates as certs
 
@@ -354,23 +223,36 @@ def _classify_cycle_impl(
             notes=[f"static certificate {cert.code}: {cert.rationale}"],
         )
 
-    # in check mode the bounded search must agree with the certificate:
-    # its scenario family includes the certificate's tiling
-    return certs.certified_search(
-        certificates,
-        lambda: certs.cycle_certificate(alg, cycle, pairs),
-        shortcut,
-        lambda: _classify_cycle_search(
-            alg,
-            cycle,
-            pairs=pairs,
-            length_slack=length_slack,
-            extra_copies=extra_copies,
-            budget=budget,
-            max_states=max_states,
-            certificates=certificates,
-        ),
-    )
+    with _obs_span("classify.cycle", channels=len(cycle)) as sp:
+        # in check mode the bounded search must agree with the certificate:
+        # its scenario family includes the certificate's tiling
+        result = certs.certified_search(
+            certificates,
+            lambda: certs.cycle_certificate(alg, cycle, pairs),
+            shortcut,
+            lambda: _classify_cycle_search(
+                alg,
+                cycle,
+                pairs=pairs,
+                length_slack=length_slack,
+                extra_copies=extra_copies,
+                budget=budget,
+                max_states=max_states,
+                certificates=certificates,
+            ),
+        )
+        sp.set(
+            verdict="reachable" if result.deadlock_reachable else "false-cycle",
+            tilings_tested=result.tilings_tested,
+            scenarios_tested=result.scenarios_tested,
+            certificate=result.certificate,
+        )
+        sp.incr("classify.cycles")
+        sp.incr("classify.scenarios", result.scenarios_tested)
+        if result.certificate is not None and result.scenarios_tested == 0:
+            sp.incr("classify.certificate_short_circuits")
+            sp.event("classify.certificate_fastpath", code=result.certificate)
+    return result
 
 
 def _classify_cycle_search(
@@ -386,8 +268,10 @@ def _classify_cycle_search(
 ) -> CycleClassification:
     """The search-based classification (certificate pre-pass already done);
     each scenario search runs in the same ``certificates`` mode."""
+    from repro.lint.tiling import enumerate_tilings
+
     candidates = messages_for_cycle(alg, cycle, pairs)
-    tilings = enumerate_tilings(cycle, candidates)
+    tilings = enumerate_tilings(len(cycle), candidates)
     notes: list[str] = []
     if not tilings:
         notes.append("no Definition-6 tiling exists; cycle cannot deadlock")
@@ -402,11 +286,11 @@ def _classify_cycle_search(
     scenarios = 0
     for tiling in tilings:
         base_msgs: list[CheckerMessage] = []
-        for pair, held in zip(tiling.pairs, tiling.held_lengths):
-            path = alg.path(*pair)
+        for member, held in zip(tiling.members, tiling.held_lengths):
+            src, dst = cast(Pair, member)
             base_msgs.append(
                 CheckerMessage.from_channels(
-                    path, length=max(1, held), tag=f"{pair[0]}->{pair[1]}"
+                    alg.path(src, dst), length=max(1, held), tag=f"{src}->{dst}"
                 )
             )
         length_options = [

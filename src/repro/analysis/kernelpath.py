@@ -154,6 +154,17 @@ def _open_cc_lib(path: Path) -> ctypes.CDLL | str:
         return f"compiled kernel library failed to load: {exc}"
     if abi != _CC_ABI:
         return f"compiled kernel library has ABI {abi}, expected {_CC_ABI}"
+    i32, i64, ptr = ctypes.c_int32, ctypes.c_int64, ctypes.c_void_p
+    # _kernel.c's rk_search parameters in order; a table is passed as the
+    # bare address of its array buffer
+    lib.rk_search.argtypes = [
+        i32, i32, i32,  # n, S, W
+        ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,  # nops .. init_cfg
+        i32, ptr, ptr,  # ncls, cls_off, cls_cols
+        i32, i64, i32,  # use_canon, max_states, track_parents
+        ctypes.POINTER(i64), ctypes.POINTER(i64),  # out_count, out_depth
+        ctypes.POINTER(ctypes.POINTER(i32)), ctypes.POINTER(i64),  # out_chain(_len)
+    ]
     lib.rk_search.restype = ctypes.c_int
     lib.rk_free.restype = None
     lib.rk_free.argtypes = [ctypes.c_void_p]

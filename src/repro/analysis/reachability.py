@@ -29,8 +29,8 @@ from repro.analysis import kernelpath as _kernelpath
 from repro.analysis.kernelpath import kernel_unavailable_reason as _kernel_unavailable
 from repro.analysis.kernelpath import kernel_engine_for as _kernel_engine_for
 from repro.analysis.kernelpath import _LIMIT_MSG
-from repro.obs import get as _obs_get
 from repro.obs import incr as _obs_incr
+from repro.obs import span as _obs_span
 
 #: every name accepted by ``search_deadlock(engine=...)``: the compiled
 #: default and the oracle
@@ -306,80 +306,9 @@ def search_deadlock(
     tests.  Certificate-constructed witnesses follow the Theorem-2
     schedule instead, which may take more cycles.
     """
-    tel = _obs_get()
-    if tel is None:
-        # telemetry disabled (the default): straight to the search with
-        # zero additional work beyond the one env lookup in obs.get()
-        return _search_deadlock_impl(
-            spec,
-            max_states=max_states,
-            find_witness=find_witness,
-            symmetry_reduction=symmetry_reduction,
-            engine=resolve_engine(engine, spec),
-            certificates=certificates,
-        )
-
     # resolved once, and named on the span as the engine that ran
-    resolved = resolve_engine(engine, spec)
-    with tel.span(
-        "search.deadlock",
-        engine=resolved,
-        find_witness=find_witness,
-        messages=len(spec.messages),
-    ) as sp:
-        t0 = time.perf_counter()
-        result = _search_deadlock_impl(
-            spec,
-            max_states=max_states,
-            find_witness=find_witness,
-            symmetry_reduction=symmetry_reduction,
-            engine=resolved,
-            certificates=certificates,
-        )
-        dur = time.perf_counter() - t0
-        sp.set(
-            verdict="reachable" if result.deadlock_reachable else "deadlock-free",
-            states_explored=result.states_explored,
-            certificate=result.certificate,
-        )
-        if dur > 0 and result.states_explored:
-            rate = result.states_explored / dur
-            sp.set(states_per_sec=round(rate, 1))
-            tel.observe("search.states_per_sec", rate, engine=resolved)
-        if resolved == "kernel" and result.states_explored:
-            sp.set(kernel_backend=_kernelpath.resolve_backend())
-        if result.witness is not None:
-            sp.set(frontier_depth=result.witness.num_cycles)
-        elif result.frontier_depth is not None:
-            sp.set(frontier_depth=result.frontier_depth)
-        tel.incr("search.calls")
-        tel.incr("search.states_explored", result.states_explored)
-        if result.certificate is not None and result.states_explored == 0:
-            tel.incr("search.certificate_short_circuits")
-            tel.event(
-                "search.certificate_fastpath",
-                code=result.certificate,
-                deadlock_reachable=result.deadlock_reachable,
-            )
-    return result
-
-
-def _search_deadlock_impl(
-    spec: SystemSpec,
-    *,
-    max_states: int,
-    find_witness: bool,
-    symmetry_reduction: bool | None,
-    engine: str,
-    certificates: str | None,
-) -> SearchResult:
-    """The search proper; ``engine`` is already a concrete engine name."""
+    engine = resolve_engine(engine, spec)
     reduce = not find_witness if symmetry_reduction is None else symmetry_reduction
-
-    init = spec.initial_state()
-    dead = spec.deadlocked_set(init)
-    if dead:  # pragma: no cover - empty network can't deadlock
-        raise AssertionError("initial state deadlocked; spec is malformed")
 
     def shortcut(cert) -> SearchResult | None:
         # a reachable certificate with a witness requested builds its
@@ -424,9 +353,45 @@ def _search_deadlock_impl(
     # spec_certificate is looked up at each call
     from repro.lint import certificates as certs
 
-    return certs.certified_search(
-        certificates, lambda: certs.spec_certificate(spec), shortcut, search
-    )
+    with _obs_span(
+        "search.deadlock",
+        engine=engine,
+        find_witness=find_witness,
+        messages=len(spec.messages),
+    ) as sp:
+        t0 = time.perf_counter()
+        dead = spec.deadlocked_set(spec.initial_state())
+        if dead:  # pragma: no cover - empty network can't deadlock
+            raise AssertionError("initial state deadlocked; spec is malformed")
+        result = certs.certified_search(
+            certificates, lambda: certs.spec_certificate(spec), shortcut, search
+        )
+        dur = time.perf_counter() - t0
+        sp.set(
+            verdict="reachable" if result.deadlock_reachable else "deadlock-free",
+            states_explored=result.states_explored,
+            certificate=result.certificate,
+        )
+        if dur > 0 and result.states_explored:
+            rate = result.states_explored / dur
+            sp.set(states_per_sec=round(rate, 1))
+            sp.observe("search.states_per_sec", rate, engine=engine)
+        if sp.live and engine == "kernel" and result.states_explored:
+            sp.set(kernel_backend=_kernelpath.resolve_backend())
+        if result.witness is not None:
+            sp.set(frontier_depth=result.witness.num_cycles)
+        elif result.frontier_depth is not None:
+            sp.set(frontier_depth=result.frontier_depth)
+        sp.incr("search.calls")
+        sp.incr("search.states_explored", result.states_explored)
+        if result.certificate is not None and result.states_explored == 0:
+            sp.incr("search.certificate_short_circuits")
+            sp.event(
+                "search.certificate_fastpath",
+                code=result.certificate,
+                deadlock_reachable=result.deadlock_reachable,
+            )
+    return result
 
 
 def _search_kernel(

@@ -320,33 +320,108 @@ def run_campaign(
     calls; without one, a run with ``max_workers > 1`` builds its own and
     shuts it down (without waiting) when it returns.
     """
-    from repro.obs import get as _obs_get
+    from repro.obs import span as _obs_span
 
-    tel = _obs_get()
-    if tel is None:
-        return _run_campaign_impl(
-            tasks,
-            cache=cache,
-            ledger=ledger,
-            progress=progress,
-            config=config,
-            spec_name=spec_name,
-            tel=None,
-            traces=traces,
-            pool=pool,
-        )
-    with tel.span("campaign.run", spec=spec_name) as sp:
-        results, summary = _run_campaign_impl(
-            tasks,
-            cache=cache,
-            ledger=ledger,
-            progress=progress,
-            config=config,
-            spec_name=spec_name,
-            tel=tel,
-            traces=traces,
-            pool=pool,
-        )
+    config = config or RunnerConfig()
+    with _obs_span("campaign.run", spec=spec_name) as sp:
+        t0 = time.perf_counter()
+
+        unique: list[CampaignTask] = []
+        seen: set[str] = set()
+        for task in tasks:
+            if task.task_hash not in seen:
+                seen.add(task.task_hash)
+                unique.append(task)
+
+        summary = CampaignSummary(spec=spec_name, workers=config.max_workers)
+        by_hash: dict[str, TaskResult] = {}
+
+        def finalize(task: CampaignTask, result: TaskResult) -> None:
+            by_hash[task.task_hash] = result
+            summary.add(result)
+            if sp.live:
+                from repro.obs.trace import extract_traceparent
+
+                trace_ctx = (
+                    extract_traceparent(traces.get(task.task_hash))
+                    if traces
+                    else None
+                )
+                # one span per task, emitted by the coordinating process so
+                # cache hits, serial runs and pool workers all look alike;
+                # the duration is the task's own measured wall time
+                sp.point_span(
+                    "campaign.task",
+                    result.wall_time,
+                    trace_ctx=trace_ctx,
+                    task_hash=result.task_hash,
+                    name=result.name,
+                    kind=result.kind,
+                    scenario=result.scenario,
+                    verdict=result.verdict,
+                    ok=result.ok,
+                    source=result.source,
+                    states_explored=result.detail.get("states_explored"),
+                    certificate=result.detail.get("certificate"),
+                )
+                sp.incr("campaign.tasks")
+                sp.observe(
+                    "campaign.task.wall_s", result.wall_time, kind=result.kind
+                )
+                if not result.ok:
+                    sp.incr("campaign.tasks.failed")
+                # exactly one cache lookup happens per unique task, so these
+                # two counters reproduce CacheStats.hit_rate from events alone
+                if cache is not None:
+                    if result.source == "cache":
+                        sp.incr("campaign.cache.hits")
+                    else:
+                        sp.incr("campaign.cache.misses")
+            if ledger is not None:
+                ledger.record(result)
+            if progress is not None:
+                progress.update(result)
+            if cache is not None and result.source == "live":
+                cache.put(task, result)
+
+        wave: list[CampaignTask] = []
+        for task in unique:
+            hit = cache.get(task) if cache is not None else None
+            if hit is not None:
+                finalize(task, hit)
+            else:
+                wave.append(task)
+
+        own_pool = pool is None and config.max_workers > 1
+        if own_pool:
+            pool = WorkerPool(config.max_workers)
+        executor = _WaveExecutor(config, pool)
+        try:
+            for attempt in range(1, config.retries + 2):
+                if not wave:
+                    break
+                if attempt > 1:
+                    time.sleep(config.backoff * (2 ** (attempt - 2)))
+                retry_wave: list[CampaignTask] = []
+                for task, result in zip(wave, executor.run(wave, traces)):
+                    result.attempts = attempt
+                    if not result.ok and not result.final and attempt <= config.retries:
+                        retry_wave.append(task)
+                    else:
+                        finalize(task, result)
+                wave = retry_wave
+        finally:
+            if own_pool:
+                assert pool is not None
+                pool.close(wait=False)
+
+        summary.wall_time = time.perf_counter() - t0
+        if cache is not None:
+            summary.cache = cache.stats
+        if ledger is not None:
+            ledger.record_summary(summary)
+        if progress is not None:
+            progress.close()
         sp.set(
             tasks=summary.total,
             ok=summary.ok,
@@ -356,118 +431,4 @@ def run_campaign(
         )
         if summary.cache is not None:
             sp.set(cache_hit_rate=round(summary.cache.hit_rate, 4))
-    return results, summary
-
-
-def _run_campaign_impl(
-    tasks: Iterable[CampaignTask],
-    *,
-    cache: CacheBackend | None,
-    ledger: RunLedger | None,
-    progress: ProgressReporter | None,
-    config: RunnerConfig | None,
-    spec_name: str,
-    tel,
-    traces: dict[str, str] | None = None,
-    pool: WorkerPool | None = None,
-) -> tuple[list[TaskResult], CampaignSummary]:
-    config = config or RunnerConfig()
-    t0 = time.perf_counter()
-
-    unique: list[CampaignTask] = []
-    seen: set[str] = set()
-    for task in tasks:
-        if task.task_hash not in seen:
-            seen.add(task.task_hash)
-            unique.append(task)
-
-    summary = CampaignSummary(spec=spec_name, workers=config.max_workers)
-    by_hash: dict[str, TaskResult] = {}
-
-    def finalize(task: CampaignTask, result: TaskResult) -> None:
-        by_hash[task.task_hash] = result
-        summary.add(result)
-        if tel is not None:
-            from repro.obs.trace import extract_traceparent
-
-            trace_ctx = (
-                extract_traceparent(traces.get(task.task_hash))
-                if traces
-                else None
-            )
-            # one span per task, emitted by the coordinating process so
-            # cache hits, serial runs and pool workers all look alike;
-            # the duration is the task's own measured wall time
-            tel.point_span(
-                "campaign.task",
-                result.wall_time,
-                trace_ctx=trace_ctx,
-                task_hash=result.task_hash,
-                name=result.name,
-                kind=result.kind,
-                scenario=result.scenario,
-                verdict=result.verdict,
-                ok=result.ok,
-                source=result.source,
-                states_explored=result.detail.get("states_explored"),
-                certificate=result.detail.get("certificate"),
-            )
-            tel.incr("campaign.tasks")
-            tel.observe(
-                "campaign.task.wall_s", result.wall_time, kind=result.kind
-            )
-            if not result.ok:
-                tel.incr("campaign.tasks.failed")
-            # exactly one cache lookup happens per unique task, so these
-            # two counters reproduce CacheStats.hit_rate from events alone
-            if cache is not None:
-                if result.source == "cache":
-                    tel.incr("campaign.cache.hits")
-                else:
-                    tel.incr("campaign.cache.misses")
-        if ledger is not None:
-            ledger.record(result)
-        if progress is not None:
-            progress.update(result)
-        if cache is not None and result.source == "live":
-            cache.put(task, result)
-
-    wave: list[CampaignTask] = []
-    for task in unique:
-        hit = cache.get(task) if cache is not None else None
-        if hit is not None:
-            finalize(task, hit)
-        else:
-            wave.append(task)
-
-    own_pool = pool is None and config.max_workers > 1
-    if own_pool:
-        pool = WorkerPool(config.max_workers)
-    executor = _WaveExecutor(config, pool)
-    try:
-        for attempt in range(1, config.retries + 2):
-            if not wave:
-                break
-            if attempt > 1:
-                time.sleep(config.backoff * (2 ** (attempt - 2)))
-            retry_wave: list[CampaignTask] = []
-            for task, result in zip(wave, executor.run(wave, traces)):
-                result.attempts = attempt
-                if not result.ok and not result.final and attempt <= config.retries:
-                    retry_wave.append(task)
-                else:
-                    finalize(task, result)
-            wave = retry_wave
-    finally:
-        if own_pool:
-            assert pool is not None
-            pool.close(wait=False)
-
-    summary.wall_time = time.perf_counter() - t0
-    if cache is not None:
-        summary.cache = cache.stats
-    if ledger is not None:
-        ledger.record_summary(summary)
-    if progress is not None:
-        progress.close()
     return [by_hash[t.task_hash] for t in unique], summary

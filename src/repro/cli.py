@@ -59,11 +59,12 @@ from contextlib import contextmanager
 def _telemetry_session(args: argparse.Namespace, command: str) -> Iterator[None]:
     """Enable telemetry for one CLI invocation when flags ask for it.
 
-    Sets ``REPRO_TELEMETRY=on`` in the environment (so campaign worker
-    processes inherit it), attaches a JSONL exporter for ``--telemetry``,
-    wraps the command in a root span, and writes the final registry
-    snapshot for ``--telemetry-snapshot``.  Without either flag this is
-    a straight pass-through: no collector, no exporter, nothing.
+    Opens a :func:`repro.obs.session` (``REPRO_TELEMETRY=on``, so
+    campaign worker processes inherit it) with a JSONL exporter for
+    ``--telemetry``, wraps the command in a root span, and writes the
+    final registry snapshot for ``--telemetry-snapshot``.  Without either
+    flag this is a straight pass-through: no collector, no exporter,
+    nothing.
     """
     telemetry_path = getattr(args, "telemetry", None)
     snapshot_path = getattr(args, "telemetry_snapshot", None)
@@ -73,38 +74,20 @@ def _telemetry_session(args: argparse.Namespace, command: str) -> Iterator[None]
 
     import repro.obs as obs
 
-    prev_env = os.environ.get(obs.ENV_VAR)
-    os.environ[obs.ENV_VAR] = "on"
-    tel = obs.get()
-    assert tel is not None
-    exporter = obs.JsonlExporter(telemetry_path) if telemetry_path else None
-    if exporter is not None:
-        tel.add_sink(exporter)
+    sinks = [obs.JsonlExporter(telemetry_path)] if telemetry_path else []
     name = f"repro.{command}"
-    tel.run_start(name, argv=list(sys.argv[1:]))
-    prev_trace = os.environ.get(obs.TRACE_ENV)
-    try:
-        with tel.span(name) as root:
-            # the REPRO_TRACE carrier joins spawned worker processes
-            # (campaign pools) to this invocation's trace
-            obs.inject_env(root.context())
-            yield
-    finally:
-        tel.run_end(name)
-        if prev_trace is None:
-            os.environ.pop(obs.TRACE_ENV, None)
-        else:
-            os.environ[obs.TRACE_ENV] = prev_trace
-        if snapshot_path:
-            obs.write_snapshot(tel, snapshot_path)
-        if exporter is not None:
-            tel.remove_sink(exporter)
-            exporter.close()
-        obs.reset()
-        if prev_env is None:
-            os.environ.pop(obs.ENV_VAR, None)
-        else:
-            os.environ[obs.ENV_VAR] = prev_env
+    with obs.session(*sinks) as tel:
+        tel.run_start(name, argv=list(sys.argv[1:]))
+        try:
+            with tel.span(name) as root:
+                # the REPRO_TRACE carrier joins spawned worker processes
+                # (campaign pools) to this invocation's trace
+                obs.inject_env(root.context())
+                yield
+        finally:
+            tel.run_end(name)
+            if snapshot_path:
+                obs.write_snapshot(tel, snapshot_path)
 
 
 def _parse_scenario_params(args: argparse.Namespace, command: str) -> dict | None:
@@ -777,6 +760,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         server.run(announce=print)
     except KeyboardInterrupt:
         pass
+    except OSError as exc:  # the bind: a taken port, an unknown host
+        # asyncio's bind error repeats the address; name only its cause
+        reason = os.strerror(exc.errno) if (exc.errno or 0) > 0 else exc.strerror or exc
+        print(f"serve: cannot listen on {args.host}:{args.port}: {reason}", file=sys.stderr)
+        return 2
     return 0
 
 

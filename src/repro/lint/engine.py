@@ -168,17 +168,26 @@ def lint_algorithm(
     max_probe_cycles: int = 32,
 ) -> LintReport:
     """Run every registered rule over a routing algorithm."""
-    from repro.obs import get as _obs_get
+    from repro.obs import span as _obs_span
 
     ctx = LintContext(
         alg, pairs, max_cycles=max_cycles, max_probe_cycles=max_probe_cycles
     )
     target = name if name is not None else f"{alg.fn.name()} on {alg.network.name}"
-    tel = _obs_get()
-    if tel is None:
-        return _lint_algorithm_impl(ctx, target)
-    with tel.span("lint.algorithm", target=target) as sp:
-        report = _lint_algorithm_impl(ctx, target)
+    with _obs_span("lint.algorithm", target=target) as sp:
+        report = LintReport(target=target)
+        certified = False
+        for rule in all_rules():
+            if rule.certificate and certified:
+                # certificates are mutually exclusive: at most one fires
+                report.rules_run.append(rule.code)
+                continue
+            findings = rule.check(ctx)
+            report.rules_run.append(rule.code)
+            for diag in findings:
+                report.diagnostics.append(diag)
+                if diag.certificate is not None:
+                    certified = True
         cert_diag = report.certificate_diagnostic
         sp.set(
             verdict=report.verdict,
@@ -186,25 +195,8 @@ def lint_algorithm(
             rules_run=len(report.rules_run),
             certificate=None if cert_diag is None else cert_diag.code,
         )
-        tel.incr("lint.runs")
-        tel.incr("lint.diagnostics", len(report.diagnostics))
-    return report
-
-
-def _lint_algorithm_impl(ctx: LintContext, target: str) -> LintReport:
-    report = LintReport(target=target)
-    certified = False
-    for rule in all_rules():
-        if rule.certificate and certified:
-            # certificates are mutually exclusive: at most one fires
-            report.rules_run.append(rule.code)
-            continue
-        findings = rule.check(ctx)
-        report.rules_run.append(rule.code)
-        for diag in findings:
-            report.diagnostics.append(diag)
-            if diag.certificate is not None:
-                certified = True
+        sp.incr("lint.runs")
+        sp.incr("lint.diagnostics", len(report.diagnostics))
     return report
 
 

@@ -3,17 +3,19 @@
 The whole subsystem hangs off one gate, :func:`get`:
 
 * ``REPRO_TELEMETRY`` unset/off (the default): :func:`get` returns
-  ``None`` without allocating anything -- instrumented call sites do one
-  ``if tel is None`` check and run their original bodies untouched.
-  This is the provably-negligible disabled mode the benchmark gate
-  relies on.  A lone counter bump goes through :func:`incr`, which is
-  that same check.
-* ``REPRO_TELEMETRY=on`` (or a CLI ``--telemetry PATH``, which sets the
-  variable so worker processes inherit it): :func:`get` lazily creates
-  a process-wide :class:`~repro.obs.core.Telemetry` collector.  Attach
-  a :class:`~repro.obs.export.JsonlExporter` sink to stream events;
-  with no sinks the collector still aggregates (campaign workers embed
-  their registry deltas in task results instead of exporting).
+  ``None`` without allocating anything.  An instrumented boundary opens
+  :func:`span` once around its one body; off, that is the shared
+  :data:`~repro.obs.core.INERT_SPAN`, whose calls do nothing.  This is
+  the provably-negligible disabled mode the benchmark gate relies on.
+  A lone counter bump goes through :func:`incr`, which is the same
+  check.
+* ``REPRO_TELEMETRY=on`` (or a CLI ``--telemetry PATH``, which opens a
+  :func:`session` so worker processes inherit the variable): :func:`get`
+  lazily creates a process-wide :class:`~repro.obs.core.Telemetry`
+  collector.  Attach a :class:`~repro.obs.export.JsonlExporter` sink to
+  stream events; with no sinks the collector still aggregates (campaign
+  workers embed their registry deltas in task results instead of
+  exporting).
 
 See ``docs/OBSERVABILITY.md`` for the span/counter model and the event
 schema.
@@ -23,14 +25,18 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterator
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager
+from typing import Any
 
 from repro.obs.core import (
     EVENT_SCHEMA_VERSION,
     HISTOGRAM_BOUNDS,
+    INERT_SPAN,
     Histogram,
+    InertSpan,
     Mark,
     Registry,
+    Sink,
     Span,
     SpanStats,
     Telemetry,
@@ -71,11 +77,13 @@ __all__ = [
     "EVENT_KINDS",
     "EVENT_SCHEMA_VERSION",
     "HISTOGRAM_BOUNDS",
+    "INERT_SPAN",
     "PROM_CONTENT_TYPE",
     "SNAPSHOT_SCHEMA",
     "TRACE_ENV",
     "TRACE_HEADER",
     "Histogram",
+    "InertSpan",
     "JsonlExporter",
     "Mark",
     "Registry",
@@ -97,7 +105,9 @@ __all__ = [
     "render_prometheus",
     "reset",
     "scope",
+    "session",
     "snapshot_report",
+    "span",
     "validate_event",
     "validate_stream",
     "write_snapshot",
@@ -152,7 +162,7 @@ def configure(tel: Telemetry | None) -> Telemetry | None:
 
 
 def reset() -> None:
-    """Drop the process collector (tests; end of a CLI telemetry session)."""
+    """Drop the process collector (tests)."""
     configure(None)
 
 
@@ -164,3 +174,55 @@ def scope(tel: Telemetry) -> Iterator[Telemetry]:
         yield tel
     finally:
         configure(prev)
+
+
+def span(name: str, /, **attrs: Any) -> AbstractContextManager[Span | InertSpan]:
+    """Open the span of one instrumented boundary.
+
+    With telemetry on, the process collector's :meth:`Telemetry.span`;
+    off, the shared :data:`INERT_SPAN`, which allocates nothing and
+    records nothing.  Either way the boundary runs its body once inside
+    it and records through the yielded span.
+    """
+    tel = get()
+    if tel is None:
+        return INERT_SPAN
+    return tel.span(name, **attrs)
+
+
+def _restore_env(name: str, value: str | None) -> None:
+    if value is None:
+        os.environ.pop(name, None)
+    else:
+        os.environ[name] = value
+
+
+@contextmanager
+def session(*sinks: Sink, run_id: str = "") -> Iterator[Telemetry]:
+    """Telemetry on for the body of the ``with``: the one setup of the
+    CLI's ``--telemetry`` flags and of ``repro serve``.
+
+    Sets ``REPRO_TELEMETRY=on`` (so worker processes started inside
+    inherit it), installs a fresh collector with ``sinks`` attached and
+    yields it.  On the way out, however the body ends, it detaches the
+    sinks and closes those that have a ``close()``, reinstalls the
+    previous collector and restores ``REPRO_TELEMETRY`` and the
+    ``REPRO_TRACE`` carrier to what they were.
+    """
+    prev_env = os.environ.get(ENV_VAR)
+    prev_trace = os.environ.get(TRACE_ENV)
+    os.environ[ENV_VAR] = "on"
+    tel = Telemetry(run_id=run_id)
+    for sink in sinks:
+        tel.add_sink(sink)
+    try:
+        with scope(tel):
+            yield tel
+    finally:
+        for sink in sinks:
+            tel.remove_sink(sink)
+            close = getattr(sink, "close", None)
+            if callable(close):
+                close()
+        _restore_env(TRACE_ENV, prev_trace)
+        _restore_env(ENV_VAR, prev_env)

@@ -50,7 +50,7 @@ from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, ClassVar
 
 from repro.obs.trace import TraceContext, new_span_id, new_trace_id
 
@@ -177,11 +177,22 @@ class Histogram:
 
 @dataclass
 class Span:
-    """One live timing scope; annotate it with :meth:`set`."""
+    """One live timing scope; annotate it with :meth:`set`, and record
+    what its boundary measured through :meth:`incr`, :meth:`observe`,
+    :meth:`event` and :meth:`point_span` (the collector's calls, made on
+    the collector that opened the span).  :class:`InertSpan` has the
+    same surface and records nothing."""
+
+    #: whether the span records (``False`` on :class:`InertSpan`): a
+    #: boundary computes an attribute that costs more than the value it
+    #: already holds only when this is true
+    live: ClassVar[bool] = True
 
     name: str
     span_id: int
     parent_id: int | None
+    #: the collector that opened the span
+    tel: Telemetry = field(repr=False, compare=False)
     #: trace the span belongs to (32 hex digits)
     trace: str = ""
     #: globally unique span id (16 hex digits)
@@ -194,9 +205,73 @@ class Span:
         """Attach attributes reported on the span's ``span_end`` event."""
         self.attrs.update(attrs)
 
+    def incr(self, name: str, value: float = 1, /, **attrs: Any) -> None:
+        self.tel.incr(name, value, **attrs)
+
+    def observe(self, name: str, value: float, /, **attrs: Any) -> None:
+        self.tel.observe(name, value, **attrs)
+
+    def event(self, name: str, /, **attrs: Any) -> None:
+        self.tel.event(name, **attrs)
+
+    def point_span(
+        self,
+        name: str,
+        dur_s: float,
+        /,
+        *,
+        trace_ctx: TraceContext | None = None,
+        **attrs: Any,
+    ) -> None:
+        self.tel.point_span(name, dur_s, trace_ctx=trace_ctx, **attrs)
+
     def context(self) -> TraceContext:
         """This span's position as an injectable :class:`TraceContext`."""
         return TraceContext(self.trace, self.sid)
+
+
+class InertSpan:
+    """The span :func:`repro.obs.span` returns while telemetry is off:
+    one shared object, its own context manager, whose calls do nothing,
+    so an instrumented boundary runs one body whether telemetry is on or
+    off, and off needs no collector and emits no event."""
+
+    __slots__ = ()
+
+    live = False
+
+    def __enter__(self) -> InertSpan:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        return None
+
+    def set(self, **attrs: Any) -> None:
+        pass
+
+    def incr(self, name: str, value: float = 1, /, **attrs: Any) -> None:
+        pass
+
+    def observe(self, name: str, value: float, /, **attrs: Any) -> None:
+        pass
+
+    def event(self, name: str, /, **attrs: Any) -> None:
+        pass
+
+    def point_span(
+        self,
+        name: str,
+        dur_s: float,
+        /,
+        *,
+        trace_ctx: TraceContext | None = None,
+        **attrs: Any,
+    ) -> None:
+        pass
+
+
+#: the one inert span
+INERT_SPAN = InertSpan()
 
 
 @dataclass
@@ -390,6 +465,7 @@ class Telemetry(Registry):
             name=name,
             span_id=next(self._ids),
             parent_id=parent.span_id if parent is not None else None,
+            tel=self,
             trace=trace_id,
             sid=new_span_id(),
             psid=psid,

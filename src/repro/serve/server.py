@@ -49,14 +49,13 @@ from __future__ import annotations
 
 import asyncio
 import json
-import os
 import signal
 import threading
 import time
 from collections import Counter
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext, suppress
+from contextlib import ExitStack, nullcontext, suppress
 from dataclasses import dataclass
 from typing import Any
 from urllib.parse import parse_qs
@@ -217,11 +216,11 @@ class ReproServer:
         #: live connection handlers, so stop() can end them
         self._handlers: dict[asyncio.Task[None], asyncio.StreamWriter] = {}
         self._tel: obs.Telemetry | None = None
-        self._tel_prev: obs.Telemetry | None = None
-        self._env_prev: str | None = None
+        #: what start() set up (telemetry session, batch lane, worker
+        #: pool, cold cache), undone in reverse by stop()
+        self._resources = ExitStack()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._server: asyncio.AbstractServer | None = None
-        self._executor: ThreadPoolExecutor | None = None
         self._stop: asyncio.Event | None = None
         self._ready = threading.Event()
 
@@ -233,32 +232,43 @@ class ReproServer:
         return f"http://{self.host}:{self.port}"
 
     async def start(self) -> None:
+        """Set up and listen; a failed start (a taken port) undoes what
+        it set up before it re-raises."""
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
-        # the batcher's execution lane: one batch runs at a time (on the
-        # batcher's process pool with --jobs 2 or more)
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-serve-batch"
-        )
-        if self.config.telemetry:
-            self._env_prev = os.environ.get(obs.ENV_VAR)
-            os.environ[obs.ENV_VAR] = "on"  # campaign pool workers inherit
-            self._tel = obs.Telemetry(run_id=SERVER_NAME)
-            self._tel_prev = obs.configure(self._tel)
-            self._tel.add_sink(self._event_sink)
-        self.batcher = MicroBatcher(
-            cache=self.cache,
-            config=self.runner_config,
-            executor=self._executor,
-            spec_name="serve",
-        )
-        if self.batcher.pool is not None:
-            # with --jobs 2 or more the workers start before the server
-            # listens, so no cold query waits for a worker's start-up
-            self.batcher.pool.start()
-        self._server = await asyncio.start_server(
-            self._handle, self.config.host, self.config.port
-        )
+        with ExitStack() as resources:
+            close = getattr(self.cold, "close", None)
+            if callable(close):
+                resources.callback(close)
+            tel = None
+            if self.config.telemetry:
+                # campaign pool workers inherit REPRO_TELEMETRY=on
+                tel = resources.enter_context(
+                    obs.session(self._event_sink, run_id=SERVER_NAME)
+                )
+            # the batcher's execution lane: one batch runs at a time (on
+            # the batcher's process pool with --jobs 2 or more)
+            executor = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="repro-serve-batch"
+            )
+            resources.callback(executor.shutdown, wait=False, cancel_futures=True)
+            self.batcher = MicroBatcher(
+                cache=self.cache,
+                config=self.runner_config,
+                executor=executor,
+                spec_name="serve",
+            )
+            resources.callback(self.batcher.close)
+            if self.batcher.pool is not None:
+                # with --jobs 2 or more the workers start before the server
+                # listens, so no cold query waits for a worker's start-up
+                self.batcher.pool.start()
+            self._server = await asyncio.start_server(
+                self._handle, self.config.host, self.config.port
+            )
+            # listening: stop() undoes the set-up from here on
+            self._resources = resources.pop_all()
+        self._tel = tel
         sock = self._server.sockets[0].getsockname()
         self.host, self.port = sock[0], sock[1]
         self.started_at = time.time()
@@ -284,22 +294,10 @@ class ReproServer:
         if self._server is not None:
             with suppress(Exception):
                 await self._server.wait_closed()
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-        if self.batcher is not None:
-            self.batcher.close()
         if self._tel is not None:
             self._tel.event("serve.stop")
-            self._tel.remove_sink(self._event_sink)
-            obs.configure(self._tel_prev)
-            if self._env_prev is None:
-                os.environ.pop(obs.ENV_VAR, None)
-            else:
-                os.environ[obs.ENV_VAR] = self._env_prev
             self._tel = None
-        close = getattr(self.cold, "close", None)
-        if callable(close):
-            close()
+        self._resources.close()
         self._ready.clear()
 
     async def run_async(self, announce: Callable[[str], None] | None = None) -> None:
@@ -502,32 +500,29 @@ class ReproServer:
         self, task: CampaignTask, *, endpoint: str
     ) -> tuple[Any, str]:
         assert self.batcher is not None
-        tel = self._tel
-        if tel is None:
+        t0 = time.perf_counter()
+        with obs.span(
+            "serve.request",
+            endpoint=endpoint,
+            kind=task.kind,
+            scenario=task.scenario,
+        ) as sp:
             result, source = await self.batcher.submit(task)
-        else:
-            t0 = time.perf_counter()
-            with tel.span(
-                "serve.request",
-                endpoint=endpoint,
-                kind=task.kind,
-                scenario=task.scenario,
-            ) as sp:
-                result, source = await self.batcher.submit(task)
-                sp.set(
-                    task_hash=task.task_hash,
-                    verdict=result.verdict,
-                    ok=result.ok,
-                    source=source,
-                )
-            tel.observe(
-                "serve.request.latency_s",
-                time.perf_counter() - t0,
-                endpoint=endpoint,
+            sp.set(
+                task_hash=task.task_hash,
+                verdict=result.verdict,
+                ok=result.ok,
                 source=source,
             )
-            tel.incr("serve.requests")
-            tel.incr(f"serve.source.{source}")
+        # recorded once the span has closed: the latency includes its end
+        sp.observe(
+            "serve.request.latency_s",
+            time.perf_counter() - t0,
+            endpoint=endpoint,
+            source=source,
+        )
+        sp.incr("serve.requests")
+        sp.incr(f"serve.source.{source}")
         if not result.ok:
             raise ApiError(
                 502,

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from collections.abc import Callable, Iterable
 from typing import cast
 
-from repro.obs import get as _obs_get
+from repro.obs import span as _obs_span
 from repro.routing.adaptive import AdaptiveRoutingFunction
 from repro.routing.base import INJECT, RoutingError, RoutingFunction
 from repro.sim.arbitration import ArbitrationPolicy, FifoArbitration
@@ -663,12 +663,41 @@ class Simulator:
 
     def run(self) -> SimResult:
         """Run to completion, deadlock, or the cycle limit."""
-        tel = _obs_get()
-        if tel is None:
-            return self._run_impl()
-        with tel.span("sim.run", messages=len(self.messages)) as sp:
+        with _obs_span("sim.run", messages=len(self.messages)) as sp:
             t0 = time.perf_counter()
-            result = self._run_impl()
+            deadlock: DeadlockReport | None = None
+            while self.cycle < self.config.max_cycles:
+                if self._all_done():
+                    break
+                self.step()
+                report = detect_deadlock(self)
+                if report is not None:
+                    deadlock = report
+                    if self.config.stop_on_deadlock:
+                        break
+                if self._quiesced():
+                    deadlock = DeadlockReport(
+                        cycle=self.cycle,
+                        message_ids=tuple(
+                            m.spec.mid for m in self.live_messages() if m.in_network
+                        ),
+                        kind="quiescence",
+                    )
+                    break
+            timed_out = self.cycle >= self.config.max_cycles and not self._all_done()
+            delivered = sum(
+                1 for m in self.messages.values() if m.status is MessageStatus.DELIVERED
+            )
+            self.stats.cycles = self.cycle
+            result = SimResult(
+                cycles=self.cycle,
+                delivered=delivered,
+                total=len(self.messages),
+                deadlock=deadlock,
+                timed_out=timed_out,
+                stats=self.stats,
+                messages=self.messages,
+            )
             dur = time.perf_counter() - t0
             sp.set(
                 cycles=result.cycles,
@@ -686,44 +715,9 @@ class Simulator:
                         result.stats.arbitration_conflicts / dur, 1
                     ),
                 )
-            tel.incr("sim.runs")
-            tel.incr("sim.cycles", result.cycles)
-            tel.incr("sim.flit_moves", result.stats.flit_moves)
-            tel.incr("sim.arbitration_conflicts", result.stats.arbitration_conflicts)
-            tel.incr("sim.delivered", result.delivered)
+            sp.incr("sim.runs")
+            sp.incr("sim.cycles", result.cycles)
+            sp.incr("sim.flit_moves", result.stats.flit_moves)
+            sp.incr("sim.arbitration_conflicts", result.stats.arbitration_conflicts)
+            sp.incr("sim.delivered", result.delivered)
         return result
-
-    def _run_impl(self) -> SimResult:
-        deadlock: DeadlockReport | None = None
-        while self.cycle < self.config.max_cycles:
-            if self._all_done():
-                break
-            self.step()
-            report = detect_deadlock(self)
-            if report is not None:
-                deadlock = report
-                if self.config.stop_on_deadlock:
-                    break
-            if self._quiesced():
-                deadlock = DeadlockReport(
-                    cycle=self.cycle,
-                    message_ids=tuple(
-                        m.spec.mid for m in self.live_messages() if m.in_network
-                    ),
-                    kind="quiescence",
-                )
-                break
-        timed_out = self.cycle >= self.config.max_cycles and not self._all_done()
-        delivered = sum(
-            1 for m in self.messages.values() if m.status is MessageStatus.DELIVERED
-        )
-        self.stats.cycles = self.cycle
-        return SimResult(
-            cycles=self.cycle,
-            delivered=delivered,
-            total=len(self.messages),
-            deadlock=deadlock,
-            timed_out=timed_out,
-            stats=self.stats,
-            messages=self.messages,
-        )

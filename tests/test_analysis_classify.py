@@ -4,15 +4,14 @@ import pytest
 
 from repro.analysis.classify import (
     MAX_SCENARIOS,
-    _cycle_runs,
     classify_configuration,
     classify_cycle,
-    enumerate_tilings,
     messages_for_cycle,
 )
 from repro.analysis.reachability import SearchLimitExceeded
 from repro.cdg import build_cdg, find_cycles
 from repro.core.cyclic_dependency import build_cyclic_dependency_network
+from repro.lint.tiling import cycle_runs, enumerate_tilings
 from repro.routing import RoutingAlgorithm, clockwise_ring
 from repro.topology import ring
 
@@ -26,24 +25,28 @@ def ring_setup():
     return alg, cycle
 
 
+def _cids(channels):
+    return [ch.cid for ch in channels]
+
+
 class TestCycleRuns:
     def test_full_run(self, ring_setup):
         alg, cycle = ring_setup
         path = alg.path(0, 3)
-        runs = _cycle_runs(cycle, path)
+        runs = cycle_runs(_cids(cycle), _cids(path))
         assert len(runs) == 1
         assert runs[0][1] == 3
 
     def test_empty_path_returns_empty(self, ring_setup):
         _alg, cycle = ring_setup
-        assert _cycle_runs(cycle, []) == []
+        assert cycle_runs(_cids(cycle), []) == []
 
     def test_non_cycle_channels_skipped(self):
         """Approach channels of Fig. 1 do not contribute runs."""
         cdn = build_cyclic_dependency_network()
         alg = cdn.algorithm
         path = alg.path(*cdn.message_pairs["M1"])
-        runs = _cycle_runs(tuple(cdn.cycle_channels), path)
+        runs = cycle_runs(_cids(cdn.cycle_channels), _cids(path))
         assert len(runs) == 1
         assert runs[0] == (0, 4)  # M1 enters at ring position 0, uses 4 channels
 
@@ -59,15 +62,15 @@ class TestEnumerateTilings:
     def test_ring_has_tilings(self, ring_setup):
         alg, cycle = ring_setup
         cands = messages_for_cycle(alg, cycle)
-        tilings = enumerate_tilings(cycle, cands)
+        tilings = enumerate_tilings(len(cycle), cands)
         assert tilings
         for t in tilings:
             assert sum(t.held_lengths) == len(cycle)
-            assert len(set(t.pairs)) == len(t.pairs)
+            assert len(set(t.members)) == len(t.members)
 
     def test_empty_candidates(self, ring_setup):
         _alg, cycle = ring_setup
-        assert enumerate_tilings(cycle, {}) == []
+        assert enumerate_tilings(len(cycle), {}) == []
 
 
 class TestClassifyCycle:

@@ -677,3 +677,26 @@ def test_random_specs_two_way_witnesses(spec):
         assert got.witness.states == ref.witness.states
         assert got.witness.deadlocked == ref.witness.deadlocked
         _assert_valid_witness(spec, got.witness)
+
+
+@requires_cc
+def test_rk_search_argtypes_match_the_c_prototype():
+    """``rk_search``'s declared ctypes parameters match ``_kernel.c``'s
+    prototype in count, width and pointer-ness, so ctypes checks every
+    call against the C signature."""
+    import ctypes
+    import re
+
+    src = (Path(kernelpath_mod.__file__).parent / "_kernel.c").read_text()
+    proto = re.search(r"RK_EXPORT int rk_search\((.*?)\)\s*\{", src, re.S)
+    assert proto is not None
+    params = [" ".join(p.split()) for p in proto.group(1).split(",")]
+    argtypes = kernelpath_mod._load_cc_lib().rk_search.argtypes
+    assert argtypes is not None, "rk_search has no declared argtypes"
+    assert len(argtypes) == len(params) == 22
+    widths = {"int32_t": 4, "int64_t": 8}
+    for param, argtype in zip(params, argtypes):
+        is_ptr = argtype is ctypes.c_void_p or issubclass(argtype, ctypes._Pointer)
+        assert is_ptr == ("*" in param), param
+        want = ctypes.sizeof(ctypes.c_void_p) if is_ptr else widths[param.split()[0]]
+        assert ctypes.sizeof(argtype) == want, param

@@ -1,6 +1,7 @@
 """Telemetry layer: gate, spans/counters, exporters, schema, event reports."""
 
 import json
+import os
 
 import pytest
 
@@ -101,6 +102,45 @@ class TestDisabledGate:
         with obs.scope(tel):
             assert obs.get() is tel
         assert obs._active is None
+
+
+class TestSpanAndSession:
+    def test_off_span_is_one_inert_object_and_allocates_nothing(self):
+        with obs.span("a", x=1) as a:
+            a.set(y=2)
+            a.incr("n")
+            a.observe("h", 1.0)
+            a.event("e")
+            a.point_span("p", 0.1)
+            with obs.span("b") as b:
+                pass
+        assert a is b is obs.span("c") is obs.INERT_SPAN
+        assert not a.live
+        assert obs._active is None
+
+    def test_session_restores_everything_when_its_body_raises(
+        self, monkeypatch, tmp_path
+    ):
+        monkeypatch.setenv(obs.TRACE_ENV, "outer-carrier")
+        prev = Telemetry()
+        exporter = JsonlExporter(tmp_path / "ev.jsonl")
+        with obs.scope(prev):
+            with pytest.raises(RuntimeError, match="boom"):
+                with obs.session(exporter, run_id="r") as tel:
+                    assert obs.enabled() and obs.get() is tel
+                    with obs.span("inside", k=1) as sp:
+                        assert sp.live
+                        sp.incr("n")
+                        obs.inject_env(sp.context())
+                    raise RuntimeError("boom")
+            assert obs._active is prev
+        assert obs.ENV_VAR not in os.environ
+        assert os.environ[obs.TRACE_ENV] == "outer-carrier"
+        assert exporter._fh.closed
+        events, _ = read_events(tmp_path / "ev.jsonl")
+        kinds = [e["kind"] for e in events]
+        assert kinds == ["span_start", "counter", "span_end"]
+        assert prev.counters == {} and tel.counters == {"n": 1}
 
 
 class TestTelemetryCore:

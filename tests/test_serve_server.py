@@ -1,5 +1,7 @@
 """End-to-end serve API: byte-identity, caching, dedup, errors, shutdown."""
 
+import asyncio
+import errno
 import json
 import os
 import re
@@ -16,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.obs as obs
 from repro.cli import main
 from repro.obs import EVENT_KINDS, validate_event
 from repro.serve import ReproServer, ServeClient, ServeConfig
@@ -472,6 +475,41 @@ def test_stop_shuts_the_worker_pool_down(tmp_path):
     for pid in pids:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+
+
+@pytest.fixture()
+def taken_port():
+    """A port that a listening socket holds for the test's duration."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        sock.listen()
+        yield sock.getsockname()[1]
+
+
+def test_serve_on_a_taken_port_is_one_line_exit_2(taken_port, capsys):
+    argv = ["serve", "--port", str(taken_port), "--cache-backend", "memory"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"serve: cannot listen on 127.0.0.1:{taken_port}: "
+        f"{os.strerror(errno.EADDRINUSE)}\n"
+    )
+
+
+def test_failed_start_undoes_its_setup(taken_port, monkeypatch):
+    """A start that cannot bind leaves REPRO_TELEMETRY and the process
+    collector as they were and shuts its --jobs 2 worker pool down."""
+    monkeypatch.setenv(obs.ENV_VAR, "off")
+    prev = obs.Telemetry()
+    with obs.scope(prev):
+        srv = ReproServer(ServeConfig(port=taken_port, jobs=2, cache_backend="memory"))
+        with pytest.raises(OSError):
+            asyncio.run(srv.run_async())
+        assert os.environ[obs.ENV_VAR] == "off"
+        assert obs._active is prev
+    pool = srv.batcher.pool
+    assert pool._closed and pool._executor is None
 
 
 def test_jobs_2_starts_its_workers_at_boot():
