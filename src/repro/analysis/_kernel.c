@@ -16,9 +16,9 @@
  *
  * The visited set is an open-addressing table of 64-bit slots, each a
  * 32-bit hash tag plus a key index; the keys themselves are the BFS
- * arena's rows (or, with symmetry reduction, a parallel store of
- * canonical rows), so every state is stored once.  A search that would
- * need more than 2^32 slots (2^31 states) ends in RK_OOM.
+ * arena's rows (or, when the spec has identical messages, a parallel
+ * store of canonical rows), so every state is stored once.  A search
+ * that would need more than 2^32 slots (2^31 states) ends in RK_OOM.
  *
  * The file is self-contained C99 with no dependencies beyond libc; the
  * Python side compiles it once per toolchain into a disk-cached shared
@@ -34,7 +34,7 @@
 #define RK_LIMIT 2
 #define RK_OOM 3
 
-#define RK_ABI_VERSION 2
+#define RK_ABI_VERSION 3
 
 #ifdef _WIN32
 #define RK_EXPORT __declspec(dllexport)
@@ -785,7 +785,6 @@ RK_EXPORT int rk_search(
     const uint64_t *occ, const int32_t *blk_ch,
     const int32_t *init_cfg,
     int32_t ncls, const int32_t *cls_off, const int32_t *cls_cols,
-    int32_t use_canon,
     int64_t max_states,
     int32_t track_parents,
     int64_t *out_count, int64_t *out_depth,
@@ -799,7 +798,7 @@ RK_EXPORT int rk_search(
     c.rel0 = rel0; c.nxt1 = nxt1; c.wait1 = wait1;
     c.occ = occ; c.blk_ch = blk_ch;
     c.ncls = ncls; c.cls_off = cls_off; c.cls_cols = cls_cols;
-    c.canon = use_canon && ncls > 0;
+    c.canon = ncls > 0;
     c.max_states = max_states;
     c.track = track_parents;
     c.count = 1; /* the initial state */

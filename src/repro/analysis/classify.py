@@ -310,8 +310,9 @@ def _classify_cycle_search(
                         tag = m.tag if c == 0 else f"{m.tag}(copy{c})"
                         msgs.append(CheckerMessage(path=m.path, length=ln, tag=tag))
                 spec = SystemSpec.uniform(msgs, budget=budget)
-                # verdict first (symmetry-reduced); witness search only
-                # for the rare deadlocking scenario
+                # verdict first: most scenarios are deadlock-free, and a
+                # verdict search keeps no parents; a deadlocking one is
+                # searched again, over the same states, for its witness
                 probe = search_deadlock(
                     spec,
                     max_states=max_states,

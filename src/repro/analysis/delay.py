@@ -15,11 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from repro.analysis.reachability import (
-    SearchResult,
-    _symmetry_canonicalizer,
-    search_deadlock,
-)
+from repro.analysis.reachability import SearchResult, search_deadlock
 from repro.analysis.state import CheckerMessage, SystemSpec, check_options
 
 
@@ -47,17 +43,12 @@ def min_delay_to_deadlock(
 
     Deadlock reachability is monotone in the budget (a larger budget only
     adds adversary options), so the sweep stops at the first reachable Δ.
-
-    When every message is distinct (no symmetry class, the Section 6
-    ``Gen(m)`` networks and Figure 1), symmetry reduction changes nothing,
-    so a verdict search and a witness search explore the same states.
-    Each budget is then searched once, in witness mode, and
-    ``results[min_delay].witness`` comes from the pass that decided the
-    budget.  Specs with identical messages keep two phases: every budget
-    is decided by a symmetry-reduced verdict-only search, whose entries
-    report the (smaller) reduced state counts, and only the deadlocking
-    budget is searched again in witness mode (symmetry off, so the action
-    rows name the same message copies as a plain witness search).
+    Each budget is searched once, in witness mode, so
+    ``results[min_delay].witness`` comes from the search that decided the
+    budget.  Like every search, it is reduced over identical messages
+    (see :func:`~repro.analysis.reachability.search_deadlock`), so each
+    entry reports the same ``states_explored`` a verdict-only search
+    would.
 
     Raises :class:`ValueError` when ``max_delay < 0`` (no budget to
     search) or ``max_states < 1``.
@@ -65,17 +56,10 @@ def min_delay_to_deadlock(
     check_options(max_delay=max_delay, max_states=max_states)
     results: dict[int, SearchResult] = {}
     for delta in range(max_delay + 1):
-        spec = SystemSpec.uniform(messages, budget=delta)
-        one_pass = _symmetry_canonicalizer(spec) is None
         res = search_deadlock(
-            spec,
-            max_states=max_states,
-            find_witness=one_pass,
+            SystemSpec.uniform(messages, budget=delta), max_states=max_states
         )
-        if res.deadlock_reachable:
-            if not one_pass:
-                res = search_deadlock(spec, max_states=max_states)
-            results[delta] = res
-            return DelayResult(min_delay=delta, max_delay_tested=delta, results=results)
         results[delta] = res
+        if res.deadlock_reachable:
+            return DelayResult(min_delay=delta, max_delay_tested=delta, results=results)
     return DelayResult(min_delay=None, max_delay_tested=max_delay, results=results)

@@ -99,7 +99,7 @@ class WideSpecFallbackWarning(UserWarning):
 # cc tier: runtime-compiled shared library through ctypes
 # ----------------------------------------------------------------------
 _CC_SRC = Path(__file__).with_name("_kernel.c")
-_CC_ABI = 2
+_CC_ABI = 3
 _cc_lib: ctypes.CDLL | None = None
 _cc_tried = False
 _cc_lock = threading.Lock()
@@ -161,7 +161,7 @@ def _open_cc_lib(path: Path) -> ctypes.CDLL | str:
         i32, i32, i32,  # n, S, W
         ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,  # nops .. init_cfg
         i32, ptr, ptr,  # ncls, cls_off, cls_cols
-        i32, i64, i32,  # use_canon, max_states, track_parents
+        i64, i32,  # max_states, track_parents
         ctypes.POINTER(i64), ctypes.POINTER(i64),  # out_count, out_depth
         ctypes.POINTER(ctypes.POINTER(i32)), ctypes.POINTER(i64),  # out_chain(_len)
     ]
@@ -432,7 +432,7 @@ class KernelEngine:
     # compiled call
     # ------------------------------------------------------------------
     def _run(
-        self, max_states: int, symmetry_reduction: bool, track: bool
+        self, max_states: int, track: bool
     ) -> tuple[int, int, int, list[tuple[int, ...]]]:
         """``(status, count, depth, chain)`` from one call into the C loop;
         ``chain`` runs from the initial state to the found deadlock (empty
@@ -445,7 +445,6 @@ class KernelEngine:
         _obs_incr("kernelpath.searches.cc")
         t = self._tables
         n = len(self.spec.messages)
-        use_canon = 1 if (symmetry_reduction and t.ncls) else 0
         c_i32p = ctypes.POINTER(ctypes.c_int32)
         out_count = ctypes.c_int64(0)
         out_depth = ctypes.c_int64(0)
@@ -471,7 +470,6 @@ class KernelEngine:
             ctypes.c_int32(t.ncls),
             p(t.cls_off),
             p(t.cls_cols),
-            ctypes.c_int32(use_canon),
             ctypes.c_int64(max_states),
             ctypes.c_int32(1 if track else 0),
             ctypes.byref(out_count),
@@ -500,9 +498,7 @@ class KernelEngine:
     # ------------------------------------------------------------------
     # searches
     # ------------------------------------------------------------------
-    def search(
-        self, *, max_states: int = 2_000_000, symmetry_reduction: bool = True
-    ) -> tuple[bool, int, int]:
+    def search(self, *, max_states: int = 2_000_000) -> tuple[bool, int, int]:
         """``(deadlock_reachable, states_explored, depth)``: the first two
         bit-identical to the reference search with ``find_witness=False``,
         ``depth`` the BFS levels the kernel expanded.
@@ -512,15 +508,13 @@ class KernelEngine:
         """
         tel = _obs_get()
         t0 = perf_counter() if tel is not None else 0.0
-        status, count, depth, _chain = self._run(
-            max_states, symmetry_reduction, track=False
-        )
+        status, count, depth, _chain = self._run(max_states, track=False)
         if tel is not None:
             tel.incr("kernelpath.phase.kernel_s", round(perf_counter() - t0, 6))
         return status == _STATUS_FOUND, count, depth
 
     def search_witness(
-        self, *, max_states: int = 2_000_000, symmetry_reduction: bool = False
+        self, *, max_states: int = 2_000_000
     ) -> tuple[bool, int, list | None, list | None, tuple[int, ...]]:
         """``(found, states_explored, steps, states, deadlocked)``: the
         per-cycle action rows and raw states of a minimum-length deadlock
@@ -538,9 +532,7 @@ class KernelEngine:
         """
         tel = _obs_get()
         t0 = perf_counter() if tel is not None else 0.0
-        status, count, _depth, chain = self._run(
-            max_states, symmetry_reduction, track=True
-        )
+        status, count, _depth, chain = self._run(max_states, track=True)
         if tel is not None:
             t1 = perf_counter()
             tel.incr("kernelpath.phase.kernel_s", round(t1 - t0, 6))

@@ -244,7 +244,6 @@ def search_deadlock(
     *,
     max_states: int = 2_000_000,
     find_witness: bool = True,
-    symmetry_reduction: bool | None = None,
     engine: str | None = None,
     certificates: str | None = None,
 ) -> SearchResult:
@@ -260,12 +259,6 @@ def search_deadlock(
     find_witness:
         When true, parent pointers are kept so a full
         :class:`Witness` trace can be reconstructed.
-    symmetry_reduction:
-        Deduplicate states up to permutation of identical message types
-        (same path, length and budget).  Sound and complete for the
-        reachability verdict, but witness action rows may name a different
-        member of an identical pair than a non-reduced search would, so it
-        defaults to on only when ``find_witness`` is false.
     engine:
         ``"kernel"`` runs the whole search as one compiled fused loop
         through :class:`~repro.analysis.kernelpath.KernelEngine`;
@@ -301,14 +294,18 @@ def search_deadlock(
 
     Notes
     -----
-    BFS order means a search-produced witness has the minimum number of
-    cycles over all deadlock formations -- handy for reports and replay
-    tests.  Certificate-constructed witnesses follow the Theorem-2
+    Every search deduplicates states up to permutation of identical
+    messages (same path, length and budget; see
+    :func:`_symmetry_canonicalizer`), which is sound and complete for the
+    verdict.  So ``states_explored`` is the reduced count whether or not
+    a witness is asked for, and a witness is a path through first-reached
+    representatives.  BFS order means a search-produced witness has the
+    minimum number of cycles over all deadlock formations -- handy for
+    reports and replay tests.  Certificate-constructed witnesses follow the Theorem-2
     schedule instead, which may take more cycles.
     """
     # resolved once, and named on the span as the engine that ran
     engine = resolve_engine(engine, spec)
-    reduce = not find_witness if symmetry_reduction is None else symmetry_reduction
 
     def shortcut(cert) -> SearchResult | None:
         # a reachable certificate with a witness requested builds its
@@ -331,16 +328,13 @@ def search_deadlock(
     def search() -> SearchResult:
         if engine != "reference":
             return _search_kernel(
-                spec,
-                max_states=max_states,
-                find_witness=find_witness,
-                symmetry_reduction=reduce,
+                spec, max_states=max_states, find_witness=find_witness
             )
         found, explored, witness = explore(
             spec,
             max_states=max_states,
             find_witness=find_witness,
-            canon=_symmetry_canonicalizer(spec) if reduce else None,
+            canon=_symmetry_canonicalizer(spec),
         )
         return SearchResult(
             deadlock_reachable=found,
@@ -395,18 +389,12 @@ def search_deadlock(
 
 
 def _search_kernel(
-    spec: SystemSpec,
-    *,
-    max_states: int,
-    find_witness: bool,
-    symmetry_reduction: bool,
+    spec: SystemSpec, *, max_states: int, find_witness: bool
 ) -> SearchResult:
     """Search through the compiled :class:`KernelEngine` of ``spec``."""
     eng = _kernel_engine_for(spec)
     if not find_witness:
-        reachable, explored, depth = eng.search(
-            max_states=max_states, symmetry_reduction=symmetry_reduction
-        )
+        reachable, explored, depth = eng.search(max_states=max_states)
         return SearchResult(
             deadlock_reachable=reachable,
             witness=None,
@@ -419,9 +407,7 @@ def _search_kernel(
     # rows are recovered for the states on the deadlock path only (see
     # KernelEngine.search_witness), so witness searches run at nearly
     # verdict-search speed while returning the reference's exact witness
-    found, count, steps, states, dead = eng.search_witness(
-        max_states=max_states, symmetry_reduction=symmetry_reduction
-    )
+    found, count, steps, states, dead = eng.search_witness(max_states=max_states)
     witness = None
     if found:
         assert steps is not None and states is not None

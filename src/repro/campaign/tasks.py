@@ -52,7 +52,10 @@ from dataclasses import dataclass, field
 from typing import Any
 
 #: bump when the result payload or task semantics change; salts the cache key
-#: (v11: a reachable ``adaptive`` result records its witness's
+#: (v12: witness-mode ``reachability``/``cross_check`` results and the
+#: Δ* entry of ``min_delay`` over identical messages report reduced
+#: ``states_explored`` counts, as verdict-only searches always did;
+#: v11: a reachable ``adaptive`` result records its witness's
 #: ``witness_cycles``; v10: a ``lint`` result's detail carries the whole
 #: report, its target named as ``repro lint`` names it; v9: a ``reachability``, ``classify``
 #: or ``min_delay`` task over a scenario with no message set fails instead
@@ -73,7 +76,7 @@ from typing import Any
 #: certificate-decided reachability and classify tasks report
 #: ``states_explored``/``scenarios_tested`` of 0 and a ``certificate``
 #: detail; new ``lint`` kind)
-SCHEMA_VERSION = 11
+SCHEMA_VERSION = 12
 
 ANALYSIS_KINDS = (
     "reachability",
@@ -369,6 +372,11 @@ def _run_classify(bundle, p: dict[str, Any]) -> tuple[str, dict[str, Any]]:
         raise ValueError(
             f"scenario {bundle.name!r} exposes neither a CDG cycle nor a "
             "message set"
+        )
+    if int(p.get("extra_copies", 1)) != 1:
+        raise ValueError(
+            "extra_copies applies to cycle-mode classify only; scenario "
+            f"{bundle.name!r} is classified in configuration mode"
         )
     reachable, res = classify_configuration(
         bundle.messages,

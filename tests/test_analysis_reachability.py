@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis import SearchLimitExceeded, SystemSpec, search_deadlock
+from repro.analysis.reachability import explore
 from repro.analysis.state import CheckerMessage
 
 
@@ -79,37 +80,32 @@ class TestSearch:
         assert res.deadlock_reachable and res.witness is None
 
     def test_symmetry_reduction_preserves_verdict(self):
-        """Identical message copies: reduced search agrees, explores less."""
+        """Identical message copies: the search, always reduced, agrees
+        with the unreduced oracle and explores less."""
         from repro.core.cyclic_dependency import build_cyclic_dependency_network
 
         cdn = build_cyclic_dependency_network()
         msgs = cdn.checker_messages()
         extra = msgs + [CheckerMessage(msgs[1].path, msgs[1].length, "M2c")]
-        plain = search_deadlock(
-            SystemSpec.uniform(extra),
-            max_states=12_000_000,
-            find_witness=False,
-            symmetry_reduction=False,
+        spec = SystemSpec.uniform(extra)
+        found, explored, _ = explore(
+            spec, max_states=12_000_000, find_witness=False, canon=None
         )
         reduced = search_deadlock(
-            SystemSpec.uniform(extra),
-            max_states=12_000_000,
-            find_witness=False,
-            symmetry_reduction=True,
+            spec, max_states=12_000_000, find_witness=False, certificates="off"
         )
-        assert plain.deadlock_reachable == reduced.deadlock_reachable
-        assert reduced.states_explored < plain.states_explored
+        assert reduced.deadlock_reachable == found
+        assert reduced.states_explored < explored
 
     def test_symmetry_reduction_noop_without_duplicates(self):
         a = msg([0, 1, 2], 2, "a")
         b = msg([2, 3, 0], 2, "b")
-        plain = search_deadlock(
-            SystemSpec.uniform([a, b]), find_witness=False, symmetry_reduction=False
+        spec = SystemSpec.uniform([a, b])
+        _, explored, _ = explore(
+            spec, max_states=2_000_000, find_witness=False, canon=None
         )
-        reduced = search_deadlock(
-            SystemSpec.uniform([a, b]), find_witness=False, symmetry_reduction=True
-        )
-        assert plain.states_explored == reduced.states_explored
+        reduced = search_deadlock(spec, find_witness=False, certificates="off")
+        assert reduced.states_explored == explored
 
     def test_symmetric_deadlock_still_found(self):
         """Two identical head-on messages: reduction must not lose the bug."""
@@ -117,9 +113,7 @@ class TestSearch:
         b = msg([2, 3, 0], 2, "b")
         twin_a = msg([0, 1, 2], 2, "a2")
         res = search_deadlock(
-            SystemSpec.uniform([a, b, twin_a]),
-            find_witness=False,
-            symmetry_reduction=True,
+            SystemSpec.uniform([a, b, twin_a]), find_witness=False
         )
         assert res.deadlock_reachable
 

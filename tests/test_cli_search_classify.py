@@ -170,9 +170,12 @@ def test_out_of_range_option_exits_2(argv, line, capsys, monkeypatch):
         (["search", "fig1", "--params", '{"witness": true}'],
          "search: params may not set the analysis option 'witness'; it is not a "
          "scenario parameter"),
+        (["classify", "fig1", "--extra-copies", "3", "--json"],
+         "classify: extra_copies applies to cycle-mode classify only; scenario "
+         "'fig1' is classified in configuration mode"),
     ],
     ids=["search-no-messages", "classify-no-messages", "smuggled-max-states",
-         "smuggled-copy-depth", "smuggled-witness"],
+         "smuggled-copy-depth", "smuggled-witness", "configuration-extra-copies"],
 )
 def test_refused_query_is_one_line(argv, line, capsys):
     """A query serve refuses is refused here too, with one ``<cmd>:`` line
@@ -181,6 +184,28 @@ def test_refused_query_is_one_line(argv, line, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [line]
+
+
+@pytest.mark.parametrize("budget,states", [(0, 10_620), (1, 56_029)])
+@pytest.mark.parametrize("witness", [False, True], ids=["verdict", "witness"])
+def test_states_explored_does_not_depend_on_witness(budget, states, witness, capsys):
+    """Figure 1 plus the Theorem 1 M2/M4 copies: every search is reduced
+    over identical messages, so asking for a witness explores the same
+    states, through the CLI and through the task serve runs."""
+    from repro.campaign.query import query_task
+    from repro.campaign.tasks import execute_task
+
+    params = {"with_copies": True}
+    argv = ["search", "fig1", "--params", json.dumps(params),
+            "--budget", str(budget), "--json"]
+    assert main(argv + ["--witness"] if witness else argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["states_explored"] == states
+    assert payload["deadlock_reachable"] is (budget == 1)
+    task = query_task("reachability", "fig1", params, {"budget": budget},
+                      witness=witness)
+    result = execute_task(task)
+    assert result.ok and result.detail["states_explored"] == states
 
 
 def test_option_flags_come_from_the_query_table():

@@ -1,17 +1,17 @@
 """Differential pin: the one-search-per-budget Δ* sweep equals the two-phase one.
 
 :func:`repro.analysis.delay.min_delay_to_deadlock` searches each stall
-budget once, in witness mode, when the spec has no identical messages:
-symmetry reduction is then a no-op, so the verdict search and the
-witness search explore the same states.  The sweep it replaced decided
-every budget with a verdict-only search and searched the deadlocking
-budget a second time for its witness.  That sweep is kept here as
-:func:`two_phase_sweep`, the oracle.  On the Figure 1 network, the Theorem 4
-``fig2-pair`` grid and ``Gen(1..3)`` both sweeps must agree on Δ*, on
-every per-budget verdict and ``states_explored``, and on the witness,
-step for step; every witness must also replay to a deadlock on the
-flit-level simulator.  A spec with identical messages (Figure 1 with the
-Theorem 1 copies) must keep the two-phase path.
+budget once, in witness mode.  Every search is reduced over identical
+messages, so a verdict search and a witness search explore the same
+states.  The sweep it replaced decided every budget with a verdict-only
+search and searched the deadlocking budget a second time for its
+witness.  That sweep is kept here as :func:`two_phase_sweep`, the
+oracle.  On the Figure 1 network, the Theorem 4 ``fig2-pair`` grid and
+``Gen(1..3)`` both sweeps must agree on Δ*, on every per-budget verdict
+and ``states_explored``, and on the witness, step for step; every
+witness must also replay to a deadlock on the flit-level simulator.  A
+spec with identical messages (Figure 1 with the Theorem 1 copies) is
+searched once per budget too.
 """
 
 from __future__ import annotations
@@ -133,9 +133,9 @@ def test_distinct_messages_search_each_budget_once(monkeypatch):
     assert calls == [True, True]
 
 
-def test_identical_messages_keep_two_phases(monkeypatch):
-    """Figure 1 plus the Theorem 1 M2/M4 copies: a verdict-only search per
-    budget, then one witness re-search at Δ*."""
+def test_identical_messages_search_each_budget_once(monkeypatch):
+    """Figure 1 plus the Theorem 1 M2/M4 copies: one witness-mode search
+    per budget, reduced like the verdict searches of the two-phase sweep."""
     msgs, cdn, pairs = _fig1()
     copies = [
         CheckerMessage(msgs[1].path, msgs[1].length, "M2copy"),
@@ -144,7 +144,7 @@ def test_identical_messages_keep_two_phases(monkeypatch):
     calls = _search_calls(monkeypatch)
     new = min_delay_to_deadlock(msgs + copies, max_delay=2)
     assert new.min_delay == 1
-    assert calls == [False, False, True]
+    assert calls == [True, True]
     monkeypatch.undo()
     _assert_sweeps_agree(new, two_phase_sweep(msgs + copies, max_delay=2))
     wit = new.results[1].witness

@@ -8,8 +8,8 @@ for every paper-battery scenario, witness replay, state cap,
 classify/delay run and campaign task below, and for randomly generated
 specs.  Against the reference oracle they assert: identical
 ``deadlock_reachable`` verdicts, identical ``states_explored`` counts
-(symmetry reduction on and off), identical :class:`SearchLimitExceeded`
-behaviour, and witnesses equal step-for-step that replay to a genuine
+(every search reduced over identical messages), identical
+:class:`SearchLimitExceeded` behaviour, and witnesses equal step-for-step that replay to a genuine
 deadlock under the *reference* dynamics.
 
 The retired engine names (``vector``, ``auto``, ``fast``) are rejected
@@ -121,9 +121,8 @@ def _both(spec: SystemSpec, **kw):
 # battery differential on forced wide rows
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("label,spec", BATTERY, ids=[b[0] for b in BATTERY])
-@pytest.mark.parametrize("symmetry", [False, True], ids=["nosym", "sym"])
-def test_battery_verdicts_and_counts(label, spec, symmetry, wide_rows):
-    res = _both(spec, find_witness=False, symmetry_reduction=symmetry)
+def test_battery_verdicts_and_counts(label, spec, wide_rows):
+    res = _both(spec, find_witness=False)
     ref = res["reference"]
     assert res["kernel"].deadlock_reachable == ref.deadlock_reachable
     assert res["kernel"].states_explored == ref.states_explored
@@ -320,8 +319,8 @@ def small_specs(draw) -> SystemSpec:
 
 
 @settings(max_examples=30, deadline=None)
-@given(spec=small_specs(), symmetry=st.booleans())
-def test_random_specs_two_way_counts(spec, symmetry):
+@given(spec=small_specs())
+def test_random_specs_two_way_counts(spec):
     res = {}
     with _forced_wide():
         for eng in ENGINES:
@@ -330,8 +329,7 @@ def test_random_specs_two_way_counts(spec, symmetry):
                     spec,
                     engine=eng,
                     find_witness=False,
-                    symmetry_reduction=symmetry,
-                    max_states=60_000,
+                        max_states=60_000,
                 )
                 res[eng] = (got.deadlock_reachable, got.states_explored)
             except SearchLimitExceeded:

@@ -6,7 +6,7 @@ expand/arbitrate/dedup/deadlock-test loop in C (``_kernel.c``, built on
 first use).  These tests assert equivalence against the reference oracle
 on paper-battery scenarios and on randomly generated small specs:
 identical ``deadlock_reachable`` verdicts, identical ``states_explored``
-counts (symmetry reduction on and off), identical
+counts (every search reduced over identical messages), identical
 :class:`SearchLimitExceeded` behaviour, and witnesses equal step-for-step
 (the kernel recovers their action labels from
 :meth:`SystemSpec.successors`) that replay to a genuine deadlock under
@@ -52,11 +52,17 @@ from repro.analysis.reachability import (
     SEARCH_ENGINES,
     SearchLimitExceeded,
     Witness,
+    explore,
     resolve_engine,
     search_deadlock,
 )
+from repro.analysis.schedules import replay_witness
 from repro.analysis.state import CheckerMessage, SystemSpec
 from repro.campaign.scenarios import build_scenario
+from repro.core.cyclic_dependency import build_cyclic_dependency_network
+from repro.core.three_message import FIG3_PANELS, build_three_message_config
+from repro.core.two_message import build_two_message_config
+from repro.lint.witness import validate_witness
 from repro.obs import Telemetry
 
 ENGINES = ("reference", "kernel")
@@ -79,8 +85,8 @@ def _battery_specs() -> list[tuple[str, SystemSpec]]:
     """Small paper-battery scenarios spanning both verdicts, and the row
     shapes of the kernel's dedup layer: 3 and 5 messages hash an odd
     tail entry, and the five-message spec's identical pair (Figure 1
-    plus an M2 copy) keys a symmetry-reduced search by a separate store
-    of canonical rows."""
+    plus an M2 copy) keys its search by a separate store of canonical
+    rows."""
     fig1 = build_scenario("fig1", {}).messages
     gen1 = build_scenario("gen", {"m": 1}).messages
     overlap = build_scenario(
@@ -126,14 +132,9 @@ def _assert_valid_witness(spec: SystemSpec, wit: Witness) -> None:
 # battery differential
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("label,spec", BATTERY, ids=[b[0] for b in BATTERY])
-@pytest.mark.parametrize("symmetry", [False, True], ids=["nosym", "sym"])
-def test_battery_verdicts_and_counts(label, spec, symmetry):
-    ref = search_deadlock(
-        spec, engine="reference", find_witness=False, symmetry_reduction=symmetry
-    )
-    got = search_deadlock(
-        spec, engine="kernel", find_witness=False, symmetry_reduction=symmetry
-    )
+def test_battery_verdicts_and_counts(label, spec):
+    ref = search_deadlock(spec, engine="reference", find_witness=False)
+    got = search_deadlock(spec, engine="kernel", find_witness=False)
     assert got.deadlock_reachable == ref.deadlock_reachable
     assert got.states_explored == ref.states_explored
 
@@ -152,6 +153,82 @@ def test_battery_witness_equality_and_replay(label, spec):
     assert got.witness.states == ref.witness.states
     assert got.witness.deadlocked == ref.witness.deadlocked
     _assert_valid_witness(spec, got.witness)
+
+
+# ----------------------------------------------------------------------
+# witnesses under symmetry: identical messages, one reduced search
+# ----------------------------------------------------------------------
+def _plus_copy(construction):
+    """A construction's messages plus one copy of message 0, and what the
+    flit simulator needs to replay them."""
+    msgs = construction.checker_messages()
+    first = msgs[0]
+    pairs = list(construction.message_pairs)
+    return (
+        msgs + [CheckerMessage(first.path, first.length, f"{first.tag}copy")],
+        construction,
+        pairs + [pairs[0]],
+    )
+
+
+def _symmetric_case(name: str):
+    """``(messages, construction, pairs)`` of a spec with identical
+    messages: a Figure 3 panel or a ``fig2-pair`` plus a copy of message
+    0, or Figure 1 plus the Theorem 1 proof's M2/M4 copies."""
+    if name == "fig1-copies":
+        cdn = build_cyclic_dependency_network()
+        pairs = list(cdn.message_pairs.values())
+        msgs = build_scenario("fig1", {"with_copies": True}).messages
+        return msgs, cdn, pairs + [pairs[1], pairs[3]]
+    if name == "fig2-pair":
+        return _plus_copy(
+            build_two_message_config(approach_1=3, approach_2=1, hold_1=3, hold_2=3)
+        )
+    return _plus_copy(build_three_message_config(FIG3_PANELS[name[-1]]))
+
+
+SYMMETRIC = [
+    *((f"fig3{p}", 1) for p in "abcd"),
+    ("fig2-pair", 1),
+    ("fig1-copies", 0),
+    ("fig1-copies", 1),
+]
+
+
+@pytest.mark.parametrize(
+    "name,budget", SYMMETRIC, ids=[f"{n}-b{b}" for n, b in SYMMETRIC]
+)
+def test_symmetric_witness_matches_reference_and_replays(name, budget):
+    """A witness search over identical messages is reduced like a verdict
+    search: the same ``states_explored``, the reference's witness step
+    for step, a witness that replays on the flit simulator and is as
+    short as the unreduced search's (fig1-copies-b1 takes ~11 s, two thirds
+    of it the unreduced search)."""
+    msgs, construction, pairs = _symmetric_case(name)
+    spec = SystemSpec.uniform(msgs, budget=budget)
+    ref = search_deadlock(spec, engine="reference")
+    got = search_deadlock(spec, engine="kernel")
+    verdict = search_deadlock(spec, engine="kernel", find_witness=False)
+    assert got.deadlock_reachable == ref.deadlock_reachable
+    assert got.states_explored == ref.states_explored == verdict.states_explored
+    if not ref.deadlock_reachable:
+        assert got.witness is None and ref.witness is None
+        return
+    assert got.witness is not None and ref.witness is not None
+    assert got.witness.steps == ref.witness.steps
+    assert got.witness.states == ref.witness.states
+    assert got.witness.deadlocked == ref.witness.deadlocked
+    assert validate_witness(got.witness)
+    sim = replay_witness(
+        got.witness, construction.network, construction.routing, pairs
+    )
+    assert sim.deadlocked
+    found, unreduced_count, unreduced = explore(
+        spec, max_states=2_000_000, find_witness=True, canon=None
+    )
+    assert found and unreduced is not None
+    assert got.states_explored < unreduced_count
+    assert got.witness.num_cycles == unreduced.num_cycles
 
 
 # ----------------------------------------------------------------------
@@ -646,8 +723,8 @@ def small_specs(draw) -> SystemSpec:
 
 
 @settings(max_examples=25, deadline=None)
-@given(spec=small_specs(), symmetry=st.booleans())
-def test_random_specs_two_way_counts(spec, symmetry):
+@given(spec=small_specs())
+def test_random_specs_two_way_counts(spec):
     res = {}
     for eng in ENGINES:
         try:
@@ -655,7 +732,6 @@ def test_random_specs_two_way_counts(spec, symmetry):
                 spec,
                 engine=eng,
                 find_witness=False,
-                symmetry_reduction=symmetry,
                 max_states=60_000,
             )
             res[eng] = (got.deadlock_reachable, got.states_explored)
@@ -693,7 +769,7 @@ def test_rk_search_argtypes_match_the_c_prototype():
     params = [" ".join(p.split()) for p in proto.group(1).split(",")]
     argtypes = kernelpath_mod._load_cc_lib().rk_search.argtypes
     assert argtypes is not None, "rk_search has no declared argtypes"
-    assert len(argtypes) == len(params) == 22
+    assert len(argtypes) == len(params) == 21
     widths = {"int32_t": 4, "int64_t": 8}
     for param, argtype in zip(params, argtypes):
         is_ptr = argtype is ctypes.c_void_p or issubclass(argtype, ctypes._Pointer)

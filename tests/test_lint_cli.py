@@ -81,7 +81,8 @@ class TestCampaignLintKind:
         #     reachability takes a witness param
         # v10: lint results carry the full report
         # v11: reachable adaptive results record witness_cycles
-        assert SCHEMA_VERSION == 11
+        # v12: witness searches over identical messages report reduced counts
+        assert SCHEMA_VERSION == 12
 
     def test_lint_task_executes(self):
         task = CampaignTask.make(

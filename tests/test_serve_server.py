@@ -340,13 +340,17 @@ def test_state_cap_is_a_named_502_and_never_cached(client):
          "scenario 'adaptive-mesh' exposes neither a CDG cycle nor a message set"),
         ("/v1/search", {"scenario": "fig1", "params": {"subset": []}},
          "fig1 subset names no message"),
+        ("/v1/classify", {"scenario": "fig1", "params": {}, "extra_copies": 3},
+         "extra_copies applies to cycle-mode classify only"),
     ],
-    ids=["search", "classify", "empty-subset"],
+    ids=["search", "classify", "empty-subset", "configuration-extra-copies"],
 )
 def test_query_over_no_messages_is_refused_and_never_cached(server, path, body, wording):
     """A scenario without a message set gets no verdict (not a certified
-    ``unreachable`` over zero messages), and the refusal is not cached:
-    a repeat runs live again."""
+    ``unreachable`` over zero messages), nor does a configuration-mode
+    classify that sets the cycle-mode ``extra_copies`` (not the answer
+    without it), and the refusal is not cached: a repeat runs live
+    again."""
     c = ServeClient(server.url)
     for _ in range(2):
         resp = c._request("POST", path, body)
